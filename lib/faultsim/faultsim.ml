@@ -72,6 +72,16 @@ let inject fault ~src ~dst =
 
 (* ---- engine-free database images ---- *)
 
+(* Partial application builds the name index once, so a lookup per
+   replayed write stays O(1) instead of scanning every reactor. *)
+let catalog_of cats =
+  let by_name = Hashtbl.create (List.length cats) in
+  List.iter (fun (name, c) -> Hashtbl.replace by_name name c) cats;
+  fun name ->
+    match Hashtbl.find_opt by_name name with
+    | Some c -> c
+    | None -> invalid_arg (Printf.sprintf "Faultsim: unknown reactor %S" name)
+
 let fresh_catalogs decl =
   Reactor.validate decl;
   let cats =
@@ -89,15 +99,9 @@ let fresh_catalogs decl =
         (name, catalog))
       decl.Reactor.reactors
   in
-  List.iter
-    (fun (rname, loader) -> loader (List.assoc rname cats))
-    decl.Reactor.loaders;
+  let cat = catalog_of cats in
+  List.iter (fun (rname, loader) -> loader (cat rname)) decl.Reactor.loaders;
   cats
-
-let catalog_of cats name =
-  match List.assoc_opt name cats with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Faultsim: unknown reactor %S" name)
 
 type state = (string * string * Util.Value.t array list) list
 

@@ -39,6 +39,9 @@ val inject : fault -> src:string -> dst:string -> unit
     engine. Mirrors bootstrap ([Reactdb.Database.create]) physically. *)
 val fresh_catalogs : Reactor.decl -> (string * Storage.Catalog.t) list
 
+(** [catalog_of cats] is a lookup by reactor name; apply it to [cats] once
+    and reuse the result (it indexes [cats] in a hash table). Raises
+    [Invalid_argument] for an unknown reactor. *)
 val catalog_of :
   (string * Storage.Catalog.t) list -> string -> Storage.Catalog.t
 

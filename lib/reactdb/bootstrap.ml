@@ -33,9 +33,11 @@ let build decl cfg =
         { bs_name = name; bs_rtype = rt; bs_catalog = catalog; bs_home = home })
       decl.Reactor.reactors
   in
+  let by_name = Hashtbl.create (List.length entries) in
+  List.iter (fun e -> Hashtbl.replace by_name e.bs_name e.bs_catalog) entries;
   let catalog_of name =
-    match List.find_opt (fun e -> e.bs_name = name) entries with
-    | Some e -> e.bs_catalog
+    match Hashtbl.find_opt by_name name with
+    | Some c -> c
     | None -> invalid_arg (Printf.sprintf "ReactDB: unknown reactor %S" name)
   in
   List.iter

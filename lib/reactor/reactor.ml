@@ -117,7 +117,15 @@ let validate d =
         t.rt_morphs)
     d.types;
   List.iter (fun (_, ty) -> ignore (find_type d ty)) d.reactors;
-  List.iter (fun (r, _) -> ignore (type_of_reactor d r)) d.loaders
+  (* One name index, not a scan of [reactors] per loader: declarations
+     with tens of thousands of reactors each carry a loader. *)
+  let names = Hashtbl.create (List.length d.reactors) in
+  List.iter (fun (r, _) -> Hashtbl.replace names r ()) d.reactors;
+  List.iter
+    (fun (r, _) ->
+      if not (Hashtbl.mem names r) then
+        invalid_arg (Printf.sprintf "Reactor: unknown reactor %S" r))
+    d.loaders
 
 let arg args i =
   match List.nth_opt args i with

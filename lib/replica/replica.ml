@@ -33,15 +33,27 @@ module Batch = struct
      the readable prefix, mirroring Wal.read_file_tolerant. *)
 
   let encode ~gen ~from_epoch ~to_epoch entries =
-    let payload = String.concat "\n" (List.map Wal.encode_framed entries) in
-    Printf.sprintf "R|2|%d|%d|%d|%d|%s\n%s" gen from_epoch to_epoch
-      (List.length entries)
-      (Util.Checksum.crc32_hex payload)
-      payload
+    let b = Wal.Buf.create 4096 in
+    List.iteri
+      (fun i e ->
+        if i > 0 then Wal.Buf.add_char b '\n';
+        Wal.add_framed b e)
+      entries;
+    let crc = Wal.Buf.crc32 b ~pos:0 ~len:(Wal.Buf.length b) in
+    Wal.Buf.insert b ~at:0
+      (Printf.sprintf "R|2|%d|%d|%d|%d|%08x\n" gen from_epoch to_epoch
+         (List.length entries) crc);
+    Wal.Buf.contents b
 
+  (* Bytes of the framed records plus one separator each, counted in one
+     scratch buffer cleared per record. *)
   let size entries =
+    let b = Wal.Buf.create 1024 in
     List.fold_left
-      (fun a e -> a + String.length (Wal.encode_framed e) + 1)
+      (fun a e ->
+        Wal.Buf.clear b;
+        Wal.add_framed b e;
+        a + Wal.Buf.length b + 1)
       0 entries
 
   (* Readable prefix of payload lines: stop at the first line that fails
@@ -106,6 +118,7 @@ type t = {
   rid : int;
   decl : Reactor.decl;
   cats : (string * Storage.Catalog.t) list;
+  cat : string -> Storage.Catalog.t; (* [Faultsim.catalog_of cats] *)
   mutable wmark : int;
   mutable gen : int;
   mutable placements : (string * int) list;
@@ -124,10 +137,12 @@ type apply_result =
 
 let create ?(gen = 0) ~id decl =
   Reactor.validate decl;
+  let cats = Faultsim.fresh_catalogs decl in
   {
     rid = id;
     decl;
-    cats = Faultsim.fresh_catalogs decl;
+    cats;
+    cat = Faultsim.catalog_of cats;
     wmark = 0;
     gen;
     placements = [];
@@ -161,7 +176,7 @@ let apply_entries t entries =
     in
     ignore
       (Wal.replay entries
-         ~catalog_of:(fun r -> Faultsim.catalog_of t.cats r)
+         ~catalog_of:t.cat
          ~on_move:(fun ~reactor ~dst ->
            t.placements <- (reactor, dst) :: List.remove_assoc reactor t.placements));
     t.log_rev <- List.rev_append entries t.log_rev;
@@ -251,7 +266,7 @@ let rec invoke t ~snapshot ~txn ~reactor ~proc ~args =
     {
       Reactor.db =
         Query.Exec.make_ctx ~snapshot ~txn ~container:0
-          ~catalog:(Faultsim.catalog_of t.cats reactor)
+          ~catalog:(t.cat reactor)
           ~charge:(fun _ _ -> ())
           ~work:(fun _ -> ())
           ();
@@ -294,7 +309,7 @@ let promote ?gen t =
   let opl = ref [] in
   ignore
     (Wal.replay entries
-       ~catalog_of:(fun r -> Faultsim.catalog_of oracle r)
+       ~catalog_of:(Faultsim.catalog_of oracle)
        ~on_move:(fun ~reactor ~dst ->
          opl := (reactor, dst) :: List.remove_assoc reactor !opl));
   match Faultsim.diff (Faultsim.snapshot oracle) (Faultsim.snapshot t.cats) with

@@ -60,34 +60,31 @@ let restore ck ~catalog_of =
    Legacy v1 ("tid<TAB>n" header, unframed rows, no trailer) remains
    readable; its covered-reactor set is derived from the rows. *)
 
-let hex_name s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let unhex_name s =
-  if String.length s mod 2 <> 0 then failwith "Checkpoint: odd hex length";
-  String.init (String.length s / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
-
 let write_file path ck =
   let tmp = path ^ ".tmp" in
-  let body = Buffer.create 4096 in
-  Buffer.add_string body
-    (Printf.sprintf "ckpt2\t%d\t%d\t%s\n" ck.ck_tid ck.ck_covers
-       (String.concat "," (List.map hex_name ck.ck_reactors)));
+  let b = Wal.Buf.create 4096 in
+  Wal.Buf.add_string b "ckpt2\t";
+  Wal.Buf.add_int b ck.ck_tid;
+  Wal.Buf.add_char b '\t';
+  Wal.Buf.add_int b ck.ck_covers;
+  Wal.Buf.add_char b '\t';
+  List.iteri
+    (fun i r ->
+      if i > 0 then Wal.Buf.add_char b ',';
+      Wal.Buf.add_hex b r)
+    ck.ck_reactors;
+  Wal.Buf.add_char b '\n';
   List.iter
     (fun (reactor, table, row) ->
-      Buffer.add_string body
-        (Wal.encode_framed
-           { Wal.le_txn = 0; le_tid = ck.ck_tid;
-             le_writes = [ Wal.Put { reactor; table; row } ] });
-      Buffer.add_char body '\n')
+      Wal.add_framed b
+        { Wal.le_txn = 0; le_tid = ck.ck_tid;
+          le_writes = [ Wal.Put { reactor; table; row } ] };
+      Wal.Buf.add_char b '\n')
     ck.ck_rows;
+  let crc = Wal.Buf.crc32 b ~pos:0 ~len:(Wal.Buf.length b) in
   let oc = open_out tmp in
-  Buffer.output_buffer oc body;
-  Printf.fprintf oc "end\t%d\t%s\n" (List.length ck.ck_rows)
-    (Util.Checksum.crc32_hex (Buffer.contents body));
+  Wal.Buf.output oc b;
+  Printf.fprintf oc "end\t%d\t%08x\n" (List.length ck.ck_rows) crc;
   close_out oc;
   Sys.rename tmp path
 
@@ -123,7 +120,7 @@ let read_file_opt path =
         | Some ck_tid, Some ck_covers -> (
           let ck_reactors =
             if reactors = "" then []
-            else List.map unhex_name (String.split_on_char ',' reactors)
+            else List.map Wal.unhex (String.split_on_char ',' reactors)
           in
           (* Split the trailer off; a missing or mismatched trailer means a
              torn checkpoint. The trailer CRC covers the canonical

@@ -7,20 +7,6 @@ type write =
 
 type entry = { le_txn : int; le_tid : int; le_writes : write list }
 
-type file_sink = { oc : out_channel; path : string }
-
-type sink = Memory of entry list ref | File of file_sink
-
-type t = {
-  sink : sink;
-  mutable count : int;
-  mutable n_flushes : int;
-  mutable flush_time_us : float;
-}
-
-let in_memory () =
-  { sink = Memory (ref []); count = 0; n_flushes = 0; flush_time_us = 0. }
-
 (* --- encoding: one entry per line ---
 
    v1 (legacy, still readable):
@@ -33,25 +19,150 @@ let in_memory () =
 
    write  := P|D , reactor , table , value,value,...
    value  := N | B:0/1 | I:n | F:hex-float | S:hexbytes
-   Strings are hex-encoded so no separator can collide; the payload never
-   contains a newline, so records remain line-delimited. *)
+   Strings are hex-encoded (lowercase; decoding accepts nothing else) so no
+   separator can collide; the payload never contains a newline, so records
+   remain line-delimited. *)
 
-let hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+let hex_digits = "0123456789abcdef"
 
+(* Nibble value of a lowercase hex digit, -1 for any other byte. *)
+let nibble =
+  Array.init 256 (fun c ->
+      match Char.chr c with
+      | '0' .. '9' -> c - Char.code '0'
+      | 'a' .. 'f' -> c - Char.code 'a' + 10
+      | _ -> -1)
+
+(* Strict inverse of [Buf.add_hex]: only pairs of [0-9a-f] decode, so
+   every string has at most one encoding and a damaged digit is an error,
+   not a value. *)
 let unhex s =
-  if String.length s mod 2 <> 0 then failwith "Wal: odd hex length";
-  String.init (String.length s / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+  let n = String.length s in
+  if n land 1 <> 0 then failwith "Wal: odd hex length";
+  String.init (n / 2) (fun i ->
+      let hi = nibble.(Char.code (String.unsafe_get s (2 * i)))
+      and lo = nibble.(Char.code (String.unsafe_get s ((2 * i) + 1))) in
+      if hi < 0 || lo < 0 then failwith "Wal: bad hex digit";
+      Char.unsafe_chr ((hi lsl 4) lor lo))
 
-let encode_value = function
-  | Value.Null -> "N"
-  | Value.Bool b -> if b then "B:1" else "B:0"
-  | Value.Int i -> "I:" ^ string_of_int i
-  | Value.Float f -> Printf.sprintf "F:%h" f
-  | Value.Str s -> "S:" ^ hex s
+(* Growable byte buffer the encoder appends records to. Unlike [Buffer] it
+   exposes its bytes in place, so a record's CRC is computed over the range
+   it occupies and its header is inserted in front of it — the payload is
+   never copied into a string of its own. *)
+module Buf = struct
+  type t = { mutable bytes : Bytes.t; mutable len : int }
+
+  let create n = { bytes = Bytes.create (max n 16); len = 0 }
+  let length b = b.len
+  let clear b = b.len <- 0
+
+  let grow b need =
+    let cap = ref (Bytes.length b.bytes) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let nb = Bytes.create !cap in
+    Bytes.blit b.bytes 0 nb 0 b.len;
+    b.bytes <- nb
+
+  (* Small enough to inline: the common case is one comparison. *)
+  let reserve b more =
+    if b.len + more > Bytes.length b.bytes then grow b (b.len + more)
+
+  let add_char b c =
+    reserve b 1;
+    Bytes.unsafe_set b.bytes b.len c;
+    b.len <- b.len + 1
+
+  let add_string b s =
+    let n = String.length s in
+    reserve b n;
+    Bytes.blit_string s 0 b.bytes b.len n;
+    b.len <- b.len + n
+
+  (* Decimal, as [string_of_int], with the digits written in place. *)
+  let add_int b i =
+    if i = min_int then add_string b (string_of_int i)
+    else begin
+      let rec width n = if n < 10 then 1 else 1 + width (n / 10) in
+      let digits = width (abs i) in
+      let len = digits + if i < 0 then 1 else 0 in
+      reserve b len;
+      if i < 0 then Bytes.unsafe_set b.bytes b.len '-';
+      let rest = ref (abs i) in
+      for p = b.len + len - 1 downto b.len + len - digits do
+        Bytes.unsafe_set b.bytes p (Char.unsafe_chr (Char.code '0' + (!rest mod 10)));
+        rest := !rest / 10
+      done;
+      b.len <- b.len + len
+    end
+
+  let add_hex b s =
+    let n = String.length s in
+    reserve b (2 * n);
+    let by = b.bytes and p = b.len in
+    for i = 0 to n - 1 do
+      let c = Char.code (String.unsafe_get s i) in
+      Bytes.unsafe_set by (p + (2 * i)) (String.unsafe_get hex_digits (c lsr 4));
+      Bytes.unsafe_set by (p + (2 * i) + 1) (String.unsafe_get hex_digits (c land 0xf))
+    done;
+    b.len <- p + (2 * n)
+
+  let crc32 b ~pos ~len =
+    if pos < 0 || len < 0 || pos + len > b.len then invalid_arg "Wal.Buf.crc32";
+    Checksum.crc32_sub (Bytes.unsafe_to_string b.bytes) ~pos ~len
+
+  let insert b ~at s =
+    if at < 0 || at > b.len then invalid_arg "Wal.Buf.insert";
+    let n = String.length s in
+    reserve b n;
+    Bytes.blit b.bytes at b.bytes (at + n) (b.len - at);
+    Bytes.blit_string s 0 b.bytes at n;
+    b.len <- b.len + n
+
+  let contents b = Bytes.sub_string b.bytes 0 b.len
+  let output oc b = Stdlib.output oc b.bytes 0 b.len
+end
+
+(* [Printf.sprintf "%h" f], written in place: the shortest exact hex form
+   the runtime's [%h] conversion produces ("0x1.8p+0", "-0x0p+0",
+   "0x0.0000000000001p-1022", "nan", "-infinity", …). Floats are most of
+   the values in a record, and the Printf route allocates ~50 words per
+   call. *)
+let add_hex_float b f =
+  let bits = Int64.bits_of_float f in
+  let exp = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+  let man = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+  if Int64.compare bits 0L < 0 then Buf.add_char b '-';
+  if exp = 0x7ff then Buf.add_string b (if man = 0 then "infinity" else "nan")
+  else begin
+    Buf.add_string b (if exp = 0 then "0x0" else "0x1");
+    if man <> 0 then begin
+      Buf.add_char b '.';
+      let rest = ref man and shift = ref 48 in
+      while !rest <> 0 do
+        Buf.add_char b hex_digits.[(!rest lsr !shift) land 0xf];
+        rest := !rest land ((1 lsl !shift) - 1);
+        shift := !shift - 4
+      done
+    end;
+    let e = if exp = 0 then if man = 0 then 0 else -1022 else exp - 1023 in
+    Buf.add_string b (if e >= 0 then "p+" else "p");
+    Buf.add_int b e
+  end
+
+let add_value b = function
+  | Value.Null -> Buf.add_char b 'N'
+  | Value.Bool v -> Buf.add_string b (if v then "B:1" else "B:0")
+  | Value.Int i ->
+    Buf.add_string b "I:";
+    Buf.add_int b i
+  | Value.Float f ->
+    Buf.add_string b "F:";
+    add_hex_float b f
+  | Value.Str s ->
+    Buf.add_string b "S:";
+    Buf.add_hex b s
 
 let decode_value s =
   if s = "N" then Value.Null
@@ -68,19 +179,26 @@ let decode_value s =
       | "S" -> Value.Str (unhex payload)
       | _ -> failwith ("Wal: bad value tag " ^ tag))
 
-let encode_write w =
+(* write := kind , hex reactor , hex table {, value} *)
+let add_write b w =
   let kind, reactor, table, vals =
     match w with
-    | Put { reactor; table; row } -> ("P", reactor, table, row)
-    | Del { reactor; table; key } -> ("D", reactor, table, key)
+    | Put { reactor; table; row } -> ('P', reactor, table, row)
+    | Del { reactor; table; key } -> ('D', reactor, table, key)
     (* Placement records reuse the write frame with an empty table and the
        destination container as the single value — the v1/v2 line format
        stays uniform and old readers fail loudly on the unknown kind. *)
-    | Migrate { reactor; dst } -> ("M", reactor, "", [| Value.Int dst |])
+    | Migrate { reactor; dst } -> ('M', reactor, "", [| Value.Int dst |])
   in
-  String.concat ","
-    (kind :: hex reactor :: hex table
-    :: Array.to_list (Array.map encode_value vals))
+  Buf.add_char b kind;
+  Buf.add_char b ',';
+  Buf.add_hex b reactor;
+  Buf.add_char b ',';
+  Buf.add_hex b table;
+  for i = 0 to Array.length vals - 1 do
+    Buf.add_char b ',';
+    add_value b vals.(i)
+  done
 
 let decode_write s =
   match String.split_on_char ',' s with
@@ -97,9 +215,32 @@ let decode_write s =
     | _ -> failwith ("Wal: bad write kind " ^ kind))
   | _ -> failwith ("Wal: bad write " ^ s)
 
-let encode_entry e =
-  Printf.sprintf "%d\t%d\t%s" e.le_txn e.le_tid
-    (String.concat ";" (List.map encode_write e.le_writes))
+let add_entry b e =
+  Buf.add_int b e.le_txn;
+  Buf.add_char b '\t';
+  Buf.add_int b e.le_tid;
+  Buf.add_char b '\t';
+  match e.le_writes with
+  | [] -> ()
+  | w :: ws ->
+    add_write b w;
+    List.iter
+      (fun w ->
+        Buf.add_char b ';';
+        add_write b w)
+      ws
+
+(* Per-domain scratch buffer for the string-returning wrappers, so a call
+   allocates only its result. *)
+let scratch = Domain.DLS.new_key (fun () -> Buf.create 4096)
+
+let with_scratch f e =
+  let b = Domain.DLS.get scratch in
+  Buf.clear b;
+  f b e;
+  Buf.contents b
+
+let encode_entry e = with_scratch add_entry e
 
 let decode_entry line =
   match String.split_on_char '\t' line with
@@ -113,10 +254,27 @@ let decode_entry line =
 
 (* --- v2 framing --- *)
 
-let encode_framed e =
-  let payload = encode_entry e in
-  Printf.sprintf "2|%s|%d|%s" (Checksum.crc32_hex payload)
-    (String.length payload) payload
+(* ["2|" ^ crc32 as 8 hex digits ^ "|" ^ len ^ "|"] *)
+let frame_header crc len =
+  let l = string_of_int len in
+  let n = String.length l in
+  let h = Bytes.make (12 + n) '|' in
+  Bytes.set h 0 '2';
+  for i = 0 to 7 do
+    Bytes.set h (2 + i) hex_digits.[(crc lsr (28 - (4 * i))) land 0xf]
+  done;
+  Bytes.blit_string l 0 h 11 n;
+  Bytes.unsafe_to_string h
+
+(* One pass: the payload is written where the record ends up, checksummed
+   over that range, and the header is slid in front of it. *)
+let add_framed b e =
+  let start = Buf.length b in
+  add_entry b e;
+  let len = Buf.length b - start in
+  Buf.insert b ~at:start (frame_header (Buf.crc32 b ~pos:start ~len) len)
+
+let encode_framed e = with_scratch add_framed e
 
 let is_framed line =
   String.length line >= 2 && line.[0] = '2' && line.[1] = '|'
@@ -199,7 +357,24 @@ let read_file path =
 
 (* --- sinks --- *)
 
+(* [buf] is the sink's reusable encode buffer; a log is appended to by one
+   domain at a time (the runtime's flusher, or the simulator). *)
+type file_sink = { oc : out_channel; path : string; buf : Buf.t }
+
+type sink = Memory of entry list ref | File of file_sink
+
+type t = {
+  sink : sink;
+  mutable count : int;
+  mutable n_flushes : int;
+  mutable flush_time_us : float;
+}
+
+let in_memory () =
+  { sink = Memory (ref []); count = 0; n_flushes = 0; flush_time_us = 0. }
+
 let to_file path =
+  let buf = Buf.create 4096 in
   let existing =
     if Sys.file_exists path then begin
       match read_file_tolerant path with
@@ -210,16 +385,23 @@ let to_file path =
         let oc = open_out_gen [ Open_wronly; Open_trunc ] 0o644 path in
         List.iter
           (fun e ->
-            output_string oc (encode_framed e);
-            output_char oc '\n')
+            add_framed buf e;
+            Buf.add_char buf '\n')
           entries;
+        Buf.output oc buf;
         close_out oc;
         List.length entries
     end
     else 0
   in
   {
-    sink = File { oc = open_out_gen [ Open_append; Open_creat ] 0o644 path; path };
+    sink =
+      File
+        {
+          oc = open_out_gen [ Open_append; Open_creat ] 0o644 path;
+          path;
+          buf;
+        };
     count = existing;
     n_flushes = 0;
     flush_time_us = 0.;
@@ -234,30 +416,24 @@ let wrap_io path f =
   try f ()
   with Sys_error m -> raise (Io_error (Printf.sprintf "wal %s: %s" path m))
 
-let append t e =
-  (match t.sink with
-  | Memory r -> r := e :: !r
-  | File { oc; path } ->
-    wrap_io path (fun () ->
-        output_string oc (encode_framed e);
-        output_char oc '\n'));
-  t.count <- t.count + 1
-
-(* Group-commit append: the whole batch is encoded into one buffer and
-   written with a single channel call, so an epoch's worth of records costs
-   one I/O submission before the covering [flush]. *)
+(* Group-commit append: the whole batch is encoded into the sink's one
+   buffer and written with a single channel call, so an epoch's worth of
+   records costs one I/O submission before the covering [flush] and no
+   per-record string. *)
 let append_many t es =
   (match t.sink with
   | Memory r -> List.iter (fun e -> r := e :: !r) es
-  | File { oc; path } ->
-    let b = Buffer.create 1024 in
+  | File { oc; path; buf } ->
+    Buf.clear buf;
     List.iter
       (fun e ->
-        Buffer.add_string b (encode_framed e);
-        Buffer.add_char b '\n')
+        add_framed buf e;
+        Buf.add_char buf '\n')
       es;
-    wrap_io path (fun () -> Buffer.output_buffer oc b));
+    wrap_io path (fun () -> Buf.output oc buf));
   t.count <- t.count + List.length es
+
+let append t e = append_many t [ e ]
 
 let length t = t.count
 
@@ -272,7 +448,7 @@ let flush t =
     (* Free, but still a group-commit boundary: count it so flush-wait
        attribution divides by the same flush count in both sink modes. *)
     t.n_flushes <- t.n_flushes + 1
-  | File { oc; path } ->
+  | File { oc; path; _ } ->
     let t0 = Unix.gettimeofday () in
     wrap_io path (fun () -> flush oc);
     t.n_flushes <- t.n_flushes + 1;

@@ -111,7 +111,53 @@ val replay :
   catalog_of:(string -> Storage.Catalog.t) ->
   int
 
-(** {1 Encoding (exposed for tests)} *)
+(** {1 Encoding}
+
+    The encoder is single-pass: {!add_framed} appends a record straight
+    into a {!Buf.t}, checksums it over the bytes it occupies and inserts
+    its header in front, so no per-value or per-record intermediate string
+    is built. The bytes are exactly those of the v2 format above; the
+    string-returning functions are thin wrappers over the buffer writer. *)
+
+(** Growable byte buffer that records are appended to. *)
+module Buf : sig
+  type t
+
+  val create : int -> t
+  val length : t -> int
+
+  (** Forget the contents, keeping the capacity. *)
+  val clear : t -> unit
+
+  val add_char : t -> char -> unit
+  val add_string : t -> string -> unit
+
+  (** Decimal, as [string_of_int]. *)
+  val add_int : t -> int -> unit
+
+  (** Lowercase hex, two digits per byte — the codec for strings inside
+      records and for checkpoint reactor names. *)
+  val add_hex : t -> string -> unit
+
+  (** CRC-32 of the bytes in [\[pos, pos+len)], read in place. *)
+  val crc32 : t -> pos:int -> len:int -> int
+
+  (** [insert b ~at s] inserts [s] before the byte at [at], shifting the
+      rest of the buffer right. *)
+  val insert : t -> at:int -> string -> unit
+
+  val contents : t -> string
+
+  (** Write the contents to a channel. *)
+  val output : out_channel -> t -> unit
+end
+
+(** Exact inverse of {!Buf.add_hex}, shared by records and checkpoints:
+    raises [Failure] unless the input is pairs of [\[0-9a-f\]]. *)
+val unhex : string -> string
+
+(** Append the v2 framed record of an entry (no newline). *)
+val add_framed : Buf.t -> entry -> unit
 
 (** v1 payload text (no framing, no newline). *)
 val encode_entry : entry -> string

@@ -451,10 +451,65 @@ let test_wal_failure_typed_abort () =
       checkf "engine keeps running" 105. (balance db "acct0"));
   Sys.remove path
 
+(* Bootstrap and the engine-free image resolve each loader's catalog by
+   name through one index. With thousands of reactors every loader must
+   still reach its own catalog, and unknown names keep their errors. *)
+let test_bootstrap_catalog_lookup () =
+  let n = 3000 in
+  let nms = names n in
+  let loader i catalog =
+    ignore
+      (Storage.Table.insert
+         (Storage.Catalog.table catalog "acct")
+         (Storage.Record.fresh ~absent:false
+            [| Value.Int 0; Value.Float (float_of_int i) |]))
+  in
+  let decl =
+    Reactor.decl ~types:[ account_type ]
+      ~reactors:(List.map (fun nm -> (nm, "Account")) nms)
+      ~loaders:(List.mapi (fun i nm -> (nm, loader i)) nms)
+      ()
+  in
+  let balance catalog =
+    match
+      Storage.Table.find (Storage.Catalog.table catalog "acct") [| Value.Int 0 |]
+    with
+    | Some r -> Value.to_float r.Storage.Record.data.(1)
+    | None -> nan
+  in
+  let own cats =
+    List.for_all2 (fun i (_, c) -> balance c = float_of_int i) (List.init n Fun.id) cats
+  in
+  let entries, _ =
+    Reactdb.Bootstrap.build decl
+      (Reactdb.Config.shared_everything ~executors:1 ~affinity:false nms)
+  in
+  check_bool "bootstrap: each loader got its own catalog" true
+    (own
+       (List.map
+          (fun e -> (e.Reactdb.Bootstrap.bs_name, e.Reactdb.Bootstrap.bs_catalog))
+          entries));
+  let cats = Faultsim.fresh_catalogs decl in
+  check_bool "fresh_catalogs: each loader got its own catalog" true (own cats);
+  let cat = Faultsim.catalog_of cats in
+  check_bool "catalog_of finds the last reactor" true
+    (balance (cat "acct2999") = 2999.);
+  Alcotest.check_raises "catalog_of unknown reactor"
+    (Invalid_argument "Faultsim: unknown reactor \"nope\"") (fun () ->
+      ignore (cat "nope"));
+  Alcotest.check_raises "loader for an unknown reactor"
+    (Invalid_argument "Reactor: unknown reactor \"nope\"") (fun () ->
+      ignore
+        (Reactdb.Bootstrap.build
+           { decl with Reactor.loaders = [ ("nope", loader 0) ] }
+           (Reactdb.Config.shared_everything ~executors:1 ~affinity:false nms)))
+
 let suite =
   ( "reactdb",
     [
       Alcotest.test_case "single-reactor txn" `Quick test_single_reactor_txn;
+      Alcotest.test_case "bootstrap catalog lookup" `Quick
+        test_bootstrap_catalog_lookup;
       Alcotest.test_case "user abort rolls back" `Quick test_user_abort_rolls_back;
       Alcotest.test_case "cross-reactor sync (SE)" `Quick
         test_cross_reactor_sync_shared_everything;

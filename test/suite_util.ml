@@ -319,6 +319,32 @@ let test_backoff_default () =
     (Backoff.delay_us p ~seed:1 ~attempt:3
     <> Backoff.delay_us p ~seed:2 ~attempt:3)
 
+(* CRC-32: the standard check value, and [crc32_sub] agreeing with a
+   checksum of the copied slice. *)
+let test_crc32 () =
+  check_int "check value" 0xCBF43926 (Checksum.crc32 "123456789");
+  check_int "empty" 0 (Checksum.crc32 "");
+  check_int "sub of check value" 0xCBF43926
+    (Checksum.crc32_sub "xx123456789y" ~pos:2 ~len:9);
+  check_int "init chains" (Checksum.crc32 "123456789")
+    (Checksum.crc32 ~init:(Checksum.crc32 "1234") "56789");
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises "range outside string"
+        (Invalid_argument "Checksum.crc32_sub") (fun () ->
+          ignore (Checksum.crc32_sub "abc" ~pos ~len)))
+    [ (-1, 1); (0, 4); (2, 2); (1, -1) ]
+
+let prop_crc32_sub =
+  QCheck.Test.make ~name:"crc32_sub = crc32 of String.sub" ~count:500
+    QCheck.(
+      triple (string_gen_of_size Gen.(int_bound 200) Gen.char) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Checksum.crc32_sub s ~pos ~len = Checksum.crc32 (String.sub s pos len))
+
 let suite =
   ( "util",
     [
@@ -347,4 +373,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_zipf_theta0_uniformish;
       Alcotest.test_case "backoff defaults" `Quick test_backoff_default;
       QCheck_alcotest.to_alcotest prop_backoff;
+      Alcotest.test_case "crc32" `Quick test_crc32;
+      QCheck_alcotest.to_alcotest prop_crc32_sub;
     ] )

@@ -32,6 +32,9 @@ let entry_eq a b =
            r1 = r2 && t1 = t2
            && Array.length v1 = Array.length v2
            && Array.for_all2 Value.equal v1 v2
+         | ( Wal.Migrate { reactor = r1; dst = d1 },
+             Wal.Migrate { reactor = r2; dst = d2 } ) ->
+           r1 = r2 && d1 = d2
          | _ -> false)
        a.Wal.le_writes b.Wal.le_writes
 
@@ -262,6 +265,226 @@ let test_framed_empty_writes () =
   | Error m -> Alcotest.failf "empty write list rejected: %s" m);
   check_bool "v1 line is not mistaken for v2" true
     (Result.is_error (Wal.decode_framed (Wal.encode_entry e)))
+
+(* --- byte identity of the encoder ---
+
+   [Ref] is a copy of the Printf / String.concat encoder that the
+   single-pass buffer writer replaced, kept here only as the specification
+   of the v2 bytes: existing logs, checkpoints and shipped replica batches
+   must stay readable, so every record the encoder writes has to equal
+   this one's byte for byte. *)
+module Ref = struct
+  let hex s =
+    let b = Buffer.create (2 * String.length s) in
+    String.iter
+      (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
+      s;
+    Buffer.contents b
+
+  let encode_value = function
+    | Value.Null -> "N"
+    | Value.Bool b -> if b then "B:1" else "B:0"
+    | Value.Int i -> "I:" ^ string_of_int i
+    | Value.Float f -> Printf.sprintf "F:%h" f
+    | Value.Str s -> "S:" ^ hex s
+
+  let encode_write w =
+    let kind, reactor, table, vals =
+      match w with
+      | Wal.Put { reactor; table; row } -> ("P", reactor, table, row)
+      | Wal.Del { reactor; table; key } -> ("D", reactor, table, key)
+      | Wal.Migrate { reactor; dst } -> ("M", reactor, "", [| Value.Int dst |])
+    in
+    String.concat ","
+      (kind :: hex reactor :: hex table
+      :: Array.to_list (Array.map encode_value vals))
+
+  let encode_entry e =
+    Printf.sprintf "%d\t%d\t%s" e.Wal.le_txn e.Wal.le_tid
+      (String.concat ";" (List.map encode_write e.Wal.le_writes))
+
+  let encode_framed e =
+    let payload = encode_entry e in
+    Printf.sprintf "2|%s|%d|%s" (Checksum.crc32_hex payload)
+      (String.length payload) payload
+
+  let encode_batch ~gen ~from_epoch ~to_epoch entries =
+    let payload = String.concat "\n" (List.map encode_framed entries) in
+    Printf.sprintf "R|2|%d|%d|%d|%d|%s\n%s" gen from_epoch to_epoch
+      (List.length entries)
+      (Checksum.crc32_hex payload)
+      payload
+end
+
+(* Entries over the encoder's corners: every byte value in names and
+   strings, floats at nan / ±inf / -0. / the smallest subnormal /
+   [max_float] plus raw bit patterns, [min_int] / [max_int], placement
+   records, empty write lists and empty rows. *)
+let gen_any_entry =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound n) in
+  let gen_int = oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ] in
+  let gen_float =
+    oneof
+      [ float;
+        map Int64.float_of_bits ui64;
+        oneofl
+          [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.;
+            Int64.float_of_bits 1L; Float.min_float; Float.max_float;
+            -.Float.max_float ] ]
+  in
+  let gen_value =
+    oneof
+      [ return Value.Null;
+        map (fun b -> Value.Bool b) bool;
+        map (fun i -> Value.Int i) gen_int;
+        map (fun f -> Value.Float f) gen_float;
+        map (fun s -> Value.Str s) (bytes 40) ]
+  in
+  let gen_row =
+    frequency [ (1, return [||]); (4, array_size (int_bound 6) gen_value) ]
+  in
+  let gen_write =
+    frequency
+      [ ( 4,
+          map3
+            (fun r t row -> Wal.Put { reactor = r; table = t; row })
+            (bytes 10) (bytes 10) gen_row );
+        ( 2,
+          map3
+            (fun r t key -> Wal.Del { reactor = r; table = t; key })
+            (bytes 10) (bytes 10) gen_row );
+        (1, map2 (fun r dst -> Wal.Migrate { reactor = r; dst }) (bytes 10) gen_int)
+      ]
+  in
+  map3 entry gen_int gen_int
+    (frequency [ (1, return []); (4, list_size (int_bound 5) gen_write) ])
+
+let prop_byte_identity =
+  QCheck.Test.make ~name:"wal encoder bytes = reference encoder" ~count:1000
+    (QCheck.make gen_any_entry)
+    (fun e ->
+      String.equal (Wal.encode_entry e) (Ref.encode_entry e)
+      && String.equal (Wal.encode_framed e) (Ref.encode_framed e))
+
+(* Floats are formatted by hand; compare them with Printf's [%h] over raw
+   bit patterns (every class: normals, subnormals, zeros, infinities and
+   nans of either sign) and the class boundaries. *)
+let prop_float_byte_identity =
+  let edges =
+    List.map Int64.float_of_bits
+      [ 0L; 1L; 0x000F_FFFF_FFFF_FFFFL; 0x0010_0000_0000_0000L;
+        0x7FEF_FFFF_FFFF_FFFFL; 0x7FF0_0000_0000_0000L; 0x7FF0_0000_0000_0001L;
+        0x7FF8_0000_0000_0000L; Int64.min_int; 0x8000_0000_0000_0001L;
+        0xFFF0_0000_0000_0000L; 0xFFF8_0000_0000_0000L; -1L ]
+  in
+  QCheck.Test.make ~name:"wal float bytes = Printf %h" ~count:2000
+    (QCheck.make
+       QCheck.Gen.(
+         array_size (int_bound 8)
+           (oneof [ map Int64.float_of_bits ui64; float; oneofl edges ])))
+    (fun fs ->
+      let e = entry 0 0 [ put "r" "t" (Array.map (fun f -> Value.Float f) fs) ] in
+      String.equal (Wal.encode_entry e) (Ref.encode_entry e))
+
+let prop_batch_byte_identity =
+  QCheck.Test.make ~name:"replica batch bytes = reference encoder" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_bound 8) gen_any_entry))
+    (fun es ->
+      String.equal
+        (Replica.Batch.encode ~gen:3 ~from_epoch:4 ~to_epoch:9 es)
+        (Ref.encode_batch ~gen:3 ~from_epoch:4 ~to_epoch:9 es)
+      && Replica.Batch.size es
+         = List.fold_left
+             (fun a e -> a + String.length (Ref.encode_framed e) + 1)
+             0 es)
+
+(* Golden records: literal bytes, so any drift of the format — not just a
+   disagreement with [Ref] — fails. *)
+let test_golden_records () =
+  let sample_framed =
+    "2|7b6e5b9d|118|7\t42\tP,6163637430,61636374,I:0,F:0x1.8p+0;D,773b31,\
+     6f726409657273,S:747269636b793b2c09737472696e67,N;P,78,79,B:1,F:nan"
+  in
+  Alcotest.(check string)
+    "sample_entry framed" sample_framed (Wal.encode_framed sample_entry);
+  let mig = entry 1 2 [ Wal.Migrate { reactor = "r1"; dst = 3 } ] in
+  Alcotest.(check string)
+    "replica batch"
+    ("R|2|4|5|6|2|f134722f\n" ^ sample_framed ^ "\n2|6e1a1aa2|15|1\t2\tM,7231,,I:3")
+    (Replica.Batch.encode ~gen:4 ~from_epoch:5 ~to_epoch:6 [ sample_entry; mig ]);
+  let ck =
+    {
+      Checkpoint.ck_tid = 77;
+      ck_covers = 3;
+      ck_reactors = [ "r,0"; ""; "s" ];
+      ck_rows =
+        [ ("r,0", "kv", [| Value.Int 1; Value.Str "\x00\xff" |]);
+          ("s", "t", [||]) ];
+    }
+  in
+  let path = Filename.temp_file "ck" ".dump" in
+  Checkpoint.write_file path ck;
+  Alcotest.(check string)
+    "checkpoint file"
+    "ckpt2\t77\t3\t722c30,,73\n2|e8a78bd9|29|0\t77\tP,722c30,6b76,I:1,S:00ff\n\
+     2|e94115b9|12|0\t77\tP,73,74\nend\t2\t34c39ad4\n"
+    (read_raw path);
+  check_bool "checkpoint reads back" true (Checkpoint.read_file path = ck);
+  Sys.remove path
+
+(* A 1 000-entry group-commit batch through the file sink: the file holds
+   exactly the reference records and reads back entry for entry. *)
+let test_append_many_file_roundtrip () =
+  let es =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 13 |]) ~n:1000 gen_any_entry
+  in
+  let path = Filename.temp_file "wal" ".log" in
+  let log = Wal.to_file path in
+  Wal.append_many log es;
+  Wal.close log;
+  check_bool "file bytes = reference records" true
+    (String.equal (read_raw path)
+       (String.concat "" (List.map (fun e -> Ref.encode_framed e ^ "\n") es)));
+  let back = Wal.read_file path in
+  Sys.remove path;
+  check_int "entries read" 1000 (List.length back);
+  check_bool "entries equal" true (List.for_all2 entry_eq es back)
+
+(* The hex codec is exact: only pairs of [0-9a-f] decode. A well-framed
+   record (length and CRC correct) whose payload holds a non-canonical
+   digit must come back as [Error], not as a value another encoding also
+   maps to. *)
+let test_strict_hex () =
+  let all_bytes = String.init 256 Char.chr in
+  let b = Wal.Buf.create 16 in
+  Wal.Buf.add_hex b all_bytes;
+  Alcotest.(check string)
+    "hex = reference" (Ref.hex all_bytes) (Wal.Buf.contents b);
+  Alcotest.(check string)
+    "hex roundtrip" all_bytes (Wal.unhex (Wal.Buf.contents b));
+  let frame payload =
+    Printf.sprintf "2|%s|%d|%s" (Checksum.crc32_hex payload)
+      (String.length payload) payload
+  in
+  (match Wal.decode_framed (frame "1\t2\tP,72,74,S:f0") with
+  | Ok { Wal.le_writes = [ Wal.Put { row = [| Value.Str "\xf0" |]; _ } ]; _ }
+    -> ()
+  | Ok _ -> Alcotest.fail "canonical record decoded to the wrong entry"
+  | Error m -> Alcotest.failf "canonical record rejected: %s" m);
+  List.iter
+    (fun payload ->
+      check_bool payload true
+        (Result.is_error (Wal.decode_framed (frame payload))))
+    [ "1\t2\tP,72,74,S:f_"; "1\t2\tP,72,74,S:F0"; "1\t2\tP,72,74,S:f";
+      "1\t2\tP,7G,74"; "1\t2\tP,72,74,S: 0"; "1\t2\tP,72,74,S:+f" ];
+  (* checkpoint reactor names go through the same codec *)
+  let body = "ckpt2\t1\t0\tf_\n" in
+  let path = Filename.temp_file "ck" ".dump" in
+  write_raw path (body ^ Printf.sprintf "end\t0\t%s\n" (Checksum.crc32_hex body));
+  check_bool "checkpoint with bad reactor hex rejected" true
+    (Result.is_error (Checkpoint.read_file_opt path));
+  Sys.remove path
 
 (* --- replay semantics --- *)
 
@@ -582,6 +805,13 @@ let suite =
         test_reopen_truncates_torn_tail;
       QCheck_alcotest.to_alcotest prop_roundtrip;
       QCheck_alcotest.to_alcotest prop_framed_roundtrip;
+      QCheck_alcotest.to_alcotest prop_byte_identity;
+      QCheck_alcotest.to_alcotest prop_float_byte_identity;
+      QCheck_alcotest.to_alcotest prop_batch_byte_identity;
+      Alcotest.test_case "golden records" `Quick test_golden_records;
+      Alcotest.test_case "append_many file roundtrip" `Quick
+        test_append_many_file_roundtrip;
+      Alcotest.test_case "strict hex codec" `Quick test_strict_hex;
       Alcotest.test_case "framed empty write list" `Quick
         test_framed_empty_writes;
       Alcotest.test_case "replay semantics" `Quick test_replay;
