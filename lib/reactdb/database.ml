@@ -38,9 +38,7 @@ type executor = {
 type container = { mutable rr : int; cexecutors : executor array }
 
 type rstate = {
-  rname : string;
-  rtype : Reactor.rtype;
-  rcatalog : Storage.Catalog.t;
+  re : Bootstrap.entry;  (* name, type, catalog: the logical reactor *)
   mutable home : int;
       (* current placement; flipped atomically (in virtual time) by
          [migrate] — every router/dispatch decision re-reads it *)
@@ -68,11 +66,10 @@ type t = {
   cfg : Config.t;
   prof : Profile.t;
   containers : container array;
+  execs : executor array;  (* every executor, container-major *)
   reactors : (string, rstate) Hashtbl.t;
   mutable txn_counter : int;
-  mutable committed : int;
-  mutable aborted : int;
-  abort_reasons : (string, int) Hashtbl.t;
+  counters : Lifecycle.counters;
   mutable record_history : bool;
   mutable hist : hist_entry list;
   mutable stats_since : float;
@@ -99,14 +96,9 @@ type t = {
       (* when set, installs publish version chains and declared-read-only
          procedures run against a frozen snapshot epoch; off = the
          single-version OCC-everywhere behavior (benchmark baseline) *)
-  snap_live : (int, int) Hashtbl.t;
+  snap_live : Epochs.t;
       (* live snapshot readers per snapshot epoch; the GC horizon is the
          minimum live epoch *)
-  mutable n_ro_commits : int;
-  mutable auto_seq : int;
-  mutable auto_par : int;
-      (* morph-Auto resolution counts: roots routed to the sequential /
-         parallel formulation *)
   rorder : string list;
       (* reactor declaration order, for deterministic [placements] *)
   (* -- live reconfiguration (DESIGN.md §11) ----------------------------
@@ -160,102 +152,26 @@ let release_core ex =
   else (Queue.take ex.core_waiters) ()
 
 (* ------------------------------------------------------------------ *)
-(* Root transaction state, shared by all its (sub-)transactions. *)
+(* Per-root platform state, next to the shared [Lifecycle.root]. *)
 
-type subresult = (Util.Value.t, exn) result
-
-type sub = { sfid : int; siv : subresult Engine.Ivar.ivar }
-
-(* Typed abort classification, replacing substring matching on messages: a
-   user abort whose text happens to contain "duplicate key" must still be
-   counted as a user abort. [Ab_validation] is commit-time (OCC validation
-   or 2PC prepare failure); [Ab_conflict] is an execution-time concurrency
-   conflict (duplicate-key race) — both land in the "validation" bucket. *)
-type abort_class =
-  | Ab_user
-  | Ab_conflict
-  | Ab_validation
-  | Ab_dangerous
-  | Ab_timeout
-  | Ab_overload
-  | Ab_internal
-
-let classify_exn = function
-  | Occ.Txn.Abort m -> Some (Ab_user, m)
-  | Occ.Txn.Conflict m -> Some (Ab_conflict, m)
-  | Reactor.Dangerous_call m -> Some (Ab_dangerous, m)
-  | Obs.Abort.Timed_out m -> Some (Ab_timeout, m)
-  | _ -> None
-
-let bucket_of_class = function
-  | Ab_user -> "user"
-  | Ab_conflict | Ab_validation -> "validation"
-  | Ab_dangerous -> "dangerous-structure"
-  | Ab_timeout -> "timeout"
-  | Ab_overload -> "overloaded"
-  | Ab_internal -> "internal"
-
-let obs_kind_of_class = function
-  | Ab_user -> Obs.Abort.User
-  | Ab_conflict -> Obs.Abort.Conflict
-  | Ab_validation -> Obs.Abort.Internal (* refined by fail_reason when known *)
-  | Ab_dangerous -> Obs.Abort.Dangerous
-  | Ab_timeout -> Obs.Abort.Timeout
-  | Ab_overload -> Obs.Abort.Overloaded
-  | Ab_internal -> Obs.Abort.Internal
-
-let obs_kind_of_fail = function
-  | Occ.Commit.Lock_busy -> Obs.Abort.Lock_busy
-  | Occ.Commit.Stale_read -> Obs.Abort.Stale_read
-  | Occ.Commit.Node_changed -> Obs.Abort.Node_changed
-  | Occ.Commit.Key_exists -> Obs.Abort.Key_exists
-
-type root = {
-  txn : Occ.Txn.t;
+type rx = {
   rgen : int;
       (* migration generation this root was admitted in; a sub-call it
          issues to a reactor marked with an older cutoff parks at the stub *)
-  rsnapshot : int option;
-      (* frozen snapshot epoch when this root runs read-only; propagates to
-         every sub-call's query context, so cross-container fan-outs read
-         the same consistent cut *)
   bd : breakdown;
-  tr : Obs.Trace.t; (* lifecycle trace; Obs.Trace.none when no collector *)
-  deadline : float;
-      (* absolute virtual-time deadline; [infinity] when the root has no
-         deadline, keeping every check one float compare *)
-  active_set : (string, unit) Hashtbl.t;
   mutable exec_of_container : (int * executor) list;
   mutable last_call : int;
   mutable call_ctr : int;
   mutable worked_since_call : bool;
-  mutable doomed : (abort_class * string) option;
-      (* set when any sub-transaction aborted: the root may not commit even
-         if application code swallowed the exception (§2.2.3) *)
   mutable logged_epoch : int option;
       (* epoch of this root's redo record, once appended to the WAL *)
 }
 
-let deadline_expired root =
-  root.deadline < Float.infinity && Engine.current_time () > root.deadline
+type root = rx Lifecycle.root
 
-(* Deadline checks sit at phase boundaries only — admission, body start,
-   sub-call start, resume after an await, implicit sync, commit entry, 2PC
-   prepare — so an expired deadline always unwinds through the same typed
-   abort path as any other abort. *)
-let check_deadline root ~where =
-  if deadline_expired root then
-    raise (Obs.Abort.Timed_out ("deadline expired " ^ where))
-
-(* Invocation frame: one (sub-)transaction execution on one reactor. *)
-type frame = {
-  froot : root;
-  frstate : rstate;
-  fex : executor;
-  on_root_path : bool;
-  mutable children : sub list;
-  fpenalty : float; (* cache-miss penalty fraction for this invocation *)
-}
+(* A sub-call's result; [fid] numbers the root's cross-container calls
+   (0 for commit steps), so an await can tell a synchronous call. *)
+type 'a future = { fid : int; iv : 'a Engine.Ivar.ivar }
 
 let reactor_state db name =
   match Hashtbl.find_opt db.reactors name with
@@ -272,7 +188,7 @@ let route db rst =
   | Config.Affinity | Config.Cost ->
     (* Cost routing reacts to live queue depths, which virtual-time
        executors don't expose; the simulator degrades it to affinity. *)
-    cont.cexecutors.(db.cfg.affinity_slot rst.rname mod n)
+    cont.cexecutors.(db.cfg.affinity_slot rst.re.Bootstrap.bs_name mod n)
 
 (* ------------------------------------------------------------------ *)
 (* Live-reconfiguration gates (DESIGN.md §11). [mig_register] pins a root
@@ -320,36 +236,16 @@ let safe_snapshot_epoch db = Stdlib.max 0 (current_epoch db - 1)
 
 let acquire_snapshot db =
   let s = safe_snapshot_epoch db in
-  Hashtbl.replace db.snap_live s
-    (1 + Option.value ~default:0 (Hashtbl.find_opt db.snap_live s));
+  Epochs.add db.snap_live s;
   s
 
-let release_snapshot db s =
-  match Hashtbl.find_opt db.snap_live s with
-  | Some n when n > 1 -> Hashtbl.replace db.snap_live s (n - 1)
-  | Some _ -> Hashtbl.remove db.snap_live s
-  | None -> ()
-
-let gc_horizon db =
-  Hashtbl.fold (fun e _ acc -> Stdlib.min e acc) db.snap_live
-    (safe_snapshot_epoch db)
-
-let install_horizon db =
-  if db.snapshots_enabled then Some (gc_horizon db) else None
+let release_snapshot db s = Epochs.remove db.snap_live s
+let gc_horizon db = Epochs.minimum db.snap_live ~default:(safe_snapshot_epoch db)
 
 (* Extra one-way cost when two containers live on different machines. *)
 let net db c1 c2 =
   if db.cfg.Config.machine_of c1 = db.cfg.Config.machine_of c2 then 0.
   else db.prof.Profile.cost_network
-
-(* Charge [d] µs of processing on the current coroutine's core; attribute to
-   the root's sync-execution bucket when on the root's critical path. *)
-let work frame d =
-  if d > 0. then Engine.delay d;
-  if frame.on_root_path then begin
-    frame.froot.bd.bd_sync_exec <- frame.froot.bd.bd_sync_exec +. d;
-    frame.froot.worked_since_call <- true
-  end
 
 (* Graded cache model: how cold is executor [xid] for this reactor's data?
    Position 0 in the recency list is free; deeper positions pay a growing
@@ -375,276 +271,11 @@ let touch_cache rstate xid =
   in
   rstate.cache_recency <- xid :: take (recency_depth - 1) rest
 
-let charge_data db frame kind n =
-  let p = db.prof in
-  let base =
-    match kind with
-    | `Read -> p.Profile.cost_read
-    | `Write -> p.Profile.cost_write
-    | `Scan_step -> p.Profile.cost_scan_step
-  in
-  let per = base +. (frame.fpenalty *. p.Profile.cost_cache_miss) in
-  work frame (per *. float_of_int n)
+let set_exec_of rx cid ex =
+  if not (List.mem_assoc cid rx.exec_of_container) then
+    rx.exec_of_container <- (cid, ex) :: rx.exec_of_container
 
-(* Await a child sub-transaction. Returns its result without raising. If the
-   future is already resolved this is free; otherwise the caller yields its
-   core, pays Cr on wake, and the blocked window is attributed to
-   sync-execution (immediate get, no intervening work: the "synchronous
-   call" pattern) or to async-execution (deferred get: overlap window). *)
-let await_sub db frame sub =
-  match Engine.Ivar.peek sub.siv with
-  | Some r -> r
-  | None ->
-    let root = frame.froot in
-    let sync_class =
-      frame.on_root_path && root.last_call = sub.sfid
-      && not root.worked_since_call
-    in
-    let t0 = Engine.current_time () in
-    release_core frame.fex;
-    let r = Engine.Ivar.read sub.siv in
-    acquire_core frame.fex;
-    let blocked = Engine.current_time () -. t0 in
-    Engine.delay db.prof.Profile.cost_recv;
-    if frame.on_root_path then begin
-      root.bd.bd_cr <- root.bd.bd_cr +. db.prof.Profile.cost_recv;
-      if sync_class then root.bd.bd_sync_exec <- root.bd.bd_sync_exec +. blocked
-      else root.bd.bd_async_exec <- root.bd.bd_async_exec +. blocked;
-      (* lifecycle trace: the root's blocked window on a cross-reactor
-         future, regardless of sync/async classification *)
-      Obs.Trace.add root.tr Obs.Phase.Suspend_wait blocked;
-      root.worked_since_call <- true
-    end;
-    r
-
-let set_exec_of root cid ex =
-  if not (List.mem_assoc cid root.exec_of_container) then
-    root.exec_of_container <- (cid, ex) :: root.exec_of_container
-
-let rec run_procedure db ~root ~rstate ~ex ~on_root_path ~proc_name ~args =
-  let procfn = Reactor.find_proc rstate.rtype proc_name in
-  let frame =
-    { froot = root; frstate = rstate; fex = ex; on_root_path; children = [];
-      fpenalty = cache_penalty rstate ex.xid }
-  in
-  set_exec_of root rstate.home ex;
-  work frame db.prof.Profile.cost_proc_base;
-  let ctx =
-    {
-      Reactor.db =
-        Query.Exec.make_ctx ?snapshot:root.rsnapshot ~txn:root.txn
-          ~container:rstate.home ~catalog:rstate.rcatalog
-          ~charge:(fun kind n -> charge_data db frame kind n)
-          ~work:(fun us -> work frame us) ();
-      self = rstate.rname;
-      call = (fun ~reactor ~proc ~args -> do_call db frame ~reactor ~proc ~args);
-      collect =
-        (fun futures ->
-          (* Fork–join barrier: consume every future (out-of-order
-             completion is fine — resolved ivars are peeked for free),
-             capturing per-future errors so a failure in one sub-call
-             never unwinds while siblings are still outstanding. Only
-             after all futures have completed do we re-raise the first
-             non-deadline error in list order. A deadline expiry seen by
-             any per-future resume check is the root's one budget, so it
-             is reported as the collect-boundary check firing. *)
-          let results =
-            List.map
-              (fun f -> try Ok (f.Reactor.get ()) with e -> Error e)
-              futures
-          in
-          (match
-             List.find_opt
-               (function
-                 | Error (Obs.Abort.Timed_out _) | Ok _ -> false
-                 | Error _ -> true)
-               results
-           with
-          | Some (Error e) -> raise e
-          | _ -> ());
-          if
-            List.exists
-              (function Error _ -> true | Ok _ -> false)
-              results
-          then raise (Obs.Abort.Timed_out "deadline expired at collect boundary");
-          check_deadline root ~where:"at collect boundary";
-          List.map
-            (function Ok v -> v | Error _ -> assert false)
-            results);
-    }
-  in
-  let result = try Ok (procfn ctx args) with e -> Error e in
-  touch_cache rstate ex.xid;
-  (* Implicit synchronization: a (sub-)transaction completes only when all
-     its children complete — even on the abort path, since in-flight children
-     mutate the shared transaction context. *)
-  let first_err = ref (match result with Error e -> Some e | Ok _ -> None) in
-  List.iter
-    (fun sub ->
-      match await_sub db frame sub with
-      | Ok _ -> ()
-      | Error e -> if !first_err = None then first_err := Some e)
-    (List.rev frame.children);
-  (* Implicit sync done: every child has completed, so raising here cannot
-     leave a sub-transaction mutating the shared context. *)
-  if !first_err = None && frame.children <> [] && deadline_expired root then
-    first_err := Some (Obs.Abort.Timed_out "deadline expired after implicit sync");
-  match !first_err with
-  | Some e -> raise e
-  | None -> (match result with Ok v -> v | Error _ -> assert false)
-
-and do_call db frame ~reactor ~proc ~args =
-  let root = frame.froot in
-  if reactor = frame.frstate.rname then begin
-    (* Self-call: inlined synchronously in the same execution context
-       (§2.2.4); the result is immediately available. *)
-    let v =
-      run_procedure db ~root ~rstate:frame.frstate ~ex:frame.fex
-        ~on_root_path:frame.on_root_path ~proc_name:proc ~args
-    in
-    { Reactor.get = (fun () -> v) }
-  end
-  else begin
-    let tstate = reactor_state db reactor in
-    (* Dynamic safety condition (§2.2.4): at most one execution context may
-       be active per reactor and root transaction. *)
-    if Hashtbl.mem root.active_set reactor then
-      raise
-        (Reactor.Dangerous_call
-           (Printf.sprintf "dangerous call structure: reactor %s already active"
-              reactor));
-    (* Migration stub: a sub-call from a post-mark root to a migrating
-       reactor parks until the flip, then dispatches against the new
-       placement. The caller's core is released across the park — a parked
-       post-mark root must never hold a core a draining pre-mark root may
-       need. Pre-mark roots pass through: the drain waits for them. *)
-    (match Hashtbl.find_opt db.migrating reactor with
-    | Some m when root.rgen > m.mg_cutoff ->
-      release_core frame.fex;
-      mig_stub_park m;
-      acquire_core frame.fex
-    | _ -> ());
-    if tstate.home = frame.frstate.home then begin
-      (* Same container: execute synchronously in the caller's executor to
-         avoid migration-of-control overhead (§3.2.1). *)
-      Hashtbl.add root.active_set reactor ();
-      let finally () = Hashtbl.remove root.active_set reactor in
-      let v =
-        try
-          run_procedure db ~root ~rstate:tstate ~ex:frame.fex
-            ~on_root_path:frame.on_root_path ~proc_name:proc ~args
-        with e ->
-          finally ();
-          raise e
-      in
-      finally ();
-      { Reactor.get = (fun () -> v) }
-    end
-    else begin
-      (* Cross-container: asynchronous dispatch through the transport to an
-         executor of the destination container. *)
-      Hashtbl.add root.active_set reactor ();
-      root.call_ctr <- root.call_ctr + 1;
-      let fid = root.call_ctr in
-      let send_cost =
-        db.prof.Profile.cost_send +. net db frame.frstate.home tstate.home
-      in
-      Engine.delay send_cost;
-      if frame.on_root_path then begin
-        root.bd.bd_cs <- root.bd.bd_cs +. send_cost;
-        root.last_call <- fid;
-        root.worked_since_call <- false
-      end;
-      let rex = route db tstate in
-      set_exec_of root tstate.home rex;
-      let iv = Engine.Ivar.create () in
-      let caller_home = frame.frstate.home in
-      let body () =
-        acquire_core rex;
-        (* the result message back to the caller also crosses the network *)
-        Engine.delay
-          (db.prof.Profile.cost_sub_dispatch +. net db caller_home tstate.home);
-        let res =
-          try
-            check_deadline root ~where:"at sub-transaction start";
-            Ok
-              (run_procedure db ~root ~rstate:tstate ~ex:rex
-                 ~on_root_path:false ~proc_name:proc ~args)
-          with e -> Error e
-        in
-        (match res with
-        | Error e -> (
-          match classify_exn e with
-          | Some km -> if root.doomed = None then root.doomed <- Some km
-          | None -> ())
-        | Ok _ -> ());
-        release_core rex;
-        Hashtbl.remove root.active_set reactor;
-        Engine.Ivar.fill iv res
-      in
-      (* Sub-transactions bypass root admission control (they belong to an
-         already-admitted root) but contend for the destination core. *)
-      Engine.spawn_here body;
-      let sub = { sfid = fid; siv = iv } in
-      frame.children <- sub :: frame.children;
-      {
-        Reactor.get =
-          (fun () ->
-            match await_sub db frame sub with
-            | Ok v ->
-              (* Resumed after a (possibly long) blocked window: re-check
-                 the budget before the body continues. Raises inside the
-                 procedure body, so the implicit sync still awaits every
-                 sibling before the frame unwinds. *)
-              check_deadline root ~where:"on resume after sub-transaction";
-              v
-            | Error e -> raise e);
-      }
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Commit protocols. *)
-
-let validation_cost db txn c =
-  db.prof.Profile.cost_commit_base
-  +. db.prof.Profile.cost_commit_per_op
-     *. float_of_int (Occ.Txn.ops_in txn ~container:c)
-
-let wal_log db root tid =
-  match db.wal with
-  | None -> ()
-  | Some log ->
-    let writes =
-      List.map
-        (fun e ->
-          let reactor, table =
-            match Hashtbl.find_opt db.table_owner e.Occ.Txn.wtable.Storage.Table.uid with
-            | Some rt -> rt
-            | None -> ("?", e.Occ.Txn.wtable.Storage.Table.schema.Storage.Schema.sname)
-          in
-          match e.Occ.Txn.kind with
-          | Occ.Txn.Update row -> Wal.Put { reactor; table; row }
-          | Occ.Txn.Insert ->
-            Wal.Put { reactor; table; row = e.Occ.Txn.wrec.Storage.Record.data }
-          | Occ.Txn.Delete -> Wal.Del { reactor; table; key = e.Occ.Txn.wkey })
-        (Occ.Txn.all_writes root.txn)
-    in
-    if writes <> [] then begin
-      Wal.append log
-        { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes };
-      root.logged_epoch <- Some (Storage.Record.tid_epoch tid)
-    end
-
-(* [Wal.Io_error] from a failed append, turned into a commit error by the
-   callers (locks still held at that point, so the release path runs). *)
-let wal_log_checked db root tid =
-  try
-    wal_log db root tid;
-    Ok ()
-  with Wal.Io_error m -> Error m
-
-let note_history db root tid =
+let note_history db (root : root) tid =
   if db.record_history then begin
     let reads =
       List.concat_map
@@ -710,215 +341,194 @@ let rec schedule_flush db =
         if waiting <> [] then schedule_flush db)
   end
 
-(* Client-side durable wait: called after the transaction's executor slot is
-   released, so group commit adds commit latency but never holds admission
-   capacity. Transactions that logged nothing return immediately. *)
-let wait_durable db root =
-  match root.logged_epoch with
-  | None -> ()
-  | Some e ->
-    if db.durable && e > db.flushed_epoch then begin
-      schedule_flush db;
-      Engine.suspend (fun waker ->
-          db.epoch_waiters <- (e, waker) :: db.epoch_waiters)
-    end
+(* ------------------------------------------------------------------ *)
+(* The simulator as a lifecycle platform (DESIGN.md §5.2): virtual time,
+   cores released across every wait, costs charged with [Engine.delay]. *)
 
-(* Typed commit failures: [C_fail] carries the validation verdict,
-   [C_timeout] is a participant refusing to prepare past the root's
-   deadline, [C_wal] a log-device failure while appending the redo
-   record. *)
-type commit_err =
-  | C_fail of Occ.Commit.fail_reason
-  | C_timeout
-  | C_wal of string
-  | C_killed
-      (* the Kill_primary chaos probe fenced the engine mid-2PC: votes
-         resolved but nothing was installed or logged durable — the
-         transaction rolls back exactly like an abort vote *)
+module P = struct
+  type nonrec t = t
+  type exec = executor
+  type reactor = rstate
+  type nonrec rx = rx
+  type nonrec 'a future = 'a future
 
-(* Two-phase commit (§3.2.2): phase one runs Silo validation with locks on
-   every participant; phase two installs or releases. Remote phases execute
-   as control steps on an executor of the participant container (the one
-   that ran the transaction's sub-transactions there), each step atomic in
-   virtual time. The coordinator yields its core while waiting. *)
-let two_phase db root ex containers ~epoch =
-  let p = db.prof in
-  let executor_for c =
-    match List.assoc_opt c root.exec_of_container with
-    | Some e -> e
-    | None -> db.containers.(c).cexecutors.(0)
-  in
-  let remote_step c f =
-    Engine.delay (p.Profile.cost_2pc_msg +. net db ex.cid c);
+  let now = Engine.current_time
+  let lookup = reactor_state
+  let entry r = r.re
+  let cid ex = ex.cid
+
+  let peek f = Engine.Ivar.peek f.iv
+
+  let await _ ex f =
+    release_core ex;
+    let r = Engine.Ivar.read f.iv in
+    acquire_core ex;
+    r
+
+  (* Run [f] on [rex]'s core after [dispatch] µs of receive overhead. *)
+  let on_core rex ~fid ~dispatch f =
     let iv = Engine.Ivar.create () in
-    let rex = executor_for c in
     Engine.spawn_here (fun () ->
         acquire_core rex;
-        Engine.delay p.Profile.cost_sub_dispatch;
+        Engine.delay dispatch;
         let r = f () in
         release_core rex;
         Engine.Ivar.fill iv r);
-    iv
-  in
-  let wait iv =
-    match Engine.Ivar.peek iv with
-    | Some r -> r
-    | None ->
-      release_core ex;
-      let r = Engine.Ivar.read iv in
-      acquire_core ex;
-      r
-  in
-  (* One participant's prepare: refuse outright when the root's deadline
-     has already passed (no validation work, no locks taken — the
-     coordinator rolls the prepared participants back like any abort
-     vote), otherwise validate. *)
-  let prepare_vote c () =
-    if deadline_expired root then Error C_timeout
-    else begin
-      Engine.delay (validation_cost db root.txn c);
-      Result.map_error (fun fr -> C_fail fr)
-        (Occ.Commit.prepare root.txn ~container:c)
-    end
-  in
-  (* Phase 1. Validation span on the root's timeline: from entering phase
-     one until every participant's vote has resolved. *)
-  let t_val = Engine.current_time () in
-  let prepares =
-    List.map
-      (fun c ->
-        if c = ex.cid then (c, `Done (prepare_vote c ()))
-        else (c, `Pending (remote_step c (prepare_vote c))))
-      containers
-  in
-  let resolved =
-    List.map
-      (fun (c, r) ->
-        match r with `Done v -> (c, v) | `Pending iv -> (c, wait iv))
-      prepares
-  in
-  Obs.Trace.add root.tr Obs.Phase.Validation (Engine.current_time () -. t_val);
-  let t_dec = Engine.current_time () in
-  (* Phase 2 (abort): roll back every prepared participant. *)
-  let rollback prepared =
-    let acks =
-      List.filter_map
-        (fun c ->
-          if c = ex.cid then begin
-            Occ.Commit.release root.txn ~container:c;
-            None
-          end
-          else
-            Some (remote_step c (fun () -> Occ.Commit.release root.txn ~container:c)))
-        prepared
+    { fid; iv }
+
+  (* Charge [d] µs on the current coroutine's core; on the root's critical
+     path it counts as sync execution. *)
+  let enter db (root : root) rst ~home ex ~on_root_path =
+    let pen = cache_penalty rst ex.xid in
+    let x = root.rx in
+    set_exec_of x home ex;
+    let work d =
+      if d > 0. then Engine.delay d;
+      if on_root_path then begin
+        x.bd.bd_sync_exec <- x.bd.bd_sync_exec +. d;
+        x.worked_since_call <- true
+      end
     in
-    List.iter wait acks;
-    Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t_dec)
-  in
-  (* Chaos: the primary dies mid-2PC — phase-one votes have resolved,
-     nothing is installed, no redo record was appended. The engine fences
-     itself (generation-stamped admission refuses everything from here
-     on) and this transaction rolls back through the normal release path,
-     so no replica or recovery replay can ever observe it. *)
-  (match Chaos.draw_us db.chaos Chaos.Kill_primary with
-  | Some _ -> db.fenced <- true
-  | None -> ());
-  if db.fenced then begin
-    rollback
-      (List.filter_map
-         (fun (c, v) -> if Result.is_ok v then Some c else None)
-         resolved);
-    Error C_killed
-  end
-  else if List.for_all (fun (_, v) -> Result.is_ok v) resolved then begin
-    let tid = Occ.Commit.compute_tid root.txn ~epoch in
-    (* Write-ahead: append the redo record while every participant still
-       holds its locks, so a failed log device rolls the transaction back
-       instead of leaving installed writes with no durable record. *)
-    match wal_log_checked db root tid with
-    | Error m ->
-      rollback containers;
-      Error (C_wal m)
-    | Ok () ->
-      (* Phase 2: install. *)
-      let acks =
-        List.map
-          (fun c ->
-            if c = ex.cid then begin
-              Engine.delay p.Profile.cost_commit_base;
-              Occ.Commit.install ?horizon:(install_horizon db) root.txn
-                ~container:c ~tid;
-              None
-            end
-            else
-              Some
-                (remote_step c (fun () ->
-                     Engine.delay p.Profile.cost_commit_base;
-                     Occ.Commit.install ?horizon:(install_horizon db) root.txn
-                       ~container:c ~tid)))
-          containers
+    let charge kind n =
+      let p = db.prof in
+      let base =
+        match kind with
+        | `Read -> p.Profile.cost_read
+        | `Write -> p.Profile.cost_write
+        | `Scan_step -> p.Profile.cost_scan_step
       in
-      List.iter (function Some iv -> wait iv | None -> ()) acks;
-      note_history db root tid;
-      Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t_dec);
-      Ok ()
-  end
-  else begin
-    rollback
-      (List.filter_map
-         (fun (c, v) -> if Result.is_ok v then Some c else None)
-         resolved);
-    let reason =
-      match
-        List.find_map
-          (fun (_, v) -> match v with Error r -> Some r | Ok () -> None)
-          resolved
-      with
-      | Some r -> r
-      | None -> assert false
+      work ((base +. (pen *. p.Profile.cost_cache_miss)) *. float_of_int n)
     in
-    Error reason
-  end
+    work db.prof.Profile.cost_proc_base;
+    (charge, work)
 
-let do_commit db root ex =
-  let epoch = current_epoch db in
-  match Occ.Txn.containers root.txn with
-  | [] ->
+  let leave rst ex = touch_cache rst ex.xid
+
+  (* Migration stub: a sub-call from a post-mark root to a migrating
+     reactor parks until the flip, then dispatches against the new
+     placement. The caller's core is released across the park — a parked
+     post-mark root must never hold a core a draining pre-mark root may
+     need. Pre-mark roots pass through: the drain waits for them. *)
+  let resolve db (root : root) ~caller rst =
+    (match Hashtbl.find_opt db.migrating rst.re.Bootstrap.bs_name with
+    | Some m when root.rx.rgen > m.mg_cutoff ->
+      release_core caller;
+      mig_stub_park m;
+      acquire_core caller
+    | _ -> ());
+    Some rst.home
+
+  (* Sub-transactions bypass root admission control (they belong to an
+     already-admitted root) but contend for the destination core. *)
+  let call db (root : root) ~from ~on_root_path rst ~parked:_ f =
+    let x = root.rx in
+    x.call_ctr <- x.call_ctr + 1;
+    let fid = x.call_ctr in
+    let send_cost = db.prof.Profile.cost_send +. net db from rst.home in
+    Engine.delay send_cost;
+    if on_root_path then begin
+      x.bd.bd_cs <- x.bd.bd_cs +. send_cost;
+      x.last_call <- fid;
+      x.worked_since_call <- false
+    end;
+    let rex = route db rst in
+    set_exec_of x rst.home rex;
+    (* the result message back to the caller also crosses the network *)
+    on_core rex ~fid
+      ~dispatch:(db.prof.Profile.cost_sub_dispatch +. net db from rst.home)
+      (fun () -> f rex rst.home)
+
+  (* The caller yields its core, pays Cr on wake, and the blocked window is
+     attributed to sync execution (immediate get, no intervening work: the
+     "synchronous call" pattern) or to async execution (deferred get: an
+     overlap window). *)
+  let await_sub db (root : root) ex ~on_root_path f =
+    let x = root.rx in
+    let sync_class =
+      on_root_path && x.last_call = f.fid && not x.worked_since_call
+    in
     let t0 = Engine.current_time () in
-    Engine.delay db.prof.Profile.cost_commit_base;
-    Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t0);
-    Ok ()
-  | [ c ] when c = ex.cid ->
-    (* commit_single, unrolled so validation and install land in their own
-       trace phases; the virtual-time charges are unchanged. *)
-    let t0 = Engine.current_time () in
-    Engine.delay (validation_cost db root.txn c);
-    (match Occ.Commit.prepare root.txn ~container:c with
-    | Error r ->
-      Obs.Trace.add root.tr Obs.Phase.Validation (Engine.current_time () -. t0);
-      Error (C_fail r)
-    | Ok () ->
-      Obs.Trace.add root.tr Obs.Phase.Validation (Engine.current_time () -. t0);
-      let t1 = Engine.current_time () in
-      let tid = Occ.Commit.compute_tid root.txn ~epoch in
-      (* write-ahead: append before install (see two_phase) *)
-      (match wal_log_checked db root tid with
-      | Error m ->
-        Occ.Commit.release root.txn ~container:c;
-        Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t1);
-        Error (C_wal m)
-      | Ok () ->
-        Occ.Commit.install ?horizon:(install_horizon db) root.txn ~container:c
-          ~tid;
-        note_history db root tid;
-        Obs.Trace.add root.tr Obs.Phase.Commit (Engine.current_time () -. t1);
-        Ok ()))
-  | containers -> two_phase db root ex containers ~epoch
+    let r = await db ex f in
+    let blocked = Engine.current_time () -. t0 in
+    Engine.delay db.prof.Profile.cost_recv;
+    if on_root_path then begin
+      x.bd.bd_cr <- x.bd.bd_cr +. db.prof.Profile.cost_recv;
+      if sync_class then x.bd.bd_sync_exec <- x.bd.bd_sync_exec +. blocked
+      else x.bd.bd_async_exec <- x.bd.bd_async_exec +. blocked;
+      Obs.Trace.add root.tr Obs.Phase.Suspend_wait blocked;
+      x.worked_since_call <- true
+    end;
+    r
 
-(* ------------------------------------------------------------------ *)
+  (* A 2PC step runs as a control step on the executor that ran the root's
+     sub-transactions in container [c], atomic in virtual time. *)
+  let remote db (root : root) ~coord c f =
+    let p = db.prof in
+    Engine.delay (p.Profile.cost_2pc_msg +. net db coord.cid c);
+    let rex =
+      match List.assoc_opt c root.rx.exec_of_container with
+      | Some e -> e
+      | None -> db.containers.(c).cexecutors.(0)
+    in
+    on_core rex ~fid:0 ~dispatch:p.Profile.cost_sub_dispatch f
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  let charge_validation db txn c =
+    Engine.delay
+      (db.prof.Profile.cost_commit_base
+      +. db.prof.Profile.cost_commit_per_op
+         *. float_of_int (Occ.Txn.ops_in txn ~container:c))
+
+  let charge_install db = Engine.delay db.prof.Profile.cost_commit_base
+  let prepared _ = ()
+
+  (* Chaos: the primary dies mid-2PC. The engine fences itself
+     (generation-stamped admission refuses everything from here on), so no
+     replica or recovery replay can ever observe the rolled-back root. *)
+  let killed db =
+    if Chaos.draw_us db.chaos Chaos.Kill_primary <> None then db.fenced <- true;
+    db.fenced
+
+  let install_horizon db =
+    if db.snapshots_enabled then Some (gc_horizon db) else None
+
+  let committing db _ f = f ~epoch:(current_epoch db)
+
+  (* Write-ahead redo record, appended with every participant's locks held
+     (see [Lifecycle.two_phase]), then the history entry. A failing log
+     device ([Wal.Io_error]) rolls the transaction back. *)
+  let log_commit db (root : root) ~tid =
+    let append log =
+      match Lifecycle.redo_writes db.table_owner root.txn with
+      | [] -> ()
+      | writes ->
+        Wal.append log
+          { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes };
+        root.rx.logged_epoch <- Some (Storage.Record.tid_epoch tid)
+    in
+    match Option.iter append db.wal with
+    | () ->
+      note_history db root tid;
+      Ok ()
+    | exception Wal.Io_error m -> Error m
+
+  (* Client-side durable wait: called after the transaction's executor slot is
+     released, so group commit adds commit latency but never holds admission
+     capacity. Transactions that logged nothing return immediately. *)
+  let wait_durable db (root : root) =
+    match root.rx.logged_epoch with
+    | None -> ()
+    | Some e ->
+      if db.durable && e > db.flushed_epoch then begin
+        schedule_flush db;
+        Engine.suspend (fun waker ->
+            db.epoch_waiters <- (e, waker) :: db.epoch_waiters)
+      end
+
+  (* Programming errors (not aborts) escape to the engine. *)
+  let on_fatal _ e = raise e
+end
+
+module L = Lifecycle.Make (P)
 
 (* Morph-Auto load signal: fan a root out into its parallel formulation
    only when the deployment has idle execution capacity to absorb the
@@ -927,32 +537,20 @@ let bump tbl key =
    sequential: the fan-out would only add dispatch and coordination
    overhead to already-queued work. *)
 let auto_parallel_ok db =
-  let busy = ref 0 and total = ref 0 in
-  Array.iter
-    (fun cont ->
-      Array.iter
-        (fun ex ->
-          incr total;
-          if ex.core_busy || ex.active_roots > 0 then incr busy)
-        cont.cexecutors)
-    db.containers;
-  2 * !busy < !total
+  let busy =
+    Array.fold_left
+      (fun n ex -> if ex.core_busy || ex.active_roots > 0 then n + 1 else n)
+      0 db.execs
+  in
+  2 * busy < Array.length db.execs
 
 let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   let p = db.prof in
   let t_start = Engine.current_time () in
-  let deadline =
-    match deadline_us with
-    | Some d -> t_start +. d
-    | None -> Float.infinity
-  in
   Engine.delay p.Profile.cost_input_gen;
   db.txn_counter <- db.txn_counter + 1;
   let txn = Occ.Txn.create ~id:db.txn_counter in
   let bd = zero_breakdown () in
-  let tr =
-    match db.obs with Some c -> Obs.Collector.trace c | None -> Obs.Trace.none
-  in
   let rst = reactor_state db reactor in
   (* Live reconfiguration: register in the current migration generation,
      and park at the forwarding stub when the target is mid-migration —
@@ -965,32 +563,23 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   (match Hashtbl.find_opt db.migrating reactor with
   | Some m when rgen > m.mg_cutoff -> mig_stub_park m
   | _ -> ());
-  (* Morph-Auto: resolve a sequential-formulation root to its declared
-     parallel twin when live load signals leave capacity for the fan-out. *)
+  let rtype = rst.re.Bootstrap.bs_rtype in
   let proc =
-    if db.cfg.Config.morph <> Config.Auto then proc
-    else
-      match Reactor.morph_target rst.rtype proc with
-      | Some par when auto_parallel_ok db ->
-        db.auto_par <- db.auto_par + 1;
-        par
-      | Some _ ->
-        db.auto_seq <- db.auto_seq + 1;
-        proc
-      | None -> proc
+    Lifecycle.morph db.counters db.cfg rtype proc ~parallel_ok:(fun () ->
+        auto_parallel_ok db)
   in
   (* Declared-read-only roots freeze a snapshot epoch up front: the body
      reads version chains at that epoch and the commit protocol is skipped
      entirely (no read set, no locks, no validation, no 2PC). *)
   let rsnapshot =
-    if db.snapshots_enabled && Reactor.proc_readonly rst.rtype proc then
+    if db.snapshots_enabled && Reactor.proc_readonly rtype proc then
       Some (acquire_snapshot db)
     else None
   in
   let root =
-    { txn; rgen; rsnapshot; bd; tr; deadline; active_set = Hashtbl.create 8;
-      exec_of_container = []; last_call = 0; call_ctr = 0;
-      worked_since_call = false; doomed = None; logged_epoch = None }
+    Lifecycle.root ~txn ~retry ~obs:db.obs ~t_start ?deadline_us ~rsnapshot
+      { rgen; bd; exec_of_container = []; last_call = 0; call_ctr = 0;
+        worked_since_call = false; logged_epoch = None }
   in
   let ex = route db rst in
   Engine.delay p.Profile.cost_client_dispatch;
@@ -1001,64 +590,10 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   let t_enq = ref 0. in
   let body () =
     acquire_core ex;
-    let t_body = Engine.current_time () in
-    Obs.Trace.add tr Obs.Phase.Queue_wait (t_body -. !t_enq);
-    Hashtbl.add root.active_set reactor ();
     let res =
-      try
-        (* Dequeue boundary: a root whose whole budget went to queueing
-           (or MPL admission) aborts before touching any record. *)
-        check_deadline root ~where:"before execution";
-        let v =
-          run_procedure db ~root ~rstate:rst ~ex ~on_root_path:true
-            ~proc_name:proc ~args
-        in
-        match root.doomed with
-        | Some km -> Error (`Aborted km)
-        | None -> Ok v
-      with e -> Error (`Fatal e)
+      L.run_body db root rst ~home:rst.home ex ~queued_since:!t_enq ~proc ~args
     in
-    Hashtbl.remove root.active_set reactor;
-    (* Exec = body span minus the root's blocked windows (accumulated into
-       Suspend_wait by await_sub while the body ran). *)
-    Obs.Trace.add tr Obs.Phase.Exec
-      (Engine.current_time () -. t_body
-      -. Obs.Trace.get tr Obs.Phase.Suspend_wait);
-    let out =
-      match res with
-      | Ok _ when deadline_expired root ->
-        (* Commit entry: nothing is prepared yet, so expiring here just
-           drops the read/write sets — no locks to release. *)
-        Error (Ab_timeout, "deadline expired before commit", Obs.Abort.Timeout)
-      | Ok v when root.rsnapshot <> None ->
-        (* Read-only snapshot root: nothing to validate, install or log —
-           the result is final the moment the body returns. *)
-        Ok v
-      | Ok v -> (
-        (* A log-device failure during commit surfaces as a typed internal
-           abort, not a raw exception unwinding through the engine. *)
-        match
-          try do_commit db root ex with Wal.Io_error m -> Error (C_wal m)
-        with
-        | Ok () -> Ok v
-        | Error (C_fail fr) ->
-          Error (Ab_validation, Occ.Commit.fail_message fr, obs_kind_of_fail fr)
-        | Error C_timeout ->
-          Error
-            (Ab_timeout, "deadline expired during 2pc prepare", Obs.Abort.Timeout)
-        | Error (C_wal m) ->
-          Error (Ab_internal, "wal write failed: " ^ m, Obs.Abort.Internal)
-        | Error C_killed ->
-          Error (Ab_internal, "primary killed mid-2pc", Obs.Abort.Internal))
-      | Error (`Aborted (k, m)) -> Error (k, m, obs_kind_of_class k)
-      | Error (`Fatal e) -> (
-        match classify_exn e with
-        | Some (k, m) -> Error (k, m, obs_kind_of_class k)
-        | None ->
-          (* Programming errors (not aborts) escape to the engine. *)
-          release_core ex;
-          raise e)
-    in
+    let out = L.decide db root ~coord:ex res in
     release_core ex;
     Engine.Ivar.fill done_iv out
   in
@@ -1078,11 +613,15 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
          refusal is a typed outcome so drivers can count it exactly. *)
       db.n_fenced <- db.n_fenced + 1;
       Error
-        (Ab_internal, "fenced: stale primary generation", Obs.Abort.Internal)
+        ( Lifecycle.Ab_internal,
+          "fenced: stale primary generation",
+          Obs.Abort.Internal )
     end
     else if shed then
       Error
-        (Ab_overload, "overloaded: admission queue full", Obs.Abort.Overloaded)
+        ( Lifecycle.Ab_overload,
+          "overloaded: admission queue full",
+          Obs.Abort.Overloaded )
     else begin
       t_enq := Engine.current_time ();
       Engine.Mailbox.push ex.queue body;
@@ -1094,59 +633,27 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
      an in-progress migration drain resumes once the pre-mark slot empties.
      The shed path retires too: it registered above. *)
   mig_retire db rgen;
-  (* Durable mode: hold the client until the flush covering this
-     transaction's log epoch completes (the executor slot is already free,
-     so group commit costs latency, not admission capacity). *)
   (* The snapshot's GC pin is dropped as soon as the outcome is known —
      including on the admission-shed path, where the body never ran. *)
-  (match root.rsnapshot with Some s -> release_snapshot db s | None -> ());
-  (match out with
-  | Ok _ ->
-    let t_flush = Engine.current_time () in
-    wait_durable db root;
-    Obs.Trace.add tr Obs.Phase.Flush_wait (Engine.current_time () -. t_flush)
-  | Error _ -> ());
-  let result =
-    match out with Ok v -> Ok v | Error (_, m, _) -> Error m
+  Option.iter (release_snapshot db) rsnapshot;
+  (* Durable mode: [finish] holds the client until the flush covering this
+     transaction's log epoch completes (the executor slot is already free,
+     so group commit costs latency, not admission capacity). *)
+  let result, latency, abort_cause =
+    L.finish db root out ~counters:db.counters ~container:rst.home
   in
-  let latency = Engine.current_time () -. t_start in
   (* Overhead bucket = everything not attributed to the execution-path
      buckets: input generation, dispatch, commit, queueing. *)
   bd.bd_overhead <-
     Float.max 0.
       (latency -. bd.bd_sync_exec -. bd.bd_cs -. bd.bd_cr -. bd.bd_async_exec);
-  let participants =
-    Stdlib.max 1 (List.length (Occ.Txn.containers txn))
-  in
-  let abort_cause =
-    match out with
-    | Ok _ -> None
-    | Error (_, _, kind) -> Some (Obs.Abort.cause ~participants ~retry kind)
-  in
-  (match out with
-  | Ok _ ->
-    db.committed <- db.committed + 1;
-    if root.rsnapshot <> None then db.n_ro_commits <- db.n_ro_commits + 1
-  | Error (k, _, _) ->
-    db.aborted <- db.aborted + 1;
-    bump db.abort_reasons (bucket_of_class k));
-  (match db.obs with
-  | None -> ()
-  | Some c -> (
-    match abort_cause with
-    | None ->
-      Obs.Collector.record_commit c ~container:rst.home ~participants ~retry
-        ~readonly:(root.rsnapshot <> None) ~latency_us:latency tr
-    | Some cause ->
-      Obs.Collector.record_abort c ~container:rst.home ~latency_us:latency
-        ~cause tr));
   {
     result;
     latency;
     breakdown = bd;
     containers_touched = List.length (Occ.Txn.containers txn);
     abort_cause;
-    snapshot = root.rsnapshot;
+    snapshot = rsnapshot;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1257,14 +764,14 @@ let create eng decl cfg prof =
   let entries, table_owner = Bootstrap.build decl cfg in
   let xid = ref 0 in
   let containers =
-    Array.map
-      (fun nexec ->
+    Array.mapi
+      (fun cid nexec ->
         let cexecutors =
           Array.init nexec (fun _ ->
               incr xid;
               {
                 xid = !xid;
-                cid = 0 (* fixed below *);
+                cid;
                 queue = Engine.Mailbox.create ();
                 core_waiters = Queue.create ();
                 core_busy = false;
@@ -1277,12 +784,7 @@ let create eng decl cfg prof =
         { rr = 0; cexecutors })
       cfg.Config.executors_per_container
   in
-  Array.iteri
-    (fun ci cont ->
-      Array.iteri
-        (fun i ex -> cont.cexecutors.(i) <- { ex with cid = ci })
-        cont.cexecutors)
-    containers;
+  let execs = Array.concat (Array.to_list (Array.map (fun c -> c.cexecutors) containers)) in
   let db =
     {
       eng;
@@ -1290,11 +792,10 @@ let create eng decl cfg prof =
       cfg;
       prof;
       containers;
+      execs;
       reactors = Hashtbl.create 256;
       txn_counter = 0;
-      committed = 0;
-      aborted = 0;
-      abort_reasons = Hashtbl.create 8;
+      counters = Lifecycle.counters ();
       record_history = false;
       hist = [];
       stats_since = Engine.now eng;
@@ -1310,10 +811,7 @@ let create eng decl cfg prof =
       chaos = Chaos.none;
       mailbox_cap = None;
       snapshots_enabled = true;
-      snap_live = Hashtbl.create 16;
-      n_ro_commits = 0;
-      auto_seq = 0;
-      auto_par = 0;
+      snap_live = Epochs.create ();
       rorder = List.map (fun e -> e.Bootstrap.bs_name) entries;
       mig_gen = 0;
       mig_inflight = [| 0; 0 |];
@@ -1332,17 +830,12 @@ let create eng decl cfg prof =
   List.iter
     (fun e ->
       Hashtbl.add db.reactors e.Bootstrap.bs_name
-        { rname = e.Bootstrap.bs_name; rtype = e.Bootstrap.bs_rtype;
-          rcatalog = e.Bootstrap.bs_catalog; home = e.Bootstrap.bs_home;
-          cache_recency = [] })
+        { re = e; home = e.Bootstrap.bs_home; cache_recency = [] })
     entries;
-  Array.iter
-    (fun cont ->
-      Array.iter (fun ex -> Engine.spawn eng (dispatcher db ex)) cont.cexecutors)
-    containers;
+  Array.iter (fun ex -> Engine.spawn eng (dispatcher db ex)) execs;
   db
 
-let catalog_of db name = (reactor_state db name).rcatalog
+let catalog_of db name = (reactor_state db name).re.Bootstrap.bs_catalog
 let container_of db name = (reactor_state db name).home
 let n_migrations db = db.n_migrations
 let placement_epoch db = db.placement_epoch
@@ -1363,48 +856,31 @@ let apply_placements db pl =
         rst.home <- dst
       | Some _ | None -> ())
     pl
-let n_committed db = db.committed
-let n_aborted db = db.aborted
-
-let aborts_by_reason db =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) db.abort_reasons []
+let n_committed db = Lifecycle.n_committed db.counters
+let n_aborted db = Lifecycle.n_aborted db.counters
+let aborts_by_reason db = Lifecycle.aborts_by_reason db.counters
 
 let utilizations db =
-  let total = Float.max 1e-9 (Engine.now db.eng -. db.stats_since) in
-  let out = ref [] in
-  Array.iter
-    (fun cont ->
-      Array.iter
-        (fun ex ->
-          let busy =
-            ex.busy_accum
-            +. (if ex.core_busy then Engine.now db.eng -. ex.held_since else 0.)
-          in
-          out := (busy /. total) :: !out)
-        cont.cexecutors)
-    db.containers;
-  Array.of_list (List.rev !out)
+  let now = Engine.now db.eng in
+  let total = Float.max 1e-9 (now -. db.stats_since) in
+  Array.map
+    (fun ex ->
+      (ex.busy_accum +. if ex.core_busy then now -. ex.held_since else 0.)
+      /. total)
+    db.execs
 
 let reset_stats db =
-  db.committed <- 0;
-  db.aborted <- 0;
+  Lifecycle.reset db.counters;
   db.n_flushes <- 0;
-  db.n_ro_commits <- 0;
-  db.auto_seq <- 0;
-  db.auto_par <- 0;
-  Hashtbl.reset db.abort_reasons;
   (* The history log is NOT cleared: serializability certification needs
      every installed version, including warm-up transactions whose writes
      later transactions read. *)
   db.stats_since <- Engine.now db.eng;
   Array.iter
-    (fun cont ->
-      Array.iter
-        (fun ex ->
-          ex.busy_accum <- 0.;
-          if ex.core_busy then ex.held_since <- Engine.now db.eng)
-        cont.cexecutors)
-    db.containers
+    (fun ex ->
+      ex.busy_accum <- 0.;
+      if ex.core_busy then ex.held_since <- Engine.now db.eng)
+    db.execs
 
 let attach_wal ?(durable = false) db log =
   db.wal <- Some log;
@@ -1415,8 +891,8 @@ let attach_chaos db c = db.chaos <- c
 let set_mailbox_cap db cap = db.mailbox_cap <- cap
 let set_snapshots db b = db.snapshots_enabled <- b
 let snapshots_enabled db = db.snapshots_enabled
-let n_readonly_commits db = db.n_ro_commits
-let auto_morphs db = (db.auto_seq, db.auto_par)
+let n_readonly_commits db = Lifecycle.n_readonly_commits db.counters
+let auto_morphs db = Lifecycle.auto_morphs db.counters
 let wal_error db = db.wal_error
 let n_log_flushes db = db.n_flushes
 let enable_history db = db.record_history <- true

@@ -190,11 +190,13 @@ val auto_morphs : t -> int * int
 val n_committed : t -> int
 val n_aborted : t -> int
 
-(** Aborts by typed class: "user" ({!Occ.Txn.Abort}), "validation"
-    (execution-time conflicts, {!Occ.Txn.Conflict}, plus commit-time
-    validation/2PC failures), "dangerous-structure"
-    ({!Reactor.Dangerous_call}, §2.2.4). Classification is by exception
-    constructor, never by message text. *)
+(** Aborts by typed class ({!Lifecycle.abort_class}), non-empty buckets
+    only: "user" ({!Occ.Txn.Abort}), "validation" (execution-time
+    {!Occ.Txn.Conflict} and commit-time validation/2PC failures),
+    "dangerous-structure" ({!Reactor.Dangerous_call}, §2.2.4), "timeout",
+    "overloaded" (admission sheds) and "internal" (WAL failures, fenced
+    refusals, a primary killed mid-2PC). Classification is by exception
+    constructor, never by message text; the buckets sum to {!n_aborted}. *)
 val aborts_by_reason : t -> (string * int) list
 
 (** Fraction of virtual time each executor's core was busy since bootstrap,

@@ -1,4 +1,6 @@
 open Util
+module Lifecycle = Reactdb.Lifecycle
+module Epochs = Reactdb.Epochs
 
 (* ------------------------------------------------------------------ *)
 (* Thread-safe write-once cell. Wakers registered with [on_fill] run on the
@@ -102,10 +104,9 @@ type wal_sink = {
   log : Wal.t;  (* flusher domain only, after [start] *)
   wmu : Mutex.t;
   mutable pending : (int * Wal.entry) list;  (* epoch-tagged, newest first *)
-  inflight : (int, int) Hashtbl.t;
-      (* epoch -> commits decided but not yet appended; holds the flush
+  inflight : Epochs.t;
+      (* commits registered but not yet appended; holds the flush
          boundary below any epoch that could still produce an entry *)
-  mutable flushed_epoch : int;
   mutable waiters : (int * unit Ivar.t) list;  (* shared ivar per epoch *)
   mutable stop : bool;
   mutable flusher : unit Domain.t option;
@@ -142,13 +143,7 @@ type t = {
   wal : wal_sink option;
   chaos : Chaos.t;
   txn_counter : int Atomic.t;
-  committed : int Atomic.t;
-  aborted : int Atomic.t;
-  ab_user : int Atomic.t;
-  ab_validation : int Atomic.t;
-  ab_dangerous : int Atomic.t;
-  ab_timeout : int Atomic.t;
-  ab_overload : int Atomic.t;
+  counters : Lifecycle.counters;
   fatal : int Atomic.t;
   fatal_mu : Mutex.t;
   mutable fatal_msgs : string list;
@@ -159,14 +154,11 @@ type t = {
      two registries; never taken while holding another lock. *)
   snap_enabled : bool Atomic.t;
   smu : Mutex.t;
-  snap_live : (int, int) Hashtbl.t;  (* snapshot epoch -> live readers *)
-  commit_inflight : (int, int) Hashtbl.t;
-      (* epoch -> RW roots past their body but with installs possibly still
-         in flight; holds the snapshot boundary below any epoch that could
+  snap_live : Epochs.t;  (* live snapshot readers per snapshot epoch *)
+  commit_inflight : Epochs.t;
+      (* RW roots past their body but with installs possibly still in
+         flight; holds the snapshot boundary below any epoch that could
          still produce an install *)
-  n_ro_commits : int Atomic.t;
-  auto_seq : int Atomic.t;  (* Config.Auto morphs resolved sequential *)
-  auto_par : int Atomic.t;  (* Config.Auto morphs resolved parallel *)
   submitted : int Atomic.t;
   completed : int Atomic.t;
   (* Live-reconfiguration state (DESIGN.md §11). [mig_gen] is the placement
@@ -351,45 +343,27 @@ let fiber_await (iv : 'a Ivar.t) : 'a =
   | None -> Effect.perform (Suspend (fun waker -> Ivar.on_fill iv waker))
 
 (* ------------------------------------------------------------------ *)
-(* Root transaction state. The [Occ.Txn.t] context is shared by all of a
-   root's sub-transactions, which may execute concurrently on different
-   domains; [rmu] serializes every procedure body of the root and is
-   released across all suspension points, so it is never held by a blocked
-   fiber — each fiber locks only its own root's mutex and never while
-   holding another, hence no hold-and-wait and no deadlock. *)
+(* Per-root platform state, next to the shared [Lifecycle.root]. The
+   [Occ.Txn.t] context is shared by all of a root's sub-transactions,
+   which may execute concurrently on different domains; [rmu] serializes
+   every procedure body of the root and is released across all suspension
+   points, so it is never held by a blocked fiber — each fiber locks only
+   its own root's mutex and never while holding another, hence no
+   hold-and-wait and no deadlock. *)
 
-type abort_class =
-  | Ab_user
-  | Ab_conflict
-  | Ab_validation
-  | Ab_dangerous
-  | Ab_timeout
+type rx = {
+  rmu : Mutex.t;
+  rgen : int;
+      (* placement generation stamped at registration ([submit]); a root
+         with [rgen] <= a migration's cutoff may keep using the old home —
+         the drain waits for it — while later roots park at the stub *)
+  mutable wal_prep : (wal_sink * Wal.write list * int) option;
+      (* redo writes registered with the sink at commit entry, with their
+         epoch tag; cleared once appended *)
+  mutable flush : unit Ivar.t option;  (* the appended record's flush *)
+}
 
-let classify_exn = function
-  | Occ.Txn.Abort m -> Some (Ab_user, m)
-  | Occ.Txn.Conflict m -> Some (Ab_conflict, m)
-  | Reactor.Dangerous_call m -> Some (Ab_dangerous, m)
-  | Obs.Abort.Timed_out m -> Some (Ab_timeout, m)
-  | _ -> None
-
-let bucket_counter db = function
-  | Ab_user -> db.ab_user
-  | Ab_conflict | Ab_validation -> db.ab_validation
-  | Ab_dangerous -> db.ab_dangerous
-  | Ab_timeout -> db.ab_timeout
-
-let obs_kind_of_class = function
-  | Ab_user -> Obs.Abort.User
-  | Ab_conflict -> Obs.Abort.Conflict
-  | Ab_validation -> Obs.Abort.Internal (* refined by fail_reason when known *)
-  | Ab_dangerous -> Obs.Abort.Dangerous
-  | Ab_timeout -> Obs.Abort.Timeout
-
-let obs_kind_of_fail = function
-  | Occ.Commit.Lock_busy -> Obs.Abort.Lock_busy
-  | Occ.Commit.Stale_read -> Obs.Abort.Stale_read
-  | Occ.Commit.Node_changed -> Obs.Abort.Node_changed
-  | Occ.Commit.Key_exists -> Obs.Abort.Key_exists
+type root = rx Lifecycle.root
 
 (* Every lifecycle timestamp — submit, phase boundaries, completion — must
    come from this one function: floats at the microsecond scale (~1e15)
@@ -397,55 +371,6 @@ let obs_kind_of_fail = function
    then scaling) makes phase sums drift past the measured latency. On a
    single grid the boundary values telescope, so sum(phases) <= latency. *)
 let now_us () = Unix.gettimeofday () *. 1e6
-
-type subresult = (Value.t, exn) result
-
-type sub = { siv : subresult Ivar.t }
-
-type root = {
-  txn : Occ.Txn.t;
-  rmu : Mutex.t;
-  active_set : (string, unit) Hashtbl.t;
-  tr : Obs.Trace.t; (* lifecycle trace; Obs.Trace.none when no collector *)
-  deadline_us : float;
-      (* absolute wall-clock deadline on the [now_us] grid; [infinity] when
-         the root has no deadline, which keeps every check a float compare
-         with no clock read *)
-  mutable doomed : (abort_class * string) option;
-      (* a sub-transaction aborted: the root may not commit even if
-         application code swallowed the exception (§2.2.3) *)
-  rsnapshot : int option;
-      (* read-only root: the frozen snapshot epoch its reads resolve
-         against; [None] for ordinary OCC roots *)
-  rgen : int;
-      (* placement generation stamped at registration ([submit]); a root
-         with [rgen] <= a migration's cutoff may keep using the old home —
-         the drain waits for it — while later roots park at the stub *)
-}
-
-let deadline_expired root =
-  root.deadline_us < Float.infinity && now_us () > root.deadline_us
-
-(* Deadline checks sit at phase boundaries only — dequeue, sub-call start,
-   resume after an await, post-sync, commit entry, 2PC prepare — never
-   inside application code, so an expired deadline always surfaces through
-   the same typed-abort unwinding as any other abort (children awaited,
-   active-set cleaned, locks released). *)
-let check_deadline root ~where =
-  if deadline_expired root then
-    raise (Obs.Abort.Timed_out ("deadline expired " ^ where))
-
-type frame = {
-  froot : root;
-  fentry : Reactdb.Bootstrap.entry;
-  fhome : int;  (* the frame's resolved container — stable for the frame's
-                   lifetime by the drain argument (§11): a flip only happens
-                   after every root allowed at the old home completed *)
-  fex : exec;
-  fpath : bool; (* on the root's critical path (root fiber), like the
-                   simulator's [on_root_path] *)
-  mutable children : sub list;
-}
 
 let reactor_place db name =
   match Hashtbl.find_opt db.reactors name with
@@ -502,187 +427,6 @@ let park_at_stub db reactor k =
     Mutex.unlock db.mig_mu;
     k ()
 
-(* Await a child with the root mutex released: the child itself needs [rmu]
-   to run. On the root path the blocked window (suspension until the waker
-   fires, plus re-acquiring [rmu]) is stamped into the lifecycle trace. *)
-let await_sub root ~on_root_path sub =
-  match Ivar.peek sub.siv with
-  | Some r -> r
-  | None ->
-    let timed = on_root_path && Obs.Trace.enabled root.tr in
-    let t0 = if timed then now_us () else 0. in
-    Mutex.unlock root.rmu;
-    let r = fiber_await sub.siv in
-    Mutex.lock root.rmu;
-    if timed then Obs.Trace.add root.tr Obs.Phase.Suspend_wait (now_us () -. t0);
-    r
-
-(* Mirrors the simulator's execution semantics (Database.run_procedure /
-   do_call) minus cost charging: self-calls and same-container calls are
-   inlined, cross-container calls ship to the owning domain and return a
-   real future, and implicit synchronization awaits every child before the
-   frame completes. Caller holds [root.rmu]. *)
-let rec run_procedure db ~root ~entry ~home ~ex ~on_root_path ~proc_name ~args =
-  let procfn = Reactor.find_proc entry.Reactdb.Bootstrap.bs_rtype proc_name in
-  let frame =
-    { froot = root; fentry = entry; fhome = home; fex = ex;
-      fpath = on_root_path; children = [] }
-  in
-  let ctx =
-    {
-      Reactor.db =
-        Query.Exec.make_ctx ?snapshot:root.rsnapshot ~txn:root.txn
-          ~container:home
-          ~catalog:entry.Reactdb.Bootstrap.bs_catalog
-          ~charge:(fun _ _ -> ())
-          ~work:(fun _ -> ())
-          ();
-      self = entry.Reactdb.Bootstrap.bs_name;
-      call = (fun ~reactor ~proc ~args -> do_call db frame ~reactor ~proc ~args);
-      collect =
-        (fun futures ->
-          (* Fork–join barrier, mirroring the simulator: consume every
-             future before raising anything (resolved ivars are peeked for
-             free, so completion order doesn't matter), then re-raise the
-             first non-deadline error in list order. Raising only after
-             all siblings completed means a timed-out collect never
-             unwinds with sub-transactions still mutating callee state; a
-             deadline expiry seen by any per-future resume check is the
-             root's one budget, so it is reported as the collect-boundary
-             check firing. *)
-          let results =
-            List.map
-              (fun f -> try Ok (f.Reactor.get ()) with e -> Error e)
-              futures
-          in
-          (match
-             List.find_opt
-               (function
-                 | Error (Obs.Abort.Timed_out _) | Ok _ -> false
-                 | Error _ -> true)
-               results
-           with
-          | Some (Error e) -> raise e
-          | _ -> ());
-          if
-            List.exists
-              (function Error _ -> true | Ok _ -> false)
-              results
-          then raise (Obs.Abort.Timed_out "deadline expired at collect boundary");
-          check_deadline root ~where:"at collect boundary";
-          List.map
-            (function Ok v -> v | Error _ -> assert false)
-            results);
-    }
-  in
-  let result = try Ok (procfn ctx args) with e -> Error e in
-  let first_err = ref (match result with Error e -> Some e | Ok _ -> None) in
-  List.iter
-    (fun sub ->
-      match await_sub root ~on_root_path:frame.fpath sub with
-      | Ok _ -> ()
-      | Error e -> if !first_err = None then first_err := Some e)
-    (List.rev frame.children);
-  (* Implicit sync done: every child has completed, so raising here cannot
-     leave a sub-transaction mutating the shared context. *)
-  if !first_err = None && frame.children <> [] && deadline_expired root then
-    first_err := Some (Obs.Abort.Timed_out "deadline expired after implicit sync");
-  match !first_err with
-  | Some e -> raise e
-  | None -> (match result with Ok v -> v | Error _ -> assert false)
-
-and do_call db frame ~reactor ~proc ~args =
-  let root = frame.froot in
-  if reactor = frame.fentry.Reactdb.Bootstrap.bs_name then begin
-    (* Self-call: inlined synchronously (§2.2.4). *)
-    let v =
-      run_procedure db ~root ~entry:frame.fentry ~home:frame.fhome
-        ~ex:frame.fex ~on_root_path:frame.fpath ~proc_name:proc ~args
-    in
-    { Reactor.get = (fun () -> v) }
-  end
-  else begin
-    let tplace = reactor_place db reactor in
-    let tentry = tplace.re in
-    if Hashtbl.mem root.active_set reactor then
-      raise
-        (Reactor.Dangerous_call
-           (Printf.sprintf "dangerous call structure: reactor %s already active"
-              reactor));
-    (* Placement gate: a post-mark root may not touch a migrating reactor —
-       its sub-call parks at the stub and ships after the flip. Pre-mark
-       roots resolve the (old) home and proceed; the drain waits for them. *)
-    let resolved = resolve_home db ~rgen:root.rgen tplace in
-    match resolved with
-    | Some h when h = frame.fhome ->
-      (* Same container = same domain: run inline, no messaging. *)
-      Hashtbl.add root.active_set reactor ();
-      let finally () = Hashtbl.remove root.active_set reactor in
-      let v =
-        try
-          run_procedure db ~root ~entry:tentry ~home:h ~ex:frame.fex
-            ~on_root_path:frame.fpath ~proc_name:proc ~args
-        with e ->
-          finally ();
-          raise e
-      in
-      finally ();
-      { Reactor.get = (fun () -> v) }
-    | _ ->
-      (* Cross-container (or parked): ship the body to the owning domain.
-         The child job blocks on [rmu] before touching any shared
-         transaction state; the holder is always a running (never
-         suspended) fiber, so the wait is finite. The home is re-read at
-         dispatch time — for a parked call that is after the flip. *)
-      Hashtbl.add root.active_set reactor ();
-      let iv = Ivar.create () in
-      let ship () =
-        let rex = db.execs.(Atomic.get tplace.rhome) in
-        Mailbox.push rex.mb
-          (Job
-             (fun () ->
-            (* Chaos: the shipped sub-call stalls before it starts executing
-               on the destination domain. *)
-            Chaos.inject_wall db.chaos Chaos.Delay_delivery;
-            Mutex.lock root.rmu;
-            let res =
-              try
-                check_deadline root ~where:"at sub-transaction start";
-                Ok
-                  (run_procedure db ~root ~entry:tentry ~home:rex.eid ~ex:rex
-                     ~on_root_path:false ~proc_name:proc ~args)
-              with e -> Error e
-            in
-            (match res with
-            | Error e -> (
-              match classify_exn e with
-              | Some km -> if root.doomed = None then root.doomed <- Some km
-              | None -> ())
-            | Ok _ -> ());
-            Hashtbl.remove root.active_set reactor;
-            Mutex.unlock root.rmu;
-            Ivar.fill iv res))
-      in
-      (match resolved with
-      | Some _ -> ship ()
-      | None -> park_at_stub db reactor ship);
-      let sub = { siv = iv } in
-      frame.children <- sub :: frame.children;
-      {
-        Reactor.get =
-          (fun () ->
-            match await_sub root ~on_root_path:frame.fpath sub with
-            | Ok v ->
-              (* Resumed after a (possibly long) suspension: re-check the
-                 budget before letting the body continue. Raises inside the
-                 procedure body, so the implicit sync still awaits every
-                 sibling before the frame unwinds. *)
-              check_deadline root ~where:"on resume after sub-transaction";
-              v
-            | Error e -> raise e);
-      }
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Silo epochs on the wall clock. Only monotonicity matters for TID
    correctness ([compute_tid] takes the max with observed TIDs), so the
@@ -707,60 +451,35 @@ let maybe_advance_epoch db =
    installs have all landed — an immutable, consistent prefix. *)
 
 let commit_register db =
-  Mutex.lock db.smu;
-  let e = Atomic.get db.epoch in
-  Hashtbl.replace db.commit_inflight e
-    (1 + Option.value ~default:0 (Hashtbl.find_opt db.commit_inflight e));
-  Mutex.unlock db.smu;
-  e
+  Mutex.protect db.smu (fun () ->
+      let e = Atomic.get db.epoch in
+      Epochs.add db.commit_inflight e;
+      e)
 
 let commit_deregister db e =
-  Mutex.lock db.smu;
-  (match Hashtbl.find_opt db.commit_inflight e with
-  | Some n when n > 1 -> Hashtbl.replace db.commit_inflight e (n - 1)
-  | _ -> Hashtbl.remove db.commit_inflight e);
-  Mutex.unlock db.smu
+  Mutex.protect db.smu (fun () -> Epochs.remove db.commit_inflight e)
 
 let safe_snapshot_locked db =
-  let s = ref (Atomic.get db.epoch - 1) in
-  Hashtbl.iter (fun e _ -> if e - 1 < !s then s := e - 1) db.commit_inflight;
-  Stdlib.max 0 !s
+  Stdlib.max 0
+    (Epochs.minimum db.commit_inflight ~default:(Atomic.get db.epoch) - 1)
 
-let safe_snapshot_epoch db =
-  Mutex.lock db.smu;
-  let s = safe_snapshot_locked db in
-  Mutex.unlock db.smu;
-  s
+let safe_snapshot_epoch db = Mutex.protect db.smu (fun () -> safe_snapshot_locked db)
 
 let acquire_snapshot db =
-  Mutex.lock db.smu;
-  let s = safe_snapshot_locked db in
-  Hashtbl.replace db.snap_live s
-    (1 + Option.value ~default:0 (Hashtbl.find_opt db.snap_live s));
-  Mutex.unlock db.smu;
-  s
+  Mutex.protect db.smu (fun () ->
+      let s = safe_snapshot_locked db in
+      Epochs.add db.snap_live s;
+      s)
 
-let release_snapshot db s =
-  Mutex.lock db.smu;
-  (match Hashtbl.find_opt db.snap_live s with
-  | Some n when n > 1 -> Hashtbl.replace db.snap_live s (n - 1)
-  | Some _ -> Hashtbl.remove db.snap_live s
-  | None -> ());
-  Mutex.unlock db.smu
+let release_snapshot db s = Mutex.protect db.smu (fun () -> Epochs.remove db.snap_live s)
 
 (* Horizon for version-chain trimming: no current or future snapshot can
    fall below it. Issued snapshots are nondecreasing over time — every
    registration carries the then-current epoch, which is at least the
    inflight minimum, so the minimum never moves backwards. *)
 let gc_horizon db =
-  Mutex.lock db.smu;
-  let nxt = safe_snapshot_locked db in
-  let h = Hashtbl.fold (fun e _ acc -> Stdlib.min e acc) db.snap_live nxt in
-  Mutex.unlock db.smu;
-  h
-
-let install_horizon db =
-  if Atomic.get db.snap_enabled then Some (gc_horizon db) else None
+  Mutex.protect db.smu (fun () ->
+      Epochs.minimum db.snap_live ~default:(safe_snapshot_locked db))
 
 (* Config.Auto morph heuristic: resolve a root to its parallel formulation
    only when at least half the domains have idle capacity to absorb the
@@ -790,40 +509,26 @@ let auto_parallel_ok db =
    under [wmu] is what orders registration against the flusher's own epoch
    read (also under [wmu]). *)
 let sink_register db s =
-  Mutex.lock s.wmu;
-  let e = Atomic.get db.epoch in
-  Hashtbl.replace s.inflight e
-    (1 + Option.value ~default:0 (Hashtbl.find_opt s.inflight e));
-  Mutex.unlock s.wmu;
-  e
-
-let deregister_locked s e =
-  match Hashtbl.find_opt s.inflight e with
-  | Some n when n > 1 -> Hashtbl.replace s.inflight e (n - 1)
-  | _ -> Hashtbl.remove s.inflight e
+  Mutex.protect s.wmu (fun () ->
+      let e = Atomic.get db.epoch in
+      Epochs.add s.inflight e;
+      e)
 
 (* The attempt aborted (or died): just release the boundary hold. *)
-let sink_cancel s ~epoch =
-  Mutex.lock s.wmu;
-  deregister_locked s epoch;
-  Mutex.unlock s.wmu
+let sink_cancel s ~epoch = Mutex.protect s.wmu (fun () -> Epochs.remove s.inflight epoch)
 
 (* The attempt committed: queue its redo entry and return the epoch's
    shared flush ivar for the fiber to await. *)
 let sink_append s ~epoch entry =
-  Mutex.lock s.wmu;
-  deregister_locked s epoch;
-  s.pending <- (epoch, entry) :: s.pending;
-  let iv =
-    match List.assoc_opt epoch s.waiters with
-    | Some iv -> iv
-    | None ->
-      let iv = Ivar.create () in
-      s.waiters <- (epoch, iv) :: s.waiters;
-      iv
-  in
-  Mutex.unlock s.wmu;
-  iv
+  Mutex.protect s.wmu (fun () ->
+      Epochs.remove s.inflight epoch;
+      s.pending <- (epoch, entry) :: s.pending;
+      match List.assoc_opt epoch s.waiters with
+      | Some iv -> iv
+      | None ->
+        let iv = Ivar.create () in
+        s.waiters <- (epoch, iv) :: s.waiters;
+        iv)
 
 let flusher_loop db s =
   let rec loop () =
@@ -833,13 +538,15 @@ let flusher_loop db s =
     maybe_advance_epoch db;
     Mutex.lock s.wmu;
     let stop = s.stop in
-    let bound = ref (if stop then max_int else Atomic.get db.epoch - 1) in
-    Hashtbl.iter (fun e _n -> if e - 1 < !bound then bound := e - 1) s.inflight;
-    let ready, later = List.partition (fun (e, _) -> e <= !bound) s.pending in
+    let bound =
+      Epochs.minimum s.inflight
+        ~default:(if stop then max_int else Atomic.get db.epoch)
+      - 1
+    in
+    let ready, later = List.partition (fun (e, _) -> e <= bound) s.pending in
     s.pending <- later;
-    let woken, still = List.partition (fun (e, _) -> e <= !bound) s.waiters in
+    let woken, still = List.partition (fun (e, _) -> e <= bound) s.waiters in
     s.waiters <- still;
-    if !bound > s.flushed_epoch then s.flushed_epoch <- !bound;
     Mutex.unlock s.wmu;
     if ready <> [] then begin
       (* The group commit: the whole boundary's worth of entries in one
@@ -856,368 +563,161 @@ let flusher_loop db s =
   in
   loop ()
 
-(* After-images come from the transaction's private buffers, captured
-   before the commit protocol runs: update rows are the buffered arrays,
-   insert records are still locked (lock held from creation) so no later
-   committer can swap their data pointer, delete keys are immutable. *)
-let wal_writes db txn =
-  List.map
-    (fun e ->
-      let reactor, table =
-        match
-          Hashtbl.find_opt db.table_owner e.Occ.Txn.wtable.Storage.Table.uid
-        with
-        | Some rt -> rt
-        | None -> ("?", e.Occ.Txn.wtable.Storage.Table.schema.Storage.Schema.sname)
-      in
-      match e.Occ.Txn.kind with
-      | Occ.Txn.Update row -> Wal.Put { reactor; table; row }
-      | Occ.Txn.Insert ->
-        Wal.Put { reactor; table; row = e.Occ.Txn.wrec.Storage.Record.data }
-      | Occ.Txn.Delete -> Wal.Del { reactor; table; key = e.Occ.Txn.wkey })
-    (Occ.Txn.all_writes txn)
-
 (* ------------------------------------------------------------------ *)
-(* Commit protocols. Runs on the root's fiber with [rmu] released — all
-   children have completed by now, so the transaction context is quiescent;
-   the mailbox and ivar mutexes give the coordinator happens-before edges
-   to every participant's writes. Each container's prepare/install/release
-   executes on the domain that owns it, preserving data ownership. *)
+(* The runtime as a lifecycle platform (DESIGN.md §5.2): wall clock,
+   fibers suspended across every wait, no cost charging. Commit steps run
+   on the root's fiber with [rmu] released — all children have completed,
+   so the transaction context is quiescent — and the mailbox and ivar
+   mutexes give the coordinator happens-before edges to every
+   participant's writes. *)
 
-(* Typed commit failures: [C_fail] carries the validation verdict,
-   [C_internal] means a guarded commit step died on an exception (recorded
-   fatal), [C_timeout] is a participant refusing to prepare past the root's
-   deadline. *)
-type commit_err =
-  | C_fail of Occ.Commit.fail_reason
-  | C_internal
-  | C_timeout
+module P = struct
+  type nonrec t = t
+  type nonrec exec = exec
+  type reactor = place
+  type nonrec rx = rx
+  type 'a future = 'a Ivar.t
 
-(* [coord] is the domain the root's fiber is physically running on — its
-   home unless the root was stolen or cost-routed. Each participant's
-   prepare/install/release still executes on the domain owning that
-   container; [coord] only decides which participant (if any) is inlined. *)
-let two_phase db root ~coord containers ~epoch =
-  let remote c f =
+  let now = now_us
+  let lookup = reactor_place
+  let entry p = p.re
+  let cid ex = ex.eid
+  let no_cost = ((fun _ _ -> ()), fun _ -> ())
+  let enter _ _ _ ~home:_ _ ~on_root_path:_ = no_cost
+  let leave _ _ = ()
+  let resolve db (root : root) ~caller:_ p = resolve_home db ~rgen:root.rx.rgen p
+
+  (* Ship the body to the owning domain. The child job blocks on [rmu]
+     before touching any shared transaction state; the holder is always a
+     running (never suspended) fiber, so the wait is finite. The home is
+     re-read at dispatch time — for a parked call that is after the flip. *)
+  let call db (root : root) ~from:_ ~on_root_path:_ tplace ~parked f =
+    let iv = Ivar.create () in
+    let ship () =
+      let rex = db.execs.(Atomic.get tplace.rhome) in
+      Mailbox.push rex.mb
+        (Job
+           (fun () ->
+             (* Chaos: the shipped sub-call stalls before it starts
+                executing on the destination domain. *)
+             Chaos.inject_wall db.chaos Chaos.Delay_delivery;
+             Mutex.lock root.rx.rmu;
+             let r = f rex rex.eid in
+             Mutex.unlock root.rx.rmu;
+             Ivar.fill iv r))
+    in
+    if parked then park_at_stub db tplace.re.Reactdb.Bootstrap.bs_name ship
+    else ship ();
+    iv
+
+  let peek = Ivar.peek
+
+  (* The shared code peeked already: suspend the fiber until the fill. *)
+  let await _ _ iv = Effect.perform (Suspend (fun waker -> Ivar.on_fill iv waker))
+
+  (* Await a child with the root mutex released: the child itself needs
+     [rmu] to run. On the root path the blocked window (suspension until
+     the waker fires, plus re-acquiring [rmu]) is stamped into the trace. *)
+  let await_sub db (root : root) ex ~on_root_path iv =
+    let timed = on_root_path && Obs.Trace.enabled root.tr in
+    let t0 = if timed then now_us () else 0. in
+    Mutex.unlock root.rx.rmu;
+    let r = await db ex iv in
+    Mutex.lock root.rx.rmu;
+    if timed then Obs.Trace.add root.tr Obs.Phase.Suspend_wait (now_us () -. t0);
+    r
+
+  let remote db _ ~coord:_ c f =
     let iv = Ivar.create () in
     Mailbox.push db.execs.(c).mb (Job (fun () -> Ivar.fill iv (f ())));
     iv
-  in
-  (* One participant's prepare: refuse outright when the root's deadline
-     has already passed (no locks taken — the coordinator treats the vote
-     like any abort vote and rolls the others back), otherwise validate.
-     The chaos stall fires after a successful prepare, i.e. with this
-     participant's write locks held — the worst place to lose time. *)
-  let prepare_vote c () =
-    if deadline_expired root then Error C_timeout
-    else begin
-      let r = Occ.Commit.prepare root.txn ~container:c in
-      if Result.is_ok r then Chaos.inject_wall db.chaos Chaos.Stall_prepare;
-      Result.map_error (fun fr -> C_fail fr) r
-    end
-  in
-  (* An exception out of a commit step would leave the coordinator waiting
-     forever; degrade to an abort vote / recorded fatal instead. *)
-  let guard_vote f () =
-    try f ()
-    with e -> record_fatal db e; Error C_internal
-  in
-  let guard_ack f () = try f () with e -> record_fatal db e in
-  let timed = Obs.Trace.enabled root.tr in
-  let t_val = if timed then now_us () else 0. in
-  (* Phase 1: validate with locks everywhere. *)
-  let prepares =
-    List.map
-      (fun c ->
-        if c = coord then (c, `Done (prepare_vote c ()))
-        else (c, `Pending (remote c (guard_vote (prepare_vote c)))))
-      containers
-  in
-  let resolved =
-    List.map
-      (fun (c, r) ->
-        match r with `Done v -> (c, v) | `Pending iv -> (c, fiber_await iv))
-      prepares
-  in
-  if timed then Obs.Trace.add root.tr Obs.Phase.Validation (now_us () -. t_val);
-  let t_dec = if timed then now_us () else 0. in
-  let finish r =
-    if timed then Obs.Trace.add root.tr Obs.Phase.Commit (now_us () -. t_dec);
-    r
-  in
-  if List.for_all (fun (_, v) -> Result.is_ok v) resolved then begin
-    let tid = Occ.Commit.compute_tid root.txn ~epoch in
-    let horizon = install_horizon db in
-    (* Phase 2: install. *)
-    let acks =
-      List.map
-        (fun c ->
-          if c = coord then begin
-            Occ.Commit.install ?horizon root.txn ~container:c ~tid;
-            None
-          end
-          else
-            Some
-              (remote c
-                 (guard_ack (fun () ->
-                      Occ.Commit.install ?horizon root.txn ~container:c ~tid))))
-        containers
-    in
-    List.iter (function Some iv -> fiber_await iv | None -> ()) acks;
-    finish (Ok tid)
-  end
-  else begin
-    (* Phase 2: roll back every prepared participant. *)
-    let acks =
-      List.filter_map
-        (fun (c, v) ->
-          if Result.is_error v then None
-          else if c = coord then begin
-            Occ.Commit.release root.txn ~container:c;
-            None
-          end
-          else
-            Some
-              (remote c
-                 (guard_ack (fun () -> Occ.Commit.release root.txn ~container:c))))
-        resolved
-    in
-    List.iter (fun iv -> fiber_await iv) acks;
-    let reason =
-      List.find_map
-        (fun (_, v) -> match v with Error r -> Some r | Ok () -> None)
-        resolved
-    in
-    finish (Error (Option.value reason ~default:C_internal))
-  end
 
-(* Commit coordinated from [run_eid], the domain the root's fiber runs on.
-   [epoch] is the root's registered commit epoch (see [commit_register]) —
-   using it, rather than re-reading the clock, keeps the inflight registry
-   a true lower bound on install epochs. Returns the Silo TID on success
-   (0 for an empty write/read set). *)
-let do_commit db root ~run_eid ~epoch =
-  match Occ.Txn.containers root.txn with
-  | [] -> Ok 0
-  | [ c ] when c = run_eid ->
-    (* commit_single, unrolled so validation and install land in their own
-       trace phases. *)
-    let timed = Obs.Trace.enabled root.tr in
-    let t0 = if timed then now_us () else 0. in
-    (match Occ.Commit.prepare root.txn ~container:c with
-    | Error r ->
-      if timed then Obs.Trace.add root.tr Obs.Phase.Validation (now_us () -. t0);
-      Error (C_fail r)
-    | Ok () ->
-      if timed then Obs.Trace.add root.tr Obs.Phase.Validation (now_us () -. t0);
-      let t1 = if timed then now_us () else 0. in
-      let tid = Occ.Commit.compute_tid root.txn ~epoch in
-      Occ.Commit.install ?horizon:(install_horizon db) root.txn ~container:c
-        ~tid;
-      if timed then Obs.Trace.add root.tr Obs.Phase.Commit (now_us () -. t1);
-      Ok tid)
-  | [ c ] ->
-    (* Stolen or cost-routed single-container root: the body ran off-home,
-       so the whole prepare/compute-TID/install re-pins to the owning
-       domain as one message — container-local structural access stays
-       owner-serialized at the price of a single round trip. *)
-    let timed = Obs.Trace.enabled root.tr in
-    let t0 = if timed then now_us () else 0. in
-    let iv = Ivar.create () in
-    Mailbox.push db.execs.(c).mb
-      (Job
-         (fun () ->
-           Ivar.fill iv
-             (try
-                if deadline_expired root then (Error C_timeout, 0.)
-                else
-                  match Occ.Commit.prepare root.txn ~container:c with
-                  | Error r -> (Error (C_fail r), 0.)
-                  | Ok () ->
-                    Chaos.inject_wall db.chaos Chaos.Stall_prepare;
-                    let ti = if timed then now_us () else 0. in
-                    let tid = Occ.Commit.compute_tid root.txn ~epoch in
-                    Occ.Commit.install ?horizon:(install_horizon db) root.txn
-                      ~container:c ~tid;
-                    (Ok tid, if timed then now_us () -. ti else 0.)
-              with e ->
-                record_fatal db e;
-                (Error C_internal, 0.))));
-    let r, commit_us = fiber_await iv in
-    if timed then begin
-      (* Messaging and owner-queue residence count toward validation, the
-         install span toward commit — same attribution as 2PC. *)
-      let total = now_us () -. t0 in
-      Obs.Trace.add root.tr Obs.Phase.Validation
-        (Float.max 0. (total -. commit_us));
-      Obs.Trace.add root.tr Obs.Phase.Commit commit_us
-    end;
+  let charge_validation _ _ _ = ()
+  let charge_install _ = ()
+
+  (* Chaos: a participant stalls with its write locks held — the worst
+     place to lose time. *)
+  let prepared db = Chaos.inject_wall db.chaos Chaos.Stall_prepare
+  let killed _ = false
+  let install_horizon db =
+    if Atomic.get db.snap_enabled then Some (gc_horizon db) else None
+
+  (* Durable mode: capture the after-images and register against the
+     flush boundary before the commit decision (the epoch rule above);
+     then register the commit epoch, so snapshot acquisition never freezes
+     an epoch with installs still in flight. Both holds drop once the
+     protocol is over (the sink's at the append, if it committed). *)
+  let committing db (root : root) f =
+    (match db.wal with
+    | None -> ()
+    | Some s -> (
+      match Lifecycle.redo_writes db.table_owner root.txn with
+      | [] -> ()
+      | writes -> root.rx.wal_prep <- Some (s, writes, sink_register db s)));
+    let epoch = commit_register db in
+    let r = f ~epoch in
+    commit_deregister db epoch;
+    Option.iter (fun (s, _, etag) -> sink_cancel s ~epoch:etag) root.rx.wal_prep;
     r
-  | containers -> two_phase db root ~coord:run_eid containers ~epoch
+
+  let log_commit _ (root : root) ~tid =
+    (match root.rx.wal_prep with
+    | None -> ()
+    | Some (s, writes, etag) ->
+      root.rx.wal_prep <- None;
+      root.rx.flush <-
+        Some
+          (sink_append s ~epoch:etag
+             { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes }));
+    Ok ()
+
+  let wait_durable _ (root : root) = Option.iter fiber_await root.rx.flush
+  let on_fatal = record_fatal
+end
+
+module L = Lifecycle.Make (P)
 
 (* ------------------------------------------------------------------ *)
 (* Root execution: one [Root] mailbox message, run by whichever domain
-   dequeued (or stole) it — [run_ex]. The body executes on [run_ex]; the
-   commit protocol re-pins every container's prepare/install to its owning
+   dequeued (or stole) it — [ex]. The body executes on [ex]; the commit
+   protocol re-pins every container's prepare/install to its owning
    domain. Guaranteed to call [k] and bump [completed] exactly once —
    quiescence depends on it. *)
 
-let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ~deadline_us
-    ~k (run_ex : exec) =
+let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us
+    ~k (ex : exec) =
   (* Chaos: the root dispatch message stalls before execution begins. *)
   Chaos.inject_wall db.chaos Chaos.Delay_delivery;
   maybe_advance_epoch db;
   let place = reactor_place db reactor in
-  let entry = place.re in
   (* Re-read the home at execution start: a parked root replayed after a
      flip must run against the new placement. Stable from here on — a
      subsequent flip waits for this root (its generation is pre-mark
      relative to any later migration). *)
   let home = Atomic.get place.rhome in
-  let ex = run_ex in
   let txn = Occ.Txn.create ~id:(1 + Atomic.fetch_and_add db.txn_counter 1) in
-  let tr =
-    match db.obs with Some c -> Obs.Collector.trace c | None -> Obs.Trace.none
-  in
   let rsnapshot = if ro then Some (acquire_snapshot db) else None in
   let root =
-    { txn; rmu = Mutex.create (); active_set = Hashtbl.create 8; tr;
-      deadline_us; doomed = None; rsnapshot; rgen }
+    Lifecycle.root ~txn ~retry ~obs:db.obs ~t_start:t_submit ?deadline_us
+      ~rsnapshot
+      { rmu = Mutex.create (); rgen; wal_prep = None; flush = None }
   in
-  let timed = Obs.Trace.enabled tr in
-  let t_body = if timed then now_us () else 0. in
   (* Queue wait: submit → this job running on the home domain, including
      any round-robin forwarding hop and mailbox residence. *)
-  if timed then
-    Obs.Trace.add tr Obs.Phase.Queue_wait (t_body -. t_submit);
-  Mutex.lock root.rmu;
-  Hashtbl.add root.active_set reactor ();
-  let res =
-    try
-      (* Dequeue boundary: a root whose whole budget went to queueing
-         aborts before touching any record. *)
-      check_deadline root ~where:"before execution";
-      let v =
-        run_procedure db ~root ~entry ~home ~ex ~on_root_path:true
-          ~proc_name:proc ~args
-      in
-      match root.doomed with Some km -> Error (`Aborted km) | None -> Ok v
-    with e -> Error (`Fatal e)
+  Mutex.lock root.rx.rmu;
+  let res = L.run_body db root place ~home ex ~queued_since:t_submit ~proc ~args in
+  Mutex.unlock root.rx.rmu;
+  let verdict = L.decide db root ~coord:ex res in
+  Option.iter (release_snapshot db) rsnapshot;
+  (* Slot ownership follows physical execution: this message runs on
+     [ex]'s domain, so it records into slot [ex.eid] — with stealing or
+     cost routing that may differ from the reactor's home container. *)
+  let result, latency_us, abort_cause =
+    L.finish db root verdict ~counters:db.counters ~container:ex.eid
   in
-  Hashtbl.remove root.active_set reactor;
-  Mutex.unlock root.rmu;
-  (* Exec = body span minus the root's suspended windows (stamped by
-     await_sub while the body ran). *)
-  if timed then
-    Obs.Trace.add tr Obs.Phase.Exec
-      (now_us () -. t_body -. Obs.Trace.get tr Obs.Phase.Suspend_wait);
-  let verdict =
-    match res with
-    | Ok v when root.rsnapshot <> None ->
-      (* Read-only snapshot root: the result is already final. No read
-         set was tracked and nothing was written, so there is no commit
-         protocol — no validation, no locks, no 2PC, no WAL — and hence
-         nothing that could abort it. *)
-      Ok v
-    | Ok _ when deadline_expired root ->
-      (* Commit entry: nothing is prepared yet, so expiring here just drops
-         the read/write sets — no locks to release. *)
-      Error (Some Ab_timeout, "deadline expired before commit", Obs.Abort.Timeout)
-    | Ok v -> (
-      (* Durable mode: capture after-images and register against the flush
-         boundary before the commit decision (see the epoch rule above). *)
-      let wal_prep =
-        match db.wal with
-        | None -> None
-        | Some s -> (
-          match wal_writes db txn with
-          | [] -> None
-          | writes -> Some (s, writes, sink_register db s))
-      in
-      (* Register the commit epoch before the protocol starts and release
-         it once installs have landed (or the attempt aborted), so snapshot
-         acquisition never freezes an epoch with installs still in
-         flight. *)
-      let ce = commit_register db in
-      let cres =
-        try `C (do_commit db root ~run_eid:ex.eid ~epoch:ce)
-        with e ->
-          record_fatal db e;
-          `F (Printexc.to_string e)
-      in
-      commit_deregister db ce;
-      (match (cres, wal_prep) with
-      | _, None -> ()
-      | `C (Ok tid), Some (s, writes, etag) ->
-        let iv =
-          sink_append s ~epoch:etag
-            { Wal.le_txn = Occ.Txn.id txn; le_tid = tid; le_writes = writes }
-        in
-        let tf = if timed then now_us () else 0. in
-        fiber_await iv;
-        if timed then Obs.Trace.add tr Obs.Phase.Flush_wait (now_us () -. tf)
-      | _, Some (s, _, etag) -> sink_cancel s ~epoch:etag);
-      match cres with
-      | `C (Ok _tid) -> Ok v
-      | `C (Error (C_fail fr)) ->
-        Error (Some Ab_validation, Occ.Commit.fail_message fr, obs_kind_of_fail fr)
-      | `C (Error C_internal) ->
-        Error
-          ( Some Ab_validation,
-            "validation failed (2pc): internal vote error",
-            Obs.Abort.Internal )
-      | `C (Error C_timeout) ->
-        Error
-          ( Some Ab_timeout,
-            "deadline expired during 2pc prepare",
-            Obs.Abort.Timeout )
-      | `F m -> Error (None, "internal commit error: " ^ m, Obs.Abort.Internal))
-    | Error (`Aborted (kc, m)) -> Error (Some kc, m, obs_kind_of_class kc)
-    | Error (`Fatal e) -> (
-      match classify_exn e with
-      | Some (kc, m) -> Error (Some kc, m, obs_kind_of_class kc)
-      | None ->
-        record_fatal db e;
-        Error
-          (None, "internal error: " ^ Printexc.to_string e, Obs.Abort.Internal))
-  in
-  (match root.rsnapshot with
-  | Some s -> release_snapshot db s
-  | None -> ());
-  (match verdict with
-  | Ok _ ->
-    Atomic.incr db.committed;
-    if root.rsnapshot <> None then Atomic.incr db.n_ro_commits
-  | Error (kc, _, _) ->
-    Atomic.incr db.aborted;
-    (match kc with Some kc -> Atomic.incr (bucket_counter db kc) | None -> ()));
-  let latency_us = now_us () -. t_submit in
-  let participants = Stdlib.max 1 (List.length (Occ.Txn.containers txn)) in
-  let abort_cause =
-    match verdict with
-    | Ok _ -> None
-    | Error (_, _, kind) -> Some (Obs.Abort.cause ~participants ~retry kind)
-  in
-  (match db.obs with
-  | None -> ()
-  | Some c -> (
-    (* Slot ownership follows physical execution: this message runs on
-       [ex]'s domain, so it records into slot [ex.eid] — with stealing or
-       cost routing that may differ from the reactor's home container. *)
-    match abort_cause with
-    | None ->
-      Obs.Collector.record_commit c ~container:ex.eid ~participants ~retry
-        ~readonly:(root.rsnapshot <> None) ~latency_us tr
-    | Some cause ->
-      Obs.Collector.record_abort c ~container:ex.eid ~latency_us ~cause tr));
   let out =
-    {
-      result = (match verdict with Ok v -> Ok v | Error (_, m, _) -> Error m);
-      latency_us;
-      containers_touched = List.length (Occ.Txn.containers txn);
-      abort_cause;
-      snapshot = root.rsnapshot;
-    }
+    { result; latency_us; abort_cause; snapshot = rsnapshot;
+      containers_touched = List.length (Occ.Txn.containers txn) }
   in
   (try k out with e -> record_fatal db e);
   Atomic.incr db.completed
@@ -1281,20 +781,9 @@ let choose_cost db ~home =
 let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
   let place = reactor_place db reactor in
   let rt = place.re.Reactdb.Bootstrap.bs_rtype in
-  (* Config.Auto: resolve a declared morph pair per root from live load —
-     parallel when idle capacity can absorb the fan-out, else sequential.
-     Generators emit the sequential name under [Auto]. *)
   let proc =
-    if db.cfg.Reactdb.Config.morph <> Reactdb.Config.Auto then proc
-    else
-      match Reactor.morph_target rt proc with
-      | Some par when auto_parallel_ok db ->
-        Atomic.incr db.auto_par;
-        par
-      | Some _ ->
-        Atomic.incr db.auto_seq;
-        proc
-      | None -> proc
+    Lifecycle.morph db.counters db.cfg rt proc ~parallel_ok:(fun () ->
+        auto_parallel_ok db)
   in
   let ro = Atomic.get db.snap_enabled && Reactor.proc_readonly rt proc in
   Atomic.incr db.submitted;
@@ -1307,14 +796,8 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
     k out
   in
   let t_submit = now_us () in
-  let abs_deadline =
-    match deadline_us with
-    | Some d -> t_submit +. d
-    | None -> Float.infinity
-  in
   let job =
-    exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit
-      ~deadline_us:abs_deadline ~k
+    exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us ~k
   in
   (* Dispatch against a resolved home — immediately when the target is not
      mid-migration, otherwise replayed by the flip. Stub traffic counts as
@@ -1376,8 +859,7 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
          outcome is synthesized on the submitter's thread. Obs collector
          slots are owned by home domains, so no lifecycle record is written
          for sheds — the typed counters still account for them exactly. *)
-      Atomic.incr db.aborted;
-      Atomic.incr db.ab_overload;
+      Lifecycle.count_abort db.counters Lifecycle.Ab_overload;
       let out =
         {
           result = Error "overloaded: admission queue full";
@@ -1565,8 +1047,7 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
           log;
           wmu = Mutex.create ();
           pending = [];
-          inflight = Hashtbl.create 8;
-          flushed_epoch = 0;
+          inflight = Epochs.create ();
           waiters = [];
           stop = false;
           flusher = None;
@@ -1586,13 +1067,7 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
       wal = sink;
       chaos;
       txn_counter = Atomic.make 0;
-      committed = Atomic.make 0;
-      aborted = Atomic.make 0;
-      ab_user = Atomic.make 0;
-      ab_validation = Atomic.make 0;
-      ab_dangerous = Atomic.make 0;
-      ab_timeout = Atomic.make 0;
-      ab_overload = Atomic.make 0;
+      counters = Lifecycle.counters ();
       fatal = Atomic.make 0;
       fatal_mu = Mutex.create ();
       fatal_msgs = [];
@@ -1601,11 +1076,8 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
       rr = Atomic.make 0;
       snap_enabled = Atomic.make true;
       smu = Mutex.create ();
-      snap_live = Hashtbl.create 8;
-      commit_inflight = Hashtbl.create 8;
-      n_ro_commits = Atomic.make 0;
-      auto_seq = Atomic.make 0;
-      auto_par = Atomic.make 0;
+      snap_live = Epochs.create ();
+      commit_inflight = Epochs.create ();
       submitted = Atomic.make 0;
       completed = Atomic.make 0;
       mig_admin = Mutex.create ();
@@ -1656,26 +1128,17 @@ let catalogs db =
     (fun e -> (e.Reactdb.Bootstrap.bs_name, e.Reactdb.Bootstrap.bs_catalog))
     db.entries
 
-let n_committed db = Atomic.get db.committed
-let n_aborted db = Atomic.get db.aborted
+let n_committed db = Lifecycle.n_committed db.counters
+let n_aborted db = Lifecycle.n_aborted db.counters
 
 (* --- snapshot reads --- *)
 
 let set_snapshots db on = Atomic.set db.snap_enabled on
 let snapshots_enabled db = Atomic.get db.snap_enabled
-let n_readonly_commits db = Atomic.get db.n_ro_commits
-let auto_morphs db = (Atomic.get db.auto_seq, Atomic.get db.auto_par)
+let n_readonly_commits db = Lifecycle.n_readonly_commits db.counters
+let auto_morphs db = Lifecycle.auto_morphs db.counters
 
-let aborts_by_reason db =
-  List.filter
-    (fun (_, n) -> n > 0)
-    [
-      ("user", Atomic.get db.ab_user);
-      ("validation", Atomic.get db.ab_validation);
-      ("dangerous-structure", Atomic.get db.ab_dangerous);
-      ("timeout", Atomic.get db.ab_timeout);
-      ("overloaded", Atomic.get db.ab_overload);
-    ]
+let aborts_by_reason db = Lifecycle.aborts_by_reason db.counters
 
 let attach_obs db c = db.obs <- Some c
 let n_fatal db = Atomic.get db.fatal

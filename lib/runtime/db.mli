@@ -270,9 +270,11 @@ val n_committed : t -> int
     counts — see {!Load.result} for the accounting identity). *)
 val n_aborted : t -> int
 
-(** Same typed buckets as the simulator backend: "user", "validation",
-    "dangerous-structure", plus "timeout" (deadline expiry) and
-    "overloaded" (admission sheds). *)
+(** Same typed buckets as the simulator backend ({!Reactdb.Lifecycle}):
+    "user", "validation", "dangerous-structure", "timeout", "overloaded"
+    (admission sheds) and "internal" (a procedure or commit step raising
+    something that is not an abort; see {!n_fatal}). They sum to
+    {!n_aborted}. *)
 val aborts_by_reason : t -> (string * int) list
 
 (** Runtime-internal failures (a procedure or callback raised something

@@ -15,7 +15,6 @@ let () =
       Suite_wal.suite;
       Suite_faultsim.suite;
       Suite_sql.suite;
-      Suite_analysis.suite;
       Suite_random.suite;
       Suite_chaos.suite;
       Suite_mailbox.suite;

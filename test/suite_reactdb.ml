@@ -416,6 +416,51 @@ let test_generous_deadline_commits () =
       check_bool "generous deadline commits" true (Result.is_ok out.DB.result);
       checkf "debited" 90. (balance db "acct0"))
 
+(* One abort taxonomy: every aborted attempt lands in exactly one bucket,
+   so the buckets sum to the abort count — here a user abort, a dangerous
+   call, an expired deadline, an admission shed and a fenced refusal (an
+   internal abort). *)
+let test_abort_buckets_sum_sim () =
+  with_db (sn_config 4) (fun db ->
+      let kind ?deadline_us proc args =
+        match
+          (DB.exec_txn ?deadline_us db ~reactor:"acct0" ~proc ~args).DB.abort_cause
+        with
+        | Some c -> c.Obs.Abort.kind
+        | None -> Alcotest.failf "%s committed" proc
+      in
+      let transfer = [ Value.Str "acct1"; Value.Float 1. ] in
+      check_bool "user" true (kind "deposit" [ Value.Float (-1000.) ] = Obs.Abort.User);
+      check_bool "dangerous" true
+        (kind "same_twice" [ Value.Str "acct2" ] = Obs.Abort.Dangerous);
+      check_bool "timeout" true
+        (kind ~deadline_us:0.001 "transfer_to" transfer = Obs.Abort.Timeout);
+      DB.set_mailbox_cap db (Some 0);
+      check_bool "overloaded" true (kind "transfer_to" transfer = Obs.Abort.Overloaded);
+      DB.set_mailbox_cap db None;
+      DB.fence db;
+      check_bool "fenced is internal" true
+        (kind "transfer_to" transfer = Obs.Abort.Internal);
+      let reasons = DB.aborts_by_reason db in
+      List.iter
+        (fun b -> check_int (b ^ " bucket") 1 (List.assoc b reasons))
+        [ "user"; "dangerous-structure"; "timeout"; "overloaded"; "internal" ];
+      check_int "buckets sum to n_aborted" (DB.n_aborted db)
+        (List.fold_left (fun a (_, n) -> a + n) 0 reasons))
+
+(* A read-only snapshot root whose body has returned is final: its body
+   outlasting the deadline does not abort it at commit entry. *)
+let test_readonly_outlasts_deadline_sim () =
+  with_db ~n:2 (sn_config 2) (fun db ->
+      let out =
+        DB.exec_txn ~deadline_us:50. db ~reactor:"acct0" ~proc:"slow_balance"
+          ~args:[ Value.Float 1000. ]
+      in
+      check_bool "body outlasted the deadline" true (out.DB.latency > 1000.);
+      checkf "read-only root commits" 100. (Value.to_number (ok_or_fail out));
+      check_bool "ran on a snapshot" true (out.DB.snapshot <> None);
+      check_int "no abort" 0 (DB.n_aborted db))
+
 (* WAL device failure surfaces as a typed Internal abort through the commit
    path — the engine keeps running, the transaction rolls back. *)
 let test_wal_failure_typed_abort () =
@@ -548,4 +593,8 @@ let suite =
         test_generous_deadline_commits;
       Alcotest.test_case "wal failure is a typed abort" `Quick
         test_wal_failure_typed_abort;
+      Alcotest.test_case "abort buckets sum (sim)" `Quick
+        test_abort_buckets_sum_sim;
+      Alcotest.test_case "read-only outlasts deadline (sim)" `Quick
+        test_readonly_outlasts_deadline_sim;
     ] )

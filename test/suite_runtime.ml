@@ -334,11 +334,52 @@ let test_deadline_mid_collect_runtime () =
   RDb.shutdown db;
   audit_clean db
 
+(* One abort taxonomy: the buckets sum to the abort count. A procedure
+   raising something that is not an abort is counted once, in "internal",
+   and recorded as a fatal error. *)
+let test_abort_buckets_sum_runtime () =
+  let db = RDb.start (Testlib.bank_decl 4) (Testlib.sn_config 4) in
+  let kind ?deadline_us proc args =
+    abort_kind (RDb.exec_txn ?deadline_us db ~reactor:"acct0" ~proc ~args)
+  in
+  let transfer = [ Value.Str "acct1"; Value.Float 1. ] in
+  check_bool "user" true (kind "deposit" [ Value.Float (-1000.) ] = Some Obs.Abort.User);
+  check_bool "dangerous" true
+    (kind "same_twice" [ Value.Str "acct2" ] = Some Obs.Abort.Dangerous);
+  check_bool "timeout" true
+    (kind ~deadline_us:0. "transfer_to" transfer = Some Obs.Abort.Timeout);
+  check_bool "raising procedure is internal" true
+    (kind "boom" [] = Some Obs.Abort.Internal);
+  let reasons = RDb.aborts_by_reason db in
+  List.iter
+    (fun b -> check_int (b ^ " bucket") 1 (List.assoc b reasons))
+    [ "user"; "dangerous-structure"; "timeout"; "internal" ];
+  check_int "buckets sum to n_aborted" (RDb.n_aborted db)
+    (List.fold_left (fun a (_, n) -> a + n) 0 reasons);
+  check_int "one fatal" 1 (RDb.n_fatal db);
+  RDb.shutdown db
+
+(* A read-only snapshot root whose body has returned is final, even past
+   its deadline. *)
+let test_readonly_outlasts_deadline_runtime () =
+  let db = RDb.start (Testlib.bank_decl 2) (Testlib.sn_config 2) in
+  let out =
+    RDb.exec_txn ~deadline_us:500. db ~reactor:"acct0" ~proc:"slow_balance"
+      ~args:[ Value.Float 5_000. ]
+  in
+  check_bool "body outlasted the deadline" true (out.RDb.latency_us > 5_000.);
+  check_bool "read-only root commits" true (out.RDb.result = Ok (Value.Float 100.));
+  check_bool "ran on a snapshot" true (out.RDb.snapshot <> None);
+  check_int "no abort" 0 (RDb.n_aborted db);
+  RDb.shutdown db
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: the multi-future (collect) formulations are serially
    equivalent to their sequential counterparts — same per-request results
    and byte-identical physical state — one transaction at a time, on both
    backends. *)
+
+let cause_kind = Option.map (fun c -> c.Obs.Abort.kind)
 
 let run_serial_sim decl cfg names reqs =
   let db = Harness.build decl cfg in
@@ -348,41 +389,49 @@ let run_serial_sim decl cfg names reqs =
       results :=
         List.map
           (fun r ->
-            (Reactdb.Database.exec_txn db ~reactor:r.Workloads.Wl.reactor
-               ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args)
-              .Reactdb.Database.result)
+            let o =
+              Reactdb.Database.exec_txn db ~reactor:r.Workloads.Wl.reactor
+                ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args
+            in
+            (o.Reactdb.Database.result, cause_kind o.Reactdb.Database.abort_cause))
           reqs);
   ignore (Sim.Engine.run eng);
   let state =
     Faultsim.snapshot
       (List.map (fun nm -> (nm, Reactdb.Database.catalog_of db nm)) names)
   in
-  (!results, state)
+  (!results, state, List.sort compare (Reactdb.Database.aborts_by_reason db))
 
 let run_serial_par decl cfg reqs =
   let db = RDb.start decl cfg in
   let results =
     List.map
       (fun r ->
-        (RDb.exec_txn db ~reactor:r.Workloads.Wl.reactor
-           ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args)
-          .RDb.result)
+        let o =
+          RDb.exec_txn db ~reactor:r.Workloads.Wl.reactor
+            ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args
+        in
+        (o.RDb.result, cause_kind o.RDb.abort_cause))
       reqs
   in
   check_int "no fatals" 0 (RDb.n_fatal db);
   RDb.shutdown db;
-  (results, Faultsim.snapshot (RDb.catalogs db))
+  ( results,
+    Faultsim.snapshot (RDb.catalogs db),
+    List.sort compare (RDb.aborts_by_reason db) )
 
-let check_serial_equiv label (ra, sa) (rb, sb) =
+let check_serial_equiv label (ra, sa, ba) (rb, sb, bb) =
   List.iter2
-    (fun a b ->
-      match (a, b) with
+    (fun (a, ka) (b, kb) ->
+      (match (a, b) with
       | Ok va, Ok vb ->
         check_bool (label ^ ": same committed value") true (Value.equal va vb)
       | Error ma, Error mb -> Alcotest.(check string) (label ^ ": same abort") ma mb
       | Ok _, Error m -> Alcotest.fail (label ^ ": committed vs aborted: " ^ m)
-      | Error m, Ok _ -> Alcotest.fail (label ^ ": aborted vs committed: " ^ m))
+      | Error m, Ok _ -> Alcotest.fail (label ^ ": aborted vs committed: " ^ m));
+      check_bool (label ^ ": same abort kind") true (ka = kb))
     ra rb;
+  Alcotest.(check (list (pair string int))) (label ^ ": same abort buckets") ba bb;
   match Faultsim.diff sa sb with
   | None -> ()
   | Some d -> Alcotest.fail (label ^ ": state diverged: " ^ d)
@@ -408,15 +457,30 @@ let test_collect_serial_equivalence_smallbank () =
         in
         (src, pick [] 3, 1. +. float_of_int (Rng.int rng 5)))
   in
+  (* then, identical for every formulation: a user abort (overdraft), a
+     dangerous call (a read-only fan-out naming one remote customer twice)
+     and a read-only snapshot read across three containers *)
+  let tail =
+    let req proc args = { Workloads.Wl.reactor = "c0"; proc; args } in
+    [ req "transact_saving" [ Value.Float (-1e9) ];
+      req "sum_all" [ Value.Str "c1"; Value.Str "c1" ];
+      req "sum_all" [ Value.Str "c1"; Value.Str "c2" ] ]
+  in
   let reqs form =
     List.map
       (fun (src, dests, amount) ->
         SB.multi_transfer_request form ~src:(SB.customer_name src)
           ~dests:(List.map SB.customer_name dests) ~amount)
       shapes
+    @ tail
   in
   let sim_seq = run_serial_sim decl cfg names (reqs SB.Fully_sync) in
   let sim_col = run_serial_sim decl cfg names (reqs SB.Collect) in
+  (match (let r, _, _ = sim_col in List.rev r) with
+  | (Ok _, None)
+    :: (Error _, Some Obs.Abort.Dangerous)
+    :: (Error _, Some Obs.Abort.User) :: _ -> ()
+  | _ -> Alcotest.fail "tail: expected overdraft, dangerous call, snapshot read");
   let par_seq = run_serial_par decl cfg (reqs SB.Fully_sync) in
   let par_col = run_serial_par decl cfg (reqs SB.Collect) in
   check_serial_equiv "sim collect vs sequential" sim_seq sim_col;
@@ -664,6 +728,10 @@ let suite =
         test_deadline_during_2pc_prepare;
       Alcotest.test_case "deadline mid-collect (runtime)" `Quick
         test_deadline_mid_collect_runtime;
+      Alcotest.test_case "abort buckets sum (runtime)" `Quick
+        test_abort_buckets_sum_runtime;
+      Alcotest.test_case "read-only outlasts deadline (runtime)" `Quick
+        test_readonly_outlasts_deadline_runtime;
       Alcotest.test_case "collect serial equivalence: smallbank" `Quick
         test_collect_serial_equivalence_smallbank;
       Alcotest.test_case "collect serial equivalence: tpcc" `Quick

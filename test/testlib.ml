@@ -138,8 +138,21 @@ let account_type =
     ignore (f2.get ());
     Value.Null
   in
+  (* Declared read-only: reads the balance after a body of [us] µs —
+     charged as virtual work on the simulator and busy-waited on the wall
+     clock, so the body outlasts a shorter deadline on either backend. *)
+  let slow_balance ctx args =
+    let us = arg_float args 0 in
+    ctx.db.Query.Exec.work us;
+    let t0 = Unix.gettimeofday () in
+    while (Unix.gettimeofday () -. t0) *. 1e6 < us do () done;
+    get_balance ctx []
+  in
+  (* A programming error, not an abort. The simulator re-raises it out of
+     the engine, so only runtime suites may call it. *)
+  let boom _ctx _args = failwith "boom" in
   let noop _ctx _args = Value.Null in
-  rtype ~name:"Account" ~schemas:[ acct_schema ]
+  rtype ~name:"Account" ~schemas:[ acct_schema ] ~readonly:[ "slow_balance" ]
     ~procs:
       [
         ("get_balance", get_balance);
@@ -151,6 +164,8 @@ let account_type =
         ("multi_transfer_collect_slow", multi_transfer_collect_slow);
         ("slow_deposit", slow_deposit);
         ("same_twice", same_twice);
+        ("slow_balance", slow_balance);
+        ("boom", boom);
         ("noop", noop);
       ]
     ()
