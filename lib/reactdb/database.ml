@@ -371,8 +371,7 @@ module P = struct
     Engine.spawn_here (fun () ->
         acquire_core rex;
         Engine.delay dispatch;
-        let r = f () in
-        release_core rex;
+        let r = Fun.protect ~finally:(fun () -> release_core rex) f in
         Engine.Ivar.fill iv r);
     { fid; iv }
 
@@ -478,6 +477,7 @@ module P = struct
       +. db.prof.Profile.cost_commit_per_op
          *. float_of_int (Occ.Txn.ops_in txn ~container:c))
 
+  let fused_remote_commit = false
   let charge_install db = Engine.delay db.prof.Profile.cost_commit_base
   let prepared _ = ()
 
@@ -590,11 +590,14 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   let t_enq = ref 0. in
   let body () =
     acquire_core ex;
-    let res =
-      L.run_body db root rst ~home:rst.home ex ~queued_since:!t_enq ~proc ~args
+    (* The core is released even when a programming error escapes to the
+       engine, so the roots queued behind this one still run. *)
+    let out =
+      Fun.protect ~finally:(fun () -> release_core ex) (fun () ->
+          L.decide db root ~coord:ex
+            (L.run_body db root rst ~home:rst.home ex ~queued_since:!t_enq
+               ~proc ~args))
     in
-    let out = L.decide db root ~coord:ex res in
-    release_core ex;
     Engine.Ivar.fill done_iv out
   in
   (* Admission control: with a mailbox cap set, a root arriving at a full

@@ -230,14 +230,9 @@ module Make (P : PLATFORM) = struct
       | Some h when h = frame.fhome ->
         (* Same container: execute synchronously in the caller's executor,
            avoiding migration-of-control overhead (§3.2.1). *)
-        let fut =
-          try inline db frame target ~home:h ~proc ~args
-          with e ->
-            Hashtbl.remove root.active_set reactor;
-            raise e
-        in
-        Hashtbl.remove root.active_set reactor;
-        fut
+        Fun.protect
+          ~finally:(fun () -> Hashtbl.remove root.active_set reactor)
+          (fun () -> inline db frame target ~home:h ~proc ~args)
       | _ ->
         (* Cross-container: asynchronous dispatch to the owner. *)
         let fut =
@@ -319,6 +314,19 @@ module Make (P : PLATFORM) = struct
       install ~tid ~horizon:(P.install_horizon db);
       Ok ()
 
+  (* One participant's prepare vote: refuse outright when the root's
+     deadline has passed (no locks taken: the coordinator rolls the others
+     back as for any abort vote), otherwise validate. *)
+  let prepare_vote db root c =
+    if deadline_expired root then
+      Error (Ab_timeout, "deadline expired during 2pc prepare", Obs.Abort.Timeout)
+    else begin
+      P.charge_validation db root.txn c;
+      let r = Occ.Commit.prepare root.txn ~container:c in
+      if Result.is_ok r then P.prepared db;
+      Result.map_error validation_failed r
+    end
+
   (* Two-phase commit (§3.2.2): phase one runs Silo validation with locks
      on every participant; phase two installs or releases. Each
      participant's steps run on the executor owning its container; the
@@ -345,22 +353,9 @@ module Make (P : PLATFORM) = struct
     let release cs =
       ignore (on_each cs (fun c -> Occ.Commit.release root.txn ~container:c) ~dead:())
     in
-    (* One participant's prepare: refuse outright when the root's deadline
-       has passed (no locks taken: the coordinator rolls the others back
-       as for any abort vote), otherwise validate. *)
-    let prepare_vote c =
-      if deadline_expired root then
-        Error (Ab_timeout, "deadline expired during 2pc prepare", Obs.Abort.Timeout)
-      else begin
-        P.charge_validation db root.txn c;
-        let r = Occ.Commit.prepare root.txn ~container:c in
-        if Result.is_ok r then P.prepared db;
-        Result.map_error validation_failed r
-      end
-    in
     let t_val = stamp root in
     let votes =
-      on_each containers prepare_vote
+      on_each containers (prepare_vote db root)
         ~dead:(Error (internal "validation failed (2pc): internal vote error"))
     in
     since root Obs.Phase.Validation t_val;
@@ -387,6 +382,24 @@ module Make (P : PLATFORM) = struct
     since root Obs.Phase.Commit t_dec;
     r
 
+  (* Single-container commit on [c]'s owner: no votes, but validation
+     (from [t0]) and install still land in their own trace phases. *)
+  let commit_one db root c ~t0 ~epoch ~prepare =
+    let prepared = prepare c in
+    since root Obs.Phase.Validation t0;
+    match prepared with
+    | Error _ as e -> e
+    | Ok () ->
+      let t1 = stamp root in
+      let r =
+        install_all db root ~epoch
+          ~release:(fun () -> Occ.Commit.release root.txn ~container:c)
+          ~install:(fun ~tid ~horizon ->
+            Occ.Commit.install ?horizon root.txn ~container:c ~tid)
+      in
+      since root Obs.Phase.Commit t1;
+      r
+
   let do_commit db root ~coord ~epoch =
     let t0 = stamp root in
     match Occ.Txn.containers root.txn with
@@ -394,24 +407,28 @@ module Make (P : PLATFORM) = struct
       P.charge_install db;
       since root Obs.Phase.Commit t0;
       Ok ()
-    | [ c ] when c = P.cid coord -> (
-      (* Single container: no votes, but validation and install still land
-         in their own trace phases. *)
-      P.charge_validation db root.txn c;
-      let prepared = Occ.Commit.prepare root.txn ~container:c in
-      since root Obs.Phase.Validation t0;
-      match prepared with
-      | Error fr -> Error (validation_failed fr)
-      | Ok () ->
-        let t1 = stamp root in
-        let r =
-          install_all db root ~epoch
-            ~release:(fun () -> Occ.Commit.release root.txn ~container:c)
-            ~install:(fun ~tid ~horizon ->
-              Occ.Commit.install ?horizon root.txn ~container:c ~tid)
-        in
-        since root Obs.Phase.Commit t1;
-        r)
+    | [ c ] when c = P.cid coord ->
+      commit_one db root c ~t0 ~epoch ~prepare:(fun c ->
+          P.charge_validation db root.txn c;
+          Result.map_error validation_failed (Occ.Commit.prepare root.txn ~container:c))
+    | [ c ] when P.fused_remote_commit ->
+      (* The one container is not the coordinator's: prepare and install
+         re-pin to its owner as one step, so the write locks are never
+         held across a round trip. Messaging both ways and owner-queue
+         residence count toward validation. *)
+      let fut =
+        P.remote db root ~coord c (fun () ->
+            let r =
+              try commit_one db root c ~t0 ~epoch ~prepare:(prepare_vote db root)
+              with e ->
+                P.on_fatal db e;
+                Error (internal ("internal commit error: " ^ Printexc.to_string e))
+            in
+            (r, stamp root))
+      in
+      let r, t_reply = match P.peek fut with Some x -> x | None -> P.await db coord fut in
+      since root Obs.Phase.Validation t_reply;
+      r
     | containers -> two_phase db root ~coord containers ~epoch
 
   let decide db root ~coord body =
@@ -427,9 +444,7 @@ module Make (P : PLATFORM) = struct
     | Ok v ->
       P.committing db root (fun ~epoch ->
           match do_commit db root ~coord ~epoch with
-          | Ok () -> Ok v
-          | Error e -> Error e
-          | exception Wal.Io_error m -> Error (internal ("wal write failed: " ^ m))
+          | r -> Result.map (fun () -> v) r
           | exception e ->
             P.on_fatal db e;
             Error (internal ("internal commit error: " ^ Printexc.to_string e)))

@@ -92,6 +92,10 @@ module type PLATFORM = sig
 
   val await : t -> exec -> 'a future -> 'a
 
+  (** A root whose one container is not its coordinator's commits as one
+      prepare-and-install step on the owner, or by one-participant 2PC. *)
+  val fused_remote_commit : bool
+
   (** Virtual costs: validating the root's operations on a container, one
       install. *)
   val charge_validation : t -> Occ.Txn.t -> int -> unit

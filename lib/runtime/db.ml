@@ -632,6 +632,8 @@ module P = struct
     Mailbox.push db.execs.(c).mb (Job (fun () -> Ivar.fill iv (f ())));
     iv
 
+  (* stolen or cost-routed roots: no lock-holding round trip mid-commit *)
+  let fused_remote_commit = true
   let charge_validation _ _ _ = ()
   let charge_install _ = ()
 

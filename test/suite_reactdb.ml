@@ -461,6 +461,29 @@ let test_readonly_outlasts_deadline_sim () =
       check_bool "ran on a snapshot" true (out.DB.snapshot <> None);
       check_int "no abort" 0 (DB.n_aborted db))
 
+(* A programming error escapes the engine, as the SQL shell relies on, but
+   leaves the executor usable: a later root on the same reactor commits
+   instead of waiting forever for the core. *)
+let test_fatal_error_frees_core () =
+  let eng = Sim.Engine.create () in
+  let db = DB.create eng (bank_decl 2) (sn_config 2) Reactdb.Profile.default in
+  let run f =
+    let out = ref None in
+    Sim.Engine.spawn eng (fun () -> out := Some (f ()));
+    (match Sim.Engine.run eng with
+    | _ -> ()
+    | exception Failure m -> Alcotest.(check string) "escaped" "boom" m);
+    !out
+  in
+  check_bool "boom never returns" true
+    (run (fun () -> DB.exec_txn db ~reactor:"acct0" ~proc:"boom" ~args:[]) = None);
+  match
+    run (fun () ->
+        DB.exec_txn db ~reactor:"acct0" ~proc:"deposit" ~args:[ Value.Float 5. ])
+  with
+  | Some out -> checkf "next root commits" 105. (Value.to_number (ok_or_fail out))
+  | None -> Alcotest.fail "next root never completed"
+
 (* WAL device failure surfaces as a typed Internal abort through the commit
    path — the engine keeps running, the transaction rolls back. *)
 let test_wal_failure_typed_abort () =
@@ -597,4 +620,6 @@ let suite =
         test_abort_buckets_sum_sim;
       Alcotest.test_case "read-only outlasts deadline (sim)" `Quick
         test_readonly_outlasts_deadline_sim;
+      Alcotest.test_case "fatal error frees the core" `Quick
+        test_fatal_error_frees_core;
     ] )

@@ -149,7 +149,7 @@ let account_type =
     get_balance ctx []
   in
   (* A programming error, not an abort. The simulator re-raises it out of
-     the engine, so only runtime suites may call it. *)
+     the engine. *)
   let boom _ctx _args = failwith "boom" in
   let noop _ctx _args = Value.Null in
   rtype ~name:"Account" ~schemas:[ acct_schema ] ~readonly:[ "slow_balance" ]
