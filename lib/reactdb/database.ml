@@ -48,11 +48,6 @@ type rstate = {
          positions pay proportionally, absent = full penalty) *)
 }
 
-(* One in-progress migration: roots (and sub-calls of roots) admitted after
-   the mark — generation strictly greater than [mg_cutoff] — park here and
-   resume once the placement flips. *)
-type mig = { mg_cutoff : int; mutable mg_parked : (unit -> unit) list }
-
 type hist_entry = {
   h_txn : int;
   h_tid : int;
@@ -92,36 +87,16 @@ type t = {
   mutable mailbox_cap : int option;
       (* root admission bound per executor request queue; [None] =
          unbounded (sheds surface as [Obs.Abort.Overloaded] outcomes) *)
-  mutable snapshots_enabled : bool;
-      (* when set, installs publish version chains and declared-read-only
-         procedures run against a frozen snapshot epoch; off = the
-         single-version OCC-everywhere behavior (benchmark baseline) *)
-  snap_live : Epochs.t;
-      (* live snapshot readers per snapshot epoch; the GC horizon is the
-         minimum live epoch *)
+  registry : Pins.Registry.t;
+      (* snapshot and commit epochs (DESIGN.md §10); while snapshots are
+         enabled installs publish version chains and declared-read-only
+         procedures run against a frozen snapshot epoch *)
+  gate : Pins.Gate.t;  (* migration generations and stubs (DESIGN.md §11) *)
   rorder : string list;
       (* reactor declaration order, for deterministic [placements] *)
-  (* -- live reconfiguration (DESIGN.md §11) ----------------------------
-     Mirrors the parallel runtime's protocol, collapsed to the engine's
-     single thread: a migration marks the reactor (bumping [mig_gen]),
-     drains every root of the pre-mark generation, logs a [Wal.Migrate]
-     record, flips [rstate.home] and replays the parked stub traffic.
-     The two-slot parity counters suffice because [mig_busy] serializes
-     migrations, so at most two generations are ever live. *)
-  mutable mig_gen : int;
-  mig_inflight : int array; (* length 2, indexed by generation parity *)
-  mutable mig_drain : (int * (unit -> unit)) option;
-      (* (parity, waker): the migrating coroutine waiting for that
-         generation slot to empty *)
-  migrating : (string, mig) Hashtbl.t;
-  mutable mig_busy : bool;
-  mutable mig_waiters : (unit -> unit) list;
-  mutable placement_epoch : int;
-  mutable n_migrations : int;
-  mutable mig_pause_last : float;
   (* -- replication / failover (DESIGN.md §12) --------------------------
-     Generation-stamped admission, mirroring the migration drain's
-     [mig_gen] pattern at the whole-primary scale: a primary serves at
+     Generation-stamped admission, mirroring the migration gate's
+     generations at the whole-primary scale: a primary serves at
      generation [prim_gen]; once [fenced] (a newer generation was
      promoted, or the Kill_primary chaos probe fired), every admission is
      refused with a typed error and an in-flight 2PC may no longer
@@ -190,57 +165,16 @@ let route db rst =
        executors don't expose; the simulator degrades it to affinity. *)
     cont.cexecutors.(db.cfg.affinity_slot rst.re.Bootstrap.bs_name mod n)
 
-(* ------------------------------------------------------------------ *)
-(* Live-reconfiguration gates (DESIGN.md §11). [mig_register] pins a root
-   into the current migration generation for its whole lifetime;
-   [mig_retire] drops the pin and fires the drain waker when the slot a
-   migration is waiting on empties. [mig_stub_park] suspends the calling
-   coroutine at a migrating reactor's forwarding stub; it resumes after the
-   placement flip, so the caller's next read of [rst.home] sees the new
-   container. Single-threaded engine: no atomicity concerns, the counters
-   are plain ints. *)
-
-let mig_register db =
-  let g = db.mig_gen in
-  db.mig_inflight.(g land 1) <- db.mig_inflight.(g land 1) + 1;
-  g
-
-let mig_retire db g =
-  let p = g land 1 in
-  db.mig_inflight.(p) <- db.mig_inflight.(p) - 1;
-  match db.mig_drain with
-  | Some (dp, w) when dp = p && db.mig_inflight.(p) = 0 ->
-    db.mig_drain <- None;
-    w ()
-  | _ -> ()
-
-let mig_stub_park m =
-  Engine.suspend (fun waker -> m.mg_parked <- waker :: m.mg_parked)
-
 (* Silo epoch length in virtual µs: TID epochs advance on this boundary,
    and so does the durable-mode group-commit flush. *)
 let epoch_len_us = 40_000.
 
-let current_epoch db = 1 + int_of_float (Engine.now db.eng /. epoch_len_us)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot epochs. A read-only root freezes at S = current epoch - 1:
-   every commit of epoch <= S finished at an earlier virtual instant
-   (commits are atomic events and the TID epoch only advances at the
-   boundary), so epoch S is a fully committed, immutable prefix. Versions
-   older than the minimum live snapshot epoch (or, with no readers, older
-   than the next S to be issued) can never be requested again — that
-   minimum is the GC horizon installs trim chains to. *)
-
-let safe_snapshot_epoch db = Stdlib.max 0 (current_epoch db - 1)
-
-let acquire_snapshot db =
-  let s = safe_snapshot_epoch db in
-  Epochs.add db.snap_live s;
-  s
-
-let release_snapshot db s = Epochs.remove db.snap_live s
-let gc_horizon db = Epochs.minimum db.snap_live ~default:(safe_snapshot_epoch db)
+let epoch_at eng = 1 + int_of_float (Engine.now eng /. epoch_len_us)
+let current_epoch db = epoch_at db.eng
+let safe_snapshot_epoch db = Pins.Registry.safe_snapshot db.registry
+let acquire_snapshot db = Pins.Registry.acquire db.registry
+let release_snapshot db s = Pins.Registry.release db.registry s
+let gc_horizon db = Pins.Registry.horizon db.registry
 
 (* Extra one-way cost when two containers live on different machines. *)
 let net db c1 c2 =
@@ -409,12 +343,12 @@ module P = struct
      post-mark root must never hold a core a draining pre-mark root may
      need. Pre-mark roots pass through: the drain waits for them. *)
   let resolve db (root : root) ~caller rst =
-    (match Hashtbl.find_opt db.migrating rst.re.Bootstrap.bs_name with
-    | Some m when root.rx.rgen > m.mg_cutoff ->
+    let name = rst.re.Bootstrap.bs_name in
+    if not (Pins.Gate.admits db.gate ~rgen:root.rx.rgen name) then begin
       release_core caller;
-      mig_stub_park m;
+      Engine.suspend (Pins.Gate.park db.gate name);
       acquire_core caller
-    | _ -> ());
+    end;
     Some rst.home
 
   (* Sub-transactions bypass root admission control (they belong to an
@@ -488,10 +422,8 @@ module P = struct
     if Chaos.draw_us db.chaos Chaos.Kill_primary <> None then db.fenced <- true;
     db.fenced
 
-  let install_horizon db =
-    if db.snapshots_enabled then Some (gc_horizon db) else None
-
-  let committing db _ f = f ~epoch:(current_epoch db)
+  let registry db = db.registry
+  let committing _ _ f = f ()
 
   (* Write-ahead redo record, appended with every participant's locks held
      (see [Lifecycle.two_phase]), then the history entry. A failing log
@@ -559,10 +491,9 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
      drain. Virtual time keeps running while parked: the pause shows up in
      latency, and a tight deadline can expire at the dequeue boundary —
      exactly the straggler backstop the deadline machinery provides. *)
-  let rgen = mig_register db in
-  (match Hashtbl.find_opt db.migrating reactor with
-  | Some m when rgen > m.mg_cutoff -> mig_stub_park m
-  | _ -> ());
+  let rgen = Pins.Gate.register db.gate in
+  if not (Pins.Gate.admits db.gate ~rgen reactor) then
+    Engine.suspend (Pins.Gate.park db.gate reactor);
   let rtype = rst.re.Bootstrap.bs_rtype in
   let proc =
     Lifecycle.morph db.counters db.cfg rtype proc ~parallel_ok:(fun () ->
@@ -571,13 +502,9 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   (* Declared-read-only roots freeze a snapshot epoch up front: the body
      reads version chains at that epoch and the commit protocol is skipped
      entirely (no read set, no locks, no validation, no 2PC). *)
-  let rsnapshot =
-    if db.snapshots_enabled && Reactor.proc_readonly rtype proc then
-      Some (acquire_snapshot db)
-    else None
-  in
+  let readonly = Pins.Registry.enabled db.registry && Reactor.proc_readonly rtype proc in
   let root =
-    Lifecycle.root ~txn ~retry ~obs:db.obs ~t_start ?deadline_us ~rsnapshot
+    L.root db ~txn ~retry ~obs:db.obs ~t_start ?deadline_us ~readonly
       { rgen; bd; exec_of_container = []; last_call = 0; call_ctr = 0;
         worked_since_call = false; logged_epoch = None }
   in
@@ -635,11 +562,9 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
      what remains is client-side flush wait), so its generation pin drops —
      an in-progress migration drain resumes once the pre-mark slot empties.
      The shed path retires too: it registered above. *)
-  mig_retire db rgen;
-  (* The snapshot's GC pin is dropped as soon as the outcome is known —
-     including on the admission-shed path, where the body never ran. *)
-  Option.iter (release_snapshot db) rsnapshot;
-  (* Durable mode: [finish] holds the client until the flush covering this
+  Pins.Gate.retire db.gate rgen;
+  (* [finish] drops the snapshot pin, also on the shed path. In durable
+     mode it holds the client until the flush covering this
      transaction's log epoch completes (the executor slot is already free,
      so group commit costs latency, not admission capacity). *)
   let result, latency, abort_cause =
@@ -656,92 +581,32 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
     breakdown = bd;
     containers_touched = List.length (Occ.Txn.containers txn);
     abort_cause;
-    snapshot = rsnapshot;
+    snapshot = root.rsnapshot;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Live reconfiguration (DESIGN.md §11): online reactor migration.
-
-   mark    — bump the generation and install the forwarding stub: every
-             root (or sub-call of a root) admitted after this instant that
-             targets [reactor] suspends at the stub.
-   drain   — wait until every pre-mark root in the whole database has
-             completed. Global drain is deliberately conservative: any
-             in-flight root might still issue a sub-call into [reactor],
-             and pre-mark sub-calls pass the stub (the alternative —
-             per-reactor tracking — buys little under the engine's
-             cooperative scheduling). The PR 5 deadline machinery is the
-             straggler backstop.
-   log     — append a [Wal.Migrate] record (write-ahead of the flip), so
-             crash recovery replays placement deterministically
-             (Faultsim.rc_placements folds these in TID order).
-   flip    — re-home the reactor: one mutable-field write, atomic in
-             virtual time. Catalogs are shared-heap structures keyed by
-             reactor, not by container, so the storage slice (records,
-             secondary indexes, snapshot version chains) moves with the
-             pointer; snapshot readers keep reading the same chains.
-   replay  — wake the parked stub traffic; each parked coroutine re-reads
-             [rstate.home] and dispatches to the new container.
-
-   Returns the migration pause in virtual µs (mark → flip). Migrations are
-   serialized on [mig_busy]; concurrent callers queue. *)
-
+(* Live reconfiguration (DESIGN.md §11): the shared mark → drain → log →
+   flip → replay, waiting by engine suspension. The flip is one re-homing
+   write, atomic in virtual time; catalogs are keyed by reactor, so the
+   storage slice moves with the pointer. A failing log device degrades the
+   placement record's durability, never liveness. *)
 let migrate db ~reactor ~dst =
   if dst < 0 || dst >= Array.length db.containers then
     invalid_arg
       (Printf.sprintf "ReactDB: migrate %s: no container %d" reactor dst);
   let rst = reactor_state db reactor in
-  let rec admit () =
-    if db.mig_busy then begin
-      Engine.suspend (fun w -> db.mig_waiters <- w :: db.mig_waiters);
-      admit ()
-    end
-  in
-  admit ();
-  if rst.home = dst then 0.
-  else begin
-    db.mig_busy <- true;
-    let t0 = Engine.current_time () in
-    (* mark *)
-    let cutoff = db.mig_gen in
-    db.mig_gen <- db.mig_gen + 1;
-    let m = { mg_cutoff = cutoff; mg_parked = [] } in
-    Hashtbl.replace db.migrating reactor m;
-    (* drain: pre-mark roots all live in the [cutoff] parity slot (at most
-       two generations are ever live, see the type definition) *)
-    if db.mig_inflight.(cutoff land 1) > 0 then
-      Engine.suspend (fun w -> db.mig_drain <- Some (cutoff land 1, w));
-    (* log (write-ahead of the flip); a failing log device degrades
-       durability of the placement record, never liveness — recovery would
-       boot with the pre-move placement, which is merely slower *)
-    db.n_migrations <- db.n_migrations + 1;
-    (match db.wal with
+  let log ~seq =
+    match db.wal with
     | None -> ()
     | Some log -> (
-      let tid =
-        Storage.Record.tid_make ~epoch:(current_epoch db)
-          ~seq:db.n_migrations
-      in
+      let tid = Storage.Record.tid_make ~epoch:(current_epoch db) ~seq in
       try
         Wal.append log
-          { Wal.le_txn = -db.n_migrations; le_tid = tid;
+          { Wal.le_txn = -seq; le_tid = tid;
             le_writes = [ Wal.Migrate { reactor; dst } ] }
-      with Wal.Io_error e ->
-        if db.wal_error = None then db.wal_error <- Some e));
-    (* flip *)
-    rst.home <- dst;
-    db.placement_epoch <- db.placement_epoch + 1;
-    Hashtbl.remove db.migrating reactor;
-    (* replay *)
-    List.iter (fun w -> w ()) (List.rev m.mg_parked);
-    let pause = Engine.current_time () -. t0 in
-    db.mig_pause_last <- pause;
-    db.mig_busy <- false;
-    let ws = db.mig_waiters in
-    db.mig_waiters <- [];
-    List.iter (fun w -> w ()) (List.rev ws);
-    pause
-  end
+      with Wal.Io_error e -> if db.wal_error = None then db.wal_error <- Some e)
+  in
+  Pins.Gate.migrate db.gate ~suspend:Engine.suspend ~now:Engine.current_time ~reactor
+    ~home:(fun () -> rst.home) ~set_home:(fun h -> rst.home <- h) ~dst ~log
 
 (* ------------------------------------------------------------------ *)
 (* Bootstrap. *)
@@ -813,18 +678,9 @@ let create eng decl cfg prof =
       obs = None;
       chaos = Chaos.none;
       mailbox_cap = None;
-      snapshots_enabled = true;
-      snap_live = Epochs.create ();
+      registry = Pins.Registry.create ~epoch:(fun () -> epoch_at eng);
+      gate = Pins.Gate.create ();
       rorder = List.map (fun e -> e.Bootstrap.bs_name) entries;
-      mig_gen = 0;
-      mig_inflight = [| 0; 0 |];
-      mig_drain = None;
-      migrating = Hashtbl.create 4;
-      mig_busy = false;
-      mig_waiters = [];
-      placement_epoch = 0;
-      n_migrations = 0;
-      mig_pause_last = 0.;
       prim_gen = 0;
       fenced = false;
       n_fenced = 0;
@@ -840,9 +696,9 @@ let create eng decl cfg prof =
 
 let catalog_of db name = (reactor_state db name).re.Bootstrap.bs_catalog
 let container_of db name = (reactor_state db name).home
-let n_migrations db = db.n_migrations
-let placement_epoch db = db.placement_epoch
-let migration_pause_last_us db = db.mig_pause_last
+let n_migrations db = Pins.Gate.n_migrations db.gate
+let placement_epoch db = Pins.Gate.placement_epoch db.gate
+let migration_pause_last_us db = Pins.Gate.pause_last db.gate
 
 let placements db =
   List.map (fun n -> (n, (reactor_state db n).home)) db.rorder
@@ -892,8 +748,8 @@ let attach_wal ?(durable = false) db log =
 let attach_obs db c = db.obs <- Some c
 let attach_chaos db c = db.chaos <- c
 let set_mailbox_cap db cap = db.mailbox_cap <- cap
-let set_snapshots db b = db.snapshots_enabled <- b
-let snapshots_enabled db = db.snapshots_enabled
+let set_snapshots db b = Pins.Registry.set_enabled db.registry b
+let snapshots_enabled db = Pins.Registry.enabled db.registry
 let n_readonly_commits db = Lifecycle.n_readonly_commits db.counters
 let auto_morphs db = Lifecycle.auto_morphs db.counters
 let wal_error db = db.wal_error

@@ -144,9 +144,11 @@ val apply_placements : t -> (string * int) list -> unit
 
     Procedures declared read-only on their reactor type
     ({!Reactor.rtype.rt_readonly}) execute against a frozen {e snapshot
-    epoch} [S = current epoch - 1]: every commit of epoch [<= S] completed
-    at an earlier virtual instant, so [S] names an immutable, consistent
-    prefix. Reads resolve through per-record version chains; the commit
+    epoch} [S = min (current epoch, min in-flight commit epoch) - 1], the
+    rule the runtime shares ({!Pins.Registry}): a 2PC installs on its
+    participants at different virtual instants, so every commit holds its
+    epoch until its installs landed, and [S] names an immutable,
+    consistent prefix. Reads resolve through per-record version chains; the commit
     protocol is skipped entirely — no read-set, no locks, no validation,
     no 2PC — making read-only roots abort-free by construction.
 
@@ -163,8 +165,7 @@ val set_snapshots : t -> bool -> unit
 
 val snapshots_enabled : t -> bool
 
-(** The epoch the next read-only root would freeze ([current epoch - 1],
-    clamped at 0). *)
+(** The epoch the next read-only root would freeze. *)
 val safe_snapshot_epoch : t -> int
 
 (** Pin / unpin a snapshot epoch manually — what a read-only root does

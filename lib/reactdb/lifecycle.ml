@@ -93,12 +93,6 @@ let redo_writes owner txn =
       | Occ.Txn.Delete -> Wal.Del { reactor; table; key = e.Occ.Txn.wkey })
     (Occ.Txn.all_writes txn)
 
-let root ~txn ~retry ~obs ~t_start ?deadline_us ~rsnapshot rx =
-  let tr = match obs with Some c -> Obs.Collector.trace c | None -> Obs.Trace.none in
-  let deadline = match deadline_us with Some d -> t_start +. d | None -> Float.infinity in
-  { txn; retry; obs; tr; t_start; deadline; rsnapshot;
-    active_set = Hashtbl.create 8; doomed = None; rx }
-
 (* Commit-time aborts: a failed validation (its kind refined by the fail
    reason), and internal failures — a log append, a primary killed
    between the phases, a commit step dying on an exception. *)
@@ -114,6 +108,13 @@ let validation_failed fr =
 let internal m = (Ab_internal, m, Obs.Abort.Internal)
 
 module Make (P : PLATFORM) = struct
+  let root db ~txn ~retry ~obs ~t_start ?deadline_us ~readonly rx =
+    let tr = match obs with Some c -> Obs.Collector.trace c | None -> Obs.Trace.none in
+    let deadline = match deadline_us with Some d -> t_start +. d | None -> Float.infinity in
+    let rsnapshot = if readonly then Some (Pins.Registry.acquire (P.registry db)) else None in
+    { txn; retry; obs; tr; t_start; deadline; rsnapshot;
+      active_set = Hashtbl.create 8; doomed = None; rx }
+
   let deadline_expired root =
     root.deadline < Float.infinity && P.now () > root.deadline
 
@@ -311,7 +312,9 @@ module Make (P : PLATFORM) = struct
       release ();
       Error (internal ("wal write failed: " ^ m))
     | Ok () ->
-      install ~tid ~horizon:(P.install_horizon db);
+      let reg = P.registry db in
+      install ~tid
+        ~horizon:(if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg) else None);
       Ok ()
 
   (* One participant's prepare vote: refuse outright when the root's
@@ -442,15 +445,22 @@ module Make (P : PLATFORM) = struct
          drops the read/write sets. *)
       Error (Ab_timeout, "deadline expired before commit", Obs.Abort.Timeout)
     | Ok v ->
-      P.committing db root (fun ~epoch ->
-          match do_commit db root ~coord ~epoch with
-          | r -> Result.map (fun () -> v) r
-          | exception e ->
-            P.on_fatal db e;
-            Error (internal ("internal commit error: " ^ Printexc.to_string e)))
+      (* The TID epoch is held until every install landed, so no snapshot
+         is issued at an epoch that can still gain installs; released on
+         every path, since a leaked hold would freeze snapshots and GC. *)
+      let reg = P.registry db in
+      P.committing db root (fun () ->
+          let epoch = Pins.Registry.hold_commit reg in
+          Fun.protect ~finally:(fun () -> Pins.Registry.drop_commit reg epoch) (fun () ->
+              match do_commit db root ~coord ~epoch with
+              | r -> Result.map (fun () -> v) r
+              | exception e ->
+                P.on_fatal db e;
+                Error (internal ("internal commit error: " ^ Printexc.to_string e))))
     | Error _ as aborted -> aborted
 
   let finish db root verdict ~counters ~container =
+    Option.iter (Pins.Registry.release (P.registry db)) root.rsnapshot;
     let retry = root.retry and tr = root.tr in
     if Result.is_ok verdict then begin
       let t = stamp root in

@@ -49,16 +49,14 @@ val aborts_by_reason : counters -> (string * int) list
 val redo_writes :
   (int, string * string) Hashtbl.t -> Occ.Txn.t -> Wal.write list
 
-(** {1 Roots} *)
-
-(** A fresh root, traced when a collector is attached; its deadline is
-    [deadline_us] after [t_start]. *)
-val root :
-  txn:Occ.Txn.t -> retry:int -> obs:Obs.Collector.t option ->
-  t_start:float -> ?deadline_us:float -> rsnapshot:int option -> 'rx ->
-  'rx root
-
 module Make (P : PLATFORM) : sig
+  (** A fresh root, traced when a collector is attached; its deadline is
+      [deadline_us] after [t_start]. A [readonly] root pins a snapshot
+      epoch in the platform's registry until {!finish}. *)
+  val root :
+    P.t -> txn:Occ.Txn.t -> retry:int -> obs:Obs.Collector.t option ->
+    t_start:float -> ?deadline_us:float -> readonly:bool -> P.rx -> P.rx root
+
   (** Run a root's body on [exec] at container [home]: the dequeue
       deadline check, the procedure with implicit synchronization, the
       doomed check. Adds the [Queue_wait] (since [queued_since]) and
@@ -73,8 +71,8 @@ module Make (P : PLATFORM) : sig
       expired deadline aborts at commit entry. *)
   val decide : P.t -> P.rx root -> coord:P.exec -> verdict -> verdict
 
-  (** Outcome bookkeeping: the durable wait of a commit, the counters, the
-      collector's record on slot [container]. Returns the client's result,
+  (** Outcome bookkeeping: the snapshot's release, the durable wait of a
+      commit, the counters, the collector's record on slot [container]. Returns the client's result,
       the latency and the abort cause. *)
   val finish :
     P.t -> P.rx root -> verdict -> counters:counters -> container:int ->

@@ -107,11 +107,14 @@ module type PLATFORM = sig
   val prepared : t -> unit
 
   val killed : t -> bool
-  val install_horizon : t -> int option
 
-  (** [committing t root f] runs the commit protocol [f ~epoch], [epoch]
-      being the Silo epoch its TID is computed in. *)
-  val committing : t -> rx root -> (epoch:int -> 'a) -> 'a
+  (** The snapshot and commit-epoch registry, over the platform's Silo
+      epoch clock. *)
+  val registry : t -> Pins.Registry.t
+
+  (** [committing t root f] runs the commit protocol [f ()] inside the
+      platform's own holds (the runtime's group-commit boundary). *)
+  val committing : t -> rx root -> (unit -> 'a) -> 'a
 
   (** Between TID and install, every participant's locks held: make the
       redo record durable-bound. An [Error] rolls the root back. *)

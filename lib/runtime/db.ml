@@ -1,6 +1,7 @@
 open Util
 module Lifecycle = Reactdb.Lifecycle
 module Epochs = Reactdb.Epochs
+module Pins = Reactdb.Pins
 
 (* ------------------------------------------------------------------ *)
 (* Thread-safe write-once cell. Wakers registered with [on_fill] run on the
@@ -122,15 +123,6 @@ type place = {
   rhome : int Atomic.t;
 }
 
-(* One in-progress migration: roots registered after the mark ([rgen] >
-   [mg_cutoff]) that target the migrating reactor park here as closures and
-   are replayed against the new placement at the flip. Pre-mark roots
-   proceed against the old home; the drain waits for all of them. *)
-type mig = {
-  mg_cutoff : int;
-  mutable mg_parked : (unit -> unit) list;  (* newest first *)
-}
-
 type t = {
   cfg : Reactdb.Config.t;
   execs : exec array;
@@ -150,36 +142,10 @@ type t = {
   epoch : int Atomic.t;
   t0 : float;
   rr : int Atomic.t;
-  (* Snapshot-read state (DESIGN.md §10). [smu] is a leaf lock guarding the
-     two registries; never taken while holding another lock. *)
-  snap_enabled : bool Atomic.t;
-  smu : Mutex.t;
-  snap_live : Epochs.t;  (* live snapshot readers per snapshot epoch *)
-  commit_inflight : Epochs.t;
-      (* RW roots past their body but with installs possibly still in
-         flight; holds the snapshot boundary below any epoch that could
-         still produce an install *)
+  registry : Pins.Registry.t;  (* snapshot and commit epochs (DESIGN.md §10) *)
+  gate : Pins.Gate.t;  (* migration generations and stubs (DESIGN.md §11) *)
   submitted : int Atomic.t;
   completed : int Atomic.t;
-  (* Live-reconfiguration state (DESIGN.md §11). [mig_gen] is the placement
-     generation: bumped at each migration mark, stamped into every root at
-     registration. [mig_inflight] counts live roots by generation parity —
-     migrations are serialized ([mig_admin] held across mark/drain/flip), so
-     at most two generations are ever live and parity disambiguates.
-     [mig_active] is the fast-path gate: when false (no migration anywhere),
-     placement reads skip [mig_mu] entirely; sequential consistency of
-     OCaml atomics guarantees a root registered after a mark observes it
-     true. [mig_mu] is a leaf lock guarding the stub table and parked
-     lists. *)
-  mig_admin : Mutex.t;
-  mig_mu : Mutex.t;
-  mig_active : bool Atomic.t;
-  mig_gen : int Atomic.t;
-  mig_inflight : int Atomic.t array;  (* length 2, indexed by gen parity *)
-  migrating : (string, mig) Hashtbl.t;
-  placement_epoch : int Atomic.t;
-  n_migrations : int Atomic.t;
-  mig_pause_last_us : float Atomic.t;
   mutable domains : unit Domain.t array;
   mutable obs : Obs.Collector.t option;
       (* lifecycle tracing sink; slot [c] only ever written by container
@@ -378,56 +344,6 @@ let reactor_place db name =
   | None -> invalid_arg (Printf.sprintf "Runtime: unknown reactor %S" name)
 
 (* ------------------------------------------------------------------ *)
-(* Placement resolution under migration. [register_gen] stamps a root with
-   the current generation and registers it in the parity-indexed inflight
-   counter; the increment-recheck-retry dance closes the race with a
-   concurrent mark (a root must never hold a slot of a generation it did
-   not read). [resolve_home] answers "which container may this root use for
-   [reactor] right now?" — [None] means the reactor is mid-migration and
-   the root is post-mark: the caller must park at the stub and will be
-   replayed (against the new home) at the flip. *)
-
-let register_gen db =
-  let rec go () =
-    let g = Atomic.get db.mig_gen in
-    Atomic.incr db.mig_inflight.(g land 1);
-    if Atomic.get db.mig_gen <> g then begin
-      Atomic.decr db.mig_inflight.(g land 1);
-      go ()
-    end
-    else g
-  in
-  go ()
-
-let deregister_gen db g = Atomic.decr db.mig_inflight.(g land 1)
-
-let resolve_home db ~rgen (p : place) =
-  if not (Atomic.get db.mig_active) then Some (Atomic.get p.rhome)
-  else begin
-    Mutex.lock db.mig_mu;
-    let r =
-      match Hashtbl.find_opt db.migrating p.re.Reactdb.Bootstrap.bs_name with
-      | Some m when rgen > m.mg_cutoff -> None
-      | _ -> Some (Atomic.get p.rhome)
-    in
-    Mutex.unlock db.mig_mu;
-    r
-  end
-
-(* Park [k] at [reactor]'s stub; falls back to running it immediately if
-   the migration flipped between the caller's [resolve_home] and here (the
-   closure re-reads the new placement itself). *)
-let park_at_stub db reactor k =
-  Mutex.lock db.mig_mu;
-  match Hashtbl.find_opt db.migrating reactor with
-  | Some m ->
-    m.mg_parked <- k :: m.mg_parked;
-    Mutex.unlock db.mig_mu
-  | None ->
-    Mutex.unlock db.mig_mu;
-    k ()
-
-(* ------------------------------------------------------------------ *)
 (* Silo epochs on the wall clock. Only monotonicity matters for TID
    correctness ([compute_tid] takes the max with observed TIDs), so the
    epoch is advanced opportunistically at root starts with a CAS — a lost
@@ -440,46 +356,10 @@ let maybe_advance_epoch db =
   let cur = Atomic.get db.epoch in
   if target > cur then ignore (Atomic.compare_and_set db.epoch cur target)
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot epochs (multi-version reads; DESIGN.md §10). The inflight
-   registry lower-bounds the epoch of any install still in flight: a RW
-   root registers the current epoch strictly before its commit protocol
-   and deregisters after installs complete, and [compute_tid] can only
-   yield that epoch or higher (observed/overwritten TIDs never exceed the
-   epoch current at commit entry). A snapshot frozen at
-   S = min(epoch, min inflight) - 1 therefore names only epochs whose
-   installs have all landed — an immutable, consistent prefix. *)
-
-let commit_register db =
-  Mutex.protect db.smu (fun () ->
-      let e = Atomic.get db.epoch in
-      Epochs.add db.commit_inflight e;
-      e)
-
-let commit_deregister db e =
-  Mutex.protect db.smu (fun () -> Epochs.remove db.commit_inflight e)
-
-let safe_snapshot_locked db =
-  Stdlib.max 0
-    (Epochs.minimum db.commit_inflight ~default:(Atomic.get db.epoch) - 1)
-
-let safe_snapshot_epoch db = Mutex.protect db.smu (fun () -> safe_snapshot_locked db)
-
-let acquire_snapshot db =
-  Mutex.protect db.smu (fun () ->
-      let s = safe_snapshot_locked db in
-      Epochs.add db.snap_live s;
-      s)
-
-let release_snapshot db s = Mutex.protect db.smu (fun () -> Epochs.remove db.snap_live s)
-
-(* Horizon for version-chain trimming: no current or future snapshot can
-   fall below it. Issued snapshots are nondecreasing over time — every
-   registration carries the then-current epoch, which is at least the
-   inflight minimum, so the minimum never moves backwards. *)
-let gc_horizon db =
-  Mutex.protect db.smu (fun () ->
-      Epochs.minimum db.snap_live ~default:(safe_snapshot_locked db))
+let safe_snapshot_epoch db = Pins.Registry.safe_snapshot db.registry
+let acquire_snapshot db = Pins.Registry.acquire db.registry
+let release_snapshot db s = Pins.Registry.release db.registry s
+let gc_horizon db = Pins.Registry.horizon db.registry
 
 (* Config.Auto morph heuristic: resolve a root to its parallel formulation
    only when at least half the domains have idle capacity to absorb the
@@ -585,7 +465,10 @@ module P = struct
   let no_cost = ((fun _ _ -> ()), fun _ -> ())
   let enter _ _ _ ~home:_ _ ~on_root_path:_ = no_cost
   let leave _ _ = ()
-  let resolve db (root : root) ~caller:_ p = resolve_home db ~rgen:root.rx.rgen p
+  let resolve db (root : root) ~caller:_ p =
+    if Pins.Gate.admits db.gate ~rgen:root.rx.rgen p.re.Reactdb.Bootstrap.bs_name
+    then Some (Atomic.get p.rhome)
+    else None
 
   (* Ship the body to the owning domain. The child job blocks on [rmu]
      before touching any shared transaction state; the holder is always a
@@ -606,7 +489,7 @@ module P = struct
              Mutex.unlock root.rx.rmu;
              Ivar.fill iv r))
     in
-    if parked then park_at_stub db tplace.re.Reactdb.Bootstrap.bs_name ship
+    if parked then Pins.Gate.park db.gate tplace.re.Reactdb.Bootstrap.bs_name ship
     else ship ();
     iv
 
@@ -641,14 +524,12 @@ module P = struct
      place to lose time. *)
   let prepared db = Chaos.inject_wall db.chaos Chaos.Stall_prepare
   let killed _ = false
-  let install_horizon db =
-    if Atomic.get db.snap_enabled then Some (gc_horizon db) else None
+  let registry db = db.registry
 
   (* Durable mode: capture the after-images and register against the
-     flush boundary before the commit decision (the epoch rule above);
-     then register the commit epoch, so snapshot acquisition never freezes
-     an epoch with installs still in flight. Both holds drop once the
-     protocol is over (the sink's at the append, if it committed). *)
+     flush boundary before the commit decision (the epoch rule above). The
+     hold drops once the protocol is over (at the append, if it
+     committed). *)
   let committing db (root : root) f =
     (match db.wal with
     | None -> ()
@@ -656,9 +537,7 @@ module P = struct
       match Lifecycle.redo_writes db.table_owner root.txn with
       | [] -> ()
       | writes -> root.rx.wal_prep <- Some (s, writes, sink_register db s)));
-    let epoch = commit_register db in
-    let r = f ~epoch in
-    commit_deregister db epoch;
+    let r = f () in
     Option.iter (fun (s, _, etag) -> sink_cancel s ~epoch:etag) root.rx.wal_prep;
     r
 
@@ -698,10 +577,8 @@ let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us
      relative to any later migration). *)
   let home = Atomic.get place.rhome in
   let txn = Occ.Txn.create ~id:(1 + Atomic.fetch_and_add db.txn_counter 1) in
-  let rsnapshot = if ro then Some (acquire_snapshot db) else None in
   let root =
-    Lifecycle.root ~txn ~retry ~obs:db.obs ~t_start:t_submit ?deadline_us
-      ~rsnapshot
+    L.root db ~txn ~retry ~obs:db.obs ~t_start:t_submit ?deadline_us ~readonly:ro
       { rmu = Mutex.create (); rgen; wal_prep = None; flush = None }
   in
   (* Queue wait: submit → this job running on the home domain, including
@@ -710,7 +587,6 @@ let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us
   let res = L.run_body db root place ~home ex ~queued_since:t_submit ~proc ~args in
   Mutex.unlock root.rx.rmu;
   let verdict = L.decide db root ~coord:ex res in
-  Option.iter (release_snapshot db) rsnapshot;
   (* Slot ownership follows physical execution: this message runs on
      [ex]'s domain, so it records into slot [ex.eid] — with stealing or
      cost routing that may differ from the reactor's home container. *)
@@ -718,7 +594,7 @@ let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us
     L.finish db root verdict ~counters:db.counters ~container:ex.eid
   in
   let out =
-    { result; latency_us; abort_cause; snapshot = rsnapshot;
+    { result; latency_us; abort_cause; snapshot = root.rsnapshot;
       containers_touched = List.length (Occ.Txn.containers txn) }
   in
   (try k out with e -> record_fatal db e);
@@ -787,14 +663,14 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
     Lifecycle.morph db.counters db.cfg rt proc ~parallel_ok:(fun () ->
         auto_parallel_ok db)
   in
-  let ro = Atomic.get db.snap_enabled && Reactor.proc_readonly rt proc in
+  let ro = Pins.Registry.enabled db.registry && Reactor.proc_readonly rt proc in
   Atomic.incr db.submitted;
   (* Placement-generation registration: the matching deregistration rides
      the continuation, so a migration drain observes exactly the roots
      whose outcome is still pending. *)
-  let rgen = register_gen db in
+  let rgen = Pins.Gate.register db.gate in
   let k out =
-    deregister_gen db rgen;
+    Pins.Gate.retire db.gate rgen;
     k out
   in
   let t_submit = now_us () in
@@ -876,10 +752,10 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
       Atomic.incr db.completed
     end
   in
-  match resolve_home db ~rgen place with
-  | Some home -> dispatch ~replayed:false home
-  | None ->
-    park_at_stub db reactor (fun () ->
+  if Pins.Gate.admits db.gate ~rgen reactor then
+    dispatch ~replayed:false (Atomic.get place.rhome)
+  else
+    Pins.Gate.park db.gate reactor (fun () ->
         dispatch ~replayed:true (Atomic.get place.rhome))
 
 let exec_txn ?deadline_us db ~reactor ~proc ~args =
@@ -902,106 +778,47 @@ let quiesce db =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Online reactor migration (DESIGN.md §11): mark → drain → handoff →
-   flip → replay. Call from an admin thread (a test driver, the
-   autoscaler loop, an operator shell), never from inside a fiber — the
-   drain blocks until every pre-mark root completes.
+(* Online reactor migration (DESIGN.md §11): the shared mark → drain → log
+   → flip → replay, blocking the calling admin thread (never a fiber).
+   The storage slice is the reactor's catalog on the shared heap, so the
+   handoff is the flip itself. The placement record goes through the
+   group-commit sink, and its durability is confirmed off the pause
+   path. *)
 
-   Mark: install the forwarding stub and bump the placement generation
-   under [mig_mu]. From this instant, roots and sub-calls registered after
-   the mark that target [reactor] park at the stub; everything registered
-   before keeps the old home.
-
-   Drain: wait until the pre-mark generation's inflight count hits zero.
-   This is global, not per-reactor — coarser than strictly necessary, but
-   it makes the flip's safety argument one line: nothing that may legally
-   touch the old placement still runs. Stragglers are bounded by the PR 5
-   deadline machinery: a root that outlives its budget aborts through the
-   normal typed unwinding and releases its slot.
-
-   Handoff: in this shared-memory runtime the storage slice — record
-   versions, secondary indexes, snapshot version chains — is the reactor's
-   catalog object, reachable from the immutable bootstrap entry. Ownership
-   is by routing, not by copying: after the drain nobody executes against
-   the slice, so the handoff is the placement flip itself. (A distributed
-   implementation would serialize the catalog here; the protocol shape is
-   the same.) Snapshot readers are unaffected: version chains live in the
-   records, and post-flip readers resolve them from the new domain.
-
-   Flip: write the new home (all routers — affinity, cost, round-robin
-   forwarding hops, 2PC participant resolution — read it through
-   [rhome]), bump the placement epoch, log a durable [Wal.Migrate] record
-   through the group-commit sink, then replay the parked stub traffic
-   against the new placement. *)
+let block register =
+  let iv = Ivar.create () in
+  register (fun () -> Ivar.fill iv ());
+  Ivar.read_block iv
 
 let migrate db ~reactor ~dst =
   let place = reactor_place db reactor in
   if dst < 0 || dst >= Array.length db.execs then
     invalid_arg (Printf.sprintf "Runtime.migrate: no container %d" dst);
-  Mutex.lock db.mig_admin;
-  let src = Atomic.get place.rhome in
-  if src = dst then begin
-    Mutex.unlock db.mig_admin;
-    0.
-  end
-  else begin
-    let t0 = now_us () in
-    (* mark *)
-    Mutex.lock db.mig_mu;
-    Atomic.set db.mig_active true;
-    let cutoff = Atomic.fetch_and_add db.mig_gen 1 in
-    Hashtbl.replace db.migrating reactor { mg_cutoff = cutoff; mg_parked = [] };
-    Mutex.unlock db.mig_mu;
-    (* drain: serialized migrations mean at most two generations are live,
-       so the pre-mark generation is alone in its parity slot *)
-    while Atomic.get db.mig_inflight.(cutoff land 1) > 0 do
-      Unix.sleepf 1e-4
-    done;
-    (* durable placement record, ordered by the same epoch-tagged sink as
-       commit records; TID = (epoch, migration ordinal) is strictly
-       increasing across migrations, so recovery's last-wins fold is
-       deterministic *)
-    let seq = 1 + Atomic.fetch_and_add db.n_migrations 1 in
-    let flush_iv =
-      match db.wal with
-      | None -> None
-      | Some s ->
+  (* TID = (epoch, migration ordinal) grows across migrations, so
+     recovery's last-wins placement fold is deterministic *)
+  let flush = ref None in
+  let log ~seq =
+    Option.iter
+      (fun s ->
         let etag = sink_register db s in
-        Some
-          (sink_append s ~epoch:etag
-             {
-               Wal.le_txn = -seq;
-               le_tid = Storage.Record.tid_make ~epoch:etag ~seq;
-               le_writes = [ Wal.Migrate { reactor; dst } ];
-             })
-    in
-    (* flip: new home first, then retire the stub — a racer passing the
-       gate after the stub is gone reads the new placement *)
-    Atomic.set place.rhome dst;
-    Atomic.incr db.placement_epoch;
-    Mutex.lock db.mig_mu;
-    let parked =
-      match Hashtbl.find_opt db.migrating reactor with
-      | Some m ->
-        Hashtbl.remove db.migrating reactor;
-        List.rev m.mg_parked
-      | None -> []
-    in
-    if Hashtbl.length db.migrating = 0 then Atomic.set db.mig_active false;
-    Mutex.unlock db.mig_mu;
-    let pause = now_us () -. t0 in
-    Atomic.set db.mig_pause_last_us pause;
-    (* replay the queued stub traffic against the new placement *)
-    List.iter (fun f -> f ()) parked;
-    Mutex.unlock db.mig_admin;
-    (* durability of the placement record is confirmed off the pause path *)
-    (match flush_iv with Some iv -> Ivar.read_block iv | None -> ());
-    pause
-  end
+        flush :=
+          Some
+            (sink_append s ~epoch:etag
+               { Wal.le_txn = -seq; le_tid = Storage.Record.tid_make ~epoch:etag ~seq;
+                 le_writes = [ Wal.Migrate { reactor; dst } ] }))
+      db.wal
+  in
+  let pause =
+    Pins.Gate.migrate db.gate ~suspend:block ~now:now_us ~reactor
+      ~home:(fun () -> Atomic.get place.rhome) ~set_home:(Atomic.set place.rhome)
+      ~dst ~log
+  in
+  Option.iter Ivar.read_block !flush;
+  pause
 
-let n_migrations db = Atomic.get db.n_migrations
-let placement_epoch db = Atomic.get db.placement_epoch
-let migration_pause_last_us db = Atomic.get db.mig_pause_last_us
+let n_migrations db = Pins.Gate.n_migrations db.gate
+let placement_epoch db = Pins.Gate.placement_epoch db.gate
+let migration_pause_last_us db = Pins.Gate.pause_last db.gate
 
 let placements db =
   List.map
@@ -1057,6 +874,7 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
         })
       wal
   in
+  let epoch = Atomic.make 1 in
   let db =
     {
       cfg;
@@ -1073,24 +891,13 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
       fatal = Atomic.make 0;
       fatal_mu = Mutex.create ();
       fatal_msgs = [];
-      epoch = Atomic.make 1;
+      epoch;
       t0 = Unix.gettimeofday ();
       rr = Atomic.make 0;
-      snap_enabled = Atomic.make true;
-      smu = Mutex.create ();
-      snap_live = Epochs.create ();
-      commit_inflight = Epochs.create ();
+      registry = Pins.Registry.create ~epoch:(fun () -> Atomic.get epoch);
+      gate = Pins.Gate.create ();
       submitted = Atomic.make 0;
       completed = Atomic.make 0;
-      mig_admin = Mutex.create ();
-      mig_mu = Mutex.create ();
-      mig_active = Atomic.make false;
-      mig_gen = Atomic.make 0;
-      mig_inflight = [| Atomic.make 0; Atomic.make 0 |];
-      migrating = Hashtbl.create 4;
-      placement_epoch = Atomic.make 0;
-      n_migrations = Atomic.make 0;
-      mig_pause_last_us = Atomic.make 0.;
       domains = [||];
       obs = None;
     }
@@ -1135,8 +942,8 @@ let n_aborted db = Lifecycle.n_aborted db.counters
 
 (* --- snapshot reads --- *)
 
-let set_snapshots db on = Atomic.set db.snap_enabled on
-let snapshots_enabled db = Atomic.get db.snap_enabled
+let set_snapshots db on = Pins.Registry.set_enabled db.registry on
+let snapshots_enabled db = Pins.Registry.enabled db.registry
 let n_readonly_commits db = Lifecycle.n_readonly_commits db.counters
 let auto_morphs db = Lifecycle.auto_morphs db.counters
 

@@ -21,6 +21,7 @@ let () =
       Suite_runtime.suite;
       Suite_obs.suite;
       Suite_snapshot.suite;
+      Suite_pins.suite;
       Suite_migration.suite;
       Suite_misc.suite;
       Suite_replica.suite;

@@ -215,9 +215,9 @@ let serial_prefix_prop seed =
    snapshot epoch is a consistent cut, so every read-only result must see
    the exact loaded total; read-only roots never abort. *)
 
-let concurrent_conservation_prop seed =
+let concurrent_conservation_prop ?profile seed =
   let n = 6 in
-  let db = Harness.build (SB.decl ~customers:n ()) (sb_config n) in
+  let db = Harness.build ?profile (SB.decl ~customers:n ()) (sb_config n) in
   let eng = DB.engine db in
   let expected = float_of_int (2 * n) *. 10_000. in
   let failures = ref [] in
@@ -266,6 +266,21 @@ let concurrent_conservation_prop seed =
   | [] -> ()
   | m :: _ -> QCheck.Test.fail_reportf "%s" m);
   !reads_done = 24 && DB.n_readonly_commits db = 24
+
+(* The same audit with 2PC messages slower than an epoch: a two-container
+   transfer installs on its participants at different virtual instants,
+   so a snapshot must stay below the epoch of every commit still in
+   flight, not just below the current epoch. *)
+let slow_2pc = { Reactdb.Profile.default with Reactdb.Profile.cost_2pc_msg = 15_000. }
+
+let test_conservation_slow_2pc () =
+  List.iter
+    (fun seed ->
+      match concurrent_conservation_prop ~profile:slow_2pc seed with
+      | true -> ()
+      | false -> Alcotest.failf "seed %d: read accounting" seed
+      | exception e -> Alcotest.failf "seed %d: %s" seed (Printexc.to_string e))
+    [ 1; 2; 3; 4; 5; 6 ]
 
 (* ------------------------------------------------------------------ *)
 (* Version GC: chains under a hot key grow only while a snapshot is
@@ -470,6 +485,8 @@ let suite =
         (QCheck.Test.make ~name:"concurrent conservation cut" ~count:6
            (QCheck.make QCheck.Gen.(int_bound 9999) ~print:string_of_int)
            concurrent_conservation_prop);
+      Alcotest.test_case "concurrent conservation cut, slow 2pc" `Quick
+        test_conservation_slow_2pc;
       Alcotest.test_case "version GC horizon" `Quick test_version_gc;
       Alcotest.test_case "auto morph router" `Quick test_auto_morph_router;
       Alcotest.test_case "tpcc collect equivalence" `Quick
