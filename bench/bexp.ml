@@ -48,3 +48,8 @@ let fmt_tput r =
 
 let fmt_lat r =
   Printf.sprintf "%.3f±%.3f" (ms r.Harness.avg_latency) (ms r.Harness.latency_std)
+
+(* Mean unattributed latency (commit, input generation, queueing) of the
+   committed transactions. *)
+let overhead r =
+  match r.Harness.breakdown with Some b -> b.Harness.avg_overhead | None -> 0.

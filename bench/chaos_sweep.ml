@@ -37,6 +37,8 @@
 module RDb = Runtime.Db
 module SDb = Reactdb.Database
 module SB = Workloads.Smallbank
+module Config = Reactdb.Config
+open Audit
 
 type row = {
   rw_scenario : string;  (** "matrix" | "deadline" | "overload" | "flush-stall" *)
@@ -54,50 +56,8 @@ type row = {
   rw_audit : (unit, string) result;
 }
 
-let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e
-
-let chunk k xs =
-  let groups = Array.make k [] in
-  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
-  Array.to_list (Array.map List.rev groups)
-
 let count_reason reasons name =
   match List.assoc_opt name reasons with Some n -> n | None -> 0
-
-(* --- audits (runtime backend) --- *)
-
-let fatal_audit db =
-  if RDb.n_fatal db = 0 then Ok ()
-  else
-    Error
-      (Printf.sprintf "%d internal errors (first: %s)" (RDb.n_fatal db)
-         (match RDb.fatal_messages db with m :: _ -> m | [] -> "?"))
-
-let money_audit ~n cats =
-  let expected = float_of_int n *. 2. *. 10_000. in
-  let got = SB.total_money cats in
-  if Float.abs (got -. expected) < 1e-6 then Ok ()
-  else
-    Error
-      (Printf.sprintf "money not conserved: expected %.1f, got %.1f" expected
-         got)
-
-let ycsb_audit cats_named =
-  if
-    List.for_all
-      (fun (_, _, rows) -> List.length rows = 1)
-      (Faultsim.snapshot cats_named)
-  then Ok ()
-  else Error "YCSB key reactor lost or duplicated its row"
-
-let accounting_audit ~committed ~aborted ~logical ~retries =
-  if committed + aborted = logical + retries then Ok ()
-  else
-    Error
-      (Printf.sprintf
-         "attempt accounting: commits(%d) + aborts(%d) <> logical(%d) + \
-          retries(%d)"
-         committed aborted logical retries)
 
 let bounded_audit ~elapsed_s ~ceiling_s =
   if elapsed_s < ceiling_s then Ok ()
@@ -122,7 +82,7 @@ let run_matrix ~seed ~fast ~wl ~d ~fault =
     | Smallbank n -> (SB.decl ~customers:n (), SB.customers n)
     | Ycsb n -> (Workloads.Ycsb.decl ~keys:n (), Workloads.Ycsb.keys n)
   in
-  let cfg = Reactdb.Config.shared_nothing (chunk d names) in
+  let cfg = Config.shared_nothing (Config.chunk d names) in
   let chaos =
     match fault with
     | None -> Chaos.none
@@ -141,7 +101,8 @@ let run_matrix ~seed ~fast ~wl ~d ~fault =
   let n_workers = 8 and per_worker = if fast then 25 else 150 in
   let t0 = Unix.gettimeofday () in
   let retries =
-    RDb.Load.run_fixed ~max_retries:3 db ~n_workers ~per_worker ~seed gen
+    Harness.run_fixed ~max_retries:3 (Harness.runtime db) ~n_workers
+      ~per_worker ~seed gen
   in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   RDb.shutdown db;
@@ -149,19 +110,16 @@ let run_matrix ~seed ~fast ~wl ~d ~fault =
   let reasons = RDb.aborts_by_reason db in
   let invariant_audit () =
     match wl with
-    | Smallbank n -> money_audit ~n (List.map snd (RDb.catalogs db))
-    | Ycsb _ -> ycsb_audit (RDb.catalogs db)
+    | Smallbank n -> money ~n (List.map snd (RDb.catalogs db))
+    | Ycsb _ -> ycsb_rows (RDb.catalogs db)
   in
   let audit =
-    fatal_audit db >>= invariant_audit
+    fatal db >>= invariant_audit
     >>= (fun () ->
-          accounting_audit ~committed ~aborted
+          accounting ~committed ~aborted
             ~logical:(n_workers * per_worker) ~retries)
     >>= (fun () -> bounded_audit ~elapsed_s ~ceiling_s:120.)
-    >>= fun () ->
-    match Faultsim.check_secondaries (RDb.catalogs db) with
-    | Ok () -> Ok ()
-    | Error m -> Error ("secondary-index audit: " ^ m)
+    >>= fun () -> secondaries (RDb.catalogs db)
   in
   {
     rw_scenario = "matrix";
@@ -187,7 +145,7 @@ let run_matrix ~seed ~fast ~wl ~d ~fault =
 let run_deadline ~seed ~fast =
   let n = if fast then 64 else 256 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Config.shared_nothing (Config.chunk 2 (SB.customers n)) in
   let chaos =
     Chaos.make ~seed ~kind:Chaos.Delay_delivery ~p:0.5 ~delay_us:5000. ()
   in
@@ -195,7 +153,8 @@ let run_deadline ~seed ~fast =
   let n_workers = 8 and per_worker = if fast then 25 else 100 in
   let t0 = Unix.gettimeofday () in
   let retries =
-    RDb.Load.run_fixed ~deadline_us:1000. db ~n_workers ~per_worker ~seed
+    Harness.run_fixed ~deadline_us:1000. (Harness.runtime db) ~n_workers
+      ~per_worker ~seed
       (fun _ rng -> SB.gen_conserving rng ~n)
   in
   let elapsed_s = Unix.gettimeofday () -. t0 in
@@ -204,10 +163,10 @@ let run_deadline ~seed ~fast =
   let reasons = RDb.aborts_by_reason db in
   let timeouts = count_reason reasons "timeout" in
   let audit =
-    fatal_audit db
-    >>= (fun () -> money_audit ~n (List.map snd (RDb.catalogs db)))
+    fatal db
+    >>= (fun () -> money ~n (List.map snd (RDb.catalogs db)))
     >>= (fun () ->
-          accounting_audit ~committed ~aborted
+          accounting ~committed ~aborted
             ~logical:(n_workers * per_worker) ~retries)
     >>= fun () ->
     if timeouts > 0 then Ok ()
@@ -239,7 +198,7 @@ let run_deadline ~seed ~fast =
 let run_fanout_delay ~seed ~fast =
   let n = if fast then 64 else 256 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing_async (chunk 4 (SB.customers n)) in
+  let cfg = Config.shared_nothing_async (Config.chunk 4 (SB.customers n)) in
   let form = SB.formulation_for cfg in
   let chaos =
     Chaos.make ~seed ~kind:Chaos.Delay_delivery ~p:0.2 ~delay_us:2000. ()
@@ -261,17 +220,18 @@ let run_fanout_delay ~seed ~fast =
   let n_workers = 8 and per_worker = if fast then 25 else 100 in
   let t0 = Unix.gettimeofday () in
   let retries =
-    RDb.Load.run_fixed ~max_retries:3 db ~n_workers ~per_worker ~seed gen
+    Harness.run_fixed ~max_retries:3 (Harness.runtime db) ~n_workers
+      ~per_worker ~seed gen
   in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   RDb.shutdown db;
   let committed = RDb.n_committed db and aborted = RDb.n_aborted db in
   let reasons = RDb.aborts_by_reason db in
   let audit =
-    fatal_audit db
-    >>= (fun () -> money_audit ~n (List.map snd (RDb.catalogs db)))
+    fatal db
+    >>= (fun () -> money ~n (List.map snd (RDb.catalogs db)))
     >>= (fun () ->
-          accounting_audit ~committed ~aborted
+          accounting ~committed ~aborted
             ~logical:(n_workers * per_worker) ~retries)
     >>= (fun () ->
           if committed > 0 then Ok ()
@@ -280,10 +240,7 @@ let run_fanout_delay ~seed ~fast =
           if Chaos.injections chaos > 0 then Ok ()
           else Error "delivery-delay injector never fired")
     >>= (fun () -> bounded_audit ~elapsed_s ~ceiling_s:120.)
-    >>= fun () ->
-    match Faultsim.check_secondaries (RDb.catalogs db) with
-    | Ok () -> Ok ()
-    | Error m -> Error ("secondary-index audit: " ^ m)
+    >>= fun () -> secondaries (RDb.catalogs db)
   in
   {
     rw_scenario = "fanout-delay";
@@ -307,46 +264,46 @@ let run_fanout_delay ~seed ~fast =
 let run_overload ~seed ~fast =
   let n = if fast then 64 else 256 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Config.shared_nothing (Config.chunk 2 (SB.customers n)) in
   let db = RDb.start ~mailbox_cap:4 decl cfg in
   let s =
-    RDb.Load.spec
-      ~warmup_s:(if fast then 0.05 else 0.2)
-      ~measure_s:(if fast then 0.3 else 1.0)
-      ~seed ~n_workers:32
+    Harness.spec
+      ~warmup_epochs:(if fast then 1 else 4)
+      ~epochs:(if fast then 6 else 20)
+      ~epoch_us:50_000. ~seed ~n_workers:32
       (fun _ rng -> SB.gen_conserving rng ~n)
   in
   let t0 = Unix.gettimeofday () in
-  let r = RDb.Load.run db s in
+  let r = Harness.run (Harness.runtime db) s in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   RDb.shutdown db;
-  let sheds = count_reason r.RDb.Load.aborts_by_reason "overloaded" in
+  let sheds = count_reason r.Harness.aborts_by_reason "overloaded" in
   let p99_ceiling_us = 100_000. in
   let audit =
-    fatal_audit db
-    >>= (fun () -> money_audit ~n (List.map snd (RDb.catalogs db)))
+    fatal db
+    >>= (fun () -> money ~n (List.map snd (RDb.catalogs db)))
     >>= (fun () ->
           if sheds > 0 then Ok ()
           else Error "expected admission sheds at mailbox_cap=4, saw none")
     >>= fun () ->
-    if r.RDb.Load.p99_us < p99_ceiling_us then Ok ()
+    if r.Harness.p99_latency < p99_ceiling_us then Ok ()
     else
       Error
         (Printf.sprintf "p99 not bounded under overload: %.0fus >= %.0fus"
-           r.RDb.Load.p99_us p99_ceiling_us)
+           r.Harness.p99_latency p99_ceiling_us)
   in
   {
     rw_scenario = "overload";
     rw_workload = "smallbank-conserving";
     rw_fault = "none";
     rw_domains = 2;
-    rw_committed = r.RDb.Load.committed;
-    rw_aborted = r.RDb.Load.aborted;
-    rw_retries = r.RDb.Load.retries;
-    rw_timeouts = count_reason r.RDb.Load.aborts_by_reason "timeout";
+    rw_committed = r.Harness.committed;
+    rw_aborted = r.Harness.aborted;
+    rw_retries = r.Harness.retries;
+    rw_timeouts = count_reason r.Harness.aborts_by_reason "timeout";
     rw_sheds = sheds;
     rw_injections = 0;
-    rw_p99_us = r.RDb.Load.p99_us;
+    rw_p99_us = r.Harness.p99_latency;
     rw_elapsed_s = elapsed_s;
     rw_audit = audit;
   }
@@ -358,7 +315,7 @@ let run_overload ~seed ~fast =
 let run_flush_stall ~seed ~fast =
   let n = if fast then 64 else 256 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Config.shared_nothing (Config.chunk 2 (SB.customers n)) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
   SDb.attach_wal ~durable:true db log;
@@ -373,16 +330,16 @@ let run_flush_stall ~seed ~fast =
       (fun _ rng -> SB.gen_conserving rng ~n)
   in
   let t0 = Unix.gettimeofday () in
-  let r = Harness.run_load db s in
+  let r = Harness.run (Harness.sim db) s in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   let cats = List.map (fun nm -> SDb.catalog_of db nm) (SB.customers n) in
   let audit =
-    money_audit ~n cats
+    money ~n cats
     >>= (fun () ->
           if r.Harness.committed > 0 then Ok ()
           else Error "no commits under flush stall")
     >>= (fun () ->
-          if r.Harness.log_flushes > 0 then Ok ()
+          if SDb.n_log_flushes db > 0 then Ok ()
           else Error "durable mode performed no group-commit flushes")
     >>= (fun () ->
           if Chaos.injections chaos > 0 then Ok ()
@@ -418,7 +375,7 @@ let run_flush_stall ~seed ~fast =
 let run_shipping ~seed ~fast ~kind =
   let n = if fast then 64 else 128 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Config.shared_nothing (Config.chunk 2 (SB.customers n)) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
   SDb.attach_wal ~durable:true db log;
@@ -463,7 +420,7 @@ let run_shipping ~seed ~fast ~kind =
           if
             List.for_all
               (fun r ->
-                money_audit ~n (List.map snd (Replica.catalogs r)) = Ok ())
+                money ~n (List.map snd (Replica.catalogs r)) = Ok ())
               replicas
           then Ok ()
           else Error "money not conserved on replicated state")

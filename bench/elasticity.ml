@@ -48,11 +48,6 @@ let n_workers = 4
 let pause_bound_us = 250_000.
 let expected_money = float_of_int (2 * n_cust) *. 10_000.
 
-let chunk k xs =
-  let groups = Array.make k [] in
-  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
-  Array.to_list (Array.map List.rev groups)
-
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.
@@ -103,7 +98,9 @@ type timeline = {
 
 let run_timeline ~windows ~window_s ~migrate_at =
   let decl = SB.decl ~customers:n_cust () in
-  let cfg = Config.shared_nothing (chunk n_containers (SB.customers n_cust)) in
+  let cfg =
+    Config.shared_nothing (Config.chunk n_containers (SB.customers n_cust))
+  in
   let db = RDb.start decl cfg in
   let victim = SB.customer_name 0 in
   let stop = Atomic.make false in
@@ -212,7 +209,9 @@ let run_timeline ~windows ~window_s ~migrate_at =
 
 let run_byte_identity ~ops =
   let decl = SB.decl ~customers:n_cust () in
-  let cfg = Config.shared_nothing (chunk n_containers (SB.customers n_cust)) in
+  let cfg =
+    Config.shared_nothing (Config.chunk n_containers (SB.customers n_cust))
+  in
   let names = SB.customers n_cust in
   let reqs =
     let rng = Rng.stream ~seed:907 0 in

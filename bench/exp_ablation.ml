@@ -28,7 +28,7 @@ let abl_mpl ~fast =
       let db = Harness.build (Tpcc.decl ~warehouses ~sizes ()) cfg in
       let seq = ref 0 in
       let r =
-        Harness.run_load db
+        Harness.run (Harness.sim db)
           (Bexp.load_spec ~fast ~n_workers:8 (fun w rng ->
                incr seq;
                Tpcc.gen_new_order rng params
@@ -114,7 +114,7 @@ let abl_profile ~fast =
           let db = Harness.build ~profile (Tpcc.decl ~warehouses ()) cfg in
           let seq = ref 0 in
           let r =
-            Harness.run_load db
+            Harness.run (Harness.sim db)
               (Bexp.load_spec ~fast ~n_workers:8 (fun w rng ->
                    Tpcc.gen_mix rng params ~home:(1 + (w mod warehouses)) ~seq))
           in
@@ -158,7 +158,7 @@ let abl_cache ~fast =
                (Tpcc.warehouses 1))
         in
         let seq = ref 0 in
-        (Harness.run_load db
+        (Harness.run (Harness.sim db)
            (Bexp.load_spec ~fast:true ~n_workers:1 (fun _ rng ->
                 Tpcc.gen_mix rng params ~home:1 ~seq)))
           .Harness.throughput

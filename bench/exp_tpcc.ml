@@ -33,7 +33,7 @@ let config_of deployment ~warehouses ~executors =
    (worker w drives warehouse (w mod n)+1, §4.1.3). The [seq] counter is
    shared across workers: it provides unique history ids and the logical
    order-entry clock. *)
-let run_load ?(sizes = sizes) ~fast ~deployment ~warehouses ~executors ~workers
+let run_tpcc ?(sizes = sizes) ~fast ~deployment ~warehouses ~executors ~workers
     ~params ~new_order_only () =
   let db =
     Harness.build
@@ -49,7 +49,7 @@ let run_load ?(sizes = sizes) ~fast ~deployment ~warehouses ~executors ~workers
     end
     else Tpcc.gen_mix rng params ~home ~seq
   in
-  Harness.run_load db (Bexp.load_spec ~fast ~n_workers:workers gen)
+  Harness.run (Harness.sim db) (Bexp.load_spec ~fast ~n_workers:workers gen)
 
 (* ---- Figures 7 & 8: standard mix, scale factor 4, varying load ---- *)
 
@@ -67,7 +67,7 @@ let fig7_8 ~fast =
       List.iter
         (fun d ->
           let r =
-            run_load ~fast ~deployment:d ~warehouses ~executors:warehouses
+            run_tpcc ~fast ~deployment:d ~warehouses ~executors:warehouses
               ~workers ~params ~new_order_only:false ()
           in
           let umin = Array.fold_left Float.min 1. r.Harness.utilizations in
@@ -104,7 +104,7 @@ let fig9_10 ~fast =
       List.iter
         (fun d ->
           let r =
-            run_load ~sizes:big_item_sizes ~fast ~deployment:d ~warehouses
+            run_tpcc ~sizes:big_item_sizes ~fast ~deployment:d ~warehouses
               ~executors:warehouses ~workers ~params ~new_order_only:true ()
           in
           Util.Tablefmt.row t
@@ -234,12 +234,12 @@ let tab1 ~fast =
       List.iter
         (fun workers ->
           let r =
-            run_load ~sizes:big_item_sizes ~fast ~deployment:SN ~warehouses
+            run_tpcc ~sizes:big_item_sizes ~fast ~deployment:SN ~warehouses
               ~executors:warehouses ~workers ~params ~new_order_only:true ()
           in
           (* Pred+C+I: the Figure 3 prediction plus the measured commit and
              input-generation costs, exactly as Appendix D does. *)
-          let overhead = r.Harness.breakdown.Harness.avg_overhead in
+          let overhead = Bexp.overhead r in
           Util.Tablefmt.row t
             [ string_of_int pct; string_of_int workers;
               Util.Tablefmt.fcell ~digits:0 r.Harness.throughput;
@@ -281,7 +281,7 @@ let fig15_16 ~fast =
       List.iter
         (fun (name, d, params) ->
           let r =
-            run_load ~sizes:big_item_sizes ~fast ~deployment:d ~warehouses
+            run_tpcc ~sizes:big_item_sizes ~fast ~deployment:d ~warehouses
               ~executors:warehouses ~workers:8 ~params ~new_order_only:true ()
           in
           Util.Tablefmt.row t
@@ -311,7 +311,7 @@ let fig17_18 ~fast =
       List.iter
         (fun d ->
           let r =
-            run_load ~fast ~deployment:d ~warehouses:sf ~executors:sf
+            run_tpcc ~fast ~deployment:d ~warehouses:sf ~executors:sf
               ~workers:sf ~params ~new_order_only:false ()
           in
           Util.Tablefmt.row t
@@ -340,7 +340,7 @@ let fA2 ~fast =
   List.iter
     (fun executors ->
       let r =
-        run_load ~fast ~deployment:SE_rr ~warehouses:1 ~executors ~workers:1
+        run_tpcc ~fast ~deployment:SE_rr ~warehouses:1 ~executors ~workers:1
           ~params ~new_order_only:false ()
       in
       if executors = 1 then base := r.Harness.throughput;

@@ -96,7 +96,7 @@ let fig13_14 ~fast =
           let db = build () in
           let g = gen theta in
           let r =
-            Harness.run_load db
+            Harness.run (Harness.sim db)
               (Bexp.load_spec ~fast ~n_workers:workers (fun _w rng -> g rng))
           in
           Util.Tablefmt.row t
@@ -108,7 +108,7 @@ let fig13_14 ~fast =
                  as Appendix C does. *)
               (if workers = 1 then
                  Util.Tablefmt.fcell
-                   (Bexp.ms (pred +. r.Harness.breakdown.Harness.avg_overhead))
+                   (Bexp.ms (pred +. Bexp.overhead r))
                else "-")
             ])
         [ 1; 4 ])

@@ -180,7 +180,7 @@ let run_concurrent ~fast ~containers =
       ~epochs:(if fast then 6 else 20)
       gen
   in
-  let res = Harness.run_load db spec in
+  let res = Harness.run (Harness.sim db) spec in
   let money = money_audit db in
   let hist_len, cert = certify db in
   (res, money, hist_len, cert)

@@ -36,58 +36,22 @@ type row = {
   rw_audit : (unit, string) result;
 }
 
-(* Deal [xs] round-robin into [k] groups (shared-nothing placement). *)
-let chunk k xs =
-  let groups = Array.make k [] in
-  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
-  Array.to_list (Array.map List.rev groups)
-
-let router_name = function
-  | Reactdb.Config.Affinity -> "affinity"
-  | Reactdb.Config.Round_robin -> "round-robin"
-  | Reactdb.Config.Cost -> "cost"
-
-(* Same placement for all routers — only the ingress policy differs. *)
-let make_config router groups =
-  match router with
-  | Reactdb.Config.Affinity -> Reactdb.Config.shared_nothing groups
-  | (Reactdb.Config.Round_robin | Reactdb.Config.Cost) as router ->
-    let placement = Hashtbl.create 256 in
-    List.iteri
-      (fun ci names -> List.iter (fun nm -> Hashtbl.add placement nm ci) names)
-      groups;
-    Reactdb.Config.custom
-      ~executors_per_container:(Array.make (List.length groups) 1)
-      ~router
-      ~placement:(Hashtbl.find placement) ()
-
-let secondaries_audit db =
-  match Faultsim.check_secondaries (RDb.catalogs db) with
-  | Ok () -> Ok ()
-  | Error m -> Error ("secondary-index audit: " ^ m)
-
-let fatal_audit db =
-  if RDb.n_fatal db = 0 then Ok ()
-  else
-    Error
-      (Printf.sprintf "%d internal errors (first: %s)" (RDb.n_fatal db)
-         (match RDb.fatal_messages db with m :: _ -> m | [] -> "?"))
-
-let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e
-
 type workload = Smallbank of int | Ycsb of int
 
 let workload_name = function
   | Smallbank _ -> "smallbank-conserving"
   | Ycsb _ -> "ycsb-multi-update"
 
-let run_scenario ~wl ~router ~d ~workers ~warmup_s ~measure_s =
+(* Wall-clock epochs of the closed loop (DESIGN.md §6.2). *)
+let epoch_us = 50_000.
+
+let run_scenario ~wl ~router ~d ~workers ~warmup_epochs ~epochs =
   let decl, names =
     match wl with
     | Smallbank n -> (SB.decl ~customers:n (), SB.customers n)
     | Ycsb n -> (Workloads.Ycsb.decl ~keys:n (), Workloads.Ycsb.keys n)
   in
-  let cfg = make_config router (chunk d names) in
+  let cfg = Reactdb.Config.of_groups ~router (Reactdb.Config.chunk d names) in
   let db = RDb.start decl cfg in
   let gen =
     match wl with
@@ -98,46 +62,37 @@ let run_scenario ~wl ~router ~d ~workers ~warmup_s ~measure_s =
         Workloads.Ycsb.gen_multi_update rng p
           ~container_of:(RDb.container_of db)
   in
-  let s = RDb.Load.spec ~warmup_s ~measure_s ~seed:42 ~n_workers:workers gen in
-  let r = RDb.Load.run db s in
+  let r =
+    Harness.run (Harness.runtime db)
+      (Harness.spec ~epochs ~epoch_us ~warmup_epochs ~seed:42 ~n_workers:workers
+         gen)
+  in
   RDb.shutdown db;
   let invariant_audit () =
     match wl with
-    | Smallbank n ->
-      let expected = float_of_int n *. 2. *. 10_000. in
-      let got = SB.total_money (List.map snd (RDb.catalogs db)) in
-      if Float.abs (got -. expected) < 1e-6 then Ok ()
-      else
-        Error
-          (Printf.sprintf "money not conserved: expected %.1f, got %.1f"
-             expected got)
-    | Ycsb _ ->
-      if
-        List.for_all
-          (fun (_, _, rows) -> List.length rows = 1)
-          (Faultsim.snapshot (RDb.catalogs db))
-      then Ok ()
-      else Error "YCSB key reactor lost or duplicated its row"
+    | Smallbank n -> Audit.money ~n (List.map snd (RDb.catalogs db))
+    | Ycsb _ -> Audit.ycsb_rows (RDb.catalogs db)
   in
   let audit =
-    fatal_audit db >>= invariant_audit >>= fun () -> secondaries_audit db
+    Audit.(
+      fatal db >>= invariant_audit >>= fun () -> secondaries (RDb.catalogs db))
   in
   let um =
-    let u = r.RDb.Load.utilizations in
+    let u = r.Harness.utilizations in
     if Array.length u = 0 then 0.
     else Array.fold_left ( +. ) 0. u /. float_of_int (Array.length u)
   in
   {
     rw_workload = workload_name wl;
-    rw_router = router_name router;
+    rw_router = Reactdb.Config.router_name router;
     rw_domains = d;
     rw_workers = workers;
-    rw_throughput = r.RDb.Load.throughput;
-    rw_p50 = r.RDb.Load.p50_us;
-    rw_p95 = r.RDb.Load.p95_us;
-    rw_p99 = r.RDb.Load.p99_us;
-    rw_abort_rate = r.RDb.Load.abort_rate;
-    rw_committed = r.RDb.Load.committed;
+    rw_throughput = r.Harness.throughput;
+    rw_p50 = r.Harness.p50_latency;
+    rw_p95 = r.Harness.p95_latency;
+    rw_p99 = r.Harness.p99_latency;
+    rw_abort_rate = r.Harness.abort_rate;
+    rw_committed = r.Harness.committed;
     rw_util_mean = um;
     rw_audit = audit;
   }
@@ -200,14 +155,15 @@ let () =
   parse (Array.to_list Sys.argv);
   let domains = if !fast then [ 1; 2 ] else [ 1; 2; 4 ] in
   let workers = 16 in
-  let warmup_s = if !fast then 0.1 else 0.5 in
-  let measure_s = if !fast then 0.4 else 2.0 in
+  let warmup_epochs = if !fast then 2 else 10 in
+  let epochs = if !fast then 8 else 40 in
   let workloads =
     [ Smallbank (if !fast then 128 else 1024); Ycsb (if !fast then 128 else 512) ]
   in
   Printf.printf
     "Parallel scaling (%d workers, %.1fs measure, host recommends %d domains)\n%!"
-    workers measure_s
+    workers
+    (float_of_int epochs *. epoch_us *. 1e-6)
     (Domain.recommended_domain_count ());
   let rows =
     List.concat_map
@@ -217,7 +173,7 @@ let () =
             List.map
               (fun d ->
                 let r =
-                  run_scenario ~wl ~router ~d ~workers ~warmup_s ~measure_s
+                  run_scenario ~wl ~router ~d ~workers ~warmup_epochs ~epochs
                 in
                 Printf.printf
                   "  %-20s %-12s %d domains: %9.0f txn/s  p50 %7.1fus  p99 \

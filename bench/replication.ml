@@ -42,11 +42,6 @@ module Wl = Workloads.Wl
 module J = Obs.Json
 module Value = Util.Value
 
-let chunk k xs =
-  let groups = Array.make k [] in
-  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
-  Array.to_list (Array.map List.rev groups)
-
 let expected_money n = float_of_int n *. 2. *. 10_000.
 
 let money_ok ~n cats =
@@ -103,7 +98,7 @@ type steady = {
 let run_steady ~seed ~fast =
   let n = if fast then 32 else 128 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
   DB.attach_wal ~durable:true db log;
@@ -211,7 +206,7 @@ type failover = {
 let run_failover ~seed ~fast =
   let n = if fast then 32 else 128 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
   DB.attach_wal ~durable:true db log;
@@ -333,7 +328,7 @@ type shipfault = {
 let run_ship_chaos ~seed ~fast ~kind =
   let n = if fast then 32 else 96 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
   DB.attach_wal ~durable:true db log;

@@ -59,29 +59,12 @@ type row = {
    skew the whole hot set lands on domain 0 — the domain-level imbalance a
    static schedule cannot fix (round-robin dealing would spread the hot
    keys one per domain and hide it). *)
-let chunk k xs =
+let contiguous k xs =
   let n = List.length xs in
   let per = (n + k - 1) / k in
   let groups = Array.make k [] in
   List.iteri (fun i x -> groups.(i / per) <- x :: groups.(i / per)) xs;
   Array.to_list (Array.map List.rev groups)
-
-(* Same placement for every mode — only ingress policy and stealing
-   differ, so makespan deltas are pure scheduling effects. *)
-let make_config router groups =
-  match router with
-  | Reactdb.Config.Affinity -> Reactdb.Config.shared_nothing groups
-  | (Reactdb.Config.Round_robin | Reactdb.Config.Cost) as router ->
-    let placement = Hashtbl.create 256 in
-    List.iteri
-      (fun ci names -> List.iter (fun nm -> Hashtbl.add placement nm ci) names)
-      groups;
-    Reactdb.Config.custom
-      ~executors_per_container:(Array.make (List.length groups) 1)
-      ~router
-      ~placement:(Hashtbl.find placement) ()
-
-let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e
 
 type workload = Ycsb of { keys : int; theta : float } | Smallbank of int
 
@@ -96,7 +79,7 @@ let run_scenario ~wl ~mode ~d ~workers ~per_worker =
     | Ycsb { keys; _ } -> (Workloads.Ycsb.decl ~keys (), Workloads.Ycsb.keys keys)
     | Smallbank n -> (SB.decl ~customers:n (), SB.customers n)
   in
-  let cfg = make_config mode.m_router (chunk d names) in
+  let cfg = Reactdb.Config.of_groups ~router:mode.m_router (contiguous d names) in
   let db = RDb.start ~steal:mode.m_steal decl cfg in
   let collector =
     Obs.Collector.create ~clock:Obs.Wall ~containers:(RDb.n_domains db) ()
@@ -114,51 +97,26 @@ let run_scenario ~wl ~mode ~d ~workers ~per_worker =
   let busy0 = RDb.busy_times db in
   let t0 = Unix.gettimeofday () in
   let retries =
-    RDb.Load.run_fixed db ~max_retries:3 ~n_workers:workers ~per_worker
-      ~seed:42 gen
+    Harness.run_fixed (Harness.runtime db) ~max_retries:3 ~n_workers:workers
+      ~per_worker ~seed:42 gen
   in
   let makespan = Unix.gettimeofday () -. t0 in
   let busy1 = RDb.busy_times db in
-  RDb.publish_sched_obs db;
   let stats = RDb.sched_stats db in
   RDb.shutdown db;
   let logical = workers * per_worker in
   let report = Obs.Report.summarize collector in
   let audit =
-    (if RDb.n_fatal db = 0 then Ok ()
-     else
-       Error
-         (Printf.sprintf "%d internal errors (first: %s)" (RDb.n_fatal db)
-            (match RDb.fatal_messages db with m :: _ -> m | [] -> "?")))
-    >>= fun () ->
-    (if RDb.n_committed db + RDb.n_aborted db = logical + retries then Ok ()
-     else
-       Error
-         (Printf.sprintf
-            "attempt accounting broken: %d committed + %d aborted <> %d \
-             logical + %d retries"
-            (RDb.n_committed db) (RDb.n_aborted db) logical retries))
-    >>= fun () ->
-    (match wl with
-    | Ycsb _ ->
-      if
-        List.for_all
-          (fun (_, _, rows) -> List.length rows = 1)
-          (Faultsim.snapshot (RDb.catalogs db))
-      then Ok ()
-      else Error "YCSB key reactor lost or duplicated its row"
-    | Smallbank n ->
-      let expected = float_of_int n *. 2. *. 10_000. in
-      let got = SB.total_money (List.map snd (RDb.catalogs db)) in
-      if Float.abs (got -. expected) < 1e-6 then Ok ()
-      else
-        Error
-          (Printf.sprintf "money not conserved: expected %.1f, got %.1f"
-             expected got))
-    >>= fun () ->
-    match Faultsim.check_secondaries (RDb.catalogs db) with
-    | Ok () -> Ok ()
-    | Error m -> Error ("secondary-index audit: " ^ m)
+    let open Audit in
+    fatal db
+    >>= (fun () ->
+          accounting ~committed:(RDb.n_committed db)
+            ~aborted:(RDb.n_aborted db) ~logical ~retries)
+    >>= (fun () ->
+          match wl with
+          | Ycsb _ -> ycsb_rows (RDb.catalogs db)
+          | Smallbank n -> money ~n (List.map snd (RDb.catalogs db)))
+    >>= fun () -> secondaries (RDb.catalogs db)
   in
   let utils =
     Array.init d (fun i ->

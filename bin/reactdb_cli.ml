@@ -93,6 +93,35 @@ let chaos_of_spec = function
   | Some s -> (
     match Chaos.of_string s with Ok c -> c | Error m -> failwith m)
 
+(* Both commands: 10 measured epochs over the duration after 2 warm-up
+   epochs, in the backend's clock (virtual or wall µs). *)
+let load_spec ~duration_ms ?max_retries ~deadline_ms ~workers gen =
+  Harness.spec ~epochs:10 ~epoch_us:(duration_ms *. 100.) ~warmup_epochs:2
+    ?max_retries
+    ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
+    ~n_workers:workers gen
+
+let report (r : Harness.run_result) =
+  Printf.printf "throughput      %12.1f txn/s (±%.1f)\n" r.throughput
+    r.throughput_std;
+  Printf.printf "latency         %12.1f µs (±%.1f)\n" r.avg_latency
+    r.latency_std;
+  Printf.printf "percentiles     p50 %.1f µs, p95 %.1f µs, p99 %.1f µs\n"
+    r.p50_latency r.p95_latency r.p99_latency;
+  Printf.printf "committed       %12d\n" r.committed;
+  Printf.printf "aborted         %12d (%.2f%%)\n" r.aborted
+    (100. *. r.abort_rate);
+  List.iter
+    (fun (reason, n) -> Printf.printf "  %-14s %12d\n" reason n)
+    r.aborts_by_reason;
+  Printf.printf "retries         %12d\n" r.retries;
+  Printf.printf "utilization     %s\n"
+    (String.concat " "
+       (Array.to_list
+          (Array.map
+             (fun u -> Printf.sprintf "%.0f%%" (100. *. u))
+             r.utilizations)))
+
 let run_cmd workload scale theta workers strategy executors mpl config_file
     duration_ms certify profile_name wal_path durable trace trace_json
     deadline_ms mailbox_cap chaos_spec =
@@ -138,33 +167,12 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
     (Reactdb.Config.n_containers config)
     (Reactdb.Config.total_executors config)
     config.Reactdb.Config.mpl workers profile_name;
-  let spec =
-    Harness.spec ~epochs:10
-      ~epoch_us:(duration_ms *. 100.) (* 10 epochs over the duration *)
-      ~warmup_epochs:2
-      ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
-      ~n_workers:workers gen
-  in
-  let r = Harness.run_load db spec in
+  report
+    (Harness.run (Harness.sim db)
+       (load_spec ~duration_ms ~deadline_ms ~workers gen));
   if Chaos.is_active chaos then
     Printf.printf "chaos           %12s (%d injections / %d probes)\n"
       (Chaos.to_string chaos) (Chaos.injections chaos) (Chaos.probes chaos);
-  Printf.printf "throughput      %12.1f txn/s (±%.1f)\n" r.Harness.throughput
-    r.Harness.throughput_std;
-  Printf.printf "latency         %12.1f µs (±%.1f)\n" r.Harness.avg_latency
-    r.Harness.latency_std;
-  Printf.printf "committed       %12d\n" r.Harness.committed;
-  Printf.printf "aborted         %12d (%.2f%%)\n" r.Harness.aborted
-    (100. *. r.Harness.abort_rate);
-  List.iter
-    (fun (reason, n) -> Printf.printf "  %-14s %12d\n" reason n)
-    r.Harness.aborts_by_reason;
-  Printf.printf "utilization     %s\n"
-    (String.concat " "
-       (Array.to_list
-          (Array.map (fun u -> Printf.sprintf "%.0f%%" (100. *. u))
-             r.Harness.utilizations)));
-  Printf.printf "retries         %12d\n" r.Harness.retries;
   (match collector with
   | None -> ()
   | Some c ->
@@ -187,7 +195,7 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
     Printf.printf "log entries     %12d%s\n" (Wal.length log)
       (if durable then
          Printf.sprintf "  (durable, %d group-commit flushes)"
-           r.Harness.log_flushes
+           (DB.n_log_flushes db)
        else "  (logging only; durability off)");
     Wal.close log);
   if certify then begin
@@ -217,34 +225,15 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
 let run_parallel_cmd workload scale theta workers domains duration_ms retries
     deadline_ms mailbox_cap chaos_spec router steal replicas failover_at_ms =
   let decl, reactors, gen = build_workload workload ~scale ~theta in
-  let groups = Array.make domains [] in
-  List.iteri
-    (fun i r -> groups.(i mod domains) <- r :: groups.(i mod domains))
-    reactors;
-  let groups = Array.to_list (Array.map List.rev groups) in
   let config =
-    match router with
-    | Reactdb.Config.Affinity -> Reactdb.Config.shared_nothing groups
-    | (Reactdb.Config.Round_robin | Reactdb.Config.Cost) as router ->
-      (* same placement; only the ingress policy differs *)
-      let placement = Hashtbl.create 256 in
-      List.iteri
-        (fun ci names -> List.iter (fun nm -> Hashtbl.add placement nm ci) names)
-        groups;
-      Reactdb.Config.custom
-        ~executors_per_container:(Array.make (List.length groups) 1)
-        ~router
-        ~placement:(Hashtbl.find placement) ()
+    Reactdb.Config.(of_groups ~router (chunk domains reactors))
   in
   let chaos = chaos_of_spec chaos_spec in
   let wal = if replicas > 0 then Some (Wal.in_memory ()) else None in
   let db = Runtime.Db.start ~chaos ?mailbox_cap ~steal ?wal decl config in
   Printf.printf "reactors=%d domains=%d workers=%d router=%s%s%s%s%s\n%!"
     (List.length reactors) (Runtime.Db.n_domains db) workers
-    (match router with
-    | Reactdb.Config.Round_robin -> "round-robin"
-    | Reactdb.Config.Affinity -> "affinity"
-    | Reactdb.Config.Cost -> "cost")
+    (Reactdb.Config.router_name router)
     (if steal then " steal" else "")
     (match deadline_ms with
     | Some d -> Printf.sprintf " deadline=%.1fms" d
@@ -253,14 +242,6 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
     | Some c -> Printf.sprintf " mailbox-cap=%d" c
     | None -> "")
     (if Chaos.is_active chaos then " chaos=" ^ Chaos.to_string chaos else "");
-  let measure_s = duration_ms /. 1000. in
-  let spec =
-    Runtime.Db.Load.spec
-      ~warmup_s:(Float.min 0.5 (measure_s /. 4.))
-      ~measure_s ~max_retries:retries
-      ?deadline_us:(Option.map (fun ms -> ms *. 1000.) deadline_ms)
-      ~n_workers:workers gen
-  in
   (* Replication: the shipper runs on its own domain, ticking every 5 ms.
      Only closed (durable) epochs are ever shipped — the runtime's
      group-commit flusher appends whole epochs to the WAL, so the highest
@@ -317,21 +298,14 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
                | _ -> ()
              done))
   in
-  let r = Runtime.Db.Load.run db spec in
+  let r =
+    Harness.run (Harness.runtime db)
+      (load_spec ~duration_ms ~max_retries:retries ~deadline_ms ~workers gen)
+  in
   Atomic.set stop_ship true;
   (match ship_dom with Some d -> Domain.join d | None -> ());
   Runtime.Db.shutdown db;
-  Printf.printf "throughput      %12.1f txn/s\n" r.Runtime.Db.Load.throughput;
-  Printf.printf "latency         %12.1f µs (p50 %.1f, p95 %.1f, p99 %.1f)\n"
-    r.Runtime.Db.Load.mean_latency_us r.Runtime.Db.Load.p50_us
-    r.Runtime.Db.Load.p95_us r.Runtime.Db.Load.p99_us;
-  Printf.printf "committed       %12d\n" r.Runtime.Db.Load.committed;
-  Printf.printf "aborted         %12d (%.2f%%)\n" r.Runtime.Db.Load.aborted
-    (100. *. r.Runtime.Db.Load.abort_rate);
-  List.iter
-    (fun (reason, n) -> Printf.printf "  %-14s %12d\n" reason n)
-    r.Runtime.Db.Load.aborts_by_reason;
-  Printf.printf "retries         %12d\n" r.Runtime.Db.Load.retries;
+  report r;
   if steal || router = Reactdb.Config.Cost then begin
     let stats = Runtime.Db.sched_stats db in
     Printf.printf "steals          %12d\n" (Runtime.Db.n_steals db);
@@ -432,10 +406,7 @@ let show_config_cmd path reactors =
     (String.concat " "
        (Array.to_list (Array.map string_of_int cfg.Reactdb.Config.executors_per_container)))
     cfg.Reactdb.Config.mpl
-    (match cfg.Reactdb.Config.router with
-    | Reactdb.Config.Round_robin -> "round-robin"
-    | Reactdb.Config.Affinity -> "affinity"
-    | Reactdb.Config.Cost -> "cost");
+    (Reactdb.Config.router_name cfg.Reactdb.Config.router);
   List.iter
     (fun r -> Printf.printf "  %-12s -> container %d\n" r (cfg.Reactdb.Config.placement r))
     reactors
@@ -586,20 +557,12 @@ let wall_duration_arg =
     & info [ "duration" ] ~doc:"Measured wall-clock duration in ms.")
 
 let router_arg =
-  let parse = function
-    | "affinity" -> Ok Reactdb.Config.Affinity
-    | "round-robin" -> Ok Reactdb.Config.Round_robin
-    | "cost" -> Ok Reactdb.Config.Cost
-    | s -> Error (`Msg (Printf.sprintf "unknown router %S" s))
+  let router_conv =
+    Arg.enum
+      (List.map
+         (fun r -> (Reactdb.Config.router_name r, r))
+         Reactdb.Config.[ Affinity; Round_robin; Cost ])
   in
-  let print ppf r =
-    Fmt.string ppf
-      (match r with
-      | Reactdb.Config.Affinity -> "affinity"
-      | Reactdb.Config.Round_robin -> "round-robin"
-      | Reactdb.Config.Cost -> "cost")
-  in
-  let router_conv = Arg.conv (parse, print) in
   Arg.(
     value
     & opt router_conv Reactdb.Config.Affinity

@@ -56,7 +56,7 @@ let () =
         Harness.spec ~epochs:6 ~epoch_us:10_000. ~warmup_epochs:2 ~n_workers:8
           (fun w rng -> Tpcc.gen_mix rng params ~home:(1 + (w mod warehouses)) ~seq)
       in
-      let r = Harness.run_load db spec in
+      let r = Harness.run (Harness.sim db) spec in
       Util.Tablefmt.row t
         [ name;
           Printf.sprintf "%.1f" (r.Harness.throughput /. 1000.);

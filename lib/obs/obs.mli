@@ -148,8 +148,8 @@ module Abort : sig
       spending: an expired deadline consumed the attempt's latency
       budget and a shed is the engine asking for less offered load, so
       re-attempting is the client's decision, not the retry loop's. The
-      retry loops in [Harness] and [Runtime.Db.Load] retry exactly the
-      transient kinds. *)
+      load driver's retry loop ([Harness], both backends) retries
+      exactly the transient kinds. *)
 
   exception Timed_out of string
   (** Raised {e by the engines, at phase boundaries only} (never inside

@@ -60,6 +60,18 @@ let shared_nothing ?(mpl = default_mpl) groups =
 let shared_nothing_async ?mpl groups =
   { (shared_nothing ?mpl groups) with morph = Parallel }
 
+let of_groups ~router groups = { (shared_nothing groups) with router }
+
+let router_name = function
+  | Round_robin -> "round-robin"
+  | Affinity -> "affinity"
+  | Cost -> "cost"
+
+let chunk k xs =
+  let groups = Array.make k [] in
+  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
+  Array.to_list (Array.map List.rev groups)
+
 let custom ~executors_per_container ~router ?(mpl = default_mpl) ~placement
     ?(affinity_slot = Hashtbl.hash) ?(machine_of = fun _ -> 0)
     ?(morph = Sequential) () =

@@ -81,6 +81,17 @@ val shared_nothing : ?mpl:int -> string list list -> t
     intra-transaction-parallelism evaluation morphs into. *)
 val shared_nothing_async : ?mpl:int -> string list list -> t
 
+(** [of_groups ~router groups] — {!shared_nothing}'s placement with
+    [router] as the ingress policy, so deployments that differ only in
+    routing share one placement. *)
+val of_groups : router:router -> string list list -> t
+
+val router_name : router -> string
+
+(** [chunk k xs] deals [xs] round-robin into [k] groups, keeping their
+    order within each group: the usual shared-nothing placement. *)
+val chunk : int -> 'a list -> 'a list list
+
 (** Fully explicit deployment. *)
 val custom :
   executors_per_container:int array ->

@@ -719,14 +719,15 @@ let n_committed db = Lifecycle.n_committed db.counters
 let n_aborted db = Lifecycle.n_aborted db.counters
 let aborts_by_reason db = Lifecycle.aborts_by_reason db.counters
 
-let utilizations db =
+let busy_times db =
   let now = Engine.now db.eng in
-  let total = Float.max 1e-9 (now -. db.stats_since) in
   Array.map
-    (fun ex ->
-      (ex.busy_accum +. if ex.core_busy then now -. ex.held_since else 0.)
-      /. total)
+    (fun ex -> ex.busy_accum +. if ex.core_busy then now -. ex.held_since else 0.)
     db.execs
+
+let utilizations db =
+  let total = Float.max 1e-9 (Engine.now db.eng -. db.stats_since) in
+  Array.map (fun busy -> busy /. total) (busy_times db)
 
 let reset_stats db =
   Lifecycle.reset db.counters;

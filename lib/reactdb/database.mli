@@ -200,11 +200,15 @@ val n_aborted : t -> int
     constructor, never by message text; the buckets sum to {!n_aborted}. *)
 val aborts_by_reason : t -> (string * int) list
 
-(** Fraction of virtual time each executor's core was busy since bootstrap,
-    in executor order (container-major). *)
+(** Virtual µs each executor's core has been busy since bootstrap /
+    {!reset_stats}, in executor order (container-major). *)
+val busy_times : t -> float array
+
+(** Fraction of virtual time each executor's core was busy since bootstrap
+    / {!reset_stats}, in executor order (container-major). *)
 val utilizations : t -> float array
 
-(** Reset commit/abort counters and utilization accumulators (used between
+(** Reset commit/abort counters and utilization accumulators (e.g. between
     warm-up and measurement epochs). *)
 val reset_stats : t -> unit
 

@@ -1030,296 +1030,3 @@ let busy_times db =
       iv)
     db.execs
   |> Array.map Ivar.read_block
-
-(* ------------------------------------------------------------------ *)
-
-module Load = struct
-  type spec = {
-    n_workers : int;
-    gen : int -> Rng.t -> Workloads.Wl.request;
-    warmup_s : float;
-    measure_s : float;
-    seed : int;
-    max_retries : int;
-    deadline_us : float option;
-    backoff : Backoff.policy option;
-    shed_pause_us : float;
-  }
-
-  let spec ?(warmup_s = 0.2) ?(measure_s = 1.0) ?(seed = 42) ?(max_retries = 0)
-      ?deadline_us ?(backoff = Some Backoff.default) ?(shed_pause_us = 500.)
-      ~n_workers gen =
-    { n_workers; gen; warmup_s; measure_s; seed; max_retries; deadline_us;
-      backoff; shed_pause_us = Float.max 0. shed_pause_us }
-
-  (* Deferred-work timer on its own domain, used for backoff pauses between
-     retry attempts and for the post-shed pause — both must not block an
-     executor domain nor recurse on the submitter's stack. [Condition] has
-     no timed wait in the stdlib, so with items pending the loop polls on a
-     0.2 ms quantum; idle, it parks on the condition. *)
-  module Timer = struct
-    type item = { due : float; thunk : unit -> unit }
-
-    type t = {
-      mu : Mutex.t;
-      cond : Condition.t;
-      mutable items : item list;
-      mutable stopped : bool;
-      mutable dom : unit Domain.t option;
-      on_error : exn -> unit;
-    }
-
-    let rec loop t =
-      Mutex.lock t.mu;
-      if t.items = [] then
-        if t.stopped then Mutex.unlock t.mu
-        else begin
-          Condition.wait t.cond t.mu;
-          Mutex.unlock t.mu;
-          loop t
-        end
-      else begin
-        let now = Unix.gettimeofday () in
-        let due, rest = List.partition (fun i -> i.due <= now) t.items in
-        t.items <- rest;
-        Mutex.unlock t.mu;
-        List.iter (fun i -> try i.thunk () with e -> t.on_error e) due;
-        if due = [] then Unix.sleepf 2e-4;
-        loop t
-      end
-
-    let start ~on_error =
-      let t =
-        { mu = Mutex.create (); cond = Condition.create (); items = [];
-          stopped = false; dom = None; on_error }
-      in
-      t.dom <- Some (Domain.spawn (fun () -> loop t));
-      t
-
-    let after t delay_us thunk =
-      let due = Unix.gettimeofday () +. (delay_us *. 1e-6) in
-      Mutex.lock t.mu;
-      t.items <- { due; thunk } :: t.items;
-      Condition.signal t.cond;
-      Mutex.unlock t.mu
-
-    (* Drains remaining items before exiting (callers quiesce first, so
-       there normally are none). *)
-    let stop t =
-      Mutex.lock t.mu;
-      t.stopped <- true;
-      Condition.signal t.cond;
-      Mutex.unlock t.mu;
-      (match t.dom with Some d -> Domain.join d | None -> ());
-      t.dom <- None
-  end
-
-  type result = {
-    throughput : float;
-    committed : int;
-    aborted : int;
-    retries : int;
-    abort_rate : float;
-    aborts_by_reason : (string * int) list;
-    mean_latency_us : float;
-    latency_std_us : float;
-    p50_us : float;
-    p95_us : float;
-    p99_us : float;
-    duration_s : float;
-    utilizations : float array;
-  }
-
-  (* Shared attempt loop: submit [req], resubmitting transient aborts up to
-     [max_retries] times with an increasing retry index, then hand the final
-     outcome to [k]. Between attempts the worker pauses per the seeded
-     backoff policy, parked on the timer domain (an immediate retry would
-     re-contend on exactly the state it just lost to). [observe] sees every
-     attempt outcome exactly once together with the retry decision made for
-     it, so window accounting can attribute both from one measurement-flag
-     read. *)
-  let rec attempt db ~timer ~backoff ~bseed ~deadline_us ~max_retries ~observe
-      ~req ~idx ~k =
-    submit ~retry:idx ?deadline_us db ~reactor:req.Workloads.Wl.reactor
-      ~proc:req.Workloads.Wl.proc ~args:req.Workloads.Wl.args ~k:(fun out ->
-        let will_retry =
-          match (out.result, out.abort_cause) with
-          | Error _, Some cause ->
-            Obs.Abort.transient cause.Obs.Abort.kind && idx < max_retries
-          | _ -> false
-        in
-        observe out ~will_retry;
-        if will_retry then begin
-          let again () =
-            attempt db ~timer ~backoff ~bseed ~deadline_us ~max_retries
-              ~observe ~req ~idx:(idx + 1) ~k
-          in
-          match backoff with
-          | None -> again ()
-          | Some p ->
-            Timer.after timer (Backoff.delay_us p ~seed:bseed ~attempt:(idx + 1))
-              again
-        end
-        else k out)
-
-  (* Per-worker backoff seed: distinct workers draw distinct jitter
-     schedules from one run seed, which is what de-synchronizes retry
-     stampedes on a contended key. *)
-  let worker_seed seed w = seed lxor (w * 0x9e3779b9)
-
-  let busy_snapshot = busy_times
-
-  let run db s =
-    let stop = Atomic.make false in
-    let measuring = Atomic.make false in
-    let live = Atomic.make s.n_workers in
-    let n_retries = Atomic.make 0 in
-    let committed_w = Atomic.make 0 in
-    let aborted_w = Atomic.make 0 in
-    let kind_counts = Array.init Obs.Abort.n_kinds (fun _ -> Atomic.make 0) in
-    let mu = Mutex.create () in
-    let reservoir = Stats.Reservoir.create ~seed:s.seed 8192 in
-    let lat = Stats.create () in
-    let timer = Timer.start ~on_error:(record_fatal db) in
-    (* Window accounting lives here, not in global-counter deltas: one
-       [measuring] read attributes the attempt, its latency sample and its
-       retry decision to the same side of the window boundary, so the
-       identity commits + aborts = logical + retries holds exactly within
-       the window — attempts draining after measurement end (sheds,
-       timeouts, stragglers) can't be half-counted. *)
-    let observe out ~will_retry =
-      if Atomic.get measuring then begin
-        (match out.result with
-        | Ok _ ->
-          Atomic.incr committed_w;
-          Mutex.lock mu;
-          Stats.Reservoir.add reservoir out.latency_us;
-          Stats.add lat out.latency_us;
-          Mutex.unlock mu
-        | Error _ ->
-          Atomic.incr aborted_w;
-          (match out.abort_cause with
-          | Some c ->
-            Atomic.incr kind_counts.(Obs.Abort.kind_index c.Obs.Abort.kind)
-          | None -> ()));
-        if will_retry then Atomic.incr n_retries
-      end
-    in
-    (* Completion-driven virtual client: worker [w]'s callback records the
-       finished logical transaction (after any retries) and submits the
-       next one. Every chain ends by decrementing [live], including chains
-       parked on the timer. *)
-    let rec step w rng =
-      if Atomic.get stop then Atomic.decr live
-      else
-        match
-          try Some (s.gen w rng)
-          with e ->
-            record_fatal db e;
-            None
-        with
-        | None -> Atomic.decr live
-        | Some req ->
-          attempt db ~timer ~backoff:s.backoff ~bseed:(worker_seed s.seed w)
-            ~deadline_us:s.deadline_us ~max_retries:s.max_retries ~observe
-            ~req ~idx:0
-            ~k:(fun out ->
-              match out.abort_cause with
-              | Some c when c.Obs.Abort.kind = Obs.Abort.Overloaded ->
-                (* Shed at admission: pause before offering new work (the
-                   backpressure response), and hop through the timer domain
-                   — a synchronous resubmit would recurse submit → shed →
-                   submit on the saturated mailbox. *)
-                Timer.after timer s.shed_pause_us (fun () -> step w rng)
-              | _ -> step w rng)
-    in
-    for w = 0 to s.n_workers - 1 do
-      step w (Rng.stream ~seed:s.seed w)
-    done;
-    Unix.sleepf s.warmup_s;
-    let busy0 = busy_snapshot db in
-    let t_start = Unix.gettimeofday () in
-    Atomic.set measuring true;
-    Unix.sleepf s.measure_s;
-    Atomic.set measuring false;
-    let t_end = Unix.gettimeofday () in
-    Atomic.set stop true;
-    (* Drain worker chains first (they may still be parked on the timer),
-       then the runtime's in-flight roots, then retire the timer. *)
-    while Atomic.get live > 0 do
-      Unix.sleepf 2e-4
-    done;
-    quiesce db;
-    Timer.stop timer;
-    publish_sched_obs db;
-    let busy1 = busy_snapshot db in
-    let t_drained = Unix.gettimeofday () in
-    let window = Float.max 1e-9 (t_end -. t_start) in
-    let committed = Atomic.get committed_w and aborted = Atomic.get aborted_w in
-    let done_ = committed + aborted in
-    {
-      throughput = float_of_int committed /. window;
-      committed;
-      aborted;
-      retries = Atomic.get n_retries;
-      abort_rate =
-        (if done_ = 0 then 0. else float_of_int aborted /. float_of_int done_);
-      aborts_by_reason =
-        List.filter_map
-          (fun k ->
-            let n = Atomic.get kind_counts.(Obs.Abort.kind_index k) in
-            if n > 0 then Some (Obs.Abort.kind_name k, n) else None)
-          Obs.Abort.all_kinds;
-      mean_latency_us = Stats.mean lat;
-      latency_std_us = Stats.stddev lat;
-      p50_us = Stats.Reservoir.percentile reservoir 50.;
-      p95_us = Stats.Reservoir.percentile reservoir 95.;
-      p99_us = Stats.Reservoir.percentile reservoir 99.;
-      duration_s = window;
-      utilizations =
-        Array.init (Array.length busy0) (fun i ->
-            (busy1.(i) -. busy0.(i)) /. Float.max 1e-9 (t_drained -. t_start));
-    }
-
-  let run_fixed ?(max_retries = 0) ?deadline_us
-      ?(backoff = Some Backoff.default) db ~n_workers ~per_worker ~seed gen =
-    let n_retries = Atomic.make 0 in
-    let done_ = Atomic.make 0 in
-    let total = n_workers * per_worker in
-    let timer = Timer.start ~on_error:(record_fatal db) in
-    let observe _out ~will_retry = if will_retry then Atomic.incr n_retries in
-    let rec step w rng left =
-      if left > 0 then
-        match
-          try Some (gen w rng)
-          with e ->
-            record_fatal db e;
-            None
-        with
-        | None ->
-          (* generator died: account the chain's remaining transactions so
-             the drain below still terminates *)
-          ignore (Atomic.fetch_and_add done_ left)
-        | Some req ->
-          attempt db ~timer ~backoff ~bseed:(worker_seed seed w) ~deadline_us
-            ~max_retries ~observe ~req ~idx:0
-            ~k:(fun out ->
-              Atomic.incr done_;
-              match out.abort_cause with
-              | Some c when c.Obs.Abort.kind = Obs.Abort.Overloaded ->
-                Timer.after timer 500. (fun () -> step w rng (left - 1))
-              | _ -> step w rng (left - 1))
-    in
-    for w = 0 to n_workers - 1 do
-      step w (Rng.stream ~seed w) per_worker
-    done;
-    (* [quiesce] alone is not enough: a retry parked on the timer is not
-       yet submitted, so submitted = completed can hold mid-transaction.
-       Logical completion is the fixpoint that matters. *)
-    while Atomic.get done_ < total do
-      Unix.sleepf 2e-4
-    done;
-    quiesce db;
-    Timer.stop timer;
-    Atomic.get n_retries
-end

@@ -46,7 +46,8 @@ type outcome = {
   containers_touched : int;
   abort_cause : Obs.Abort.cause option;
       (** structured abort taxonomy for failed attempts; [None] on commit.
-          Drives the retry policy in {!Load} ([Obs.Abort.transient]). *)
+          Drives the load driver's retry policy
+          ([Obs.Abort.transient]). *)
   snapshot : int option;
       (** the frozen epoch a read-only root executed against, [None] for
           ordinary OCC transactions *)
@@ -267,7 +268,7 @@ val auto_morphs : t -> int * int
 val n_committed : t -> int
 
 (** Aborted root attempts (every attempt of a retried transaction
-    counts — see {!Load.result} for the accounting identity). *)
+    counts — see [Harness.run_result] for the accounting identity). *)
 val n_aborted : t -> int
 
 (** Same typed buckets as the simulator backend ({!Reactdb.Lifecycle}):
@@ -283,6 +284,10 @@ val aborts_by_reason : t -> (string * int) list
 val n_fatal : t -> int
 
 val fatal_messages : t -> string list
+
+(** Record a failure raised outside any transaction — a load driver's
+    workload generator or deferred thunk — with the internal errors. *)
+val record_fatal : t -> exn -> unit
 
 (** {1 Dynamic-scheduling statistics} *)
 
@@ -326,7 +331,8 @@ val busy_times : t -> float array
 
 (** Copy the scheduler counters into the attached collector (no-op
     without one) so they ride the schema-v3 report ([r_sched]). Call at
-    quiescence; {!Load.run} calls it automatically. *)
+    quiescence; the load driver ([Harness.runtime]) calls it after each
+    run. *)
 val publish_sched_obs : t -> unit
 
 (** {1 Observability}
@@ -341,106 +347,3 @@ val publish_sched_obs : t -> unit
     trace sink is [Obs.Trace.none] and the hot path takes a few
     predictable branches and no clock reads. *)
 val attach_obs : t -> Obs.Collector.t -> unit
-
-(** {1 Closed-loop wall-clock load harness}
-
-    Mirrors [Harness.spec]/[run_load] for the parallel backend, with
-    completion-driven virtual clients: worker [w]'s next request is
-    generated (from its own [Rng.stream]) in the completion callback of
-    its previous one, so client think time is zero and no client threads
-    are needed. *)
-module Load : sig
-  (** [max_retries] (default 0): transient aborts — conflicts and
-      validation failures, per [Obs.Abort.transient] — are resubmitted up
-      to this many times with an increasing retry index; user aborts,
-      dangerous-call-structure aborts, deadline timeouts and admission
-      sheds are never retried in-loop.
-
-      [backoff] (default [Some Util.Backoff.default]) paces those
-      resubmissions with seeded exponential backoff + jitter, evaluated on
-      a dedicated timer domain so no executor blocks; [None] restores
-      immediate retry. [deadline_us] gives every attempt that latency
-      budget. After a shed the worker pauses [shed_pause_us] (default
-      500 µs, the backpressure response) before generating new work. *)
-  type spec = {
-    n_workers : int;
-    gen : int -> Util.Rng.t -> Workloads.Wl.request;
-    warmup_s : float;
-    measure_s : float;
-    seed : int;
-    max_retries : int;
-    deadline_us : float option;
-    backoff : Util.Backoff.policy option;
-    shed_pause_us : float;
-  }
-
-  val spec :
-    ?warmup_s:float ->
-    ?measure_s:float ->
-    ?seed:int ->
-    ?max_retries:int ->
-    ?deadline_us:float ->
-    ?backoff:Util.Backoff.policy option ->
-    ?shed_pause_us:float ->
-    n_workers:int ->
-    (int -> Util.Rng.t -> Workloads.Wl.request) ->
-    spec
-
-  (** Attempt accounting (unified with [Harness.run_result]): [committed]
-      and [aborted] count {e attempts} finishing inside the measurement
-      window, so [committed + aborted] is the attempt total; [retries]
-      counts the aborted attempts that were resubmitted (every retry is
-      also one of the [aborted] attempts), so logical transactions that
-      ultimately failed number [aborted - retries]. [aborts_by_reason]
-      buckets the aborted attempts by cause. *)
-  type result = {
-    throughput : float;  (** committed txns per second over the window *)
-    committed : int;
-    aborted : int;
-    retries : int;
-    abort_rate : float;  (** aborted / (committed + aborted), attempt-level *)
-    aborts_by_reason : (string * int) list;
-        (** aborted attempts in the window bucketed by
-            [Obs.Abort.kind_name] — finer than the engine-level
-            {!aborts_by_reason} buckets ("conflict", "lock-busy",
-            "timeout", "overloaded", …) *)
-    mean_latency_us : float;
-    latency_std_us : float;  (** per-transaction std (not per-epoch) *)
-    p50_us : float;
-    p95_us : float;
-    p99_us : float;  (** from a bounded uniform reservoir *)
-    duration_s : float;  (** measured window length *)
-    utilizations : float array;
-        (** per-domain busy fraction, measurement start → drain *)
-  }
-
-  (** Run warm-up, measure, stop and drain. The runtime must be freshly
-      started or quiescent. Does not shut the runtime down.
-
-      Window accounting is attributed per attempt at completion time from
-      a single measurement-flag read, so the in-window identity
-      [committed + aborted = logical completions + retries] is exact even
-      when attempts straddle the warmup/measure or measure/drain
-      boundary. *)
-  val run : t -> spec -> result
-
-  (** [run_fixed t ~n_workers ~per_worker ~seed gen] drives exactly
-      [n_workers * per_worker] logical transactions closed-loop and
-      quiesces — for tests and equivalence audits that need an exact
-      transaction count rather than a time window. Returns the number of
-      retried attempts, so attempt-level counters satisfy
-      [n_committed + n_aborted = n_workers * per_worker + retries].
-      A logical transaction shed at admission or expired past
-      [deadline_us] counts as one completed-with-abort transaction.
-      [backoff] defaults to [Some Util.Backoff.default] as in {!spec}. *)
-  val run_fixed :
-    ?max_retries:int ->
-    ?deadline_us:float ->
-    ?backoff:Util.Backoff.policy option ->
-    t ->
-    n_workers:int ->
-    per_worker:int ->
-    seed:int ->
-    (int -> Util.Rng.t -> Workloads.Wl.request) ->
-    int
-end

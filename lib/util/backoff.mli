@@ -1,8 +1,8 @@
 (** Deterministic seeded exponential backoff with jitter.
 
-    The retry loops in both load harnesses ([Harness.run_load] and
-    [Runtime.Db.Load]) space out resubmissions of transiently-aborted
-    transactions with delays drawn from a {!policy}. Delays are pure
+    The closed-loop load driver's retry loop ([Harness.run] and
+    [Harness.run_fixed], on both backends) spaces out resubmissions of
+    transiently-aborted transactions with delays drawn from a {!policy}. Delays are pure
     functions of [(policy, seed, attempt)], so a run is exactly
     reproducible from its seed; per-worker seeds keep streams independent.
 

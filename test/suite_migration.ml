@@ -13,11 +13,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-6))
 
-let chunk k xs =
-  let groups = Array.make k [] in
-  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
-  Array.to_list (Array.map List.rev groups)
-
 let audit cats =
   match Faultsim.check_secondaries cats with
   | Ok () -> ()
@@ -273,7 +268,7 @@ let test_runtime_migrate_basic () =
 let test_runtime_migration_mid_load () =
   let n = 16 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 4 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 4 (SB.customers n))) in
   let log = Wal.in_memory () in
   let db = RDb.start ~wal:log decl cfg in
   let victim = SB.customer_name 0 in

@@ -489,7 +489,8 @@ let test_runtime_retry_accounting () =
   let p = Workloads.Ycsb.params ~txn_keys:4 ~theta:0.9 nk in
   let logical = 4 * 60 in
   let retries =
-    RDb.Load.run_fixed ~max_retries:5 db ~n_workers:4 ~per_worker:60 ~seed:5
+    Harness.run_fixed ~max_retries:5 (Harness.runtime db)
+      ~n_workers:4 ~per_worker:60 ~seed:5
       (fun _ rng ->
         Workloads.Ycsb.gen_multi_update rng p
           ~container_of:(RDb.container_of db))
@@ -529,14 +530,15 @@ let test_runtime_no_retry_accounting () =
       (Reactdb.Config.shared_nothing groups)
   in
   let retries =
-    RDb.Load.run_fixed db ~n_workers:4 ~per_worker:25 ~seed:3 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:4 ~per_worker:25 ~seed:3 (fun _ rng ->
         Workloads.Smallbank.gen_conserving rng ~n)
   in
   check_int "no retries requested" 0 retries;
   check_int "exact attempts" 100 (RDb.n_committed db + RDb.n_aborted db);
   RDb.shutdown db
 
-(* Harness.run_load with retries on a contended simulated bank: retried
+(* Harness.run with retries on a contended simulated bank: retried
    attempts carry transient causes only, and the retry counter moves. *)
 let test_harness_retry_accounting () =
   let n = 4 in
@@ -554,7 +556,7 @@ let test_harness_retry_accounting () =
         [ Value.Str (Printf.sprintf "acct%d" dst); Value.Float 1. ] }
   in
   let r =
-    Harness.run_load db
+    Harness.run (Harness.sim db)
       (Harness.spec ~epochs:5 ~epoch_us:5_000. ~warmup_epochs:1
          ~max_retries:3 ~n_workers:8 gen)
   in

@@ -14,11 +14,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-6))
 
-let chunk k xs =
-  let groups = Array.make k [] in
-  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
-  Array.to_list (Array.map List.rev groups)
-
 (* A committed-write entry against the Testlib bank: replace acct0's
    single balance row on [reactor]. *)
 let put ~txn ~epoch ~seq ~reactor bal =
@@ -268,7 +263,7 @@ let test_replica_reads () =
 let test_fencing () =
   let n = 4 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   check_int "initial generation" 0 (DB.generation db);
   check_bool "not fenced at start" false (DB.fenced db);
@@ -295,7 +290,7 @@ let test_fencing () =
 let test_ship_kill_promote () =
   let n = 8 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
   DB.attach_wal ~durable:true db log;

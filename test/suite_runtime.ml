@@ -11,12 +11,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-6))
 
-(* Deal [xs] round-robin into [k] groups (shared-nothing placement). *)
-let chunk k xs =
-  let groups = Array.make k [] in
-  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
-  Array.to_list (Array.map List.rev groups)
-
 let audit_clean db =
   match Faultsim.check_secondaries (RDb.catalogs db) with
   | Ok () -> ()
@@ -69,24 +63,43 @@ let test_bank_cross_domain () =
   audit_clean db
 
 (* ------------------------------------------------------------------ *)
-(* Concurrent Smallbank on 2 domains: exact attempt count, money
-   conservation, secondary-index audit, no internal errors. *)
+(* Concurrent Smallbank on 2 containers, driven by the one closed-loop
+   driver on either backend: exact attempt count, money conservation,
+   secondary-index audit, no internal errors. *)
 
-let test_smallbank_parallel () =
+type backend = Simulator | Runtime
+
+let test_smallbank_parallel backend () =
   let n = 32 in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
-  let db = RDb.start (SB.decl ~customers:n ()) cfg in
-  let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:8 ~per_worker:50 ~seed:7 (fun _ rng ->
+  let decl = SB.decl ~customers:n () in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
+  let run b =
+    Harness.run_fixed b ~n_workers:8 ~per_worker:50 ~seed:7 (fun _ rng ->
         SB.gen_conserving rng ~n)
   in
-  check_int "every attempt accounted" 400 (RDb.n_committed db + RDb.n_aborted db);
-  check_bool "made progress" true (RDb.n_committed db > 0);
-  check_int "no fatals" 0 (RDb.n_fatal db);
-  RDb.shutdown db;
+  let committed, attempts, cats =
+    match backend with
+    | Simulator ->
+      let db = Harness.build decl cfg in
+      check_int "no retries" 0 (run (Harness.sim db));
+      let module DB = Reactdb.Database in
+      ( DB.n_committed db,
+        DB.n_committed db + DB.n_aborted db,
+        List.map (fun nm -> (nm, DB.catalog_of db nm)) (SB.customers n) )
+    | Runtime ->
+      let db = RDb.start decl cfg in
+      check_int "no retries" 0 (run (Harness.runtime db));
+      check_int "no fatals" 0 (RDb.n_fatal db);
+      RDb.shutdown db;
+      (RDb.n_committed db, RDb.n_committed db + RDb.n_aborted db, RDb.catalogs db)
+  in
+  check_int "every attempt accounted" 400 attempts;
+  check_bool "made progress" true (committed > 0);
   check_float "money conserved" (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
-  audit_clean db
+    (SB.total_money (List.map snd cats));
+  match Faultsim.check_secondaries cats with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("secondary-index audit: " ^ m)
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent YCSB multi-update on 2 domains: every key reactor keeps
@@ -94,11 +107,12 @@ let test_smallbank_parallel () =
 
 let test_ycsb_parallel () =
   let nk = 64 in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (Workloads.Ycsb.keys nk)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (Workloads.Ycsb.keys nk))) in
   let db = RDb.start (Workloads.Ycsb.decl ~keys:nk ()) cfg in
   let p = Workloads.Ycsb.params ~txn_keys:6 ~theta:0.7 nk in
   let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:4 ~per_worker:50 ~seed:11 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:4 ~per_worker:50 ~seed:11 (fun _ rng ->
         Workloads.Ycsb.gen_multi_update rng p
           ~container_of:(RDb.container_of db))
   in
@@ -128,7 +142,8 @@ let test_round_robin_routing () =
   in
   let db = RDb.start (SB.decl ~customers:n ()) cfg in
   let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:4 ~per_worker:50 ~seed:3 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:4 ~per_worker:50 ~seed:3 (fun _ rng ->
         SB.gen_conserving rng ~n)
   in
   check_int "every attempt accounted" 200 (RDb.n_committed db + RDb.n_aborted db);
@@ -147,7 +162,7 @@ let test_serial_equivalence () =
   let n = 16 in
   let decl = SB.decl ~customers:n () in
   let names = SB.customers n in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 names) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 names)) in
   let reqs =
     let rng = Rng.stream ~seed:123 0 in
     List.init 150 (fun _ -> SB.gen_standard rng ~n)
@@ -196,29 +211,50 @@ let test_serial_equivalence () =
   | Some d -> Alcotest.fail ("state diverged from simulator: " ^ d))
 
 (* ------------------------------------------------------------------ *)
-(* Wall-clock closed-loop harness: sane counters and ordered percentiles. *)
+(* The closed-loop timed driver on both backends: sane counters, ordered
+   percentiles, one utilization per executor, money conserved. Only the
+   simulator's outcomes carry the Figure 6 breakdown. *)
 
 let test_load_run () =
   let n = 16 in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
-  let db = RDb.start (SB.decl ~customers:n ()) cfg in
-  let s =
-    RDb.Load.spec ~warmup_s:0.05 ~measure_s:0.25 ~seed:5 ~n_workers:4
-      (fun _ rng -> SB.gen_conserving rng ~n)
+  let decl = SB.decl ~customers:n () in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
+  let gen _ rng = SB.gen_conserving rng ~n in
+  let check name (r : Harness.run_result) cats =
+    let check_bool what = check_bool (name ^ ": " ^ what) in
+    check_bool "throughput > 0" true (r.throughput > 0.);
+    check_bool "committed > 0" true (r.committed > 0);
+    check_bool "p50 > 0" true (r.p50_latency > 0.);
+    check_bool "percentiles ordered" true
+      (r.p50_latency <= r.p95_latency && r.p95_latency <= r.p99_latency);
+    check_bool "mean latency sane" true (r.avg_latency > 0.);
+    check_bool "retries within aborts" true (r.retries <= r.aborted);
+    check_bool "breakdown only on the simulator" (name = "simulator")
+      (r.breakdown <> None);
+    check_int (name ^ ": utilization per executor") 2
+      (Array.length r.utilizations);
+    check_float (name ^ ": money conserved") (float_of_int n *. 2. *. 10_000.)
+      (SB.total_money (List.map snd cats))
   in
-  let r = RDb.Load.run db s in
-  check_bool "throughput > 0" true (r.RDb.Load.throughput > 0.);
-  check_bool "committed > 0" true (r.RDb.Load.committed > 0);
-  check_bool "p50 > 0" true (r.RDb.Load.p50_us > 0.);
-  check_bool "percentiles ordered" true
-    (r.RDb.Load.p50_us <= r.RDb.Load.p95_us
-    && r.RDb.Load.p95_us <= r.RDb.Load.p99_us);
-  check_bool "mean latency sane" true (r.RDb.Load.mean_latency_us > 0.);
-  check_int "utilization per domain" 2 (Array.length r.RDb.Load.utilizations);
+  let sim_db = Harness.build decl cfg in
+  let r =
+    Harness.run (Harness.sim sim_db)
+      (Harness.spec ~epochs:3 ~epoch_us:1_000. ~warmup_epochs:1 ~seed:5
+         ~n_workers:4 gen)
+  in
+  check "simulator" r
+    (List.map
+       (fun nm -> (nm, Reactdb.Database.catalog_of sim_db nm))
+       (SB.customers n));
+  let db = RDb.start decl cfg in
+  let r =
+    Harness.run (Harness.runtime db)
+      (Harness.spec ~epochs:10 ~epoch_us:25_000. ~warmup_epochs:2 ~seed:5
+         ~n_workers:4 gen)
+  in
   check_int "no fatals" 0 (RDb.n_fatal db);
   RDb.shutdown db;
-  check_float "money conserved" (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
+  check "runtime" r (RDb.catalogs db);
   audit_clean db
 
 (* ------------------------------------------------------------------ *)
@@ -440,7 +476,7 @@ let test_collect_serial_equivalence_smallbank () =
   let n = 12 in
   let decl = SB.decl ~customers:n () in
   let names = SB.customers n in
-  let cfg = Reactdb.Config.shared_nothing (chunk 3 names) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 3 names)) in
   (* request shapes drawn once, then instantiated per formulation, so both
      runs issue the same transfers; destinations are distinct (concurrent
      activations of one reactor would trip the safety condition only in
@@ -492,7 +528,7 @@ let test_collect_serial_equivalence_tpcc () =
   let nw = 3 in
   let decl = T.decl ~warehouses:nw ~sizes:T.small_sizes () in
   let names = T.warehouses nw in
-  let cfg = Reactdb.Config.shared_nothing (chunk 3 names) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 3 names)) in
   (* identical generator draws per variant: no_proc only renames the
      invoked procedure, so a fresh same-seed stream yields identical
      order lines for both *)
@@ -562,13 +598,14 @@ let test_overload_shed () =
 
 let test_steal_correctness () =
   let nk = 32 in
-  let cfg = Reactdb.Config.shared_nothing (chunk 4 (Workloads.Ycsb.keys nk)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 4 (Workloads.Ycsb.keys nk))) in
   let db = RDb.start ~steal:true (Workloads.Ycsb.decl ~keys:nk ()) cfg in
   (* theta 0.99: heavy Zipfian skew concentrates roots on a few homes, so
      idle domains have something to steal *)
   let p = Workloads.Ycsb.params ~txn_keys:4 ~theta:0.99 nk in
   let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:8 ~per_worker:100 ~seed:17 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:8 ~per_worker:100 ~seed:17 (fun _ rng ->
         Workloads.Ycsb.gen_multi_update rng p
           ~container_of:(RDb.container_of db))
   in
@@ -591,10 +628,11 @@ let test_steal_correctness () =
    still be conserved exactly. *)
 let test_steal_smallbank () =
   let n = 32 in
-  let cfg = Reactdb.Config.shared_nothing (chunk 4 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 4 (SB.customers n))) in
   let db = RDb.start ~steal:true (SB.decl ~customers:n ()) cfg in
   let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:8 ~per_worker:75 ~seed:23 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:8 ~per_worker:75 ~seed:23 (fun _ rng ->
         SB.gen_conserving rng ~n)
   in
   check_int "every attempt accounted" 600 (RDb.n_committed db + RDb.n_aborted db);
@@ -619,7 +657,8 @@ let test_cost_router () =
   in
   let db = RDb.start (SB.decl ~customers:n ()) cfg in
   let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:4 ~per_worker:50 ~seed:31 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:4 ~per_worker:50 ~seed:31 (fun _ rng ->
         SB.gen_conserving rng ~n)
   in
   check_int "every attempt accounted" 200 (RDb.n_committed db + RDb.n_aborted db);
@@ -639,7 +678,7 @@ let test_cost_router () =
 let test_group_commit_durability () =
   let n = 16 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let log = Wal.in_memory () in
   let db = RDb.start ~wal:log ~group_tick_s:0.0005 decl cfg in
   let collector =
@@ -647,7 +686,8 @@ let test_group_commit_durability () =
   in
   RDb.attach_obs db collector;
   let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:4 ~per_worker:50 ~seed:13 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:4 ~per_worker:50 ~seed:13 (fun _ rng ->
         SB.gen_conserving rng ~n)
   in
   check_int "no fatals" 0 (RDb.n_fatal db);
@@ -694,11 +734,12 @@ let test_group_commit_file () =
   let path = Filename.temp_file "reactdb_gc" ".wal" in
   let n = 8 in
   let decl = SB.decl ~customers:n () in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let log = Wal.to_file path in
   let db = RDb.start ~wal:log decl cfg in
   let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:2 ~per_worker:25 ~seed:41 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:2 ~per_worker:25 ~seed:41 (fun _ rng ->
         SB.gen_conserving rng ~n)
   in
   check_int "no fatals" 0 (RDb.n_fatal db);
@@ -716,7 +757,9 @@ let suite =
     [
       Alcotest.test_case "bank across domains" `Quick test_bank_cross_domain;
       Alcotest.test_case "smallbank parallel audit" `Quick
-        test_smallbank_parallel;
+        (test_smallbank_parallel Runtime);
+      Alcotest.test_case "smallbank parallel audit (simulator)" `Quick
+        (test_smallbank_parallel Simulator);
       Alcotest.test_case "ycsb parallel audit" `Quick test_ycsb_parallel;
       Alcotest.test_case "round-robin routing" `Quick test_round_robin_routing;
       Alcotest.test_case "serial equivalence vs simulator" `Quick

@@ -413,14 +413,9 @@ let test_tpcc_collect_equivalence () =
    fallback, and a concurrent conservation run with zero read-only
    aborts. *)
 
-let chunk k xs =
-  let groups = Array.make k [] in
-  List.iteri (fun i x -> groups.(i mod k) <- x :: groups.(i mod k)) xs;
-  Array.to_list (Array.map List.rev groups)
-
 let test_runtime_snapshot_reads () =
   let n = 8 in
-  let cfg = Reactdb.Config.shared_nothing (chunk 2 (SB.customers n)) in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = RDb.start (SB.decl ~customers:n ()) cfg in
   let out = RDb.exec_txn db ~reactor:"c0" ~proc:"balance" ~args:[] in
   (match out.RDb.result with
@@ -441,7 +436,8 @@ let test_runtime_snapshot_reads () =
   (* concurrent conservation: conserving writers + balance readers *)
   let zipf = Rng.Zipf.create ~n ~theta:0.9 in
   let (_ : int) =
-    RDb.Load.run_fixed db ~n_workers:4 ~per_worker:40 ~seed:11 (fun _ rng ->
+    Harness.run_fixed (Harness.runtime db)
+      ~n_workers:4 ~per_worker:40 ~seed:11 (fun _ rng ->
         SB.gen_conserving_zipf rng ~zipf ~n ~read_frac:0.4)
   in
   check_int "no internal errors" 0 (RDb.n_fatal db);
