@@ -131,6 +131,21 @@ let test_measure_txns_warmup_excluded () =
   check_int "generator called warmup+n times" 12 !count;
   check_int "only measured outcomes returned" 7 (List.length outs)
 
+let test_run_load_counts () =
+  let db = Harness.build (Testlib.bank_decl 2) (Testlib.se_config 1 2) in
+  let r =
+    Harness.run (Harness.sim db)
+      (Harness.spec ~epochs:3 ~epoch_us:1_000. ~warmup_epochs:1 ~n_workers:2
+         (fun w _rng ->
+           Workloads.Wl.request (Printf.sprintf "acct%d" w) "deposit"
+             [ Value.Float 1. ]))
+  in
+  check_bool "throughput positive" true (r.Harness.throughput > 0.);
+  check_bool "no aborts" true (r.Harness.aborted = 0);
+  check_bool "latency sane" true
+    (r.Harness.avg_latency > 0. && r.Harness.avg_latency < 1000.);
+  check_int "two executors... one" 1 (Array.length r.Harness.utilizations)
+
 (* One seed, one simulated run: two runs return equal results. *)
 let test_run_deterministic () =
   let n = 16 in
@@ -175,6 +190,7 @@ let suite =
       Alcotest.test_case "profiles" `Quick test_profile_pp_and_free;
       Alcotest.test_case "measure_txns warmup" `Quick
         test_measure_txns_warmup_excluded;
+      Alcotest.test_case "run_load counters" `Quick test_run_load_counts;
       Alcotest.test_case "run deterministic per seed" `Quick
         test_run_deterministic;
       Alcotest.test_case "value hash" `Quick test_value_hash_consistent_with_equal;
