@@ -110,7 +110,7 @@ let run_matrix ~seed ~fast ~wl ~d ~fault =
   let reasons = RDb.aborts_by_reason db in
   let invariant_audit () =
     match wl with
-    | Smallbank n -> money ~n (List.map snd (RDb.catalogs db))
+    | Smallbank n -> money ~n (RDb.catalogs db)
     | Ycsb _ -> ycsb_rows (RDb.catalogs db)
   in
   let audit =
@@ -164,7 +164,7 @@ let run_deadline ~seed ~fast =
   let timeouts = count_reason reasons "timeout" in
   let audit =
     fatal db
-    >>= (fun () -> money ~n (List.map snd (RDb.catalogs db)))
+    >>= (fun () -> money ~n (RDb.catalogs db))
     >>= (fun () ->
           accounting ~committed ~aborted
             ~logical:(n_workers * per_worker) ~retries)
@@ -229,7 +229,7 @@ let run_fanout_delay ~seed ~fast =
   let reasons = RDb.aborts_by_reason db in
   let audit =
     fatal db
-    >>= (fun () -> money ~n (List.map snd (RDb.catalogs db)))
+    >>= (fun () -> money ~n (RDb.catalogs db))
     >>= (fun () ->
           accounting ~committed ~aborted
             ~logical:(n_workers * per_worker) ~retries)
@@ -281,7 +281,7 @@ let run_overload ~seed ~fast =
   let p99_ceiling_us = 100_000. in
   let audit =
     fatal db
-    >>= (fun () -> money ~n (List.map snd (RDb.catalogs db)))
+    >>= (fun () -> money ~n (RDb.catalogs db))
     >>= (fun () ->
           if sheds > 0 then Ok ()
           else Error "expected admission sheds at mailbox_cap=4, saw none")
@@ -332,9 +332,8 @@ let run_flush_stall ~seed ~fast =
   let t0 = Unix.gettimeofday () in
   let r = Harness.run (Harness.sim db) s in
   let elapsed_s = Unix.gettimeofday () -. t0 in
-  let cats = List.map (fun nm -> SDb.catalog_of db nm) (SB.customers n) in
   let audit =
-    money ~n cats
+    money ~n (SDb.catalogs db)
     >>= (fun () ->
           if r.Harness.committed > 0 then Ok ()
           else Error "no commits under flush stall")
@@ -420,7 +419,7 @@ let run_shipping ~seed ~fast ~kind =
           if
             List.for_all
               (fun r ->
-                money ~n (List.map snd (Replica.catalogs r)) = Ok ())
+                money ~n (Replica.catalogs r) = Ok ())
               replicas
           then Ok ()
           else Error "money not conserved on replicated state")

@@ -41,9 +41,8 @@ let build_history ~decl ~config ~names ~log_path ~ck_path run_phase =
   Wal.close log
 
 let sb_customers = 6
-let sb_initial = 10_000.
 let sb_names = W.Smallbank.customers sb_customers
-let sb_decl () = W.Smallbank.decl ~customers:sb_customers ~initial:sb_initial ()
+let sb_decl () = W.Smallbank.decl ~customers:sb_customers ()
 
 let sb_run_phase db phase =
   let eng = DB.engine db in
@@ -65,15 +64,6 @@ let sb_run_phase db phase =
         done)
   done;
   ignore (Sim.Engine.run eng)
-
-let sb_conservation cats =
-  let expected = float_of_int sb_customers *. 2. *. sb_initial in
-  let total = W.Smallbank.total_money (List.map snd cats) in
-  if Float.abs (total -. expected) < 1e-6 then Ok ()
-  else
-    Error
-      (Printf.sprintf "money not conserved: %.2f, expected %.2f" total
-         expected)
 
 let tpcc_warehouses = 2
 let tpcc_names = W.Tpcc.warehouses tpcc_warehouses
@@ -149,8 +139,8 @@ let () =
       ~config:
         (Reactdb.Config.shared_everything ~executors:2 ~affinity:true
            sb_names)
-      ~names:sb_names ~run_phase:sb_run_phase ~extra_check:sb_conservation
-      ~seed0:40_000 sb_seeds
+      ~names:sb_names ~run_phase:sb_run_phase
+      ~extra_check:(Audit.money ~n:sb_customers) ~seed0:40_000 sb_seeds
   in
   let ok_tpcc =
     sweep ~label:"tpcc" ~decl:tpcc_decl

@@ -46,7 +46,6 @@ let n_cust = 16
 let n_containers = 4
 let n_workers = 4
 let pause_bound_us = 250_000.
-let expected_money = float_of_int (2 * n_cust) *. 10_000.
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -60,13 +59,6 @@ let pct lats p =
   let a = Array.of_list lats in
   Array.sort Float.compare a;
   percentile a p
-
-let money_audit catalogs =
-  let got = SB.total_money catalogs in
-  Float.abs (got -. expected_money) < 1e-6
-
-let audit_secondaries cats =
-  match Faultsim.check_secondaries cats with Ok () -> true | Error _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 1: migration timeline. Closed-loop workers tag every attempt
@@ -92,7 +84,7 @@ type timeline = {
   t_pauses : float list;
   t_money_ok : bool;
   t_audit_ok : bool;
-  t_fatal : int;
+  t_fatal_ok : bool;
   t_recovery : float;  (* post/pre steady-state throughput ratio *)
 }
 
@@ -145,10 +137,10 @@ let run_timeline ~windows ~window_s ~migrate_at =
   let attempts = List.fold_left (fun a (n, _) -> a + n) 0 per_worker in
   let samples = List.concat_map snd per_worker in
   let committed = RDb.n_committed db and aborted = RDb.n_aborted db in
-  let fatal = RDb.n_fatal db in
+  let fatal_ok = Result.is_ok (Audit.fatal db) in
   RDb.shutdown db;
-  let money_ok = money_audit (List.map snd (RDb.catalogs db)) in
-  let audit_ok = audit_secondaries (RDb.catalogs db) in
+  let money_ok = Result.is_ok (Audit.money ~n:n_cust (RDb.catalogs db)) in
+  let audit_ok = Result.is_ok (Audit.secondaries (RDb.catalogs db)) in
   let wins =
     List.init windows (fun wi ->
         let mine = List.filter (fun (i, _, _) -> i = wi) samples in
@@ -198,7 +190,7 @@ let run_timeline ~windows ~window_s ~migrate_at =
     t_pauses = List.map (fun (_, _, _, p) -> p) !migs;
     t_money_ok = money_ok;
     t_audit_ok = audit_ok;
-    t_fatal = fatal;
+    t_fatal_ok = fatal_ok;
     t_recovery = recovery;
   }
 
@@ -212,7 +204,6 @@ let run_byte_identity ~ops =
   let cfg =
     Config.shared_nothing (Config.chunk n_containers (SB.customers n_cust))
   in
-  let names = SB.customers n_cust in
   let reqs =
     let rng = Rng.stream ~seed:907 0 in
     List.init ops (fun _ -> SB.gen_conserving rng ~n:n_cust)
@@ -239,10 +230,7 @@ let run_byte_identity ~ops =
                 .DB.result)
             reqs);
     ignore (Sim.Engine.run eng);
-    let st =
-      Faultsim.snapshot (List.map (fun nm -> (nm, DB.catalog_of db nm)) names)
-    in
-    (!results, st, DB.n_migrations db)
+    (!results, Faultsim.snapshot (DB.catalogs db), DB.n_migrations db)
   in
   let r_static, st_static, _ = run false in
   let r_mig, st_mig, n_migs = run true in
@@ -263,7 +251,8 @@ let run_byte_identity ~ops =
    closed-loop load the controller must split the hot domain. *)
 
 let run_autoscaler ~duration_s =
-  let decl = SB.decl ~customers:8 () in
+  let customers = 8 in
+  let decl = SB.decl ~customers () in
   let cfg =
     Config.custom
       ~executors_per_container:(Array.make n_containers 1)
@@ -280,7 +269,7 @@ let run_autoscaler ~duration_s =
             let attempts = ref 0 and outcomes = ref 0 in
             let rng = Rng.create (211 + w) in
             while not (Atomic.get stop) do
-              let req = SB.gen_conserving rng ~n:8 in
+              let req = SB.gen_conserving rng ~n:customers in
               incr attempts;
               let o =
                 RDb.exec_txn db ~reactor:req.W.Wl.reactor ~proc:req.W.Wl.proc
@@ -299,20 +288,15 @@ let run_autoscaler ~duration_s =
   let attempts = List.fold_left (fun a (n, _) -> a + n) 0 per_worker in
   let outcomes = List.fold_left (fun a (_, n) -> a + n) 0 per_worker in
   let committed = RDb.n_committed db and aborted = RDb.n_aborted db in
-  let fatal = RDb.n_fatal db in
+  let fatal_ok = Result.is_ok (Audit.fatal db) in
   let splits, merges = AS.moves ctl in
   let domains_used =
     List.sort_uniq Int.compare (List.map snd (RDb.placements db))
   in
   RDb.shutdown db;
-  let money_ok =
-    Float.abs
-      (SB.total_money (List.map snd (RDb.catalogs db))
-      -. (float_of_int (2 * 8) *. 10_000.))
-    < 1e-6
-  in
-  let audit_ok = audit_secondaries (RDb.catalogs db) in
-  ( attempts, outcomes, committed, aborted, fatal, splits, merges,
+  let money_ok = Result.is_ok (Audit.money ~n:customers (RDb.catalogs db)) in
+  let audit_ok = Result.is_ok (Audit.secondaries (RDb.catalogs db)) in
+  ( attempts, outcomes, committed, aborted, fatal_ok, splits, merges,
     List.length domains_used, money_ok, audit_ok )
 
 (* ------------------------------------------------------------------ *)
@@ -384,7 +368,7 @@ let () =
   let accounting_ok =
     tl.t_attempts = tl.t_outcomes
     && tl.t_attempts = tl.t_committed + tl.t_aborted
-    && tl.t_fatal = 0
+    && tl.t_fatal_ok
   in
   let recovery_ok = tl.t_recovery >= 0.9 in
   let pause_worst = List.fold_left Float.max 0. tl.t_pauses in
@@ -402,7 +386,7 @@ let () =
     (match state_diff with None -> "byte-identical" | Some d -> "DIFF: " ^ d);
 
   Printf.printf "\n== autoscaler (runtime) ==\n%!";
-  let ( a_attempts, a_outcomes, a_committed, a_aborted, a_fatal, splits,
+  let ( a_attempts, a_outcomes, a_committed, a_aborted, a_fatal_ok, splits,
         merges, a_domains, a_money_ok, a_audit_ok ) =
     run_autoscaler ~duration_s:auto_s
   in
@@ -413,7 +397,7 @@ let () =
   let auto_accounting_ok =
     a_attempts = a_outcomes
     && a_attempts = a_committed + a_aborted
-    && a_fatal = 0
+    && a_fatal_ok
   in
   let autoscaler_ok = splits >= 1 && a_domains > 1 in
 

@@ -70,7 +70,7 @@ let run_scenario ~wl ~router ~d ~workers ~warmup_epochs ~epochs =
   RDb.shutdown db;
   let invariant_audit () =
     match wl with
-    | Smallbank n -> Audit.money ~n (List.map snd (RDb.catalogs db))
+    | Smallbank n -> Audit.money ~n (RDb.catalogs db)
     | Ycsb _ -> Audit.ycsb_rows (RDb.catalogs db)
   in
   let audit =

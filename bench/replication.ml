@@ -42,15 +42,6 @@ module Wl = Workloads.Wl
 module J = Obs.Json
 module Value = Util.Value
 
-let expected_money n = float_of_int n *. 2. *. 10_000.
-
-let money_ok ~n cats =
-  Float.abs (SB.total_money cats -. expected_money n) < 1e-6
-
-let replica_cats r = List.map snd (Replica.catalogs r)
-
-let primary_cats db names = List.map (fun nm -> (nm, DB.catalog_of db nm)) names
-
 (* Committed write transactions log exactly one entry each, stamped with
    the transaction's positive OCC id; migrations log negative ids. The
    positive-id count is therefore the committed-write count — the unit of
@@ -72,7 +63,8 @@ let audit_replica_reads ~n replicas served bad =
         Replica.exec_ro r ~reactor:(SB.customer_name 0) ~proc:"sum_all" ~args
       with
       | Ok v ->
-        if Float.abs (Value.to_number v -. expected_money n) > 1e-6 then
+        let total = Value.to_number v in
+        if Float.abs (total -. SB.loaded_money ~customers:n) > 1e-6 then
           incr bad
       | Error _ -> incr bad)
     replicas
@@ -136,7 +128,7 @@ let run_steady ~seed ~fast =
   let converged =
     List.for_all (fun r -> Replica.watermark r = durable) replicas
   in
-  let prim = Faultsim.snapshot (primary_cats db (SB.customers n)) in
+  let prim = Faultsim.snapshot (DB.catalogs db) in
   let identical =
     List.for_all
       (fun r -> Faultsim.diff prim (Faultsim.snapshot (Replica.catalogs r))
@@ -144,14 +136,13 @@ let run_steady ~seed ~fast =
       replicas
   in
   let money =
-    List.for_all (fun r -> money_ok ~n (replica_cats r)) replicas
+    List.for_all
+      (fun r -> Result.is_ok (Audit.money ~n (Replica.catalogs r)))
+      replicas
   in
   let audit =
     List.for_all
-      (fun r ->
-        match Faultsim.check_secondaries (Replica.catalogs r) with
-        | Ok () -> true
-        | Error _ -> false)
+      (fun r -> Result.is_ok (Audit.secondaries (Replica.catalogs r)))
       replicas
   in
   let coll = Obs.Collector.create ~clock:Obs.Virtual ~containers:2 () in
@@ -255,7 +246,7 @@ let run_failover ~seed ~fast =
   let no_lost =
     committed_replica = committed_primary && committed_primary = !ok_writes
   in
-  let money = money_ok ~n (replica_cats promoted) in
+  let money = Result.is_ok (Audit.money ~n (Replica.catalogs promoted)) in
   (* Resume a fresh engine from the promoted log: recovery-by-replay
      into new catalogs plus the shipped placements, admitting under the
      promoted generation. A fresh engine's epoch clock restarts at 1, so
@@ -285,7 +276,7 @@ let run_failover ~seed ~fast =
         | Error _ -> ()
       done);
   ignore (Sim.Engine.run eng2);
-  let resume_money = money_ok ~n (List.map snd (primary_cats db2 (SB.customers n))) in
+  let resume_money = Result.is_ok (Audit.money ~n (DB.catalogs db2)) in
   {
     fo_attempts = txns;
     fo_committed = !ok;
@@ -358,7 +349,9 @@ let run_ship_chaos ~seed ~fast ~kind =
     List.for_all (fun r -> Replica.watermark r = durable) replicas
   in
   let money =
-    List.for_all (fun r -> money_ok ~n (replica_cats r)) replicas
+    List.for_all
+      (fun r -> Result.is_ok (Audit.money ~n (Replica.catalogs r)))
+      replicas
   in
   {
     sf_fault = Chaos.kind_name kind;

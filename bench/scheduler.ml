@@ -115,7 +115,7 @@ let run_scenario ~wl ~mode ~d ~workers ~per_worker =
     >>= (fun () ->
           match wl with
           | Ycsb _ -> ycsb_rows (RDb.catalogs db)
-          | Smallbank n -> money ~n (List.map snd (RDb.catalogs db)))
+          | Smallbank n -> money ~n (RDb.catalogs db))
     >>= fun () -> secondaries (RDb.catalogs db)
   in
   let utils =

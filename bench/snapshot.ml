@@ -22,8 +22,9 @@
      first attempt, carries a snapshot epoch, and the backend's read-only
      commit counter matches;
    - snapshot consistency audit: every committed sum_all observes exactly
-     the loaded total (a frozen epoch is a consistent cut), and the final
-     physical state conserves money;
+     the loaded total (a frozen epoch is a consistent cut), the final
+     physical state conserves money, and the runtime raised no internal
+     error;
    - phase partition: per-attempt phase sums within 1% of latency
      ([Obs.Report.r_max_sum_dev_pct]);
    - predictability win: at theta = 0.99 the snapshot read p99 is strictly
@@ -47,8 +48,7 @@ let n_cust = 16
 let n_containers = 4
 let n_workers = 4
 let max_attempts = 25
-let customers = SB.customers n_cust
-let expected_money = float_of_int (2 * n_cust) *. 10_000.
+let expected_money = SB.loaded_money ~customers:n_cust
 
 (* Customer j lives in group (j mod 4): round-robin placement. *)
 let groups =
@@ -152,7 +152,7 @@ type row = {
   r_write_p50 : float;
   r_write_p99 : float;
   r_sum_dev_pct : float;
-  r_money_ok : bool;
+  r_money : (unit, string) result;  (* runtime fatals, then money *)
   r_audit_bad : int;
   r_missing_snapshot : int;
   r_clock : string;
@@ -181,19 +181,11 @@ let finish ~backend ~theta ~read_frac ~snapshots ~ro_commits ~money tally
     r_write_p50 = pct tally.write_lats 50.;
     r_write_p99 = pct tally.write_lats 99.;
     r_sum_dev_pct = report.Obs.Report.r_max_sum_dev_pct;
-    r_money_ok = Result.is_ok money;
+    r_money = money;
     r_audit_bad = tally.audit_bad;
     r_missing_snapshot = tally.missing_snapshot;
     r_clock = report.Obs.Report.r_clock;
   }
-
-let money_audit catalogs =
-  let got = SB.total_money catalogs in
-  if Float.abs (got -. expected_money) < 1e-6 then Ok ()
-  else
-    Error
-      (Printf.sprintf "money not conserved: expected %.1f, got %.1f"
-         expected_money got)
 
 (* --- simulator backend: closed-loop workers as engine processes, virtual
    latencies --- *)
@@ -230,7 +222,7 @@ let run_sim ~ops_per_worker ~theta ~read_frac ~snapshots =
         t)
   in
   ignore (Sim.Engine.run eng);
-  let money = money_audit (List.map (DB.catalog_of db) customers) in
+  let money = Audit.money ~n:n_cust (DB.catalogs db) in
   finish ~backend:"sim" ~theta ~read_frac ~snapshots
     ~ro_commits:(DB.n_readonly_commits db) ~money (merge tallies)
     (Obs.Report.summarize collector)
@@ -270,8 +262,9 @@ let run_runtime ~ops_per_worker ~theta ~read_frac ~snapshots =
   let tallies = List.map Domain.join doms in
   let ro_commits = RDb.n_readonly_commits db in
   RDb.shutdown db;
-  if RDb.n_fatal db > 0 then failwith "snapshot bench: runtime fatal errors";
-  let money = money_audit (List.map snd (RDb.catalogs db)) in
+  let money =
+    Audit.(fatal db >>= fun () -> money ~n:n_cust (RDb.catalogs db))
+  in
   finish ~backend:"runtime" ~theta ~read_frac ~snapshots ~ro_commits ~money
     (merge tallies)
     (Obs.Report.summarize collector)
@@ -296,7 +289,7 @@ let row_json r =
       ("write_p50_us", J.Num r.r_write_p50);
       ("write_p99_us", J.Num r.r_write_p99);
       ("max_sum_dev_pct", J.Num r.r_sum_dev_pct);
-      ("money_ok", J.Bool r.r_money_ok);
+      ("money_ok", J.Bool (Result.is_ok r.r_money));
       ("audit_bad_reads", J.Num (float_of_int r.r_audit_bad));
       ("missing_snapshot", J.Num (float_of_int r.r_missing_snapshot));
       ("clock", J.Str r.r_clock);
@@ -342,8 +335,10 @@ let () =
                      %9.1f us  ro-aborts %d  sumdev %.3f%%  %s\n%!"
                     r.r_backend r.r_theta r.r_read_frac r.r_mode r.r_read_p50
                     r.r_read_p99 r.r_read_attempt_aborts r.r_sum_dev_pct
-                    (if r.r_money_ok && r.r_audit_bad = 0 then "audit-ok"
-                     else "AUDIT-FAIL");
+                    (match r.r_money with
+                    | Error m -> "AUDIT-FAIL: " ^ m
+                    | Ok () when r.r_audit_bad = 0 -> "audit-ok"
+                    | Ok () -> "AUDIT-FAIL");
                   rows := r :: !rows)
                 [ true; false ])
             fracs)
@@ -366,7 +361,7 @@ let () =
       snap_rows
   in
   let audit_ok =
-    List.for_all (fun r -> r.r_money_ok && r.r_audit_bad = 0) rows
+    List.for_all (fun r -> Result.is_ok r.r_money && r.r_audit_bad = 0) rows
   in
   let sum_ok = List.for_all (fun r -> r.r_sum_dev_pct <= 1.) rows in
   let find backend frac mode =

@@ -198,20 +198,13 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
            (DB.n_log_flushes db)
        else "  (logging only; durability off)");
     Wal.close log);
-  if certify then begin
-    let entries =
-      List.map
-        (fun h ->
-          { Histories.Certify.c_txn = h.DB.h_txn; c_tid = h.DB.h_tid;
-            c_reads = h.DB.h_reads; c_writes = h.DB.h_writes })
-        (DB.history db)
-    in
-    match Histories.Certify.check entries with
-    | Ok _ ->
-      Printf.printf "history         serializable (%d transactions)\n"
-        (List.length entries)
-    | Error m -> Printf.printf "history         VIOLATION: %s\n" m
-  end
+  if certify then
+    match Audit.certify db with
+    | Ok n ->
+      Printf.printf "history         serializable (%d transactions)\n" n
+    | Error m ->
+      Printf.printf "history         VIOLATION: %s\n" m;
+      exit 1
 
 (* Real-parallel backend: one OCaml 5 domain per container, wall-clock
    time. Overload knobs (--deadline-ms, --mailbox-cap, --chaos) apply per
@@ -343,12 +336,11 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
         p.Replica.pm_entries (!drill_pause_us /. 1000.)
     | Some (Error e) -> Printf.printf "failover drill  REFUSED: %s\n" e
     | None -> ());
-  if Runtime.Db.n_fatal db > 0 then begin
-    Printf.eprintf "FATAL: %d internal errors (first: %s)\n"
-      (Runtime.Db.n_fatal db)
-      (match Runtime.Db.fatal_messages db with m :: _ -> m | [] -> "?");
+  match Audit.fatal db with
+  | Ok () -> ()
+  | Error m ->
+    Printf.eprintf "FATAL: %s\n" m;
     exit 1
-  end
 
 (* Interactive SQL shell over a loaded workload: every statement runs as
    one ACID transaction on the chosen reactor. *)
@@ -462,7 +454,9 @@ let certify_arg =
   Arg.(
     value & flag
     & info [ "certify" ]
-        ~doc:"Record the execution history and certify serializability.")
+        ~doc:
+          "Record the execution history and certify serializability; exit 1 \
+           on a violation.")
 
 let profile_arg =
   Arg.(value & opt string "default" & info [ "profile" ] ~doc:"Hardware profile.")

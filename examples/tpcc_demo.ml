@@ -26,19 +26,8 @@ let deployments =
   ]
 
 let certify db =
-  let entries =
-    List.map
-      (fun h ->
-        {
-          Histories.Certify.c_txn = h.Reactdb.Database.h_txn;
-          c_tid = h.Reactdb.Database.h_tid;
-          c_reads = h.Reactdb.Database.h_reads;
-          c_writes = h.Reactdb.Database.h_writes;
-        })
-      (Reactdb.Database.history db)
-  in
-  match Histories.Certify.check entries with
-  | Ok _ -> Printf.sprintf "serializable (%d txns certified)" (List.length entries)
+  match Audit.certify db with
+  | Ok n -> Printf.sprintf "serializable (%d txns certified)" n
   | Error m -> "NOT SERIALIZABLE: " ^ m
 
 let () =

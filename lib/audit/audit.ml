@@ -1,12 +1,7 @@
-(* Correctness audits shared by the gated benches. Each returns [Ok ()] or
-   an error string that lands in the row's "audit" field and the gate's
-   AUDIT FAILURE line; chain them with [>>=]. *)
-
 module RDb = Runtime.Db
 
 let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e
 
-(* The runtime raised nothing that is not an abort. *)
 let fatal db =
   if RDb.n_fatal db = 0 then Ok ()
   else
@@ -14,18 +9,15 @@ let fatal db =
       (Printf.sprintf "%d internal errors (first: %s)" (RDb.n_fatal db)
          (match RDb.fatal_messages db with m :: _ -> m | [] -> "?"))
 
-(* Smallbank's conserving mix: total money over [n] customers is exactly
-   what the loader put there. *)
 let money ~n cats =
-  let expected = float_of_int n *. 2. *. 10_000. in
-  let got = Workloads.Smallbank.total_money cats in
+  let expected = Workloads.Smallbank.loaded_money ~customers:n in
+  let got = Workloads.Smallbank.total_money (List.map snd cats) in
   if Float.abs (got -. expected) < 1e-6 then Ok ()
   else
     Error
       (Printf.sprintf "money not conserved: expected %.1f, got %.1f" expected
          got)
 
-(* Every YCSB key reactor keeps exactly its one loaded row. *)
 let ycsb_rows cats =
   if
     List.for_all
@@ -34,7 +26,6 @@ let ycsb_rows cats =
   then Ok ()
   else Error "YCSB key reactor lost or duplicated its row"
 
-(* commits + aborts = logical + retries: every attempt counted once. *)
 let accounting ~committed ~aborted ~logical ~retries =
   if committed + aborted = logical + retries then Ok ()
   else
@@ -48,3 +39,9 @@ let secondaries cats =
   match Faultsim.check_secondaries cats with
   | Ok () -> Ok ()
   | Error m -> Error ("secondary-index audit: " ^ m)
+
+let certify db =
+  let entries = Reactdb.Database.history db in
+  match Histories.Certify.check entries with
+  | Ok _ -> Ok (List.length entries)
+  | Error m -> Error m

@@ -1,0 +1,33 @@
+(** Correctness audits shared by the gated benches, the tests, the CLI and
+    the examples. Each returns [Ok] or an error string; the benches put
+    that string in a row's ["audit"] field and the gate's AUDIT FAILURE
+    line. Chain them with [>>=]. *)
+
+val ( >>= ) :
+  (unit, 'e) result -> (unit -> (unit, 'e) result) -> (unit, 'e) result
+
+(** The runtime raised nothing that is not an abort. *)
+val fatal : Runtime.Db.t -> (unit, string) result
+
+(** Smallbank's conserving mix: the total money over the [n] customers'
+    catalogs is exactly {!Workloads.Smallbank.loaded_money}. *)
+val money : n:int -> (string * Storage.Catalog.t) list -> (unit, string) result
+
+(** Every YCSB key reactor keeps exactly its one loaded row. *)
+val ycsb_rows : (string * Storage.Catalog.t) list -> (unit, string) result
+
+(** [committed + aborted = logical + retries]: every attempt counted
+    once. *)
+val accounting :
+  committed:int -> aborted:int -> logical:int -> retries:int ->
+  (unit, string) result
+
+(** {!Faultsim.check_secondaries}: every live row is reachable through
+    each secondary index, and no index holds extra or stale entries. *)
+val secondaries : (string * Storage.Catalog.t) list -> (unit, string) result
+
+(** Conflict-serializability of a simulator run recorded with
+    {!Reactdb.Database.enable_history} (paper Theorem 2.7):
+    [Ok n] when the [n] committed transactions certify, otherwise the
+    {!Histories.Certify.check} violation. *)
+val certify : Reactdb.Database.t -> (int, string) result

@@ -48,13 +48,6 @@ type rstate = {
          positions pay proportionally, absent = full penalty) *)
 }
 
-type hist_entry = {
-  h_txn : int;
-  h_tid : int;
-  h_reads : (int * int) list;
-  h_writes : int list;
-}
-
 type t = {
   eng : Engine.t;
   decl : Reactor.decl;
@@ -66,7 +59,7 @@ type t = {
   mutable txn_counter : int;
   counters : Lifecycle.counters;
   mutable record_history : bool;
-  mutable hist : hist_entry list;
+  mutable hist : Histories.Certify.entry list;
   mutable stats_since : float;
   table_owner : (int, string * string) Hashtbl.t;
       (* table uid -> (reactor, table name), for redo logging *)
@@ -224,8 +217,8 @@ let note_history db (root : root) tid =
         writes := e.Occ.Txn.wrec.Storage.Record.rid :: !writes);
     let writes = List.rev !writes in
     db.hist <-
-      { h_txn = Occ.Txn.id root.txn; h_tid = tid; h_reads = reads;
-        h_writes = writes }
+      { Histories.Certify.c_txn = Occ.Txn.id root.txn; c_tid = tid;
+        c_reads = reads; c_writes = writes }
       :: db.hist
   end
 
@@ -695,6 +688,11 @@ let create eng decl cfg prof =
   db
 
 let catalog_of db name = (reactor_state db name).re.Bootstrap.bs_catalog
+
+let catalogs db =
+  List.map
+    (fun (name, _) -> (name, catalog_of db name))
+    db.decl.Reactor.reactors
 let container_of db name = (reactor_state db name).home
 let n_migrations db = Pins.Gate.n_migrations db.gate
 let placement_epoch db = Pins.Gate.placement_epoch db.gate

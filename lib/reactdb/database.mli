@@ -89,6 +89,10 @@ val exec_txn :
     integrity checks only; bypasses concurrency control. *)
 val catalog_of : t -> string -> Storage.Catalog.t
 
+(** All reactors' catalogs in declaration order, for invariant audits
+    (see [lib/audit]). Same caveat as {!catalog_of}. *)
+val catalogs : t -> (string * Storage.Catalog.t) list
+
 (** Container index hosting a reactor. *)
 val container_of : t -> string -> int
 
@@ -300,18 +304,13 @@ val set_mailbox_cap : t -> int option -> unit
     branches. *)
 val attach_obs : t -> Obs.Collector.t -> unit
 
-(** {1 History recording (for serializability checking in tests)}
+(** {1 History recording (for serializability certification)}
 
-    When enabled, every committed transaction appends (txn id, TID,
-    container set, read set, write set) to the history log. *)
+    When enabled, every committed transaction appends its
+    {!Histories.Certify.entry} (txn id, install TID, read set, write set)
+    to the history log; {!history} returns the log in commit order, ready
+    for {!Histories.Certify.check}. *)
 
 val enable_history : t -> unit
 
-type hist_entry = {
-  h_txn : int;
-  h_tid : int;
-  h_reads : (int * int) list;  (** (record rid, observed TID) *)
-  h_writes : int list;  (** record rids written *)
-}
-
-val history : t -> hist_entry list
+val history : t -> Histories.Certify.entry list

@@ -308,9 +308,11 @@ let customer_type =
 let customer_name i = Printf.sprintf "c%d" i
 let customers n = List.init n customer_name
 
+let default_initial = 10_000.
+
 (** [decl ~customers:n ~initial] — [n] customer reactors, each loaded with
     [initial] in savings and in checking. *)
-let decl ~customers:n ?(initial = 10_000.) () =
+let decl ~customers:n ?(initial = default_initial) () =
   let loader i catalog =
     Wl.load catalog "account" [| Wl.vs (customer_name i); Wl.vi i |];
     Wl.load catalog "savings" [| Wl.vi i; Wl.vf initial |];
@@ -435,6 +437,9 @@ let gen_conserving_zipf rng ~zipf ~n ~read_frac =
     let src = c () in
     Wl.request src "send_payment" [ Wl.vs (other src); Wl.vf 1. ]
   end
+
+let loaded_money ~customers =
+  float_of_int customers *. 2. *. default_initial
 
 (** Sum of all balances across all customer reactors — the conservation
     invariant used by tests (requires direct catalog access). *)

@@ -86,3 +86,9 @@ val gen_conserving_zipf :
 (** Physical sum of all savings and checking balances over the given
     catalogs — the conservation invariant used in tests. *)
 val total_money : Storage.Catalog.t list -> float
+
+(** [loaded_money ~customers] is the {!total_money} that
+    [decl ~customers ()] loads: each customer holds the default initial
+    balance in savings and in checking. A conserving run ends with exactly
+    this total. *)
+val loaded_money : customers:int -> float

@@ -78,8 +78,7 @@ let assert_report ?(fallback = true) ~points report =
 (* ---------------- Smallbank ---------------- *)
 
 let sb_customers = 6
-let sb_initial = 10_000.
-let sb_decl () = W.Smallbank.decl ~customers:sb_customers ~initial:sb_initial ()
+let sb_decl () = W.Smallbank.decl ~customers:sb_customers ()
 let sb_names = W.Smallbank.customers sb_customers
 
 (* Multi-transfer-only mix (§4.1.4 formulations): transfers conserve total
@@ -123,15 +122,6 @@ let sb_build ~log_path ~ck_path =
       (Reactdb.Config.shared_everything ~executors:2 ~affinity:true sb_names)
     ~names:sb_names ~log_path ~ck_path sb_run_phase
 
-let sb_conservation cats =
-  let expected = float_of_int sb_customers *. 2. *. sb_initial in
-  let total = W.Smallbank.total_money (List.map snd cats) in
-  if Float.abs (total -. expected) < 1e-6 then Ok ()
-  else
-    Error
-      (Printf.sprintf "money not conserved: %.2f, expected %.2f" total
-         expected)
-
 let test_smallbank_intact_recovery () =
   with_history sb_build (fun ~log_path ~ck_path ~scratch:_ ~final ->
       let r = Faultsim.recover ~checkpoint:ck_path ~log:log_path (sb_decl ()) in
@@ -141,18 +131,17 @@ let test_smallbank_intact_recovery () =
       (match Faultsim.diff final (Faultsim.snapshot r.Faultsim.rc_catalogs) with
       | None -> ()
       | Some m -> Alcotest.failf "intact recovery diverges: %s" m);
-      (match Faultsim.check_secondaries r.Faultsim.rc_catalogs with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m);
-      match sb_conservation r.Faultsim.rc_catalogs with
-      | Ok () -> ()
-      | Error m -> Alcotest.fail m)
+      Testlib.audit "secondary indexes"
+        (Audit.secondaries r.Faultsim.rc_catalogs);
+      Testlib.audit "money conserved"
+        (Audit.money ~n:sb_customers r.Faultsim.rc_catalogs))
 
 let test_smallbank_crash_sweep () =
   with_history sb_build (fun ~log_path ~ck_path ~scratch ~final:_ ->
       let report =
-        Faultsim.crash_sweep ~checkpoint:ck_path ~extra_check:sb_conservation
-          ~log:log_path ~scratch ~decl:(sb_decl ())
+        Faultsim.crash_sweep ~checkpoint:ck_path
+          ~extra_check:(Audit.money ~n:sb_customers) ~log:log_path ~scratch
+          ~decl:(sb_decl ())
           ~seeds:(List.init 60 (fun i -> 7_000 + i))
           ()
       in
@@ -162,8 +151,9 @@ let test_smallbank_log_only_sweep () =
   (* No checkpoint at all: recovery is pure tolerant replay. *)
   with_history sb_build (fun ~log_path ~ck_path:_ ~scratch ~final:_ ->
       let report =
-        Faultsim.crash_sweep ~extra_check:sb_conservation ~log:log_path
-          ~scratch ~decl:(sb_decl ())
+        Faultsim.crash_sweep
+          ~extra_check:(Audit.money ~n:sb_customers) ~log:log_path ~scratch
+          ~decl:(sb_decl ())
           ~seeds:(List.init 20 (fun i -> 21_000 + i))
           ()
       in

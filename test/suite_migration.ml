@@ -13,20 +13,12 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-6))
 
-let audit cats =
-  match Faultsim.check_secondaries cats with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("secondary-index audit: " ^ m)
-
 (* Physical sum of account balances over the Testlib bank. *)
 let bank_total cats =
   List.fold_left
     (fun acc (_, _, rows) ->
       List.fold_left (fun a row -> a +. Value.to_float row.(1)) acc rows)
     0. (Faultsim.snapshot cats)
-
-let sim_cats db names =
-  List.map (fun nm -> (nm, DB.catalog_of db nm)) names
 
 (* ------------------------------------------------------------------ *)
 (* WAL Migrate record: framed encoding round-trip; replay routes the move
@@ -126,7 +118,7 @@ let run_serial_sim plan =
             (DB.exec_txn db ~reactor:r ~proc:p ~args:a).DB.result)
           serial_reqs
       in
-      let st = Faultsim.snapshot (sim_cats db (Testlib.names 4)) in
+      let st = Faultsim.snapshot (DB.catalogs db) in
       (results, st, DB.n_migrations db, DB.placements db))
 
 let test_sim_byte_identity () =
@@ -173,9 +165,9 @@ let test_sim_migration_under_load () =
   check_int "placement epoch advanced" 4 (DB.placement_epoch db);
   check_int "every attempt accounted" 150
     (DB.n_committed db + DB.n_aborted db);
-  let cats = sim_cats db (Testlib.names 4) in
+  let cats = DB.catalogs db in
   check_float "money conserved across migrations" 400. (bank_total cats);
-  audit cats
+  Testlib.audit "secondary indexes" (Audit.secondaries cats)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end placement durability, simulator: a run with WAL-logged
@@ -209,7 +201,7 @@ let test_sim_wal_placement_e2e () =
   check_bool "unmigrated reactors absent" true
     (List.assoc_opt "acct1" rc.Faultsim.rc_placements = None);
   (* recovered data image equals the live one *)
-  let live = Faultsim.snapshot (sim_cats db (Testlib.names 4)) in
+  let live = Faultsim.snapshot (DB.catalogs db) in
   (match Faultsim.diff live (Faultsim.snapshot rc.Faultsim.rc_catalogs) with
   | None -> ()
   | Some d -> Alcotest.fail ("recovered image diverged: " ^ d));
@@ -256,9 +248,9 @@ let test_runtime_migrate_basic () =
   check_int "no-op not counted" 1 (RDb.n_migrations db);
   ignore (RDb.migrate db ~reactor:"acct0" ~dst:0);
   check_float "state survives the round trip" 75. (balance db "acct0");
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  audit (RDb.catalogs db)
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Runtime: migrating a hot Smallbank reactor mid-load. Zero lost or
@@ -300,12 +292,11 @@ let test_runtime_migration_mid_load () =
   (* the 4 snapshot reads above are extra committed roots *)
   check_int "every attempt accounted" (total + 4)
     (RDb.n_committed db + RDb.n_aborted db);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  check_float "money conserved across migrations"
-    (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
-  audit (RDb.catalogs db);
+  Testlib.audit "money conserved across migrations"
+    (Audit.money ~n (RDb.catalogs db));
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db));
   (* the redo log carries the placement history, in order *)
   let moves =
     List.concat_map
@@ -348,13 +339,13 @@ let test_runtime_chaos_migration () =
   check_int "every submission completed" nsub (Atomic.get done_);
   check_int "migrations under chaos" 3 (RDb.n_migrations db);
   check_bool "injector fired" true (Chaos.injections chaos > 0);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   let deposits = RDb.n_committed db in
   check_float "deposits applied exactly once each"
     (100. +. float_of_int deposits)
     (balance db "acct0");
   RDb.shutdown db;
-  audit (RDb.catalogs db)
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Autoscaler policy: pure decision function over synthetic signals. *)
@@ -442,7 +433,7 @@ let test_autoscaler_consolidates_idle () =
   check_int "settled: no further moves" 0 (List.length (AS.step db));
   check_float "traffic fine after consolidation" 100. (balance db "acct0");
   RDb.shutdown db;
-  audit (RDb.catalogs db)
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 let test_autoscaler_background_loop () =
   let db = RDb.start (Testlib.bank_decl 4) (Testlib.sn_config 4) in
@@ -457,9 +448,9 @@ let test_autoscaler_background_loop () =
     (List.length
        (List.sort_uniq Int.compare (List.map snd (RDb.placements db)))
     <= 3);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  audit (RDb.catalogs db)
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 let suite =
   ( "migration",

@@ -106,17 +106,13 @@ let test_profile_pp_and_free () =
   let s = Fmt.str "%a" Reactdb.Profile.pp Reactdb.Profile.default in
   check_bool "pp renders" true (String.length s > 20);
   (* With the free profile, virtual time never advances. *)
-  let db =
-    Harness.build ~profile:Reactdb.Profile.free (Testlib.bank_decl 2)
-      (Testlib.se_config 1 2)
-  in
-  Sim.Engine.spawn (Reactdb.Database.engine db) (fun () ->
+  Testlib.with_db ~n:2 ~profile:Reactdb.Profile.free (Testlib.se_config 1 2)
+    (fun db ->
       let out =
         Reactdb.Database.exec_txn db ~reactor:"acct0" ~proc:"deposit"
           ~args:[ Value.Float 1. ]
       in
-      Alcotest.(check (float 1e-9)) "zero latency" 0. out.Reactdb.Database.latency);
-  ignore (Sim.Engine.run (Reactdb.Database.engine db))
+      Alcotest.(check (float 1e-9)) "zero latency" 0. out.Reactdb.Database.latency)
 
 (* --- Harness --- *)
 

@@ -497,7 +497,7 @@ let test_runtime_retry_accounting () =
   in
   check_int "attempts = logical + retries" (logical + retries)
     (RDb.n_committed db + RDb.n_aborted db);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
   let r = Obs.Report.summarize c in
   check_int "every attempt traced" (logical + retries)

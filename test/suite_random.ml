@@ -56,14 +56,7 @@ let run_once ~shape ~accounts ~workers ~per_worker ~seed =
       done;
       ignore (Sim.Engine.run eng);
       let balances = List.map (Testlib.balance db) (Testlib.names accounts) in
-      let entries =
-        List.map
-          (fun h ->
-            { Histories.Certify.c_txn = h.DB.h_txn; c_tid = h.DB.h_tid;
-              c_reads = h.DB.h_reads; c_writes = h.DB.h_writes })
-          (DB.history db)
-      in
-      (DB.n_committed db, DB.n_aborted db, balances, Histories.Certify.check entries))
+      (DB.n_committed db, DB.n_aborted db, balances, Audit.certify db))
 
 let gen_case =
   QCheck.Gen.(
@@ -102,12 +95,8 @@ let prop_determinism =
   QCheck.Test.make ~name:"same seed => identical execution" ~count:10
     (QCheck.make gen_case ~print:print_case)
     (fun (shape, accounts, workers, seed) ->
-      let a = run_once ~shape ~accounts ~workers ~per_worker:10 ~seed in
-      let b = run_once ~shape ~accounts ~workers ~per_worker:10 ~seed in
-      (* Certify results compare up to the witness order; compare the rest
-         exactly. *)
-      let strip (c, ab, bal, cert) = (c, ab, bal, Result.is_ok cert) in
-      strip a = strip b)
+      run_once ~shape ~accounts ~workers ~per_worker:10 ~seed
+      = run_once ~shape ~accounts ~workers ~per_worker:10 ~seed)
 
 let test_seed_changes_interleaving () =
   (* different seeds must eventually produce different abort counts —

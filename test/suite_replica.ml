@@ -340,12 +340,10 @@ let test_ship_kill_promote () =
   check_int "committed writes all present" !ok_writes
     (List.length
        (List.filter (fun e -> e.Wal.le_txn > 0) (Replica.log promoted)));
-  check_float "money conserved on promoted state"
-    (float_of_int (2 * n) *. 10_000.)
-    (SB.total_money (List.map snd (Replica.catalogs promoted)));
-  match Faultsim.check_secondaries (Replica.catalogs promoted) with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("secondary audit on promoted state: " ^ m)
+  Testlib.audit "money conserved on promoted state"
+    (Audit.money ~n (Replica.catalogs promoted));
+  Testlib.audit "secondary indexes on promoted state"
+    (Audit.secondaries (Replica.catalogs promoted))
 
 (* --- replication lag rows through Obs --- *)
 

@@ -11,11 +11,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-6))
 
-let audit_clean db =
-  match Faultsim.check_secondaries (RDb.catalogs db) with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("secondary-index audit: " ^ m)
-
 (* ------------------------------------------------------------------ *)
 (* Cross-domain semantics on the tiny Account bank from Testlib: a transfer
    between reactors on different domains, user aborts, and the dynamic
@@ -58,9 +53,9 @@ let test_bank_cross_domain () =
     (List.assoc "user" (RDb.aborts_by_reason db));
   check_int "dangerous bucket" 1
     (List.assoc "dangerous-structure" (RDb.aborts_by_reason db));
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  audit_clean db
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent Smallbank on 2 containers, driven by the one closed-loop
@@ -83,23 +78,18 @@ let test_smallbank_parallel backend () =
       let db = Harness.build decl cfg in
       check_int "no retries" 0 (run (Harness.sim db));
       let module DB = Reactdb.Database in
-      ( DB.n_committed db,
-        DB.n_committed db + DB.n_aborted db,
-        List.map (fun nm -> (nm, DB.catalog_of db nm)) (SB.customers n) )
+      (DB.n_committed db, DB.n_committed db + DB.n_aborted db, DB.catalogs db)
     | Runtime ->
       let db = RDb.start decl cfg in
       check_int "no retries" 0 (run (Harness.runtime db));
-      check_int "no fatals" 0 (RDb.n_fatal db);
+      Testlib.audit "no fatals" (Audit.fatal db);
       RDb.shutdown db;
       (RDb.n_committed db, RDb.n_committed db + RDb.n_aborted db, RDb.catalogs db)
   in
   check_int "every attempt accounted" 400 attempts;
   check_bool "made progress" true (committed > 0);
-  check_float "money conserved" (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd cats));
-  match Faultsim.check_secondaries cats with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("secondary-index audit: " ^ m)
+  Testlib.audit "money conserved" (Audit.money ~n cats);
+  Testlib.audit "secondary indexes" (Audit.secondaries cats)
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent YCSB multi-update on 2 domains: every key reactor keeps
@@ -118,12 +108,10 @@ let test_ycsb_parallel () =
   in
   check_int "every attempt accounted" 200 (RDb.n_committed db + RDb.n_aborted db);
   check_bool "made progress" true (RDb.n_committed db > 0);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  List.iter
-    (fun (_, _, rows) -> check_int "one row per key reactor" 1 (List.length rows))
-    (Faultsim.snapshot (RDb.catalogs db));
-  audit_clean db
+  Testlib.audit "one row per key reactor" (Audit.ycsb_rows (RDb.catalogs db));
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Round-robin ingress routing: requests land on arbitrary domains and pay
@@ -147,11 +135,10 @@ let test_round_robin_routing () =
         SB.gen_conserving rng ~n)
   in
   check_int "every attempt accounted" 200 (RDb.n_committed db + RDb.n_aborted db);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  check_float "money conserved" (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
-  audit_clean db
+  Testlib.audit "money conserved" (Audit.money ~n (RDb.catalogs db));
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Serial equivalence: one transaction at a time, the parallel backend must
@@ -190,7 +177,7 @@ let test_serial_equivalence () =
           .RDb.result)
       reqs
   in
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
   List.iter2
     (fun s p ->
@@ -201,10 +188,7 @@ let test_serial_equivalence () =
       | Ok _, Error m -> Alcotest.fail ("sim committed, parallel aborted: " ^ m)
       | Error m, Ok _ -> Alcotest.fail ("sim aborted, parallel committed: " ^ m))
     !sim_results par_results;
-  let sim_state =
-    Faultsim.snapshot
-      (List.map (fun nm -> (nm, Reactdb.Database.catalog_of sim_db nm)) names)
-  in
+  let sim_state = Faultsim.snapshot (Reactdb.Database.catalogs sim_db) in
   let par_state = Faultsim.snapshot (RDb.catalogs db) in
   (match Faultsim.diff sim_state par_state with
   | None -> ()
@@ -233,8 +217,7 @@ let test_load_run () =
       (r.breakdown <> None);
     check_int (name ^ ": utilization per executor") 2
       (Array.length r.utilizations);
-    check_float (name ^ ": money conserved") (float_of_int n *. 2. *. 10_000.)
-      (SB.total_money (List.map snd cats))
+    Testlib.audit (name ^ ": money conserved") (Audit.money ~n cats)
   in
   let sim_db = Harness.build decl cfg in
   let r =
@@ -242,20 +225,17 @@ let test_load_run () =
       (Harness.spec ~epochs:3 ~epoch_us:1_000. ~warmup_epochs:1 ~seed:5
          ~n_workers:4 gen)
   in
-  check "simulator" r
-    (List.map
-       (fun nm -> (nm, Reactdb.Database.catalog_of sim_db nm))
-       (SB.customers n));
+  check "simulator" r (Reactdb.Database.catalogs sim_db);
   let db = RDb.start decl cfg in
   let r =
     Harness.run (Harness.runtime db)
       (Harness.spec ~epochs:10 ~epoch_us:25_000. ~warmup_epochs:2 ~seed:5
          ~n_workers:4 gen)
   in
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
   check "runtime" r (RDb.catalogs db);
-  audit_clean db
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines: an expired root aborts with the non-transient Timeout cause,
@@ -289,7 +269,7 @@ let test_deadline_expired_at_admission () =
   check_bool "subsequent transfer commits" true (Result.is_ok ok.RDb.result);
   check_float "then debited" 75. (balance db "acct0");
   RDb.shutdown db;
-  audit_clean db
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* Deadline expiry mid-2PC: a prepare-stall injector (p = 1) stalls the
    home participant for >= 10 ms with its write locks held; the remote
@@ -319,9 +299,9 @@ let test_deadline_during_2pc_prepare () =
   check_bool "participants released their locks" true
     (Result.is_ok ok.RDb.result);
   check_float "then debited" 75. (balance db "acct0");
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  audit_clean db
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* Satellite: deadline expiry mid-collect with a fan-out of three futures
    outstanding. Each credit runs slow_deposit, busy-waiting 40 ms on its
@@ -366,9 +346,9 @@ let test_deadline_mid_collect_runtime () =
   List.iter
     (fun a -> check_float ("then credited " ^ a) 110. (balance db a))
     [ "acct1"; "acct2"; "acct3" ];
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  audit_clean db
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* One abort taxonomy: the buckets sum to the abort count. A procedure
    raising something that is not an abort is counted once, in "internal",
@@ -417,7 +397,7 @@ let test_readonly_outlasts_deadline_runtime () =
 
 let cause_kind = Option.map (fun c -> c.Obs.Abort.kind)
 
-let run_serial_sim decl cfg names reqs =
+let run_serial_sim decl cfg reqs =
   let db = Harness.build decl cfg in
   let results = ref [] in
   let eng = Reactdb.Database.engine db in
@@ -432,10 +412,7 @@ let run_serial_sim decl cfg names reqs =
             (o.Reactdb.Database.result, cause_kind o.Reactdb.Database.abort_cause))
           reqs);
   ignore (Sim.Engine.run eng);
-  let state =
-    Faultsim.snapshot
-      (List.map (fun nm -> (nm, Reactdb.Database.catalog_of db nm)) names)
-  in
+  let state = Faultsim.snapshot (Reactdb.Database.catalogs db) in
   (!results, state, List.sort compare (Reactdb.Database.aborts_by_reason db))
 
 let run_serial_par decl cfg reqs =
@@ -450,7 +427,7 @@ let run_serial_par decl cfg reqs =
         (o.RDb.result, cause_kind o.RDb.abort_cause))
       reqs
   in
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
   ( results,
     Faultsim.snapshot (RDb.catalogs db),
@@ -510,8 +487,8 @@ let test_collect_serial_equivalence_smallbank () =
       shapes
     @ tail
   in
-  let sim_seq = run_serial_sim decl cfg names (reqs SB.Fully_sync) in
-  let sim_col = run_serial_sim decl cfg names (reqs SB.Collect) in
+  let sim_seq = run_serial_sim decl cfg (reqs SB.Fully_sync) in
+  let sim_col = run_serial_sim decl cfg (reqs SB.Collect) in
   (match (let r, _, _ = sim_col in List.rev r) with
   | (Ok _, None)
     :: (Error _, Some Obs.Abort.Dangerous)
@@ -541,8 +518,8 @@ let test_collect_serial_equivalence_tpcc () =
     List.init 25 (fun i ->
         T.gen_new_order rng p ~home:(1 + (i mod nw)) ~clock:(float_of_int i))
   in
-  let sim_seq = run_serial_sim decl cfg names (reqs "new_order_sync") in
-  let sim_col = run_serial_sim decl cfg names (reqs "new_order_collect") in
+  let sim_seq = run_serial_sim decl cfg (reqs "new_order_sync") in
+  let sim_col = run_serial_sim decl cfg (reqs "new_order_collect") in
   let par_seq = run_serial_par decl cfg (reqs "new_order_sync") in
   let par_col = run_serial_par decl cfg (reqs "new_order_collect") in
   check_serial_equiv "sim collect vs sequential" sim_seq sim_col;
@@ -588,7 +565,7 @@ let test_overload_shed () =
     (100. +. float_of_int deposits)
     (balance db "acct0");
   RDb.shutdown db;
-  audit_clean db
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Work stealing: a skewed YCSB run (every root homed by a hot container)
@@ -611,17 +588,15 @@ let test_steal_correctness () =
   in
   check_int "every attempt accounted" 800 (RDb.n_committed db + RDb.n_aborted db);
   check_bool "made progress" true (RDb.n_committed db > 0);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   let stats = RDb.sched_stats db in
   let total_out =
     Array.fold_left (fun a s -> a + s.RDb.ss_steals_out) 0 stats
   in
   check_int "steals balance" (RDb.n_steals db) total_out;
   RDb.shutdown db;
-  List.iter
-    (fun (_, _, rows) -> check_int "one row per key reactor" 1 (List.length rows))
-    (Faultsim.snapshot (RDb.catalogs db));
-  audit_clean db
+  Testlib.audit "one row per key reactor" (Audit.ycsb_rows (RDb.catalogs db));
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* Stealing with the Smallbank conserving mix: cross-container transfers go
    through real 2PC while single-container roots may be stolen; money must
@@ -636,11 +611,11 @@ let test_steal_smallbank () =
         SB.gen_conserving rng ~n)
   in
   check_int "every attempt accounted" 600 (RDb.n_committed db + RDb.n_aborted db);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  check_float "money conserved under stealing" (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
-  audit_clean db
+  Testlib.audit "money conserved under stealing"
+    (Audit.money ~n (RDb.catalogs db));
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* Cost router: roots may be admitted on a non-home domain (the body runs
    there; the commit re-pins); correctness and conservation must hold. *)
@@ -662,12 +637,11 @@ let test_cost_router () =
         SB.gen_conserving rng ~n)
   in
   check_int "every attempt accounted" 200 (RDb.n_committed db + RDb.n_aborted db);
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  check_float "money conserved under cost routing"
-    (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
-  audit_clean db
+  Testlib.audit "money conserved under cost routing"
+    (Audit.money ~n (RDb.catalogs db));
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Durable mode: group-committed WAL must hold exactly the committed
@@ -690,11 +664,10 @@ let test_group_commit_durability () =
       ~n_workers:4 ~per_worker:50 ~seed:13 (fun _ rng ->
         SB.gen_conserving rng ~n)
   in
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.publish_sched_obs db;
   RDb.shutdown db;
-  check_float "money conserved" (float_of_int n *. 2. *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
+  Testlib.audit "money conserved" (Audit.money ~n (RDb.catalogs db));
   (* every committed writer is in the log exactly once (read-only commits
      append nothing) *)
   check_bool "log bounded by commits" true
@@ -726,7 +699,7 @@ let test_group_commit_durability () =
   (match Obs.Report.of_json (Obs.Report.to_json report) with
   | Ok r2 -> check_bool "v3 report round-trips" true (r2 = report)
   | Error m -> Alcotest.fail ("report round-trip: " ^ m));
-  audit_clean db
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* Durable mode end-to-end through a real file: entries survive close and
    re-read framed and checksummed. *)
@@ -742,7 +715,7 @@ let test_group_commit_file () =
       ~n_workers:2 ~per_worker:25 ~seed:41 (fun _ rng ->
         SB.gen_conserving rng ~n)
   in
-  check_int "no fatals" 0 (RDb.n_fatal db);
+  Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
   Wal.close log;
   let entries, tail = Wal.read_file_tolerant path in
@@ -750,7 +723,7 @@ let test_group_commit_file () =
   check_int "file holds every logged entry" (Wal.length log)
     (List.length entries);
   Sys.remove path;
-  audit_clean db
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 let suite =
   ( "runtime",

@@ -26,14 +26,7 @@ let contains hay needle =
   nn = 0 || go 0
 
 (* Build a simulator database and run [f] as an engine process. *)
-let run_in decl config f =
-  let db = Harness.build decl config in
-  let result = ref None in
-  Sim.Engine.spawn (DB.engine db) (fun () -> result := Some (f db));
-  ignore (Sim.Engine.run (DB.engine db));
-  match !result with
-  | Some r -> r
-  | None -> Alcotest.fail "simulation stalled"
+let run_in decl config = Testlib.in_sim (Harness.build decl config)
 
 let exec db (req : W.Wl.request) =
   DB.exec_txn db ~reactor:req.W.Wl.reactor ~proc:req.W.Wl.proc
@@ -219,7 +212,7 @@ let concurrent_conservation_prop ?profile seed =
   let n = 6 in
   let db = Harness.build ?profile (SB.decl ~customers:n ()) (sb_config n) in
   let eng = DB.engine db in
-  let expected = float_of_int (2 * n) *. 10_000. in
+  let expected = SB.loaded_money ~customers:n in
   let failures = ref [] in
   let reads_done = ref 0 in
   for w = 0 to 2 do
@@ -440,15 +433,12 @@ let test_runtime_snapshot_reads () =
       ~n_workers:4 ~per_worker:40 ~seed:11 (fun _ rng ->
         SB.gen_conserving_zipf rng ~zipf ~n ~read_frac:0.4)
   in
-  check_int "no internal errors" 0 (RDb.n_fatal db);
+  Testlib.audit "no internal errors" (Audit.fatal db);
   check_bool "concurrent read-only commits recorded" true
     (RDb.n_readonly_commits db > 2);
   RDb.shutdown db;
-  checkf "money conserved" (float_of_int (2 * n) *. 10_000.)
-    (SB.total_money (List.map snd (RDb.catalogs db)));
-  match Faultsim.check_secondaries (RDb.catalogs db) with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("secondary-index audit: " ^ m)
+  Testlib.audit "money conserved" (Audit.money ~n (RDb.catalogs db));
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
 (* Cost model: read-only latency has no retry inflation. *)

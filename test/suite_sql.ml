@@ -363,12 +363,6 @@ let test_null_semantics () =
     (Value.equal (Sql.Run.scalar ctx "SELECT SUM(amt) FROM orders")
        (Value.Float 80.))
 
-let in_sim_result db f =
-  let out = ref None in
-  Sim.Engine.spawn (DB.engine db) (fun () -> out := Some (f db));
-  ignore (Sim.Engine.run (DB.engine db));
-  Option.get !out
-
 (* --- SQL statements as racing transactions --- *)
 
 let counter_schema =
@@ -411,7 +405,7 @@ let test_sql_under_concurrency () =
   done;
   ignore (Sim.Engine.run eng);
   let final =
-    in_sim_result db (fun db ->
+    Testlib.in_sim db (fun db ->
         match
           DB.exec_txn db ~reactor:"c" ~proc:"sql"
             ~args:[ Value.Str "SELECT v FROM counter WHERE id = 0" ]
@@ -422,16 +416,7 @@ let test_sql_under_concurrency () =
   check_int "commits + aborts = attempts" 160 (DB.n_committed db - 1 + DB.n_aborted db);
   check_int "lost-update free" (DB.n_committed db - 1) final;
   check_bool "contention actually occurred" true (DB.n_aborted db > 0);
-  let entries =
-    List.map
-      (fun h ->
-        { Histories.Certify.c_txn = h.DB.h_txn; c_tid = h.DB.h_tid;
-          c_reads = h.DB.h_reads; c_writes = h.DB.h_writes })
-      (DB.history db)
-  in
-  match Histories.Certify.check entries with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "not serializable: %s" m
+  Testlib.audit "not serializable" (Audit.certify db)
 
 let suite =
   ( "sql",

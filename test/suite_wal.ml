@@ -592,13 +592,7 @@ let test_recovery_tpcc () =
     Reactdb.Config.shared_nothing
       (List.map (fun w -> [ w ]) (Workloads.Tpcc.warehouses 2))
   in
-  let run f =
-    let db = Harness.build decl cfg in
-    let out = ref None in
-    Sim.Engine.spawn (Reactdb.Database.engine db) (fun () -> out := Some (f db));
-    ignore (Sim.Engine.run (Reactdb.Database.engine db));
-    Option.get !out
-  in
+  let run f = Testlib.in_sim (Harness.build decl cfg) f in
   let ws = Workloads.Tpcc.warehouses 2 in
   let final =
     run (fun db ->

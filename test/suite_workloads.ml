@@ -9,14 +9,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let checkf = Alcotest.(check (float 1e-6))
 
-let run_in decl config f =
-  let db = Harness.build decl config in
-  let result = ref None in
-  Sim.Engine.spawn (DB.engine db) (fun () -> result := Some (f db));
-  ignore (Sim.Engine.run (DB.engine db));
-  match !result with
-  | Some r -> r
-  | None -> Alcotest.fail "simulation stalled"
+let run_in decl config = Testlib.in_sim (Harness.build decl config)
 
 let exec db (req : W.Wl.request) =
   DB.exec_txn db ~reactor:req.W.Wl.reactor ~proc:req.W.Wl.proc ~args:req.W.Wl.args
@@ -125,16 +118,7 @@ let test_smallbank_standard_mix () =
       ignore (Sim.Engine.run eng);
       check_bool "most commit" true (DB.n_committed db > 150);
       (* serializability of the full run *)
-      let entries =
-        List.map
-          (fun h ->
-            { Histories.Certify.c_txn = h.DB.h_txn; c_tid = h.DB.h_tid;
-              c_reads = h.DB.h_reads; c_writes = h.DB.h_writes })
-          (DB.history db)
-      in
-      match Histories.Certify.check entries with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "not serializable: %s" m)
+      Testlib.audit "not serializable" (Audit.certify db))
 
 (* ---------------- TPC-C ---------------- *)
 
@@ -201,14 +185,6 @@ let test_tpcc_loader () =
     (tpcc_sizes.W.Tpcc.districts * tpcc_sizes.W.Tpcc.customers_per_district)
     (List.length (rows db "w1" "customer"))
 
-let in_sim db f =
-  let result = ref None in
-  Sim.Engine.spawn (DB.engine db) (fun () -> result := Some (f db));
-  ignore (Sim.Engine.run (DB.engine db));
-  match !result with
-  | Some r -> r
-  | None -> Alcotest.fail "simulation stalled"
-
 let no_args ~d_id ~c_id ~items =
   W.Wl.vi d_id :: W.Wl.vi c_id :: W.Wl.vf 0. :: W.Wl.vf 1.
   :: W.Wl.vi (List.length items)
@@ -220,7 +196,7 @@ let test_tpcc_new_order_local () =
   let db = tpcc_db tpcc_sn in
   let qty_before = Value.to_int (cell db "w1" "stock" [| Value.Int 1 |] 1) in
   let o_id =
-    in_sim db (fun db ->
+    Testlib.in_sim db (fun db ->
         let v =
           exec_ok db
             (W.Wl.request "w1" "new_order"
@@ -250,7 +226,7 @@ let test_tpcc_new_order_remote () =
     Value.to_int (cell db "w2" "stock" [| Value.Int 5 |] 4)
   in
   ignore
-    (in_sim db (fun db ->
+    (Testlib.in_sim db (fun db ->
          exec_ok db
            (W.Wl.request "w1" "new_order"
               (no_args ~d_id:1 ~c_id:2
@@ -276,7 +252,7 @@ let test_tpcc_payment_local_and_remote () =
   let db = tpcc_db tpcc_sn in
   let bal0 = Value.to_number (cell db "w2" "customer" [| Value.Int 1; Value.Int 3 |] 4) in
   let ytd0 = Value.to_number (cell db "w1" "warehouse" [| Value.Int 1 |] 3) in
-  in_sim db (fun db ->
+  Testlib.in_sim db (fun db ->
       ignore
         (exec_ok db
            (W.Wl.request "w1" "payment"
@@ -291,7 +267,7 @@ let test_tpcc_payment_local_and_remote () =
 let test_tpcc_payment_by_last_name () =
   let db = tpcc_db tpcc_sn in
   let last = W.Tpcc.last_name 0 in
-  in_sim db (fun db ->
+  Testlib.in_sim db (fun db ->
       ignore
         (exec_ok db
            (W.Wl.request "w1" "payment"
@@ -305,7 +281,7 @@ let test_tpcc_payment_by_last_name () =
 
 let test_tpcc_order_status () =
   let db = tpcc_db tpcc_sn in
-  in_sim db (fun db ->
+  Testlib.in_sim db (fun db ->
       let v =
         exec_ok db (W.Wl.request "w1" "order_status"
           [ W.Wl.vi 1; W.Wl.vi 1; W.Wl.vs "" ])
@@ -317,7 +293,7 @@ let test_tpcc_delivery () =
   let undelivered_before = List.length (rows db "w1" "new_order") in
   check_bool "loader left undelivered orders" true (undelivered_before > 0);
   let delivered =
-    in_sim db (fun db ->
+    Testlib.in_sim db (fun db ->
         Value.to_int
           (exec_ok db (W.Wl.request "w1" "delivery" [ W.Wl.vi 5; W.Wl.vf 2. ])))
   in
@@ -328,7 +304,7 @@ let test_tpcc_delivery () =
 
 let test_tpcc_stock_level () =
   let db = tpcc_db tpcc_sn in
-  in_sim db (fun db ->
+  Testlib.in_sim db (fun db ->
       let v =
         exec_ok db (W.Wl.request "w1" "stock_level" [ W.Wl.vi 1; W.Wl.vi 200 ])
       in
@@ -358,16 +334,7 @@ let run_tpcc_mix config_of =
   check_bool "most commit" true (DB.n_committed db > 90);
   check_tpcc_consistency db "w1";
   check_tpcc_consistency db "w2";
-  let entries =
-    List.map
-      (fun h ->
-        { Histories.Certify.c_txn = h.DB.h_txn; c_tid = h.DB.h_tid;
-          c_reads = h.DB.h_reads; c_writes = h.DB.h_writes })
-      (DB.history db)
-  in
-  match Histories.Certify.check entries with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "not serializable: %s" m
+  Testlib.audit "not serializable" (Audit.certify db)
 
 let test_tpcc_mix_shared_nothing () = run_tpcc_mix tpcc_sn
 
@@ -396,7 +363,7 @@ let test_ycsb_multi_update () =
            List.filteri (fun i _ -> i mod 4 = c) (W.Ycsb.keys n)))
   in
   let db = Harness.build decl cfg in
-  in_sim db (fun db ->
+  Testlib.in_sim db (fun db ->
       let req =
         W.Wl.request "k0" "multi_update"
           [ W.Wl.vs "NEW"; W.Wl.vs "k1"; W.Wl.vs "k2"; W.Wl.vs "k5" ]
@@ -443,7 +410,7 @@ let test_exchange_auth_pay () =
   let n = 4 in
   let db = Harness.build (W.Exchange.decl ~providers:n ~orders_per_provider:20 ()) (exchange_cfg n) in
   let seq = ref 0 in
-  in_sim db (fun db ->
+  Testlib.in_sim db (fun db ->
       let rng = Rng.create 7 in
       ignore
         (exec_ok db
@@ -462,7 +429,7 @@ let test_exchange_exposure_abort () =
   (* Tight p_exposure: loader sets 1e15, so craft a direct call with low
      limit through calc_risk on a provider. *)
   let db = Harness.build (W.Exchange.decl ~providers:n ~orders_per_provider:20 ()) (exchange_cfg n) in
-  in_sim db (fun db ->
+  Testlib.in_sim db (fun db ->
       let out =
         exec db
           (W.Wl.request "p0" "calc_risk"
@@ -491,7 +458,7 @@ let test_exchange_strategy_ordering () =
     in
     let db = Harness.build decl cfg in
     let seq = ref 0 in
-    in_sim db (fun db ->
+    Testlib.in_sim db (fun db ->
         let rng = Rng.create 11 in
         ignore
           (exec db

@@ -185,17 +185,25 @@ let bank_decl ?(initial = 100.) n =
     ~loaders:(List.map (fun nm -> (nm, loader nm)) (names n))
     ()
 
-(* Run [f] as a simulation process against a fresh database; returns f's
-   result after the simulation drains. *)
-let with_db ?(n = 4) ?(profile = Reactdb.Profile.default) config f =
-  let eng = Sim.Engine.create () in
-  let db = Reactdb.Database.create eng (bank_decl n) config profile in
+(* Run [f db] as a simulation process; returns its result after the
+   simulation drains. *)
+let in_sim db f =
   let result = ref None in
+  let eng = Reactdb.Database.engine db in
   Sim.Engine.spawn eng (fun () -> result := Some (f db));
   ignore (Sim.Engine.run eng);
   match !result with
   | Some r -> r
-  | None -> failwith "with_db: process did not complete"
+  | None -> Alcotest.fail "simulation stalled"
+
+(* [in_sim] against a fresh [n]-account bank. *)
+let with_db ?(n = 4) ?profile config f =
+  in_sim (Harness.build ?profile (bank_decl n) config) f
+
+(* Fail the test with an audit's error string (see [lib/audit]). *)
+let audit name = function
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "%s: %s" name m
 
 let balance db name =
   match
