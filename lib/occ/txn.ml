@@ -39,28 +39,42 @@ type bucket = {
   mutable blive : int; (* live entries in [bwrites] *)
 }
 
+(* Small-set rule: while a transaction holds at most [small] reads (write
+   entries), it deduplicates reads (finds its own writes) by scanning its
+   container buckets; the rid table is built when the next entry arrives
+   and kept up to date from then on. Most transactions never build one. *)
+let small = 8
+
 type t = {
   tid : int;
   mutable containers : IntSet.t;
-  reads : (int, unit) Hashtbl.t; (* rid seen; first observation wins *)
-  writes : (int, write_entry) Hashtbl.t; (* rid -> live entry *)
-  inserts : (int * Storage.Table.Key.t, write_entry) Hashtbl.t;
-  (* (table uid, key) -> entry; includes only live buffered inserts *)
+  mutable n_reads : int;
+  mutable read_rids : (int, unit) Hashtbl.t option; (* rid seen *)
+  mutable n_entries : int; (* write entries added, live and dead *)
+  mutable n_live : int;
+  mutable write_rids : (int, write_entry) Hashtbl.t option;
+      (* rid -> live entry *)
+  mutable inserts : (int * Storage.Table.Key.t, write_entry) Hashtbl.t option;
+      (* (table uid, key) -> entry; only live buffered inserts; created on
+         the first insert *)
   mutable buckets : bucket option array; (* index = container id *)
-  by_table : (int, write_entry Util.Vec.t) Hashtbl.t;
+  mutable by_table : (int, write_entry Util.Vec.t) Hashtbl.t option;
       (* table uid -> entries (live and dead), for own-write visibility scans
-         in the query layer *)
+         in the query layer; created on the first write *)
 }
 
 let create ~id =
   {
     tid = id;
     containers = IntSet.empty;
-    reads = Hashtbl.create 64;
-    writes = Hashtbl.create 16;
-    inserts = Hashtbl.create 16;
+    n_reads = 0;
+    read_rids = None;
+    n_entries = 0;
+    n_live = 0;
+    write_rids = None;
+    inserts = None;
     buckets = [||];
-    by_table = Hashtbl.create 8;
+    by_table = None;
   }
 
 let id t = t.tid
@@ -88,37 +102,100 @@ let bucket t c =
 let bucket_opt t c = if c < Array.length t.buckets then t.buckets.(c) else None
 
 let table_bucket t table =
+  let by_table =
+    match t.by_table with
+    | Some h -> h
+    | None ->
+      let h = Hashtbl.create 8 in
+      t.by_table <- Some h;
+      h
+  in
   let uid = table.Storage.Table.uid in
-  match Hashtbl.find_opt t.by_table uid with
+  match Hashtbl.find_opt by_table uid with
   | Some v -> v
   | None ->
     let v = Util.Vec.create () in
-    Hashtbl.add t.by_table uid v;
+    Hashtbl.add by_table uid v;
     v
 
+(* [f] on every entry of every bucket's [field], containers ascending. *)
+let iter_buckets t field f =
+  Array.iter (function None -> () | Some b -> Util.Vec.iter f (field b)) t.buckets
+
+(* Small-set lookups: a scan over at most [small] entries, in plain loops
+   so that it allocates nothing. *)
+let scan_read t rid =
+  let hit = ref false and c = ref 0 in
+  while (not !hit) && !c < Array.length t.buckets do
+    (match t.buckets.(!c) with
+    | Some b ->
+      for i = 0 to Util.Vec.length b.breads - 1 do
+        if (fst (Util.Vec.get b.breads i)).Storage.Record.rid = rid then hit := true
+      done
+    | None -> ());
+    incr c
+  done;
+  !hit
+
+let scan_write t rid =
+  let hit = ref None and c = ref 0 in
+  while Option.is_none !hit && !c < Array.length t.buckets do
+    (match t.buckets.(!c) with
+    | Some b ->
+      for i = 0 to Util.Vec.length b.bwrites - 1 do
+        let e = Util.Vec.get b.bwrites i in
+        if e.wlive && e.wrec.Storage.Record.rid = rid then hit := Some e
+      done
+    | None -> ());
+    incr c
+  done;
+  !hit
+
 let add_write_entry t e =
-  Hashtbl.add t.writes e.wrec.Storage.Record.rid e;
   let b = bucket t e.wcontainer in
   Util.Vec.push b.bwrites e;
   b.blive <- b.blive + 1;
+  t.n_entries <- t.n_entries + 1;
+  t.n_live <- t.n_live + 1;
+  (match t.write_rids with
+  | Some h -> Hashtbl.add h e.wrec.Storage.Record.rid e
+  | None ->
+    if t.n_entries > small then begin
+      let h = Hashtbl.create 32 in
+      iter_buckets t (fun b -> b.bwrites) (fun e ->
+          if e.wlive then Hashtbl.add h e.wrec.Storage.Record.rid e);
+      t.write_rids <- Some h
+    end);
   Util.Vec.push (table_bucket t e.wtable) e
 
 (* Cancel a live entry (delete of own insert): drop it from the lookup
    tables and counters; its bucket slots are skipped from now on. *)
 let kill_entry t e =
   e.wlive <- false;
-  Hashtbl.remove t.writes e.wrec.Storage.Record.rid;
+  t.n_live <- t.n_live - 1;
+  Option.iter (fun h -> Hashtbl.remove h e.wrec.Storage.Record.rid) t.write_rids;
   match bucket_opt t e.wcontainer with
   | Some b -> b.blive <- b.blive - 1
   | None -> assert false
 
-let own_write t record = Hashtbl.find_opt t.writes record.Storage.Record.rid
+let own_write t record =
+  let rid = record.Storage.Record.rid in
+  match t.write_rids with
+  | Some h -> Hashtbl.find_opt h rid
+  | None -> scan_write t rid
 
 let own_insert t ~table ~key =
-  Hashtbl.find_opt t.inserts (table.Storage.Table.uid, key)
+  match t.inserts with
+  | None -> None
+  | Some h -> Hashtbl.find_opt h (table.Storage.Table.uid, key)
+
+let own_in_table t table =
+  match t.by_table with
+  | None -> None
+  | Some h -> Hashtbl.find_opt h table.Storage.Table.uid
 
 let own_updates_for t ~table =
-  match Hashtbl.find_opt t.by_table table.Storage.Table.uid with
+  match own_in_table t table with
   | None -> []
   | Some v ->
     Util.Vec.fold_left
@@ -129,7 +206,7 @@ let own_updates_for t ~table =
       [] v
 
 let own_inserts_for t ~table =
-  match Hashtbl.find_opt t.by_table table.Storage.Table.uid with
+  match own_in_table t table with
   | None -> []
   | Some v ->
     Util.Vec.fold_left
@@ -141,9 +218,21 @@ let own_inserts_for t ~table =
 
 let note_read t ~container record =
   let rid = record.Storage.Record.rid in
-  if not (Hashtbl.mem t.reads rid) then begin
-    Hashtbl.add t.reads rid ();
-    Util.Vec.push (bucket t container).breads (record, record.Storage.Record.tid)
+  let seen =
+    match t.read_rids with Some h -> Hashtbl.mem h rid | None -> scan_read t rid
+  in
+  if not seen then begin
+    Util.Vec.push (bucket t container).breads (record, record.Storage.Record.tid);
+    t.n_reads <- t.n_reads + 1;
+    match t.read_rids with
+    | Some h -> Hashtbl.add h rid ()
+    | None ->
+      if t.n_reads > small then begin
+        let h = Hashtbl.create 64 in
+        iter_buckets t (fun b -> b.breads) (fun (r, _) ->
+            Hashtbl.add h r.Storage.Record.rid ());
+        t.read_rids <- Some h
+      end
   end;
   touch t container
 
@@ -176,7 +265,7 @@ let insert t ~container ~table tuple =
   Storage.Schema.validate table.Storage.Table.schema tuple;
   touch t container;
   let key = Storage.Table.key_of_tuple table tuple in
-  if Hashtbl.mem t.inserts (table.Storage.Table.uid, key) then
+  if Option.is_some (own_insert t ~table ~key) then
     raise (Abort "duplicate key (own insert)");
   (* Execution-time uniqueness probe. The leaf witness protects against a
      concurrent committer inserting the same key before we install. *)
@@ -207,13 +296,21 @@ let insert t ~container ~table tuple =
       wcontainer = container; wlive = true; wdisplaced = None }
   in
   add_write_entry t entry;
-  Hashtbl.add t.inserts (table.Storage.Table.uid, key) entry
+  let inserts =
+    match t.inserts with
+    | Some h -> h
+    | None ->
+      let h = Hashtbl.create 16 in
+      t.inserts <- Some h;
+      h
+  in
+  Hashtbl.add inserts (table.Storage.Table.uid, key) entry
 
 let delete t ~container ~table ~key record =
   touch t container;
   match own_write t record with
   | Some ({ kind = Insert; _ } as e) ->
-    Hashtbl.remove t.inserts (table.Storage.Table.uid, key);
+    Option.iter (fun h -> Hashtbl.remove h (table.Storage.Table.uid, key)) t.inserts;
     kill_entry t e
   | Some ({ kind = Update _; _ } as e) -> e.kind <- Delete
   | Some { kind = Delete; _ } -> ()
@@ -291,5 +388,5 @@ let iter_all_writes t ~f =
       | Some b -> Util.Vec.iter (fun e -> if e.wlive then f e) b.bwrites)
     t.buckets
 
-let read_count t = Hashtbl.length t.reads
-let write_count t = Hashtbl.length t.writes
+let read_count t = t.n_reads
+let write_count t = t.n_live

@@ -292,14 +292,20 @@ module P = struct
     acquire_core ex;
     r
 
-  (* Run [f] on [rex]'s core after [dispatch] µs of receive overhead. *)
+  (* Run [f] on [rex]'s core after [dispatch] µs of receive overhead; the
+     core is released also when [f] raises. *)
   let on_core rex ~fid ~dispatch f =
     let iv = Engine.Ivar.create () in
     Engine.spawn_here (fun () ->
         acquire_core rex;
         Engine.delay dispatch;
-        let r = Fun.protect ~finally:(fun () -> release_core rex) f in
-        Engine.Ivar.fill iv r);
+        match f () with
+        | r ->
+          release_core rex;
+          Engine.Ivar.fill iv r
+        | exception e ->
+          release_core rex;
+          raise e);
     { fid; iv }
 
   (* Charge [d] µs on the current coroutine's core; on the root's critical
@@ -512,13 +518,16 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
     acquire_core ex;
     (* The core is released even when a programming error escapes to the
        engine, so the roots queued behind this one still run. *)
-    let out =
-      Fun.protect ~finally:(fun () -> release_core ex) (fun () ->
-          L.decide db root ~coord:ex
-            (L.run_body db root rst ~home:rst.home ex ~queued_since:!t_enq
-               ~proc ~args))
-    in
-    Engine.Ivar.fill done_iv out
+    match
+      L.decide db root ~coord:ex
+        (L.run_body db root rst ~home:rst.home ex ~queued_since:!t_enq ~proc ~args)
+    with
+    | out ->
+      release_core ex;
+      Engine.Ivar.fill done_iv out
+    | exception e ->
+      release_core ex;
+      raise e
   in
   (* Admission control: with a mailbox cap set, a root arriving at a full
      request queue is shed here — it never occupies a queue slot, an MPL

@@ -113,7 +113,18 @@ module Make (P : PLATFORM) = struct
     let deadline = match deadline_us with Some d -> t_start +. d | None -> Float.infinity in
     let rsnapshot = if readonly then Some (Pins.Registry.acquire (P.registry db)) else None in
     { txn; retry; obs; tr; t_start; deadline; rsnapshot;
-      active_set = Hashtbl.create 8; doomed = None; rx }
+      active_set = []; doomed = None; rx }
+
+  let activate root name = root.active_set <- name :: root.active_set
+
+  (* Contexts may end out of call order (sibling sub-calls), so remove by
+     name: the most recent entry, the list's first. *)
+  let deactivate root name =
+    let rec drop = function
+      | [] -> []
+      | n :: rest -> if String.equal n name then rest else n :: drop rest
+    in
+    root.active_set <- drop root.active_set
 
   let deadline_expired root =
     root.deadline < Float.infinity && P.now () > root.deadline
@@ -220,20 +231,24 @@ module Make (P : PLATFORM) = struct
       let target = P.lookup db reactor in
       (* Dynamic safety condition (§2.2.4): at most one execution context
          may be active per reactor and root transaction. *)
-      if Hashtbl.mem root.active_set reactor then
+      if List.mem reactor root.active_set then
         raise
           (Reactor.Dangerous_call
              (Printf.sprintf "dangerous call structure: reactor %s already active"
                 reactor));
       let resolved = P.resolve db root ~caller:frame.fex target in
-      Hashtbl.add root.active_set reactor ();
+      activate root reactor;
       match resolved with
-      | Some h when h = frame.fhome ->
+      | Some h when h = frame.fhome -> (
         (* Same container: execute synchronously in the caller's executor,
            avoiding migration-of-control overhead (§3.2.1). *)
-        Fun.protect
-          ~finally:(fun () -> Hashtbl.remove root.active_set reactor)
-          (fun () -> inline db frame target ~home:h ~proc ~args)
+        match inline db frame target ~home:h ~proc ~args with
+        | v ->
+          deactivate root reactor;
+          v
+        | exception e ->
+          deactivate root reactor;
+          raise e)
       | _ ->
         (* Cross-container: asynchronous dispatch to the owner. *)
         let fut =
@@ -250,7 +265,7 @@ module Make (P : PLATFORM) = struct
               (match res with
               | Error e when root.doomed = None -> root.doomed <- classify_exn e
               | _ -> ());
-              Hashtbl.remove root.active_set reactor;
+              deactivate root reactor;
               res)
         in
         frame.children <- fut :: frame.children;
@@ -281,7 +296,7 @@ module Make (P : PLATFORM) = struct
     if Obs.Trace.enabled root.tr then
       Obs.Trace.add root.tr Obs.Phase.Queue_wait (t_body -. queued_since);
     let name = (P.entry target).Bootstrap.bs_name in
-    Hashtbl.add root.active_set name ();
+    activate root name;
     let abort (k, m) = Error (k, m, snd (class_info k)) in
     let res =
       try
@@ -297,7 +312,7 @@ module Make (P : PLATFORM) = struct
           P.on_fatal db e;
           abort (Ab_internal, "internal error: " ^ Printexc.to_string e))
     in
-    Hashtbl.remove root.active_set name;
+    deactivate root name;
     (* Exec = body span minus the root's blocked windows. *)
     since root Obs.Phase.Exec (t_body +. Obs.Trace.get root.tr Obs.Phase.Suspend_wait);
     res

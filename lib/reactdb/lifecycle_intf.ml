@@ -28,8 +28,9 @@ type 'rx root = {
   rsnapshot : int option;
       (** the frozen epoch a read-only root reads at; propagated to every
           sub-call so a fan-out reads one consistent cut *)
-  active_set : (string, unit) Hashtbl.t;
-      (** reactors with a live execution context of this root (§2.2.4) *)
+  mutable active_set : string list;
+      (** reactors with a live execution context of this root (§2.2.4):
+          those on its call chains, so a short list *)
   mutable doomed : (abort_class * string) option;
       (** a sub-transaction aborted: the root may not commit even if
           application code swallowed the exception (§2.2.3) *)

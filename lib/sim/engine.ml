@@ -6,10 +6,7 @@ type t = {
 }
 
 type _ Effect.t +=
-  | Delay : (t -> float) -> unit Effect.t
-      (* the payload computes the delay given the engine, letting [delay]
-         stay engine-free at the call site *)
-  | Now : float Effect.t
+  | Delay : float -> unit Effect.t
   | SpawnHere : (unit -> unit) -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
@@ -17,6 +14,11 @@ let create () = { clock = 0.; seq = 0; events = Pqueue.create (); executed = 0 }
 
 let now t = t.clock
 let events_executed t = t.executed
+
+(* The engine whose [run] is executing on this domain; [run] saves and
+   restores the outer one when runs nest. A process only ever runs inside
+   its own engine's [run], so reading the clock needs no effect. *)
+let running : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let schedule t ~at thunk =
   t.seq <- t.seq + 1;
@@ -31,14 +33,14 @@ let rec start_process t f =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Delay df ->
+          | Delay d ->
             Some
               (fun (k : (a, unit) continuation) ->
-                let d = df t in
-                if d < 0. then
-                  invalid_arg "Sim.Engine.delay: negative duration";
+                (* [not (d >= 0.)] also rejects NaN, which would break the
+                   event queue's order *)
+                if not (d >= 0.) then
+                  invalid_arg "Sim.Engine.delay: negative or NaN duration";
                 schedule t ~at:(t.clock +. d) (fun () -> continue k ()))
-          | Now -> Some (fun k -> continue k t.clock)
           | SpawnHere g ->
             Some
               (fun k ->
@@ -61,25 +63,32 @@ let spawn t ?at f =
 
 let run ?until t =
   let horizon = match until with Some h -> h | None -> infinity in
+  let q = t.events in
   let rec loop () =
-    match Pqueue.peek_time t.events with
-    | None -> ()
-    | Some time when time > horizon ->
-      t.clock <- horizon
-    | Some _ ->
-      (match Pqueue.pop t.events with
-      | None -> ()
-      | Some (time, _, thunk) ->
-        t.clock <- Stdlib.max t.clock time;
+    if not (Pqueue.is_empty q) then begin
+      let time = Pqueue.min_time q in
+      if time > horizon then t.clock <- horizon
+      else begin
+        let thunk = Pqueue.pop q in
+        if time > t.clock then t.clock <- time;
         t.executed <- t.executed + 1;
         thunk ();
-        loop ())
+        loop ()
+      end
+    end
   in
-  loop ();
+  let outer = Domain.DLS.get running in
+  Domain.DLS.set running (Some t);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set running outer) loop;
   t.clock
 
-let delay d = Effect.perform (Delay (fun _ -> d))
-let current_time () = Effect.perform Now
+let delay d = Effect.perform (Delay d)
+
+let current_time () =
+  match Domain.DLS.get running with
+  | Some t -> t.clock
+  | None -> invalid_arg "Sim.Engine.current_time: called outside Engine.run"
+
 let spawn_here f = Effect.perform (SpawnHere f)
 let suspend registrar = Effect.perform (Suspend registrar)
 

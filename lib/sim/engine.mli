@@ -37,11 +37,14 @@ val events_executed : t -> int
 
 (** {1 Operations available inside a process} *)
 
-(** Advance this process's virtual time by [d] µs (d >= 0), yielding to
-    other processes. *)
+(** Advance this process's virtual time by [d] µs, yielding to other
+    processes. A negative or NaN [d] raises [Invalid_argument] out of
+    {!run}. *)
 val delay : float -> unit
 
-(** Virtual time as seen by the running process. *)
+(** Virtual time of the engine whose {!run} is executing on the calling
+    domain (the innermost one when runs nest). Reading it performs no
+    effect. Raises [Invalid_argument] outside any {!run}. *)
 val current_time : unit -> float
 
 (** Spawn a sibling process at the current time from within a process. *)

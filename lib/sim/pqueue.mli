@@ -2,7 +2,9 @@
 
     The event queue of the discrete-event engine: ties in virtual time are
     broken by insertion sequence, which makes simulations fully
-    deterministic. *)
+    deterministic. Entries are stored as parallel arrays (unboxed times,
+    sequences, payloads), so [push] and [pop] allocate nothing except when
+    the heap grows. Times must not be NaN. *)
 
 type 'a t
 
@@ -11,7 +13,10 @@ val is_empty : 'a t -> bool
 val size : 'a t -> int
 val push : 'a t -> time:float -> seq:int -> 'a -> unit
 
-(** Smallest (time, seq) element, or [None] when empty. *)
-val pop : 'a t -> (float * int * 'a) option
+(** Time of the smallest [(time, seq)] entry. Raises [Invalid_argument]
+    when empty. *)
+val min_time : 'a t -> float
 
-val peek_time : 'a t -> float option
+(** Remove the smallest [(time, seq)] entry and return its payload. Raises
+    [Invalid_argument] when empty. *)
+val pop : 'a t -> 'a

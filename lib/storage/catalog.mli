@@ -15,10 +15,12 @@ val create : unit -> t
 val create_table :
   ?secondaries:(string * string list) list -> t -> Schema.t -> Table.t
 
-(** Raises [Not_found] with the table name when missing. *)
+(** Raises [Not_found] when missing. *)
 val table : t -> string -> Table.t
 
 val mem : t -> string -> bool
+
+(** Every table with its name, in creation order. *)
 val tables : t -> (string * Table.t) list
 
 (** Total record count across all tables (diagnostics). *)

@@ -617,6 +617,72 @@ let test_bucket_edge_cases () =
   check_int "own inserts of table 0" 1
     (List.length (Occ.Txn.own_inserts_for txn ~table:tables.(0)))
 
+(* The small-set boundary: up to 8 reads (write entries) the context finds
+   duplicates and its own writes by scanning its buckets, from the 9th by
+   rid tables. Each size runs twice: undisturbed, and with a concurrent
+   commit to the last record read, which must fail validation. *)
+let test_small_set_boundary () =
+  List.iter
+    (fun n ->
+      let name s = Printf.sprintf "%d entries: %s" n s in
+      let run ~interfere =
+        let tbl = Storage.Table.create sch in
+        for i = 0 to n + 1 do
+          ignore
+            (Storage.Table.insert tbl
+               (Storage.Record.fresh ~absent:false [| Value.Int i; Value.Int i |]))
+        done;
+        let t = fresh_txn () in
+        let c i = i mod 2 in
+        for i = 0 to n - 1 do
+          ignore (read_v t ~c:(c i) tbl i)
+        done;
+        ignore (read_v t ~c:1 tbl 0);
+        ignore (read_v t ~c:0 tbl (n - 1));
+        check_int (name "records read twice count once") n (Occ.Txn.read_count t);
+        for i = 0 to n - 1 do
+          write_v t ~c:(c i) tbl i (1000 + i)
+        done;
+        check_int (name "writes after reads") n (Occ.Txn.write_count t);
+        for i = 0 to n - 1 do
+          Alcotest.(check (option int))
+            (name "own write visible") (Some (1000 + i)) (read_v t ~c:(c i) tbl i)
+        done;
+        check_int (name "own-write reads not tracked") n (Occ.Txn.read_count t);
+        (match Storage.Table.find tbl (key (n + 1)) with
+        | Some r ->
+          check_bool (name "unwritten record") true (Occ.Txn.own_write t r = None)
+        | None -> Alcotest.fail "missing record");
+        Occ.Txn.insert t ~container:0 ~table:tbl [| Value.Int 500; Value.Int 5 |];
+        check_int (name "insert counted") (n + 1) (Occ.Txn.write_count t);
+        let ins =
+          match Occ.Txn.own_insert t ~table:tbl ~key:(key 500) with
+          | Some e -> e.Occ.Txn.wrec
+          | None -> Alcotest.fail "missing own insert"
+        in
+        check_bool (name "own insert found by rid") true
+          (Occ.Txn.own_write t ins <> None);
+        Occ.Txn.delete t ~container:0 ~table:tbl ~key:(key 500) ins;
+        check_int (name "deleted own insert") n (Occ.Txn.write_count t);
+        check_bool (name "own insert gone") true
+          (Occ.Txn.own_write t ins = None
+          && Occ.Txn.own_insert t ~table:tbl ~key:(key 500) = None);
+        if interfere then begin
+          let t2 = fresh_txn () in
+          write_v t2 ~c:0 tbl (n - 1) 7;
+          check_bool "interfering commit" true
+            (Result.is_ok (Occ.Commit.commit_single t2 ~epoch:1 ~container:0))
+        end;
+        let votes = List.map (fun c -> Occ.Commit.prepare t ~container:c) [ 0; 1 ] in
+        let expect c =
+          if interfere && c = (n - 1) mod 2 then Error Occ.Commit.Stale_read else Ok ()
+        in
+        check_bool (name "validation outcome") true (votes = List.map expect [ 0; 1 ])
+      in
+      run ~interfere:false;
+      run ~interfere:true)
+    [ 7; 8; 9; 40 ]
+
 let suite =
   ( "occ",
     [
@@ -639,5 +705,6 @@ let suite =
       Alcotest.test_case "write after delete" `Quick test_write_after_delete_rejected;
       Alcotest.test_case "delete own insert" `Quick test_delete_own_insert_cancels;
       Alcotest.test_case "bucket edge cases" `Quick test_bucket_edge_cases;
+      Alcotest.test_case "small-set boundary" `Quick test_small_set_boundary;
       QCheck_alcotest.to_alcotest prop_buckets_match_reference;
     ] )

@@ -226,6 +226,106 @@ let test_events_executed_counter () =
   ignore (Engine.run e);
   check_bool "counts events" true (Engine.events_executed e >= 3)
 
+let test_bad_delay_rejected () =
+  List.iter
+    (fun d ->
+      let e = Engine.create () in
+      Engine.spawn e (fun () -> Engine.delay d);
+      match Engine.run e with
+      | _ -> Alcotest.failf "delay %g accepted" d
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; -1. ]
+
+(* Pushes at few distinct times (so many ties) interleaved with pops, past
+   the initial capacity, pop in exactly the (time, seq) order of a sorted
+   list. *)
+let prop_pqueue_order =
+  let op =
+    QCheck.Gen.(frequency [ (3, map Option.some (int_bound 4)); (1, return None) ])
+  in
+  QCheck.Test.make ~name:"pqueue pops in (time, seq) order" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 200) op))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] and seq = ref 0 in
+      let pop_agrees () =
+        match List.sort compare !model with
+        | [] -> Pqueue.is_empty q
+        | ((time, _) as top) :: rest ->
+          model := rest;
+          let t = Pqueue.min_time q in
+          t = time && Pqueue.pop q = top
+      in
+      List.for_all
+        (function
+          | Some t ->
+            incr seq;
+            let time = float_of_int t /. 2. in
+            Pqueue.push q ~time ~seq:!seq (time, !seq);
+            model := (time, !seq) :: !model;
+            Pqueue.size q = List.length !model
+          | None -> pop_agrees ())
+        ops
+      && List.for_all (fun _ -> pop_agrees ()) !model
+      && Pqueue.is_empty q)
+
+let test_clock_outside_run () =
+  Alcotest.check_raises "no engine running"
+    (Invalid_argument "Sim.Engine.current_time: called outside Engine.run")
+    (fun () -> ignore (Engine.current_time ()))
+
+(* A process of one engine runs a second engine to completion: inside, the
+   inner clock; after, the outer one again, also when the inner run raises. *)
+let test_nested_run_clock () =
+  let outer = Engine.create () in
+  let seen = ref [] in
+  let note tag = seen := (tag, Engine.current_time ()) :: !seen in
+  Engine.spawn outer (fun () ->
+      Engine.delay 5.;
+      note "outer before";
+      let inner = Engine.create () in
+      Engine.spawn inner (fun () ->
+          Engine.delay 2.;
+          note "inner");
+      ignore (Engine.run inner);
+      note "outer after";
+      let failing = Engine.create () in
+      Engine.spawn failing (fun () ->
+          Engine.delay 1.;
+          failwith "inner boom");
+      (try ignore (Engine.run failing) with Failure _ -> ());
+      note "outer after raise";
+      Engine.delay 1.;
+      note "outer end");
+  ignore (Engine.run outer);
+  Alcotest.(check (list (pair string (float 0.))))
+    "each read sees its own engine"
+    [ ("outer before", 5.); ("inner", 2.); ("outer after", 5.);
+      ("outer after raise", 5.); ("outer end", 6.) ]
+    (List.rev !seen);
+  let e = Engine.create () in
+  Engine.spawn e (fun () -> failwith "boom");
+  (try ignore (Engine.run e) with Failure _ -> ());
+  test_clock_outside_run ()
+
+(* Two domains, each running its own engine at its own pace, read their own
+   clocks. *)
+let test_clock_per_domain () =
+  let run_on step () =
+    let e = Engine.create () in
+    let ok = ref true in
+    Engine.spawn e (fun () ->
+        for i = 1 to 20_000 do
+          Engine.delay step;
+          if Engine.current_time () <> float_of_int i *. step then ok := false
+        done);
+    ignore (Engine.run e);
+    !ok
+  in
+  let a = Domain.spawn (run_on 1.) and b = Domain.spawn (run_on 3.) in
+  check_bool "domain a" true (Domain.join a);
+  check_bool "domain b" true (Domain.join b)
+
 let suite =
   ( "sim",
     [
@@ -248,4 +348,9 @@ let suite =
         test_process_exception_propagates;
       Alcotest.test_case "waker is single-shot" `Quick test_waker_single_shot;
       Alcotest.test_case "event counter" `Quick test_events_executed_counter;
+      Alcotest.test_case "negative or NaN delay rejected" `Quick test_bad_delay_rejected;
+      QCheck_alcotest.to_alcotest prop_pqueue_order;
+      Alcotest.test_case "clock outside run raises" `Quick test_clock_outside_run;
+      Alcotest.test_case "nested run clocks" `Quick test_nested_run_clock;
+      Alcotest.test_case "clock per domain" `Quick test_clock_per_domain;
     ] )
