@@ -5,8 +5,7 @@
      dune exec bench/main.exe                 run everything
      dune exec bench/main.exe -- --fast       shrunken sweeps (smoke run)
      dune exec bench/main.exe -- --only fig5  one experiment (comma-separable)
-     dune exec bench/main.exe -- --list       list experiment ids
-     dune exec bench/main.exe -- --micro      also run Bechamel micro-benches *)
+     dune exec bench/main.exe -- --list       list experiment ids *)
 
 let () =
   Exp_smallbank.register ();
@@ -19,7 +18,6 @@ let () =
   let fast = ref false in
   let only = ref [] in
   let list_only = ref false in
-  let micro = ref false in
   let args = Array.to_list Sys.argv in
   let rec parse = function
     | [] -> ()
@@ -28,9 +26,6 @@ let () =
       parse rest
     | "--list" :: rest ->
       list_only := true;
-      parse rest
-    | "--micro" :: rest ->
-      micro := true;
       parse rest
     | "--only" :: ids :: rest ->
       only := !only @ String.split_on_char ',' ids;
@@ -74,6 +69,5 @@ let () =
       Printf.printf "[%s done in %.1fs]\n%!" e.Bexp.id
         (Unix.gettimeofday () -. start))
     selected;
-  if !micro then Micro.run ();
   Printf.printf "\nAll experiments completed in %.1fs.\n"
     (Unix.gettimeofday () -. t0)

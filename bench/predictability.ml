@@ -13,10 +13,12 @@
    - phase-partition: every attempt's phase durations must sum to its
      end-to-end latency within 1% (worst case per deployment, as tracked
      by [Obs.Report.r_max_sum_dev_pct]);
-   - no-op-sink overhead: re-running the direct commit-path scenarios
-     (see commitpath.ml) with tracing compiled in but no collector
-     attached must stay within 3% of the committed
-     `BENCH_commit_path.json` baseline (best of 3 runs, ops/sec).
+   - commit-path drift, historically called the no-op-sink overhead:
+     re-running the direct commit-path scenarios (see commitpath.ml) must
+     stay within 3% of the committed `BENCH_commit_path.json` baseline
+     (best of 3 runs, ops/sec and p50). Those scenarios call Occ and
+     Storage directly and run no Obs code, so this gate catches a slower
+     commit path, not tracing cost (DESIGN.md §6.5).
 
    Usage:
      dune exec bench/predictability.exe                   full run
@@ -160,7 +162,7 @@ let baseline_scenarios path =
 
 (* Per scenario: best of 3 runs, and the better of the throughput and p50
    deltas. Wall-clock microbenchmarks on a shared machine are noisy in
-   ways a constant per-transaction sink cost is not: a true sink
+   ways a constant per-transaction cost is not: a true commit-path
    regression depresses both the best-case throughput and the best-case
    median, while transient contention rarely spares either across three
    runs — so gating on the smaller delta rejects noise, not regressions. *)

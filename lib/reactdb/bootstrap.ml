@@ -1,10 +1,32 @@
+(** The state both backends keep, written once (DESIGN.md §5.2).
+
+    The discrete-event simulator ({!Database}) and the real-parallel
+    runtime ([Runtime.Db]) boot a reactor database from the same
+    declaration and deployment {!Config.t}, and then keep the same state:
+    the placement table, the table-owner map for redo logging, the commit
+    and abort counters, the pin registry and migration gate ({!Pins}), the
+    attached trace collector and the transaction-id counter. A backend's
+    database is a {!t} whose [own] field holds what is truly its own
+    (engine and executors, or domains and mailboxes), and its admin and
+    statistics API is {!ADMIN}, implemented once by {!Admin}. *)
+
+(** {1 Booting a declaration} *)
+
 type entry = {
-  bs_name : string;
+  bs_name : string;  (** reactor name *)
   bs_rtype : Reactor.rtype;
   bs_catalog : Storage.Catalog.t;
-  bs_home : int;
+  bs_home : int;  (** container index from [Config.placement] *)
 }
 
+(** [build decl cfg] validates and materializes the declaration: each
+    reactor's catalog (tables with their declared secondary indexes), its
+    checked container placement, and the table-ownership map (table uid →
+    reactor name, table name). Returns the entries in declaration order
+    and the map. Loaders run after every reactor's catalog exists, in
+    declaration order. Raises [Invalid_argument] on malformed declarations
+    or out-of-range placements. A deployment that boots on one backend
+    boots identically on the other. *)
 let build decl cfg =
   Reactor.validate decl;
   let n_containers = Config.n_containers cfg in
@@ -44,3 +66,257 @@ let build decl cfg =
     (fun (rname, loader) -> loader (catalog_of rname))
     decl.Reactor.loaders;
   (entries, table_owner)
+
+(** {1 Commit and abort counters}
+
+    Shared by all domains. Aborts are bucketed by class; the lifecycle
+    maps each {!Lifecycle.abort_class} to its bucket. *)
+
+type counters = {
+  committed : int Atomic.t;
+  aborted : int Atomic.t;
+  ro_commits : int Atomic.t;  (** committed read-only snapshot roots *)
+  auto_seq : int Atomic.t;  (** [Config.Auto] roots kept sequential *)
+  auto_par : int Atomic.t;  (** [Config.Auto] roots fanned out *)
+  buckets : int Atomic.t array;  (** one per {!bucket_names} entry *)
+}
+
+let bucket_names =
+  [| "user"; "validation"; "dangerous-structure"; "timeout"; "overloaded";
+     "internal" |]
+
+let counters () =
+  let z () = Atomic.make 0 in
+  { committed = z (); aborted = z (); ro_commits = z (); auto_seq = z ();
+    auto_par = z (); buckets = Array.map (fun _ -> z ()) bucket_names }
+
+let reset_counters c =
+  List.iter
+    (fun a -> Atomic.set a 0)
+    (c.committed :: c.aborted :: c.ro_commits :: c.auto_seq :: c.auto_par
+    :: Array.to_list c.buckets)
+
+(** {1 The shared core} *)
+
+(** A placed reactor. *)
+type 's reactor = {
+  re : entry;  (** the logical reactor: name, type, catalog *)
+  home : int Atomic.t;
+      (** current placement; a migration flips it, so every routing
+          decision re-reads it and none caches it across a suspension *)
+  mutable slot : 's;  (** the backend's own per-reactor state *)
+}
+
+type ('s, 'p) t = {
+  cfg : Config.t;
+  entries : entry list;  (** declaration order *)
+  reactors : (string, 's reactor) Hashtbl.t;
+  table_owner : (int, string * string) Hashtbl.t;
+      (** table uid → (reactor, table name); read-only after boot *)
+  counters : counters;
+  registry : Pins.Registry.t;  (** snapshot and commit epochs (§10) *)
+  gate : Pins.Gate.t;  (** migration generations and stubs (§11) *)
+  mutable obs : Obs.Collector.t option;
+      (** lifecycle tracing sink; [None] when untraced *)
+  txn_ids : int Atomic.t;
+  own : 'p;  (** the backend's own state *)
+}
+
+(** [create decl cfg ~epoch ~slot own] boots [decl] ({!build}) and wraps
+    the backend state [own]. [epoch] is the backend's Silo epoch clock,
+    read by the pin registry; [slot ()] makes each reactor's own slot. *)
+let create decl cfg ~epoch ~slot own =
+  let entries, table_owner = build decl cfg in
+  let reactors = Hashtbl.create (List.length entries) in
+  List.iter
+    (fun e ->
+      Hashtbl.replace reactors e.bs_name
+        { re = e; home = Atomic.make e.bs_home; slot = slot () })
+    entries;
+  { cfg; entries; reactors; table_owner; counters = counters ();
+    registry = Pins.Registry.create ~epoch; gate = Pins.Gate.create ();
+    obs = None; txn_ids = Atomic.make 0; own }
+
+let lookup t name =
+  match Hashtbl.find_opt t.reactors name with
+  | Some r -> r
+  | None -> invalid_arg (Printf.sprintf "ReactDB: unknown reactor %S" name)
+
+(** A fresh transaction context with the next id (1, 2, ...). *)
+let next_txn t = Occ.Txn.create ~id:(1 + Atomic.fetch_and_add t.txn_ids 1)
+
+(** Admission of a root on [reactor]: the placed reactor, the procedure it
+    runs and whether it runs read-only on a snapshot (snapshots enabled
+    and the procedure declared read-only). Under [Config.Auto] a declared
+    morph pair resolves to its parallel twin when [parallel_ok ()], else
+    stays sequential (the formulation generators emit); the choice is
+    counted. *)
+let admit t ~reactor ~proc ~parallel_ok =
+  let r = lookup t reactor in
+  let rt = r.re.bs_rtype in
+  let proc =
+    if t.cfg.Config.morph <> Config.Auto then proc
+    else
+      match Reactor.morph_target rt proc with
+      | Some par when parallel_ok () ->
+        Atomic.incr t.counters.auto_par;
+        par
+      | Some _ ->
+        Atomic.incr t.counters.auto_seq;
+        proc
+      | None -> proc
+  in
+  (r, proc, Pins.Registry.enabled t.registry && Reactor.proc_readonly rt proc)
+
+(** Move [reactor] to container [dst] by the one migration protocol
+    ({!Pins.Gate.migrate}), waiting with [suspend], timing the pause on
+    [now] and writing the placement record with [log]. Raises
+    [Invalid_argument] on an unknown reactor or container. *)
+let migrate t ~suspend ~now ~log ~reactor ~dst =
+  let r = lookup t reactor in
+  if dst < 0 || dst >= Config.n_containers t.cfg then
+    invalid_arg (Printf.sprintf "ReactDB: migrate %s: no container %d" reactor dst);
+  Pins.Gate.migrate t.gate ~suspend ~now ~reactor
+    ~home:(fun () -> Atomic.get r.home) ~set_home:(Atomic.set r.home) ~dst ~log
+
+(** {1 The admin and statistics API of both backends} *)
+
+module type ADMIN = sig
+  type t
+
+  (** {2 Catalogs and placement} *)
+
+  (** Direct physical access to a reactor's catalog, bypassing concurrency
+      control: for loaders, audits and tests, while no transaction runs. *)
+  val catalog_of : t -> string -> Storage.Catalog.t
+
+  (** All reactors' catalogs in declaration order, for invariant audits
+      (see [lib/audit]). Same caveat as {!catalog_of}. *)
+  val catalogs : t -> (string * Storage.Catalog.t) list
+
+  (** The container that currently hosts a reactor. *)
+  val container_of : t -> string -> int
+
+  (** Current [(reactor, container)] placement, in declaration order. *)
+  val placements : t -> (string * int) list
+
+  (** Migrations completed since start. *)
+  val n_migrations : t -> int
+
+  (** Placement version, bumped at every migration flip. Routing decisions
+      made under an epoch stay valid for the roots that made them (the
+      drain guarantees it); observers and tests use it to see flips. *)
+  val placement_epoch : t -> int
+
+  (** Pause (µs on the backend's clock, mark → flip) of the most recent
+      migration; [0.] if none. *)
+  val migration_pause_last_us : t -> float
+
+  (** {2 Snapshot reads (multi-version, epoch-based — see DESIGN.md §10)}
+
+      Procedures declared read-only on their reactor type
+      ({!Reactor.rtype.rt_readonly}) execute against a frozen {e snapshot
+      epoch} [S = min (current epoch, min in-flight commit epoch) - 1]
+      ({!Pins.Registry}): every commit holds its epoch from before its TID
+      until its installs landed on every participant, so [S] names an
+      immutable, consistent prefix. Reads resolve through per-record
+      version chains; the commit protocol is skipped entirely — no
+      read-set, no locks, no validation, no 2PC — making read-only roots
+      abort-free by construction.
+
+      While enabled (the default), every install also retires overwritten
+      versions into chains and trims them to the {e GC horizon}: the
+      minimum live snapshot epoch, or the next epoch to be issued when no
+      reader is live — so chains stay bounded under hot keys. *)
+
+  (** [set_snapshots t false] disables snapshot execution {e and} version
+      chain maintenance: declared-read-only procedures fall back to the
+      ordinary OCC read path (the benchmark baseline), and installs revert
+      to single-version behavior. *)
+  val set_snapshots : t -> bool -> unit
+
+  val snapshots_enabled : t -> bool
+
+  (** The epoch the next read-only root would freeze. *)
+  val safe_snapshot_epoch : t -> int
+
+  (** Pin / unpin a snapshot epoch manually — what a read-only root does
+      around its body; exposed for tests exercising version GC. [release]
+      of an epoch not held is a no-op. *)
+  val acquire_snapshot : t -> int
+
+  val release_snapshot : t -> int -> unit
+
+  (** The horizon installs currently trim version chains to. *)
+  val gc_horizon : t -> int
+
+  (** {2 Statistics} (monotone atomic counters shared by all executors) *)
+
+  (** Committed root transactions. *)
+  val n_committed : t -> int
+
+  (** Aborted root attempts (every attempt of a retried transaction
+      counts — see [Harness.run_result] for the accounting identity). *)
+  val n_aborted : t -> int
+
+  (** Aborts by typed class ({!Lifecycle.abort_class}), non-empty buckets
+      only: "user" ({!Occ.Txn.Abort}), "validation" (execution-time
+      {!Occ.Txn.Conflict} and commit-time validation/2PC failures),
+      "dangerous-structure" ({!Reactor.Dangerous_call}, §2.2.4),
+      "timeout", "overloaded" (admission sheds) and "internal" (WAL
+      failures and other failures that are not aborts). Classification is
+      by exception constructor, never by message text; the buckets sum to
+      {!n_aborted}. *)
+  val aborts_by_reason : t -> (string * int) list
+
+  (** Committed roots that ran as read-only snapshot transactions. *)
+  val n_readonly_commits : t -> int
+
+  (** [(sequential, parallel)] resolution counts of the [Config.Auto]
+      morph router. *)
+  val auto_morphs : t -> int * int
+
+  (** {2 Observability} *)
+
+  (** [attach_obs t collector] turns on transaction-lifecycle tracing:
+      every subsequent attempt stamps its lifecycle phases on the
+      backend's clock and folds into [collector]'s slot for the container
+      it ran in. With no collector attached the trace sink is
+      [Obs.Trace.none] and the per-attempt cost is a few predictable
+      branches and no clock reads. *)
+  val attach_obs : t -> Obs.Collector.t -> unit
+end
+
+(** {!ADMIN} for every backend; a backend [include]s it. *)
+module Admin = struct
+  let catalog_of t name = (lookup t name).re.bs_catalog
+  let catalogs t = List.map (fun e -> (e.bs_name, e.bs_catalog)) t.entries
+  let container_of t name = Atomic.get (lookup t name).home
+
+  let placements t =
+    List.map (fun e -> (e.bs_name, container_of t e.bs_name)) t.entries
+
+  let n_migrations t = Pins.Gate.n_migrations t.gate
+  let placement_epoch t = Pins.Gate.placement_epoch t.gate
+  let migration_pause_last_us t = Pins.Gate.pause_last t.gate
+  let set_snapshots t on = Pins.Registry.set_enabled t.registry on
+  let snapshots_enabled t = Pins.Registry.enabled t.registry
+  let safe_snapshot_epoch t = Pins.Registry.safe_snapshot t.registry
+  let acquire_snapshot t = Pins.Registry.acquire t.registry
+  let release_snapshot t s = Pins.Registry.release t.registry s
+  let gc_horizon t = Pins.Registry.horizon t.registry
+  let n_committed t = Atomic.get t.counters.committed
+  let n_aborted t = Atomic.get t.counters.aborted
+
+  let aborts_by_reason t =
+    List.filter
+      (fun (_, n) -> n > 0)
+      (Array.to_list
+         (Array.mapi
+            (fun i name -> (name, Atomic.get t.counters.buckets.(i)))
+            bucket_names))
+
+  let n_readonly_commits t = Atomic.get t.counters.ro_commits
+  let auto_morphs t = (Atomic.get t.counters.auto_seq, Atomic.get t.counters.auto_par)
+  let attach_obs t c = t.obs <- Some c
+end

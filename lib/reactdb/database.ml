@@ -37,32 +37,20 @@ type executor = {
 
 type container = { mutable rr : int; cexecutors : executor array }
 
-type rstate = {
-  re : Bootstrap.entry;  (* name, type, catalog: the logical reactor *)
-  mutable home : int;
-      (* current placement; flipped atomically (in virtual time) by
-         [migrate] — every router/dispatch decision re-reads it *)
-  mutable cache_recency : int list;
-      (* executors that recently touched this reactor's data, most recent
-         first; drives a graded cache-miss penalty (warmest = free, colder
-         positions pay proportionally, absent = full penalty) *)
-}
+(* A reactor's slot in the shared placement table: the executors that
+   recently touched its data, most recent first. Drives a graded
+   cache-miss penalty (warmest = free, colder positions pay
+   proportionally, absent = full penalty). *)
+type rstate = int list Bootstrap.reactor
 
-type t = {
+type sim = {
   eng : Engine.t;
-  decl : Reactor.decl;
-  cfg : Config.t;
   prof : Profile.t;
   containers : container array;
   execs : executor array;  (* every executor, container-major *)
-  reactors : (string, rstate) Hashtbl.t;
-  mutable txn_counter : int;
-  counters : Lifecycle.counters;
   mutable record_history : bool;
   mutable hist : Histories.Certify.entry list;
   mutable stats_since : float;
-  table_owner : (int, string * string) Hashtbl.t;
-      (* table uid -> (reactor, table name), for redo logging *)
   mutable wal : Wal.t option;
   mutable durable : bool;
       (* epoch group commit: release a committed result to the client only
@@ -75,18 +63,10 @@ type t = {
   mutable wal_error : string option;
       (* first WAL device failure seen by the group-commit flusher; the
          run continues with durability degraded rather than crashing *)
-  mutable obs : Obs.Collector.t option;
   mutable chaos : Chaos.t;
   mutable mailbox_cap : int option;
       (* root admission bound per executor request queue; [None] =
          unbounded (sheds surface as [Obs.Abort.Overloaded] outcomes) *)
-  registry : Pins.Registry.t;
-      (* snapshot and commit epochs (DESIGN.md §10); while snapshots are
-         enabled installs publish version chains and declared-read-only
-         procedures run against a frozen snapshot epoch *)
-  gate : Pins.Gate.t;  (* migration generations and stubs (DESIGN.md §11) *)
-  rorder : string list;
-      (* reactor declaration order, for deterministic [placements] *)
   (* -- replication / failover (DESIGN.md §12) --------------------------
      Generation-stamped admission, mirroring the migration gate's
      generations at the whole-primary scale: a primary serves at
@@ -99,9 +79,13 @@ type t = {
   mutable n_fenced : int; (* admissions refused while fenced *)
 }
 
-let engine t = t.eng
-let config t = t.cfg
-let profile t = t.prof
+type t = (int list, sim) Bootstrap.t
+
+include Bootstrap.Admin
+
+let engine (t : t) = t.own.eng
+let config (t : t) = t.cfg
+let profile (t : t) = t.own.prof
 
 (* ------------------------------------------------------------------ *)
 (* Core (CPU) ownership: one coroutine runs on an executor at a time.
@@ -141,13 +125,8 @@ type root = rx Lifecycle.root
    (0 for commit steps), so an await can tell a synchronous call. *)
 type 'a future = { fid : int; iv : 'a Engine.Ivar.ivar }
 
-let reactor_state db name =
-  match Hashtbl.find_opt db.reactors name with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "ReactDB: unknown reactor %S" name)
-
-let route db rst =
-  let cont = db.containers.(rst.home) in
+let route (db : t) (rst : rstate) =
+  let cont = db.own.containers.(Atomic.get rst.home) in
   let n = Array.length cont.cexecutors in
   match db.cfg.router with
   | Config.Round_robin ->
@@ -156,23 +135,19 @@ let route db rst =
   | Config.Affinity | Config.Cost ->
     (* Cost routing reacts to live queue depths, which virtual-time
        executors don't expose; the simulator degrades it to affinity. *)
-    cont.cexecutors.(db.cfg.affinity_slot rst.re.Bootstrap.bs_name mod n)
+    cont.cexecutors.(db.cfg.affinity_slot rst.re.bs_name mod n)
 
 (* Silo epoch length in virtual µs: TID epochs advance on this boundary,
    and so does the durable-mode group-commit flush. *)
 let epoch_len_us = 40_000.
 
 let epoch_at eng = 1 + int_of_float (Engine.now eng /. epoch_len_us)
-let current_epoch db = epoch_at db.eng
-let safe_snapshot_epoch db = Pins.Registry.safe_snapshot db.registry
-let acquire_snapshot db = Pins.Registry.acquire db.registry
-let release_snapshot db s = Pins.Registry.release db.registry s
-let gc_horizon db = Pins.Registry.horizon db.registry
+let current_epoch (db : sim) = epoch_at db.eng
 
 (* Extra one-way cost when two containers live on different machines. *)
-let net db c1 c2 =
+let net (db : t) c1 c2 =
   if db.cfg.Config.machine_of c1 = db.cfg.Config.machine_of c2 then 0.
-  else db.prof.Profile.cost_network
+  else db.own.prof.Profile.cost_network
 
 (* Graded cache model: how cold is executor [xid] for this reactor's data?
    Position 0 in the recency list is free; deeper positions pay a growing
@@ -181,28 +156,28 @@ let net db c1 c2 =
    round-robin routing spreads one reactor over more cores (App. F.2). *)
 let recency_depth = 8
 
-let cache_penalty rstate xid =
+let cache_penalty (rstate : rstate) xid =
   let rec find i = function
     | [] -> 1.
     | x :: _ when x = xid -> float_of_int i /. float_of_int recency_depth
     | _ :: rest -> find (i + 1) rest
   in
-  find 0 rstate.cache_recency
+  find 0 rstate.slot
 
-let touch_cache rstate xid =
-  let rest = List.filter (fun x -> x <> xid) rstate.cache_recency in
+let touch_cache (rstate : rstate) xid =
+  let rest = List.filter (fun x -> x <> xid) rstate.slot in
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []
     | x :: r -> x :: take (n - 1) r
   in
-  rstate.cache_recency <- xid :: take (recency_depth - 1) rest
+  rstate.slot <- xid :: take (recency_depth - 1) rest
 
 let set_exec_of rx cid ex =
   if not (List.mem_assoc cid rx.exec_of_container) then
     rx.exec_of_container <- (cid, ex) :: rx.exec_of_container
 
-let note_history db (root : root) tid =
+let note_history (db : sim) (root : root) tid =
   if db.record_history then begin
     let reads =
       List.concat_map
@@ -234,7 +209,7 @@ let note_history db (root : root) tid =
    [epoch_len_us * e] carries TID epoch <= e (the epoch can only advance at
    the boundary), so after flushing at that instant every record of epoch
    <= e is on stable storage. *)
-let rec schedule_flush db =
+let rec schedule_flush (db : sim) =
   if not db.flush_pending then begin
     db.flush_pending <- true;
     let boundary_epoch = current_epoch db in
@@ -273,15 +248,14 @@ let rec schedule_flush db =
    cores released across every wait, costs charged with [Engine.delay]. *)
 
 module P = struct
-  type nonrec t = t
+  type t = sim
   type exec = executor
-  type reactor = rstate
+  type slot = int list
   type nonrec rx = rx
   type nonrec 'a future = 'a future
+  type db = (slot, t) Bootstrap.t
 
   let now = Engine.current_time
-  let lookup = reactor_state
-  let entry r = r.re
   let cid ex = ex.cid
 
   let peek f = Engine.Ivar.peek f.iv
@@ -310,9 +284,9 @@ module P = struct
 
   (* Charge [d] µs on the current coroutine's core; on the root's critical
      path it counts as sync execution. *)
-  let enter db (root : root) rst ~home ex ~on_root_path =
+  let enter (db : db) (root : root) rst ~home ex ~on_root_path =
     let pen = cache_penalty rst ex.xid in
-    let x = root.rx in
+    let x = root.rx and prof = db.own.prof in
     set_exec_of x home ex;
     let work d =
       if d > 0. then Engine.delay d;
@@ -322,16 +296,15 @@ module P = struct
       end
     in
     let charge kind n =
-      let p = db.prof in
       let base =
         match kind with
-        | `Read -> p.Profile.cost_read
-        | `Write -> p.Profile.cost_write
-        | `Scan_step -> p.Profile.cost_scan_step
+        | `Read -> prof.Profile.cost_read
+        | `Write -> prof.Profile.cost_write
+        | `Scan_step -> prof.Profile.cost_scan_step
       in
-      work ((base +. (pen *. p.Profile.cost_cache_miss)) *. float_of_int n)
+      work ((base +. (pen *. prof.Profile.cost_cache_miss)) *. float_of_int n)
     in
-    work db.prof.Profile.cost_proc_base;
+    work prof.Profile.cost_proc_base;
     (charge, work)
 
   let leave rst ex = touch_cache rst ex.xid
@@ -341,22 +314,23 @@ module P = struct
      placement. The caller's core is released across the park — a parked
      post-mark root must never hold a core a draining pre-mark root may
      need. Pre-mark roots pass through: the drain waits for them. *)
-  let resolve db (root : root) ~caller rst =
-    let name = rst.re.Bootstrap.bs_name in
+  let resolve (db : db) (root : root) ~caller (rst : rstate) =
+    let name = rst.re.bs_name in
     if not (Pins.Gate.admits db.gate ~rgen:root.rx.rgen name) then begin
       release_core caller;
       Engine.suspend (Pins.Gate.park db.gate name);
       acquire_core caller
     end;
-    Some rst.home
+    Some (Atomic.get rst.home)
 
   (* Sub-transactions bypass root admission control (they belong to an
      already-admitted root) but contend for the destination core. *)
-  let call db (root : root) ~from ~on_root_path rst ~parked:_ f =
-    let x = root.rx in
+  let call (db : db) (root : root) ~from ~on_root_path (rst : rstate) ~parked:_ f =
+    let x = root.rx and prof = db.own.prof in
+    let home = Atomic.get rst.home in
     x.call_ctr <- x.call_ctr + 1;
     let fid = x.call_ctr in
-    let send_cost = db.prof.Profile.cost_send +. net db from rst.home in
+    let send_cost = prof.Profile.cost_send +. net db from home in
     Engine.delay send_cost;
     if on_root_path then begin
       x.bd.bd_cs <- x.bd.bd_cs +. send_cost;
@@ -364,27 +338,27 @@ module P = struct
       x.worked_since_call <- false
     end;
     let rex = route db rst in
-    set_exec_of x rst.home rex;
+    set_exec_of x home rex;
     (* the result message back to the caller also crosses the network *)
     on_core rex ~fid
-      ~dispatch:(db.prof.Profile.cost_sub_dispatch +. net db from rst.home)
-      (fun () -> f rex rst.home)
+      ~dispatch:(prof.Profile.cost_sub_dispatch +. net db from home)
+      (fun () -> f rex home)
 
   (* The caller yields its core, pays Cr on wake, and the blocked window is
      attributed to sync execution (immediate get, no intervening work: the
      "synchronous call" pattern) or to async execution (deferred get: an
      overlap window). *)
-  let await_sub db (root : root) ex ~on_root_path f =
-    let x = root.rx in
+  let await_sub (db : db) (root : root) ex ~on_root_path f =
+    let x = root.rx and cost_recv = db.own.prof.Profile.cost_recv in
     let sync_class =
       on_root_path && x.last_call = f.fid && not x.worked_since_call
     in
     let t0 = Engine.current_time () in
     let r = await db ex f in
     let blocked = Engine.current_time () -. t0 in
-    Engine.delay db.prof.Profile.cost_recv;
+    Engine.delay cost_recv;
     if on_root_path then begin
-      x.bd.bd_cr <- x.bd.bd_cr +. db.prof.Profile.cost_recv;
+      x.bd.bd_cr <- x.bd.bd_cr +. cost_recv;
       if sync_class then x.bd.bd_sync_exec <- x.bd.bd_sync_exec +. blocked
       else x.bd.bd_async_exec <- x.bd.bd_async_exec +. blocked;
       Obs.Trace.add root.tr Obs.Phase.Suspend_wait blocked;
@@ -394,40 +368,39 @@ module P = struct
 
   (* A 2PC step runs as a control step on the executor that ran the root's
      sub-transactions in container [c], atomic in virtual time. *)
-  let remote db (root : root) ~coord c f =
-    let p = db.prof in
+  let remote (db : db) (root : root) ~coord c f =
+    let p = db.own.prof in
     Engine.delay (p.Profile.cost_2pc_msg +. net db coord.cid c);
     let rex =
       match List.assoc_opt c root.rx.exec_of_container with
       | Some e -> e
-      | None -> db.containers.(c).cexecutors.(0)
+      | None -> db.own.containers.(c).cexecutors.(0)
     in
     on_core rex ~fid:0 ~dispatch:p.Profile.cost_sub_dispatch f
 
-  let charge_validation db txn c =
+  let charge_validation (db : db) txn c =
+    let p = db.own.prof in
     Engine.delay
-      (db.prof.Profile.cost_commit_base
-      +. db.prof.Profile.cost_commit_per_op
-         *. float_of_int (Occ.Txn.ops_in txn ~container:c))
+      (p.Profile.cost_commit_base
+      +. p.Profile.cost_commit_per_op *. float_of_int (Occ.Txn.ops_in txn ~container:c))
 
-  let fused_remote_commit = false
-  let charge_install db = Engine.delay db.prof.Profile.cost_commit_base
+  let charge_install (db : db) = Engine.delay db.own.prof.Profile.cost_commit_base
   let prepared _ = ()
 
   (* Chaos: the primary dies mid-2PC. The engine fences itself
      (generation-stamped admission refuses everything from here on), so no
      replica or recovery replay can ever observe the rolled-back root. *)
-  let killed db =
-    if Chaos.draw_us db.chaos Chaos.Kill_primary <> None then db.fenced <- true;
-    db.fenced
+  let killed (db : db) =
+    let s = db.own in
+    if Chaos.draw_us s.chaos Chaos.Kill_primary <> None then s.fenced <- true;
+    s.fenced
 
-  let registry db = db.registry
   let committing _ _ f = f ()
 
   (* Write-ahead redo record, appended with every participant's locks held
      (see [Lifecycle.two_phase]), then the history entry. A failing log
      device ([Wal.Io_error]) rolls the transaction back. *)
-  let log_commit db (root : root) ~tid =
+  let log_commit (db : db) (root : root) ~tid =
     let append log =
       match Lifecycle.redo_writes db.table_owner root.txn with
       | [] -> ()
@@ -436,16 +409,17 @@ module P = struct
           { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes };
         root.rx.logged_epoch <- Some (Storage.Record.tid_epoch tid)
     in
-    match Option.iter append db.wal with
+    match Option.iter append db.own.wal with
     | () ->
-      note_history db root tid;
+      note_history db.own root tid;
       Ok ()
     | exception Wal.Io_error m -> Error m
 
   (* Client-side durable wait: called after the transaction's executor slot is
      released, so group commit adds commit latency but never holds admission
      capacity. Transactions that logged nothing return immediately. *)
-  let wait_durable db (root : root) =
+  let wait_durable (db : db) (root : root) =
+    let db = db.own in
     match root.rx.logged_epoch with
     | None -> ()
     | Some e ->
@@ -467,7 +441,7 @@ module L = Lifecycle.Make (P)
    currently running or holding admitted roots. Saturated deployments stay
    sequential: the fan-out would only add dispatch and coordination
    overhead to already-queued work. *)
-let auto_parallel_ok db =
+let auto_parallel_ok (db : sim) =
   let busy =
     Array.fold_left
       (fun n ex -> if ex.core_busy || ex.active_roots > 0 then n + 1 else n)
@@ -475,14 +449,19 @@ let auto_parallel_ok db =
   in
   2 * busy < Array.length db.execs
 
-let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
-  let p = db.prof in
+let exec_txn ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args =
+  let s = db.own in
+  let p = s.prof in
   let t_start = Engine.current_time () in
   Engine.delay p.Profile.cost_input_gen;
-  db.txn_counter <- db.txn_counter + 1;
-  let txn = Occ.Txn.create ~id:db.txn_counter in
+  let txn = Bootstrap.next_txn db in
   let bd = zero_breakdown () in
-  let rst = reactor_state db reactor in
+  (* Declared-read-only roots freeze a snapshot epoch up front: the body
+     reads version chains at that epoch and the commit protocol is skipped
+     entirely (no read set, no locks, no validation, no 2PC). *)
+  let rst, proc, readonly =
+    Bootstrap.admit db ~reactor ~proc ~parallel_ok:(fun () -> auto_parallel_ok s)
+  in
   (* Live reconfiguration: register in the current migration generation,
      and park at the forwarding stub when the target is mid-migration —
      the root resumes (and routes) against the post-flip placement. The
@@ -493,17 +472,8 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
   let rgen = Pins.Gate.register db.gate in
   if not (Pins.Gate.admits db.gate ~rgen reactor) then
     Engine.suspend (Pins.Gate.park db.gate reactor);
-  let rtype = rst.re.Bootstrap.bs_rtype in
-  let proc =
-    Lifecycle.morph db.counters db.cfg rtype proc ~parallel_ok:(fun () ->
-        auto_parallel_ok db)
-  in
-  (* Declared-read-only roots freeze a snapshot epoch up front: the body
-     reads version chains at that epoch and the commit protocol is skipped
-     entirely (no read set, no locks, no validation, no 2PC). *)
-  let readonly = Pins.Registry.enabled db.registry && Reactor.proc_readonly rtype proc in
   let root =
-    L.root db ~txn ~retry ~obs:db.obs ~t_start ?deadline_us ~readonly
+    L.root db ~txn ~retry ~t_start ?deadline_us ~readonly
       { rgen; bd; exec_of_container = []; last_call = 0; call_ctr = 0;
         worked_since_call = false; logged_epoch = None }
   in
@@ -520,7 +490,8 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
        engine, so the roots queued behind this one still run. *)
     match
       L.decide db root ~coord:ex
-        (L.run_body db root rst ~home:rst.home ex ~queued_since:!t_enq ~proc ~args)
+        (L.run_body db root rst ~home:(Atomic.get rst.home) ex ~queued_since:!t_enq
+           ~proc ~args)
     with
     | out ->
       release_core ex;
@@ -534,16 +505,16 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
      slot or a core. Sub-transactions and commit traffic of admitted roots
      are never shed. *)
   let shed =
-    match db.mailbox_cap with
+    match s.mailbox_cap with
     | Some cap -> Engine.Mailbox.length ex.queue >= cap
     | None -> false
   in
   let out =
-    if db.fenced then begin
+    if s.fenced then begin
       (* Generation fencing: a fenced primary refuses every admission
          outright — the root never enqueues, never touches a record. The
          refusal is a typed outcome so drivers can count it exactly. *)
-      db.n_fenced <- db.n_fenced + 1;
+      s.n_fenced <- s.n_fenced + 1;
       Error
         ( Lifecycle.Ab_internal,
           "fenced: stale primary generation",
@@ -570,7 +541,7 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
      transaction's log epoch completes (the executor slot is already free,
      so group commit costs latency, not admission capacity). *)
   let result, latency, abort_cause =
-    L.finish db root out ~counters:db.counters ~container:rst.home
+    L.finish db root out ~container:(Atomic.get rst.home)
   in
   (* Overhead bucket = everything not attributed to the execution-path
      buckets: input generation, dispatch, commit, queueing. *)
@@ -591,31 +562,28 @@ let exec_txn ?(retry = 0) ?deadline_us db ~reactor ~proc ~args =
    write, atomic in virtual time; catalogs are keyed by reactor, so the
    storage slice moves with the pointer. A failing log device degrades the
    placement record's durability, never liveness. *)
-let migrate db ~reactor ~dst =
-  if dst < 0 || dst >= Array.length db.containers then
-    invalid_arg
-      (Printf.sprintf "ReactDB: migrate %s: no container %d" reactor dst);
-  let rst = reactor_state db reactor in
+let migrate (db : t) ~reactor ~dst =
+  let s = db.own in
   let log ~seq =
-    match db.wal with
+    match s.wal with
     | None -> ()
     | Some log -> (
-      let tid = Storage.Record.tid_make ~epoch:(current_epoch db) ~seq in
+      let tid = Storage.Record.tid_make ~epoch:(current_epoch s) ~seq in
       try
         Wal.append log
           { Wal.le_txn = -seq; le_tid = tid;
             le_writes = [ Wal.Migrate { reactor; dst } ] }
-      with Wal.Io_error e -> if db.wal_error = None then db.wal_error <- Some e)
+      with Wal.Io_error e -> if s.wal_error = None then s.wal_error <- Some e)
   in
-  Pins.Gate.migrate db.gate ~suspend:Engine.suspend ~now:Engine.current_time ~reactor
-    ~home:(fun () -> rst.home) ~set_home:(fun h -> rst.home <- h) ~dst ~log
+  Bootstrap.migrate db ~suspend:Engine.suspend ~now:Engine.current_time ~log ~reactor
+    ~dst
 
 (* ------------------------------------------------------------------ *)
 (* Bootstrap. *)
 
-let rec dispatcher db ex () =
+let rec dispatcher mpl ex () =
   let body = Engine.Mailbox.pop ex.queue in
-  if ex.active_roots >= db.cfg.Config.mpl then
+  if ex.active_roots >= mpl then
     Engine.suspend (fun waker -> ex.slot_waiter <- Some waker);
   ex.active_roots <- ex.active_roots + 1;
   Engine.spawn_here (fun () ->
@@ -626,12 +594,9 @@ let rec dispatcher db ex () =
         ex.slot_waiter <- None;
         w ()
       | None -> ());
-  dispatcher db ex ()
+  dispatcher mpl ex ()
 
 let create eng decl cfg prof =
-  (* Declaration/config materialization is shared with the parallel runtime
-     backend: same validation, same catalogs, same placement checks. *)
-  let entries, table_owner = Bootstrap.build decl cfg in
   let xid = ref 0 in
   let containers =
     Array.mapi
@@ -655,114 +620,81 @@ let create eng decl cfg prof =
       cfg.Config.executors_per_container
   in
   let execs = Array.concat (Array.to_list (Array.map (fun c -> c.cexecutors) containers)) in
+  (* Declaration/config materialization and the placement table are
+     shared with the parallel runtime backend. *)
   let db =
-    {
-      eng;
-      decl;
-      cfg;
-      prof;
-      containers;
-      execs;
-      reactors = Hashtbl.create 256;
-      txn_counter = 0;
-      counters = Lifecycle.counters ();
-      record_history = false;
-      hist = [];
-      stats_since = Engine.now eng;
-      table_owner;
-      wal = None;
-      durable = false;
-      flushed_epoch = 0;
-      flush_pending = false;
-      epoch_waiters = [];
-      n_flushes = 0;
-      wal_error = None;
-      obs = None;
-      chaos = Chaos.none;
-      mailbox_cap = None;
-      registry = Pins.Registry.create ~epoch:(fun () -> epoch_at eng);
-      gate = Pins.Gate.create ();
-      rorder = List.map (fun e -> e.Bootstrap.bs_name) entries;
-      prim_gen = 0;
-      fenced = false;
-      n_fenced = 0;
-    }
+    Bootstrap.create decl cfg ~epoch:(fun () -> epoch_at eng) ~slot:(fun () -> [])
+      {
+        eng;
+        prof;
+        containers;
+        execs;
+        record_history = false;
+        hist = [];
+        stats_since = Engine.now eng;
+        wal = None;
+        durable = false;
+        flushed_epoch = 0;
+        flush_pending = false;
+        epoch_waiters = [];
+        n_flushes = 0;
+        wal_error = None;
+        chaos = Chaos.none;
+        mailbox_cap = None;
+        prim_gen = 0;
+        fenced = false;
+        n_fenced = 0;
+      }
   in
-  List.iter
-    (fun e ->
-      Hashtbl.add db.reactors e.Bootstrap.bs_name
-        { re = e; home = e.Bootstrap.bs_home; cache_recency = [] })
-    entries;
-  Array.iter (fun ex -> Engine.spawn eng (dispatcher db ex)) execs;
+  Array.iter (fun ex -> Engine.spawn eng (dispatcher cfg.Config.mpl ex)) execs;
   db
-
-let catalog_of db name = (reactor_state db name).re.Bootstrap.bs_catalog
-
-let catalogs db =
-  List.map
-    (fun (name, _) -> (name, catalog_of db name))
-    db.decl.Reactor.reactors
-let container_of db name = (reactor_state db name).home
-let n_migrations db = Pins.Gate.n_migrations db.gate
-let placement_epoch db = Pins.Gate.placement_epoch db.gate
-let migration_pause_last_us db = Pins.Gate.pause_last db.gate
-
-let placements db =
-  List.map (fun n -> (n, (reactor_state db n).home)) db.rorder
 
 (* Bootstrap-time only: re-home reactors silently (no drain, no WAL record,
    no stub) to resume a recovered deployment (Faultsim.rc_placements).
    Calling this with traffic in flight would route around the migration
    protocol — don't. *)
-let apply_placements db pl =
+let apply_placements (db : t) pl =
   List.iter
     (fun (r, dst) ->
       match Hashtbl.find_opt db.reactors r with
-      | Some rst when dst >= 0 && dst < Array.length db.containers ->
-        rst.home <- dst
+      | Some rst when dst >= 0 && dst < Array.length db.own.containers ->
+        Atomic.set rst.home dst
       | Some _ | None -> ())
     pl
-let n_committed db = Lifecycle.n_committed db.counters
-let n_aborted db = Lifecycle.n_aborted db.counters
-let aborts_by_reason db = Lifecycle.aborts_by_reason db.counters
 
-let busy_times db =
-  let now = Engine.now db.eng in
+let busy_times (db : t) =
+  let now = Engine.now db.own.eng in
   Array.map
     (fun ex -> ex.busy_accum +. if ex.core_busy then now -. ex.held_since else 0.)
-    db.execs
+    db.own.execs
 
-let utilizations db =
-  let total = Float.max 1e-9 (Engine.now db.eng -. db.stats_since) in
+let utilizations (db : t) =
+  let total = Float.max 1e-9 (Engine.now db.own.eng -. db.own.stats_since) in
   Array.map (fun busy -> busy /. total) (busy_times db)
 
-let reset_stats db =
-  Lifecycle.reset db.counters;
-  db.n_flushes <- 0;
+let reset_stats (db : t) =
+  let s = db.own in
+  Bootstrap.reset_counters db.counters;
+  s.n_flushes <- 0;
   (* The history log is NOT cleared: serializability certification needs
      every installed version, including warm-up transactions whose writes
      later transactions read. *)
-  db.stats_since <- Engine.now db.eng;
+  s.stats_since <- Engine.now s.eng;
   Array.iter
     (fun ex ->
       ex.busy_accum <- 0.;
-      if ex.core_busy then ex.held_since <- Engine.now db.eng)
-    db.execs
+      if ex.core_busy then ex.held_since <- Engine.now s.eng)
+    s.execs
 
-let attach_wal ?(durable = false) db log =
-  db.wal <- Some log;
-  db.durable <- durable
+let attach_wal ?(durable = false) (db : t) log =
+  db.own.wal <- Some log;
+  db.own.durable <- durable
 
-let attach_obs db c = db.obs <- Some c
-let attach_chaos db c = db.chaos <- c
-let set_mailbox_cap db cap = db.mailbox_cap <- cap
-let set_snapshots db b = Pins.Registry.set_enabled db.registry b
-let snapshots_enabled db = Pins.Registry.enabled db.registry
-let n_readonly_commits db = Lifecycle.n_readonly_commits db.counters
-let auto_morphs db = Lifecycle.auto_morphs db.counters
-let wal_error db = db.wal_error
-let n_log_flushes db = db.n_flushes
-let enable_history db = db.record_history <- true
+let attach_chaos (db : t) c = db.own.chaos <- c
+let set_mailbox_cap (db : t) cap = db.own.mailbox_cap <- cap
+let wal_error (db : t) = db.own.wal_error
+let n_log_flushes (db : t) = db.own.n_flushes
+let enable_history (db : t) = db.own.record_history <- true
 
 (* -- replication / failover (DESIGN.md §12) -------------------------- *)
 
@@ -771,11 +703,11 @@ let enable_history db = db.record_history <- true
    client waited for the covering flush), so the durable log prefix up to
    this epoch contains every acknowledged transaction — the salvage bound
    promotion uses after a primary crash. *)
-let durable_epoch db = db.flushed_epoch
+let durable_epoch (db : t) = db.own.flushed_epoch
 
-let generation db = db.prim_gen
-let set_generation db g = db.prim_gen <- g
-let fence db = db.fenced <- true
-let fenced db = db.fenced
-let n_fenced_refusals db = db.n_fenced
-let history db = List.rev db.hist
+let generation (db : t) = db.own.prim_gen
+let set_generation (db : t) g = db.own.prim_gen <- g
+let fence (db : t) = db.own.fenced <- true
+let fenced (db : t) = db.own.fenced
+let n_fenced_refusals (db : t) = db.own.n_fenced
+let history (db : t) = List.rev db.own.hist

@@ -85,16 +85,15 @@ val exec_txn :
   args:Util.Value.t list ->
   outcome
 
-(** Direct physical access to a reactor's catalog — for loaders, tests and
-    integrity checks only; bypasses concurrency control. *)
-val catalog_of : t -> string -> Storage.Catalog.t
+(** {1 Shared admin and statistics API}
 
-(** All reactors' catalogs in declaration order, for invariant audits
-    (see [lib/audit]). Same caveat as {!catalog_of}. *)
-val catalogs : t -> (string * Storage.Catalog.t) list
+    Catalogs, placement, snapshot reads, statistics and tracing, as on the
+    parallel runtime. On this backend the migration pause is in virtual
+    µs, the commit, abort, read-only and morph counters count since
+    bootstrap or the last {!reset_stats}, and tracing ({!attach_obs}) stamps {e virtual} microseconds: create
+    the collector with [~clock:Obs.Virtual]. *)
 
-(** Container index hosting a reactor. *)
-val container_of : t -> string -> int
+include Bootstrap.ADMIN with type t := t
 
 (** {1 Live reconfiguration (online reactor migration — see DESIGN.md §11)}
 
@@ -124,19 +123,6 @@ val container_of : t -> string -> int
     an unknown reactor or container index. *)
 val migrate : t -> reactor:string -> dst:int -> float
 
-(** Migrations completed since bootstrap. *)
-val n_migrations : t -> int
-
-(** Placement version: bumped by every completed migration. Routers and
-    tests use it to observe flips. *)
-val placement_epoch : t -> int
-
-(** Pause (virtual µs, mark → flip) of the most recent migration. *)
-val migration_pause_last_us : t -> float
-
-(** Current [(reactor, container)] placement, in declaration order. *)
-val placements : t -> (string * int) list
-
 (** Bootstrap-time only: silently re-home reactors (no drain, no log
     record) to resume a recovered deployment from
     [Faultsim.rc_placements]. Unknown reactors and out-of-range containers
@@ -144,65 +130,7 @@ val placements : t -> (string * int) list
     migration protocol. *)
 val apply_placements : t -> (string * int) list -> unit
 
-(** {1 Snapshot reads (multi-version, epoch-based — see DESIGN.md §10)}
-
-    Procedures declared read-only on their reactor type
-    ({!Reactor.rtype.rt_readonly}) execute against a frozen {e snapshot
-    epoch} [S = min (current epoch, min in-flight commit epoch) - 1], the
-    rule the runtime shares ({!Pins.Registry}): a 2PC installs on its
-    participants at different virtual instants, so every commit holds its
-    epoch until its installs landed, and [S] names an immutable,
-    consistent prefix. Reads resolve through per-record version chains; the commit
-    protocol is skipped entirely — no read-set, no locks, no validation,
-    no 2PC — making read-only roots abort-free by construction.
-
-    While enabled (the default), every install also retires overwritten
-    versions into chains and trims them to the {e GC horizon}: the
-    minimum live snapshot epoch, or the next epoch to be issued when no
-    reader is live — so chains stay bounded under hot keys. *)
-
-(** [set_snapshots t false] disables snapshot execution {e and} version
-    chain maintenance: declared-read-only procedures fall back to the
-    ordinary OCC read path (the benchmark baseline), and installs revert
-    to single-version behavior. *)
-val set_snapshots : t -> bool -> unit
-
-val snapshots_enabled : t -> bool
-
-(** The epoch the next read-only root would freeze. *)
-val safe_snapshot_epoch : t -> int
-
-(** Pin / unpin a snapshot epoch manually — what a read-only root does
-    around its body; exposed for tests exercising version GC. [release]
-    of an epoch not held is a no-op. *)
-val acquire_snapshot : t -> int
-
-val release_snapshot : t -> int -> unit
-
-(** The horizon installs currently trim version chains to. *)
-val gc_horizon : t -> int
-
-(** Committed roots that ran as read-only snapshot transactions (since
-    bootstrap / {!reset_stats}). *)
-val n_readonly_commits : t -> int
-
-(** [(sequential, parallel)] resolution counts of the [Config.Auto]
-    morph router (since bootstrap / {!reset_stats}). *)
-val auto_morphs : t -> int * int
-
 (** {1 Statistics} *)
-
-val n_committed : t -> int
-val n_aborted : t -> int
-
-(** Aborts by typed class ({!Lifecycle.abort_class}), non-empty buckets
-    only: "user" ({!Occ.Txn.Abort}), "validation" (execution-time
-    {!Occ.Txn.Conflict} and commit-time validation/2PC failures),
-    "dangerous-structure" ({!Reactor.Dangerous_call}, §2.2.4), "timeout",
-    "overloaded" (admission sheds) and "internal" (WAL failures, fenced
-    refusals, a primary killed mid-2PC). Classification is by exception
-    constructor, never by message text; the buckets sum to {!n_aborted}. *)
-val aborts_by_reason : t -> (string * int) list
 
 (** Virtual µs each executor's core has been busy since bootstrap /
     {!reset_stats}, in executor order (container-major). *)
@@ -212,8 +140,9 @@ val busy_times : t -> float array
     / {!reset_stats}, in executor order (container-major). *)
 val utilizations : t -> float array
 
-(** Reset commit/abort counters and utilization accumulators (e.g. between
-    warm-up and measurement epochs). *)
+(** Reset the shared commit, abort, read-only and morph counters and the
+    utilization accumulators (e.g. between warm-up and measurement
+    epochs). *)
 val reset_stats : t -> unit
 
 (** {1 Durability (extension beyond the paper — see DESIGN.md)} *)
@@ -257,7 +186,9 @@ val generation : t -> int
 val set_generation : t -> int -> unit
 
 (** Mark this primary's generation stale. Irreversible for the lifetime
-    of the engine — a fenced primary only ever refuses. *)
+    of the engine — a fenced primary only ever refuses, and each refusal
+    counts in the "internal" bucket of {!aborts_by_reason}, as does a
+    primary killed mid-2PC. *)
 val fence : t -> unit
 
 val fenced : t -> bool
@@ -292,17 +223,6 @@ val wal_error : t -> string option
 val attach_chaos : t -> Chaos.t -> unit
 
 val set_mailbox_cap : t -> int option -> unit
-
-(** {1 Observability}
-
-    [attach_obs t collector] turns on transaction-lifecycle tracing: every
-    subsequent attempt allocates an [Obs.Trace.t], stamps the lifecycle
-    phases in {e virtual} microseconds (create the collector with
-    [~clock:Obs.Virtual]), and folds into [collector] keyed by the root
-    reactor's home container. With no collector attached the trace sink is
-    [Obs.Trace.none] and the per-attempt cost is a few predictable
-    branches. *)
-val attach_obs : t -> Obs.Collector.t -> unit
 
 (** {1 History recording (for serializability certification)}
 

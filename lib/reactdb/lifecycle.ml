@@ -7,12 +7,8 @@ let classify_exn = function
   | Obs.Abort.Timed_out m -> Some (Ab_timeout, m)
   | _ -> None
 
-let bucket_names =
-  [| "user"; "validation"; "dangerous-structure"; "timeout"; "overloaded";
-     "internal" |]
-
-(* Each class's bucket (an index into [bucket_names]) and the kind it is
-   reported as; a validation failure's kind is refined by its
+(* Each class's bucket (an index into [Bootstrap.bucket_names]) and the
+   kind it is reported as; a validation failure's kind is refined by its
    fail_reason when known. *)
 let class_info = function
   | Ab_user -> (0, Obs.Abort.User)
@@ -23,56 +19,9 @@ let class_info = function
   | Ab_overload -> (4, Obs.Abort.Overloaded)
   | Ab_internal -> (5, Obs.Abort.Internal)
 
-type counters = {
-  committed : int Atomic.t;
-  aborted : int Atomic.t;
-  ro_commits : int Atomic.t;
-  auto_seq : int Atomic.t;
-  auto_par : int Atomic.t;
-  buckets : int Atomic.t array;
-}
-
-let counters () =
-  let z () = Atomic.make 0 in
-  { committed = z (); aborted = z (); ro_commits = z (); auto_seq = z ();
-    auto_par = z (); buckets = Array.map (fun _ -> z ()) bucket_names }
-
-let reset c =
-  List.iter
-    (fun a -> Atomic.set a 0)
-    (c.committed :: c.aborted :: c.ro_commits :: c.auto_seq :: c.auto_par
-    :: Array.to_list c.buckets)
-
-let n_committed c = Atomic.get c.committed
-let n_aborted c = Atomic.get c.aborted
-let n_readonly_commits c = Atomic.get c.ro_commits
-
-let count_abort c k =
+let count_abort (c : Bootstrap.counters) k =
   Atomic.incr c.aborted;
   Atomic.incr c.buckets.(fst (class_info k))
-
-let auto_morphs c = (Atomic.get c.auto_seq, Atomic.get c.auto_par)
-
-(* Config.Auto resolves a declared morph pair per root: the parallel twin
-   when live load leaves capacity for the fan-out, else the sequential
-   formulation (the one generators emit). *)
-let morph c cfg rtype proc ~parallel_ok =
-  if cfg.Config.morph <> Config.Auto then proc
-  else
-    match Reactor.morph_target rtype proc with
-    | Some par when parallel_ok () ->
-      Atomic.incr c.auto_par;
-      par
-    | Some _ ->
-      Atomic.incr c.auto_seq;
-      proc
-    | None -> proc
-
-let aborts_by_reason c =
-  List.filter
-    (fun (_, n) -> n > 0)
-    (Array.to_list
-       (Array.mapi (fun i name -> (name, Atomic.get c.buckets.(i))) bucket_names))
 
 (* After-images come from the transaction's private buffers: update rows
    are the buffered arrays, insert records are still locked (lock held
@@ -108,10 +57,11 @@ let validation_failed fr =
 let internal m = (Ab_internal, m, Obs.Abort.Internal)
 
 module Make (P : PLATFORM) = struct
-  let root db ~txn ~retry ~obs ~t_start ?deadline_us ~readonly rx =
+  let root (db : (P.slot, P.t) Bootstrap.t) ~txn ~retry ~t_start ?deadline_us ~readonly rx =
+    let obs = db.obs in
     let tr = match obs with Some c -> Obs.Collector.trace c | None -> Obs.Trace.none in
     let deadline = match deadline_us with Some d -> t_start +. d | None -> Float.infinity in
-    let rsnapshot = if readonly then Some (Pins.Registry.acquire (P.registry db)) else None in
+    let rsnapshot = if readonly then Some (Pins.Registry.acquire db.registry) else None in
     { txn; retry; obs; tr; t_start; deadline; rsnapshot;
       active_set = []; doomed = None; rx }
 
@@ -141,7 +91,7 @@ module Make (P : PLATFORM) = struct
   (* Invocation frame: one (sub-)transaction execution on one reactor. *)
   type frame = {
     froot : P.rx root;
-    target : P.reactor;
+    target : P.slot Bootstrap.reactor;
     fname : string;
     fhome : int;
         (* stable for the frame's lifetime: a migration flips a placement
@@ -178,7 +128,7 @@ module Make (P : PLATFORM) = struct
     List.map Result.get_ok results
 
   let rec run_procedure db root target ~home ex ~on_root_path ~proc ~args =
-    let e = P.entry target in
+    let e = target.Bootstrap.re in
     let procfn = Reactor.find_proc e.Bootstrap.bs_rtype proc in
     let frame =
       { froot = root; target; fname = e.Bootstrap.bs_name; fhome = home;
@@ -228,7 +178,7 @@ module Make (P : PLATFORM) = struct
       (* Self-call: inlined in the same execution context (§2.2.4). *)
       inline db frame frame.target ~home:frame.fhome ~proc ~args
     else begin
-      let target = P.lookup db reactor in
+      let target = Bootstrap.lookup db reactor in
       (* Dynamic safety condition (§2.2.4): at most one execution context
          may be active per reactor and root transaction. *)
       if List.mem reactor root.active_set then
@@ -295,7 +245,7 @@ module Make (P : PLATFORM) = struct
        phases telescope to at most the latency *)
     if Obs.Trace.enabled root.tr then
       Obs.Trace.add root.tr Obs.Phase.Queue_wait (t_body -. queued_since);
-    let name = (P.entry target).Bootstrap.bs_name in
+    let name = target.Bootstrap.re.bs_name in
     activate root name;
     let abort (k, m) = Error (k, m, snd (class_info k)) in
     let res =
@@ -327,7 +277,7 @@ module Make (P : PLATFORM) = struct
       release ();
       Error (internal ("wal write failed: " ^ m))
     | Ok () ->
-      let reg = P.registry db in
+      let reg = db.Bootstrap.registry in
       install ~tid
         ~horizon:(if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg) else None);
       Ok ()
@@ -429,7 +379,7 @@ module Make (P : PLATFORM) = struct
       commit_one db root c ~t0 ~epoch ~prepare:(fun c ->
           P.charge_validation db root.txn c;
           Result.map_error validation_failed (Occ.Commit.prepare root.txn ~container:c))
-    | [ c ] when P.fused_remote_commit ->
+    | [ c ] ->
       (* The one container is not the coordinator's: prepare and install
          re-pin to its owner as one step, so the write locks are never
          held across a round trip. Messaging both ways and owner-queue
@@ -463,7 +413,7 @@ module Make (P : PLATFORM) = struct
       (* The TID epoch is held until every install landed, so no snapshot
          is issued at an epoch that can still gain installs; released on
          every path, since a leaked hold would freeze snapshots and GC. *)
-      let reg = P.registry db in
+      let reg = db.Bootstrap.registry in
       P.committing db root (fun () ->
           let epoch = Pins.Registry.hold_commit reg in
           Fun.protect ~finally:(fun () -> Pins.Registry.drop_commit reg epoch) (fun () ->
@@ -474,8 +424,9 @@ module Make (P : PLATFORM) = struct
                 Error (internal ("internal commit error: " ^ Printexc.to_string e))))
     | Error _ as aborted -> aborted
 
-  let finish db root verdict ~counters ~container =
-    Option.iter (Pins.Registry.release (P.registry db)) root.rsnapshot;
+  let finish db root verdict ~container =
+    Option.iter (Pins.Registry.release db.Bootstrap.registry) root.rsnapshot;
+    let counters = db.counters in
     let retry = root.retry and tr = root.tr in
     if Result.is_ok verdict then begin
       let t = stamp root in

@@ -15,32 +15,9 @@ end
 
 (** {1 Abort taxonomy (DESIGN.md §6.3)} *)
 
-(** Commit and abort counters shared by all domains, bucketed as
-    "user", "validation", "dangerous-structure", "timeout", "overloaded"
-    and "internal". *)
-type counters
-
-val counters : unit -> counters
-val reset : counters -> unit
-val n_committed : counters -> int
-val n_aborted : counters -> int
-val n_readonly_commits : counters -> int
-
-(** Count one aborted attempt in its class's bucket. *)
-val count_abort : counters -> abort_class -> unit
-
-(** [(sequential, parallel)] resolutions of the [Config.Auto] router. *)
-val auto_morphs : counters -> int * int
-
-(** The procedure a root runs: under [Config.Auto], a declared morph pair
-    resolves to its parallel twin when [parallel_ok ()], else stays
-    sequential; the choice is counted. *)
-val morph :
-  counters -> Config.t -> Reactor.rtype -> string ->
-  parallel_ok:(unit -> bool) -> string
-
-(** Non-empty buckets; they sum to {!n_aborted}. *)
-val aborts_by_reason : counters -> (string * int) list
+(** Count one aborted attempt in its class's bucket of the shared
+    counters ({!Bootstrap.counters}). *)
+val count_abort : Bootstrap.counters -> abort_class -> unit
 
 (** {1 Redo records} *)
 
@@ -50,12 +27,12 @@ val redo_writes :
   (int, string * string) Hashtbl.t -> Occ.Txn.t -> Wal.write list
 
 module Make (P : PLATFORM) : sig
-  (** A fresh root, traced when a collector is attached; its deadline is
-      [deadline_us] after [t_start]. A [readonly] root pins a snapshot
-      epoch in the platform's registry until {!finish}. *)
+  (** A fresh root, traced when a collector is attached to the database;
+      its deadline is [deadline_us] after [t_start]. A [readonly] root pins
+      a snapshot epoch in the shared registry until {!finish}. *)
   val root :
-    P.t -> txn:Occ.Txn.t -> retry:int -> obs:Obs.Collector.t option ->
-    t_start:float -> ?deadline_us:float -> readonly:bool -> P.rx -> P.rx root
+    (P.slot, P.t) Bootstrap.t -> txn:Occ.Txn.t -> retry:int -> t_start:float ->
+    ?deadline_us:float -> readonly:bool -> P.rx -> P.rx root
 
   (** Run a root's body on [exec] at container [home]: the dequeue
       deadline check, the procedure with implicit synchronization, the
@@ -63,18 +40,21 @@ module Make (P : PLATFORM) : sig
       [Exec] phases to the trace. The verdict is tentative: the body's
       value, or its abort. *)
   val run_body :
-    P.t -> P.rx root -> P.reactor -> home:int -> P.exec ->
-    queued_since:float -> proc:string -> args:Util.Value.t list -> verdict
+    (P.slot, P.t) Bootstrap.t -> P.rx root -> P.slot Bootstrap.reactor ->
+    home:int -> P.exec -> queued_since:float -> proc:string ->
+    args:Util.Value.t list -> verdict
 
   (** The final verdict, committing from [coord] a body that returned. A
       read-only snapshot root whose body returned is final; otherwise an
       expired deadline aborts at commit entry. *)
-  val decide : P.t -> P.rx root -> coord:P.exec -> verdict -> verdict
+  val decide :
+    (P.slot, P.t) Bootstrap.t -> P.rx root -> coord:P.exec -> verdict -> verdict
 
   (** Outcome bookkeeping: the snapshot's release, the durable wait of a
-      commit, the counters, the collector's record on slot [container]. Returns the client's result,
-      the latency and the abort cause. *)
+      commit, the shared counters, the collector's record on slot
+      [container]. Returns the client's result, the latency and the abort
+      cause. *)
   val finish :
-    P.t -> P.rx root -> verdict -> counters:counters -> container:int ->
+    (P.slot, P.t) Bootstrap.t -> P.rx root -> verdict -> container:int ->
     (Util.Value.t, string) result * float * Obs.Abort.cause option
 end

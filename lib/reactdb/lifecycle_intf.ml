@@ -42,19 +42,19 @@ type 'rx root = {
 type verdict = (Util.Value.t, abort_class * string * Obs.Abort.kind) result
 
 module type PLATFORM = sig
-  (** [t] is one database instance, [exec] where code runs (a simulated
-      executor, a runtime domain) and [cid] its container, [reactor] a
-      placed reactor, [rx] the platform's per-root state. *)
+  (** [t] is the platform's own state, the [own] field of a database
+      [(slot, t) Bootstrap.t]; [slot] its per-reactor state, the [slot]
+      field of a {!Bootstrap.reactor}; [exec] where code runs (a simulated
+      executor, a runtime domain) and [cid] its container; [rx] the
+      platform's per-root state. *)
   type t
 
   type exec
-  type reactor
+  type slot
   type rx
   type 'a future
 
   val now : unit -> float
-  val lookup : t -> string -> reactor
-  val entry : reactor -> Bootstrap.entry
   val cid : exec -> int
 
   (** {2 Frames} *)
@@ -63,68 +63,66 @@ module type PLATFORM = sig
       the procedure's base cost and return its data-access [charge] and
       [work] functions. [leave] runs when its body returned. *)
   val enter :
-    t -> rx root -> reactor -> home:int -> exec -> on_root_path:bool ->
+    (slot, t) Bootstrap.t -> rx root -> slot Bootstrap.reactor -> home:int ->
+    exec -> on_root_path:bool ->
     (Query.Exec.charge_kind -> int -> unit) * (float -> unit)
 
-  val leave : reactor -> exec -> unit
+  val leave : slot Bootstrap.reactor -> exec -> unit
 
   (** The container a sub-call to [reactor] may use now, or [None] when
       it must park at the reactor's migration stub and dispatch after the
       flip. May suspend the caller instead. *)
-  val resolve : t -> rx root -> caller:exec -> reactor -> int option
+  val resolve :
+    (slot, t) Bootstrap.t -> rx root -> caller:exec -> slot Bootstrap.reactor ->
+    int option
 
   (** Ship a cross-container sub-call from container [from]: run
       [f exec home] on an executor of the reactor's container, under the
       root's mutual exclusion. [parked] defers the dispatch to the flip. *)
   val call :
-    t -> rx root -> from:int -> on_root_path:bool -> reactor -> parked:bool ->
-    (exec -> int -> 'a) -> 'a future
+    (slot, t) Bootstrap.t -> rx root -> from:int -> on_root_path:bool ->
+    slot Bootstrap.reactor -> parked:bool -> (exec -> int -> 'a) -> 'a future
 
   val peek : 'a future -> 'a option
 
   (** Block a frame on an unresolved sub-call future. *)
-  val await_sub : t -> rx root -> exec -> on_root_path:bool -> 'a future -> 'a
+  val await_sub :
+    (slot, t) Bootstrap.t -> rx root -> exec -> on_root_path:bool -> 'a future -> 'a
 
   (** {2 Commit} *)
 
-  (** Run one 2PC step on container [c]'s owner, coordinated from [coord];
-      [await] blocks the coordinator on its unresolved future. *)
-  val remote : t -> rx root -> coord:exec -> int -> (unit -> 'a) -> 'a future
+  (** Run one commit step on container [c]'s owner, coordinated from
+      [coord]; [await] blocks the coordinator on its unresolved future. *)
+  val remote :
+    (slot, t) Bootstrap.t -> rx root -> coord:exec -> int -> (unit -> 'a) ->
+    'a future
 
-  val await : t -> exec -> 'a future -> 'a
-
-  (** A root whose one container is not its coordinator's commits as one
-      prepare-and-install step on the owner, or by one-participant 2PC. *)
-  val fused_remote_commit : bool
+  val await : (slot, t) Bootstrap.t -> exec -> 'a future -> 'a
 
   (** Virtual costs: validating the root's operations on a container, one
       install. *)
-  val charge_validation : t -> Occ.Txn.t -> int -> unit
+  val charge_validation : (slot, t) Bootstrap.t -> Occ.Txn.t -> int -> unit
 
-  val charge_install : t -> unit
+  val charge_install : (slot, t) Bootstrap.t -> unit
 
   (** Chaos points: a 2PC participant prepared (locks held); between the
       phases, where a dead (or fenced) primary rolls the root back. *)
-  val prepared : t -> unit
+  val prepared : (slot, t) Bootstrap.t -> unit
 
-  val killed : t -> bool
-
-  (** The snapshot and commit-epoch registry, over the platform's Silo
-      epoch clock. *)
-  val registry : t -> Pins.Registry.t
+  val killed : (slot, t) Bootstrap.t -> bool
 
   (** [committing t root f] runs the commit protocol [f ()] inside the
       platform's own holds (the runtime's group-commit boundary). *)
-  val committing : t -> rx root -> (unit -> 'a) -> 'a
+  val committing : (slot, t) Bootstrap.t -> rx root -> (unit -> 'a) -> 'a
 
   (** Between TID and install, every participant's locks held: make the
       redo record durable-bound. An [Error] rolls the root back. *)
-  val log_commit : t -> rx root -> tid:int -> (unit, string) result
+  val log_commit : (slot, t) Bootstrap.t -> rx root -> tid:int -> (unit, string) result
 
   (** Hold a committed root until its redo record is durable. *)
-  val wait_durable : t -> rx root -> unit
+  val wait_durable : (slot, t) Bootstrap.t -> rx root -> unit
 
   (** An exception that is not an abort. Returning turns it into an
       "internal" abort of the root; raising propagates it. *)
-  val on_fatal : t -> exn -> unit
+  val on_fatal : (slot, t) Bootstrap.t -> exn -> unit
 end

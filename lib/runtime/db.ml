@@ -2,6 +2,7 @@ open Util
 module Lifecycle = Reactdb.Lifecycle
 module Epochs = Reactdb.Epochs
 module Pins = Reactdb.Pins
+module Bootstrap = Reactdb.Bootstrap
 
 (* ------------------------------------------------------------------ *)
 (* Thread-safe write-once cell. Wakers registered with [on_fill] run on the
@@ -111,52 +112,44 @@ type wal_sink = {
   mutable waiters : (int * unit Ivar.t) list;  (* shared ivar per epoch *)
   mutable stop : bool;
   mutable flusher : unit Domain.t option;
-  tick_s : float;
 }
 
-(* Mutable placement (DESIGN.md §11): the bootstrap entry stays immutable
-   (name, type, catalog — the logical reactor), while the physical home is
-   an atomic the migration protocol flips. Every routing decision reads
-   [rhome]; nothing may cache it across a suspension point. *)
-type place = {
-  re : Reactdb.Bootstrap.entry;
-  rhome : int Atomic.t;
-}
+(* The group-commit window: one batched append and flush per tick. *)
+let group_tick_s = 0.001
 
-type t = {
-  cfg : Reactdb.Config.t;
+(* The placement table lives in the shared core (DESIGN.md §5.2); the
+   runtime keeps no per-reactor state of its own. *)
+type place = unit Bootstrap.reactor
+
+type own = {
   execs : exec array;
-  reactors : (string, place) Hashtbl.t;
-  entries : Reactdb.Bootstrap.entry list;
-  table_owner : (int, string * string) Hashtbl.t;
-      (* table uid -> (reactor, table); read-only after bootstrap *)
   steal : bool;
   epoch_len : float;
   wal : wal_sink option;
   chaos : Chaos.t;
-  txn_counter : int Atomic.t;
-  counters : Lifecycle.counters;
   fatal : int Atomic.t;
   fatal_mu : Mutex.t;
   mutable fatal_msgs : string list;
   epoch : int Atomic.t;
   t0 : float;
   rr : int Atomic.t;
-  registry : Pins.Registry.t;  (* snapshot and commit epochs (DESIGN.md §10) *)
-  gate : Pins.Gate.t;  (* migration generations and stubs (DESIGN.md §11) *)
   submitted : int Atomic.t;
   completed : int Atomic.t;
   mutable domains : unit Domain.t array;
-  mutable obs : Obs.Collector.t option;
-      (* lifecycle tracing sink; slot [c] only ever written by container
-         [c]'s home domain, so recording needs no locks *)
 }
 
-let record_fatal db e =
-  Atomic.incr db.fatal;
-  Mutex.lock db.fatal_mu;
-  db.fatal_msgs <- Printexc.to_string e :: db.fatal_msgs;
-  Mutex.unlock db.fatal_mu
+(* Slot [c] of the attached collector is only ever written by domain [c],
+   so recording needs no locks. *)
+type t = (unit, own) Bootstrap.t
+
+include Bootstrap.Admin
+
+let record_fatal (db : t) e =
+  let o = db.own in
+  Atomic.incr o.fatal;
+  Mutex.lock o.fatal_mu;
+  o.fatal_msgs <- Printexc.to_string e :: o.fatal_msgs;
+  Mutex.unlock o.fatal_mu
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain fiber scheduler. A fiber is any mailbox job run under the
@@ -168,7 +161,7 @@ let record_fatal db e =
 
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
-let run_fiber db ex job =
+let run_fiber (db : t) ex job =
   let open Effect.Deep in
   match_with job ()
     {
@@ -204,7 +197,7 @@ let run_msg db ex = function
    are worth raiding. *)
 let min_steal_depth = 4
 
-let try_steal db ex =
+let try_steal (db : t) ex =
   let best = ref None and bestq = ref (min_steal_depth - 1) in
   Array.iter
     (fun px ->
@@ -215,7 +208,7 @@ let try_steal db ex =
           best := Some px
         end
       end)
-    db.execs;
+    db.own.execs;
   match !best with
   | None -> None
   | Some victim -> (
@@ -241,7 +234,7 @@ let try_steal db ex =
    noise, short enough that the cost router sees load shifts quickly. *)
 let busy_window_s = 0.005
 
-let domain_loop db ex =
+let domain_loop (db : t) ex =
   let win_start = ref (Unix.gettimeofday ()) in
   let win_busy = ref 0. in
   let publish now =
@@ -255,7 +248,7 @@ let domain_loop db ex =
   let run msg =
     (* Chaos: an unresponsive executor domain — everything queued behind
        this mailbox waits out the stall. One branch when chaos is off. *)
-    Chaos.inject_wall db.chaos Chaos.Stall_domain;
+    Chaos.inject_wall db.own.chaos Chaos.Stall_domain;
     let t_run = Unix.gettimeofday () in
     run_msg db ex msg;
     let t_done = Unix.gettimeofday () in
@@ -266,7 +259,7 @@ let domain_loop db ex =
     Atomic.set ex.mean_job_us ((0.9 *. m) +. (0.1 *. d *. 1e6));
     publish t_done
   in
-  if not db.steal then begin
+  if not db.own.steal then begin
     (* Classic loop: park in [pop_wait] while empty. *)
     let rec loop () =
       match Mailbox.pop_wait ex.mb with
@@ -338,11 +331,6 @@ type root = rx Lifecycle.root
    single grid the boundary values telescope, so sum(phases) <= latency. *)
 let now_us () = Unix.gettimeofday () *. 1e6
 
-let reactor_place db name =
-  match Hashtbl.find_opt db.reactors name with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Runtime: unknown reactor %S" name)
-
 (* ------------------------------------------------------------------ *)
 (* Silo epochs on the wall clock. Only monotonicity matters for TID
    correctness ([compute_tid] takes the max with observed TIDs), so the
@@ -351,28 +339,23 @@ let reactor_place db name =
 
 let default_epoch_len_s = 0.04
 
-let maybe_advance_epoch db =
-  let target = 1 + int_of_float ((Unix.gettimeofday () -. db.t0) /. db.epoch_len) in
-  let cur = Atomic.get db.epoch in
-  if target > cur then ignore (Atomic.compare_and_set db.epoch cur target)
-
-let safe_snapshot_epoch db = Pins.Registry.safe_snapshot db.registry
-let acquire_snapshot db = Pins.Registry.acquire db.registry
-let release_snapshot db s = Pins.Registry.release db.registry s
-let gc_horizon db = Pins.Registry.horizon db.registry
+let maybe_advance_epoch (db : t) =
+  let target = 1 + int_of_float ((Unix.gettimeofday () -. db.own.t0) /. db.own.epoch_len) in
+  let cur = Atomic.get db.own.epoch in
+  if target > cur then ignore (Atomic.compare_and_set db.own.epoch cur target)
 
 (* Config.Auto morph heuristic: resolve a root to its parallel formulation
    only when at least half the domains have idle capacity to absorb the
    fan-out — the runtime mirror of the simulator's idle-executor rule, read
    from the published busy fractions and live queue depths. *)
-let auto_parallel_ok db =
-  let n = Array.length db.execs in
+let auto_parallel_ok (db : t) =
+  let n = Array.length db.own.execs in
   let busy = ref 0 in
   Array.iter
     (fun ex ->
       if Atomic.get ex.busy_frac > 0.5 || Mailbox.length ex.mb > 1 then
         incr busy)
-    db.execs;
+    db.own.execs;
   2 * !busy < n
 
 (* ------------------------------------------------------------------ *)
@@ -388,9 +371,9 @@ let auto_parallel_ok db =
 (* Register a commit attempt; returns its epoch tag. Reading the epoch
    under [wmu] is what orders registration against the flusher's own epoch
    read (also under [wmu]). *)
-let sink_register db s =
+let sink_register (db : t) s =
   Mutex.protect s.wmu (fun () ->
-      let e = Atomic.get db.epoch in
+      let e = Atomic.get db.own.epoch in
       Epochs.add s.inflight e;
       e)
 
@@ -410,9 +393,9 @@ let sink_append s ~epoch entry =
         s.waiters <- (epoch, iv) :: s.waiters;
         iv)
 
-let flusher_loop db s =
+let flusher_loop (db : t) s =
   let rec loop () =
-    Unix.sleepf s.tick_s;
+    Unix.sleepf group_tick_s;
     (* Epochs must advance even when no root starts (quiet periods would
        otherwise pin the flush boundary forever). *)
     maybe_advance_epoch db;
@@ -420,7 +403,7 @@ let flusher_loop db s =
     let stop = s.stop in
     let bound =
       Epochs.minimum s.inflight
-        ~default:(if stop then max_int else Atomic.get db.epoch)
+        ~default:(if stop then max_int else Atomic.get db.own.epoch)
       - 1
     in
     let ready, later = List.partition (fun (e, _) -> e <= bound) s.pending in
@@ -452,44 +435,43 @@ let flusher_loop db s =
    participant's writes. *)
 
 module P = struct
-  type nonrec t = t
+  type t = own
   type nonrec exec = exec
-  type reactor = place
+  type slot = unit
   type nonrec rx = rx
   type 'a future = 'a Ivar.t
+  type db = (slot, t) Bootstrap.t
 
   let now = now_us
-  let lookup = reactor_place
-  let entry p = p.re
   let cid ex = ex.eid
   let no_cost = ((fun _ _ -> ()), fun _ -> ())
   let enter _ _ _ ~home:_ _ ~on_root_path:_ = no_cost
   let leave _ _ = ()
-  let resolve db (root : root) ~caller:_ p =
-    if Pins.Gate.admits db.gate ~rgen:root.rx.rgen p.re.Reactdb.Bootstrap.bs_name
-    then Some (Atomic.get p.rhome)
+  let resolve (db : db) (root : root) ~caller:_ (p : place) =
+    if Pins.Gate.admits db.gate ~rgen:root.rx.rgen p.re.bs_name
+    then Some (Atomic.get p.home)
     else None
 
   (* Ship the body to the owning domain. The child job blocks on [rmu]
      before touching any shared transaction state; the holder is always a
      running (never suspended) fiber, so the wait is finite. The home is
      re-read at dispatch time — for a parked call that is after the flip. *)
-  let call db (root : root) ~from:_ ~on_root_path:_ tplace ~parked f =
+  let call (db : db) (root : root) ~from:_ ~on_root_path:_ (tplace : place) ~parked f =
     let iv = Ivar.create () in
     let ship () =
-      let rex = db.execs.(Atomic.get tplace.rhome) in
+      let rex = db.own.execs.(Atomic.get tplace.home) in
       Mailbox.push rex.mb
         (Job
            (fun () ->
              (* Chaos: the shipped sub-call stalls before it starts
                 executing on the destination domain. *)
-             Chaos.inject_wall db.chaos Chaos.Delay_delivery;
+             Chaos.inject_wall db.own.chaos Chaos.Delay_delivery;
              Mutex.lock root.rx.rmu;
              let r = f rex rex.eid in
              Mutex.unlock root.rx.rmu;
              Ivar.fill iv r))
     in
-    if parked then Pins.Gate.park db.gate tplace.re.Reactdb.Bootstrap.bs_name ship
+    if parked then Pins.Gate.park db.gate tplace.re.bs_name ship
     else ship ();
     iv
 
@@ -510,28 +492,25 @@ module P = struct
     if timed then Obs.Trace.add root.tr Obs.Phase.Suspend_wait (now_us () -. t0);
     r
 
-  let remote db _ ~coord:_ c f =
+  let remote (db : db) _ ~coord:_ c f =
     let iv = Ivar.create () in
-    Mailbox.push db.execs.(c).mb (Job (fun () -> Ivar.fill iv (f ())));
+    Mailbox.push db.own.execs.(c).mb (Job (fun () -> Ivar.fill iv (f ())));
     iv
 
-  (* stolen or cost-routed roots: no lock-holding round trip mid-commit *)
-  let fused_remote_commit = true
   let charge_validation _ _ _ = ()
   let charge_install _ = ()
 
   (* Chaos: a participant stalls with its write locks held — the worst
      place to lose time. *)
-  let prepared db = Chaos.inject_wall db.chaos Chaos.Stall_prepare
+  let prepared (db : db) = Chaos.inject_wall db.own.chaos Chaos.Stall_prepare
   let killed _ = false
-  let registry db = db.registry
 
   (* Durable mode: capture the after-images and register against the
      flush boundary before the commit decision (the epoch rule above). The
      hold drops once the protocol is over (at the append, if it
      committed). *)
-  let committing db (root : root) f =
-    (match db.wal with
+  let committing (db : db) (root : root) f =
+    (match db.own.wal with
     | None -> ()
     | Some s -> (
       match Lifecycle.redo_writes db.table_owner root.txn with
@@ -565,20 +544,19 @@ module L = Lifecycle.Make (P)
    domain. Guaranteed to call [k] and bump [completed] exactly once —
    quiescence depends on it. *)
 
-let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us
-    ~k (ex : exec) =
+let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
+    ?deadline_us ~k (ex : exec) =
   (* Chaos: the root dispatch message stalls before execution begins. *)
-  Chaos.inject_wall db.chaos Chaos.Delay_delivery;
+  Chaos.inject_wall db.own.chaos Chaos.Delay_delivery;
   maybe_advance_epoch db;
-  let place = reactor_place db reactor in
   (* Re-read the home at execution start: a parked root replayed after a
      flip must run against the new placement. Stable from here on — a
      subsequent flip waits for this root (its generation is pre-mark
      relative to any later migration). *)
-  let home = Atomic.get place.rhome in
-  let txn = Occ.Txn.create ~id:(1 + Atomic.fetch_and_add db.txn_counter 1) in
+  let home = Atomic.get place.home in
+  let txn = Bootstrap.next_txn db in
   let root =
-    L.root db ~txn ~retry ~obs:db.obs ~t_start:t_submit ?deadline_us ~readonly:ro
+    L.root db ~txn ~retry ~t_start:t_submit ?deadline_us ~readonly:ro
       { rmu = Mutex.create (); rgen; wal_prep = None; flush = None }
   in
   (* Queue wait: submit → this job running on the home domain, including
@@ -591,14 +569,14 @@ let exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us
      [ex]'s domain, so it records into slot [ex.eid] — with stealing or
      cost routing that may differ from the reactor's home container. *)
   let result, latency_us, abort_cause =
-    L.finish db root verdict ~counters:db.counters ~container:ex.eid
+    L.finish db root verdict ~container:ex.eid
   in
   let out =
     { result; latency_us; abort_cause; snapshot = root.rsnapshot;
       containers_touched = List.length (Occ.Txn.containers txn) }
   in
   (try k out with e -> record_fatal db e);
-  Atomic.incr db.completed
+  Atomic.incr db.own.completed
 
 (* ------------------------------------------------------------------ *)
 (* Cost router. Scores each candidate domain as the §2.4 cost-model latency
@@ -617,15 +595,15 @@ let note_qdepth ex =
   let ew = Atomic.get ex.qdepth_ewma in
   Atomic.set ex.qdepth_ewma ((0.8 *. ew) +. (0.2 *. q))
 
-let choose_cost db ~home =
-  let n = Array.length db.execs in
+let choose_cost (db : t) ~home =
+  let n = Array.length db.own.execs in
   if n = 1 then 0
   else begin
     (* body estimate: the home domain's live mean service time *)
-    let body = Float.max 1. (Atomic.get db.execs.(home).mean_job_us) in
-    let submitted = float_of_int (1 + Atomic.get db.submitted) in
+    let body = Float.max 1. (Atomic.get db.own.execs.(home).mean_job_us) in
+    let submitted = float_of_int (1 + Atomic.get db.own.submitted) in
     let score c =
-      let ex = db.execs.(c) in
+      let ex = db.own.execs.(c) in
       note_qdepth ex;
       let svc = Float.max 1. (Atomic.get ex.mean_job_us) in
       let shape =
@@ -656,15 +634,11 @@ let choose_cost db ~home =
     !best
   end
 
-let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
-  let place = reactor_place db reactor in
-  let rt = place.re.Reactdb.Bootstrap.bs_rtype in
-  let proc =
-    Lifecycle.morph db.counters db.cfg rt proc ~parallel_ok:(fun () ->
-        auto_parallel_ok db)
+let submit ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args ~k =
+  let place, proc, ro =
+    Bootstrap.admit db ~reactor ~proc ~parallel_ok:(fun () -> auto_parallel_ok db)
   in
-  let ro = Pins.Registry.enabled db.registry && Reactor.proc_readonly rt proc in
-  Atomic.incr db.submitted;
+  Atomic.incr db.own.submitted;
   (* Placement-generation registration: the matching deregistration rides
      the continuation, so a migration drain observes exactly the roots
      whose outcome is still pending. *)
@@ -675,7 +649,7 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
   in
   let t_submit = now_us () in
   let job =
-    exec_root db ~reactor ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us ~k
+    exec_root db place ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us ~k
   in
   (* Dispatch against a resolved home — immediately when the target is not
      mid-migration, otherwise replayed by the flip. Stub traffic counts as
@@ -688,7 +662,7 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
         match db.cfg.Reactdb.Config.router with
         | Reactdb.Config.Affinity -> (home, false)
         | Reactdb.Config.Round_robin ->
-          (Atomic.fetch_and_add db.rr 1 mod Array.length db.execs, false)
+          (Atomic.fetch_and_add db.own.rr 1 mod Array.length db.own.execs, false)
         | Reactdb.Config.Cost ->
           let c = choose_cost db ~home in
           (c, c <> home)
@@ -702,8 +676,8 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
     let accepted =
       if replayed then begin
         (if ro then
-           Mailbox.push db.execs.(home).mb (Job (fun () -> job db.execs.(home)))
-         else Mailbox.push db.execs.(home).mb (Root job));
+           Mailbox.push db.own.execs.(home).mb (Job (fun () -> job db.own.execs.(home)))
+         else Mailbox.push db.own.execs.(home).mb (Root job));
         true
       end
       else if ro then
@@ -712,12 +686,12 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
            walks version chains on the domain that owns the records — reads
            cannot race a concurrent install. Admission control still
            applies. *)
-        Mailbox.try_push db.execs.(home).mb
-          (Job (fun () -> job db.execs.(home)))
+        Mailbox.try_push db.own.execs.(home).mb
+          (Job (fun () -> job db.own.execs.(home)))
       else if ingress = home || by_cost then
         (* Direct admission; a cost-routed off-home root executes at the
            ingress domain and re-pins its commit. *)
-        Mailbox.try_push db.execs.(ingress).mb (Root job)
+        Mailbox.try_push db.own.execs.(ingress).mb (Root job)
       else
         (* Misrouted round-robin ingress pays a forwarding hop to the owner
            — the locality cost the affinity router avoids. The hop itself is
@@ -725,14 +699,14 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
            it reaches the home mailbox. The owner is re-read at hop time so
            a flip between ingress and hop can't strand the root on a stale
            home. *)
-        Mailbox.try_push db.execs.(ingress).mb
+        Mailbox.try_push db.own.execs.(ingress).mb
           (Job
              (fun () ->
-               Mailbox.push db.execs.(Atomic.get place.rhome).mb (Root job)))
+               Mailbox.push db.own.execs.(Atomic.get place.home).mb (Root job)))
     in
-    if accepted && by_cost then Atomic.incr db.execs.(ingress).routed_by_cost;
+    if accepted && by_cost then Atomic.incr db.own.execs.(ingress).routed_by_cost;
     if not accepted then begin
-      Atomic.incr db.execs.(ingress).sheds;
+      Atomic.incr db.own.execs.(ingress).sheds;
       (* Shed at admission: the attempt never reaches a domain, so the
          outcome is synthesized on the submitter's thread. Obs collector
          slots are owned by home domains, so no lifecycle record is written
@@ -749,14 +723,14 @@ let submit ?(retry = 0) ?deadline_us db ~reactor ~proc ~args ~k =
         }
       in
       (try k out with e -> record_fatal db e);
-      Atomic.incr db.completed
+      Atomic.incr db.own.completed
     end
   in
   if Pins.Gate.admits db.gate ~rgen reactor then
-    dispatch ~replayed:false (Atomic.get place.rhome)
+    dispatch ~replayed:false (Atomic.get place.home)
   else
     Pins.Gate.park db.gate reactor (fun () ->
-        dispatch ~replayed:true (Atomic.get place.rhome))
+        dispatch ~replayed:true (Atomic.get place.home))
 
 let exec_txn ?deadline_us db ~reactor ~proc ~args =
   let iv = Ivar.create () in
@@ -766,10 +740,10 @@ let exec_txn ?deadline_us db ~reactor ~proc ~args =
 (* Read [completed] before [submitted]: both monotone, every submit precedes
    its completion, so equal reads in this order imply a true fixpoint (as
    long as the caller isn't racing its own new submissions). *)
-let quiesce db =
+let quiesce (db : t) =
   let rec loop () =
-    let c = Atomic.get db.completed in
-    let s = Atomic.get db.submitted in
+    let c = Atomic.get db.own.completed in
+    let s = Atomic.get db.own.submitted in
     if c <> s then begin
       Unix.sleepf 2e-4;
       loop ()
@@ -790,10 +764,7 @@ let block register =
   register (fun () -> Ivar.fill iv ());
   Ivar.read_block iv
 
-let migrate db ~reactor ~dst =
-  let place = reactor_place db reactor in
-  if dst < 0 || dst >= Array.length db.execs then
-    invalid_arg (Printf.sprintf "Runtime.migrate: no container %d" dst);
+let migrate (db : t) ~reactor ~dst =
   (* TID = (epoch, migration ordinal) grows across migrations, so
      recovery's last-wins placement fold is deterministic *)
   let flush = ref None in
@@ -806,26 +777,11 @@ let migrate db ~reactor ~dst =
             (sink_append s ~epoch:etag
                { Wal.le_txn = -seq; le_tid = Storage.Record.tid_make ~epoch:etag ~seq;
                  le_writes = [ Wal.Migrate { reactor; dst } ] }))
-      db.wal
+      db.own.wal
   in
-  let pause =
-    Pins.Gate.migrate db.gate ~suspend:block ~now:now_us ~reactor
-      ~home:(fun () -> Atomic.get place.rhome) ~set_home:(Atomic.set place.rhome)
-      ~dst ~log
-  in
+  let pause = Bootstrap.migrate db ~suspend:block ~now:now_us ~log ~reactor ~dst in
   Option.iter Ivar.read_block !flush;
   pause
-
-let n_migrations db = Pins.Gate.n_migrations db.gate
-let placement_epoch db = Pins.Gate.placement_epoch db.gate
-let migration_pause_last_us db = Pins.Gate.pause_last db.gate
-
-let placements db =
-  List.map
-    (fun e ->
-      let name = e.Reactdb.Bootstrap.bs_name in
-      (name, Atomic.get (reactor_place db name).rhome))
-    db.entries
 
 let reactors_on db c =
   List.filter_map
@@ -835,8 +791,7 @@ let reactors_on db c =
 (* ------------------------------------------------------------------ *)
 
 let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
-    ?(epoch_len_s = default_epoch_len_s) ?(group_tick_s = 0.001) decl cfg =
-  let entries, table_owner = Reactdb.Bootstrap.build decl cfg in
+    ?(epoch_len_s = default_epoch_len_s) decl cfg =
   let n = Reactdb.Config.n_containers cfg in
   let execs =
     Array.init n (fun eid ->
@@ -853,12 +808,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
           sheds = Atomic.make 0;
         })
   in
-  let reactors = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      Hashtbl.add reactors e.Reactdb.Bootstrap.bs_name
-        { re = e; rhome = Atomic.make e.Reactdb.Bootstrap.bs_home })
-    entries;
   let sink =
     Option.map
       (fun log ->
@@ -870,51 +819,42 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
           waiters = [];
           stop = false;
           flusher = None;
-          tick_s = Float.max 1e-4 group_tick_s;
         })
       wal
   in
   let epoch = Atomic.make 1 in
   let db =
-    {
-      cfg;
-      execs;
-      reactors;
-      entries;
-      table_owner;
-      steal;
-      epoch_len = Float.max 1e-4 epoch_len_s;
-      wal = sink;
-      chaos;
-      txn_counter = Atomic.make 0;
-      counters = Lifecycle.counters ();
-      fatal = Atomic.make 0;
-      fatal_mu = Mutex.create ();
-      fatal_msgs = [];
-      epoch;
-      t0 = Unix.gettimeofday ();
-      rr = Atomic.make 0;
-      registry = Pins.Registry.create ~epoch:(fun () -> Atomic.get epoch);
-      gate = Pins.Gate.create ();
-      submitted = Atomic.make 0;
-      completed = Atomic.make 0;
-      domains = [||];
-      obs = None;
-    }
+    Bootstrap.create decl cfg ~epoch:(fun () -> Atomic.get epoch) ~slot:ignore
+      {
+        execs;
+        steal;
+        epoch_len = Float.max 1e-4 epoch_len_s;
+        wal = sink;
+        chaos;
+        fatal = Atomic.make 0;
+        fatal_mu = Mutex.create ();
+        fatal_msgs = [];
+        epoch;
+        t0 = Unix.gettimeofday ();
+        rr = Atomic.make 0;
+        submitted = Atomic.make 0;
+        completed = Atomic.make 0;
+        domains = [||];
+      }
   in
-  db.domains <-
+  db.own.domains <-
     Array.map (fun ex -> Domain.spawn (fun () -> domain_loop db ex)) execs;
-  (match db.wal with
+  (match db.own.wal with
   | Some s -> s.flusher <- Some (Domain.spawn (fun () -> flusher_loop db s))
   | None -> ());
   db
 
-let shutdown db =
+let shutdown (db : t) =
   quiesce db;
   (* Stop the flusher after quiescence: its final pass flushes everything
      still pending (no commit can be inflight any more) and releases any
      remaining waiters before the executor domains are joined. *)
-  (match db.wal with
+  (match db.own.wal with
   | Some s ->
     Mutex.lock s.wmu;
     s.stop <- true;
@@ -922,35 +862,12 @@ let shutdown db =
     (match s.flusher with Some d -> Domain.join d | None -> ());
     s.flusher <- None
   | None -> ());
-  Array.iter (fun ex -> Mailbox.close ex.mb) db.execs;
-  Array.iter Domain.join db.domains;
-  db.domains <- [||]
+  Array.iter (fun ex -> Mailbox.close ex.mb) db.own.execs;
+  Array.iter Domain.join db.own.domains;
+  db.own.domains <- [||]
 
-let n_domains db = Array.length db.execs
-let container_of db name = Atomic.get (reactor_place db name).rhome
-
-let catalog_of db name =
-  (reactor_place db name).re.Reactdb.Bootstrap.bs_catalog
-
-let catalogs db =
-  List.map
-    (fun e -> (e.Reactdb.Bootstrap.bs_name, e.Reactdb.Bootstrap.bs_catalog))
-    db.entries
-
-let n_committed db = Lifecycle.n_committed db.counters
-let n_aborted db = Lifecycle.n_aborted db.counters
-
-(* --- snapshot reads --- *)
-
-let set_snapshots db on = Pins.Registry.set_enabled db.registry on
-let snapshots_enabled db = Pins.Registry.enabled db.registry
-let n_readonly_commits db = Lifecycle.n_readonly_commits db.counters
-let auto_morphs db = Lifecycle.auto_morphs db.counters
-
-let aborts_by_reason db = Lifecycle.aborts_by_reason db.counters
-
-let attach_obs db c = db.obs <- Some c
-let n_fatal db = Atomic.get db.fatal
+let n_domains (db : t) = Array.length db.own.execs
+let n_fatal (db : t) = Atomic.get db.own.fatal
 
 (* --- dynamic-scheduling observability --- *)
 
@@ -962,7 +879,7 @@ type sched_stat = {
   ss_qdepth_ewma : float;
 }
 
-let sched_stats db =
+let sched_stats (db : t) =
   Array.map
     (fun ex ->
       {
@@ -972,12 +889,12 @@ let sched_stats db =
         ss_sheds = Atomic.get ex.sheds;
         ss_qdepth_ewma = Atomic.get ex.qdepth_ewma;
       })
-    db.execs
+    db.own.execs
 
-let n_steals db =
+let n_steals (db : t) =
   Array.fold_left
     (fun a ex -> a + Atomic.get ex.steals_in)
-    0 db.execs
+    0 db.own.execs
 
 (* --- live load signals (autoscaler inputs) --- *)
 
@@ -988,7 +905,7 @@ type load_stat = {
   ld_sheds : int;  (* admission refusals against this mailbox so far *)
 }
 
-let load_stats db =
+let load_stats (db : t) =
   Array.map
     (fun ex ->
       {
@@ -997,11 +914,11 @@ let load_stats db =
         ld_mailbox = Mailbox.length ex.mb;
         ld_sheds = Atomic.get ex.sheds;
       })
-    db.execs
+    db.own.execs
 
 (* Copy the scheduler counters into the attached collector's slots so they
    ride the versioned report. Call at quiescence, like summarize. *)
-let publish_sched_obs db =
+let publish_sched_obs (db : t) =
   match db.obs with
   | None -> ()
   | Some c ->
@@ -1012,21 +929,21 @@ let publish_sched_obs db =
           ~steals_out:(Atomic.get ex.steals_out)
           ~routed_by_cost:(Atomic.get ex.routed_by_cost)
           ~qdepth_ewma:(Atomic.get ex.qdepth_ewma))
-      db.execs
+      db.own.execs
 
-let fatal_messages db =
-  Mutex.lock db.fatal_mu;
-  let m = db.fatal_msgs in
-  Mutex.unlock db.fatal_mu;
+let fatal_messages (db : t) =
+  Mutex.lock db.own.fatal_mu;
+  let m = db.own.fatal_msgs in
+  Mutex.unlock db.own.fatal_mu;
   m
 
 (* [busy_s] is private to its domain; snapshot it with a mailbox job so the
    read happens on the owner with proper ordering. *)
-let busy_times db =
+let busy_times (db : t) =
   Array.map
     (fun ex ->
       let iv = Ivar.create () in
       Mailbox.push ex.mb (Job (fun () -> Ivar.fill iv ex.busy_s));
       iv)
-    db.execs
+    db.own.execs
   |> Array.map Ivar.read_block

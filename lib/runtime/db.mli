@@ -82,18 +82,16 @@ type outcome = {
 
     [wal] attaches a write-ahead log: each committed root's after-images
     are appended and the transaction's completion waits for the group
-    commit covering its epoch — one batched append + flush per
-    [group_tick_s] window (default 1 ms), attributed to the
-    [Flush_wait] phase. [epoch_len_s] (default 0.04 s) sets the Silo
-    TID-epoch advance interval, which also bounds group-commit epoch
-    granularity. *)
+    commit covering its epoch — one batched append + flush per 1 ms
+    window, attributed to the [Flush_wait] phase. [epoch_len_s] (default
+    0.04 s) sets the Silo TID-epoch advance interval, which also bounds
+    group-commit epoch granularity. *)
 val start :
   ?chaos:Chaos.t ->
   ?mailbox_cap:int ->
   ?steal:bool ->
   ?wal:Wal.t ->
   ?epoch_len_s:float ->
-  ?group_tick_s:float ->
   Reactor.decl ->
   Reactdb.Config.t ->
   t
@@ -102,20 +100,23 @@ val start :
     mailboxes and joins the domains. The catalogs remain readable. *)
 val shutdown : t -> unit
 
-(** Number of containers, each owned by one spawned domain. *)
+(** Number of containers, each owned by one spawned domain; a container's
+    index is its domain's. *)
 val n_domains : t -> int
 
-(** The container (= domain index) that owns a reactor's state. *)
-val container_of : t -> string -> int
+(** {1 Shared admin and statistics API}
 
-(** Direct physical access to a reactor's catalog — loaders, audits and
-    tests only. Only safe for concurrent use after {!quiesce}/{!shutdown}. *)
-val catalog_of : t -> string -> Storage.Catalog.t
+    Catalogs, placement, snapshot reads, statistics and tracing, as on the
+    simulator. On this backend, catalogs are safe to read only after
+    {!quiesce} or {!shutdown}; read-only snapshot roots are home-pinned
+    (never stolen or cost-routed), so every version-chain walk happens on
+    the domain owning the records; and the "internal" abort bucket counts
+    a procedure or commit step raising something that is not an abort
+    (see {!n_fatal}). *)
 
-(** All reactors' catalogs in declaration order (for invariant audits,
-    e.g. [Faultsim.check_secondaries]). Same safety caveat as
-    {!catalog_of}. *)
-val catalogs : t -> (string * Storage.Catalog.t) list
+include Reactdb.Bootstrap.ADMIN with type t := t
+
+(** {1 Transactions} *)
 
 (** [submit t ~reactor ~proc ~args ~k] enqueues a root transaction;
     [k outcome] runs on the root's home domain when it completes. Never
@@ -197,86 +198,10 @@ val quiesce : t -> unit
     unknown reactor or container. *)
 val migrate : t -> reactor:string -> dst:int -> float
 
-(** Completed migrations since start. *)
-val n_migrations : t -> int
-
-(** Placement epoch: bumped at every migration flip. Routing decisions made
-    under epoch [e] remain valid for the transactions that made them (the
-    drain guarantees it); the epoch lets observers detect reconfiguration
-    boundaries. *)
-val placement_epoch : t -> int
-
-(** Pause (µs, mark → flip) of the most recent migration; [0.] if none. *)
-val migration_pause_last_us : t -> float
-
-(** Current placement of every reactor, in declaration order. *)
-val placements : t -> (string * int) list
-
 (** Reactors currently homed on container [c], in declaration order. *)
 val reactors_on : t -> int -> string list
 
-(** {1 Snapshot reads (multi-version, epoch-based — see DESIGN.md §10)}
-
-    Procedures declared read-only on their reactor type
-    ({!Reactor.rtype.rt_readonly}) execute against a frozen {e snapshot
-    epoch} [S = min (current epoch, min in-flight commit epoch) - 1]:
-    every install carrying an epoch [<= S] has completed (commits
-    register their epoch before the protocol and deregister after
-    installs land), so [S] names an immutable, consistent prefix. Reads
-    resolve through per-record version chains; the commit protocol is
-    skipped entirely — no read-set, no locks, no validation, no 2PC —
-    making read-only roots abort-free by construction. Read-only roots
-    are additionally home-pinned (never stolen or cost-routed) so every
-    version-chain walk happens on the domain owning the records.
-
-    While enabled (the default), every install also retires overwritten
-    versions into chains and trims them to the {e GC horizon}: the
-    minimum live snapshot epoch, or the next epoch to be issued when no
-    reader is live — so chains stay bounded under hot keys. *)
-
-(** [set_snapshots t false] disables snapshot execution {e and} version
-    chain maintenance: declared-read-only procedures fall back to the
-    ordinary OCC read path (the benchmark baseline), and installs revert
-    to single-version behavior. *)
-val set_snapshots : t -> bool -> unit
-
-val snapshots_enabled : t -> bool
-
-(** The epoch the next read-only root would freeze. *)
-val safe_snapshot_epoch : t -> int
-
-(** Pin / unpin a snapshot epoch manually — what a read-only root does
-    around its body; exposed for tests exercising version GC. [release]
-    of an epoch not held is a no-op. *)
-val acquire_snapshot : t -> int
-
-val release_snapshot : t -> int -> unit
-
-(** The horizon installs currently trim version chains to. *)
-val gc_horizon : t -> int
-
-(** Committed roots that ran as read-only snapshot transactions. *)
-val n_readonly_commits : t -> int
-
-(** [(sequential, parallel)] resolution counts of the [Config.Auto]
-    morph router. *)
-val auto_morphs : t -> int * int
-
-(** {1 Statistics} (monotone; atomic counters shared by all domains) *)
-
-(** Committed root transactions. *)
-val n_committed : t -> int
-
-(** Aborted root attempts (every attempt of a retried transaction
-    counts — see [Harness.run_result] for the accounting identity). *)
-val n_aborted : t -> int
-
-(** Same typed buckets as the simulator backend ({!Reactdb.Lifecycle}):
-    "user", "validation", "dangerous-structure", "timeout", "overloaded"
-    (admission sheds) and "internal" (a procedure or commit step raising
-    something that is not an abort; see {!n_fatal}). They sum to
-    {!n_aborted}. *)
-val aborts_by_reason : t -> (string * int) list
+(** {1 Internal failures} *)
 
 (** Runtime-internal failures (a procedure or callback raised something
     that is not an abort). The offending transaction reports [Error] and
@@ -337,13 +262,8 @@ val publish_sched_obs : t -> unit
 
 (** {1 Observability}
 
-    [attach_obs t collector] turns on transaction-lifecycle tracing: every
-    subsequent attempt stamps its phases in {e wall-clock} microseconds
-    (create the collector with [~clock:Obs.Wall] and
-    [~containers:(n_domains t)]) and folds into [collector]'s slot for the
-    root's home container, on that container's own domain — the per-domain
-    ownership that makes recording lock-free. Attach before submitting
-    work; summarize only at quiescence. With no collector attached the
-    trace sink is [Obs.Trace.none] and the hot path takes a few
-    predictable branches and no clock reads. *)
-val attach_obs : t -> Obs.Collector.t -> unit
+    Tracing ({!attach_obs}) stamps {e wall-clock} microseconds: create the
+    collector with [~clock:Obs.Wall] and [~containers:(n_domains t)]. Each
+    attempt records on the domain that ran it, into that domain's slot —
+    the per-domain ownership that makes recording lock-free. Attach
+    before submitting work; summarize only at quiescence. *)

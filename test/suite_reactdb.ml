@@ -101,6 +101,46 @@ let test_dangerous_structure_detected () =
         checkf "no effects" 100. (balance db "acct1")
       | Ok _ -> Alcotest.fail "expected dangerous-structure abort")
 
+(* A root whose only container is not its coordinator's commits as one
+   prepare-and-install step on that container's owner. Under an
+   interfering commit its validation fails there like any other, and every
+   attempt is counted once. *)
+let test_remote_only_root () =
+  with_db ~n:2 (sn_config 2) (fun db ->
+      let relay proc args =
+        DB.exec_txn db ~reactor:"acct0" ~proc:"relay"
+          ~args:(Value.Str "acct1" :: Value.Str proc :: args)
+      in
+      let out = relay "deposit" [ Value.Float 10. ] in
+      ignore (ok_or_fail out);
+      check_int "one container, not the coordinator's" 1 out.DB.containers_touched;
+      checkf "remote credited" 110. (balance db "acct1");
+      checkf "coordinator untouched" 100. (balance db "acct0");
+      let committed = DB.n_committed db and aborted = DB.n_aborted db in
+      (* the relayed deposit reads acct1 and then works for 1 ms holding
+         acct1's core; a direct deposit arriving meanwhile queues for that
+         core and commits before the relayed root's commit step gets it *)
+      let direct = ref None in
+      Sim.Engine.spawn (DB.engine db) (fun () ->
+          Sim.Engine.delay 100.;
+          direct :=
+            Some (DB.exec_txn db ~reactor:"acct1" ~proc:"deposit" ~args:[ Value.Float 5. ]));
+      let slow = relay "deposit_after" [ Value.Float 1.; Value.Float 1_000. ] in
+      (match slow.DB.abort_cause with
+      | Some c ->
+        check_bool "stale read at validation" true (c.Obs.Abort.kind = Obs.Abort.Stale_read)
+      | None -> Alcotest.fail "expected a validation abort");
+      check_bool "interfering commit" true
+        (match !direct with Some o -> Result.is_ok o.DB.result | None -> false);
+      ignore (ok_or_fail (relay "deposit_after" [ Value.Float 1.; Value.Float 1_000. ]));
+      check_int "commits: the direct deposit and the retry" (committed + 2)
+        (DB.n_committed db);
+      check_int "aborts: the stale attempt" (aborted + 1) (DB.n_aborted db);
+      check_bool "counted as validation" true
+        (List.assoc_opt "validation" (DB.aborts_by_reason db) = Some 1);
+      checkf "remote holds every commit" 116. (balance db "acct1");
+      checkf "coordinator still untouched" 100. (balance db "acct0"))
+
 let test_sequential_calls_same_reactor_ok () =
   (* Two transfers to the same destination, synchronously one after the
      other: the active set empties in between, so this is safe. *)
@@ -588,6 +628,7 @@ let suite =
         test_remote_sub_abort_aborts_root;
       Alcotest.test_case "dangerous structure detected" `Quick
         test_dangerous_structure_detected;
+      Alcotest.test_case "remote-only root" `Quick test_remote_only_root;
       Alcotest.test_case "sequential same-reactor calls ok" `Quick
         test_sequential_calls_same_reactor_ok;
       Alcotest.test_case "self-call inlined" `Quick test_self_call_inlined;

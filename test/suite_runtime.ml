@@ -397,36 +397,43 @@ let test_readonly_outlasts_deadline_runtime () =
 
 let cause_kind = Option.map (fun c -> c.Obs.Abort.kind)
 
-let run_serial_sim decl cfg reqs =
+(* Both runners issue [reqs], then wait out one Silo epoch (40 ms: virtual
+   on the simulator, wall clock on the runtime) before [tail]. A snapshot
+   read in [tail] then freezes an epoch past every earlier commit, so what
+   it reads does not depend on where the run's epoch boundaries fell. *)
+let run_serial_sim ?(tail = []) decl cfg reqs =
   let db = Harness.build decl cfg in
   let results = ref [] in
   let eng = Reactdb.Database.engine db in
+  let run =
+    List.map (fun r ->
+        let o =
+          Reactdb.Database.exec_txn db ~reactor:r.Workloads.Wl.reactor
+            ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args
+        in
+        (o.Reactdb.Database.result, cause_kind o.Reactdb.Database.abort_cause))
+  in
   Sim.Engine.spawn eng (fun () ->
-      results :=
-        List.map
-          (fun r ->
-            let o =
-              Reactdb.Database.exec_txn db ~reactor:r.Workloads.Wl.reactor
-                ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args
-            in
-            (o.Reactdb.Database.result, cause_kind o.Reactdb.Database.abort_cause))
-          reqs);
+      let head = run reqs in
+      if tail <> [] then Sim.Engine.delay 40_000.;
+      results := head @ run tail);
   ignore (Sim.Engine.run eng);
   let state = Faultsim.snapshot (Reactdb.Database.catalogs db) in
   (!results, state, List.sort compare (Reactdb.Database.aborts_by_reason db))
 
-let run_serial_par decl cfg reqs =
+let run_serial_par ?(tail = []) decl cfg reqs =
   let db = RDb.start decl cfg in
-  let results =
-    List.map
-      (fun r ->
+  let run =
+    List.map (fun r ->
         let o =
           RDb.exec_txn db ~reactor:r.Workloads.Wl.reactor
             ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args
         in
         (o.RDb.result, cause_kind o.RDb.abort_cause))
-      reqs
   in
+  let head = run reqs in
+  if tail <> [] then Unix.sleepf 0.05;
+  let results = head @ run tail in
   Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
   ( results,
@@ -470,9 +477,10 @@ let test_collect_serial_equivalence_smallbank () =
         in
         (src, pick [] 3, 1. +. float_of_int (Rng.int rng 5)))
   in
-  (* then, identical for every formulation: a user abort (overdraft), a
-     dangerous call (a read-only fan-out naming one remote customer twice)
-     and a read-only snapshot read across three containers *)
+  (* then, identical for every formulation and run one epoch later: a
+     user abort (overdraft), a dangerous call (a read-only fan-out naming
+     one remote customer twice) and a read-only snapshot read across three
+     containers, which sees every transfer *)
   let tail =
     let req proc args = { Workloads.Wl.reactor = "c0"; proc; args } in
     [ req "transact_saving" [ Value.Float (-1e9) ];
@@ -485,17 +493,16 @@ let test_collect_serial_equivalence_smallbank () =
         SB.multi_transfer_request form ~src:(SB.customer_name src)
           ~dests:(List.map SB.customer_name dests) ~amount)
       shapes
-    @ tail
   in
-  let sim_seq = run_serial_sim decl cfg (reqs SB.Fully_sync) in
-  let sim_col = run_serial_sim decl cfg (reqs SB.Collect) in
+  let sim_seq = run_serial_sim ~tail decl cfg (reqs SB.Fully_sync) in
+  let sim_col = run_serial_sim ~tail decl cfg (reqs SB.Collect) in
   (match (let r, _, _ = sim_col in List.rev r) with
   | (Ok _, None)
     :: (Error _, Some Obs.Abort.Dangerous)
     :: (Error _, Some Obs.Abort.User) :: _ -> ()
   | _ -> Alcotest.fail "tail: expected overdraft, dangerous call, snapshot read");
-  let par_seq = run_serial_par decl cfg (reqs SB.Fully_sync) in
-  let par_col = run_serial_par decl cfg (reqs SB.Collect) in
+  let par_seq = run_serial_par ~tail decl cfg (reqs SB.Fully_sync) in
+  let par_col = run_serial_par ~tail decl cfg (reqs SB.Collect) in
   check_serial_equiv "sim collect vs sequential" sim_seq sim_col;
   check_serial_equiv "parallel collect vs sequential" par_seq par_col;
   check_serial_equiv "collect across backends" sim_col par_col
@@ -654,7 +661,7 @@ let test_group_commit_durability () =
   let decl = SB.decl ~customers:n () in
   let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let log = Wal.in_memory () in
-  let db = RDb.start ~wal:log ~group_tick_s:0.0005 decl cfg in
+  let db = RDb.start ~wal:log decl cfg in
   let collector =
     Obs.Collector.create ~clock:Obs.Wall ~containers:(RDb.n_domains db) ()
   in

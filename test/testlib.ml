@@ -18,6 +18,9 @@ let acct_schema =
    - multi_transfer_collect_slow (spin_us, amount, dests...): credits via
      slow_deposit, which busy-waits spin_us of wall clock first
    - same_twice (other): two async calls to the same reactor — dangerous
+   - relay (other, proc, args...): runs proc on other and returns its
+     value, touching no data of its own
+   - deposit_after (amount, us): deposit after [us] µs of virtual work
    - noop () *)
 let account_type =
   let open Reactor in
@@ -130,6 +133,17 @@ let account_type =
       Value.Null
     | _ -> abort "need spin and amount"
   in
+  let relay ctx args =
+    match args with
+    | dest :: proc :: rest ->
+      (ctx.call ~reactor:(Value.to_str dest) ~proc:(Value.to_str proc) ~args:rest)
+        .get ()
+    | _ -> abort "need a reactor and a procedure"
+  in
+  let deposit_after ctx args =
+    ctx.db.Query.Exec.work (arg_float args 1);
+    deposit ctx args
+  in
   let same_twice ctx args =
     let dest = arg_str args 0 in
     let f1 = ctx.call ~reactor:dest ~proc:"deposit" ~args:[ Value.Float 1. ] in
@@ -164,6 +178,8 @@ let account_type =
         ("multi_transfer_collect_slow", multi_transfer_collect_slow);
         ("slow_deposit", slow_deposit);
         ("same_twice", same_twice);
+        ("relay", relay);
+        ("deposit_after", deposit_after);
         ("slow_balance", slow_balance);
         ("boom", boom);
         ("noop", noop);
