@@ -448,12 +448,12 @@ let run_shipping ~seed ~fast ~kind =
 (* --- output --- *)
 
 let emit_json path ~seed rows =
+  let host = Host.json () in
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"benchmark\": \"chaos_sweep\",\n";
   Printf.fprintf oc "  \"seed\": %d,\n" seed;
-  Printf.fprintf oc "  \"host\": {\"recommended_domains\": %d},\n"
-    (Domain.recommended_domain_count ());
+  Printf.fprintf oc "  \"host\": %s,\n" host;
   Printf.fprintf oc "  \"rows\": [\n";
   List.iteri
     (fun i r ->

@@ -110,11 +110,11 @@ let speedup rows r =
   | _ -> 1.
 
 let emit_json path rows =
+  let host = Host.json () in
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"benchmark\": \"parallel_scaling\",\n";
-  Printf.fprintf oc "  \"host\": {\"recommended_domains\": %d},\n"
-    (Domain.recommended_domain_count ());
+  Printf.fprintf oc "  \"host\": %s,\n" host;
   Printf.fprintf oc
     "  \"note\": \"throughput scaling across domains requires as many \
      physical cores as domains; on a host with recommended_domains < 4 the \

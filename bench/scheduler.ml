@@ -143,11 +143,11 @@ let run_scenario ~wl ~mode ~d ~workers ~per_worker =
   }
 
 let emit_json path rows =
+  let host = Host.json () in
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"benchmark\": \"scheduler\",\n";
-  Printf.fprintf oc "  \"host\": {\"recommended_domains\": %d},\n"
-    (Domain.recommended_domain_count ());
+  Printf.fprintf oc "  \"host\": %s,\n" host;
   Printf.fprintf oc
     "  \"note\": \"fixed-work makespan comparison; dynamic scheduling \
      (stealing + cost routing) only pays off when skew leaves some domains \

@@ -672,7 +672,18 @@ let submit ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args ~k =
        Everything the runtime pushes on its own behalf — forwarding hops,
        suspended-fiber resumptions, 2PC traffic, stub replays — uses
        unconditional [push]: shedding those would wedge an in-flight
-       transaction instead of refusing a new one. *)
+       transaction instead of refusing a new one.
+
+       A root that has already lost a conflict ([retry > 0]) is admitted on
+       the deferred lane: it runs only when its executor has nothing else
+       queued, so it waits where it holds no lock and no read set instead
+       of lengthening the windows of the transactions it conflicted with
+       (DESIGN.md §7.3). Fresh roots keep the FIFO lane, so a workload
+       that never aborts is never reordered. *)
+    let admit mb msg =
+      if retry > 0 then Mailbox.try_push_deferred mb msg
+      else Mailbox.try_push mb msg
+    in
     let accepted =
       if replayed then begin
         (if ro then
@@ -686,12 +697,12 @@ let submit ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args ~k =
            walks version chains on the domain that owns the records — reads
            cannot race a concurrent install. Admission control still
            applies. *)
-        Mailbox.try_push db.own.execs.(home).mb
+        admit db.own.execs.(home).mb
           (Job (fun () -> job db.own.execs.(home)))
       else if ingress = home || by_cost then
         (* Direct admission; a cost-routed off-home root executes at the
            ingress domain and re-pins its commit. *)
-        Mailbox.try_push db.own.execs.(ingress).mb (Root job)
+        admit db.own.execs.(ingress).mb (Root job)
       else
         (* Misrouted round-robin ingress pays a forwarding hop to the owner
            — the locality cost the affinity router avoids. The hop itself is
@@ -699,7 +710,7 @@ let submit ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args ~k =
            it reaches the home mailbox. The owner is re-read at hop time so
            a flip between ingress and hop can't strand the root on a stale
            home. *)
-        Mailbox.try_push db.own.execs.(ingress).mb
+        admit db.own.execs.(ingress).mb
           (Job
              (fun () ->
                Mailbox.push db.own.execs.(Atomic.get place.home).mb (Root job)))

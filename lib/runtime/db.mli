@@ -122,7 +122,10 @@ include Reactdb.Bootstrap.ADMIN with type t := t
     [k outcome] runs on the root's home domain when it completes. Never
     blocks the caller. Thread-safe. [retry] (default 0) is the attempt's
     retry index, recorded in the lifecycle trace and abort cause — the
-    engine itself never retries.
+    engine itself never retries. A root with [retry > 0] is admitted on
+    its executor's deferred mailbox lane ({!Mailbox.try_push_deferred}):
+    it runs only when that executor has nothing else queued, and it is
+    never stolen.
 
     [deadline_us] gives the root a latency budget in wall-clock µs from
     submission. The deadline propagates to every cross-container sub-call

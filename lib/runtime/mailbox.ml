@@ -5,9 +5,12 @@ type 'a t = {
   nonempty : Condition.t;
   mutable inbox : 'a Queue.t;  (* producers append here, under [mu] *)
   mutable batch : 'a Queue.t;  (* consumer-private drained batch *)
+  deferred : 'a Queue.t;
+      (* the deferred lane, under [mu]: served one message at a time, only
+         when [batch] and [inbox] are both empty *)
   mutable closed : bool;
   mutable waiting : bool;  (* consumer parked in [pop_wait] *)
-  capacity : int;  (* admission bound for [try_push]; max_int = unbounded *)
+  capacity : int;  (* admission bound for the [try_push*]; max_int = unbounded *)
   size : int Atomic.t;  (* messages pushed but not yet popped *)
 }
 
@@ -17,6 +20,7 @@ let create ?(capacity = max_int) () =
     nonempty = Condition.create ();
     inbox = Queue.create ();
     batch = Queue.create ();
+    deferred = Queue.create ();
     closed = false;
     waiting = false;
     capacity = (if capacity < 1 then 1 else capacity);
@@ -52,7 +56,9 @@ let push_many t xs =
     Mutex.unlock t.mu
   end
 
-let try_push t x =
+(* Admission onto either lane: [lane t] is read under the lock because the
+   consumer swaps [inbox]. *)
+let admit_to lane t x =
   (* Cheap rejection before taking the lock: [size] counts every message
      pushed and not yet consumed, so a full mailbox turns producers away
      without touching the mutex the consumer is using. The check-then-add
@@ -66,12 +72,15 @@ let try_push t x =
       Mutex.unlock t.mu;
       raise Closed
     end;
-    Queue.add x t.inbox;
+    Queue.add x (lane t);
     Atomic.incr t.size;
     if t.waiting then Condition.signal t.nonempty;
     Mutex.unlock t.mu;
     true
   end
+
+let try_push t x = admit_to (fun t -> t.inbox) t x
+let try_push_deferred t x = admit_to (fun t -> t.deferred) t x
 
 (* Batch admission: one lock acquisition decides the whole prefix. The
    capacity check repeats per message so a racing [try_push] overshoots by
@@ -133,12 +142,25 @@ let steal_half t ~stealable =
     List.rev !stolen
   end
 
-(* Swap the shared inbox for the (empty) private batch under the lock. The
-   consumer then owns the old inbox outright. *)
+(* Under the lock: hand the consumer the shared inbox by swapping it for
+   the (empty) private batch — the consumer then owns the old inbox
+   outright — or, when the inbox is empty too, one deferred message. *)
+let swap_in t =
+  if not (Queue.is_empty t.inbox) then begin
+    let full = t.inbox in
+    t.inbox <- t.batch;
+    t.batch <- full
+  end
+  else
+    match Queue.take_opt t.deferred with
+    | Some x -> Queue.add x t.batch
+    | None -> ()
+
 let refill t =
   Mutex.lock t.mu;
   let rec wait () =
-    if Queue.is_empty t.inbox && not t.closed then begin
+    if Queue.is_empty t.inbox && Queue.is_empty t.deferred && not t.closed
+    then begin
       t.waiting <- true;
       Condition.wait t.nonempty t.mu;
       t.waiting <- false;
@@ -146,9 +168,7 @@ let refill t =
     end
   in
   wait ();
-  let full = t.inbox in
-  t.inbox <- t.batch;
-  t.batch <- full;
+  swap_in t;
   Mutex.unlock t.mu
 
 let take_opt t =
@@ -165,9 +185,7 @@ let pop_wait t =
 let try_pop t =
   if Queue.is_empty t.batch then begin
     Mutex.lock t.mu;
-    let full = t.inbox in
-    t.inbox <- t.batch;
-    t.batch <- full;
+    swap_in t;
     Mutex.unlock t.mu
   end;
   take_opt t

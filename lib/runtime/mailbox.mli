@@ -6,13 +6,22 @@
     queue under the lock, then drains it lock-free, so a busy mailbox costs
     roughly one lock acquisition per batch rather than per message.
 
-    Ordering guarantee: messages from one producer are delivered in the
-    order that producer pushed them (per-producer FIFO); messages from
-    different producers interleave in lock-acquisition order.
+    Two lanes. Everything but {!try_push_deferred} enqueues on the main
+    lane; {!try_push_deferred} enqueues on the deferred lane, which the
+    consumer serves one message at a time and only when the main lane is
+    empty — work that may wait for idle time (the runtime sends a root
+    there once it has lost a conflict).
+
+    Ordering guarantee: within a lane, messages from one producer are
+    delivered in the order that producer pushed them (per-producer FIFO);
+    messages from different producers interleave in lock-acquisition
+    order. A deferred message is delivered only once no main-lane message
+    is pending.
 
     Shutdown: {!close} stops further pushes (they raise {!Closed}) but lets
-    the consumer drain everything already enqueued; [pop_wait] returns
-    [None] only once the mailbox is both closed and empty. *)
+    the consumer drain everything already enqueued, on both lanes;
+    [pop_wait] returns [None] only once the mailbox is both closed and
+    empty. *)
 
 (** A mailbox carrying messages of type ['a]. *)
 type 'a t
@@ -21,7 +30,8 @@ type 'a t
 exception Closed
 
 (** A fresh, open, empty mailbox. [capacity] (default unbounded, clamped to
-    at least 1) bounds admission through {!try_push} only. *)
+    at least 1) bounds admission through {!try_push},
+    {!try_push_deferred} and {!try_push_many} only. *)
 val create : ?capacity:int -> unit -> 'a t
 
 (** [push t x] enqueues [x] unconditionally, ignoring [capacity]. The
@@ -45,6 +55,15 @@ val push_many : 'a t -> 'a list -> unit
     @raise Closed after {!close}. *)
 val try_push : 'a t -> 'a -> bool
 
+(** [try_push_deferred t x] is {!try_push} onto the deferred lane: same
+    [capacity] check against the pending messages of both lanes, same
+    refusal and overshoot bound. The consumer takes a deferred message only
+    when its private batch and the shared inbox are both empty, and takes
+    one at a time, so main-lane traffic pushed meanwhile goes first.
+    Thread-safe.
+    @raise Closed after {!close}. *)
+val try_push_deferred : 'a t -> 'a -> bool
+
 (** [try_push_many t xs] admits the longest prefix of [xs] that fits under
     [capacity] in one lock acquisition and returns its length; the suffix
     is shed. Admitted messages keep their order. Overshoot bound as for
@@ -55,24 +74,28 @@ val try_push_many : 'a t -> 'a list -> int
 (** [steal_half t ~stealable] removes and returns the oldest half (rounded
     up) of the pending messages satisfying [stealable], in their queue
     order; the rest keep their relative order. Only messages still in the
-    shared inbox are candidates — anything the consumer has already drained
-    into its private batch stays put, so the single-consumer discipline of
-    {!pop_wait}/{!try_pop} is unaffected. Intended for work stealing by
-    idle peer domains; [stealable] must be fast and must not raise. Returns
-    [[]] when nothing qualifies. Thread-safe. *)
+    shared inbox are candidates — the deferred lane, and anything the
+    consumer has already drained into its private batch, stay put, so the
+    single-consumer discipline of {!pop_wait}/{!try_pop} is unaffected.
+    Intended for work stealing by idle peer domains; [stealable] must be
+    fast and must not raise. Returns [[]] when nothing qualifies.
+    Thread-safe. *)
 val steal_half : 'a t -> stealable:('a -> bool) -> 'a list
 
-(** [pop_wait t] dequeues the next message, blocking while the mailbox is
-    empty and open; [None] once closed and drained. Single consumer only. *)
+(** [pop_wait t] dequeues the next message, main lane first, blocking
+    while both lanes are empty and the mailbox is open; [None] once closed
+    and both lanes are drained. Single consumer only. *)
 val pop_wait : 'a t -> 'a option
 
-(** [try_pop t] dequeues without blocking; [None] if nothing is ready. *)
+(** [try_pop t] dequeues without blocking, main lane first; [None] if
+    nothing is ready on either lane. *)
 val try_pop : 'a t -> 'a option
 
 (** [close t] rejects subsequent pushes and wakes the consumer. Idempotent. *)
 val close : 'a t -> unit
 
-(** Messages pushed but not yet popped (racy snapshot, lock-free). *)
+(** Messages pushed but not yet popped, both lanes (racy snapshot,
+    lock-free). *)
 val length : 'a t -> int
 
 (** Whether {!close} has been called (there may still be messages left

@@ -364,6 +364,124 @@ let test_steal_four_domains () =
         (List.length (List.filter (fun i -> i mod 2 = 1) in_order)))
     received
 
+(* --- the deferred lane --- *)
+
+(* A deferred message comes out only once the main lane — the private
+   batch and the shared inbox — is empty, one at a time, so main-lane
+   traffic pushed between two deferred pops overtakes the rest. *)
+let deferred_order pop =
+  let mb = Runtime.Mailbox.create () in
+  check_bool "deferred 10 admitted" true
+    (Runtime.Mailbox.try_push_deferred mb 10);
+  check_bool "deferred 11 admitted" true
+    (Runtime.Mailbox.try_push_deferred mb 11);
+  Runtime.Mailbox.push mb 1;
+  check_bool "main 2 admitted" true (Runtime.Mailbox.try_push mb 2);
+  check_int "length counts both lanes" 4 (Runtime.Mailbox.length mb);
+  check_bool "main lane first" true (pop mb = Some 1);
+  (* pushed while the consumer's batch still holds 2 *)
+  Runtime.Mailbox.push mb 3;
+  check_bool "batch before inbox" true (pop mb = Some 2);
+  check_bool "inbox before deferred" true (pop mb = Some 3);
+  check_bool "then the oldest deferred" true (pop mb = Some 10);
+  Runtime.Mailbox.push mb 4;
+  check_bool "main traffic overtakes the rest of the lane" true
+    (pop mb = Some 4);
+  check_bool "deferred FIFO" true (pop mb = Some 11);
+  check_int "drained" 0 (Runtime.Mailbox.length mb)
+
+let test_deferred_after_main_pop_wait () = deferred_order Runtime.Mailbox.pop_wait
+
+let test_deferred_after_main_try_pop () =
+  deferred_order Runtime.Mailbox.try_pop;
+  check_bool "try_pop on two empty lanes" true
+    (Runtime.Mailbox.try_pop (Runtime.Mailbox.create ()) = None)
+
+let test_deferred_capacity () =
+  let mb = Runtime.Mailbox.create ~capacity:3 () in
+  check_bool "main 1" true (Runtime.Mailbox.try_push mb 1);
+  check_bool "deferred 10" true (Runtime.Mailbox.try_push_deferred mb 10);
+  check_bool "main 2" true (Runtime.Mailbox.try_push mb 2);
+  check_int "length counts both lanes" 3 (Runtime.Mailbox.length mb);
+  check_bool "main refused: deferred messages take capacity" false
+    (Runtime.Mailbox.try_push mb 3);
+  check_bool "deferred refused at capacity" false
+    (Runtime.Mailbox.try_push_deferred mb 11);
+  check_bool "drain 1" true (Runtime.Mailbox.pop_wait mb = Some 1);
+  check_bool "deferred admitted after a drain" true
+    (Runtime.Mailbox.try_push_deferred mb 11);
+  check_bool "full again" false (Runtime.Mailbox.try_push_deferred mb 12);
+  check_bool "drain 2" true (Runtime.Mailbox.pop_wait mb = Some 2);
+  check_bool "drain 10" true (Runtime.Mailbox.pop_wait mb = Some 10);
+  check_bool "drain 11" true (Runtime.Mailbox.pop_wait mb = Some 11)
+
+let test_deferred_close_drains () =
+  let mb = Runtime.Mailbox.create () in
+  ignore (Runtime.Mailbox.try_push_deferred mb 10);
+  Runtime.Mailbox.push mb 1;
+  ignore (Runtime.Mailbox.try_push_deferred mb 11);
+  Runtime.Mailbox.close mb;
+  Alcotest.check_raises "try_push_deferred after close" Runtime.Mailbox.Closed
+    (fun () -> ignore (Runtime.Mailbox.try_push_deferred mb 12));
+  check_bool "main first" true (Runtime.Mailbox.pop_wait mb = Some 1);
+  check_bool "deferred drained after close" true
+    (Runtime.Mailbox.pop_wait mb = Some 10);
+  check_bool "deferred drained after close 2" true
+    (Runtime.Mailbox.pop_wait mb = Some 11);
+  check_bool "None only once both lanes are empty" true
+    (Runtime.Mailbox.pop_wait mb = None)
+
+let test_deferred_not_stolen () =
+  let mb = Runtime.Mailbox.create () in
+  ignore (Runtime.Mailbox.try_push_deferred mb 10);
+  ignore (Runtime.Mailbox.try_push_deferred mb 11);
+  check_bool "a deferred-only mailbox has nothing to steal" true
+    (Runtime.Mailbox.steal_half mb ~stealable:(fun _ -> true) = []);
+  Runtime.Mailbox.push_many mb [ 1; 2 ];
+  check_bool "only main-lane messages are stolen" true
+    (Runtime.Mailbox.steal_half mb ~stealable:(fun _ -> true) = [ 1 ]);
+  check_int "length after the steal" 3 (Runtime.Mailbox.length mb);
+  check_bool "main survivor" true (Runtime.Mailbox.try_pop mb = Some 2);
+  check_bool "deferred untouched" true (Runtime.Mailbox.try_pop mb = Some 10);
+  check_bool "deferred untouched 2" true (Runtime.Mailbox.try_pop mb = Some 11)
+
+(* Producer domains push [(pid, lane, i)], alternating lanes, while the
+   consumer blocks in [pop_wait]: every message arrives exactly once, in
+   push order per producer and lane. A consumer parked on an empty mailbox
+   must be woken by a deferred push too. *)
+let prop_two_lanes =
+  QCheck.Test.make
+    ~name:"mailbox: two lanes deliver exactly once, FIFO per producer and lane"
+    ~count:15
+    QCheck.(pair (int_range 1 4) (int_range 0 200))
+    (fun (n_producers, per) ->
+      let mb = Runtime.Mailbox.create () in
+      let producers =
+        Array.init n_producers (fun pid ->
+            Domain.spawn (fun () ->
+                for i = 0 to per - 1 do
+                  let lane = (pid + i) mod 2 in
+                  if lane = 0 then Runtime.Mailbox.push mb (pid, lane, i)
+                  else
+                    assert (Runtime.Mailbox.try_push_deferred mb (pid, lane, i))
+                done))
+      in
+      let last = Array.make_matrix n_producers 2 (-1) in
+      let ok = ref true and got = ref 0 in
+      for _ = 1 to n_producers * per do
+        match Runtime.Mailbox.pop_wait mb with
+        | None -> ok := false
+        | Some (pid, lane, i) ->
+          incr got;
+          if i <= last.(pid).(lane) || (pid + i) mod 2 <> lane then ok := false;
+          last.(pid).(lane) <- i
+      done;
+      Array.iter Domain.join producers;
+      Runtime.Mailbox.close mb;
+      (* strictly increasing per producer and lane, and every push
+         counted: exactly once *)
+      !ok && !got = n_producers * per && Runtime.Mailbox.pop_wait mb = None)
+
 let suite =
   ( "mailbox",
     [
@@ -390,4 +508,15 @@ let suite =
         `Quick test_steal_four_domains;
       QCheck_alcotest.to_alcotest prop_no_loss;
       QCheck_alcotest.to_alcotest prop_steal_model;
+      Alcotest.test_case "deferred after the main lane (pop_wait)" `Quick
+        test_deferred_after_main_pop_wait;
+      Alcotest.test_case "deferred after the main lane (try_pop)" `Quick
+        test_deferred_after_main_try_pop;
+      Alcotest.test_case "deferred lane shares the capacity" `Quick
+        test_deferred_capacity;
+      Alcotest.test_case "close drains the deferred lane" `Quick
+        test_deferred_close_drains;
+      Alcotest.test_case "steal_half never takes a deferred message" `Quick
+        test_deferred_not_stolen;
+      QCheck_alcotest.to_alcotest prop_two_lanes;
     ] )

@@ -651,6 +651,71 @@ let test_cost_router () =
   Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
+(* Deferred admission: a root resubmitted after losing a conflict
+   ([~retry:1]) waits until its executor has nothing else queued. The one
+   executor is held busy by a root spinning on a flag; a retried root is
+   submitted, then a fresh one, and the fresh one must complete first. *)
+
+let test_retry_waits_for_idle () =
+  let release = Atomic.make false in
+  let hold _ctx _args =
+    while not (Atomic.get release) do
+      Domain.cpu_relax ()
+    done;
+    Value.Null
+  in
+  let held =
+    Reactor.rtype ~name:"Held" ~schemas:[]
+      ~procs:[ ("hold", hold); ("noop", fun _ _ -> Value.Null) ]
+      ()
+  in
+  let decl = Reactor.decl ~types:[ held ] ~reactors:[ ("h0", "Held") ] () in
+  let db = RDb.start decl (Reactdb.Config.shared_nothing [ [ "h0" ] ]) in
+  (* every [k] runs on the one executor domain; [quiesce] orders it before
+     the read below *)
+  let order = ref [] in
+  let note tag (out : RDb.outcome) =
+    if Result.is_error out.RDb.result then order := "error" :: !order
+    else order := tag :: !order
+  in
+  RDb.submit db ~reactor:"h0" ~proc:"hold" ~args:[] ~k:(note "hold");
+  RDb.submit ~retry:1 db ~reactor:"h0" ~proc:"noop" ~args:[] ~k:(note "retried");
+  RDb.submit db ~reactor:"h0" ~proc:"noop" ~args:[] ~k:(note "fresh");
+  Atomic.set release true;
+  RDb.quiesce db;
+  Alcotest.(check (list string))
+    "the fresh root overtakes the retried one" [ "hold"; "fresh"; "retried" ]
+    (List.rev !order);
+  Testlib.audit "no fatals" (Audit.fatal db);
+  RDb.shutdown db
+
+(* A 2-domain θ = 0.99 YCSB closed loop that resubmits its transient
+   aborts at once, so retried roots keep entering the deferred lane while
+   fresh roots and 2PC steps use the main one: every attempt is counted
+   once and every key keeps its one row. *)
+let test_ycsb_hot_retries () =
+  let nk = 64 and n_workers = 8 and per_worker = 100 in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (Workloads.Ycsb.keys nk))) in
+  let db = RDb.start (Workloads.Ycsb.decl ~keys:nk ()) cfg in
+  let p = Workloads.Ycsb.params ~txn_keys:10 ~theta:0.99 nk in
+  let retries =
+    Harness.run_fixed ~max_retries:1_000_000 ~backoff:None
+      (Harness.runtime db) ~n_workers ~per_worker ~seed:29 (fun _ rng ->
+        Workloads.Ycsb.gen_multi_update rng p
+          ~container_of:(RDb.container_of db))
+  in
+  check_bool "conflicts were retried" true (retries > 0);
+  check_int "every logical transaction committed" (n_workers * per_worker)
+    (RDb.n_committed db);
+  Testlib.audit "attempt accounting"
+    (Audit.accounting ~committed:(RDb.n_committed db)
+       ~aborted:(RDb.n_aborted db) ~logical:(n_workers * per_worker) ~retries);
+  Testlib.audit "no fatals" (Audit.fatal db);
+  RDb.shutdown db;
+  Testlib.audit "one row per key reactor" (Audit.ycsb_rows (RDb.catalogs db));
+  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
+
+(* ------------------------------------------------------------------ *)
 (* Durable mode: group-committed WAL must hold exactly the committed
    transactions' after-images; replaying it onto a freshly-loaded database
    reconstructs the same physical state. Flush_wait must appear in the
@@ -766,6 +831,10 @@ let suite =
       Alcotest.test_case "work stealing: smallbank conservation" `Quick
         test_steal_smallbank;
       Alcotest.test_case "cost router" `Quick test_cost_router;
+      Alcotest.test_case "retried root waits for an idle executor" `Quick
+        test_retry_waits_for_idle;
+      Alcotest.test_case "ycsb theta 0.99 with retries" `Quick
+        test_ycsb_hot_retries;
       Alcotest.test_case "group-commit durability + replay" `Quick
         test_group_commit_durability;
       Alcotest.test_case "group-commit file log" `Quick test_group_commit_file;

@@ -783,6 +783,206 @@ let test_durable_group_commit () =
   | _, Wal.Torn _ -> Alcotest.fail "durable log torn");
   Sys.remove path
 
+(* --- decoder fuzzing ---
+
+   Every decoder of bytes from disk or the wire returns a typed error or a
+   value on any input and never raises. Inputs start as real encodings of
+   [gen_any_entry] entries and are damaged by byte flips, bytes set to
+   the formats' own separators, truncations and splices. Half of them then
+   have their checksums, lengths and counts recomputed over the damaged
+   bytes, so they get past the CRC checks to the field parsers behind. *)
+
+type mutation =
+  | Flip of int * int  (* position, xor mask in 1..255 *)
+  | Set of int * char  (* position, byte from [fuzz_alphabet] *)
+  | Truncate of int  (* keep this many bytes *)
+  | Splice of int * int * int * int  (* [a, b) replaced by a copy of [c, d) *)
+
+let fuzz_alphabet = "|\t,;:\n0123456789abcdefxp+-.NIFSBPDMRe\255"
+
+let gen_mutation =
+  let open QCheck.Gen in
+  frequency
+    [ (3, map2 (fun p m -> Flip (p, m)) nat (int_range 1 255));
+      ( 3,
+        map2
+          (fun p i -> Set (p, fuzz_alphabet.[i]))
+          nat
+          (int_bound (String.length fuzz_alphabet - 1)) );
+      (1, map (fun k -> Truncate k) nat);
+      (1, map (fun (a, b, c, d) -> Splice (a, b, c, d)) (quad nat nat nat nat)) ]
+
+(* Positions wrap around the input, so every mutation applies to every
+   string. *)
+let mutate s = function
+  | _ when s = "" -> s
+  | Flip (p, m) ->
+    let b = Bytes.of_string s in
+    let p = p mod String.length s in
+    Bytes.set b p (Char.chr (Char.code s.[p] lxor m));
+    Bytes.to_string b
+  | Set (p, c) ->
+    let b = Bytes.of_string s in
+    Bytes.set b (p mod String.length s) c;
+    Bytes.to_string b
+  | Truncate k -> String.sub s 0 (k mod (String.length s + 1))
+  | Splice (a, b, c, d) ->
+    let n = String.length s + 1 in
+    let a, b = (min (a mod n) (b mod n), max (a mod n) (b mod n)) in
+    let c, d = (min (c mod n) (d mod n), max (c mod n) (d mod n)) in
+    String.sub s 0 a ^ String.sub s c (d - c) ^ String.sub s b (n - 1 - b)
+
+let mutate_all ms s = List.fold_left mutate s ms
+
+(* A v2 frame around [payload], checksum and length recomputed. *)
+let reframe payload =
+  Printf.sprintf "2|%s|%d|%s" (Checksum.crc32_hex payload)
+    (String.length payload) payload
+
+(* Damage the payload of a well-formed framed line, then frame it again. *)
+let remutate ms line =
+  let i = String.index_from line 2 '|' in
+  let j = String.index_from line (i + 1) '|' in
+  reframe (mutate_all ms (String.sub line (j + 1) (String.length line - j - 1)))
+
+(* Replace the [k]-th element (wrapping) of a non-empty list. *)
+let map_nth k f l =
+  let k = k mod List.length l in
+  List.mapi (fun i x -> if i = k then f x else x) l
+
+(* How one input is damaged: raw mutations of the whole encoding, or
+   mutations of one record's payload ([line], wrapping) with every
+   checksum, length and count recomputed afterwards. *)
+type damage = Raw of mutation list | Recrc of int * mutation list
+
+let gen_damage =
+  let open QCheck.Gen in
+  let ms n = list_size (int_range 1 n) gen_mutation in
+  frequency [ (1, map (fun m -> Raw m) (ms 4)); (1, map2 (fun k m -> Recrc (k, m)) nat (ms 3)) ]
+
+let fuzz_prop ~name ~count gen_bytes recrc decode =
+  QCheck.Test.make ~name ~count
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         map2
+           (fun s -> function
+             | Raw ms -> mutate_all ms s
+             | Recrc (k, ms) -> recrc k ms s)
+           gen_bytes gen_damage))
+    (fun bytes ->
+      match decode bytes with
+      | () -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let with_file bytes f =
+  let path = Filename.temp_file "fuzz" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      f path)
+
+let gen_entries = QCheck.Gen.(list_size (int_bound 4) gen_any_entry)
+
+let prop_fuzz_framed =
+  fuzz_prop ~name:"fuzz: Wal.decode_framed never raises" ~count:1000
+    QCheck.Gen.(map Wal.encode_framed gen_any_entry)
+    (fun _ ms line -> remutate ms line)
+    (fun s ->
+      match Wal.decode_framed s with
+      | Ok _ | Error _ -> ())
+
+(* A log file: one framed record per line, each newline-terminated. *)
+let wal_file es = String.concat "" (List.map (fun e -> Wal.encode_framed e ^ "\n") es)
+
+let recrc_lines k ms s =
+  match List.rev (String.split_on_char '\n' s) with
+  | "" :: (_ :: _ as rev_records) ->
+    String.concat "\n" (map_nth k (remutate ms) (List.rev rev_records)) ^ "\n"
+  | _ -> s
+
+let prop_fuzz_wal_file =
+  fuzz_prop ~name:"fuzz: Wal.read_file_tolerant never raises" ~count:300
+    QCheck.Gen.(map wal_file gen_entries)
+    recrc_lines
+    (fun s ->
+      with_file s (fun path ->
+          match Wal.read_file_tolerant path with
+          | _, (Wal.Clean | Wal.Torn _) -> ()))
+
+let prop_fuzz_batch =
+  fuzz_prop ~name:"fuzz: Replica.Batch.decode never raises" ~count:1000
+    QCheck.Gen.(
+      map2
+        (fun (g, f, t) es ->
+          Replica.Batch.encode ~gen:g ~from_epoch:f ~to_epoch:t es)
+        (triple nat nat nat) gen_entries)
+    (fun k ms s ->
+      (* damage one record, then recompute the header's count and CRC *)
+      match String.split_on_char '\n' s with
+      | [] | [ _ ] | [ _; "" ] -> s
+      | header :: records ->
+        let records = map_nth k (remutate ms) records in
+        let payload = String.concat "\n" records in
+        let fields = String.split_on_char '|' header in
+        Printf.sprintf "%s|%d|%s\n%s"
+          (String.concat "|" (List.filteri (fun i _ -> i < 5) fields))
+          (List.length (String.split_on_char '\n' payload))
+          (Checksum.crc32_hex payload) payload)
+    (fun s ->
+      match Replica.Batch.decode s with
+      | Replica.Batch.Complete _ | Replica.Batch.Torn _ | Replica.Batch.Garbage _
+        ->
+        ())
+
+(* A checkpoint of the entries' [Put] rows. *)
+let checkpoint_bytes (tid, covers) es =
+  let rows =
+    List.concat_map
+      (fun e ->
+        List.filter_map
+          (function
+            | Wal.Put { reactor; table; row } -> Some (reactor, table, row)
+            | _ -> None)
+          e.Wal.le_writes)
+      es
+  in
+  let ck =
+    { Checkpoint.ck_tid = tid; ck_covers = covers;
+      ck_reactors = List.sort_uniq compare (List.map (fun (r, _, _) -> r) rows);
+      ck_rows = rows }
+  in
+  let path = Filename.temp_file "fuzz" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Checkpoint.write_file path ck;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let prop_fuzz_checkpoint =
+  fuzz_prop ~name:"fuzz: Checkpoint.read_file_opt never raises" ~count:300
+    QCheck.Gen.(map2 checkpoint_bytes (pair nat nat) gen_entries)
+    (fun k ms s ->
+      (* damage the header or one row, then recompute the trailer *)
+      match List.rev (String.split_on_char '\n' s) with
+      | "" :: _trailer :: rev_body ->
+        let body =
+          match List.rev rev_body with
+          | header :: rows when k mod 4 = 0 || rows = [] ->
+            mutate_all ms header :: rows
+          | header :: rows -> header :: map_nth k (remutate ms) rows
+          | [] -> []
+        in
+        let text = String.concat "" (List.map (fun l -> l ^ "\n") body) in
+        Printf.sprintf "%send\t%d\t%s\n" text (List.length body - 1)
+          (Checksum.crc32_hex text)
+      | _ -> s)
+    (fun s ->
+      with_file s (fun path ->
+          match Checkpoint.read_file_opt path with
+          | Ok _ | Error _ -> ()))
+
 let suite =
   ( "wal",
     [
@@ -825,4 +1025,8 @@ let suite =
         test_torn_checkpoint_rejected;
       Alcotest.test_case "durable group commit" `Quick
         test_durable_group_commit;
+      QCheck_alcotest.to_alcotest prop_fuzz_framed;
+      QCheck_alcotest.to_alcotest prop_fuzz_wal_file;
+      QCheck_alcotest.to_alcotest prop_fuzz_batch;
+      QCheck_alcotest.to_alcotest prop_fuzz_checkpoint;
     ] )
