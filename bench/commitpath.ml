@@ -273,7 +273,7 @@ let write_heavy_group ~iters =
   in
   write_heavy_durable ~name:"write_heavy_group_commit" ~iters
     ~log_commit:(fun e ->
-      batch := e :: !batch;
+      batch := Wal.record log e :: !batch;
       if List.length !batch >= group_window then drain ())
     ~finish:(fun () ->
       drain ();

@@ -236,9 +236,10 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
     | None -> "")
     (if Chaos.is_active chaos then " chaos=" ^ Chaos.to_string chaos else "");
   (* Replication: the shipper runs on its own domain, ticking every 5 ms.
-     Only closed (durable) epochs are ever shipped — the runtime's
-     group-commit flusher appends whole epochs to the WAL, so the highest
-     epoch present is the shippable bound. *)
+     Only durable epochs are ever shipped: the bound is the runtime's last
+     flushed boundary, below which every record is in the log. (The
+     highest epoch present is not: a flush can hold a record of the next
+     epoch while others of that epoch are still pending.) *)
   let repl =
     match wal with
     | None -> None
@@ -248,8 +249,7 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
       let sh =
         Replica.Shipper.create ~chaos
           ~entries:(fun () -> Wal.entries w)
-          ~durable_epoch:(fun () ->
-            Replica.durable_epoch_of_entries (Wal.entries w))
+          ~durable_epoch:(fun () -> Runtime.Db.durable_epoch db)
           ~gen:(fun () -> !prim_gen)
           rs
       in

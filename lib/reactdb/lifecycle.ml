@@ -267,20 +267,32 @@ module Make (P : PLATFORM) = struct
     since root Obs.Phase.Exec (t_body +. Obs.Trace.get root.tr Obs.Phase.Suspend_wait);
     res
 
-  (* Every participant voted yes and holds its locks: compute the TID, log
-     the redo record write-ahead — a failed append rolls back instead of
-     leaving installed writes without a record — then install. *)
-  let install_all db root ~epoch ~release ~install =
-    let tid = Occ.Commit.compute_tid root.txn ~epoch in
-    match P.log_commit db root ~tid with
-    | Error m ->
-      release ();
-      Error (internal ("wal write failed: " ^ m))
-    | Ok () ->
-      let reg = db.Bootstrap.registry in
-      install ~tid
-        ~horizon:(if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg) else None);
-      Ok ()
+  (* The commit decision: every participant voted yes and holds its locks.
+     Only now does the root take its epoch, as Silo reads the epoch after
+     locking, so no hold spans a prepare round trip. In order: the
+     platform's own hold (the runtime's WAL tag), the registry's commit
+     hold, the TID, the redo record written ahead — a failed append rolls
+     back instead of leaving installed writes without a record — then the
+     install. Epochs only grow, so tag <= hold <= TID epoch. The commit
+     hold lasts until every install landed, so no snapshot is issued at an
+     epoch that can still gain installs; it is dropped on every path, since
+     a leaked hold would freeze snapshots and GC. *)
+  let install_all db root ~release ~install =
+    let reg = db.Bootstrap.registry in
+    P.committing db root (fun () ->
+        let epoch = Pins.Registry.hold_commit reg in
+        Fun.protect ~finally:(fun () -> Pins.Registry.drop_commit reg epoch) (fun () ->
+            let tid = Occ.Commit.compute_tid root.txn ~epoch in
+            match P.log_commit db root ~tid with
+            | Error m ->
+              release ();
+              Error (internal ("wal write failed: " ^ m))
+            | Ok () ->
+              install ~tid
+                ~horizon:
+                  (if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg)
+                   else None);
+              Ok ()))
 
   (* One participant's prepare vote: refuse outright when the root's
      deadline has passed (no locks taken: the coordinator rolls the others
@@ -299,7 +311,7 @@ module Make (P : PLATFORM) = struct
      on every participant; phase two installs or releases. Each
      participant's steps run on the executor owning its container; the
      coordinator's own container is inlined. *)
-  let two_phase db root ~coord containers ~epoch =
+  let two_phase db root ~coord containers =
     let me = P.cid coord in
     (* Run [f] on every container in [cs], the coordinator's own inline,
        then wait for all. An exception out of a remote step would leave the
@@ -339,7 +351,7 @@ module Make (P : PLATFORM) = struct
       | _ when killed -> release prepared; Error (internal "primary killed mid-2pc")
       | Some reason -> release prepared; Error reason
       | None ->
-        install_all db root ~epoch
+        install_all db root
           ~release:(fun () -> release containers)
           ~install:(fun ~tid ~horizon ->
             ignore
@@ -352,7 +364,7 @@ module Make (P : PLATFORM) = struct
 
   (* Single-container commit on [c]'s owner: no votes, but validation
      (from [t0]) and install still land in their own trace phases. *)
-  let commit_one db root c ~t0 ~epoch ~prepare =
+  let commit_one db root c ~t0 ~prepare =
     let prepared = prepare c in
     since root Obs.Phase.Validation t0;
     match prepared with
@@ -360,7 +372,7 @@ module Make (P : PLATFORM) = struct
     | Ok () ->
       let t1 = stamp root in
       let r =
-        install_all db root ~epoch
+        install_all db root
           ~release:(fun () -> Occ.Commit.release root.txn ~container:c)
           ~install:(fun ~tid ~horizon ->
             Occ.Commit.install ?horizon root.txn ~container:c ~tid)
@@ -368,7 +380,7 @@ module Make (P : PLATFORM) = struct
       since root Obs.Phase.Commit t1;
       r
 
-  let do_commit db root ~coord ~epoch =
+  let do_commit db root ~coord =
     let t0 = stamp root in
     match Occ.Txn.containers root.txn with
     | [] ->
@@ -376,7 +388,7 @@ module Make (P : PLATFORM) = struct
       since root Obs.Phase.Commit t0;
       Ok ()
     | [ c ] when c = P.cid coord ->
-      commit_one db root c ~t0 ~epoch ~prepare:(fun c ->
+      commit_one db root c ~t0 ~prepare:(fun c ->
           P.charge_validation db root.txn c;
           Result.map_error validation_failed (Occ.Commit.prepare root.txn ~container:c))
     | [ c ] ->
@@ -387,7 +399,7 @@ module Make (P : PLATFORM) = struct
       let fut =
         P.remote db root ~coord c (fun () ->
             let r =
-              try commit_one db root c ~t0 ~epoch ~prepare:(prepare_vote db root)
+              try commit_one db root c ~t0 ~prepare:(prepare_vote db root)
               with e ->
                 P.on_fatal db e;
                 Error (internal ("internal commit error: " ^ Printexc.to_string e))
@@ -397,7 +409,7 @@ module Make (P : PLATFORM) = struct
       let r, t_reply = match P.peek fut with Some x -> x | None -> P.await db coord fut in
       since root Obs.Phase.Validation t_reply;
       r
-    | containers -> two_phase db root ~coord containers ~epoch
+    | containers -> two_phase db root ~coord containers
 
   let decide db root ~coord body =
     match body with
@@ -409,19 +421,14 @@ module Make (P : PLATFORM) = struct
       (* Commit entry: nothing is prepared yet, so expiring here just
          drops the read/write sets. *)
       Error (Ab_timeout, "deadline expired before commit", Obs.Abort.Timeout)
-    | Ok v ->
-      (* The TID epoch is held until every install landed, so no snapshot
-         is issued at an epoch that can still gain installs; released on
-         every path, since a leaked hold would freeze snapshots and GC. *)
-      let reg = db.Bootstrap.registry in
-      P.committing db root (fun () ->
-          let epoch = Pins.Registry.hold_commit reg in
-          Fun.protect ~finally:(fun () -> Pins.Registry.drop_commit reg epoch) (fun () ->
-              match do_commit db root ~coord ~epoch with
-              | r -> Result.map (fun () -> v) r
-              | exception e ->
-                P.on_fatal db e;
-                Error (internal ("internal commit error: " ^ Printexc.to_string e))))
+    | Ok v -> (
+      (* Validation, and the votes of a multi-container root, come first;
+         the epoch is taken at the decision ([install_all]). *)
+      match do_commit db root ~coord with
+      | r -> Result.map (fun () -> v) r
+      | exception e ->
+        P.on_fatal db e;
+        Error (internal ("internal commit error: " ^ Printexc.to_string e)))
     | Error _ as aborted -> aborted
 
   let finish db root verdict ~container =

@@ -111,8 +111,10 @@ module type PLATFORM = sig
 
   val killed : (slot, t) Bootstrap.t -> bool
 
-  (** [committing t root f] runs the commit protocol [f ()] inside the
-      platform's own holds (the runtime's group-commit boundary). *)
+  (** [committing t root f] runs a decided commit [f ()] — commit hold,
+      TID, redo record, install — inside the platform's own holds (the
+      runtime's group-commit tag). Called after every vote, with every
+      participant's locks held; [f] may raise. *)
   val committing : (slot, t) Bootstrap.t -> rx root -> (unit -> 'a) -> 'a
 
   (** Between TID and install, every participant's locks held: make the

@@ -340,9 +340,6 @@ let freshest = function
       (List.fold_left (fun best r -> if r.wmark > best.wmark then r else best)
          r rs)
 
-let durable_epoch_of_entries entries =
-  List.fold_left (fun a e -> max a (epoch_of e)) 0 entries
-
 (* ---- the shipper ---- *)
 
 module Shipper = struct

@@ -169,11 +169,6 @@ val promote : ?gen:int -> t -> (promotion, string) result
     empty list. *)
 val freshest : t list -> t option
 
-(** Highest epoch present in a durable log's entries (0 if empty) — the
-    shippable bound for a source, like the runtime WAL, whose every
-    present epoch is already complete. *)
-val durable_epoch_of_entries : Wal.entry list -> int
-
 (** {1 The shipper}
 
     Drives shipping rounds from one primary log to a set of replicas.

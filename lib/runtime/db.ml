@@ -98,23 +98,29 @@ and exec = {
   sheds : int Atomic.t;  (* admission refusals against this mailbox *)
 }
 
-(* Group-commit WAL sink (Silo epoch durability; DESIGN.md §8). Root fibers
-   append epoch-tagged redo entries under [wmu]; a dedicated flusher domain
-   coalesces everything up to a safe epoch boundary into one buffered write
-   and one flush per tick, then wakes the epoch's waiters. *)
+(* Group-commit WAL sink (Silo epoch durability; DESIGN.md §8.3). A
+   committing executor tags its redo record with the epoch at the commit
+   decision, encodes it outside [wmu] and queues it under [wmu]. Whoever
+   closes an epoch runs the group flush: the executor whose root start
+   advances the epoch, or, in quiet stretches, the flusher domain. A flush
+   writes everything up to a safe epoch boundary in one batch and one
+   flush, then wakes that boundary's waiters. *)
 type wal_sink = {
-  log : Wal.t;  (* flusher domain only, after [start] *)
+  log : Wal.t;  (* appended to and flushed under [fmu] only *)
   wmu : Mutex.t;
-  mutable pending : (int * Wal.entry) list;  (* epoch-tagged, newest first *)
+  fmu : Mutex.t;  (* one group flush at a time; executors only try it *)
+  mutable pending : (int * Wal.record) list;  (* epoch-tagged, newest first *)
   inflight : Epochs.t;
       (* commits registered but not yet appended; holds the flush
-         boundary below any epoch that could still produce an entry *)
+         boundary below any epoch that could still produce a record *)
   mutable waiters : (int * unit Ivar.t) list;  (* shared ivar per epoch *)
+  durable : int Atomic.t;  (* the last flushed boundary *)
   mutable stop : bool;
   mutable flusher : unit Domain.t option;
 }
 
-(* The group-commit window: one batched append and flush per tick. *)
+(* The backstop flusher's period: it closes epochs and flushes when no
+   root start does. *)
 let group_tick_s = 0.001
 
 (* The placement table lives in the shared core (DESIGN.md §5.2); the
@@ -317,8 +323,9 @@ type rx = {
          with [rgen] <= a migration's cutoff may keep using the old home —
          the drain waits for it — while later roots park at the stub *)
   mutable wal_prep : (wal_sink * Wal.write list * int) option;
-      (* redo writes registered with the sink at commit entry, with their
-         epoch tag; cleared once appended *)
+      (* redo writes registered with the sink at the commit decision, with
+         their epoch tag; cleared once appended *)
+  mutable wal_tid : int option;  (* their TID, when the append waits for the install *)
   mutable flush : unit Ivar.t option;  (* the appended record's flush *)
 }
 
@@ -335,14 +342,15 @@ let now_us () = Unix.gettimeofday () *. 1e6
 (* Silo epochs on the wall clock. Only monotonicity matters for TID
    correctness ([compute_tid] takes the max with observed TIDs), so the
    epoch is advanced opportunistically at root starts with a CAS — a lost
-   race just means the next root advances it. *)
+   race just means the next root advances it. True when this call closed
+   an epoch. *)
 
 let default_epoch_len_s = 0.04
 
 let maybe_advance_epoch (db : t) =
   let target = 1 + int_of_float ((Unix.gettimeofday () -. db.own.t0) /. db.own.epoch_len) in
   let cur = Atomic.get db.own.epoch in
-  if target > cur then ignore (Atomic.compare_and_set db.own.epoch cur target)
+  target > cur && Atomic.compare_and_set db.own.epoch cur target
 
 (* Config.Auto morph heuristic: resolve a root to its parallel formulation
    only when at least half the domains have idle capacity to absorb the
@@ -359,14 +367,18 @@ let auto_parallel_ok (db : t) =
   2 * !busy < n
 
 (* ------------------------------------------------------------------ *)
-(* Group-commit WAL sink. The epoch rule (DESIGN.md §8): a redo entry is
-   tagged with the epoch read at registration time, strictly before its
-   commit decision; the flusher may only flush-and-release through boundary
-   [b] once no registered-but-unappended commit with tag <= b remains. By
-   epoch monotonicity, any commit registering after the flusher read the
-   epoch gets a tag beyond the boundary, and Silo's conflict ordering makes
-   the tag monotone along dependency edges — so every flushed prefix is
-   closed under depends-on and replays to a consistent state. *)
+(* Group-commit WAL sink. The epoch rule (DESIGN.md §8.3): a redo record
+   is tagged with the epoch read at the commit decision — after every
+   vote, with every lock held, before the TID and the install — and a
+   group flush may write and release through boundary [b] only once no
+   registered-but-unappended commit with tag <= b remains. By epoch
+   monotonicity, any commit registering after the flush read the epoch
+   gets a tag beyond the boundary. A commit that depends on another (read
+   or overwrote its write) did so after that one installed, so it
+   registers after that one appended, with a tag no smaller: every flushed
+   prefix is closed under depends-on and replays to a consistent state.
+   A tag is at most its TID epoch, so a flushed boundary [b] also covers
+   every record whose TID epoch is <= b ([durable_epoch]). *)
 
 (* Register a commit attempt; returns its epoch tag. Reading the epoch
    under [wmu] is what orders registration against the flusher's own epoch
@@ -380,12 +392,12 @@ let sink_register (db : t) s =
 (* The attempt aborted (or died): just release the boundary hold. *)
 let sink_cancel s ~epoch = Mutex.protect s.wmu (fun () -> Epochs.remove s.inflight epoch)
 
-(* The attempt committed: queue its redo entry and return the epoch's
-   shared flush ivar for the fiber to await. *)
-let sink_append s ~epoch entry =
+(* The attempt committed: queue its encoded redo record and return the
+   epoch's shared flush ivar for the fiber to await. *)
+let sink_append s ~epoch record =
   Mutex.protect s.wmu (fun () ->
       Epochs.remove s.inflight epoch;
-      s.pending <- (epoch, entry) :: s.pending;
+      s.pending <- (epoch, record) :: s.pending;
       match List.assoc_opt epoch s.waiters with
       | Some iv -> iv
       | None ->
@@ -393,36 +405,53 @@ let sink_append s ~epoch entry =
         s.waiters <- (epoch, iv) :: s.waiters;
         iv)
 
+(* One group flush; the caller holds [fmu]. The boundary is the last
+   epoch below both the current one and every registered tag; at shutdown
+   (nothing can be in flight) it takes everything pending, and the
+   published boundary is the last real epoch. A failing log device
+   degrades durability, not liveness: record it, still release the
+   waiters. *)
+let group_flush (db : t) s =
+  Mutex.lock s.wmu;
+  let epoch = Atomic.get db.own.epoch in
+  let bound =
+    Epochs.minimum s.inflight ~default:(if s.stop then max_int else epoch) - 1
+  in
+  let ready, later = List.partition (fun (e, _) -> e <= bound) s.pending in
+  s.pending <- later;
+  let woken, still = List.partition (fun (e, _) -> e <= bound) s.waiters in
+  s.waiters <- still;
+  Mutex.unlock s.wmu;
+  if ready <> [] then begin
+    (* Records are appended in arbitrary order — replay sorts by TID. *)
+    try
+      Wal.append_many s.log (List.rev_map snd ready);
+      Wal.flush s.log
+    with Wal.Io_error m -> record_fatal db (Failure m)
+  end;
+  (* after the write, so a shipper reading it finds the records *)
+  Atomic.set s.durable (Stdlib.min bound epoch);
+  List.iter (fun (_, iv) -> Ivar.fill iv ()) woken
+
+(* Executors never wait for a flush in progress: it already covers, or
+   the next one will, what this caller would have flushed. *)
+let try_flush db s =
+  if Mutex.try_lock s.fmu then
+    Fun.protect ~finally:(fun () -> Mutex.unlock s.fmu) (fun () -> group_flush db s)
+
+(* The backstop: epochs must advance and close even when no root starts
+   (quiet periods would otherwise pin the flush boundary forever). Its
+   last pass, after [shutdown] set [stop], waits for the flush lock. *)
 let flusher_loop (db : t) s =
   let rec loop () =
     Unix.sleepf group_tick_s;
-    (* Epochs must advance even when no root starts (quiet periods would
-       otherwise pin the flush boundary forever). *)
-    maybe_advance_epoch db;
-    Mutex.lock s.wmu;
-    let stop = s.stop in
-    let bound =
-      Epochs.minimum s.inflight
-        ~default:(if stop then max_int else Atomic.get db.own.epoch)
-      - 1
-    in
-    let ready, later = List.partition (fun (e, _) -> e <= bound) s.pending in
-    s.pending <- later;
-    let woken, still = List.partition (fun (e, _) -> e <= bound) s.waiters in
-    s.waiters <- still;
-    Mutex.unlock s.wmu;
-    if ready <> [] then begin
-      (* The group commit: the whole boundary's worth of entries in one
-         buffered write and one flush. Entries are appended in arbitrary
-         order — replay sorts by TID. A failing log device degrades
-         durability, not liveness: record it, still release the waiters. *)
-      try
-        Wal.append_many s.log (List.rev_map snd ready);
-        Wal.flush s.log
-      with Wal.Io_error m -> record_fatal db (Failure m)
-    end;
-    List.iter (fun (_, iv) -> Ivar.fill iv ()) woken;
-    if not stop then loop ()
+    ignore (maybe_advance_epoch db);
+    if Mutex.protect s.wmu (fun () -> s.stop) then
+      Mutex.protect s.fmu (fun () -> group_flush db s)
+    else begin
+      try_flush db s;
+      loop ()
+    end
   in
   loop ()
 
@@ -505,30 +534,59 @@ module P = struct
   let prepared (db : db) = Chaos.inject_wall db.own.chaos Chaos.Stall_prepare
   let killed _ = false
 
-  (* Durable mode: capture the after-images and register against the
-     flush boundary before the commit decision (the epoch rule above). The
-     hold drops once the protocol is over (at the append, if it
-     committed). *)
+  (* Encode the root's redo record on this executor, outside [wmu], and
+     queue it; its tag drops with the append. *)
+  let append_redo (root : root) (s, writes, etag) ~tid =
+    root.rx.wal_prep <- None;
+    let record =
+      Wal.record s.log
+        { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes }
+    in
+    root.rx.flush <- Some (sink_append s ~epoch:etag record)
+
+  (* Durable mode: at the commit decision, capture the after-images and
+     register the epoch tag against the flush boundary (the epoch rule
+     above). The tag drops at the append, or when the commit ends without
+     one. *)
   let committing (db : db) (root : root) f =
-    (match db.own.wal with
-    | None -> ()
+    match db.own.wal with
+    | None -> f ()
     | Some s -> (
       match Lifecycle.redo_writes db.table_owner root.txn with
-      | [] -> ()
-      | writes -> root.rx.wal_prep <- Some (s, writes, sink_register db s)));
-    let r = f () in
-    Option.iter (fun (s, _, etag) -> sink_cancel s ~epoch:etag) root.rx.wal_prep;
-    r
+      | [] -> f ()
+      | writes -> (
+        let etag = sink_register db s in
+        let prep = (s, writes, etag) in
+        root.rx.wal_prep <- Some prep;
+        let cancel () =
+          if Option.is_some root.rx.wal_prep then begin
+            root.rx.wal_prep <- None;
+            sink_cancel s ~epoch:etag
+          end
+        in
+        match f () with
+        | exception e ->
+          cancel ();
+          raise e
+        | r ->
+          (match root.rx.wal_tid with
+          | Some tid when Option.is_some root.rx.wal_prep -> append_redo root prep ~tid
+          | _ -> cancel ());
+          r))
 
+  (* A single-container root encodes its record once the install has
+     released its locks (above, in [committing]), so the encoding does not
+     lengthen its lock window; its registered tag holds the flush boundary
+     meanwhile. A multi-container root encodes here, under the locks:
+     waiting for the install would hold its tag across the round trip to
+     the other participants. *)
   let log_commit _ (root : root) ~tid =
     (match root.rx.wal_prep with
     | None -> ()
-    | Some (s, writes, etag) ->
-      root.rx.wal_prep <- None;
-      root.rx.flush <-
-        Some
-          (sink_append s ~epoch:etag
-             { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes }));
+    | Some prep -> (
+      match Occ.Txn.containers root.txn with
+      | [ _ ] -> root.rx.wal_tid <- Some tid
+      | _ -> append_redo root prep ~tid));
     Ok ()
 
   let wait_durable _ (root : root) = Option.iter fiber_await root.rx.flush
@@ -548,7 +606,8 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
     ?deadline_us ~k (ex : exec) =
   (* Chaos: the root dispatch message stalls before execution begins. *)
   Chaos.inject_wall db.own.chaos Chaos.Delay_delivery;
-  maybe_advance_epoch db;
+  (* The executor that closes an epoch runs its group flush. *)
+  if maybe_advance_epoch db then Option.iter (try_flush db) db.own.wal;
   (* Re-read the home at execution start: a parked root replayed after a
      flip must run against the new placement. Stable from here on — a
      subsequent flip waits for this root (its generation is pre-mark
@@ -557,7 +616,7 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
   let txn = Bootstrap.next_txn db in
   let root =
     L.root db ~txn ~retry ~t_start:t_submit ?deadline_us ~readonly:ro
-      { rmu = Mutex.create (); rgen; wal_prep = None; flush = None }
+      { rmu = Mutex.create (); rgen; wal_prep = None; wal_tid = None; flush = None }
   in
   (* Queue wait: submit → this job running on the home domain, including
      any round-robin forwarding hop and mailbox residence. *)
@@ -786,8 +845,9 @@ let migrate (db : t) ~reactor ~dst =
         flush :=
           Some
             (sink_append s ~epoch:etag
-               { Wal.le_txn = -seq; le_tid = Storage.Record.tid_make ~epoch:etag ~seq;
-                 le_writes = [ Wal.Migrate { reactor; dst } ] }))
+               (Wal.record s.log
+                  { Wal.le_txn = -seq; le_tid = Storage.Record.tid_make ~epoch:etag ~seq;
+                    le_writes = [ Wal.Migrate { reactor; dst } ] })))
       db.own.wal
   in
   let pause = Bootstrap.migrate db ~suspend:block ~now:now_us ~log ~reactor ~dst in
@@ -825,9 +885,11 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
         {
           log;
           wmu = Mutex.create ();
+          fmu = Mutex.create ();
           pending = [];
           inflight = Epochs.create ();
           waiters = [];
+          durable = Atomic.make 0;
           stop = false;
           flusher = None;
         })
@@ -878,6 +940,9 @@ let shutdown (db : t) =
   db.own.domains <- [||]
 
 let n_domains (db : t) = Array.length db.own.execs
+
+let durable_epoch (db : t) =
+  match db.own.wal with Some s -> Atomic.get s.durable | None -> 0
 let n_fatal (db : t) = Atomic.get db.own.fatal
 
 (* --- dynamic-scheduling observability --- *)

@@ -81,11 +81,13 @@ type outcome = {
     {3 Durability}
 
     [wal] attaches a write-ahead log: each committed root's after-images
-    are appended and the transaction's completion waits for the group
-    commit covering its epoch — one batched append + flush per 1 ms
-    window, attributed to the [Flush_wait] phase. [epoch_len_s] (default
-    0.04 s) sets the Silo TID-epoch advance interval, which also bounds
-    group-commit epoch granularity. *)
+    are encoded on its executor and queued, and the transaction's
+    completion waits for the group commit covering its epoch — one
+    batched append + flush, run by the executor that closes the epoch
+    (or, when no root starts, by a flusher domain every 1 ms), attributed
+    to the [Flush_wait] phase. [epoch_len_s] (default 0.04 s) sets the
+    Silo TID-epoch advance interval, which also bounds group-commit epoch
+    granularity. *)
 val start :
   ?chaos:Chaos.t ->
   ?mailbox_cap:int ->
@@ -103,6 +105,12 @@ val shutdown : t -> unit
 (** Number of containers, each owned by one spawned domain; a container's
     index is its domain's. *)
 val n_domains : t -> int
+
+(** The last epoch boundary the group commit flushed: every redo record
+    whose TID epoch is at most this is in the log — the bound a log
+    shipper may ship up to. After {!shutdown}, the last epoch of the run.
+    0 without a WAL. *)
+val durable_epoch : t -> int
 
 (** {1 Shared admin and statistics API}
 

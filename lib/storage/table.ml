@@ -1,26 +1,25 @@
 module Key = struct
   type t = Util.Value.t array
 
+  (* A top-level loop rather than a local closure: without flambda, a
+     local [go] capturing the keys is allocated on every call, and this
+     compare runs at every B+tree node a find or insert visits. *)
+  let rec compare_from a b i n =
+    if i = n then Int.compare (Array.length a) (Array.length b)
+    else
+      (* Same-constructor scalar fast paths keep the common case (int and
+         string key columns) free of the generic dispatch. *)
+      let c =
+        match Array.unsafe_get a i, Array.unsafe_get b i with
+        | Util.Value.Int x, Util.Value.Int y -> Int.compare x y
+        | Util.Value.Str x, Util.Value.Str y -> String.compare x y
+        | x, y -> Util.Value.compare x y
+      in
+      if c <> 0 then c else compare_from a b (i + 1) n
+
   let compare a b =
     if a == b then 0
-    else begin
-      let la = Array.length a and lb = Array.length b in
-      let n = Stdlib.min la lb in
-      let rec go i =
-        if i = n then Int.compare la lb
-        else
-          (* Same-constructor scalar fast paths keep the common case (int and
-             string key columns) free of the generic dispatch. *)
-          let c =
-            match Array.unsafe_get a i, Array.unsafe_get b i with
-            | Util.Value.Int x, Util.Value.Int y -> Int.compare x y
-            | Util.Value.Str x, Util.Value.Str y -> String.compare x y
-            | x, y -> Util.Value.compare x y
-          in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
-    end
+    else compare_from a b 0 (Stdlib.min (Array.length a) (Array.length b))
 end
 
 module Idx = Btree.Make (Key)

@@ -357,9 +357,7 @@ let read_file path =
 
 (* --- sinks --- *)
 
-(* [buf] is the sink's reusable encode buffer; a log is appended to by one
-   domain at a time (the runtime's flusher, or the simulator). *)
-type file_sink = { oc : out_channel; path : string; buf : Buf.t }
+type file_sink = { oc : out_channel; path : string }
 
 type sink = Memory of entry list ref | File of file_sink
 
@@ -374,7 +372,6 @@ let in_memory () =
   { sink = Memory (ref []); count = 0; n_flushes = 0; flush_time_us = 0. }
 
 let to_file path =
-  let buf = Buf.create 4096 in
   let existing =
     if Sys.file_exists path then begin
       match read_file_tolerant path with
@@ -382,6 +379,7 @@ let to_file path =
       | entries, Torn _ ->
         (* Crash-recovery reopen: truncate the torn tail (re-encoding the
            valid prefix as v2) so appended records stay reachable. *)
+        let buf = Buf.create 4096 in
         let oc = open_out_gen [ Open_wronly; Open_trunc ] 0o644 path in
         List.iter
           (fun e ->
@@ -395,13 +393,7 @@ let to_file path =
     else 0
   in
   {
-    sink =
-      File
-        {
-          oc = open_out_gen [ Open_append; Open_creat ] 0o644 path;
-          path;
-          buf;
-        };
+    sink = File { oc = open_out_gen [ Open_append; Open_creat ] 0o644 path; path };
     count = existing;
     n_flushes = 0;
     flush_time_us = 0.;
@@ -416,24 +408,38 @@ let wrap_io path f =
   try f ()
   with Sys_error m -> raise (Io_error (Printf.sprintf "wal %s: %s" path m))
 
-(* Group-commit append: the whole batch is encoded into the sink's one
-   buffer and written with a single channel call, so an epoch's worth of
-   records costs one I/O submission before the covering [flush] and no
-   per-record string. *)
-let append_many t es =
-  (match t.sink with
-  | Memory r -> List.iter (fun e -> r := e :: !r) es
-  | File { oc; path; buf } ->
-    Buf.clear buf;
-    List.iter
-      (fun e ->
-        add_framed buf e;
-        Buf.add_char buf '\n')
-      es;
-    wrap_io path (fun () -> Buf.output oc buf));
-  t.count <- t.count + List.length es
+(* A record is encoded by whoever makes it, so a file log's append only
+   copies finished lines into its channel. An in-memory log keeps the
+   entry itself and encodes nothing. *)
+type record = Entry of entry | Line of string
 
-let append t e = append_many t [ e ]
+let line e =
+  with_scratch
+    (fun b e ->
+      add_framed b e;
+      Buf.add_char b '\n')
+    e
+
+let record t e = match t.sink with Memory _ -> Entry e | File _ -> Line (line e)
+
+(* The one append path: a whole batch in order, copied into the channel's
+   buffer with no further encoding; the covering [flush] issues the I/O. *)
+let append_many t rs =
+  (match t.sink with
+  | Memory r ->
+    List.iter
+      (function
+        | Entry e -> r := e :: !r
+        | Line _ -> invalid_arg "Wal.append_many: record of a file log")
+      rs
+  | File { oc; path } ->
+    wrap_io path (fun () ->
+        List.iter
+          (function Line l -> output_string oc l | Entry e -> output_string oc (line e))
+          rs));
+  t.count <- t.count + List.length rs
+
+let append t e = append_many t [ record t e ]
 
 let length t = t.count
 

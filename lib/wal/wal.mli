@@ -45,13 +45,25 @@ val in_memory : unit -> t
     and {!close} when done. *)
 val to_file : string -> t
 
-val append : t -> entry -> unit
+(** An entry ready to append to one log: for a file log its framed line,
+    encoded when the record is made, so that whoever makes it (a
+    committing executor) pays for the encoding rather than the party
+    appending a batch; for an in-memory log the entry itself. *)
+type record
 
-(** [append_many t es] appends a batch in order; a file-backed log encodes
-    the whole batch into one buffer and issues a single channel write (the
-    group-commit coalescing half — pair with one {!flush} for the epoch's
-    durability boundary). Equivalent to [List.iter (append t) es]. *)
-val append_many : t -> entry list -> unit
+(** [record t e] prepares [e] for {!append_many} on [t]. Reads only the
+    log's kind, so any domain may call it while another appends. *)
+val record : t -> entry -> record
+
+(** [append_many t rs] appends a batch in order — the one append path. A
+    file log copies the records' lines into its channel buffer, so an
+    epoch's worth of records costs one I/O at the covering {!flush}.
+    Raises [Invalid_argument] if a file log's record goes to an in-memory
+    log. *)
+val append_many : t -> record list -> unit
+
+(** [append t e] appends the one-record batch of [record t e]. *)
+val append : t -> entry -> unit
 
 (** Number of entries in the log (existing entries of a reopened file plus
     entries appended since). *)

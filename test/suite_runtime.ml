@@ -797,6 +797,99 @@ let test_group_commit_file () =
   Sys.remove path;
   Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
+(* A durable commit waits for its own epoch, not for another root's 2PC
+   prepare. Every prepare stalls 250–750 ms with its locks held, so a
+   transfer between the first two domains sits in prepare for at least
+   500 ms; a single-container deposit on the third domain, submitted once
+   the stall began, must be acknowledged durable while the transfer is
+   still stalled. The epoch is taken at the commit decision, so the
+   stalled root holds no epoch the deposit's flush has to wait for. *)
+let test_durable_commit_not_behind_prepare () =
+  let chaos =
+    Chaos.make ~seed:7 ~kind:Chaos.Stall_prepare ~p:1.0 ~delay_us:500_000. ()
+  in
+  let log = Wal.in_memory () in
+  let db =
+    RDb.start ~chaos ~wal:log ~epoch_len_s:0.002 (Testlib.bank_decl 3)
+      (Testlib.sn_config 3)
+  in
+  let transfer = Atomic.make None in
+  RDb.submit db ~reactor:"acct0" ~proc:"transfer_to"
+    ~args:[ Value.Str "acct1"; Value.Float 25. ]
+    ~k:(fun out -> Atomic.set transfer (Some out));
+  while Chaos.injections chaos = 0 do
+    Unix.sleepf 1e-3
+  done;
+  let deposit =
+    RDb.exec_txn db ~reactor:"acct2" ~proc:"deposit" ~args:[ Value.Float 5. ]
+  in
+  let stalled = Atomic.get transfer = None in
+  check_bool "deposit committed" true (Result.is_ok deposit.RDb.result);
+  check_bool "deposit acknowledged while the transfer is in prepare" true stalled;
+  check_bool "deposit latency far below the stall" true
+    (deposit.RDb.latency_us < 200_000.);
+  RDb.quiesce db;
+  (match Atomic.get transfer with
+  | Some { RDb.result = Ok _; _ } -> ()
+  | _ -> Alcotest.fail "stalled transfer did not commit");
+  check_float "deposit applied" 105. (balance db "acct2");
+  check_float "transfer applied" 125. (balance db "acct1");
+  RDb.shutdown db;
+  check_int "both commits logged" 2 (Wal.length log)
+
+(* [durable_epoch] is a safe shipping bound: whenever it reads [d], every
+   record whose TID epoch is <= d is already in the log — no later append
+   lands below a bound a shipper has seen. After shutdown it is the last
+   epoch of the run, not a sentinel. *)
+let test_durable_epoch_bound () =
+  let n = 16 in
+  let decl = SB.decl ~customers:n () in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
+  let log = Wal.in_memory () in
+  let db = RDb.start ~wal:log ~epoch_len_s:0.002 decl cfg in
+  let epoch_of e = Storage.Record.tid_epoch e.Wal.le_tid in
+  let stop = Atomic.make false in
+  let sampler =
+    Domain.spawn (fun () ->
+        let samples = ref [] and last = ref 0 and monotone = ref true in
+        while not (Atomic.get stop) do
+          let d = RDb.durable_epoch db in
+          if d < !last then monotone := false;
+          last := d;
+          let seen =
+            List.filter_map
+              (fun e -> if epoch_of e <= d then Some e.Wal.le_txn else None)
+              (Wal.entries log)
+          in
+          samples := (d, seen) :: !samples;
+          Unix.sleepf 5e-4
+        done;
+        (!samples, !monotone))
+  in
+  let (_ : int) =
+    Harness.run_fixed (Harness.runtime db) ~n_workers:4 ~per_worker:100 ~seed:29
+      (fun _ rng -> SB.gen_conserving rng ~n)
+  in
+  Atomic.set stop true;
+  let samples, monotone = Domain.join sampler in
+  RDb.shutdown db;
+  let final = Wal.entries log in
+  check_bool "sampled during the run" true (List.length samples > 1);
+  check_bool "bound never moves back" true monotone;
+  List.iter
+    (fun (d, seen) ->
+      List.iter
+        (fun e ->
+          if epoch_of e <= d && not (List.mem e.Wal.le_txn seen) then
+            Alcotest.failf "txn %d of epoch %d appended after bound %d was read"
+              e.Wal.le_txn (epoch_of e) d)
+        final)
+    samples;
+  let last = RDb.durable_epoch db in
+  check_int "after shutdown: the last epoch" (RDb.safe_snapshot_epoch db + 1) last;
+  check_bool "covers every record" true
+    (List.for_all (fun e -> epoch_of e <= last) final)
+
 let suite =
   ( "runtime",
     [
@@ -828,6 +921,10 @@ let suite =
         test_overload_shed;
       Alcotest.test_case "work stealing: skewed ycsb" `Quick
         test_steal_correctness;
+      Alcotest.test_case "durable commit not behind a 2pc prepare" `Quick
+        test_durable_commit_not_behind_prepare;
+      Alcotest.test_case "durable epoch is a shipping bound" `Quick
+        test_durable_epoch_bound;
       Alcotest.test_case "work stealing: smallbank conservation" `Quick
         test_steal_smallbank;
       Alcotest.test_case "cost router" `Quick test_cost_router;

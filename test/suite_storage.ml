@@ -200,6 +200,60 @@ let prop_key_compare_fastpath =
       let sign c = Stdlib.compare c 0 in
       sign (Storage.Table.Key.compare a b) = sign (reference a b))
 
+(* Prefix and length cases (a key against its own prefixes, extensions
+   and copies) against a plain list-lexicographic reference, and no minor
+   allocation per call: the compare runs at every B+tree node visited. *)
+let prop_key_compare_prefixes =
+  let gen_value =
+    QCheck.Gen.(
+      frequency
+        [ (3, map (fun i -> Value.Int i) (int_range (-3) 3));
+          (2, map (fun s -> Value.Str s) (oneofl [ ""; "a"; "ab"; "b" ]));
+          (1, map (fun b -> Value.Bool b) bool);
+          (1, map (fun f -> Value.Float (float_of_int f)) (int_range (-2) 2));
+          (1, return Value.Null) ])
+  in
+  let gen_pair =
+    QCheck.Gen.(
+      list_size (int_bound 5) gen_value >>= fun a ->
+      let a = Array.of_list a in
+      let n = Array.length a in
+      frequency
+        [ (2, map (fun k -> Array.sub a 0 k) (int_bound n));
+          (2, map (fun ext -> Array.append a (Array.of_list ext))
+                (list_size (int_range 1 3) gen_value));
+          (1, return (Array.copy a));
+          (1, return a);
+          (2, map Array.of_list (list_size (int_bound 5) gen_value)) ]
+      >>= fun b -> oneofl [ (a, b); (b, a) ])
+  in
+  let reference a b =
+    let rec go = function
+      | [], [] -> 0
+      | [], _ :: _ -> -1
+      | _ :: _, [] -> 1
+      | x :: xs, y :: ys ->
+        let c = Value.compare x y in
+        if c <> 0 then c else go (xs, ys)
+    in
+    go (Array.to_list a, Array.to_list b)
+  in
+  let words_per_call a b =
+    let n = 100 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Storage.Table.Key.compare a b))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  QCheck.Test.make ~name:"Key.compare: prefixes, lengths, no allocation"
+    ~count:500
+    (QCheck.make gen_pair)
+    (fun (a, b) ->
+      let sign c = Stdlib.compare c 0 in
+      sign (Storage.Table.Key.compare a b) = sign (reference a b)
+      && words_per_call a b < 1.)
+
 let test_catalog () =
   let c = Storage.Catalog.create () in
   let t = Storage.Catalog.create_table c sch in
@@ -231,4 +285,5 @@ let suite =
       Alcotest.test_case "secondary key plan" `Quick test_sec_key_plan;
       Alcotest.test_case "catalog" `Quick test_catalog;
       QCheck_alcotest.to_alcotest prop_key_compare_fastpath;
+      QCheck_alcotest.to_alcotest prop_key_compare_prefixes;
     ] )
