@@ -102,7 +102,8 @@ and exec = {
    committing executor tags its redo record with the epoch at the commit
    decision, encodes it outside [wmu] and queues it under [wmu]. Whoever
    closes an epoch runs the group flush: the executor whose root start
-   advances the epoch, or, in quiet stretches, the flusher domain. A flush
+   advances the epoch; the flusher domain also tries one on every tick,
+   which covers quiet stretches with no root start. A flush
    writes everything up to a safe epoch boundary in one batch and one
    flush, then wakes that boundary's waiters. *)
 type wal_sink = {
@@ -119,8 +120,8 @@ type wal_sink = {
   mutable flusher : unit Domain.t option;
 }
 
-(* The backstop flusher's period: it closes epochs and flushes when no
-   root start does. *)
+(* The flusher's period: each tick advances the epoch when due and tries
+   a group flush. *)
 let group_tick_s = 0.001
 
 (* The placement table lives in the shared core (DESIGN.md §5.2); the
@@ -325,7 +326,6 @@ type rx = {
   mutable wal_prep : (wal_sink * Wal.write list * int) option;
       (* redo writes registered with the sink at the commit decision, with
          their epoch tag; cleared once appended *)
-  mutable wal_tid : int option;  (* their TID, when the append waits for the install *)
   mutable flush : unit Ivar.t option;  (* the appended record's flush *)
 }
 
@@ -374,8 +374,9 @@ let auto_parallel_ok (db : t) =
    registered-but-unappended commit with tag <= b remains. By epoch
    monotonicity, any commit registering after the flush read the epoch
    gets a tag beyond the boundary. A commit that depends on another (read
-   or overwrote its write) did so after that one installed, so it
-   registers after that one appended, with a tag no smaller: every flushed
+   or overwrote its write) did so after that one installed, and a record
+   is queued before its install ([log_commit]), so the dependent registers
+   after that one appended, with a tag no smaller: every flushed
    prefix is closed under depends-on and replays to a consistent state.
    A tag is at most its TID epoch, so a flushed boundary [b] also covers
    every record whose TID epoch is <= b ([durable_epoch]). *)
@@ -439,9 +440,10 @@ let try_flush db s =
   if Mutex.try_lock s.fmu then
     Fun.protect ~finally:(fun () -> Mutex.unlock s.fmu) (fun () -> group_flush db s)
 
-(* The backstop: epochs must advance and close even when no root starts
-   (quiet periods would otherwise pin the flush boundary forever). Its
-   last pass, after [shutdown] set [stop], waits for the flush lock. *)
+(* Epochs must advance and close even when no root starts (quiet periods
+   would otherwise pin the flush boundary forever), so the flusher tries a
+   flush on every tick. Its last pass, after [shutdown] set [stop], waits
+   for the flush lock. *)
 let flusher_loop (db : t) s =
   let rec loop () =
     Unix.sleepf group_tick_s;
@@ -534,59 +536,38 @@ module P = struct
   let prepared (db : db) = Chaos.inject_wall db.own.chaos Chaos.Stall_prepare
   let killed _ = false
 
-  (* Encode the root's redo record on this executor, outside [wmu], and
-     queue it; its tag drops with the append. *)
-  let append_redo (root : root) (s, writes, etag) ~tid =
-    root.rx.wal_prep <- None;
-    let record =
-      Wal.record s.log
-        { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes }
-    in
-    root.rx.flush <- Some (sink_append s ~epoch:etag record)
-
   (* Durable mode: at the commit decision, capture the after-images and
      register the epoch tag against the flush boundary (the epoch rule
      above). The tag drops at the append, or when the commit ends without
-     one. *)
+     one — also by an exception, since a leaked tag would pin the flush
+     boundary and every durable waiter behind it. *)
   let committing (db : db) (root : root) f =
     match db.own.wal with
     | None -> f ()
     | Some s -> (
       match Lifecycle.redo_writes db.table_owner root.txn with
       | [] -> f ()
-      | writes -> (
+      | writes ->
         let etag = sink_register db s in
-        let prep = (s, writes, etag) in
-        root.rx.wal_prep <- Some prep;
-        let cancel () =
-          if Option.is_some root.rx.wal_prep then begin
-            root.rx.wal_prep <- None;
-            sink_cancel s ~epoch:etag
-          end
-        in
-        match f () with
-        | exception e ->
-          cancel ();
-          raise e
-        | r ->
-          (match root.rx.wal_tid with
-          | Some tid when Option.is_some root.rx.wal_prep -> append_redo root prep ~tid
-          | _ -> cancel ());
-          r))
+        root.rx.wal_prep <- Some (s, writes, etag);
+        Fun.protect f ~finally:(fun () ->
+            if Option.is_some root.rx.wal_prep then begin
+              root.rx.wal_prep <- None;
+              sink_cancel s ~epoch:etag
+            end))
 
-  (* A single-container root encodes its record once the install has
-     released its locks (above, in [committing]), so the encoding does not
-     lengthen its lock window; its registered tag holds the flush boundary
-     meanwhile. A multi-container root encodes here, under the locks:
-     waiting for the install would hold its tag across the round trip to
-     the other participants. *)
+  (* Encode the root's redo record on this executor, outside [wmu], and
+     queue it ahead of the install; its tag drops with the append. *)
   let log_commit _ (root : root) ~tid =
     (match root.rx.wal_prep with
     | None -> ()
-    | Some prep -> (
-      match Occ.Txn.containers root.txn with
-      | [ _ ] -> root.rx.wal_tid <- Some tid
-      | _ -> append_redo root prep ~tid));
+    | Some (s, writes, etag) ->
+      let record =
+        Wal.record s.log
+          { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes }
+      in
+      root.rx.wal_prep <- None;
+      root.rx.flush <- Some (sink_append s ~epoch:etag record));
     Ok ()
 
   let wait_durable _ (root : root) = Option.iter fiber_await root.rx.flush
@@ -616,7 +597,7 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
   let txn = Bootstrap.next_txn db in
   let root =
     L.root db ~txn ~retry ~t_start:t_submit ?deadline_us ~readonly:ro
-      { rmu = Mutex.create (); rgen; wal_prep = None; wal_tid = None; flush = None }
+      { rmu = Mutex.create (); rgen; wal_prep = None; flush = None }
   in
   (* Queue wait: submit → this job running on the home domain, including
      any round-robin forwarding hop and mailbox residence. *)

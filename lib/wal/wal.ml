@@ -231,7 +231,7 @@ let add_entry b e =
       ws
 
 (* Per-domain scratch buffer for the string-returning wrappers, so a call
-   allocates only its result. *)
+   allocates only its result, and for [append]. *)
 let scratch = Domain.DLS.new_key (fun () -> Buf.create 4096)
 
 let with_scratch f e =
@@ -275,6 +275,11 @@ let add_framed b e =
   Buf.insert b ~at:start (frame_header (Buf.crc32 b ~pos:start ~len) len)
 
 let encode_framed e = with_scratch add_framed e
+
+(* One framed record and its newline, as it lies in a log file. *)
+let add_line b e =
+  add_framed b e;
+  Buf.add_char b '\n'
 
 let is_framed line =
   String.length line >= 2 && line.[0] = '2' && line.[1] = '|'
@@ -381,11 +386,7 @@ let to_file path =
            valid prefix as v2) so appended records stay reachable. *)
         let buf = Buf.create 4096 in
         let oc = open_out_gen [ Open_wronly; Open_trunc ] 0o644 path in
-        List.iter
-          (fun e ->
-            add_framed buf e;
-            Buf.add_char buf '\n')
-          entries;
+        List.iter (add_line buf) entries;
         Buf.output oc buf;
         close_out oc;
         List.length entries
@@ -413,16 +414,9 @@ let wrap_io path f =
    entry itself and encodes nothing. *)
 type record = Entry of entry | Line of string
 
-let line e =
-  with_scratch
-    (fun b e ->
-      add_framed b e;
-      Buf.add_char b '\n')
-    e
+let record t e = match t.sink with Memory _ -> Entry e | File _ -> Line (with_scratch add_line e)
 
-let record t e = match t.sink with Memory _ -> Entry e | File _ -> Line (line e)
-
-(* The one append path: a whole batch in order, copied into the channel's
+(* The batch append path: a whole batch in order, copied into the channel's
    buffer with no further encoding; the covering [flush] issues the I/O. *)
 let append_many t rs =
   (match t.sink with
@@ -435,11 +429,23 @@ let append_many t rs =
   | File { oc; path } ->
     wrap_io path (fun () ->
         List.iter
-          (function Line l -> output_string oc l | Entry e -> output_string oc (line e))
+          (function
+            | Line l -> output_string oc l
+            | Entry _ -> invalid_arg "Wal.append_many: record of an in-memory log")
           rs));
   t.count <- t.count + List.length rs
 
-let append t e = append_many t [ record t e ]
+(* One record, encoded straight into the channel: the simulator's
+   per-commit path makes no string for it. *)
+let append t e =
+  (match t.sink with
+  | Memory r -> r := e :: !r
+  | File { oc; path } ->
+    let b = Domain.DLS.get scratch in
+    Buf.clear b;
+    add_line b e;
+    wrap_io path (fun () -> Buf.output oc b));
+  t.count <- t.count + 1
 
 let length t = t.count
 

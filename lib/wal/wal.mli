@@ -55,14 +55,15 @@ type record
     log's kind, so any domain may call it while another appends. *)
 val record : t -> entry -> record
 
-(** [append_many t rs] appends a batch in order — the one append path. A
+(** [append_many t rs] appends a batch in order — the batch path. A
     file log copies the records' lines into its channel buffer, so an
     epoch's worth of records costs one I/O at the covering {!flush}.
-    Raises [Invalid_argument] if a file log's record goes to an in-memory
-    log. *)
+    Raises [Invalid_argument] on a record made for a log of the other
+    kind. *)
 val append_many : t -> record list -> unit
 
-(** [append t e] appends the one-record batch of [record t e]. *)
+(** [append t e] appends one entry, encoding it straight into a file log's
+    channel buffer. *)
 val append : t -> entry -> unit
 
 (** Number of entries in the log (existing entries of a reopened file plus

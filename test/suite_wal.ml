@@ -452,6 +452,22 @@ let test_append_many_file_roundtrip () =
   check_int "entries read" 1000 (List.length back);
   check_bool "entries equal" true (List.for_all2 entry_eq es back)
 
+(* A record is made for one kind of log: appending it to the other kind
+   is refused and appends nothing. *)
+let test_append_many_rejects_other_kind () =
+  let e = { Wal.le_txn = 1; le_tid = 1; le_writes = [] } in
+  let path = Filename.temp_file "wal" ".log" in
+  let file = Wal.to_file path and mem = Wal.in_memory () in
+  let refused log r =
+    try Wal.append_many log [ r ]; false with Invalid_argument _ -> true
+  in
+  check_bool "memory record refused by a file log" true (refused file (Wal.record mem e));
+  check_bool "file record refused by a memory log" true (refused mem (Wal.record file e));
+  Wal.close file;
+  check_int "file log empty" 0 (List.length (Wal.read_file path));
+  check_int "memory log empty" 0 (List.length (Wal.entries mem));
+  Sys.remove path
+
 (* The hex codec is exact: only pairs of [0-9a-f] decode. A well-framed
    record (length and CRC correct) whose payload holds a non-canonical
    digit must come back as [Error], not as a value another encoding also
@@ -1006,6 +1022,8 @@ let suite =
       Alcotest.test_case "golden records" `Quick test_golden_records;
       Alcotest.test_case "append_many file roundtrip" `Quick
         test_append_many_file_roundtrip;
+      Alcotest.test_case "append_many rejects the other kind" `Quick
+        test_append_many_rejects_other_kind;
       Alcotest.test_case "strict hex codec" `Quick test_strict_hex;
       Alcotest.test_case "framed empty write list" `Quick
         test_framed_empty_writes;
