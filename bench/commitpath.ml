@@ -58,7 +58,7 @@ let txn_ids = ref 0
 
 let fresh_txn () =
   incr txn_ids;
-  Occ.Txn.create ~id:!txn_ids
+  Occ.Txn.create ~id:!txn_ids ~containers:2
 
 let must_commit = function
   | Ok _ -> ()

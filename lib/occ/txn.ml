@@ -16,10 +16,9 @@ type write_entry = {
   mutable kind : write_kind;
   wtable : Storage.Table.t;
   wkey : Storage.Table.Key.t;
-  wcontainer : int;
   mutable wlive : bool;
       (* cleared when a delete cancels this transaction's own insert; dead
-         entries stay in their buckets (append-only) and are skipped by every
+         entries stay in their slice (append-only) and are skipped by every
          iterator *)
   mutable wdisplaced : Storage.Record.t option;
       (* Insert entries only: a committed-delete tombstone this insert
@@ -27,87 +26,68 @@ type write_entry = {
          grafted into the new record's version chain at install *)
 }
 
-module IntSet = Set.Make (Int)
-
-(* Per-container slice of the transaction context, built at insertion time so
-   the commit protocol iterates exactly its container's entries — no folds
-   over the whole read/write/node sets (§3.2's lean Silo commit path). *)
-type bucket = {
-  breads : (Storage.Record.t * int) Util.Vec.t; (* (record, observed tid) *)
-  bwrites : write_entry Util.Vec.t; (* includes dead entries *)
-  bnodes : Storage.Table.witness Util.Vec.t;
-  mutable blive : int; (* live entries in [bwrites] *)
-}
-
-(* Small-set rule: while a transaction holds at most [small] reads (write
-   entries), it deduplicates reads (finds its own writes) by scanning its
-   container buckets; the rid table is built when the next entry arrives
-   and kept up to date from then on. Most transactions never build one. *)
-let small = 8
-
-type t = {
-  tid : int;
-  mutable containers : IntSet.t;
-  mutable n_reads : int;
+(* One container's slice of the transaction context: everything a
+   sub-transaction on that container mutates, so slices of different
+   containers can be written in parallel. Built at insertion time, so the
+   commit protocol iterates exactly its container's entries — no folds over
+   the whole read/write/node sets (§3.2's lean Silo commit path). *)
+type slice = {
+  reads : (Storage.Record.t * int) Util.Vec.t; (* (record, observed tid) *)
+  writes : write_entry Util.Vec.t; (* includes dead entries *)
+  nodes : Storage.Table.witness Util.Vec.t;
+  mutable live : int; (* live entries in [writes] *)
   mutable read_rids : (int, unit) Hashtbl.t option; (* rid seen *)
-  mutable n_entries : int; (* write entries added, live and dead *)
-  mutable n_live : int;
   mutable write_rids : (int, write_entry) Hashtbl.t option;
       (* rid -> live entry *)
   mutable inserts : (int * Storage.Table.Key.t, write_entry) Hashtbl.t option;
       (* (table uid, key) -> entry; only live buffered inserts; created on
          the first insert *)
-  mutable buckets : bucket option array; (* index = container id *)
   mutable by_table : (int, write_entry Util.Vec.t) Hashtbl.t option;
       (* table uid -> entries (live and dead), for own-write visibility scans
          in the query layer; created on the first write *)
 }
 
-let create ~id =
-  {
-    tid = id;
-    containers = IntSet.empty;
-    n_reads = 0;
-    read_rids = None;
-    n_entries = 0;
-    n_live = 0;
-    write_rids = None;
-    inserts = None;
-    buckets = [||];
-    by_table = None;
-  }
+(* Small-set rule: while a slice holds at most [small] reads (write
+   entries), it deduplicates reads (finds its own writes) by scanning them;
+   the rid table is built when the next entry arrives and kept up to date
+   from then on. Most slices never build one. *)
+let small = 8
 
+(* Slot [c] is created and written only under container [c]; the array is
+   sized once, so no slot ever moves. *)
+type t = { tid : int; slices : slice option array }
+
+let create ~id ~containers = { tid = id; slices = Array.make containers None }
 let id t = t.tid
-let containers t = IntSet.elements t.containers
-let touch t c = t.containers <- IntSet.add c t.containers
 
-let new_bucket () =
-  { breads = Util.Vec.create (); bwrites = Util.Vec.create ();
-    bnodes = Util.Vec.create (); blive = 0 }
+let containers t =
+  let out = ref [] in
+  for c = Array.length t.slices - 1 downto 0 do
+    if Option.is_some t.slices.(c) then out := c :: !out
+  done;
+  !out
 
-let bucket t c =
-  let n = Array.length t.buckets in
-  if c >= n then begin
-    let grown = Array.make (Stdlib.max (c + 1) (Stdlib.max 4 (2 * n))) None in
-    Array.blit t.buckets 0 grown 0 n;
-    t.buckets <- grown
-  end;
-  match t.buckets.(c) with
-  | Some b -> b
+let slice t c =
+  match t.slices.(c) with
+  | Some s -> s
   | None ->
-    let b = new_bucket () in
-    t.buckets.(c) <- Some b;
-    b
+    let s =
+      { reads = Util.Vec.create (); writes = Util.Vec.create ();
+        nodes = Util.Vec.create (); live = 0; read_rids = None;
+        write_rids = None; inserts = None; by_table = None }
+    in
+    t.slices.(c) <- Some s;
+    s
 
-let bucket_opt t c = if c < Array.length t.buckets then t.buckets.(c) else None
+let slice_opt t c = if c < Array.length t.slices then t.slices.(c) else None
 
-let table_bucket t table =
+let table_entries s table =
   let by_table =
-    match t.by_table with
+    match s.by_table with
     | Some h -> h
     | None ->
       let h = Hashtbl.create 8 in
-      t.by_table <- Some h;
+      s.by_table <- Some h;
       h
   in
   let uid = table.Storage.Table.uid in
@@ -118,84 +98,73 @@ let table_bucket t table =
     Hashtbl.add by_table uid v;
     v
 
-(* [f] on every entry of every bucket's [field], containers ascending. *)
-let iter_buckets t field f =
-  Array.iter (function None -> () | Some b -> Util.Vec.iter f (field b)) t.buckets
-
 (* Small-set lookups: a scan over at most [small] entries, in plain loops
    so that it allocates nothing. *)
-let scan_read t rid =
-  let hit = ref false and c = ref 0 in
-  while (not !hit) && !c < Array.length t.buckets do
-    (match t.buckets.(!c) with
-    | Some b ->
-      for i = 0 to Util.Vec.length b.breads - 1 do
-        if (fst (Util.Vec.get b.breads i)).Storage.Record.rid = rid then hit := true
-      done
-    | None -> ());
-    incr c
+let scan_read s rid =
+  let hit = ref false in
+  for i = 0 to Util.Vec.length s.reads - 1 do
+    if (fst (Util.Vec.get s.reads i)).Storage.Record.rid = rid then hit := true
   done;
   !hit
 
-let scan_write t rid =
-  let hit = ref None and c = ref 0 in
-  while Option.is_none !hit && !c < Array.length t.buckets do
-    (match t.buckets.(!c) with
-    | Some b ->
-      for i = 0 to Util.Vec.length b.bwrites - 1 do
-        let e = Util.Vec.get b.bwrites i in
-        if e.wlive && e.wrec.Storage.Record.rid = rid then hit := Some e
-      done
-    | None -> ());
-    incr c
+let scan_write s rid =
+  let hit = ref None in
+  for i = 0 to Util.Vec.length s.writes - 1 do
+    let e = Util.Vec.get s.writes i in
+    if e.wlive && e.wrec.Storage.Record.rid = rid then hit := Some e
   done;
   !hit
 
-let add_write_entry t e =
-  let b = bucket t e.wcontainer in
-  Util.Vec.push b.bwrites e;
-  b.blive <- b.blive + 1;
-  t.n_entries <- t.n_entries + 1;
-  t.n_live <- t.n_live + 1;
-  (match t.write_rids with
+let add_write_entry s e =
+  Util.Vec.push s.writes e;
+  s.live <- s.live + 1;
+  (match s.write_rids with
   | Some h -> Hashtbl.add h e.wrec.Storage.Record.rid e
   | None ->
-    if t.n_entries > small then begin
+    if Util.Vec.length s.writes > small then begin
       let h = Hashtbl.create 32 in
-      iter_buckets t (fun b -> b.bwrites) (fun e ->
-          if e.wlive then Hashtbl.add h e.wrec.Storage.Record.rid e);
-      t.write_rids <- Some h
+      Util.Vec.iter
+        (fun e -> if e.wlive then Hashtbl.add h e.wrec.Storage.Record.rid e)
+        s.writes;
+      s.write_rids <- Some h
     end);
-  Util.Vec.push (table_bucket t e.wtable) e
+  Util.Vec.push (table_entries s e.wtable) e
 
 (* Cancel a live entry (delete of own insert): drop it from the lookup
-   tables and counters; its bucket slots are skipped from now on. *)
-let kill_entry t e =
+   tables and the live count; its slot is skipped from now on. *)
+let kill_entry s e =
   e.wlive <- false;
-  t.n_live <- t.n_live - 1;
-  Option.iter (fun h -> Hashtbl.remove h e.wrec.Storage.Record.rid) t.write_rids;
-  match bucket_opt t e.wcontainer with
-  | Some b -> b.blive <- b.blive - 1
-  | None -> assert false
+  s.live <- s.live - 1;
+  Option.iter (fun h -> Hashtbl.remove h e.wrec.Storage.Record.rid) s.write_rids
 
-let own_write t record =
+let find_write s record =
   let rid = record.Storage.Record.rid in
-  match t.write_rids with
+  match s.write_rids with
   | Some h -> Hashtbl.find_opt h rid
-  | None -> scan_write t rid
+  | None -> scan_write s rid
 
-let own_insert t ~table ~key =
-  match t.inserts with
+let own_write t ~container record =
+  match slice_opt t container with
+  | None -> None
+  | Some s -> find_write s record
+
+let find_insert s ~table ~key =
+  match s.inserts with
   | None -> None
   | Some h -> Hashtbl.find_opt h (table.Storage.Table.uid, key)
 
-let own_in_table t table =
-  match t.by_table with
+let own_insert t ~container ~table ~key =
+  match slice_opt t container with
   | None -> None
-  | Some h -> Hashtbl.find_opt h table.Storage.Table.uid
+  | Some s -> find_insert s ~table ~key
 
-let own_updates_for t ~table =
-  match own_in_table t table with
+let own_in_table t ~container table =
+  match slice_opt t container with
+  | Some { by_table = Some h; _ } -> Hashtbl.find_opt h table.Storage.Table.uid
+  | _ -> None
+
+let own_updates_for t ~container ~table =
+  match own_in_table t ~container table with
   | None -> []
   | Some v ->
     Util.Vec.fold_left
@@ -205,8 +174,8 @@ let own_updates_for t ~table =
         | _ -> acc)
       [] v
 
-let own_inserts_for t ~table =
-  match own_in_table t table with
+let own_inserts_for t ~container ~table =
+  match own_in_table t ~container table with
   | None -> []
   | Some v ->
     Util.Vec.fold_left
@@ -216,28 +185,26 @@ let own_inserts_for t ~table =
         | _ -> acc)
       [] v
 
-let note_read t ~container record =
+let note_read s record =
   let rid = record.Storage.Record.rid in
   let seen =
-    match t.read_rids with Some h -> Hashtbl.mem h rid | None -> scan_read t rid
+    match s.read_rids with Some h -> Hashtbl.mem h rid | None -> scan_read s rid
   in
   if not seen then begin
-    Util.Vec.push (bucket t container).breads (record, record.Storage.Record.tid);
-    t.n_reads <- t.n_reads + 1;
-    match t.read_rids with
+    Util.Vec.push s.reads (record, record.Storage.Record.tid);
+    match s.read_rids with
     | Some h -> Hashtbl.add h rid ()
     | None ->
-      if t.n_reads > small then begin
+      if Util.Vec.length s.reads > small then begin
         let h = Hashtbl.create 64 in
-        iter_buckets t (fun b -> b.breads) (fun (r, _) ->
-            Hashtbl.add h r.Storage.Record.rid ());
-        t.read_rids <- Some h
+        Util.Vec.iter (fun (r, _) -> Hashtbl.add h r.Storage.Record.rid ()) s.reads;
+        s.read_rids <- Some h
       end
-  end;
-  touch t container
+  end
 
 let read t ~container record =
-  match own_write t record with
+  let s = slice t container in
+  match find_write s record with
   | Some { kind = Update data; _ } -> Some data
   | Some { kind = Delete; _ } -> None
   | Some { kind = Insert; wrec; _ } ->
@@ -245,43 +212,39 @@ let read t ~container record =
        private to this transaction until install). *)
     Some wrec.Storage.Record.data
   | None ->
-    note_read t ~container record;
+    note_read s record;
     if record.Storage.Record.absent then None
     else Some record.Storage.Record.data
 
 let write t ~container ~table ~key record data =
   Storage.Schema.validate table.Storage.Table.schema data;
-  touch t container;
-  match own_write t record with
+  let s = slice t container in
+  match find_write s record with
   | Some ({ kind = Update _; _ } as e) -> e.kind <- Update data
   | Some { kind = Insert; wrec; _ } -> wrec.Storage.Record.data <- data
   | Some { kind = Delete; _ } -> raise (Abort "write after delete of same record")
   | None ->
-    add_write_entry t
+    add_write_entry s
       { wrec = record; kind = Update data; wtable = table; wkey = key;
-        wcontainer = container; wlive = true; wdisplaced = None }
+        wlive = true; wdisplaced = None }
 
 let insert t ~container ~table tuple =
   Storage.Schema.validate table.Storage.Table.schema tuple;
-  touch t container;
+  let s = slice t container in
   let key = Storage.Table.key_of_tuple table tuple in
-  if Option.is_some (own_insert t ~table ~key) then
+  if Option.is_some (find_insert s ~table ~key) then
     raise (Abort "duplicate key (own insert)");
   (* Execution-time uniqueness probe. The leaf witness protects against a
      concurrent committer inserting the same key before we install. *)
   let clash = ref false in
-  (match
-     Storage.Table.find
-       ~on_node:(fun w -> Util.Vec.push (bucket t container).bnodes w)
-       table key
-   with
+  (match Storage.Table.find ~on_node:(fun w -> Util.Vec.push s.nodes w) table key with
   | Some existing ->
     if existing.Storage.Record.absent then begin
       (* Reserved by a concurrent preparer, or a committed delete. In the
          former case the key is effectively taken; in the latter the record
          is a tombstone we must not collide with structurally — observe it
          and treat present-flip as a conflict. *)
-      note_read t ~container existing;
+      note_read s existing;
       if Storage.Record.is_locked existing then clash := true
     end
     else clash := true
@@ -292,90 +255,85 @@ let insert t ~container ~table tuple =
      prepare, concurrent validators must see it as another's lock. *)
   ignore (Storage.Record.try_lock record ~txn:t.tid);
   let entry =
-    { wrec = record; kind = Insert; wtable = table; wkey = key;
-      wcontainer = container; wlive = true; wdisplaced = None }
+    { wrec = record; kind = Insert; wtable = table; wkey = key; wlive = true;
+      wdisplaced = None }
   in
-  add_write_entry t entry;
+  add_write_entry s entry;
   let inserts =
-    match t.inserts with
+    match s.inserts with
     | Some h -> h
     | None ->
       let h = Hashtbl.create 16 in
-      t.inserts <- Some h;
+      s.inserts <- Some h;
       h
   in
   Hashtbl.add inserts (table.Storage.Table.uid, key) entry
 
 let delete t ~container ~table ~key record =
-  touch t container;
-  match own_write t record with
+  let s = slice t container in
+  match find_write s record with
   | Some ({ kind = Insert; _ } as e) ->
-    Option.iter (fun h -> Hashtbl.remove h (table.Storage.Table.uid, key)) t.inserts;
-    kill_entry t e
+    Option.iter (fun h -> Hashtbl.remove h (table.Storage.Table.uid, key)) s.inserts;
+    kill_entry s e
   | Some ({ kind = Update _; _ } as e) -> e.kind <- Delete
   | Some { kind = Delete; _ } -> ()
   | None ->
-    add_write_entry t
-      { wrec = record; kind = Delete; wtable = table; wkey = key;
-        wcontainer = container; wlive = true; wdisplaced = None }
+    add_write_entry s
+      { wrec = record; kind = Delete; wtable = table; wkey = key; wlive = true;
+        wdisplaced = None }
 
-let note_node t ~container w =
-  touch t container;
-  Util.Vec.push (bucket t container).bnodes w
+let note_node t ~container w = Util.Vec.push (slice t container).nodes w
 
 (* ---- per-container iteration (the commit protocol's hot path) ---- *)
 
 let iter_reads_in t ~container ~f =
-  match bucket_opt t container with
+  match slice_opt t container with
   | None -> ()
-  | Some b -> Util.Vec.iter (fun (r, observed) -> f r observed) b.breads
+  | Some s -> Util.Vec.iter (fun (r, observed) -> f r observed) s.reads
 
 let iter_writes_in t ~container ~f =
-  match bucket_opt t container with
+  match slice_opt t container with
   | None -> ()
-  | Some b -> Util.Vec.iter (fun e -> if e.wlive then f e) b.bwrites
+  | Some s -> Util.Vec.iter (fun e -> if e.wlive then f e) s.writes
 
 let iter_nodes_in t ~container ~f =
-  match bucket_opt t container with
+  match slice_opt t container with
   | None -> ()
-  | Some b -> Util.Vec.iter f b.bnodes
+  | Some s -> Util.Vec.iter f s.nodes
 
 let ops_in t ~container =
-  match bucket_opt t container with
+  match slice_opt t container with
   | None -> 0
-  | Some b -> Util.Vec.length b.breads + b.blive
+  | Some s -> Util.Vec.length s.reads + s.live
 
 (* ---- list views (tests, history recording) ---- *)
 
 let reads_in t ~container =
-  match bucket_opt t container with
+  match slice_opt t container with
   | None -> []
-  | Some b -> Util.Vec.to_list b.breads
+  | Some s -> Util.Vec.to_list s.reads
 
 let writes_in t ~container =
-  match bucket_opt t container with
+  match slice_opt t container with
   | None -> []
-  | Some b ->
+  | Some s ->
     List.rev
-      (Util.Vec.fold_left
-         (fun acc e -> if e.wlive then e :: acc else acc)
-         [] b.bwrites)
+      (Util.Vec.fold_left (fun acc e -> if e.wlive then e :: acc else acc) [] s.writes)
 
 let nodes_in t ~container =
-  match bucket_opt t container with
+  match slice_opt t container with
   | None -> []
-  | Some b -> Util.Vec.to_list b.bnodes
+  | Some s -> Util.Vec.to_list s.nodes
 
-(* Ascending container id, then insertion order: deterministic, unlike the
-   hashtable fold this replaces. *)
+(* Ascending container id, then insertion order: deterministic. *)
 let all_writes t =
   let out = ref [] in
-  for c = Array.length t.buckets - 1 downto 0 do
-    match t.buckets.(c) with
+  for c = Array.length t.slices - 1 downto 0 do
+    match t.slices.(c) with
     | None -> ()
-    | Some b ->
-      for i = Util.Vec.length b.bwrites - 1 downto 0 do
-        let e = Util.Vec.get b.bwrites i in
+    | Some s ->
+      for i = Util.Vec.length s.writes - 1 downto 0 do
+        let e = Util.Vec.get s.writes i in
         if e.wlive then out := e :: !out
       done
   done;
@@ -385,8 +343,11 @@ let iter_all_writes t ~f =
   Array.iter
     (function
       | None -> ()
-      | Some b -> Util.Vec.iter (fun e -> if e.wlive then f e) b.bwrites)
-    t.buckets
+      | Some s -> Util.Vec.iter (fun e -> if e.wlive then f e) s.writes)
+    t.slices
 
-let read_count t = t.n_reads
-let write_count t = t.n_live
+let sum_slices t f =
+  Array.fold_left (fun n -> function None -> n | Some s -> n + f s) 0 t.slices
+
+let read_count t = sum_slices t (fun s -> Util.Vec.length s.reads)
+let write_count t = sum_slices t (fun s -> s.live)

@@ -1,15 +1,25 @@
 (** Transaction contexts for Silo-style optimistic concurrency control.
 
-    A context accumulates, per root transaction (sub-transactions share their
-    root's context, §2.2.3):
+    A context accumulates, per root transaction (§2.2.3), one {e slice} per
+    container the root touches. A slice holds that container's
 
-    - a {e read set} of (record, observed TID) pairs,
-    - a {e write set} of buffered updates, deletes and inserts,
-    - a {e node set} of B+tree leaf witnesses for phantom validation,
+    - {e read set} of (record, observed TID) pairs,
+    - {e write set} of buffered updates, deletes and inserts,
+    - {e node set} of B+tree leaf witnesses for phantom validation,
 
-    each entry tagged with the container it belongs to, so that the commit
-    protocol ({!Commit}) can validate and install per container — locally for
-    single-container transactions and via two-phase commit otherwise.
+    and the lookup tables over them. The commit protocol ({!Commit})
+    validates and installs per container — locally for single-container
+    transactions and via two-phase commit otherwise.
+
+    {b Invariant.} A record is only ever read or written under its own
+    container: every operation taking [~container] touches that
+    container's slice and nothing else. Sub-transactions of one root on
+    different containers therefore run in parallel without sharing any
+    mutable state, while the frames of one container must not overlap
+    (the runtime gives each root and container its own lock). Functions
+    without [~container] ({!containers}, {!all_writes}, the counts) read
+    every slice and need the context quiescent: after every
+    sub-transaction completed.
 
     Inserts are buffered: the new record is created immediately but only
     placed into the index (absent-marked and locked, i.e. "reserved") during
@@ -39,7 +49,6 @@ type write_entry = {
   mutable kind : write_kind;
   wtable : Storage.Table.t;
   wkey : Storage.Table.Key.t;
-  wcontainer : int;
   mutable wlive : bool;
       (** cleared when a delete cancels this transaction's own insert *)
   mutable wdisplaced : Storage.Record.t option;
@@ -51,7 +60,11 @@ type write_entry = {
 
 type t
 
-val create : id:int -> t
+(** A context for a deployment of [containers] containers, numbered from
+    0; an operation on a container outside that range raises
+    [Invalid_argument]. *)
+val create : id:int -> containers:int -> t
+
 val id : t -> int
 
 (** Containers touched by any read, write or scan, ascending. *)
@@ -97,27 +110,33 @@ val note_node : t -> container:int -> Storage.Table.witness -> unit
 
 (** {1 Own-write visibility helpers (used by the query layer)} *)
 
+(** Each looks in [container]'s slice only, where the record or table
+    lives (the invariant above). *)
+
 (** Buffered write covering [record], if any. *)
-val own_write : t -> Storage.Record.t -> write_entry option
+val own_write : t -> container:int -> Storage.Record.t -> write_entry option
 
 (** Buffered insert into [table] under [key], if any. *)
 val own_insert :
-  t -> table:Storage.Table.t -> key:Storage.Table.Key.t -> write_entry option
+  t -> container:int -> table:Storage.Table.t -> key:Storage.Table.Key.t ->
+  write_entry option
 
 (** All buffered inserts into [table] (unordered). *)
 val own_inserts_for :
-  t -> table:Storage.Table.t -> (Storage.Table.Key.t * Util.Value.t array) list
+  t -> container:int -> table:Storage.Table.t ->
+  (Storage.Table.Key.t * Util.Value.t array) list
 
 (** All buffered updates of [table] as (primary key, new tuple), unordered —
     used by the query layer to relocate rows in secondary-index scans whose
     indexed columns were updated in this transaction. *)
 val own_updates_for :
-  t -> table:Storage.Table.t -> (Storage.Table.Key.t * Util.Value.t array) list
+  t -> container:int -> table:Storage.Table.t ->
+  (Storage.Table.Key.t * Util.Value.t array) list
 
 (** {1 Per-container iteration (the commit protocol's hot path)}
 
-    Entries are bucketed per container at insertion time, so each of these
-    visits exactly its container's slice — no whole-set folds or filters.
+    Entries land in their container's slice at insertion time, so each of
+    these visits exactly that slice — no whole-set folds or filters.
     Iteration is in insertion order and allocation-free. *)
 
 val iter_reads_in :

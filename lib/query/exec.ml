@@ -45,7 +45,7 @@ let ro_guard ctx =
 let get ctx tname key =
   let tbl = table ctx tname in
   ctx.charge `Read 1;
-  match Occ.Txn.own_insert ctx.txn ~table:tbl ~key with
+  match Occ.Txn.own_insert ctx.txn ~container:ctx.container ~table:tbl ~key with
   | Some e -> Some e.Occ.Txn.wrec.Storage.Record.data
   | None -> (
     match Storage.Table.find ?on_node:(on_node_opt ctx) tbl key with
@@ -95,7 +95,9 @@ let visible_rows ?phys_limit ?(rev = false) ctx tbl ~lo ~hi =
     && match hi with Some h -> Storage.Table.Key.compare k h <= 0 | None -> true
   in
   let own =
-    List.filter (fun (k, _) -> in_bounds k) (Occ.Txn.own_inserts_for ctx.txn ~table:tbl)
+    List.filter
+      (fun (k, _) -> in_bounds k)
+      (Occ.Txn.own_inserts_for ctx.txn ~container:ctx.container ~table:tbl)
   in
   let rows = List.rev_append !phys own in
   let cmp (a, _) (b, _) =
@@ -154,10 +156,10 @@ let visible_rows_index ?phys_limit ?(rev = false) ctx tbl sec ~lo ~hi =
   ctx.charge `Scan_step (Stdlib.max 1 !steps);
   List.iter
     (fun (_, data) -> ignore (add data))
-    (Occ.Txn.own_updates_for ctx.txn ~table:tbl);
+    (Occ.Txn.own_updates_for ctx.txn ~container:ctx.container ~table:tbl);
   List.iter
     (fun (_, data) -> ignore (add data))
-    (Occ.Txn.own_inserts_for ctx.txn ~table:tbl);
+    (Occ.Txn.own_inserts_for ctx.txn ~container:ctx.container ~table:tbl);
   let rows = Hashtbl.fold (fun _ kd acc -> kd :: acc) by_pk [] in
   let cmp (a, _) (b, _) =
     if rev then Storage.Table.Key.compare b a else Storage.Table.Key.compare a b
@@ -202,7 +204,7 @@ let update_key ctx tname key ~set =
   ro_guard ctx;
   let tbl = table ctx tname in
   ctx.charge `Read 1;
-  match Occ.Txn.own_insert ctx.txn ~table:tbl ~key with
+  match Occ.Txn.own_insert ctx.txn ~container:ctx.container ~table:tbl ~key with
   | Some e ->
     let data = set e.Occ.Txn.wrec.Storage.Record.data in
     check_key_stable tbl ~key data;
@@ -227,7 +229,7 @@ let delete_key ctx tname key =
   ro_guard ctx;
   let tbl = table ctx tname in
   ctx.charge `Read 1;
-  match Occ.Txn.own_insert ctx.txn ~table:tbl ~key with
+  match Occ.Txn.own_insert ctx.txn ~container:ctx.container ~table:tbl ~key with
   | Some e ->
     Occ.Txn.delete ctx.txn ~container:ctx.container ~table:tbl ~key
       e.Occ.Txn.wrec;

@@ -142,8 +142,11 @@ let lookup t name =
   | Some r -> r
   | None -> invalid_arg (Printf.sprintf "ReactDB: unknown reactor %S" name)
 
-(** A fresh transaction context with the next id (1, 2, ...). *)
-let next_txn t = Occ.Txn.create ~id:(1 + Atomic.fetch_and_add t.txn_ids 1)
+(** A fresh transaction context with the next id (1, 2, ...), with one
+    slice slot per container. *)
+let next_txn t =
+  Occ.Txn.create ~id:(1 + Atomic.fetch_and_add t.txn_ids 1)
+    ~containers:(Config.n_containers t.cfg)
 
 (** Admission of a root on [reactor]: the placed reactor, the procedure it
     runs and whether it runs read-only on a snapshot (snapshots enabled

@@ -348,7 +348,7 @@ module P = struct
      attributed to sync execution (immediate get, no intervening work: the
      "synchronous call" pattern) or to async execution (deferred get: an
      overlap window). *)
-  let await_sub (db : db) (root : root) ex ~on_root_path f =
+  let await_sub (db : db) (root : root) ex ~container:_ ~on_root_path f =
     let x = root.rx and cost_recv = db.own.prof.Profile.cost_recv in
     let sync_class =
       on_root_path && x.last_call = f.fid && not x.worked_since_call

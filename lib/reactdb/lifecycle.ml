@@ -63,18 +63,31 @@ module Make (P : PLATFORM) = struct
     let deadline = match deadline_us with Some d -> t_start +. d | None -> Float.infinity in
     let rsnapshot = if readonly then Some (Pins.Registry.acquire db.registry) else None in
     { txn; retry; obs; tr; t_start; deadline; rsnapshot;
-      active_set = []; doomed = None; rx }
+      active_set = Atomic.make []; doomed = Atomic.make None; rx }
 
-  let activate root name = root.active_set <- name :: root.active_set
+  (* Dynamic safety condition (§2.2.4): at most one execution context may
+     be active per reactor and root transaction. A root's frames on
+     different containers run in parallel, so the check and the
+     activation are one CAS. *)
+  let rec activate root name =
+    let cur = Atomic.get root.active_set in
+    if List.mem name cur then
+      raise
+        (Reactor.Dangerous_call
+           (Printf.sprintf "dangerous call structure: reactor %s already active" name));
+    if not (Atomic.compare_and_set root.active_set cur (name :: cur)) then
+      activate root name
 
   (* Contexts may end out of call order (sibling sub-calls), so remove by
      name: the most recent entry, the list's first. *)
-  let deactivate root name =
+  let rec deactivate root name =
     let rec drop = function
       | [] -> []
       | n :: rest -> if String.equal n name then rest else n :: drop rest
     in
-    root.active_set <- drop root.active_set
+    let cur = Atomic.get root.active_set in
+    if not (Atomic.compare_and_set root.active_set cur (drop cur)) then
+      deactivate root name
 
   let deadline_expired root =
     root.deadline < Float.infinity && P.now () > root.deadline
@@ -105,7 +118,8 @@ module Make (P : PLATFORM) = struct
     match P.peek fut with
     | Some r -> r
     | None ->
-      P.await_sub db frame.froot frame.fex ~on_root_path:frame.on_root_path fut
+      P.await_sub db frame.froot frame.fex ~container:frame.fhome
+        ~on_root_path:frame.on_root_path fut
 
   (* Fork–join barrier: consume every future (resolved ones are peeked for
      free, so completion order does not matter), capturing per-future
@@ -179,15 +193,13 @@ module Make (P : PLATFORM) = struct
       inline db frame frame.target ~home:frame.fhome ~proc ~args
     else begin
       let target = Bootstrap.lookup db reactor in
-      (* Dynamic safety condition (§2.2.4): at most one execution context
-         may be active per reactor and root transaction. *)
-      if List.mem reactor root.active_set then
-        raise
-          (Reactor.Dangerous_call
-             (Printf.sprintf "dangerous call structure: reactor %s already active"
-                reactor));
-      let resolved = P.resolve db root ~caller:frame.fex target in
       activate root reactor;
+      let resolved =
+        try P.resolve db root ~caller:frame.fex target
+        with e ->
+          deactivate root reactor;
+          raise e
+      in
       match resolved with
       | Some h when h = frame.fhome -> (
         (* Same container: execute synchronously in the caller's executor,
@@ -213,8 +225,9 @@ module Make (P : PLATFORM) = struct
                 with e -> Error e
               in
               (match res with
-              | Error e when root.doomed = None -> root.doomed <- classify_exn e
-              | _ -> ());
+              | Error e ->
+                ignore (Atomic.compare_and_set root.doomed None (classify_exn e))
+              | Ok _ -> ());
               deactivate root reactor;
               res)
         in
@@ -254,7 +267,7 @@ module Make (P : PLATFORM) = struct
            aborts before touching any record. *)
         check_deadline root ~where:"before execution";
         let v = run_procedure db root target ~home ex ~on_root_path:true ~proc ~args in
-        match root.doomed with Some km -> abort km | None -> Ok v
+        match Atomic.get root.doomed with Some km -> abort km | None -> Ok v
       with e -> (
         match classify_exn e with
         | Some km -> abort km

@@ -28,12 +28,14 @@ type 'rx root = {
   rsnapshot : int option;
       (** the frozen epoch a read-only root reads at; propagated to every
           sub-call so a fan-out reads one consistent cut *)
-  mutable active_set : string list;
+  active_set : string list Atomic.t;
       (** reactors with a live execution context of this root (§2.2.4):
-          those on its call chains, so a short list *)
-  mutable doomed : (abort_class * string) option;
+          those on its call chains, so a short list. Atomic because the
+          root's frames on different containers run in parallel. *)
+  doomed : (abort_class * string) option Atomic.t;
       (** a sub-transaction aborted: the root may not commit even if
-          application code swallowed the exception (§2.2.3) *)
+          application code swallowed the exception (§2.2.3); the first
+          abort wins *)
   rx : 'rx;
 }
 
@@ -77,17 +79,22 @@ module type PLATFORM = sig
     int option
 
   (** Ship a cross-container sub-call from container [from]: run
-      [f exec home] on an executor of the reactor's container, under the
-      root's mutual exclusion. [parked] defers the dispatch to the flip. *)
+      [f exec home] on an executor of the reactor's container [home],
+      exclusive with the root's other frames on [home] (frames on other
+      containers may run in parallel). [parked] defers the dispatch to the
+      flip. *)
   val call :
     (slot, t) Bootstrap.t -> rx root -> from:int -> on_root_path:bool ->
     slot Bootstrap.reactor -> parked:bool -> (exec -> int -> 'a) -> 'a future
 
   val peek : 'a future -> 'a option
 
-  (** Block a frame on an unresolved sub-call future. *)
+  (** Block a frame of container [container] on an unresolved sub-call
+      future, letting the root's other frames on that container run
+      meanwhile. *)
   val await_sub :
-    (slot, t) Bootstrap.t -> rx root -> exec -> on_root_path:bool -> 'a future -> 'a
+    (slot, t) Bootstrap.t -> rx root -> exec -> container:int ->
+    on_root_path:bool -> 'a future -> 'a
 
   (** {2 Commit} *)
 

@@ -283,7 +283,7 @@ let rec invoke t ~snapshot ~txn ~reactor ~proc ~args =
   procfn ctx args
 
 let exec_ro t ~reactor ~proc ~args =
-  let txn = Occ.Txn.create ~id:0 in
+  let txn = Occ.Txn.create ~id:0 ~containers:1 in
   match invoke t ~snapshot:t.wmark ~txn ~reactor ~proc ~args with
   | v ->
     t.ro_served <- t.ro_served + 1;

@@ -309,16 +309,20 @@ let fiber_await (iv : 'a Ivar.t) : 'a =
   | None -> Effect.perform (Suspend (fun waker -> Ivar.on_fill iv waker))
 
 (* ------------------------------------------------------------------ *)
-(* Per-root platform state, next to the shared [Lifecycle.root]. The
-   [Occ.Txn.t] context is shared by all of a root's sub-transactions,
-   which may execute concurrently on different domains; [rmu] serializes
-   every procedure body of the root and is released across all suspension
-   points, so it is never held by a blocked fiber — each fiber locks only
-   its own root's mutex and never while holding another, hence no
+(* Per-root platform state, next to the shared [Lifecycle.root]. A root's
+   sub-transactions on different containers run in parallel: each writes
+   only its own container's slice of the [Occ.Txn.t] context. [rmu.(c)]
+   keeps the root's frames on container [c] exclusive. Under affinity
+   routing every such frame runs on domain [c], one fiber at a time, so
+   the lock is never contended; it matters when a stolen or cost-routed
+   root body runs container [c]'s frames on another domain while a nested
+   call into [c] runs on [c]'s own. A frame releases its lock across every
+   suspension, so the lock is never held by a blocked fiber; a fiber holds
+   at most one such lock and takes none while holding it, hence no
    hold-and-wait and no deadlock. *)
 
 type rx = {
-  rmu : Mutex.t;
+  rmu : Mutex.t array;  (* one per container *)
   rgen : int;
       (* placement generation stamped at registration ([submit]); a root
          with [rgen] <= a migration's cutoff may keep using the old home —
@@ -460,7 +464,7 @@ let flusher_loop (db : t) s =
 (* ------------------------------------------------------------------ *)
 (* The runtime as a lifecycle platform (DESIGN.md §5.2): wall clock,
    fibers suspended across every wait, no cost charging. Commit steps run
-   on the root's fiber with [rmu] released — all children have completed,
+   on the root's fiber with every [rmu] released — all children have completed,
    so the transaction context is quiescent — and the mailbox and ivar
    mutexes give the coordinator happens-before edges to every
    participant's writes. *)
@@ -483,10 +487,12 @@ module P = struct
     then Some (Atomic.get p.home)
     else None
 
-  (* Ship the body to the owning domain. The child job blocks on [rmu]
-     before touching any shared transaction state; the holder is always a
-     running (never suspended) fiber, so the wait is finite. The home is
-     re-read at dispatch time — for a parked call that is after the flip. *)
+  (* Ship the body to the owning domain, where it runs beside the caller.
+     It takes its container's [rmu] before touching that container's
+     slice; under affinity routing nothing else holds it, and a holder on
+     another domain is a running (never suspended) fiber, so the wait is
+     finite. The home is re-read at dispatch time — for a parked call that
+     is after the flip. *)
   let call (db : db) (root : root) ~from:_ ~on_root_path:_ (tplace : place) ~parked f =
     let iv = Ivar.create () in
     let ship () =
@@ -497,9 +503,10 @@ module P = struct
              (* Chaos: the shipped sub-call stalls before it starts
                 executing on the destination domain. *)
              Chaos.inject_wall db.own.chaos Chaos.Delay_delivery;
-             Mutex.lock root.rx.rmu;
+             let mu = root.rx.rmu.(rex.eid) in
+             Mutex.lock mu;
              let r = f rex rex.eid in
-             Mutex.unlock root.rx.rmu;
+             Mutex.unlock mu;
              Ivar.fill iv r))
     in
     if parked then Pins.Gate.park db.gate tplace.re.bs_name ship
@@ -511,15 +518,17 @@ module P = struct
   (* The shared code peeked already: suspend the fiber until the fill. *)
   let await _ _ iv = Effect.perform (Suspend (fun waker -> Ivar.on_fill iv waker))
 
-  (* Await a child with the root mutex released: the child itself needs
-     [rmu] to run. On the root path the blocked window (suspension until
-     the waker fires, plus re-acquiring [rmu]) is stamped into the trace. *)
-  let await_sub db (root : root) ex ~on_root_path iv =
+  (* Await a child with the frame's container lock released: other frames
+     of the root on that container may need it meanwhile. On the root path
+     the blocked window (suspension until the waker fires, plus
+     re-acquiring the lock) is stamped into the trace. *)
+  let await_sub db (root : root) ex ~container ~on_root_path iv =
     let timed = on_root_path && Obs.Trace.enabled root.tr in
     let t0 = if timed then now_us () else 0. in
-    Mutex.unlock root.rx.rmu;
+    let mu = root.rx.rmu.(container) in
+    Mutex.unlock mu;
     let r = await db ex iv in
-    Mutex.lock root.rx.rmu;
+    Mutex.lock mu;
     if timed then Obs.Trace.add root.tr Obs.Phase.Suspend_wait (now_us () -. t0);
     r
 
@@ -597,13 +606,15 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
   let txn = Bootstrap.next_txn db in
   let root =
     L.root db ~txn ~retry ~t_start:t_submit ?deadline_us ~readonly:ro
-      { rmu = Mutex.create (); rgen; wal_prep = None; flush = None }
+      { rmu = Array.init (Array.length db.own.execs) (fun _ -> Mutex.create ());
+        rgen; wal_prep = None; flush = None }
   in
   (* Queue wait: submit → this job running on the home domain, including
      any round-robin forwarding hop and mailbox residence. *)
-  Mutex.lock root.rx.rmu;
+  let mu = root.rx.rmu.(home) in
+  Mutex.lock mu;
   let res = L.run_body db root place ~home ex ~queued_since:t_submit ~proc ~args in
-  Mutex.unlock root.rx.rmu;
+  Mutex.unlock mu;
   let verdict = L.decide db root ~coord:ex res in
   (* Slot ownership follows physical execution: this message runs on
      [ex]'s domain, so it records into slot [ex.eid] — with stealing or

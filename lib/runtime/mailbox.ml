@@ -156,7 +156,20 @@ let swap_in t =
     | Some x -> Queue.add x t.batch
     | None -> ()
 
+(* How long an idle consumer polls [size] before it parks on the condition
+   variable. Waking a parked domain costs about 13 µs per hop on a 2-vCPU
+   host; a message that lands within the spin pays none of it. The bound
+   keeps an idle executor from holding its vCPU for long. *)
+let spin_s = 50e-6
+
+let spin t =
+  let until = Unix.gettimeofday () +. spin_s in
+  while Atomic.get t.size = 0 && Unix.gettimeofday () < until do
+    Domain.cpu_relax ()
+  done
+
 let refill t =
+  spin t;
   Mutex.lock t.mu;
   let rec wait () =
     if Queue.is_empty t.inbox && Queue.is_empty t.deferred && not t.closed

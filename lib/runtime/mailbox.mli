@@ -84,7 +84,10 @@ val steal_half : 'a t -> stealable:('a -> bool) -> 'a list
 
 (** [pop_wait t] dequeues the next message, main lane first, blocking
     while both lanes are empty and the mailbox is open; [None] once closed
-    and both lanes are drained. Single consumer only. *)
+    and both lanes are drained. Single consumer only. An empty mailbox is
+    first polled for a bounded 50 µs, without the lock, before the
+    consumer parks on the condition variable: work that arrives within it
+    pays no wake-up. *)
 val pop_wait : 'a t -> 'a option
 
 (** [try_pop t] dequeues without blocking, main lane first; [None] if

@@ -24,7 +24,7 @@ let ids = ref 0
 
 let fresh_txn () =
   incr ids;
-  Occ.Txn.create ~id:!ids
+  Occ.Txn.create ~id:!ids ~containers:3
 
 let key i = [| Value.Int i |]
 
@@ -49,7 +49,7 @@ let test_read_own_writes () =
   write_v t ~c:0 tbl 3 999;
   Alcotest.(check (option int)) "sees own write" (Some 999) (read_v t ~c:0 tbl 3);
   Occ.Txn.insert t ~container:0 ~table:tbl [| Value.Int 50; Value.Int 1 |];
-  (match Occ.Txn.own_insert t ~table:tbl ~key:(key 50) with
+  (match Occ.Txn.own_insert t ~container:0 ~table:tbl ~key:(key 50) with
   | Some e ->
     check_int "own insert visible" 1
       (Value.to_int e.Occ.Txn.wrec.Storage.Record.data.(1))
@@ -249,7 +249,7 @@ let test_delete_own_insert_cancels () =
   let tbl = fresh_table () in
   let t = fresh_txn () in
   Occ.Txn.insert t ~container:0 ~table:tbl [| Value.Int 91; Value.Int 1 |];
-  (match Occ.Txn.own_insert t ~table:tbl ~key:(key 91) with
+  (match Occ.Txn.own_insert t ~container:0 ~table:tbl ~key:(key 91) with
   | Some e -> Occ.Txn.delete t ~container:0 ~table:tbl ~key:(key 91) e.Occ.Txn.wrec
   | None -> Alcotest.fail "missing own insert");
   check_int "write set empty" 0 (Occ.Txn.write_count t);
@@ -258,11 +258,13 @@ let test_delete_own_insert_cancels () =
   check_bool "nothing installed" true (Storage.Table.find tbl (key 91) = None)
 
 (* ------------------------------------------------------------------ *)
-(* Property: the per-container buckets behind reads_in/writes_in/nodes_in/
-   ops_in and the per-table buckets behind own_updates_for/own_inserts_for
+(* Property: the per-container slices behind reads_in/writes_in/nodes_in/
+   ops_in and the per-table entries behind own_updates_for/own_inserts_for
    agree with a naive whole-set-filter reference across randomized
    read/write/insert/delete/scan sequences, including the write-after-delete
-   and delete-of-own-insert edge cases.
+   and delete-of-own-insert edge cases. As in the system, each table lives
+   in one container: a generated case binds every table to a container and
+   accesses it only there.
 
    The reference below is the pre-bucketing implementation: one flat
    hashtable per set, filtered per container/table on every query. It runs
@@ -466,7 +468,7 @@ let apply_both tables txn naive op =
     let tbl = tables.(t) in
     let key = [| Value.Int k |] in
     let data = [| Value.Int k; Value.Int v |] in
-    match Occ.Txn.own_insert txn ~table:tbl ~key with
+    match Occ.Txn.own_insert txn ~container:c ~table:tbl ~key with
     | Some e ->
       run_both
         (fun () -> Occ.Txn.write txn ~container:c ~table:tbl ~key e.Occ.Txn.wrec data)
@@ -489,7 +491,7 @@ let apply_both tables txn naive op =
   | PDel (t, k, c) -> (
     let tbl = tables.(t) in
     let key = [| Value.Int k |] in
-    match Occ.Txn.own_insert txn ~table:tbl ~key with
+    match Occ.Txn.own_insert txn ~container:c ~table:tbl ~key with
     | Some e ->
       run_both
         (fun () -> Occ.Txn.delete txn ~container:c ~table:tbl ~key e.Occ.Txn.wrec)
@@ -513,7 +515,8 @@ let apply_both tables txn naive op =
       ~f:(fun _ -> true);
     true
 
-let contexts_agree tables txn naive =
+(* [bind.(t)] is table [t]'s container. *)
+let contexts_agree bind tables txn naive =
   let ok = ref true in
   let check b = if not b then ok := false in
   for c = 0 to 2 do
@@ -548,79 +551,120 @@ let contexts_agree tables txn naive =
     Occ.Txn.iter_reads_in txn ~container:c ~f:(fun _ _ -> incr n);
     check (!n = List.length (Occ.Txn.reads_in txn ~container:c))
   done;
-  Array.iter
-    (fun tbl ->
+  Array.iteri
+    (fun t tbl ->
+      let container = bind.(t) in
       check
-        (sorted (Occ.Txn.own_updates_for txn ~table:tbl)
+        (sorted (Occ.Txn.own_updates_for txn ~container ~table:tbl)
         = sorted (Naive.own_updates_for naive ~table:tbl));
       check
-        (sorted (Occ.Txn.own_inserts_for txn ~table:tbl)
+        (sorted (Occ.Txn.own_inserts_for txn ~container ~table:tbl)
         = sorted (Naive.own_inserts_for naive ~table:tbl)))
     tables;
   !ok
 
-let gen_prop_op =
+(* One operation on a table, under the container [bind] gives it. *)
+let gen_prop_op bind =
   QCheck.Gen.(
     let table = int_bound 1 in
-    let cont = int_bound 2 in
     let pkey = frequency [ (10, int_bound 20); (1, oneofl [ 100; 101 ]) ] in
     frequency
       [
-        (3, map3 (fun t k c -> PRead (t, k, c)) table pkey cont);
+        (3, map2 (fun t k -> PRead (t, k, bind.(t))) table pkey);
         ( 3,
-          map3 (fun t k (c, v) -> PWrite (t, k, c, v)) table pkey
-            (pair cont (int_bound 999)) );
+          map3 (fun t k v -> PWrite (t, k, bind.(t), v)) table pkey (int_bound 999) );
         ( 2,
-          map3 (fun t k (c, v) -> PIns (t, k, c, v)) table pkey
-            (pair cont (int_bound 999)) );
-        (2, map3 (fun t k c -> PDel (t, k, c)) table pkey cont);
-        ( 1,
-          map3
-            (fun t lo c -> PScan (t, lo, lo + 5, c))
-            table (int_bound 20) cont );
+          map3 (fun t k v -> PIns (t, k, bind.(t), v)) table pkey (int_bound 999) );
+        (2, map2 (fun t k -> PDel (t, k, bind.(t))) table pkey);
+        (1, map2 (fun t lo -> PScan (t, lo, lo + 5, bind.(t))) table (int_bound 20));
       ])
+
+(* A container for each of the two tables (possibly the same one; container
+   2 may stay untouched), then the operations. *)
+let gen_prop_case =
+  QCheck.Gen.(
+    let* bind = array_size (return 2) (int_bound 2) in
+    let* ops = list_size (int_range 0 60) (gen_prop_op bind) in
+    return (bind, ops))
 
 let prop_buckets_match_reference =
   QCheck.Test.make ~name:"per-container buckets = naive whole-set reference"
-    ~count:200
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 60) gen_prop_op))
-    (fun ops ->
+    ~count:200 (QCheck.make gen_prop_case)
+    (fun (bind, ops) ->
       let tables = prop_tables () in
       let txn = fresh_txn () in
       let naive = Naive.create () in
       List.for_all (fun op -> apply_both tables txn naive op) ops
-      && contexts_agree tables txn naive)
+      && contexts_agree bind tables txn naive)
 
-(* Deterministic run of the two edge cases the property relies on. *)
+(* Everything a container's slice exposes, comparable across snapshots. *)
+let slice_view txn c =
+  ( sorted
+      (List.map
+         (fun (r, obs) -> (r.Storage.Record.rid, obs))
+         (Occ.Txn.reads_in txn ~container:c)),
+    List.map wproj_real (Occ.Txn.writes_in txn ~container:c),
+    List.length (Occ.Txn.nodes_in txn ~container:c),
+    Occ.Txn.ops_in txn ~container:c )
+
+let op_container = function
+  | PRead (_, _, c) | PWrite (_, _, c, _) | PIns (_, _, c, _) | PDel (_, _, c)
+  | PScan (_, _, _, c) ->
+    c
+
+(* Property: an operation on one container leaves every other container's
+   slice as it was, which is what lets a root's sub-transactions on
+   different containers run in parallel. *)
+let prop_other_slices_unchanged =
+  QCheck.Test.make ~name:"operations leave other containers' slices unchanged"
+    ~count:200 (QCheck.make gen_prop_case)
+    (fun (_, ops) ->
+      let tables = prop_tables () in
+      let txn = fresh_txn () in
+      let naive = Naive.create () in
+      List.for_all
+        (fun op ->
+          let others = List.filter (( <> ) (op_container op)) [ 0; 1; 2 ] in
+          let before = List.map (slice_view txn) others in
+          ignore (apply_both tables txn naive op);
+          before = List.map (slice_view txn) others)
+        ops)
+
+(* Deterministic run of the two edge cases the property relies on. Table 0
+   lives in container 1, table 1 in container 0; container 2 holds
+   nothing. *)
 let test_bucket_edge_cases () =
   let tables = prop_tables () in
+  let bind = [| 1; 0 |] in
   let txn = fresh_txn () in
   let naive = Naive.create () in
   let ops =
     [
       PIns (0, 50, 1, 7); (* buffered insert in container 1 *)
-      PWrite (0, 50, 0, 8); (* write lands on own insert *)
-      PDel (0, 50, 2); (* delete of own insert: entry dies *)
-      PDel (0, 3, 0); (* delete of committed record *)
-      PWrite (0, 3, 0, 9); (* write-after-delete: must abort *)
-      PIns (0, 100, 0, 1); (* insert over tombstone: observes it *)
-      PRead (1, 4, 1);
-      PWrite (1, 4, 1, 11);
+      PWrite (0, 50, 1, 8); (* write lands on own insert *)
+      PDel (0, 50, 1); (* delete of own insert: entry dies *)
+      PDel (0, 3, 1); (* delete of committed record *)
+      PWrite (0, 3, 1, 9); (* write-after-delete: must abort *)
+      PIns (0, 100, 1, 1); (* insert over tombstone: observes it *)
+      PRead (1, 4, 0);
+      PWrite (1, 4, 0, 11);
     ]
   in
   List.iter
     (fun op -> check_bool "op agrees" true (apply_both tables txn naive op))
     ops;
-  check_bool "contexts agree" true (contexts_agree tables txn naive);
+  check_bool "contexts agree" true (contexts_agree bind tables txn naive);
   check_int "container 2 has no live writes" 0
     (List.length (Occ.Txn.writes_in txn ~container:2));
   check_int "own inserts of table 0" 1
-    (List.length (Occ.Txn.own_inserts_for txn ~table:tables.(0)))
+    (List.length (Occ.Txn.own_inserts_for txn ~container:1 ~table:tables.(0)))
 
-(* The small-set boundary: up to 8 reads (write entries) the context finds
-   duplicates and its own writes by scanning its buckets, from the 9th by
-   rid tables. Each size runs twice: undisturbed, and with a concurrent
-   commit to the last record read, which must fail validation. *)
+(* The small-set boundary: up to 8 reads (write entries) a slice finds
+   duplicates and its own writes by scanning them, from the 9th by rid
+   tables. The table lives in container 0, so every entry lands in one
+   slice; container 1 takes part in validation with an empty slice. Each
+   size runs twice: undisturbed, and with a concurrent commit to the last
+   record read, which must fail validation. *)
 let test_small_set_boundary () =
   List.iter
     (fun n ->
@@ -633,11 +677,11 @@ let test_small_set_boundary () =
                (Storage.Record.fresh ~absent:false [| Value.Int i; Value.Int i |]))
         done;
         let t = fresh_txn () in
-        let c i = i mod 2 in
+        let c _ = 0 in
         for i = 0 to n - 1 do
           ignore (read_v t ~c:(c i) tbl i)
         done;
-        ignore (read_v t ~c:1 tbl 0);
+        ignore (read_v t ~c:(c 0) tbl 0);
         ignore (read_v t ~c:0 tbl (n - 1));
         check_int (name "records read twice count once") n (Occ.Txn.read_count t);
         for i = 0 to n - 1 do
@@ -651,22 +695,23 @@ let test_small_set_boundary () =
         check_int (name "own-write reads not tracked") n (Occ.Txn.read_count t);
         (match Storage.Table.find tbl (key (n + 1)) with
         | Some r ->
-          check_bool (name "unwritten record") true (Occ.Txn.own_write t r = None)
+          check_bool (name "unwritten record") true
+            (Occ.Txn.own_write t ~container:(c (n + 1)) r = None)
         | None -> Alcotest.fail "missing record");
         Occ.Txn.insert t ~container:0 ~table:tbl [| Value.Int 500; Value.Int 5 |];
         check_int (name "insert counted") (n + 1) (Occ.Txn.write_count t);
         let ins =
-          match Occ.Txn.own_insert t ~table:tbl ~key:(key 500) with
+          match Occ.Txn.own_insert t ~container:0 ~table:tbl ~key:(key 500) with
           | Some e -> e.Occ.Txn.wrec
           | None -> Alcotest.fail "missing own insert"
         in
         check_bool (name "own insert found by rid") true
-          (Occ.Txn.own_write t ins <> None);
+          (Occ.Txn.own_write t ~container:0 ins <> None);
         Occ.Txn.delete t ~container:0 ~table:tbl ~key:(key 500) ins;
         check_int (name "deleted own insert") n (Occ.Txn.write_count t);
         check_bool (name "own insert gone") true
-          (Occ.Txn.own_write t ins = None
-          && Occ.Txn.own_insert t ~table:tbl ~key:(key 500) = None);
+          (Occ.Txn.own_write t ~container:0 ins = None
+          && Occ.Txn.own_insert t ~container:0 ~table:tbl ~key:(key 500) = None);
         if interfere then begin
           let t2 = fresh_txn () in
           write_v t2 ~c:0 tbl (n - 1) 7;
@@ -674,8 +719,8 @@ let test_small_set_boundary () =
             (Result.is_ok (Occ.Commit.commit_single t2 ~epoch:1 ~container:0))
         end;
         let votes = List.map (fun c -> Occ.Commit.prepare t ~container:c) [ 0; 1 ] in
-        let expect c =
-          if interfere && c = (n - 1) mod 2 then Error Occ.Commit.Stale_read else Ok ()
+        let expect vc =
+          if interfere && vc = c (n - 1) then Error Occ.Commit.Stale_read else Ok ()
         in
         check_bool (name "validation outcome") true (votes = List.map expect [ 0; 1 ])
       in
@@ -707,4 +752,5 @@ let suite =
       Alcotest.test_case "bucket edge cases" `Quick test_bucket_edge_cases;
       Alcotest.test_case "small-set boundary" `Quick test_small_set_boundary;
       QCheck_alcotest.to_alcotest prop_buckets_match_reference;
+      QCheck_alcotest.to_alcotest prop_other_slices_unchanged;
     ] )

@@ -71,7 +71,7 @@ let fresh_ctx () =
     [ (1, "a", 10., true); (2, "b", 20., false); (3, "a", 30., true);
       (4, "b", 40., false); (5, "a", 50., true) ];
   incr ids;
-  let txn = Occ.Txn.create ~id:!ids in
+  let txn = Occ.Txn.create ~id:!ids ~containers:1 in
   ( Query.Exec.make_ctx ~txn ~container:0 ~catalog
       ~charge:(fun _ _ -> ())
       ~work:(fun _ -> ()) (),
@@ -164,7 +164,7 @@ let test_commit_persists_through_query_layer () =
     (Result.is_ok (Occ.Commit.commit_single txn ~epoch:1 ~container:0));
   (* new txn sees the committed state *)
   incr ids;
-  let txn2 = Occ.Txn.create ~id:!ids in
+  let txn2 = Occ.Txn.create ~id:!ids ~containers:1 in
   let ctx2 = { ctx with Query.Exec.txn = txn2 } in
   check_int "row count" 6 (Query.Exec.count ctx2 "t" ());
   checkf "updated amt" 0.
@@ -183,7 +183,7 @@ let test_charge_accounting () =
   done;
   incr ids;
   let ctx =
-    Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids) ~container:0 ~catalog
+    Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids ~containers:1) ~container:0 ~catalog
       ~charge:(fun kind n ->
         match kind with
         | `Read -> reads := !reads + n

@@ -890,6 +890,98 @@ let test_durable_epoch_bound () =
   check_bool "covers every record" true
     (List.for_all (fun e -> epoch_of e <= last) final)
 
+(* ------------------------------------------------------------------ *)
+(* Parallel frames: a root's sub-transactions on other containers run at
+   the same time as their caller (§2.2). Reactors "p0".."pN" of a
+   data-less type, one per container; the procedures are closures over
+   the test's own atomics. *)
+
+let probe_decl n procs =
+  let names = List.init n (Printf.sprintf "p%d") in
+  let rt = Reactor.rtype ~name:"Probe" ~schemas:[] ~procs () in
+  ( Reactor.decl ~types:[ rt ] ~reactors:(List.map (fun nm -> (nm, "Probe")) names) (),
+    Reactdb.Config.shared_nothing (List.map (fun nm -> [ nm ]) names) )
+
+(* Spin until [a] is set or about 2 s passed; whether it was set. *)
+let wait_for a =
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get a)) && Unix.gettimeofday () -. t0 < 2. do
+    Domain.cpu_relax ()
+  done;
+  Atomic.get a
+
+(* The root's body on p0 ships a call to p1 and then waits, still inside
+   its body, for the child to start; the child waits for the body's
+   acknowledgement. Both see the other only if they run at the same time.
+   A child that must wait for its caller's body to suspend sees neither. *)
+let test_child_runs_beside_caller () =
+  let started = Atomic.make false and acked = Atomic.make false in
+  let child_saw_ack = Atomic.make false in
+  let overlap (ctx : Reactor.ctx) _ =
+    let f = ctx.call ~reactor:"p1" ~proc:"mark" ~args:[] in
+    let seen = wait_for started in
+    Atomic.set acked true;
+    ignore (f.get ());
+    Value.Bool seen
+  in
+  let mark _ _ =
+    Atomic.set started true;
+    Atomic.set child_saw_ack (wait_for acked);
+    Value.Null
+  in
+  let decl, cfg = probe_decl 2 [ ("overlap", overlap); ("mark", mark) ] in
+  let db = RDb.start decl cfg in
+  let out = RDb.exec_txn db ~reactor:"p0" ~proc:"overlap" ~args:[] in
+  RDb.shutdown db;
+  check_bool "root committed" true (Result.is_ok out.RDb.result);
+  check_bool "child started while the caller's body ran" true
+    (out.RDb.result = Ok (Value.Bool true));
+  check_bool "child saw the body's acknowledgement" true (Atomic.get child_saw_ack)
+
+(* A root on p0 and its sub-call on p1 both call p2, whose procedure
+   suspends (it calls p3) while it counts its live contexts. The dynamic
+   safety condition (§2.2.4) admits at most one of the two contexts at a
+   time, so the count never exceeds 1, and a root either commits (the two
+   calls did not overlap) or aborts with a dangerous-call abort. Roots run
+   one at a time: contexts of different roots may overlap legitimately. *)
+let test_one_context_per_reactor () =
+  let live = Atomic.make 0 and peak = Atomic.make 0 in
+  let both (ctx : Reactor.ctx) _ =
+    let f = ctx.call ~reactor:"p1" ~proc:"side" ~args:[] in
+    let g = ctx.call ~reactor:"p2" ~proc:"count" ~args:[] in
+    ignore (f.get ());
+    g.get ()
+  in
+  let side (ctx : Reactor.ctx) _ = (ctx.call ~reactor:"p2" ~proc:"count" ~args:[]).get () in
+  let rec raise_peak n =
+    let p = Atomic.get peak in
+    if n > p && not (Atomic.compare_and_set peak p n) then raise_peak n
+  in
+  let count (ctx : Reactor.ctx) _ =
+    raise_peak (1 + Atomic.fetch_and_add live 1);
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr live)
+      (fun () -> (ctx.call ~reactor:"p3" ~proc:"noop" ~args:[]).get ())
+  in
+  let noop _ _ = Value.Null in
+  let decl, cfg =
+    probe_decl 4 [ ("both", both); ("side", side); ("count", count); ("noop", noop) ]
+  in
+  let db = RDb.start decl cfg in
+  let committed = ref 0 and dangerous = ref 0 in
+  for _ = 1 to 400 do
+    let out = RDb.exec_txn db ~reactor:"p0" ~proc:"both" ~args:[] in
+    match (out.RDb.result, abort_kind out) with
+    | Ok _, _ -> incr committed
+    | Error _, Some Obs.Abort.Dangerous -> incr dangerous
+    | Error m, _ -> Alcotest.failf "root aborted for another reason: %s" m
+  done;
+  Testlib.audit "no fatals" (Audit.fatal db);
+  RDb.shutdown db;
+  check_int "every root accounted" 400 (!committed + !dangerous);
+  check_bool "at most one live context on p2" true (Atomic.get peak <= 1);
+  check_int "no context left live" 0 (Atomic.get live)
+
 let suite =
   ( "runtime",
     [
@@ -935,4 +1027,8 @@ let suite =
       Alcotest.test_case "group-commit durability + replay" `Quick
         test_group_commit_durability;
       Alcotest.test_case "group-commit file log" `Quick test_group_commit_file;
+      Alcotest.test_case "sub-call runs beside its caller" `Quick
+        test_child_runs_beside_caller;
+      Alcotest.test_case "one live context per reactor under parallel frames" `Quick
+        test_one_context_per_reactor;
     ] )

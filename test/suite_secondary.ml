@@ -80,7 +80,7 @@ let fresh_ctx () =
       ignore (Storage.Table.insert tbl (Storage.Record.fresh ~absent:false (row i d s))))
     [ (1, "eng", 100); (2, "ops", 80); (3, "eng", 120); (4, "hr", 60) ];
   incr ids;
-  ( Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids) ~container:0 ~catalog
+  ( Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids ~containers:1) ~container:0 ~catalog
       ~charge:(fun _ _ -> ())
       ~work:(fun _ -> ()) (),
     catalog )
@@ -138,8 +138,8 @@ let test_index_phantom () =
   let _, catalog = fresh_ctx () in
   let mk () =
     incr ids;
-    ( Occ.Txn.create ~id:!ids,
-      Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:(1000000 + !ids))
+    ( Occ.Txn.create ~id:!ids ~containers:1,
+      Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:(1000000 + !ids) ~containers:1)
         ~container:0 ~catalog
         ~charge:(fun _ _ -> ())
         ~work:(fun _ -> ()) () )
@@ -148,7 +148,7 @@ let test_index_phantom () =
   (* txn A scans hr via the index and writes something; txn B moves an
      employee into hr and commits first; A must fail validation. *)
   incr ids;
-  let txn_a = Occ.Txn.create ~id:!ids in
+  let txn_a = Occ.Txn.create ~id:!ids ~containers:1 in
   let ctx_a =
     Query.Exec.make_ctx ~txn:txn_a ~container:0 ~catalog
       ~charge:(fun _ _ -> ())
@@ -159,7 +159,7 @@ let test_index_phantom () =
     (Query.Exec.update_key ctx_a "emp" [| Value.Int 2 |] ~set:(fun r ->
          Query.Exec.seti r 2 (Value.Int 81)));
   incr ids;
-  let txn_b = Occ.Txn.create ~id:!ids in
+  let txn_b = Occ.Txn.create ~id:!ids ~containers:1 in
   let ctx_b =
     Query.Exec.make_ctx ~txn:txn_b ~container:0 ~catalog
       ~charge:(fun _ _ -> ())
@@ -178,7 +178,7 @@ let test_index_no_false_phantom () =
      index-range scanners *)
   let _, catalog = fresh_ctx () in
   incr ids;
-  let txn_a = Occ.Txn.create ~id:!ids in
+  let txn_a = Occ.Txn.create ~id:!ids ~containers:1 in
   let ctx_a =
     Query.Exec.make_ctx ~txn:txn_a ~container:0 ~catalog
       ~charge:(fun _ _ -> ())
@@ -189,7 +189,7 @@ let test_index_no_false_phantom () =
     (Query.Exec.update_key ctx_a "emp" [| Value.Int 2 |] ~set:(fun r ->
          Query.Exec.seti r 2 (Value.Int 81)));
   incr ids;
-  let txn_b = Occ.Txn.create ~id:!ids in
+  let txn_b = Occ.Txn.create ~id:!ids ~containers:1 in
   let ctx_b =
     Query.Exec.make_ctx ~txn:txn_b ~container:0 ~catalog
       ~charge:(fun _ _ -> ())
@@ -231,7 +231,7 @@ let prop_index_matches_filter =
         rows_spec;
       incr ids;
       let ctx =
-        Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids) ~container:0
+        Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids ~containers:1) ~container:0
           ~catalog
           ~charge:(fun _ _ -> ())
           ~work:(fun _ -> ()) ()

@@ -152,7 +152,7 @@ let fresh_ctx () =
            (Storage.Record.fresh ~absent:false [| Value.Str p; Value.Float r |])))
     [ ("visa", 0.1); ("mc", 0.2); ("amex", 0.3) ];
   incr ids;
-  Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids) ~container:0 ~catalog
+  Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids ~containers:1) ~container:0 ~catalog
     ~charge:(fun _ _ -> ())
     ~work:(fun _ -> ()) ()
 
