@@ -856,11 +856,15 @@ let reactors_on db c =
 let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
     ?(epoch_len_s = default_epoch_len_s) decl cfg =
   let n = Reactdb.Config.n_containers cfg in
+  (* An idle executor spins before it parks only when every domain of the
+     runtime (the executors and the WAL flusher) has a core of its own. *)
+  let domains = n + if Option.is_some wal then 1 else 0 in
+  let spin = domains <= Domain.recommended_domain_count () in
   let execs =
     Array.init n (fun eid ->
         {
           eid;
-          mb = Mailbox.create ?capacity:mailbox_cap ();
+          mb = Mailbox.create ?capacity:mailbox_cap ~spin ();
           busy_s = 0.;
           qdepth_ewma = Atomic.make 0.;
           busy_frac = Atomic.make 0.;

@@ -11,10 +11,11 @@ type 'a t = {
   mutable closed : bool;
   mutable waiting : bool;  (* consumer parked in [pop_wait] *)
   capacity : int;  (* admission bound for the [try_push*]; max_int = unbounded *)
+  spin : bool;  (* [pop_wait] polls [size] for [spin_s] before it parks *)
   size : int Atomic.t;  (* messages pushed but not yet popped *)
 }
 
-let create ?(capacity = max_int) () =
+let create ?(capacity = max_int) ?(spin = false) () =
   {
     mu = Mutex.create ();
     nonempty = Condition.create ();
@@ -24,6 +25,7 @@ let create ?(capacity = max_int) () =
     closed = false;
     waiting = false;
     capacity = (if capacity < 1 then 1 else capacity);
+    spin;
     size = Atomic.make 0;
   }
 
@@ -156,20 +158,20 @@ let swap_in t =
     | Some x -> Queue.add x t.batch
     | None -> ()
 
-(* How long an idle consumer polls [size] before it parks on the condition
-   variable. Waking a parked domain costs about 13 µs per hop on a 2-vCPU
-   host; a message that lands within the spin pays none of it. The bound
-   keeps an idle executor from holding its vCPU for long. *)
+(* How long an idle spinning consumer polls [size] before it parks on the
+   condition variable. Waking a parked domain costs about 13 µs per hop on
+   a 2-vCPU host; a message that lands within the spin pays none of it.
+   The bound keeps an idle consumer from holding its core for long. *)
 let spin_s = 50e-6
 
-let spin t =
+let spin_wait t =
   let until = Unix.gettimeofday () +. spin_s in
   while Atomic.get t.size = 0 && Unix.gettimeofday () < until do
     Domain.cpu_relax ()
   done
 
 let refill t =
-  spin t;
+  if t.spin then spin_wait t;
   Mutex.lock t.mu;
   let rec wait () =
     if Queue.is_empty t.inbox && Queue.is_empty t.deferred && not t.closed

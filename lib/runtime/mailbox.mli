@@ -31,8 +31,11 @@ exception Closed
 
 (** A fresh, open, empty mailbox. [capacity] (default unbounded, clamped to
     at least 1) bounds admission through {!try_push},
-    {!try_push_deferred} and {!try_push_many} only. *)
-val create : ?capacity:int -> unit -> 'a t
+    {!try_push_deferred} and {!try_push_many} only. [spin] (default
+    [false]) makes {!pop_wait} poll an empty mailbox before it parks; it
+    pays only when the consumer has a core to itself, since on an
+    oversubscribed host the spin takes the core from a busy domain. *)
+val create : ?capacity:int -> ?spin:bool -> unit -> 'a t
 
 (** [push t x] enqueues [x] unconditionally, ignoring [capacity]. The
     runtime uses this for control traffic — resumptions, 2PC votes,
@@ -84,10 +87,10 @@ val steal_half : 'a t -> stealable:('a -> bool) -> 'a list
 
 (** [pop_wait t] dequeues the next message, main lane first, blocking
     while both lanes are empty and the mailbox is open; [None] once closed
-    and both lanes are drained. Single consumer only. An empty mailbox is
-    first polled for a bounded 50 µs, without the lock, before the
-    consumer parks on the condition variable: work that arrives within it
-    pays no wake-up. *)
+    and both lanes are drained. Single consumer only. With [spin], an
+    empty mailbox is first polled for a bounded 50 µs, without the lock,
+    before the consumer parks on the condition variable: work that
+    arrives within it pays no wake-up. *)
 val pop_wait : 'a t -> 'a option
 
 (** [try_pop t] dequeues without blocking, main lane first; [None] if

@@ -8,8 +8,8 @@ let check_bool = Alcotest.(check bool)
    the main thread consumes exactly [n_producers * per] messages. Checks no
    message is lost or duplicated and each producer's messages arrive in
    push order. *)
-let fifo_run ~n_producers ~per =
-  let mb = Runtime.Mailbox.create () in
+let fifo_run ?spin ~n_producers ~per () =
+  let mb = Runtime.Mailbox.create ?spin () in
   let producers =
     Array.init n_producers (fun pid ->
         Domain.spawn (fun () ->
@@ -31,11 +31,11 @@ let fifo_run ~n_producers ~per =
 
 let test_fifo_four_producers () =
   check_bool "per-producer FIFO, none lost or duplicated" true
-    (fifo_run ~n_producers:4 ~per:2000)
+    (fifo_run ~n_producers:4 ~per:2000 ())
 
 let test_single_producer_order () =
   check_bool "single producer is globally FIFO" true
-    (fifo_run ~n_producers:1 ~per:5000)
+    (fifo_run ~n_producers:1 ~per:5000 ())
 
 let test_drain_after_close () =
   let mb = Runtime.Mailbox.create () in
@@ -77,6 +77,26 @@ let test_blocking_wakeup () =
   in
   (* consumer parks in pop_wait until the producer's push wakes it *)
   check_bool "woken by push" true (Runtime.Mailbox.pop_wait mb = Some 42);
+  Domain.join producer
+
+(* A spinning consumer: messages that land during the spin, after it
+   parked, and from several producers all arrive once and in order, and
+   [close] still ends [pop_wait]. *)
+let test_spinning_consumer () =
+  check_bool "per-producer FIFO with a spinning consumer" true
+    (fifo_run ~spin:true ~n_producers:2 ~per:2000 ());
+  let mb = Runtime.Mailbox.create ~spin:true () in
+  let producer =
+    Domain.spawn (fun () ->
+        Runtime.Mailbox.push mb 1;
+        Unix.sleepf 0.05;
+        Runtime.Mailbox.push mb 2;
+        Unix.sleepf 0.05;
+        Runtime.Mailbox.close mb)
+  in
+  check_bool "first" true (Runtime.Mailbox.pop_wait mb = Some 1);
+  check_bool "woken after parking" true (Runtime.Mailbox.pop_wait mb = Some 2);
+  check_bool "closed" true (Runtime.Mailbox.pop_wait mb = None);
   Domain.join producer
 
 (* --- bounded capacity / admission control --- *)
@@ -150,7 +170,7 @@ let test_capacity_four_producers () =
 let prop_no_loss =
   QCheck.Test.make ~name:"mailbox: no loss/dup, per-producer FIFO" ~count:15
     QCheck.(pair (int_range 1 4) (int_range 0 200))
-    (fun (n_producers, per) -> fifo_run ~n_producers ~per)
+    (fun (n_producers, per) -> fifo_run ~n_producers ~per ())
 
 (* --- batch push --- *)
 
@@ -496,6 +516,7 @@ let suite =
       Alcotest.test_case "capacity under four producer domains" `Quick
         test_capacity_four_producers;
       Alcotest.test_case "blocking wakeup" `Quick test_blocking_wakeup;
+      Alcotest.test_case "spinning consumer" `Quick test_spinning_consumer;
       Alcotest.test_case "push_many batch" `Quick test_push_many;
       Alcotest.test_case "try_push_many admits the fitting prefix" `Quick
         test_try_push_many;
