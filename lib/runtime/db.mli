@@ -22,11 +22,14 @@
     transactions; the waker re-enqueues it through the home mailbox.
     Clients blocking in {!exec_txn} wait on a [Condition].
 
-    A root transaction's context ([Occ.Txn.t]) is shared by its
-    sub-transactions, which may run concurrently on other domains; all
-    procedure bodies of one root serialize on a per-root mutex (released
-    across suspension points), so the shared read/write tracking stays
-    race-free while different roots run fully in parallel.
+    A root transaction's context ([Occ.Txn.t]) keeps one slice per
+    container, and each sub-transaction writes only its own container's
+    slice, so a root's sub-transactions on other domains run at the same
+    time as their caller. The frames of one root on one container take a
+    per-root, per-container lock (released across suspension points),
+    which is uncontended under affinity routing and keeps a stolen or
+    cost-routed root body exclusive with nested calls into its home
+    container. Different roots run fully in parallel.
 
     [executors_per_container] counts and [mpl] from the config are ignored
     (one domain per container; admission is the client's concern), and the

@@ -159,8 +159,8 @@ let swap_in t =
     | None -> ()
 
 (* How long an idle spinning consumer polls [size] before it parks on the
-   condition variable. Waking a parked domain costs about 13 µs per hop on
-   a 2-vCPU host; a message that lands within the spin pays none of it.
+   condition variable. Waking a parked domain costs 8–9 µs per hop on a
+   2-vCPU host; a message that lands within the spin pays none of it.
    The bound keeps an idle consumer from holding its core for long. *)
 let spin_s = 50e-6
 
