@@ -15,7 +15,7 @@ type 'a t = {
   size : int Atomic.t;  (* messages pushed but not yet popped *)
 }
 
-let create ?(capacity = max_int) ?(spin = false) () =
+let create ?(capacity = max_int) ?(spin = true) () =
   {
     mu = Mutex.create ();
     nonempty = Condition.create ();

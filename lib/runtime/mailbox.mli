@@ -32,7 +32,7 @@ exception Closed
 (** A fresh, open, empty mailbox. [capacity] (default unbounded, clamped to
     at least 1) bounds admission through {!try_push},
     {!try_push_deferred} and {!try_push_many} only. [spin] (default
-    [false]) makes {!pop_wait} poll an empty mailbox before it parks; it
+    [true]) makes {!pop_wait} poll an empty mailbox before it parks; it
     pays only when the consumer has a core to itself, since on an
     oversubscribed host the spin takes the core from a busy domain. *)
 val create : ?capacity:int -> ?spin:bool -> unit -> 'a t

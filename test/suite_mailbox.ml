@@ -79,25 +79,29 @@ let test_blocking_wakeup () =
   check_bool "woken by push" true (Runtime.Mailbox.pop_wait mb = Some 42);
   Domain.join producer
 
-(* A spinning consumer: messages that land during the spin, after it
-   parked, and from several producers all arrive once and in order, and
-   [close] still ends [pop_wait]. *)
-let test_spinning_consumer () =
-  check_bool "per-producer FIFO with a spinning consumer" true
-    (fifo_run ~spin:true ~n_producers:2 ~per:2000 ());
-  let mb = Runtime.Mailbox.create ~spin:true () in
-  let producer =
-    Domain.spawn (fun () ->
-        Runtime.Mailbox.push mb 1;
-        Unix.sleepf 0.05;
-        Runtime.Mailbox.push mb 2;
-        Unix.sleepf 0.05;
-        Runtime.Mailbox.close mb)
-  in
-  check_bool "first" true (Runtime.Mailbox.pop_wait mb = Some 1);
-  check_bool "woken after parking" true (Runtime.Mailbox.pop_wait mb = Some 2);
-  check_bool "closed" true (Runtime.Mailbox.pop_wait mb = None);
-  Domain.join producer
+(* With and without the spin: messages that land during the spin, after
+   the consumer parked, and from several producers all arrive once and in
+   order, and [close] still ends [pop_wait]. *)
+let test_spin_or_park () =
+  List.iter
+    (fun spin ->
+      let name s = Printf.sprintf "spin %b: %s" spin s in
+      check_bool (name "per-producer FIFO") true
+        (fifo_run ~spin ~n_producers:2 ~per:2000 ());
+      let mb = Runtime.Mailbox.create ~spin () in
+      let producer =
+        Domain.spawn (fun () ->
+            Runtime.Mailbox.push mb 1;
+            Unix.sleepf 0.05;
+            Runtime.Mailbox.push mb 2;
+            Unix.sleepf 0.05;
+            Runtime.Mailbox.close mb)
+      in
+      check_bool (name "first") true (Runtime.Mailbox.pop_wait mb = Some 1);
+      check_bool (name "woken after parking") true (Runtime.Mailbox.pop_wait mb = Some 2);
+      check_bool (name "closed") true (Runtime.Mailbox.pop_wait mb = None);
+      Domain.join producer)
+    [ true; false ]
 
 (* --- bounded capacity / admission control --- *)
 
@@ -516,7 +520,7 @@ let suite =
       Alcotest.test_case "capacity under four producer domains" `Quick
         test_capacity_four_producers;
       Alcotest.test_case "blocking wakeup" `Quick test_blocking_wakeup;
-      Alcotest.test_case "spinning consumer" `Quick test_spinning_consumer;
+      Alcotest.test_case "spin or park" `Quick test_spin_or_park;
       Alcotest.test_case "push_many batch" `Quick test_push_many;
       Alcotest.test_case "try_push_many admits the fitting prefix" `Quick
         test_try_push_many;
