@@ -61,8 +61,8 @@ type write_entry = {
 type t
 
 (** A context for a deployment of [containers] containers, numbered from
-    0; an operation on a container outside that range raises
-    [Invalid_argument]. *)
+    0. The data operations below raise [Invalid_argument] on a container
+    outside that range; lookups and iterators find nothing there. *)
 val create : id:int -> containers:int -> t
 
 val id : t -> int
@@ -108,9 +108,9 @@ val delete :
 (** Record a B+tree leaf witness produced during a scan or point lookup. *)
 val note_node : t -> container:int -> Storage.Table.witness -> unit
 
-(** {1 Own-write visibility helpers (used by the query layer)} *)
+(** {1 Own-write visibility helpers (used by the query layer)}
 
-(** Each looks in [container]'s slice only, where the record or table
+    Each looks in [container]'s slice only, where the record or table
     lives (the invariant above). *)
 
 (** Buffered write covering [record], if any. *)

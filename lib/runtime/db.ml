@@ -464,9 +464,9 @@ let flusher_loop (db : t) s =
 (* ------------------------------------------------------------------ *)
 (* The runtime as a lifecycle platform (DESIGN.md §5.2): wall clock,
    fibers suspended across every wait, no cost charging. Commit steps run
-   on the root's fiber with every [rmu] released — all children have completed,
-   so the transaction context is quiescent — and the mailbox and ivar
-   mutexes give the coordinator happens-before edges to every
+   on the root's fiber with every [rmu] released — all children have
+   completed, so the transaction context is quiescent — and the mailbox
+   and ivar mutexes give the coordinator happens-before edges to every
    participant's writes. *)
 
 module P = struct

@@ -98,7 +98,8 @@ let test_spin_or_park () =
             Runtime.Mailbox.close mb)
       in
       check_bool (name "first") true (Runtime.Mailbox.pop_wait mb = Some 1);
-      check_bool (name "woken after parking") true (Runtime.Mailbox.pop_wait mb = Some 2);
+      check_bool (name "woken after parking") true
+        (Runtime.Mailbox.pop_wait mb = Some 2);
       check_bool (name "closed") true (Runtime.Mailbox.pop_wait mb = None);
       Domain.join producer)
     [ true; false ]

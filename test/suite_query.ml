@@ -183,7 +183,9 @@ let test_charge_accounting () =
   done;
   incr ids;
   let ctx =
-    Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids ~containers:1) ~container:0 ~catalog
+    Query.Exec.make_ctx
+      ~txn:(Occ.Txn.create ~id:!ids ~containers:1)
+      ~container:0 ~catalog
       ~charge:(fun kind n ->
         match kind with
         | `Read -> reads := !reads + n

@@ -899,7 +899,9 @@ let test_durable_epoch_bound () =
 let probe_decl n procs =
   let names = List.init n (Printf.sprintf "p%d") in
   let rt = Reactor.rtype ~name:"Probe" ~schemas:[] ~procs () in
-  ( Reactor.decl ~types:[ rt ] ~reactors:(List.map (fun nm -> (nm, "Probe")) names) (),
+  ( Reactor.decl ~types:[ rt ]
+      ~reactors:(List.map (fun nm -> (nm, "Probe")) names)
+      (),
     Reactdb.Config.shared_nothing (List.map (fun nm -> [ nm ]) names) )
 
 (* Spin until [a] is set or about 2 s passed; whether it was set. *)
@@ -952,7 +954,9 @@ let test_one_context_per_reactor () =
     ignore (f.get ());
     g.get ()
   in
-  let side (ctx : Reactor.ctx) _ = (ctx.call ~reactor:"p2" ~proc:"count" ~args:[]).get () in
+  let side (ctx : Reactor.ctx) _ =
+    (ctx.call ~reactor:"p2" ~proc:"count" ~args:[]).get ()
+  in
   let rec raise_peak n =
     let p = Atomic.get peak in
     if n > p && not (Atomic.compare_and_set peak p n) then raise_peak n

@@ -80,7 +80,9 @@ let fresh_ctx () =
       ignore (Storage.Table.insert tbl (Storage.Record.fresh ~absent:false (row i d s))))
     [ (1, "eng", 100); (2, "ops", 80); (3, "eng", 120); (4, "hr", 60) ];
   incr ids;
-  ( Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids ~containers:1) ~container:0 ~catalog
+  ( Query.Exec.make_ctx
+      ~txn:(Occ.Txn.create ~id:!ids ~containers:1)
+      ~container:0 ~catalog
       ~charge:(fun _ _ -> ())
       ~work:(fun _ -> ()) (),
     catalog )
