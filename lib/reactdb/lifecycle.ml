@@ -101,6 +101,17 @@ module Make (P : PLATFORM) = struct
     if deadline_expired root then
       raise (Obs.Abort.Timed_out ("deadline expired " ^ where))
 
+  (* A cross-container sub-call of a frame. Its reactor stays in the
+     active set until the calling frame joins it (a [get], a collect or the
+     implicit sync), not merely until its body returns: a root's frames
+     run in parallel, and this keeps the dangerous-call verdict from
+     depending on whether the child happened to finish first. *)
+  type child = {
+    fut : (Util.Value.t, exn) result P.future;
+    callee : string;
+    mutable joined : bool;
+  }
+
   (* Invocation frame: one (sub-)transaction execution on one reactor. *)
   type frame = {
     froot : P.rx root;
@@ -111,15 +122,22 @@ module Make (P : PLATFORM) = struct
            only after every root allowed at the old home completed *)
     fex : P.exec;
     on_root_path : bool;
-    mutable children : (Util.Value.t, exn) result P.future list;
+    mutable children : child list;
   }
 
-  let await_sub db frame fut =
-    match P.peek fut with
-    | Some r -> r
-    | None ->
-      P.await_sub db frame.froot frame.fex ~container:frame.fhome
-        ~on_root_path:frame.on_root_path fut
+  let join db frame ch =
+    let r =
+      match P.peek ch.fut with
+      | Some r -> r
+      | None ->
+        P.await_sub db frame.froot frame.fex ~container:frame.fhome
+          ~on_root_path:frame.on_root_path ch.fut
+    in
+    if not ch.joined then begin
+      ch.joined <- true;
+      deactivate frame.froot ch.callee
+    end;
+    r
 
   (* Fork–join barrier: consume every future (resolved ones are peeked for
      free, so completion order does not matter), capturing per-future
@@ -166,8 +184,8 @@ module Make (P : PLATFORM) = struct
        children mutate the shared transaction context. *)
     let first_err = ref (match result with Error e -> Some e | Ok _ -> None) in
     List.iter
-      (fun sub ->
-        match await_sub db frame sub with
+      (fun ch ->
+        match join db frame ch with
         | Ok _ -> ()
         | Error e -> if !first_err = None then first_err := Some e)
       (List.rev frame.children);
@@ -228,14 +246,14 @@ module Make (P : PLATFORM) = struct
               | Error e ->
                 ignore (Atomic.compare_and_set root.doomed None (classify_exn e))
               | Ok _ -> ());
-              deactivate root reactor;
               res)
         in
-        frame.children <- fut :: frame.children;
+        let ch = { fut; callee = reactor; joined = false } in
+        frame.children <- ch :: frame.children;
         {
           Reactor.get =
             (fun () ->
-              match await_sub db frame fut with
+              match join db frame ch with
               | Ok v ->
                 (* Resumed after a (possibly long) blocked window: re-check
                    the budget. Raises inside the procedure body, so the

@@ -30,8 +30,9 @@ type 'rx root = {
           sub-call so a fan-out reads one consistent cut *)
   active_set : string list Atomic.t;
       (** reactors with a live execution context of this root (§2.2.4):
-          those on its call chains, so a short list. Atomic because the
-          root's frames on different containers run in parallel. *)
+          those on its call chains and the cross-container callees their
+          callers have not joined yet, so a short list. Atomic because
+          the root's frames on different containers run in parallel. *)
   doomed : (abort_class * string) option Atomic.t;
       (** a sub-transaction aborted: the root may not commit even if
           application code swallowed the exception (§2.2.3); the first
