@@ -34,8 +34,8 @@ exception Invalid
 
 let prepare txn ~container =
   let id = Txn.id txn in
-  (* Updates/deletes of this container only, locked in global rid order: the
-     slice is gathered from the container's bucket and sorted in place. *)
+  (* Updates/deletes of this container only, locked in global rid order:
+     they are gathered from the container's slice and sorted in place. *)
   let acc = Util.Vec.create () in
   iter_writes_in txn ~container ~f:(fun e ->
       if locked_kind e then Util.Vec.push acc e);
