@@ -164,11 +164,20 @@ let swap_in t =
    The bound keeps an idle consumer from holding its core for long. *)
 let spin_s = 50e-6
 
+(* The wall clock may be stepped: a step backwards ends the spin too, so
+   the bound holds whatever the clock does. *)
 let spin_wait t =
-  let until = Unix.gettimeofday () +. spin_s in
-  while Atomic.get t.size = 0 && Unix.gettimeofday () < until do
-    Domain.cpu_relax ()
-  done
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    if Atomic.get t.size = 0 then begin
+      let now = Unix.gettimeofday () in
+      if now >= t0 && now -. t0 < spin_s then begin
+        Domain.cpu_relax ();
+        go ()
+      end
+    end
+  in
+  go ()
 
 let refill t =
   if t.spin then spin_wait t;
