@@ -238,8 +238,9 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
   (* Replication: the shipper runs on its own domain, ticking every 5 ms.
      Only durable epochs are ever shipped: the bound is the runtime's last
      flushed boundary, below which every record is in the log. (The
-     highest epoch present is not: a flush can hold a record of the next
-     epoch while others of that epoch are still pending.) *)
+     highest epoch present is not: a flush writes every queued record,
+     so the log can hold a record of an epoch while other commits of
+     that epoch are still in flight.) *)
   let repl =
     match wal with
     | None -> None

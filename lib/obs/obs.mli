@@ -72,8 +72,9 @@ module Phase : sig
             and for 2PC the decide/ack round. *)
     | Flush_wait
         (** group-commit durability wait: from commit decision to the
-            WAL epoch flush covering the transaction (durable mode
-            only). *)
+            WAL flush covering the transaction — the epoch flush on the
+            simulator, the flush that writes its record on the runtime
+            (durable mode only). *)
     | Overhead
         (** remainder: latency − (sum of the six measured phases);
             input generation and any uninstrumented slack. Derived at

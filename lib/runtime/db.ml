@@ -98,24 +98,24 @@ and exec = {
   sheds : int Atomic.t;  (* admission refusals against this mailbox *)
 }
 
-(* Group-commit WAL sink (Silo epoch durability; DESIGN.md §8.3). A
-   committing executor tags its redo record with the epoch at the commit
-   decision, encodes it outside [wmu] and queues it under [wmu]. Whoever
-   closes an epoch runs the group flush: the executor whose root start
-   advances the epoch; the flusher domain also tries one on every tick,
-   which covers quiet stretches with no root start. A flush
-   writes everything up to a safe epoch boundary in one batch and one
-   flush, then wakes that boundary's waiters. *)
+(* Group-commit WAL sink (DESIGN.md §8.3). A committing executor encodes
+   its redo record outside [wmu] and queues it under [wmu]; the record
+   joins the current batch. A group flush writes every queued record in
+   one append and one flush, then fills the batch's ivar: a commit is
+   acknowledged by the flush that writes its record. The committer tries
+   that flush itself; the flusher domain tries one on every tick and runs
+   the last one at shutdown. Epochs only bound [durable]. *)
 type wal_sink = {
   log : Wal.t;  (* appended to and flushed under [fmu] only *)
   wmu : Mutex.t;
-  fmu : Mutex.t;  (* one group flush at a time; executors only try it *)
-  mutable pending : (int * Wal.record) list;  (* epoch-tagged, newest first *)
+  fmu : Mutex.t;  (* one group flush at a time; everyone but shutdown tries it *)
+  mutable pending : Wal.record list;  (* queue order, newest first *)
+  mutable batch : unit Ivar.t;  (* filled by the flush that writes [pending] *)
   inflight : Epochs.t;
-      (* commits registered but not yet appended; holds the flush
-         boundary below any epoch that could still produce a record *)
-  mutable waiters : (int * unit Ivar.t) list;  (* shared ivar per epoch *)
-  durable : int Atomic.t;  (* the last flushed boundary *)
+      (* epoch tags of commits registered but not yet queued; they hold
+         [durable] below any epoch that could still produce a record *)
+  durable : int Atomic.t;  (* the last flushed epoch boundary *)
+  mutable failed : bool;  (* a flush failed; under [fmu] *)
   mutable stop : bool;
   mutable flusher : unit Domain.t option;
 }
@@ -330,7 +330,7 @@ type rx = {
   mutable wal_prep : (wal_sink * Wal.write list * int) option;
       (* redo writes registered with the sink at the commit decision, with
          their epoch tag; cleared once appended *)
-  mutable flush : unit Ivar.t option;  (* the appended record's flush *)
+  mutable flush : unit Ivar.t option;  (* the batch the record joined *)
 }
 
 type root = rx Lifecycle.root
@@ -346,15 +346,14 @@ let now_us () = Unix.gettimeofday () *. 1e6
 (* Silo epochs on the wall clock. Only monotonicity matters for TID
    correctness ([compute_tid] takes the max with observed TIDs), so the
    epoch is advanced opportunistically at root starts with a CAS — a lost
-   race just means the next root advances it. True when this call closed
-   an epoch. *)
+   race just means the next root advances it. *)
 
 let default_epoch_len_s = 0.04
 
 let maybe_advance_epoch (db : t) =
   let target = 1 + int_of_float ((Unix.gettimeofday () -. db.own.t0) /. db.own.epoch_len) in
   let cur = Atomic.get db.own.epoch in
-  target > cur && Atomic.compare_and_set db.own.epoch cur target
+  if target > cur then ignore (Atomic.compare_and_set db.own.epoch cur target)
 
 (* Config.Auto morph heuristic: resolve a root to its parallel formulation
    only when at least half the domains have idle capacity to absorb the
@@ -371,18 +370,17 @@ let auto_parallel_ok (db : t) =
   2 * !busy < n
 
 (* ------------------------------------------------------------------ *)
-(* Group-commit WAL sink. The epoch rule (DESIGN.md §8.3): a redo record
-   is tagged with the epoch read at the commit decision — after every
-   vote, with every lock held, before the TID and the install — and a
-   group flush may write and release through boundary [b] only once no
-   registered-but-unappended commit with tag <= b remains. By epoch
-   monotonicity, any commit registering after the flush read the epoch
-   gets a tag beyond the boundary. A commit that depends on another (read
-   or overwrote its write) did so after that one installed, and a record
-   is queued before its install ([log_commit]), so the dependent registers
-   after that one appended, with a tag no smaller: every flushed
-   prefix is closed under depends-on and replays to a consistent state.
-   A tag is at most its TID epoch, so a flushed boundary [b] also covers
+(* Group-commit WAL sink. The acknowledgement rule (DESIGN.md §8.3): a
+   record is queued under [wmu] before its install ([log_commit]); a
+   commit that reads or overwrites its writes does so after that install,
+   so it queues later. A flush writes the queue oldest first, so every
+   prefix of the log is closed under depends-on and replays to a
+   consistent state: a commit is acknowledged by the flush that writes
+   its record. The epoch tag, read at the commit decision (after every
+   vote, with every lock held, before the TID), only bounds [durable]: it
+   stays in [inflight] until its record is queued, and a flush publishes
+   boundary [b] only once no tag <= b remains. A later registration gets
+   a tag beyond [b], and a tag is at most its TID epoch, so [b] covers
    every record whose TID epoch is <= b ([durable_epoch]). *)
 
 (* Register a commit attempt; returns its epoch tag. Reading the epoch
@@ -398,60 +396,55 @@ let sink_register (db : t) s =
 let sink_cancel s ~epoch = Mutex.protect s.wmu (fun () -> Epochs.remove s.inflight epoch)
 
 (* The attempt committed: queue its encoded redo record and return the
-   epoch's shared flush ivar for the fiber to await. *)
+   ivar of the batch it joined, for the fiber to await. *)
 let sink_append s ~epoch record =
   Mutex.protect s.wmu (fun () ->
       Epochs.remove s.inflight epoch;
-      s.pending <- (epoch, record) :: s.pending;
-      match List.assoc_opt epoch s.waiters with
-      | Some iv -> iv
-      | None ->
-        let iv = Ivar.create () in
-        s.waiters <- (epoch, iv) :: s.waiters;
-        iv)
+      s.pending <- record :: s.pending;
+      s.batch)
 
-(* One group flush; the caller holds [fmu]. The boundary is the last
-   epoch below both the current one and every registered tag; at shutdown
-   (nothing can be in flight) it takes everything pending, and the
-   published boundary is the last real epoch. A failing log device
-   degrades durability, not liveness: record it, still release the
-   waiters. *)
+(* One group flush; the caller holds [fmu]. It writes everything queued,
+   oldest first, and fills that batch's ivar. The published boundary is
+   the last epoch below both the current one and every registered tag; at
+   shutdown (nothing can be in flight) it is the last real epoch. A
+   failing log device degrades durability, not liveness: record it, still
+   release the waiters, and publish no boundary for the rest of the run. *)
 let group_flush (db : t) s =
   Mutex.lock s.wmu;
   let epoch = Atomic.get db.own.epoch in
   let bound =
     Epochs.minimum s.inflight ~default:(if s.stop then max_int else epoch) - 1
   in
-  let ready, later = List.partition (fun (e, _) -> e <= bound) s.pending in
-  s.pending <- later;
-  let woken, still = List.partition (fun (e, _) -> e <= bound) s.waiters in
-  s.waiters <- still;
+  let ready = s.pending and written = s.batch in
+  s.pending <- [];
+  s.batch <- Ivar.create ();
   Mutex.unlock s.wmu;
   if ready <> [] then begin
-    (* Records are appended in arbitrary order — replay sorts by TID. *)
     try
-      Wal.append_many s.log (List.rev_map snd ready);
+      Wal.append_many s.log (List.rev ready);
       Wal.flush s.log
-    with Wal.Io_error m -> record_fatal db (Failure m)
+    with Wal.Io_error m ->
+      s.failed <- true;
+      record_fatal db (Failure m)
   end;
   (* after the write, so a shipper reading it finds the records *)
-  Atomic.set s.durable (Stdlib.min bound epoch);
-  List.iter (fun (_, iv) -> Ivar.fill iv ()) woken
+  if not s.failed then Atomic.set s.durable (Stdlib.min bound epoch);
+  Ivar.fill written ()
 
-(* Executors never wait for a flush in progress: it already covers, or
+(* Committers never wait for a flush in progress: it already covers, or
    the next one will, what this caller would have flushed. *)
 let try_flush db s =
   if Mutex.try_lock s.fmu then
     Fun.protect ~finally:(fun () -> Mutex.unlock s.fmu) (fun () -> group_flush db s)
 
 (* Epochs must advance and close even when no root starts (quiet periods
-   would otherwise pin the flush boundary forever), so the flusher tries a
-   flush on every tick. Its last pass, after [shutdown] set [stop], waits
-   for the flush lock. *)
+   would otherwise pin [durable] forever), and a committer that lost the
+   flush lock needs a later flush, so the flusher tries one on every tick.
+   Its last pass, after [shutdown] set [stop], waits for the flush lock. *)
 let flusher_loop (db : t) s =
   let rec loop () =
     Unix.sleepf group_tick_s;
-    ignore (maybe_advance_epoch db);
+    maybe_advance_epoch db;
     if Mutex.protect s.wmu (fun () -> s.stop) then
       Mutex.protect s.fmu (fun () -> group_flush db s)
     else begin
@@ -546,10 +539,10 @@ module P = struct
   let killed _ = false
 
   (* Durable mode: at the commit decision, capture the after-images and
-     register the epoch tag against the flush boundary (the epoch rule
-     above). The tag drops at the append, or when the commit ends without
-     one — also by an exception, since a leaked tag would pin the flush
-     boundary and every durable waiter behind it. *)
+     register the epoch tag against the durable boundary (the rule above).
+     The tag drops at the append, or when the commit ends without one —
+     also by an exception, since a leaked tag would pin [durable_epoch]
+     and every shipment behind it. *)
   let committing (db : db) (root : root) f =
     match db.own.wal with
     | None -> f ()
@@ -579,7 +572,13 @@ module P = struct
       root.rx.flush <- Some (sink_append s ~epoch:etag record));
     Ok ()
 
-  let wait_durable _ (root : root) = Option.iter fiber_await root.rx.flush
+  (* The committer runs the flush that writes its record unless one is
+     under way; the flusher's next tick covers the loser of that race. *)
+  let wait_durable (db : db) (root : root) =
+    Option.iter (fun iv ->
+        if Ivar.peek iv = None then Option.iter (try_flush db) db.own.wal;
+        fiber_await iv) root.rx.flush
+
   let on_fatal = record_fatal
 end
 
@@ -596,8 +595,7 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
     ?deadline_us ~k (ex : exec) =
   (* Chaos: the root dispatch message stalls before execution begins. *)
   Chaos.inject_wall db.own.chaos Chaos.Delay_delivery;
-  (* The executor that closes an epoch runs its group flush. *)
-  if maybe_advance_epoch db then Option.iter (try_flush db) db.own.wal;
+  maybe_advance_epoch db;
   (* Re-read the home at execution start: a parked root replayed after a
      flip must run against the new placement. Stable from here on — a
      subsequent flip waits for this root (its generation is pre-mark
@@ -883,9 +881,10 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
           wmu = Mutex.create ();
           fmu = Mutex.create ();
           pending = [];
+          batch = Ivar.create ();
           inflight = Epochs.create ();
-          waiters = [];
           durable = Atomic.make 0;
+          failed = false;
           stop = false;
           flusher = None;
         })

@@ -85,12 +85,12 @@ type outcome = {
 
     [wal] attaches a write-ahead log: each committed root's after-images
     are encoded on its executor and queued, and the transaction's
-    completion waits for the group commit covering its epoch — one
-    batched append + flush, run by the executor that closes the epoch
-    (or, when no root starts, by a flusher domain every 1 ms), attributed
-    to the [Flush_wait] phase. [epoch_len_s] (default 0.04 s) sets the
-    Silo TID-epoch advance interval, which also bounds group-commit epoch
-    granularity. *)
+    completion waits for the group flush that writes its record — one
+    batched append + flush of everything queued, run by the committer
+    itself unless a flush is already under way (a flusher domain also
+    tries one every 1 ms), attributed to the [Flush_wait] phase.
+    [epoch_len_s] (default 0.04 s) sets the Silo TID-epoch advance
+    interval, which also sets the granularity of {!durable_epoch}. *)
 val start :
   ?chaos:Chaos.t ->
   ?mailbox_cap:int ->
@@ -111,8 +111,11 @@ val n_domains : t -> int
 
 (** The last epoch boundary the group commit flushed: every redo record
     whose TID epoch is at most this is in the log — the bound a log
-    shipper may ship up to. After {!shutdown}, the last epoch of the run.
-    0 without a WAL. *)
+    shipper may ship up to. A durable commit is acknowledged as soon as
+    the flush that writes its record returns, usually before this bound
+    passes its epoch. After {!shutdown}, the last epoch of the run. It
+    never moves again once a flush has failed ({!n_fatal} counts it). 0
+    without a WAL. *)
 val durable_epoch : t -> int
 
 (** {1 Shared admin and statistics API}

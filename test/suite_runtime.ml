@@ -890,6 +890,139 @@ let test_durable_epoch_bound () =
   check_bool "covers every record" true
     (List.for_all (fun e -> epoch_of e <= last) final)
 
+(* A durable commit is acknowledged by the flush that writes its record,
+   not by the close of its epoch: with 1 s epochs, a deposit submitted
+   right after start is acknowledged within 250 ms, and at that moment
+   its record is already in the log file. *)
+let test_ack_before_epoch_close () =
+  let path = Filename.temp_file "reactdb_ack" ".wal" in
+  let log = Wal.to_file path in
+  let db =
+    RDb.start ~wal:log ~epoch_len_s:1.0 (Testlib.bank_decl 1) (Testlib.sn_config 1)
+  in
+  let acked = Atomic.make None in
+  RDb.submit db ~reactor:"acct0" ~proc:"deposit" ~args:[ Value.Float 5. ]
+    ~k:(fun out -> Atomic.set acked (Some (out, Wal.read_file_tolerant path)));
+  let t_end = Unix.gettimeofday () +. 0.25 in
+  while Atomic.get acked = None && Unix.gettimeofday () < t_end do
+    Unix.sleepf 1e-4
+  done;
+  let acked = Atomic.get acked in
+  RDb.shutdown db;
+  Wal.close log;
+  Sys.remove path;
+  match acked with
+  | None -> Alcotest.fail "deposit not acknowledged within 250 ms"
+  | Some (out, (entries, tail)) ->
+    check_bool "deposit committed" true (out.RDb.result = Ok (Value.Float 105.));
+    check_bool "log tail clean" true (tail = Wal.Clean);
+    check_bool "its record is in the log" true
+      (List.exists
+         (fun e ->
+           List.exists
+             (function
+               | Wal.Put { reactor = "acct0"; row; _ } -> row.(1) = Value.Float 105.
+               | _ -> false)
+             e.Wal.le_writes)
+         entries)
+
+(* A failed flush publishes no durable bound: on a log device that fails
+   every write, [durable_epoch] stays where the first failed flush left it
+   through a run of about fifteen 2 ms epochs and after shutdown. That is
+   0 unless a loaded host delays the first commit past the first epoch (a
+   bound over an epoch with no records is still true). The failing device
+   degrades durability, not liveness: every root still completes, and
+   each failure counts as a fatal. *)
+let test_failed_flush_no_durable_bound () =
+  let log = Wal.to_file "/dev/full" in
+  let db =
+    RDb.start ~wal:log ~epoch_len_s:0.002 (Testlib.bank_decl 2) (Testlib.sn_config 2)
+  in
+  let roots = ref 0 and committed = ref 0 in
+  let deposit () =
+    let reactor = Printf.sprintf "acct%d" (!roots mod 2) in
+    incr roots;
+    let out = RDb.exec_txn db ~reactor ~proc:"deposit" ~args:[ Value.Float 1. ] in
+    if Result.is_ok out.RDb.result then incr committed
+  in
+  (* the first root returns only after its own flush failed *)
+  deposit ();
+  let frozen = RDb.durable_epoch db in
+  let t_end = Unix.gettimeofday () +. 0.03 and moved = ref frozen in
+  while Unix.gettimeofday () < t_end do
+    deposit ();
+    let d = RDb.durable_epoch db in
+    if d <> frozen then moved := d
+  done;
+  RDb.shutdown db;
+  (try Wal.close log with Sys_error _ -> ());
+  check_int "every root completed" !roots !committed;
+  check_bool "the failed flushes are fatals" true (RDb.n_fatal db > 0);
+  check_int "no durable bound published mid-run" frozen !moved;
+  check_int "no durable bound published at shutdown" frozen (RDb.durable_epoch db)
+
+(* Every prefix of the log file replays to a consistent state. A conserving
+   Smallbank mix commits over eight hot customers while a sampler copies
+   the file's bytes; each copy, read tolerantly and replayed onto fresh
+   catalogs, must hold the loaded money and clean secondary indexes. So
+   must every record prefix of the final file: a flush that wrote a record
+   ahead of one it depends on would leave a prefix that fails the money
+   audit, however short the window in which a copy could have seen it. *)
+let test_flushed_prefixes_consistent () =
+  let path = Filename.temp_file "reactdb_prefix" ".wal" in
+  let copy = Filename.temp_file "reactdb_prefix_copy" ".wal" in
+  let n = 8 in
+  let decl = SB.decl ~customers:n () in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
+  let log = Wal.to_file path in
+  let db = RDb.start ~wal:log decl cfg in
+  let stop = Atomic.make false in
+  let sampler =
+    Domain.spawn (fun () ->
+        let copies = ref [] and last = ref (-1) in
+        while not (Atomic.get stop) do
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          if String.length bytes <> !last then begin
+            last := String.length bytes;
+            copies := bytes :: !copies
+          end;
+          Unix.sleepf 2e-4
+        done;
+        !copies)
+  in
+  let (_ : int) =
+    Harness.run_fixed (Harness.runtime db) ~n_workers:8 ~per_worker:100 ~seed:17
+      (fun _ rng -> SB.gen_conserving rng ~n)
+  in
+  Atomic.set stop true;
+  let copies = Domain.join sampler in
+  Testlib.audit "no fatals" (Audit.fatal db);
+  RDb.shutdown db;
+  Wal.close log;
+  let consistent what cats =
+    Testlib.audit (what ^ ": money") (Audit.money ~n cats);
+    Testlib.audit (what ^ ": secondary indexes") (Faultsim.check_secondaries cats)
+  in
+  check_bool "sampled several prefixes" true (List.length copies > 2);
+  List.iter
+    (fun bytes ->
+      Out_channel.with_open_bin copy (fun oc -> output_string oc bytes);
+      consistent
+        (Printf.sprintf "copy of %d bytes" (String.length bytes))
+        (Faultsim.recover ~log:copy decl).Faultsim.rc_catalogs)
+    copies;
+  let entries = Wal.read_file path in
+  List.iteri
+    (fun i _ ->
+      let cats = Faultsim.fresh_catalogs decl in
+      ignore
+        (Wal.replay (List.filteri (fun j _ -> j <= i) entries)
+           ~catalog_of:(Faultsim.catalog_of cats));
+      consistent (Printf.sprintf "first %d records" (i + 1)) cats)
+    entries;
+  Sys.remove path;
+  Sys.remove copy
+
 (* ------------------------------------------------------------------ *)
 (* Parallel frames: a root's sub-transactions on other containers run at
    the same time as their caller (§2.2). Reactors "p0".."pN" of a
@@ -1021,6 +1154,12 @@ let suite =
         test_durable_commit_not_behind_prepare;
       Alcotest.test_case "durable epoch is a shipping bound" `Quick
         test_durable_epoch_bound;
+      Alcotest.test_case "durable commit acknowledged before its epoch closes"
+        `Quick test_ack_before_epoch_close;
+      Alcotest.test_case "failed flush publishes no durable bound" `Quick
+        test_failed_flush_no_durable_bound;
+      Alcotest.test_case "every flushed log prefix is consistent" `Quick
+        test_flushed_prefixes_consistent;
       Alcotest.test_case "work stealing: smallbank conservation" `Quick
         test_steal_smallbank;
       Alcotest.test_case "cost router" `Quick test_cost_router;
