@@ -318,7 +318,7 @@ let run_flush_stall ~seed ~fast =
   let cfg = Config.shared_nothing (Config.chunk 2 (SB.customers n)) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
-  SDb.attach_wal ~durable:true db log;
+  SDb.attach_wal db log;
   let chaos =
     Chaos.make ~seed ~kind:Chaos.Stall_flush ~p:0.5 ~delay_us:10_000. ()
   in
@@ -377,12 +377,12 @@ let run_shipping ~seed ~fast ~kind =
   let cfg = Config.shared_nothing (Config.chunk 2 (SB.customers n)) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
-  SDb.attach_wal ~durable:true db log;
+  SDb.attach_wal db log;
   let chaos = Chaos.make ~seed ~kind ~p:0.4 () in
   let replicas = [ Replica.create ~id:0 decl; Replica.create ~id:1 decl ] in
   let sh =
     Replica.Shipper.create ~chaos
-      ~entries:(fun () -> Wal.entries log)
+      ~log
       ~durable_epoch:(fun () -> SDb.durable_epoch db)
       ~gen:(fun () -> SDb.generation db)
       replicas

@@ -93,11 +93,11 @@ let run_steady ~seed ~fast =
   let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
-  DB.attach_wal ~durable:true db log;
+  DB.attach_wal db log;
   let replicas = [ Replica.create ~id:0 decl; Replica.create ~id:1 decl ] in
   let sh =
     Replica.Shipper.create
-      ~entries:(fun () -> Wal.entries log)
+      ~log
       ~durable_epoch:(fun () -> DB.durable_epoch db)
       ~gen:(fun () -> DB.generation db)
       replicas
@@ -200,13 +200,13 @@ let run_failover ~seed ~fast =
   let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
-  DB.attach_wal ~durable:true db log;
+  DB.attach_wal db log;
   let chaos = Chaos.make ~seed ~kind:Chaos.Kill_primary ~p:0.05 () in
   DB.attach_chaos db chaos;
   let replicas = [ Replica.create ~id:0 decl; Replica.create ~id:1 decl ] in
   let sh =
     Replica.Shipper.create
-      ~entries:(fun () -> Wal.entries log)
+      ~log
       ~durable_epoch:(fun () -> DB.durable_epoch db)
       ~gen:(fun () -> DB.generation db)
       replicas
@@ -322,12 +322,12 @@ let run_ship_chaos ~seed ~fast ~kind =
   let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
-  DB.attach_wal ~durable:true db log;
+  DB.attach_wal db log;
   let chaos = Chaos.make ~seed ~kind ~p:0.4 () in
   let replicas = [ Replica.create ~id:0 decl; Replica.create ~id:1 decl ] in
   let sh =
     Replica.Shipper.create ~chaos
-      ~entries:(fun () -> Wal.entries log)
+      ~log
       ~durable_epoch:(fun () -> DB.durable_epoch db)
       ~gen:(fun () -> DB.generation db)
       replicas

@@ -123,7 +123,7 @@ let report (r : Harness.run_result) =
              r.utilizations)))
 
 let run_cmd workload scale theta workers strategy executors mpl config_file
-    duration_ms certify profile_name wal_path durable trace trace_json
+    duration_ms certify profile_name wal_path trace trace_json
     deadline_ms mailbox_cap chaos_spec =
   let profile =
     match profile_name with
@@ -138,14 +138,12 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
   let chaos = chaos_of_spec chaos_spec in
   if Chaos.is_active chaos then DB.attach_chaos db chaos;
   DB.set_mailbox_cap db mailbox_cap;
-  if durable && wal_path = None then
-    failwith "--durable requires --wal FILE";
   let log =
     match wal_path with
     | None -> None
     | Some path ->
       let log = Wal.to_file path in
-      DB.attach_wal ~durable db log;
+      DB.attach_wal db log;
       Some log
   in
   if certify then DB.enable_history db;
@@ -192,11 +190,8 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
   (match log with
   | None -> ()
   | Some log ->
-    Printf.printf "log entries     %12d%s\n" (Wal.length log)
-      (if durable then
-         Printf.sprintf "  (durable, %d group-commit flushes)"
-           (DB.n_log_flushes db)
-       else "  (logging only; durability off)");
+    Printf.printf "log entries     %12d  (%d group-commit flushes)\n" (Wal.length log)
+      (DB.n_log_flushes db);
     Wal.close log);
   if certify then
     match Audit.certify db with
@@ -249,7 +244,7 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
       let rs = List.init replicas (fun i -> Replica.create ~id:i decl) in
       let sh =
         Replica.Shipper.create ~chaos
-          ~entries:(fun () -> Wal.entries w)
+          ~log:w
           ~durable_epoch:(fun () -> Runtime.Db.durable_epoch db)
           ~gen:(fun () -> !prim_gen)
           rs
@@ -466,15 +461,10 @@ let wal_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "wal" ] ~docv:"FILE" ~doc:"Redo-log committed transactions to $(docv).")
-
-let durable_arg =
-  Arg.(
-    value & flag
-    & info [ "durable" ]
+    & info [ "wal" ] ~docv:"FILE"
         ~doc:
-          "Epoch group commit: release transaction results only after their \
-           epoch's log entries are flushed (requires --wal).")
+          "Redo-log committed transactions to $(docv) by epoch group commit: a \
+           result is released once the flush that writes its record ran.")
 
 let trace_arg =
   Arg.(
@@ -530,7 +520,7 @@ let run_term =
   Term.(
     const run_cmd $ workload_arg $ scale_arg $ theta_arg $ workers_arg
     $ strategy_arg $ executors_arg $ mpl_arg $ config_arg $ duration_arg
-    $ certify_arg $ profile_arg $ wal_arg $ durable_arg $ trace_arg
+    $ certify_arg $ profile_arg $ wal_arg $ trace_arg
     $ trace_json_arg $ deadline_arg $ mailbox_cap_arg $ chaos_arg)
 
 let run_info = Cmd.info "run" ~doc:"Run a workload under a deployment."

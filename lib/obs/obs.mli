@@ -72,9 +72,8 @@ module Phase : sig
             and for 2PC the decide/ack round. *)
     | Flush_wait
         (** group-commit durability wait: from commit decision to the
-            WAL flush covering the transaction — the epoch flush on the
-            simulator, the flush that writes its record on the runtime
-            (durable mode only). *)
+            group flush that writes the transaction's record, on both
+            backends (with a WAL attached only). *)
     | Overhead
         (** remainder: latency − (sum of the six measured phases);
             input generation and any uninstrumented slack. Derived at

@@ -5,7 +5,8 @@
     declaration and deployment {!Config.t}, and then keep the same state:
     the placement table, the table-owner map for redo logging, the commit
     and abort counters, the pin registry and migration gate ({!Pins}), the
-    attached trace collector and the transaction-id counter. A backend's
+    group commit of an attached WAL ({!Durability}), the attached trace
+    collector and the transaction-id counter. A backend's
     database is a {!t} whose [own] field holds what is truly its own
     (engine and executors, or domains and mailboxes), and its admin and
     statistics API is {!ADMIN}, implemented once by {!Admin}. *)
@@ -78,6 +79,7 @@ type counters = {
   ro_commits : int Atomic.t;  (** committed read-only snapshot roots *)
   auto_seq : int Atomic.t;  (** [Config.Auto] roots kept sequential *)
   auto_par : int Atomic.t;  (** [Config.Auto] roots fanned out *)
+  log_flushes : int Atomic.t;  (** group-commit flushes that wrote records *)
   buckets : int Atomic.t array;  (** one per {!bucket_names} entry *)
 }
 
@@ -88,13 +90,13 @@ let bucket_names =
 let counters () =
   let z () = Atomic.make 0 in
   { committed = z (); aborted = z (); ro_commits = z (); auto_seq = z ();
-    auto_par = z (); buckets = Array.map (fun _ -> z ()) bucket_names }
+    auto_par = z (); log_flushes = z (); buckets = Array.map (fun _ -> z ()) bucket_names }
 
 let reset_counters c =
   List.iter
     (fun a -> Atomic.set a 0)
     (c.committed :: c.aborted :: c.ro_commits :: c.auto_seq :: c.auto_par
-    :: Array.to_list c.buckets)
+    :: c.log_flushes :: Array.to_list c.buckets)
 
 (** {1 The shared core} *)
 
@@ -114,10 +116,12 @@ type ('s, 'p) t = {
   table_owner : (int, string * string) Hashtbl.t;
       (** table uid → (reactor, table name); read-only after boot *)
   counters : counters;
+  epoch : unit -> int;  (** the backend's Silo epoch clock *)
   registry : Pins.Registry.t;  (** snapshot and commit epochs (§10) *)
   gate : Pins.Gate.t;  (** migration generations and stubs (§11) *)
   mutable obs : Obs.Collector.t option;
       (** lifecycle tracing sink; [None] when untraced *)
+  mutable wal : Durability.t option;  (** group commit (§8.3); [None] unlogged *)
   txn_ids : int Atomic.t;
   own : 'p;  (** the backend's own state *)
 }
@@ -133,9 +137,13 @@ let create decl cfg ~epoch ~slot own =
       Hashtbl.replace reactors e.bs_name
         { re = e; home = Atomic.make e.bs_home; slot = slot () })
     entries;
-  { cfg; entries; reactors; table_owner; counters = counters ();
+  { cfg; entries; reactors; table_owner; counters = counters (); epoch;
     registry = Pins.Registry.create ~epoch; gate = Pins.Gate.create ();
-    obs = None; txn_ids = Atomic.make 0; own }
+    obs = None; wal = None; txn_ids = Atomic.make 0; own }
+
+(** Log every later commit's redo record to [log] through group commit. *)
+let attach_wal t log =
+  t.wal <- Some (Durability.create ~epoch:t.epoch ~flushes:t.counters.log_flushes log)
 
 let lookup t name =
   match Hashtbl.find_opt t.reactors name with
@@ -172,15 +180,36 @@ let admit t ~reactor ~proc ~parallel_ok =
   (r, proc, Pins.Registry.enabled t.registry && Reactor.proc_readonly rt proc)
 
 (** Move [reactor] to container [dst] by the one migration protocol
-    ({!Pins.Gate.migrate}), waiting with [suspend], timing the pause on
-    [now] and writing the placement record with [log]. Raises
-    [Invalid_argument] on an unknown reactor or container. *)
-let migrate t ~suspend ~now ~log ~reactor ~dst =
+    ({!Pins.Gate.migrate}), waiting with [suspend] and timing the pause on
+    [now]. With a WAL attached, the placement record is queued write-ahead
+    of the flip and the call returns once [wait] saw its flush. Raises
+    [Invalid_argument] on an unknown reactor or container, and
+    [Wal.Io_error] when that flush failed (the flip stands, unlogged). *)
+let migrate t ~suspend ~now ~wait ~reactor ~dst =
   let r = lookup t reactor in
   if dst < 0 || dst >= Config.n_containers t.cfg then
     invalid_arg (Printf.sprintf "ReactDB: migrate %s: no container %d" reactor dst);
-  Pins.Gate.migrate t.gate ~suspend ~now ~reactor
-    ~home:(fun () -> Atomic.get r.home) ~set_home:(Atomic.set r.home) ~dst ~log
+  let flush = ref None in
+  (* TID = (epoch, migration ordinal) grows across migrations, so
+     recovery's last-wins placement fold is deterministic *)
+  let log ~seq =
+    Option.iter
+      (fun d ->
+        let tag = Durability.register d in
+        flush :=
+          Some
+            (Durability.queue d ~tag
+               { Wal.le_txn = -seq; le_tid = Storage.Record.tid_make ~epoch:tag ~seq;
+                 le_writes = [ Wal.Migrate { reactor; dst } ] }))
+      t.wal
+  in
+  let pause =
+    Pins.Gate.migrate t.gate ~suspend ~now ~reactor
+      ~home:(fun () -> Atomic.get r.home) ~set_home:(Atomic.set r.home) ~dst ~log
+  in
+  match Option.map wait !flush with
+  | Some (Error m) -> raise (Wal.Io_error m)
+  | Some (Ok ()) | None -> pause
 
 (** {1 The admin and statistics API of both backends} *)
 
@@ -279,6 +308,25 @@ module type ADMIN = sig
       morph router. *)
   val auto_morphs : t -> int * int
 
+  (** {2 Durability (epoch group commit — DESIGN.md §8.3)} *)
+
+  (** The group-commit bound: every redo record whose TID epoch is at
+      most this is in the log, so a shipper may ship up to it and
+      failover salvages up to it (DESIGN.md §12). An acknowledged commit's
+      record is in the log already, usually before this bound passes its
+      epoch. It never moves back, and never moves again once the WAL
+      failed. 0 without a WAL. *)
+  val durable_epoch : t -> int
+
+  (** Group-commit flushes that wrote records. *)
+  val n_log_flushes : t -> int
+
+  (** The WAL's first write or flush failure ([Wal.Io_error]), if any.
+      From that failure on nothing more is written: the batch it failed
+      and every later logged commit come back as an "internal" abort
+      naming the WAL, although their writes are installed. *)
+  val wal_error : t -> string option
+
   (** {2 Observability} *)
 
   (** [attach_obs t collector] turns on transaction-lifecycle tracing:
@@ -321,5 +369,8 @@ module Admin = struct
 
   let n_readonly_commits t = Atomic.get t.counters.ro_commits
   let auto_morphs t = (Atomic.get t.counters.auto_seq, Atomic.get t.counters.auto_par)
+  let durable_epoch t = Option.fold ~none:0 ~some:Durability.durable_epoch t.wal
+  let n_log_flushes t = Atomic.get t.counters.log_flushes
+  let wal_error t = Option.bind t.wal Durability.error
   let attach_obs t c = t.obs <- Some c
 end

@@ -51,18 +51,6 @@ type sim = {
   mutable record_history : bool;
   mutable hist : Histories.Certify.entry list;
   mutable stats_since : float;
-  mutable wal : Wal.t option;
-  mutable durable : bool;
-      (* epoch group commit: release a committed result to the client only
-         once the log records of its epoch are flushed (Silo's epoch
-         durability) *)
-  mutable flushed_epoch : int;
-  mutable flush_pending : bool;
-  mutable epoch_waiters : (int * (unit -> unit)) list;
-  mutable n_flushes : int;
-  mutable wal_error : string option;
-      (* first WAL device failure seen by the group-commit flusher; the
-         run continues with durability degraded rather than crashing *)
   mutable chaos : Chaos.t;
   mutable mailbox_cap : int option;
       (* root admission bound per executor request queue; [None] =
@@ -115,8 +103,6 @@ type rx = {
   mutable last_call : int;
   mutable call_ctr : int;
   mutable worked_since_call : bool;
-  mutable logged_epoch : int option;
-      (* epoch of this root's redo record, once appended to the WAL *)
 }
 
 type root = rx Lifecycle.root
@@ -138,7 +124,7 @@ let route (db : t) (rst : rstate) =
     cont.cexecutors.(db.cfg.affinity_slot rst.re.bs_name mod n)
 
 (* Silo epoch length in virtual µs: TID epochs advance on this boundary,
-   and so does the durable-mode group-commit flush. *)
+   and the group-commit flush runs on it. *)
 let epoch_len_us = 40_000.
 
 let epoch_at eng = 1 + int_of_float (Engine.now eng /. epoch_len_us)
@@ -197,51 +183,21 @@ let note_history (db : sim) (root : root) tid =
       :: db.hist
   end
 
-(* ------------------------------------------------------------------ *)
-(* Epoch group commit (durable mode, Silo's epoch durability). A one-shot
-   flusher is scheduled on demand at the next epoch boundary; it flushes the
-   WAL, advances [flushed_epoch] past the epoch that just closed, and
-   releases every waiter whose record epoch is covered. Scheduling on demand
-   (rather than as a periodic process) lets [Engine.run] drain once no
-   transaction is waiting on durability.
-
-   Safety: a redo record appended strictly before boundary time
-   [epoch_len_us * e] carries TID epoch <= e (the epoch can only advance at
-   the boundary), so after flushing at that instant every record of epoch
-   <= e is on stable storage. *)
-let rec schedule_flush (db : sim) =
-  if not db.flush_pending then begin
-    db.flush_pending <- true;
-    let boundary_epoch = current_epoch db in
-    let at = epoch_len_us *. float_of_int boundary_epoch in
-    Engine.spawn db.eng ~at (fun () ->
-        (* Chaos: the group-commit flush stalls (device hiccup), delaying
-           every transaction waiting on epoch durability. [flush_pending]
-           stays true across the stall, so no second flusher starts. *)
-        (match Chaos.draw_us db.chaos Chaos.Stall_flush with
-        | Some d -> Engine.delay d
-        | None -> ());
-        db.flush_pending <- false;
-        (* A failing log device must not kill the run (the flusher runs
-           outside any transaction): record the failure, keep releasing
-           waiters — durability is degraded, not liveness. *)
-        (match db.wal with
-        | Some log -> (
-          try Wal.flush log
-          with Wal.Io_error m ->
-            if db.wal_error = None then db.wal_error <- Some m)
-        | None -> ());
-        db.n_flushes <- db.n_flushes + 1;
-        db.flushed_epoch <- Stdlib.max db.flushed_epoch boundary_epoch;
-        let ready, waiting =
-          List.partition (fun (e, _) -> e <= db.flushed_epoch) db.epoch_waiters
-        in
-        db.epoch_waiters <- waiting;
-        List.iter (fun (_, w) -> w ()) ready;
-        (* Waiters from a later epoch (committed just past the boundary)
-           need the next flush. *)
-        if waiting <> [] then schedule_flush db)
-  end
+(* When the simulator flushes (DESIGN.md §8.3): a batch's first waiter
+   spawns one flush at the next epoch boundary, so [Engine.run] drains once
+   nobody waits on durability. A record queued strictly before boundary
+   [epoch_len_us * e] carries TID epoch <= e, so that flush covers every
+   record of epoch <= e. *)
+let spawn_flush (db : t) =
+  let at = epoch_len_us *. float_of_int (current_epoch db.own) in
+  Engine.spawn db.own.eng ~at (fun () ->
+      (* Chaos: the flush stalls (device hiccup), delaying every commit
+         waiting on it; the batch keeps its waiters, so no second flush
+         is spawned meanwhile. *)
+      (match Chaos.draw_us db.own.chaos Chaos.Stall_flush with
+      | Some d -> Engine.delay d
+      | None -> ());
+      Option.iter Durability.flush db.wal)
 
 (* ------------------------------------------------------------------ *)
 (* The simulator as a lifecycle platform (DESIGN.md §5.2): virtual time,
@@ -395,39 +351,18 @@ module P = struct
     if Chaos.draw_us s.chaos Chaos.Kill_primary <> None then s.fenced <- true;
     s.fenced
 
-  let committing _ _ f = f ()
+  (* The history entry, every participant's locks held. *)
+  let log_commit (db : db) (root : root) ~tid = note_history db.own root tid
 
-  (* Write-ahead redo record, appended with every participant's locks held
-     (see [Lifecycle.two_phase]), then the history entry. A failing log
-     device ([Wal.Io_error]) rolls the transaction back. *)
-  let log_commit (db : db) (root : root) ~tid =
-    let append log =
-      match Lifecycle.redo_writes db.table_owner root.txn with
-      | [] -> ()
-      | writes ->
-        Wal.append log
-          { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes };
-        root.rx.logged_epoch <- Some (Storage.Record.tid_epoch tid)
-    in
-    match Option.iter append db.own.wal with
-    | () ->
-      note_history db.own root tid;
-      Ok ()
-    | exception Wal.Io_error m -> Error m
-
-  (* Client-side durable wait: called after the transaction's executor slot is
-     released, so group commit adds commit latency but never holds admission
-     capacity. Transactions that logged nothing return immediately. *)
-  let wait_durable (db : db) (root : root) =
-    let db = db.own in
-    match root.rx.logged_epoch with
-    | None -> ()
-    | Some e ->
-      if db.durable && e > db.flushed_epoch then begin
-        schedule_flush db;
-        Engine.suspend (fun waker ->
-            db.epoch_waiters <- (e, waker) :: db.epoch_waiters)
-      end
+  (* Client-side durable wait: called after the transaction's executor slot
+     is released, so group commit adds commit latency but never holds
+     admission capacity. *)
+  let wait_durable (db : db) b =
+    match Ivar.peek b with
+    | Some r -> r
+    | None ->
+      if not (Ivar.waited b) then spawn_flush db;
+      Engine.suspend (Ivar.on_fill b)
 
   (* Programming errors (not aborts) escape to the engine. *)
   let on_fatal _ e = raise e
@@ -475,7 +410,7 @@ let exec_txn ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args =
   let root =
     L.root db ~txn ~retry ~t_start ?deadline_us ~readonly
       { rgen; bd; exec_of_container = []; last_call = 0; call_ctr = 0;
-        worked_since_call = false; logged_epoch = None }
+        worked_since_call = false }
   in
   let ex = route db rst in
   Engine.delay p.Profile.cost_client_dispatch;
@@ -536,10 +471,10 @@ let exec_txn ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args =
      an in-progress migration drain resumes once the pre-mark slot empties.
      The shed path retires too: it registered above. *)
   Pins.Gate.retire db.gate rgen;
-  (* [finish] drops the snapshot pin, also on the shed path. In durable
-     mode it holds the client until the flush covering this
-     transaction's log epoch completes (the executor slot is already free,
-     so group commit costs latency, not admission capacity). *)
+  (* [finish] drops the snapshot pin, also on the shed path. With a WAL it
+     holds the client until the flush that writes this transaction's
+     record (the executor slot is already free, so group commit costs
+     latency, not admission capacity). *)
   let result, latency, abort_cause =
     L.finish db root out ~container:(Atomic.get rst.home)
   in
@@ -560,23 +495,10 @@ let exec_txn ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args =
 (* Live reconfiguration (DESIGN.md §11): the shared mark → drain → log →
    flip → replay, waiting by engine suspension. The flip is one re-homing
    write, atomic in virtual time; catalogs are keyed by reactor, so the
-   storage slice moves with the pointer. A failing log device degrades the
-   placement record's durability, never liveness. *)
+   storage slice moves with the pointer. *)
 let migrate (db : t) ~reactor ~dst =
-  let s = db.own in
-  let log ~seq =
-    match s.wal with
-    | None -> ()
-    | Some log -> (
-      let tid = Storage.Record.tid_make ~epoch:(current_epoch s) ~seq in
-      try
-        Wal.append log
-          { Wal.le_txn = -seq; le_tid = tid;
-            le_writes = [ Wal.Migrate { reactor; dst } ] }
-      with Wal.Io_error e -> if s.wal_error = None then s.wal_error <- Some e)
-  in
-  Bootstrap.migrate db ~suspend:Engine.suspend ~now:Engine.current_time ~log ~reactor
-    ~dst
+  Bootstrap.migrate db ~suspend:Engine.suspend ~now:Engine.current_time
+    ~wait:(P.wait_durable db) ~reactor ~dst
 
 (* ------------------------------------------------------------------ *)
 (* Bootstrap. *)
@@ -632,13 +554,6 @@ let create eng decl cfg prof =
         record_history = false;
         hist = [];
         stats_since = Engine.now eng;
-        wal = None;
-        durable = false;
-        flushed_epoch = 0;
-        flush_pending = false;
-        epoch_waiters = [];
-        n_flushes = 0;
-        wal_error = None;
         chaos = Chaos.none;
         mailbox_cap = None;
         prim_gen = 0;
@@ -675,7 +590,6 @@ let utilizations (db : t) =
 let reset_stats (db : t) =
   let s = db.own in
   Bootstrap.reset_counters db.counters;
-  s.n_flushes <- 0;
   (* The history log is NOT cleared: serializability certification needs
      every installed version, including warm-up transactions whose writes
      later transactions read. *)
@@ -686,24 +600,13 @@ let reset_stats (db : t) =
       if ex.core_busy then ex.held_since <- Engine.now s.eng)
     s.execs
 
-let attach_wal ?(durable = false) (db : t) log =
-  db.own.wal <- Some log;
-  db.own.durable <- durable
+let attach_wal = Bootstrap.attach_wal
 
 let attach_chaos (db : t) c = db.own.chaos <- c
 let set_mailbox_cap (db : t) cap = db.own.mailbox_cap <- cap
-let wal_error (db : t) = db.own.wal_error
-let n_log_flushes (db : t) = db.own.n_flushes
 let enable_history (db : t) = db.own.record_history <- true
 
 (* -- replication / failover (DESIGN.md §12) -------------------------- *)
-
-(* Highest epoch whose redo records a group-commit flush has covered. In
-   durable mode an acknowledged commit's epoch is always <= this (the
-   client waited for the covering flush), so the durable log prefix up to
-   this epoch contains every acknowledged transaction — the salvage bound
-   promotion uses after a primary crash. *)
-let durable_epoch (db : t) = db.own.flushed_epoch
 
 let generation (db : t) = db.own.prim_gen
 let set_generation (db : t) g = db.own.prim_gen <- g

@@ -104,8 +104,8 @@ include Bootstrap.ADMIN with type t := t
     that target the reactor suspend at a forwarding stub), {e drain} (wait
     until every pre-mark root in the database has completed; the deadline
     machinery is the straggler backstop), {e log} (a {!Wal.Migrate} record
-    is appended write-ahead of the flip, so {!Faultsim.recover} replays
-    placement deterministically), {e flip} (one re-homing write, atomic in
+    is queued write-ahead of the flip, so {!Faultsim.recover} replays
+    placement deterministically; the call returns once it is flushed), {e flip} (one re-homing write, atomic in
     virtual time — catalogs are keyed by reactor, so records, secondary
     indexes and snapshot version chains move with the pointer and snapshot
     readers are never broken), {e replay} (parked stub traffic resumes
@@ -120,7 +120,8 @@ include Bootstrap.ADMIN with type t := t
     Migrations are serialized; concurrent callers queue. Must be called
     from inside the engine (it suspends). Moving a reactor to its current
     container returns [0.] without marking. Raises [Invalid_argument] on
-    an unknown reactor or container index. *)
+    an unknown reactor or container index, and [Wal.Io_error] when the WAL
+    failed (the flip stands, unlogged). *)
 val migrate : t -> reactor:string -> dst:int -> float
 
 (** Bootstrap-time only: silently re-home reactors (no drain, no log
@@ -145,30 +146,18 @@ val utilizations : t -> float array
     epochs). *)
 val reset_stats : t -> unit
 
-(** {1 Durability (extension beyond the paper — see DESIGN.md)} *)
+(** {1 Durability (extension beyond the paper — see DESIGN.md §8.3)} *)
 
-(** [attach_wal t log] makes every subsequent commit append a redo record
-    (TID + physical after-images) to [log]. Recovery: load a fresh database
-    from the same declaration, then [Wal.replay (Wal.entries log)
-    ~catalog_of:(catalog_of fresh_db)].
-
-    With [~durable:true], commits additionally observe Silo's epoch
-    durability: [exec_txn] returns a committed result only once a group
-    flush covering the transaction's log epoch has completed. Flushes run
-    at epoch boundaries (every 40 ms of virtual time), are scheduled on
-    demand, and are counted in {!n_log_flushes}. Aborts and transactions
-    that logged nothing (read-only) return immediately. *)
-val attach_wal : ?durable:bool -> t -> Wal.t -> unit
-
-(** Group-commit flushes performed since bootstrap / {!reset_stats}. *)
-val n_log_flushes : t -> int
-
-(** Highest epoch whose redo records a group-commit flush has covered.
-    In durable mode every {e acknowledged} commit's epoch is [<= this]
-    (the client waited for the covering flush), so the log prefix up to
-    this epoch contains every acknowledged transaction. Replication ships
-    this prefix, and failover salvages up to it (DESIGN.md §12). *)
-val durable_epoch : t -> int
+(** [attach_wal t log] makes every later commit queue a redo record (TID
+    and physical after-images) for [log] and return only once the group
+    flush that writes it has run: a batch's first waiter spawns one flush
+    at the next epoch boundary (every 40 ms of virtual time). Aborts and
+    transactions that log nothing (read-only) return at once. The bound,
+    the flush count and the failure rule are {!Bootstrap.ADMIN}'s
+    [durable_epoch], [n_log_flushes] and [wal_error]. Recovery: load a
+    fresh database from the same declaration, then [Wal.replay
+    (Wal.entries log) ~catalog_of:(catalog_of fresh_db)]. *)
+val attach_wal : t -> Wal.t -> unit
 
 (** {1 Replication fencing (generation-stamped admission — DESIGN.md §12)}
 
@@ -196,13 +185,6 @@ val fenced : t -> bool
 (** Admissions refused while fenced (exact attempt accounting for
     failover drills). *)
 val n_fenced_refusals : t -> int
-
-(** First WAL device failure ([Wal.Io_error]) observed by the group-commit
-    flusher, if any. Commits whose own append fails abort with a typed
-    [Internal] cause; a flush failure after append is recorded here (the
-    waiting transactions still complete — durability for that epoch is
-    lost, which the caller can detect through this accessor). *)
-val wal_error : t -> string option
 
 (** {1 Overload protection and chaos injection}
 

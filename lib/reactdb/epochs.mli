@@ -1,10 +1,9 @@
 (** A multiset of epochs: how many holders are registered at each epoch.
 
     Both backends keep several of these — live snapshot readers per
-    snapshot epoch (the GC horizon is their minimum), and on the runtime
-    the commits past their body whose installs or redo appends are still
-    in flight (the snapshot and group-commit boundaries sit below their
-    minimum). Not synchronized: callers hold their own lock. *)
+    snapshot epoch (the GC horizon is their minimum), and the commits past
+    their decision whose installs or redo records are still in flight
+    (the snapshot and group-commit boundaries sit below their minimum). Not synchronized: callers hold their own lock. *)
 
 type t
 

@@ -43,8 +43,8 @@ let redo_writes owner txn =
     (Occ.Txn.all_writes txn)
 
 (* Commit-time aborts: a failed validation (its kind refined by the fail
-   reason), and internal failures — a log append, a primary killed
-   between the phases, a commit step dying on an exception. *)
+   reason), and internal failures — a failed WAL, a primary killed between
+   the phases, a commit step dying on an exception. *)
 let validation_failed fr =
   ( Ab_validation,
     Occ.Commit.fail_message fr,
@@ -63,7 +63,7 @@ module Make (P : PLATFORM) = struct
     let deadline = match deadline_us with Some d -> t_start +. d | None -> Float.infinity in
     let rsnapshot = if readonly then Some (Pins.Registry.acquire db.registry) else None in
     { txn; retry; obs; tr; t_start; deadline; rsnapshot;
-      active_set = Atomic.make []; doomed = Atomic.make None; rx }
+      active_set = Atomic.make []; doomed = Atomic.make None; flush = None; rx }
 
   (* Dynamic safety condition (§2.2.4): at most one execution context may
      be active per reactor and root transaction. A root's frames on
@@ -301,29 +301,42 @@ module Make (P : PLATFORM) = struct
   (* The commit decision: every participant voted yes and holds its locks.
      Only now does the root take its epoch, as Silo reads the epoch after
      locking, so no hold spans a prepare round trip. In order: the
-     platform's own hold (the runtime's WAL tag), the registry's commit
-     hold, the TID, the redo record written ahead — a failed append rolls
-     back instead of leaving installed writes without a record — then the
-     install. Epochs only grow, so tag <= hold <= TID epoch. The commit
-     hold lasts until every install landed, so no snapshot is issued at an
-     epoch that can still gain installs; it is dropped on every path, since
-     a leaked hold would freeze snapshots and GC. *)
-  let install_all db root ~release ~install =
+     group-commit tag of a logged root, the registry's commit hold, the
+     TID, the redo record queued ahead of the install — its tag drops
+     with the queueing — then the install. Epochs only grow, so tag <=
+     hold <= TID epoch. The commit hold lasts until every install landed,
+     so no snapshot is issued at an epoch that can still gain installs.
+     Both are dropped on every path, since a leaked tag would freeze the
+     durable bound and a leaked hold snapshots and GC. *)
+  let install_all db root ~install =
     let reg = db.Bootstrap.registry in
-    P.committing db root (fun () ->
-        let epoch = Pins.Registry.hold_commit reg in
-        Fun.protect ~finally:(fun () -> Pins.Registry.drop_commit reg epoch) (fun () ->
-            let tid = Occ.Commit.compute_tid root.txn ~epoch in
-            match P.log_commit db root ~tid with
-            | Error m ->
-              release ();
-              Error (internal ("wal write failed: " ^ m))
-            | Ok () ->
-              install ~tid
-                ~horizon:
-                  (if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg)
-                   else None);
-              Ok ()))
+    let commit log =
+      let epoch = Pins.Registry.hold_commit reg in
+      Fun.protect ~finally:(fun () -> Pins.Registry.drop_commit reg epoch) (fun () ->
+          let tid = Occ.Commit.compute_tid root.txn ~epoch in
+          log tid;
+          P.log_commit db root ~tid;
+          install ~tid
+            ~horizon:
+              (if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg)
+               else None))
+    in
+    match db.wal with
+    | None -> commit ignore
+    | Some d -> (
+      match redo_writes db.table_owner root.txn with
+      | [] -> commit ignore
+      | writes ->
+        let tag = Durability.register d in
+        Fun.protect
+          ~finally:(fun () -> if Option.is_none root.flush then Durability.cancel d tag)
+          (fun () ->
+            commit (fun tid ->
+                root.flush <-
+                  Some
+                    (Durability.queue d ~tag
+                       { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid;
+                         le_writes = writes }))))
 
   (* One participant's prepare vote: refuse outright when the root's
      deadline has passed (no locks taken: the coordinator rolls the others
@@ -382,13 +395,12 @@ module Make (P : PLATFORM) = struct
       | _ when killed -> release prepared; Error (internal "primary killed mid-2pc")
       | Some reason -> release prepared; Error reason
       | None ->
-        install_all db root
-          ~release:(fun () -> release containers)
-          ~install:(fun ~tid ~horizon ->
+        install_all db root ~install:(fun ~tid ~horizon ->
             ignore
               (on_each containers ~dead:() (fun c ->
                    P.charge_install db;
-                   Occ.Commit.install ?horizon root.txn ~container:c ~tid)))
+                   Occ.Commit.install ?horizon root.txn ~container:c ~tid)));
+        Ok ()
     in
     since root Obs.Phase.Commit t_dec;
     r
@@ -402,14 +414,10 @@ module Make (P : PLATFORM) = struct
     | Error _ as e -> e
     | Ok () ->
       let t1 = stamp root in
-      let r =
-        install_all db root
-          ~release:(fun () -> Occ.Commit.release root.txn ~container:c)
-          ~install:(fun ~tid ~horizon ->
-            Occ.Commit.install ?horizon root.txn ~container:c ~tid)
-      in
+      install_all db root ~install:(fun ~tid ~horizon ->
+          Occ.Commit.install ?horizon root.txn ~container:c ~tid);
       since root Obs.Phase.Commit t1;
-      r
+      Ok ()
 
   let do_commit db root ~coord =
     let t0 = stamp root in
@@ -466,11 +474,19 @@ module Make (P : PLATFORM) = struct
     Option.iter (Pins.Registry.release db.Bootstrap.registry) root.rsnapshot;
     let counters = db.counters in
     let retry = root.retry and tr = root.tr in
-    if Result.is_ok verdict then begin
-      let t = stamp root in
-      P.wait_durable db root;
-      since root Obs.Phase.Flush_wait t
-    end;
+    (* A commit is acknowledged by the flush that writes its record; one
+       that failed turns the commit into an internal abort. *)
+    let verdict =
+      match verdict with
+      | Error _ -> verdict
+      | Ok _ -> (
+        let t = stamp root in
+        let flushed = Option.fold ~none:(Ok ()) ~some:(P.wait_durable db) root.flush in
+        since root Obs.Phase.Flush_wait t;
+        match flushed with
+        | Ok () -> verdict
+        | Error m -> Error (internal ("wal write failed: " ^ m)))
+    in
     let latency = P.now () -. root.t_start in
     let participants = Stdlib.max 1 (List.length (Occ.Txn.containers root.txn)) in
     let readonly = root.rsnapshot <> None in

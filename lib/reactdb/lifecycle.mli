@@ -51,8 +51,8 @@ module Make (P : PLATFORM) : sig
     (P.slot, P.t) Bootstrap.t -> P.rx root -> coord:P.exec -> verdict -> verdict
 
   (** Outcome bookkeeping: the snapshot's release, the durable wait of a
-      commit, the shared counters, the collector's record on slot
-      [container]. Returns the client's result, the latency and the abort
+      logged commit (a failed flush turns it into an internal abort), the
+      shared counters, the collector's record on slot [container]. Returns the client's result, the latency and the abort
       cause. *)
   val finish :
     (P.slot, P.t) Bootstrap.t -> P.rx root -> verdict -> container:int ->

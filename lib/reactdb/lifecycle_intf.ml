@@ -37,6 +37,8 @@ type 'rx root = {
       (** a sub-transaction aborted: the root may not commit even if
           application code swallowed the exception (§2.2.3); the first
           abort wins *)
+  mutable flush : Durability.batch option;
+      (** the group-commit batch the root's redo record joined *)
   rx : 'rx;
 }
 
@@ -119,18 +121,14 @@ module type PLATFORM = sig
 
   val killed : (slot, t) Bootstrap.t -> bool
 
-  (** [committing t root f] runs a decided commit [f ()] — commit hold,
-      TID, redo record, install — inside the platform's own holds (the
-      runtime's group-commit tag). Called after every vote, with every
-      participant's locks held; [f] may raise. *)
-  val committing : (slot, t) Bootstrap.t -> rx root -> (unit -> 'a) -> 'a
+  (** Between TID and install, every participant's locks held and the
+      redo record queued: the platform's own record of the commit (the
+      simulator's history entry). *)
+  val log_commit : (slot, t) Bootstrap.t -> rx root -> tid:int -> unit
 
-  (** Between TID and install, every participant's locks held: make the
-      redo record durable-bound. An [Error] rolls the root back. *)
-  val log_commit : (slot, t) Bootstrap.t -> rx root -> tid:int -> (unit, string) result
-
-  (** Hold a committed root until its redo record is durable. *)
-  val wait_durable : (slot, t) Bootstrap.t -> rx root -> unit
+  (** Hold a committed root until the flush of its record's batch, and
+      return that flush's result: when to flush is the platform's. *)
+  val wait_durable : (slot, t) Bootstrap.t -> Durability.batch -> (unit, string) result
 
   (** An exception that is not an abort. Returning turns it into an
       "internal" abort of the root; raising propagates it. *)

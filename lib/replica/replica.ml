@@ -352,17 +352,23 @@ module Shipper = struct
 
   type shipper = {
     chaos : Chaos.t;
-    entries : unit -> Wal.entry list;
+    log : Wal.t;
+    mutable read : int;  (* the cursor: entries of [log] read so far *)
+    mutable held : Wal.entry list;
+        (* read entries above the lowest watermark, in log order: some
+           replica may still need them *)
     durable : unit -> int;
     sgen : unit -> int;
     peers : peer list;
     mutable n_rounds : int;
   }
 
-  let create ?(chaos = Chaos.none) ~entries ~durable_epoch ~gen rs =
+  let create ?(chaos = Chaos.none) ~log ~durable_epoch ~gen rs =
     {
       chaos;
-      entries;
+      log;
+      read = 0;
+      held = [];
       durable = durable_epoch;
       sgen = gen;
       peers =
@@ -371,6 +377,23 @@ module Shipper = struct
           rs;
       n_rounds = 0;
     }
+
+  (* The durable bound, then the entries appended since the last read:
+     every entry of an epoch at most the bound was appended before the
+     bound was published, so it is read by now. *)
+  let pull sh =
+    let e = sh.durable () in
+    let fresh = Wal.entries_from sh.log sh.read in
+    sh.read <- sh.read + List.length fresh;
+    sh.held <- sh.held @ fresh;
+    e
+
+  let suffix sh ~w ~e =
+    List.filter
+      (fun en ->
+        let ep = epoch_of en in
+        ep > w && ep <= e)
+      sh.held
 
   let deliver p b = ignore (apply p.pr b)
 
@@ -385,18 +408,12 @@ module Shipper = struct
      contiguous batch. Chaos probes sit exactly where the network would
      be: a dropped batch is lost silently (the unchanged watermark
      re-requests it next round), a delayed one waits in the peer slot. *)
-  let ship_suffix sh ~with_chaos p =
-    let e = sh.durable () in
+  let ship_suffix sh ~e ~with_chaos p =
     let w = watermark p.pr in
     if e > w then begin
-      let es =
-        List.filter
-          (fun en ->
-            let ep = epoch_of en in
-            ep > w && ep <= e)
-          (sh.entries ())
+      let b =
+        Batch.encode ~gen:(sh.sgen ()) ~from_epoch:(w + 1) ~to_epoch:e (suffix sh ~w ~e)
       in
-      let b = Batch.encode ~gen:(sh.sgen ()) ~from_epoch:(w + 1) ~to_epoch:e es in
       if not with_chaos then deliver p b
       else
         match Chaos.draw_us sh.chaos Chaos.Drop_shipment with
@@ -409,20 +426,22 @@ module Shipper = struct
           | None -> deliver p b)
     end
 
+  (* One pass over every replica, then drop what all of them applied. *)
+  let ship sh ~with_chaos =
+    let e = pull sh in
+    List.iter
+      (fun p ->
+        flush_pending p;
+        ship_suffix sh ~e ~with_chaos p)
+      sh.peers;
+    let low = List.fold_left (fun m p -> Stdlib.min m (watermark p.pr)) max_int sh.peers in
+    sh.held <- List.filter (fun en -> epoch_of en > low) sh.held
+
   let round sh =
     sh.n_rounds <- sh.n_rounds + 1;
-    List.iter
-      (fun p ->
-        flush_pending p;
-        ship_suffix sh ~with_chaos:true p)
-      sh.peers
+    ship sh ~with_chaos:true
 
-  let final_ship sh =
-    List.iter
-      (fun p ->
-        flush_pending p;
-        ship_suffix sh ~with_chaos:false p)
-      sh.peers
+  let final_ship sh = ship sh ~with_chaos:false
 
   let rounds sh = sh.n_rounds
 
@@ -430,22 +449,12 @@ module Shipper = struct
   let delayed sh = List.fold_left (fun a p -> a + p.p_delayed) 0 sh.peers
 
   let lag sh =
-    let e = sh.durable () in
+    let e = pull sh in
     List.map
       (fun p ->
         let w = watermark p.pr in
         let behind = max 0 (e - w) in
-        let bytes =
-          if behind = 0 then 0
-          else
-            Batch.size
-              (List.filter
-                 (fun en ->
-                   let ep = epoch_of en in
-                   ep > w && ep <= e)
-                 (sh.entries ()))
-        in
-        (id p.pr, behind, bytes))
+        (id p.pr, behind, if behind = 0 then 0 else Batch.size (suffix sh ~w ~e)))
       sh.peers
 
   let publish_obs sh c =

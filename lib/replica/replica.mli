@@ -172,7 +172,7 @@ val freshest : t list -> t option
 (** {1 The shipper}
 
     Drives shipping rounds from one primary log to a set of replicas.
-    The source is abstract — two callbacks — so the same shipper serves
+    The source is an in-memory log and a bound, so the same shipper serves
     the simulator ([Reactdb.Database] + in-memory WAL, virtual time) and
     the runtime ([Runtime.Db] + its WAL, wall clock). Chaos composes
     here: [Chaos.Drop_shipment] loses a batch in flight (the replica's
@@ -183,15 +183,17 @@ val freshest : t list -> t option
 module Shipper : sig
   type shipper
 
-  (** [create ~entries ~durable_epoch ~gen replicas] wires a shipper.
-      [entries] returns the primary's log in append order (only entries
+  (** [create ~log ~durable_epoch ~gen replicas] wires a shipper to the
+      primary's in-memory [log], read through a cursor: each round reads
+      only the entries appended since the last, while other domains may
+      append, and keeps those some replica may still need. Only entries
       with epoch ≤ [durable_epoch ()] are ever shipped — the
       zero-lost-committed bound: an acked commit is durable, and every
-      durable epoch is shipped); [gen] is the primary's current
+      durable epoch is shipped; [gen] is the primary's current
       generation stamp. *)
   val create :
     ?chaos:Chaos.t ->
-    entries:(unit -> Wal.entry list) ->
+    log:Wal.t ->
     durable_epoch:(unit -> int) ->
     gen:(unit -> int) ->
     t list ->

@@ -1,64 +1,10 @@
 open Util
 module Lifecycle = Reactdb.Lifecycle
-module Epochs = Reactdb.Epochs
 module Pins = Reactdb.Pins
 module Bootstrap = Reactdb.Bootstrap
 
-(* ------------------------------------------------------------------ *)
-(* Thread-safe write-once cell. Wakers registered with [on_fill] run on the
-   filler's domain (or immediately on the caller's if already full); fiber
-   code therefore only ever uses it through [fiber_await], which turns the
-   callback into a mailbox re-enqueue on the fiber's home domain. *)
-
-module Ivar = struct
-  type 'a state = Empty of ('a -> unit) list | Full of 'a
-
-  type 'a t = { mu : Mutex.t; cond : Condition.t; mutable st : 'a state }
-
-  let create () = { mu = Mutex.create (); cond = Condition.create (); st = Empty [] }
-
-  let fill iv v =
-    Mutex.lock iv.mu;
-    match iv.st with
-    | Full _ ->
-      Mutex.unlock iv.mu;
-      invalid_arg "Runtime.Ivar: filled twice"
-    | Empty ws ->
-      iv.st <- Full v;
-      Condition.broadcast iv.cond;
-      Mutex.unlock iv.mu;
-      (* callbacks run outside the lock: they may take other locks *)
-      List.iter (fun w -> w v) (List.rev ws)
-
-  let peek iv =
-    Mutex.lock iv.mu;
-    let r = match iv.st with Full v -> Some v | Empty _ -> None in
-    Mutex.unlock iv.mu;
-    r
-
-  let on_fill iv w =
-    Mutex.lock iv.mu;
-    match iv.st with
-    | Full v ->
-      Mutex.unlock iv.mu;
-      w v
-    | Empty ws ->
-      iv.st <- Empty (w :: ws);
-      Mutex.unlock iv.mu
-
-  let read_block iv =
-    Mutex.lock iv.mu;
-    let rec wait () =
-      match iv.st with
-      | Full v ->
-        Mutex.unlock iv.mu;
-        v
-      | Empty _ ->
-        Condition.wait iv.cond iv.mu;
-        wait ()
-    in
-    wait ()
-end
+module Ivar = Reactdb.Ivar
+module Durability = Reactdb.Durability
 
 (* ------------------------------------------------------------------ *)
 
@@ -98,28 +44,6 @@ and exec = {
   sheds : int Atomic.t;  (* admission refusals against this mailbox *)
 }
 
-(* Group-commit WAL sink (DESIGN.md §8.3). A committing executor encodes
-   its redo record outside [wmu] and queues it under [wmu]; the record
-   joins the current batch. A group flush writes every queued record in
-   one append and one flush, then fills the batch's ivar: a commit is
-   acknowledged by the flush that writes its record. The committer tries
-   that flush itself; the flusher domain tries one on every tick and runs
-   the last one at shutdown. Epochs only bound [durable]. *)
-type wal_sink = {
-  log : Wal.t;  (* appended to and flushed under [fmu] only *)
-  wmu : Mutex.t;
-  fmu : Mutex.t;  (* one group flush at a time; everyone but shutdown tries it *)
-  mutable pending : Wal.record list;  (* queue order, newest first *)
-  mutable batch : unit Ivar.t;  (* filled by the flush that writes [pending] *)
-  inflight : Epochs.t;
-      (* epoch tags of commits registered but not yet queued; they hold
-         [durable] below any epoch that could still produce a record *)
-  durable : int Atomic.t;  (* the last flushed epoch boundary *)
-  mutable failed : bool;  (* a flush failed; under [fmu] *)
-  mutable stop : bool;
-  mutable flusher : unit Domain.t option;
-}
-
 (* The flusher's period: each tick advances the epoch when due and tries
    a group flush. *)
 let group_tick_s = 0.001
@@ -132,7 +56,7 @@ type own = {
   execs : exec array;
   steal : bool;
   epoch_len : float;
-  wal : wal_sink option;
+  mutable flusher : unit Domain.t option;  (* with a WAL: its flusher domain *)
   chaos : Chaos.t;
   fatal : int Atomic.t;
   fatal_mu : Mutex.t;
@@ -327,10 +251,6 @@ type rx = {
       (* placement generation stamped at registration ([submit]); a root
          with [rgen] <= a migration's cutoff may keep using the old home —
          the drain waits for it — while later roots park at the stub *)
-  mutable wal_prep : (wal_sink * Wal.write list * int) option;
-      (* redo writes registered with the sink at the commit decision, with
-         their epoch tag; cleared once appended *)
-  mutable flush : unit Ivar.t option;  (* the batch the record joined *)
 }
 
 type root = rx Lifecycle.root
@@ -370,85 +290,20 @@ let auto_parallel_ok (db : t) =
   2 * !busy < n
 
 (* ------------------------------------------------------------------ *)
-(* Group-commit WAL sink. The acknowledgement rule (DESIGN.md §8.3): a
-   record is queued under [wmu] before its install ([log_commit]); a
-   commit that reads or overwrites its writes does so after that install,
-   so it queues later. A flush writes the queue oldest first, so every
-   prefix of the log is closed under depends-on and replays to a
-   consistent state: a commit is acknowledged by the flush that writes
-   its record. The epoch tag, read at the commit decision (after every
-   vote, with every lock held, before the TID), only bounds [durable]: it
-   stays in [inflight] until its record is queued, and a flush publishes
-   boundary [b] only once no tag <= b remains. A later registration gets
-   a tag beyond [b], and a tag is at most its TID epoch, so [b] covers
-   every record whose TID epoch is <= b ([durable_epoch]). *)
-
-(* Register a commit attempt; returns its epoch tag. Reading the epoch
-   under [wmu] is what orders registration against the flusher's own epoch
-   read (also under [wmu]). *)
-let sink_register (db : t) s =
-  Mutex.protect s.wmu (fun () ->
-      let e = Atomic.get db.own.epoch in
-      Epochs.add s.inflight e;
-      e)
-
-(* The attempt aborted (or died): just release the boundary hold. *)
-let sink_cancel s ~epoch = Mutex.protect s.wmu (fun () -> Epochs.remove s.inflight epoch)
-
-(* The attempt committed: queue its encoded redo record and return the
-   ivar of the batch it joined, for the fiber to await. *)
-let sink_append s ~epoch record =
-  Mutex.protect s.wmu (fun () ->
-      Epochs.remove s.inflight epoch;
-      s.pending <- record :: s.pending;
-      s.batch)
-
-(* One group flush; the caller holds [fmu]. It writes everything queued,
-   oldest first, and fills that batch's ivar. The published boundary is
-   the last epoch below both the current one and every registered tag; at
-   shutdown (nothing can be in flight) it is the last real epoch. A
-   failing log device degrades durability, not liveness: record it, still
-   release the waiters, and publish no boundary for the rest of the run. *)
-let group_flush (db : t) s =
-  Mutex.lock s.wmu;
-  let epoch = Atomic.get db.own.epoch in
-  let bound =
-    Epochs.minimum s.inflight ~default:(if s.stop then max_int else epoch) - 1
-  in
-  let ready = s.pending and written = s.batch in
-  s.pending <- [];
-  s.batch <- Ivar.create ();
-  Mutex.unlock s.wmu;
-  if ready <> [] then begin
-    try
-      Wal.append_many s.log (List.rev ready);
-      Wal.flush s.log
-    with Wal.Io_error m ->
-      s.failed <- true;
-      record_fatal db (Failure m)
-  end;
-  (* after the write, so a shipper reading it finds the records *)
-  if not s.failed then Atomic.set s.durable (Stdlib.min bound epoch);
-  Ivar.fill written ()
-
-(* Committers never wait for a flush in progress: it already covers, or
-   the next one will, what this caller would have flushed. *)
-let try_flush db s =
-  if Mutex.try_lock s.fmu then
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.fmu) (fun () -> group_flush db s)
-
-(* Epochs must advance and close even when no root starts (quiet periods
-   would otherwise pin [durable] forever), and a committer that lost the
-   flush lock needs a later flush, so the flusher tries one on every tick.
-   Its last pass, after [shutdown] set [stop], waits for the flush lock. *)
-let flusher_loop (db : t) s =
+(* When the runtime flushes (DESIGN.md §8.3): the committer runs the flush
+   that writes its record unless one is under way ([P.wait_durable]), and
+   a flusher domain covers the loser of that race. Epochs must advance
+   and close even when no root starts (quiet periods would otherwise pin
+   the durable bound forever), so the flusher tries a flush on every
+   tick. Its last pass, once [shutdown] closed the log, waits for the
+   flush lock. *)
+let flusher_loop (db : t) d =
   let rec loop () =
     Unix.sleepf group_tick_s;
     maybe_advance_epoch db;
-    if Mutex.protect s.wmu (fun () -> s.stop) then
-      Mutex.protect s.fmu (fun () -> group_flush db s)
+    if Durability.closed d then Durability.flush d
     else begin
-      try_flush db s;
+      Durability.try_flush d;
       loop ()
     end
   in
@@ -538,46 +393,12 @@ module P = struct
   let prepared (db : db) = Chaos.inject_wall db.own.chaos Chaos.Stall_prepare
   let killed _ = false
 
-  (* Durable mode: at the commit decision, capture the after-images and
-     register the epoch tag against the durable boundary (the rule above).
-     The tag drops at the append, or when the commit ends without one —
-     also by an exception, since a leaked tag would pin [durable_epoch]
-     and every shipment behind it. *)
-  let committing (db : db) (root : root) f =
-    match db.own.wal with
-    | None -> f ()
-    | Some s -> (
-      match Lifecycle.redo_writes db.table_owner root.txn with
-      | [] -> f ()
-      | writes ->
-        let etag = sink_register db s in
-        root.rx.wal_prep <- Some (s, writes, etag);
-        Fun.protect f ~finally:(fun () ->
-            if Option.is_some root.rx.wal_prep then begin
-              root.rx.wal_prep <- None;
-              sink_cancel s ~epoch:etag
-            end))
+  let log_commit _ _ ~tid:_ = ()
 
-  (* Encode the root's redo record on this executor, outside [wmu], and
-     queue it ahead of the install; its tag drops with the append. *)
-  let log_commit _ (root : root) ~tid =
-    (match root.rx.wal_prep with
-    | None -> ()
-    | Some (s, writes, etag) ->
-      let record =
-        Wal.record s.log
-          { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes }
-      in
-      root.rx.wal_prep <- None;
-      root.rx.flush <- Some (sink_append s ~epoch:etag record));
-    Ok ()
-
-  (* The committer runs the flush that writes its record unless one is
-     under way; the flusher's next tick covers the loser of that race. *)
-  let wait_durable (db : db) (root : root) =
-    Option.iter (fun iv ->
-        if Ivar.peek iv = None then Option.iter (try_flush db) db.own.wal;
-        fiber_await iv) root.rx.flush
+  (* The committer's flush, unless one is under way. *)
+  let wait_durable (db : db) b =
+    if Ivar.peek b = None then Option.iter Durability.try_flush db.wal;
+    fiber_await b
 
   let on_fatal = record_fatal
 end
@@ -605,7 +426,7 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
   let root =
     L.root db ~txn ~retry ~t_start:t_submit ?deadline_us ~readonly:ro
       { rmu = Array.init (Array.length db.own.execs) (fun _ -> Mutex.create ());
-        rgen; wal_prep = None; flush = None }
+        rgen }
   in
   (* Queue wait: submit → this job running on the home domain, including
      any round-robin forwarding hop and mailbox residence. *)
@@ -815,9 +636,8 @@ let quiesce (db : t) =
 (* Online reactor migration (DESIGN.md §11): the shared mark → drain → log
    → flip → replay, blocking the calling admin thread (never a fiber).
    The storage slice is the reactor's catalog on the shared heap, so the
-   handoff is the flip itself. The placement record goes through the
-   group-commit sink, and its durability is confirmed off the pause
-   path. *)
+   handoff is the flip itself. The placement record goes through group
+   commit, and the flusher's flush of it is awaited off the pause path. *)
 
 let block register =
   let iv = Ivar.create () in
@@ -825,24 +645,7 @@ let block register =
   Ivar.read_block iv
 
 let migrate (db : t) ~reactor ~dst =
-  (* TID = (epoch, migration ordinal) grows across migrations, so
-     recovery's last-wins placement fold is deterministic *)
-  let flush = ref None in
-  let log ~seq =
-    Option.iter
-      (fun s ->
-        let etag = sink_register db s in
-        flush :=
-          Some
-            (sink_append s ~epoch:etag
-               (Wal.record s.log
-                  { Wal.le_txn = -seq; le_tid = Storage.Record.tid_make ~epoch:etag ~seq;
-                    le_writes = [ Wal.Migrate { reactor; dst } ] })))
-      db.own.wal
-  in
-  let pause = Bootstrap.migrate db ~suspend:block ~now:now_us ~log ~reactor ~dst in
-  Option.iter Ivar.read_block !flush;
-  pause
+  Bootstrap.migrate db ~suspend:block ~now:now_us ~wait:Ivar.read_block ~reactor ~dst
 
 let reactors_on db c =
   List.filter_map
@@ -873,23 +676,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
           sheds = Atomic.make 0;
         })
   in
-  let sink =
-    Option.map
-      (fun log ->
-        {
-          log;
-          wmu = Mutex.create ();
-          fmu = Mutex.create ();
-          pending = [];
-          batch = Ivar.create ();
-          inflight = Epochs.create ();
-          durable = Atomic.make 0;
-          failed = false;
-          stop = false;
-          flusher = None;
-        })
-      wal
-  in
   let epoch = Atomic.make 1 in
   let db =
     Bootstrap.create decl cfg ~epoch:(fun () -> Atomic.get epoch) ~slot:ignore
@@ -897,7 +683,7 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
         execs;
         steal;
         epoch_len = Float.max 1e-4 epoch_len_s;
-        wal = sink;
+        flusher = None;
         chaos;
         fatal = Atomic.make 0;
         fatal_mu = Mutex.create ();
@@ -912,32 +698,25 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
   in
   db.own.domains <-
     Array.map (fun ex -> Domain.spawn (fun () -> domain_loop db ex)) execs;
-  (match db.own.wal with
-  | Some s -> s.flusher <- Some (Domain.spawn (fun () -> flusher_loop db s))
-  | None -> ());
+  Option.iter (Bootstrap.attach_wal db) wal;
+  db.own.flusher <-
+    Option.map (fun d -> Domain.spawn (fun () -> flusher_loop db d)) db.wal;
   db
 
 let shutdown (db : t) =
   quiesce db;
   (* Stop the flusher after quiescence: its final pass flushes everything
-     still pending (no commit can be inflight any more) and releases any
+     still pending (no commit can be in flight any more) and releases any
      remaining waiters before the executor domains are joined. *)
-  (match db.own.wal with
-  | Some s ->
-    Mutex.lock s.wmu;
-    s.stop <- true;
-    Mutex.unlock s.wmu;
-    (match s.flusher with Some d -> Domain.join d | None -> ());
-    s.flusher <- None
-  | None -> ());
+  Option.iter Durability.close db.wal;
+  Option.iter Domain.join db.own.flusher;
+  db.own.flusher <- None;
   Array.iter (fun ex -> Mailbox.close ex.mb) db.own.execs;
   Array.iter Domain.join db.own.domains;
   db.own.domains <- [||]
 
 let n_domains (db : t) = Array.length db.own.execs
 
-let durable_epoch (db : t) =
-  match db.own.wal with Some s -> Atomic.get s.durable | None -> 0
 let n_fatal (db : t) = Atomic.get db.own.fatal
 
 (* --- dynamic-scheduling observability --- *)

@@ -83,14 +83,18 @@ type outcome = {
 
     {3 Durability}
 
-    [wal] attaches a write-ahead log: each committed root's after-images
-    are encoded on its executor and queued, and the transaction's
-    completion waits for the group flush that writes its record — one
-    batched append + flush of everything queued, run by the committer
-    itself unless a flush is already under way (a flusher domain also
-    tries one every 1 ms), attributed to the [Flush_wait] phase.
-    [epoch_len_s] (default 0.04 s) sets the Silo TID-epoch advance
-    interval, which also sets the granularity of {!durable_epoch}. *)
+    [wal] attaches a write-ahead log through the shared group commit
+    ([Reactdb.Durability]): each committed root's after-images are
+    encoded on its executor and queued, and the transaction's completion
+    waits for the group flush that writes its record — one batched append
+    + flush of everything queued, run by the committer itself unless a
+    flush is already under way (a flusher domain also tries one every
+    1 ms), attributed to the [Flush_wait] phase. The bound, the flush
+    count and the failure rule are {!Reactdb.Bootstrap.ADMIN}'s
+    [durable_epoch], [n_log_flushes] and [wal_error]; after {!shutdown}
+    the bound is the last epoch of the run. [epoch_len_s] (default
+    0.04 s) sets the Silo TID-epoch advance interval, which also sets the
+    granularity of [durable_epoch]. *)
 val start :
   ?chaos:Chaos.t ->
   ?mailbox_cap:int ->
@@ -108,15 +112,6 @@ val shutdown : t -> unit
 (** Number of containers, each owned by one spawned domain; a container's
     index is its domain's. *)
 val n_domains : t -> int
-
-(** The last epoch boundary the group commit flushed: every redo record
-    whose TID epoch is at most this is in the log — the bound a log
-    shipper may ship up to. A durable commit is acknowledged as soon as
-    the flush that writes its record returns, usually before this bound
-    passes its epoch. After {!shutdown}, the last epoch of the run. It
-    never moves again once a flush has failed ({!n_fatal} counts it). 0
-    without a WAL. *)
-val durable_epoch : t -> int
 
 (** {1 Shared admin and statistics API}
 
@@ -198,7 +193,7 @@ val quiesce : t -> unit
     - {b flip}: the routing table is atomically updated — affinity and
       cost ingress, round-robin forwarding hops and 2PC participant
       resolution all read the new epoch-stamped placement — and a durable
-      [Wal.Migrate] record is appended through the group-commit sink so
+      [Wal.Migrate] record is appended through group commit so
       crash recovery ({!Faultsim.recover}) replays placement
       deterministically.
     - {b replay}: the queued stub traffic dispatches against the new home
@@ -210,9 +205,10 @@ val quiesce : t -> unit
 
 (** [migrate t ~reactor ~dst] moves [reactor] to container [dst] and
     returns the migration pause in wall-clock µs (mark to flip: the window
-    during which new traffic to this reactor queued). Returns [0.] if the
-    reactor already lives on [dst]. Raises [Invalid_argument] on an
-    unknown reactor or container. *)
+    during which new traffic to this reactor queued), once its placement
+    record is flushed. Returns [0.] if the reactor already lives on
+    [dst]. Raises [Invalid_argument] on an unknown reactor or container,
+    and [Wal.Io_error] when the WAL failed (the flip stands, unlogged). *)
 val migrate : t -> reactor:string -> dst:int -> float
 
 (** Reactors currently homed on container [c], in declaration order. *)

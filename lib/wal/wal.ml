@@ -364,7 +364,11 @@ let read_file path =
 
 type file_sink = { oc : out_channel; path : string }
 
-type sink = Memory of entry list ref | File of file_sink
+(* The in-memory log is read while another domain appends (a log shipper
+   beside the group-commit flusher), so it is guarded by a lock. *)
+type mem = { mu : Mutex.t; items : entry Util.Vec.t }
+
+type sink = Memory of mem | File of file_sink
 
 type t = {
   sink : sink;
@@ -374,7 +378,8 @@ type t = {
 }
 
 let in_memory () =
-  { sink = Memory (ref []); count = 0; n_flushes = 0; flush_time_us = 0. }
+  { sink = Memory { mu = Mutex.create (); items = Util.Vec.create () }; count = 0;
+    n_flushes = 0; flush_time_us = 0. }
 
 let to_file path =
   let existing =
@@ -420,12 +425,13 @@ let record t e = match t.sink with Memory _ -> Entry e | File _ -> Line (with_sc
    buffer with no further encoding; the covering [flush] issues the I/O. *)
 let append_many t rs =
   (match t.sink with
-  | Memory r ->
-    List.iter
-      (function
-        | Entry e -> r := e :: !r
-        | Line _ -> invalid_arg "Wal.append_many: record of a file log")
-      rs
+  | Memory m ->
+    Mutex.protect m.mu (fun () ->
+        List.iter
+          (function
+            | Entry e -> Util.Vec.push m.items e
+            | Line _ -> invalid_arg "Wal.append_many: record of a file log")
+          rs)
   | File { oc; path } ->
     wrap_io path (fun () ->
         List.iter
@@ -439,7 +445,7 @@ let append_many t rs =
    per-commit path makes no string for it. *)
 let append t e =
   (match t.sink with
-  | Memory r -> r := e :: !r
+  | Memory m -> Mutex.protect m.mu (fun () -> Util.Vec.push m.items e)
   | File { oc; path } ->
     let b = Domain.DLS.get scratch in
     Buf.clear b;
@@ -449,10 +455,15 @@ let append t e =
 
 let length t = t.count
 
-let entries t =
+let entries_from t n =
   match t.sink with
-  | Memory r -> List.rev !r
+  | Memory m ->
+    Mutex.protect m.mu (fun () ->
+        let len = Util.Vec.length m.items in
+        List.init (Stdlib.max 0 (len - n)) (fun i -> Util.Vec.get m.items (n + i)))
   | File _ -> invalid_arg "Wal.entries: file-backed log (use read_file)"
+
+let entries t = entries_from t 0
 
 let flush t =
   match t.sink with

@@ -74,6 +74,10 @@ val length : t -> int
     [Invalid_argument] on file-backed logs — use {!read_file}). *)
 val entries : t -> entry list
 
+(** [entries_from t n] is [entries t] without its first [n] entries: a
+    reader's cursor. Safe while another domain appends. *)
+val entries_from : t -> int -> entry list
+
 (** Flush buffered records of a file-backed log to the file (the durable
     half of a group commit); no-op for in-memory logs (still counted in
     {!n_flushes}). *)

@@ -525,7 +525,9 @@ let test_fatal_error_frees_core () =
   | None -> Alcotest.fail "next root never completed"
 
 (* WAL device failure surfaces as a typed Internal abort through the commit
-   path — the engine keeps running, the transaction rolls back. *)
+   path, and fails the log for the rest of the run: the failed root's
+   record never reaches the file, a later writer is refused too, and a
+   read-only root still commits. *)
 let test_wal_failure_typed_abort () =
   let path = Filename.temp_file "reactdb_walfail" ".log" in
   let log = Wal.to_file path in
@@ -537,7 +539,7 @@ let test_wal_failure_typed_abort () =
       in
       check_bool "append works while device is up" true
         (Result.is_ok ok.DB.result);
-      (* revoke the device: the next commit's append raises Wal.Io_error,
+      (* revoke the device: the next commit's write raises Wal.Io_error,
          which the commit path must turn into a typed Internal abort *)
       Wal.close log;
       let out =
@@ -555,9 +557,50 @@ let test_wal_failure_typed_abort () =
         | Some c -> c.Obs.Abort.kind = Obs.Abort.Internal
         | None -> false);
       checkf "failed write rolled back" 100. (balance db "acct1");
-      (* read-only transactions log nothing and still commit *)
-      checkf "engine keeps running" 105. (balance db "acct0"));
+      check_bool "the failure is recorded" true
+        (match DB.wal_error db with Some m -> Strutil.contains m ~sub:"wal" | None -> false);
+      (match Wal.read_file_tolerant path with
+      | [ e ], Wal.Clean -> check_int "only the acknowledged record" 1 e.Wal.le_txn
+      | es, _ -> Alcotest.failf "log holds %d records" (List.length es));
+      let later =
+        DB.exec_txn db ~reactor:"acct1" ~proc:"deposit" ~args:[ Value.Float 5. ]
+      in
+      check_bool "a later writer is refused too" true
+        ((match later.DB.result with Error m -> Strutil.contains m ~sub:"wal" | Ok _ -> false)
+        && match later.DB.abort_cause with
+           | Some c -> c.Obs.Abort.kind = Obs.Abort.Internal
+           | None -> false);
+      (* read-only transactions log nothing and still commit; the refused
+         write is installed, only never acknowledged *)
+      checkf "a read-only root still commits" 105. (balance db "acct1"));
   Sys.remove path
+
+(* The simulator's side of the failure rule, on a device that fails every
+   flush: no writing root is acknowledged, not even the first, the durable
+   bound is never published, and the run keeps going. *)
+let test_failed_flush_sim () =
+  let log = Wal.to_file "/dev/full" in
+  with_db ~n:2 (sn_config 2) (fun db ->
+      DB.attach_wal db log;
+      let eng = DB.engine db in
+      let acked = ref 0 and refused = ref 0 in
+      for i = 0 to 19 do
+        let out =
+          DB.exec_txn db ~reactor:(Printf.sprintf "acct%d" (i mod 2)) ~proc:"deposit"
+            ~args:[ Value.Float 1. ]
+        in
+        (match out.DB.result with
+        | Ok _ -> incr acked
+        | Error m -> if Strutil.contains m ~sub:"wal" then incr refused);
+        Sim.Engine.delay 10_000.
+      done;
+      check_int "no writing root comes back Ok" 0 !acked;
+      check_int "every writer refused naming the wal" 20 !refused;
+      check_bool "the run spans several epochs" true (Sim.Engine.now eng > 160_000.);
+      check_int "no durable bound published" 0 (DB.durable_epoch db);
+      check_bool "the failure is recorded" true (DB.wal_error db <> None);
+      checkf "a read-only root still commits" 110. (balance db "acct0"));
+  try Wal.close log with Sys_error _ -> ()
 
 (* Bootstrap and the engine-free image resolve each loader's catalog by
    name through one index. With thousands of reactors every loader must
@@ -657,6 +700,8 @@ let suite =
         test_generous_deadline_commits;
       Alcotest.test_case "wal failure is a typed abort" `Quick
         test_wal_failure_typed_abort;
+      Alcotest.test_case "failed flush publishes no durable bound (sim)" `Quick
+        test_failed_flush_sim;
       Alcotest.test_case "abort buckets sum (sim)" `Quick
         test_abort_buckets_sum_sim;
       Alcotest.test_case "read-only outlasts deadline (sim)" `Quick

@@ -285,6 +285,100 @@ let test_fencing () =
   | Ok _ -> Alcotest.fail "fenced primary admitted a transaction");
   check_int "refusal counted" 1 (DB.n_fenced_refusals db)
 
+(* --- the shipper's cursor ---
+
+   The shipper reads the log through a cursor and keeps only what some
+   replica may still need. Over a growing log whose epochs interleave
+   (each append lands anywhere above the durable bound), with a seeded
+   chaos dropping shipments so the replicas' watermarks diverge, it must
+   deliver exactly what a shipper that filters the whole log every round
+   delivers: the same watermarks, logs and batch counts after every round
+   and the final ship, and the same lag before it. *)
+
+type ship_op = Append of int | Advance of int | Round
+
+let gen_ship_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 80)
+      (frequency
+         [ (4, map (fun k -> Append k) (int_bound 2));
+           (2, map (fun k -> Advance k) (int_bound 2)); (2, return Round) ]))
+
+let prop_cursor_shipper =
+  QCheck.Test.make ~name:"cursor shipper ships what the whole-log shipper ships"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (ops, seed) -> Printf.sprintf "%d ops, seed %d" (List.length ops) seed)
+       QCheck.Gen.(pair gen_ship_ops (int_bound 1000)))
+    (fun (ops, seed) ->
+      let decl = Testlib.bank_decl 2 in
+      let drops () = Chaos.make ~seed ~kind:Chaos.Drop_shipment ~p:0.3 () in
+      let log = Wal.in_memory () and durable = ref 0 in
+      let mine = [ Replica.create ~id:0 decl; Replica.create ~id:1 decl ] in
+      let theirs = [ Replica.create ~id:0 decl; Replica.create ~id:1 decl ] in
+      let sh =
+        Replica.Shipper.create ~chaos:(drops ()) ~log
+          ~durable_epoch:(fun () -> !durable) ~gen:(fun () -> 0) mine
+      in
+      let ref_chaos = drops () in
+      let suffix w =
+        List.filter
+          (fun e ->
+            let ep = Storage.Record.tid_epoch e.Wal.le_tid in
+            ep > w && ep <= !durable)
+          (Wal.entries log)
+      in
+      let ref_ship ~with_chaos =
+        List.iter
+          (fun r ->
+            let w = Replica.watermark r in
+            if !durable > w then begin
+              let b =
+                Replica.Batch.encode ~gen:0 ~from_epoch:(w + 1) ~to_epoch:!durable
+                  (suffix w)
+              in
+              if not (with_chaos && Chaos.draw_us ref_chaos Chaos.Drop_shipment <> None)
+              then ignore (Replica.apply r b)
+            end)
+          theirs
+      in
+      let same () =
+        List.for_all2
+          (fun a b ->
+            Replica.watermark a = Replica.watermark b
+            && Replica.log a = Replica.log b
+            && Replica.n_batches a = Replica.n_batches b)
+          mine theirs
+      in
+      let seq = ref 0 in
+      List.for_all
+        (function
+          | Append k ->
+            incr seq;
+            Wal.append log
+              (put ~txn:!seq ~epoch:(!durable + 1 + k) ~seq:!seq ~reactor:"acct0"
+                 (float_of_int !seq));
+            true
+          | Advance k ->
+            durable := !durable + k;
+            true
+          | Round ->
+            Replica.Shipper.round sh;
+            ref_ship ~with_chaos:true;
+            same ())
+        ops
+      && Replica.Shipper.lag sh
+         = List.map
+             (fun r ->
+               let w = Replica.watermark r in
+               let behind = max 0 (!durable - w) in
+               (Replica.id r, behind, if behind = 0 then 0 else Replica.Batch.size (suffix w)))
+             theirs
+      &&
+      (Replica.Shipper.final_ship sh;
+       ref_ship ~with_chaos:false;
+       same ()))
+
 (* --- end-to-end: ship under load, kill mid-2PC, promote --- *)
 
 let test_ship_kill_promote () =
@@ -293,13 +387,13 @@ let test_ship_kill_promote () =
   let cfg = Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n))) in
   let db = Harness.build decl cfg in
   let log = Wal.in_memory () in
-  DB.attach_wal ~durable:true db log;
+  DB.attach_wal db log;
   let chaos = Chaos.make ~seed:7 ~kind:Chaos.Kill_primary ~p:0.5 () in
   DB.attach_chaos db chaos;
   let replicas = [ Replica.create ~id:0 decl; Replica.create ~id:1 decl ] in
   let sh =
     Replica.Shipper.create
-      ~entries:(fun () -> Wal.entries log)
+      ~log
       ~durable_epoch:(fun () -> DB.durable_epoch db)
       ~gen:(fun () -> DB.generation db)
       replicas
@@ -441,6 +535,7 @@ let suite =
       Alcotest.test_case "replica reads at the watermark" `Quick
         test_replica_reads;
       Alcotest.test_case "primary generation fencing" `Quick test_fencing;
+      QCheck_alcotest.to_alcotest prop_cursor_shipper;
       Alcotest.test_case "ship, kill mid-2pc, promote" `Quick
         test_ship_kill_promote;
       Alcotest.test_case "replication lag rows through obs" `Quick

@@ -931,19 +931,21 @@ let test_ack_before_epoch_close () =
    through a run of about fifteen 2 ms epochs and after shutdown. That is
    0 unless a loaded host delays the first commit past the first epoch (a
    bound over an epoch with no records is still true). The failing device
-   degrades durability, not liveness: every root still completes, and
-   each failure counts as a fatal. *)
+   degrades durability, not liveness: every root still completes, none
+   of them is acknowledged, and the failure is recorded once, as the
+   WAL's error rather than a runtime fatal. *)
 let test_failed_flush_no_durable_bound () =
   let log = Wal.to_file "/dev/full" in
   let db =
     RDb.start ~wal:log ~epoch_len_s:0.002 (Testlib.bank_decl 2) (Testlib.sn_config 2)
   in
-  let roots = ref 0 and committed = ref 0 in
+  let roots = ref 0 and completed = ref 0 and acked = ref 0 in
   let deposit () =
     let reactor = Printf.sprintf "acct%d" (!roots mod 2) in
     incr roots;
     let out = RDb.exec_txn db ~reactor ~proc:"deposit" ~args:[ Value.Float 1. ] in
-    if Result.is_ok out.RDb.result then incr committed
+    incr completed;
+    if Result.is_ok out.RDb.result then incr acked
   in
   (* the first root returns only after its own flush failed *)
   deposit ();
@@ -956,8 +958,11 @@ let test_failed_flush_no_durable_bound () =
   done;
   RDb.shutdown db;
   (try Wal.close log with Sys_error _ -> ());
-  check_int "every root completed" !roots !committed;
-  check_bool "the failed flushes are fatals" true (RDb.n_fatal db > 0);
+  check_int "every root completed" !roots !completed;
+  check_int "no writing root acknowledged after the first failed flush" 0 !acked;
+  check_bool "the failed flush is recorded" true
+    (match RDb.wal_error db with Some m -> Strutil.contains m ~sub:"/dev/full" | None -> false);
+  check_int "and is not a runtime fatal" 0 (RDb.n_fatal db);
   check_int "no durable bound published mid-run" frozen !moved;
   check_int "no durable bound published at shutdown" frozen (RDb.durable_epoch db)
 

@@ -785,7 +785,7 @@ let test_durable_group_commit () =
   let flushes, committed =
     Testlib.with_db (Testlib.sn_config 4) (fun db ->
         let log = Wal.to_file path in
-        Reactdb.Database.attach_wal ~durable:true db log;
+        Reactdb.Database.attach_wal db log;
         Testlib.run_conflict_workload db ~workers:5 ~per_worker:6;
         Wal.close log;
         (Reactdb.Database.n_log_flushes db, Reactdb.Database.n_committed db))
@@ -798,6 +798,56 @@ let test_durable_group_commit () =
   | entries, Wal.Clean ->
     check_bool "durable log covers commits" true (List.length entries > 0)
   | _, Wal.Torn _ -> Alcotest.fail "durable log torn");
+  Sys.remove path
+
+(* A simulator commit is acknowledged by the flush that writes its record:
+   whenever [exec_txn] returns a deposit's new balance, the log file
+   already holds that record with a clean tail. A migration with a WAL
+   returns only once its placement record is in the file too. *)
+let test_sim_ack_after_flush () =
+  let path = Filename.temp_file "reactdb_simack" ".wal" in
+  let log = Wal.to_file path in
+  let db = Harness.build (Testlib.bank_decl 3) (Testlib.sn_config 3) in
+  Reactdb.Database.attach_wal db log;
+  let eng = Reactdb.Database.engine db in
+  let in_file pred =
+    match Wal.read_file_tolerant path with
+    | entries, Wal.Clean -> List.exists (fun e -> List.exists pred e.Wal.le_writes) entries
+    | _, Wal.Torn { reason; _ } -> Alcotest.fail ("log torn: " ^ reason)
+  in
+  let acked = ref 0 in
+  for c = 0 to 2 do
+    let reactor = Printf.sprintf "acct%d" c in
+    Sim.Engine.spawn eng (fun () ->
+        for _ = 1 to 5 do
+          match
+            (Reactdb.Database.exec_txn db ~reactor ~proc:"deposit"
+               ~args:[ Value.Float 5. ])
+              .Reactdb.Database.result
+          with
+          | Ok v ->
+            if
+              not
+                (in_file (function
+                  | Wal.Put { reactor = r; row; _ } -> r = reactor && row.(1) = v
+                  | _ -> false))
+            then Alcotest.failf "%s acknowledged before its record was written" reactor;
+            incr acked
+          | Error m -> Alcotest.fail m
+        done)
+  done;
+  ignore (Sim.Engine.run eng);
+  check_int "every deposit acknowledged" 15 !acked;
+  let moved = ref false in
+  Sim.Engine.spawn eng (fun () ->
+      ignore (Reactdb.Database.migrate db ~reactor:"acct0" ~dst:1);
+      moved :=
+        in_file (function
+          | Wal.Migrate { reactor = "acct0"; dst = 1 } -> true
+          | _ -> false));
+  ignore (Sim.Engine.run eng);
+  check_bool "migrate returns after its record is flushed" true !moved;
+  Wal.close log;
   Sys.remove path
 
 (* --- decoder fuzzing ---
@@ -1044,6 +1094,8 @@ let suite =
         test_torn_checkpoint_rejected;
       Alcotest.test_case "durable group commit" `Quick
         test_durable_group_commit;
+      Alcotest.test_case "sim commit acknowledged by its flush" `Quick
+        test_sim_ack_after_flush;
       QCheck_alcotest.to_alcotest prop_fuzz_framed;
       QCheck_alcotest.to_alcotest prop_fuzz_wal_file;
       QCheck_alcotest.to_alcotest prop_fuzz_batch;
