@@ -207,9 +207,11 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
    exponential backoff. With --replicas N the run redo-logs to an
    in-memory WAL and a background shipper keeps N log-shipping replicas
    current (DESIGN.md §12); --failover-at-ms T additionally runs a
-   promotion drill T ms into the run — final-ship the durable log,
-   promote the freshest replica through the recovery-equivalence oracle
-   and bump the shipping generation — while the primary keeps serving. *)
+   failover drill T ms into the run — fence the primary, final-ship the
+   durable log, promote the freshest replica through the
+   recovery-equivalence oracle and bump the shipping generation. From the
+   fence on the primary refuses every root, so the rest of the run counts
+   fenced aborts and no commit. *)
 let run_parallel_cmd workload scale theta workers domains duration_ms retries
     deadline_ms mailbox_cap chaos_spec router steal replicas failover_at_ms =
   let decl, reactors, gen = build_workload workload ~scale ~theta in
@@ -254,6 +256,7 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
   let stop_ship = Atomic.make false in
   let promotion = ref None in
   let drill_pause_us = ref 0. in
+  let committed_at_fence = ref 0 in
   let ship_dom =
     match repl with
     | None -> None
@@ -271,6 +274,10 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
                       && (Unix.gettimeofday () -. t0) *. 1000. >= t -> (
                  drilled := true;
                  let d0 = Unix.gettimeofday () in
+                 (* no commit is acknowledged after the fence returns, so
+                    the final ship below holds every acknowledged commit *)
+                 Runtime.Db.fence db;
+                 committed_at_fence := Runtime.Db.n_committed db;
                  Replica.Shipper.final_ship sh;
                  match Replica.freshest rs with
                  | None -> ()
@@ -327,9 +334,10 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
     | Some (Ok p) ->
       Printf.printf
         "failover drill  promoted replica %d at epoch %d (generation %d, %d \
-         log entries, pause %.1f ms)\n"
+         log entries, pause %.1f ms), %d commits after fence\n"
         p.Replica.pm_replica p.Replica.pm_epoch p.Replica.pm_gen
         p.Replica.pm_entries (!drill_pause_us /. 1000.)
+        (Runtime.Db.n_committed db - !committed_at_fence)
     | Some (Error e) -> Printf.printf "failover drill  REFUSED: %s\n" e
     | None -> ());
   match Audit.fatal db with
@@ -585,10 +593,13 @@ let failover_at_arg =
     & info [ "failover-at-ms" ] ~docv:"T"
         ~doc:
           "Failover drill (requires --replicas): $(docv) ms into the run, \
-           final-ship the durable log, promote the freshest replica \
-           through the recovery-equivalence oracle and bump the shipping \
-           generation. The primary keeps serving — this drills the \
-           promotion path and measures its pause without ending the run.")
+           fence the primary, final-ship the durable log, promote the \
+           freshest replica through the recovery-equivalence oracle and \
+           bump the shipping generation. The pause printed runs from the \
+           fence to the promotion; the fenced primary refuses every root \
+           for the rest of the run, and the drill line counts the commits \
+           acknowledged after the fence returned (0 unless fencing is \
+           broken).")
 
 let run_parallel_term =
   Term.(

@@ -17,8 +17,9 @@
     - {!Stall_flush}: a WAL group-commit flush stalls, delaying every
       transaction waiting on epoch durability.
     - {!Kill_primary}: the primary crashes mid-2PC — after phase-one votes
-      resolve, before install. The engine fences itself (every subsequent
-      admission is refused with a stale-generation error) and the killed
+      resolve, before install, on either backend. The primary fences
+      itself (every later root is refused with a stale-generation error)
+      and the killed
       transaction rolls back through the normal release path, modelling a
       coordinator death whose decision was never installed or flushed
       (see DESIGN.md §12).

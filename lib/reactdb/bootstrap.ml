@@ -5,8 +5,9 @@
     declaration and deployment {!Config.t}, and then keep the same state:
     the placement table, the table-owner map for redo logging, the commit
     and abort counters, the pin registry and migration gate ({!Pins}), the
-    group commit of an attached WAL ({!Durability}), the attached trace
-    collector and the transaction-id counter. A backend's
+    group commit of an attached WAL ({!Durability}), the primary's
+    generation and fence, the attached chaos injector and trace collector
+    and the transaction-id counter. A backend's
     database is a {!t} whose [own] field holds what is truly its own
     (engine and executors, or domains and mailboxes), and its admin and
     statistics API is {!ADMIN}, implemented once by {!Admin}. *)
@@ -122,6 +123,10 @@ type ('s, 'p) t = {
   mutable obs : Obs.Collector.t option;
       (** lifecycle tracing sink; [None] when untraced *)
   mutable wal : Durability.t option;  (** group commit (§8.3); [None] unlogged *)
+  mutable chaos : Chaos.t;  (** the seeded fault injector; {!Chaos.none} *)
+  generation : int Atomic.t;  (** the generation this primary serves (§12.4) *)
+  fenced : bool Atomic.t;  (** set once, never cleared: refuse every root *)
+  fenced_refusals : int Atomic.t;  (** roots refused while fenced *)
   txn_ids : int Atomic.t;
   own : 'p;  (** the backend's own state *)
 }
@@ -139,7 +144,9 @@ let create decl cfg ~epoch ~slot own =
     entries;
   { cfg; entries; reactors; table_owner; counters = counters (); epoch;
     registry = Pins.Registry.create ~epoch; gate = Pins.Gate.create ();
-    obs = None; wal = None; txn_ids = Atomic.make 0; own }
+    obs = None; wal = None; chaos = Chaos.none; generation = Atomic.make 0;
+    fenced = Atomic.make false; fenced_refusals = Atomic.make 0;
+    txn_ids = Atomic.make 0; own }
 
 (** Log every later commit's redo record to [log] through group commit. *)
 let attach_wal t log =
@@ -184,7 +191,7 @@ let admit t ~reactor ~proc ~parallel_ok =
     [now]. With a WAL attached, the placement record is queued write-ahead
     of the flip and the call returns once [wait] saw its flush. Raises
     [Invalid_argument] on an unknown reactor or container, and
-    [Wal.Io_error] when that flush failed (the flip stands, unlogged). *)
+    [Wal.Io_error] when the WAL failed (the flip stands, unlogged). *)
 let migrate t ~suspend ~now ~wait ~reactor ~dst =
   let r = lookup t reactor in
   if dst < 0 || dst >= Config.n_containers t.cfg then
@@ -196,20 +203,26 @@ let migrate t ~suspend ~now ~wait ~reactor ~dst =
     Option.iter
       (fun d ->
         let tag = Durability.register d in
-        flush :=
-          Some
-            (Durability.queue d ~tag
-               { Wal.le_txn = -seq; le_tid = Storage.Record.tid_make ~epoch:tag ~seq;
-                 le_writes = [ Wal.Migrate { reactor; dst } ] }))
+        let queued =
+          Durability.queue d ~tag
+            { Wal.le_txn = -seq; le_tid = Storage.Record.tid_make ~epoch:tag ~seq;
+              le_writes = [ Wal.Migrate { reactor; dst } ] }
+        in
+        if Result.is_error queued then Durability.cancel d tag;
+        flush := Some queued)
       t.wal
   in
   let pause =
     Pins.Gate.migrate t.gate ~suspend ~now ~reactor
       ~home:(fun () -> Atomic.get r.home) ~set_home:(Atomic.set r.home) ~dst ~log
   in
-  match Option.map wait !flush with
+  match Option.map (fun q -> Result.bind q wait) !flush with
   | Some (Error m) -> raise (Wal.Io_error m)
   | Some (Ok ()) | None -> pause
+
+(** A root's re-check after its gate registration: whether the primary is
+    fenced ({!Pins.Gate.fence}; DESIGN.md §12.4), counting the refusal. *)
+let refuses t = Atomic.get t.fenced && (Atomic.incr t.fenced_refusals; true)
 
 (** {1 The admin and statistics API of both backends} *)
 
@@ -322,10 +335,26 @@ module type ADMIN = sig
   val n_log_flushes : t -> int
 
   (** The WAL's first write or flush failure ([Wal.Io_error]), if any.
-      From that failure on nothing more is written: the batch it failed
-      and every later logged commit come back as an "internal" abort
-      naming the WAL, although their writes are installed. *)
+      The batch it failed comes back as an "internal" abort naming the
+      WAL, although its writes are installed; every later logged commit
+      gets the same abort before it installs anything. *)
   val wal_error : t -> string option
+
+  (** {2 Replication fencing (DESIGN.md §12.4)}
+
+      A primary serves at a {e generation} (default 0); a promoted replica
+      takes the next one. Once the old primary is fenced (the backend's
+      [fence], or the [Chaos.Kill_primary] point between the 2PC phases)
+      every root it admits is refused with an "internal" abort ("fenced:
+      stale primary generation") before it touches a record, and a 2PC
+      rolls back instead of installing. A fence is never lifted. *)
+
+  val generation : t -> int
+  val set_generation : t -> int -> unit
+  val fenced : t -> bool
+
+  (** Roots refused while fenced; each also counts as "internal". *)
+  val n_fenced_refusals : t -> int
 
   (** {2 Observability} *)
 
@@ -372,5 +401,9 @@ module Admin = struct
   let durable_epoch t = Option.fold ~none:0 ~some:Durability.durable_epoch t.wal
   let n_log_flushes t = Atomic.get t.counters.log_flushes
   let wal_error t = Option.bind t.wal Durability.error
+  let generation t = Atomic.get t.generation
+  let set_generation t g = Atomic.set t.generation g
+  let fenced t = Atomic.get t.fenced
+  let n_fenced_refusals t = Atomic.get t.fenced_refusals
   let attach_obs t c = t.obs <- Some c
 end

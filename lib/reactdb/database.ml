@@ -51,20 +51,9 @@ type sim = {
   mutable record_history : bool;
   mutable hist : Histories.Certify.entry list;
   mutable stats_since : float;
-  mutable chaos : Chaos.t;
   mutable mailbox_cap : int option;
       (* root admission bound per executor request queue; [None] =
          unbounded (sheds surface as [Obs.Abort.Overloaded] outcomes) *)
-  (* -- replication / failover (DESIGN.md §12) --------------------------
-     Generation-stamped admission, mirroring the migration gate's
-     generations at the whole-primary scale: a primary serves at
-     generation [prim_gen]; once [fenced] (a newer generation was
-     promoted, or the Kill_primary chaos probe fired), every admission is
-     refused with a typed error and an in-flight 2PC may no longer
-     install. *)
-  mutable prim_gen : int;
-  mutable fenced : bool;
-  mutable n_fenced : int; (* admissions refused while fenced *)
 }
 
 type t = (int list, sim) Bootstrap.t
@@ -173,10 +162,9 @@ let note_history (db : sim) (root : root) tid =
             (Occ.Txn.reads_in root.txn ~container:c))
         (Occ.Txn.containers root.txn)
     in
-    let writes = ref [] in
-    Occ.Txn.iter_all_writes root.txn ~f:(fun e ->
-        writes := e.Occ.Txn.wrec.Storage.Record.rid :: !writes);
-    let writes = List.rev !writes in
+    let writes =
+      List.map (fun e -> e.Occ.Txn.wrec.Storage.Record.rid) (Occ.Txn.all_writes root.txn)
+    in
     db.hist <-
       { Histories.Certify.c_txn = Occ.Txn.id root.txn; c_tid = tid;
         c_reads = reads; c_writes = writes }
@@ -194,7 +182,7 @@ let spawn_flush (db : t) =
       (* Chaos: the flush stalls (device hiccup), delaying every commit
          waiting on it; the batch keeps its waiters, so no second flush
          is spawned meanwhile. *)
-      (match Chaos.draw_us db.own.chaos Chaos.Stall_flush with
+      (match Chaos.draw_us db.chaos Chaos.Stall_flush with
       | Some d -> Engine.delay d
       | None -> ());
       Option.iter Durability.flush db.wal)
@@ -343,14 +331,6 @@ module P = struct
   let charge_install (db : db) = Engine.delay db.own.prof.Profile.cost_commit_base
   let prepared _ = ()
 
-  (* Chaos: the primary dies mid-2PC. The engine fences itself
-     (generation-stamped admission refuses everything from here on), so no
-     replica or recovery replay can ever observe the rolled-back root. *)
-  let killed (db : db) =
-    let s = db.own in
-    if Chaos.draw_us s.chaos Chaos.Kill_primary <> None then s.fenced <- true;
-    s.fenced
-
   (* The history entry, every participant's locks held. *)
   let log_commit (db : db) (root : root) ~tid = note_history db.own root tid
 
@@ -445,16 +425,9 @@ let exec_txn ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args =
     | None -> false
   in
   let out =
-    if s.fenced then begin
-      (* Generation fencing: a fenced primary refuses every admission
-         outright — the root never enqueues, never touches a record. The
-         refusal is a typed outcome so drivers can count it exactly. *)
-      s.n_fenced <- s.n_fenced + 1;
-      Error
-        ( Lifecycle.Ab_internal,
-          "fenced: stale primary generation",
-          Obs.Abort.Internal )
-    end
+    (* Generation fencing, re-checked after [register]: a fenced primary
+       refuses the root before it enqueues or touches a record. *)
+    if Bootstrap.refuses db then Lifecycle.fenced
     else if shed then
       Error
         ( Lifecycle.Ab_overload,
@@ -554,11 +527,7 @@ let create eng decl cfg prof =
         record_history = false;
         hist = [];
         stats_since = Engine.now eng;
-        chaos = Chaos.none;
         mailbox_cap = None;
-        prim_gen = 0;
-        fenced = false;
-        n_fenced = 0;
       }
   in
   Array.iter (fun ex -> Engine.spawn eng (dispatcher cfg.Config.mpl ex)) execs;
@@ -602,15 +571,11 @@ let reset_stats (db : t) =
 
 let attach_wal = Bootstrap.attach_wal
 
-let attach_chaos (db : t) c = db.own.chaos <- c
+let attach_chaos (db : t) c = db.chaos <- c
 let set_mailbox_cap (db : t) cap = db.own.mailbox_cap <- cap
 let enable_history (db : t) = db.own.record_history <- true
 
-(* -- replication / failover (DESIGN.md §12) -------------------------- *)
+(* The shared fence (DESIGN.md §12.4), suspending like [migrate]. *)
+let fence (db : t) = Pins.Gate.fence db.gate ~suspend:Engine.suspend db.fenced
 
-let generation (db : t) = db.own.prim_gen
-let set_generation (db : t) g = db.own.prim_gen <- g
-let fence (db : t) = db.own.fenced <- true
-let fenced (db : t) = db.own.fenced
-let n_fenced_refusals (db : t) = db.own.n_fenced
 let history (db : t) = List.rev db.own.hist

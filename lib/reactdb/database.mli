@@ -98,18 +98,12 @@ include Bootstrap.ADMIN with type t := t
 (** {1 Live reconfiguration (online reactor migration — see DESIGN.md §11)}
 
     [migrate t ~reactor ~dst] moves a reactor to container [dst] while
-    traffic runs, and returns the migration pause in virtual µs. The
-    protocol mirrors the parallel runtime's, collapsed onto the engine's
-    single thread: {e mark} (roots and sub-calls admitted after the mark
-    that target the reactor suspend at a forwarding stub), {e drain} (wait
-    until every pre-mark root in the database has completed; the deadline
-    machinery is the straggler backstop), {e log} (a {!Wal.Migrate} record
-    is queued write-ahead of the flip, so {!Faultsim.recover} replays
-    placement deterministically; the call returns once it is flushed), {e flip} (one re-homing write, atomic in
-    virtual time — catalogs are keyed by reactor, so records, secondary
-    indexes and snapshot version chains move with the pointer and snapshot
-    readers are never broken), {e replay} (parked stub traffic resumes
-    against the new placement).
+    traffic runs, and returns the migration pause in virtual µs, by the
+    protocol both backends share ({!Pins.Gate.migrate}: mark → drain →
+    log → flip → replay; the call returns once the {!Wal.Migrate} record
+    is flushed). The flip is one re-homing write, atomic in virtual time:
+    catalogs are keyed by reactor, so records, secondary indexes and
+    snapshot version chains move with the pointer.
 
     Because execution is deterministic in virtual time and placement never
     affects transaction results, a serial workload interleaved with
@@ -117,11 +111,11 @@ include Bootstrap.ADMIN with type t := t
     the same workload on a static deployment — the virtualization claim of
     the paper, checked by [bench/elasticity.exe].
 
-    Migrations are serialized; concurrent callers queue. Must be called
-    from inside the engine (it suspends). Moving a reactor to its current
-    container returns [0.] without marking. Raises [Invalid_argument] on
-    an unknown reactor or container index, and [Wal.Io_error] when the WAL
-    failed (the flip stands, unlogged). *)
+    Migrations and {!fence} are serialized; concurrent callers queue. Must
+    be called from inside the engine (it suspends). Moving a reactor to
+    its current container returns [0.] without marking. Raises
+    [Invalid_argument] on an unknown reactor or container index, and
+    [Wal.Io_error] when the WAL failed (the flip stands, unlogged). *)
 val migrate : t -> reactor:string -> dst:int -> float
 
 (** Bootstrap-time only: silently re-home reactors (no drain, no log
@@ -159,32 +153,12 @@ val reset_stats : t -> unit
     (Wal.entries log) ~catalog_of:(catalog_of fresh_db)]. *)
 val attach_wal : t -> Wal.t -> unit
 
-(** {1 Replication fencing (generation-stamped admission — DESIGN.md §12)}
-
-    A primary serves at a {e generation} (default 0). When a replica is
-    promoted it takes generation + 1; the old primary, were it to limp
-    back, is {!fence}d: every subsequent {!exec_txn} is refused at
-    admission with a typed [Internal] outcome ("fenced: stale primary
-    generation") before it touches a queue or a record, and an in-flight
-    two-phase commit rolls back instead of installing. The
-    [Chaos.Kill_primary] injection point fences the engine mid-2PC,
-    modelling a coordinator crash whose decision never installed. *)
-
-val generation : t -> int
-
-val set_generation : t -> int -> unit
-
-(** Mark this primary's generation stale. Irreversible for the lifetime
-    of the engine — a fenced primary only ever refuses, and each refusal
-    counts in the "internal" bucket of {!aborts_by_reason}, as does a
-    primary killed mid-2PC. *)
+(** Fence this primary (DESIGN.md §12.4; the generation, flag and refusal
+    count are {!Bootstrap.ADMIN}'s): every root admitted from then on is
+    refused, and the call returns once every root admitted before has
+    installed or rolled back (a logged one may still wait for its flush).
+    With roots in flight it suspends, like {!migrate}. *)
 val fence : t -> unit
-
-val fenced : t -> bool
-
-(** Admissions refused while fenced (exact attempt accounting for
-    failover drills). *)
-val n_fenced_refusals : t -> int
 
 (** {1 Overload protection and chaos injection}
 
@@ -192,7 +166,7 @@ val n_fenced_refusals : t -> int
     {!Chaos}); the simulator probes it at its catalogued injection points
     — [Stall_flush], charged as {e virtual} delay inside the group-commit
     flusher before the device flush, and [Kill_primary], which fences the
-    engine mid-2PC (votes resolved, nothing installed — see the fencing
+    primary mid-2PC (votes resolved, nothing installed — see the fencing
     section above). Delivery/prepare stalls are wall-clock concepts
     probed by the parallel runtime.
 

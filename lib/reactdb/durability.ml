@@ -17,7 +17,8 @@
 
     One failure rule: the first failed write or flush fails the sink for
     the rest of the run. That batch and every later one are filled with
-    [Error], naming the WAL; no later record is written, so the log stays
+    [Error], naming the WAL; no later record is queued ({!queue}
+    refuses, so its commit never installs) or written, so the log stays
     a consistent prefix; the failure is recorded once ({!error}); and no
     bound is published again.
 
@@ -62,13 +63,17 @@ let register d =
 let cancel d tag = Mutex.protect d.mu (fun () -> Epochs.remove d.inflight tag)
 
 (** Encode [e] on the caller, outside [mu], queue it and drop [tag];
-    returns the batch the record joined. *)
+    returns the batch the record joined. Once the log failed it refuses
+    with the failure instead and leaves [tag] to {!cancel}. *)
 let queue d ~tag e =
   let r = Wal.record d.log e in
   Mutex.protect d.mu (fun () ->
-      Epochs.remove d.inflight tag;
-      d.pending <- r :: d.pending;
-      d.batch)
+      match d.error with
+      | Some m -> Error m
+      | None ->
+        Epochs.remove d.inflight tag;
+        d.pending <- r :: d.pending;
+        Ok d.batch)
 
 (* One flush; the caller holds [fmu]. *)
 let flush_held d =

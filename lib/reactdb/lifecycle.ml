@@ -43,8 +43,9 @@ let redo_writes owner txn =
     (Occ.Txn.all_writes txn)
 
 (* Commit-time aborts: a failed validation (its kind refined by the fail
-   reason), and internal failures — a failed WAL, a primary killed between
-   the phases, a commit step dying on an exception. *)
+   reason), and internal failures — a failed WAL, a fenced primary, a
+   primary killed between the phases, a commit step dying on an
+   exception. *)
 let validation_failed fr =
   ( Ab_validation,
     Occ.Commit.fail_message fr,
@@ -55,6 +56,8 @@ let validation_failed fr =
     | Occ.Commit.Key_exists -> Obs.Abort.Key_exists )
 
 let internal m = (Ab_internal, m, Obs.Abort.Internal)
+let wal_failed m = internal ("wal write failed: " ^ m)
+let fenced = Error (internal "fenced: stale primary generation")
 
 module Make (P : PLATFORM) = struct
   let root (db : (P.slot, P.t) Bootstrap.t) ~txn ~retry ~t_start ?deadline_us ~readonly rx =
@@ -307,36 +310,39 @@ module Make (P : PLATFORM) = struct
      hold <= TID epoch. The commit hold lasts until every install landed,
      so no snapshot is issued at an epoch that can still gain installs.
      Both are dropped on every path, since a leaked tag would freeze the
-     durable bound and a leaked hold snapshots and GC. *)
+     durable bound and a leaked hold snapshots and GC. A failed log
+     refuses the record: nothing installs, and the caller releases the
+     participants as for a refused vote. *)
   let install_all db root ~install =
     let reg = db.Bootstrap.registry in
     let commit log =
       let epoch = Pins.Registry.hold_commit reg in
       Fun.protect ~finally:(fun () -> Pins.Registry.drop_commit reg epoch) (fun () ->
           let tid = Occ.Commit.compute_tid root.txn ~epoch in
-          log tid;
-          P.log_commit db root ~tid;
-          install ~tid
-            ~horizon:
-              (if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg)
-               else None))
+          match log tid with
+          | Error m -> Error (wal_failed m)
+          | Ok () ->
+            P.log_commit db root ~tid;
+            install ~tid
+              ~horizon:
+                (if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg)
+                 else None);
+            Ok ())
     in
     match db.wal with
-    | None -> commit ignore
+    | None -> commit (fun _ -> Ok ())
     | Some d -> (
       match redo_writes db.table_owner root.txn with
-      | [] -> commit ignore
+      | [] -> commit (fun _ -> Ok ())
       | writes ->
         let tag = Durability.register d in
         Fun.protect
           ~finally:(fun () -> if Option.is_none root.flush then Durability.cancel d tag)
           (fun () ->
             commit (fun tid ->
-                root.flush <-
-                  Some
-                    (Durability.queue d ~tag
-                       { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid;
-                         le_writes = writes }))))
+                Durability.queue d ~tag
+                  { Wal.le_txn = Occ.Txn.id root.txn; le_tid = tid; le_writes = writes }
+                |> Result.map (fun b -> root.flush <- Some b))))
 
   (* One participant's prepare vote: refuse outright when the root's
      deadline has passed (no locks taken: the coordinator rolls the others
@@ -387,21 +393,22 @@ module Make (P : PLATFORM) = struct
     let prepared =
       List.concat (List.map2 (fun c v -> if Result.is_ok v then [ c ] else []) containers votes)
     in
-    (* Chaos: the primary dies (or was fenced) between the phases; nothing
-       is installed or logged, so the root rolls back as on an abort vote. *)
-    let killed = P.killed db in
+    (* Chaos: the primary dies between the phases and fences itself. A
+       fenced primary installs and logs nothing, so the root rolls back as
+       on an abort vote. *)
+    if Chaos.draw_us db.chaos Chaos.Kill_primary <> None then Atomic.set db.fenced true;
     let r =
       match List.find_map (function Error r -> Some r | Ok () -> None) votes with
-      | _ when killed -> release prepared; Error (internal "primary killed mid-2pc")
-      | Some reason -> release prepared; Error reason
+      | _ when Atomic.get db.fenced -> Error (internal "primary killed mid-2pc")
+      | Some reason -> Error reason
       | None ->
         install_all db root ~install:(fun ~tid ~horizon ->
             ignore
               (on_each containers ~dead:() (fun c ->
                    P.charge_install db;
-                   Occ.Commit.install ?horizon root.txn ~container:c ~tid)));
-        Ok ()
+                   Occ.Commit.install ?horizon root.txn ~container:c ~tid)))
     in
+    if Result.is_error r then release prepared;
     since root Obs.Phase.Commit t_dec;
     r
 
@@ -414,10 +421,13 @@ module Make (P : PLATFORM) = struct
     | Error _ as e -> e
     | Ok () ->
       let t1 = stamp root in
-      install_all db root ~install:(fun ~tid ~horizon ->
-          Occ.Commit.install ?horizon root.txn ~container:c ~tid);
+      let r =
+        install_all db root ~install:(fun ~tid ~horizon ->
+            Occ.Commit.install ?horizon root.txn ~container:c ~tid)
+      in
+      if Result.is_error r then Occ.Commit.release root.txn ~container:c;
       since root Obs.Phase.Commit t1;
-      Ok ()
+      r
 
   let do_commit db root ~coord =
     let t0 = stamp root in
@@ -483,9 +493,7 @@ module Make (P : PLATFORM) = struct
         let t = stamp root in
         let flushed = Option.fold ~none:(Ok ()) ~some:(P.wait_durable db) root.flush in
         since root Obs.Phase.Flush_wait t;
-        match flushed with
-        | Ok () -> verdict
-        | Error m -> Error (internal ("wal write failed: " ^ m)))
+        match flushed with Ok () -> verdict | Error m -> Error (wal_failed m))
     in
     let latency = P.now () -. root.t_start in
     let participants = Stdlib.max 1 (List.length (Occ.Txn.containers root.txn)) in

@@ -19,12 +19,9 @@ end
     counters ({!Bootstrap.counters}). *)
 val count_abort : Bootstrap.counters -> abort_class -> unit
 
-(** {1 Redo records} *)
-
-(** The redo writes of a transaction's write set. [owner] maps a table uid
-    to its (reactor, table name). *)
-val redo_writes :
-  (int, string * string) Hashtbl.t -> Occ.Txn.t -> Wal.write list
+(** A root refused by a fenced primary ({!Bootstrap.refuses}): an
+    "internal" abort, "fenced: stale primary generation". *)
+val fenced : verdict
 
 module Make (P : PLATFORM) : sig
   (** A fresh root, traced when a collector is attached to the database;

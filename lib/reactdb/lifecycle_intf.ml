@@ -115,11 +115,8 @@ module type PLATFORM = sig
 
   val charge_install : (slot, t) Bootstrap.t -> unit
 
-  (** Chaos points: a 2PC participant prepared (locks held); between the
-      phases, where a dead (or fenced) primary rolls the root back. *)
+  (** Chaos point: a 2PC participant prepared (locks held). *)
   val prepared : (slot, t) Bootstrap.t -> unit
-
-  val killed : (slot, t) Bootstrap.t -> bool
 
   (** Between TID and install, every participant's locks held and the
       redo record queued: the platform's own record of the commit (the

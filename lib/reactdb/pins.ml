@@ -109,12 +109,20 @@ module Gate = struct
       Mutex.unlock t.mu;
       k ()
 
-  let mark t reactor =
+  (* Bump the generation, running [f cutoff] under [mu] first. *)
+  let advance t f =
     Mutex.protect t.mu (fun () ->
         Atomic.set t.active true;
-        let cutoff = Atomic.fetch_and_add t.gen 1 in
-        Hashtbl.replace t.stubs reactor { cutoff; parked = [] };
+        let cutoff = Atomic.get t.gen in
+        f cutoff;
+        Atomic.incr t.gen;
         cutoff)
+
+  let mark t reactor =
+    advance t (fun cutoff -> Hashtbl.replace t.stubs reactor { cutoff; parked = [] })
+
+  (* Under [mu]: the last stub gone ends the active period. *)
+  let settle t = if Hashtbl.length t.stubs = 0 then Atomic.set t.active false
 
   let flip t reactor =
     Mutex.protect t.mu (fun () ->
@@ -125,7 +133,7 @@ module Gate = struct
             List.rev s.parked
           | None -> []
         in
-        if Hashtbl.length t.stubs = 0 then Atomic.set t.active false;
+        settle t;
         parked)
 
   (* Block until [ready ()] holds under [mu]. Not ready: the waker is
@@ -169,9 +177,12 @@ module Gate = struct
       t.busy <- false;
       Mutex.unlock t.mu
 
-  let migrate t ~suspend ~now ~reactor ~home ~set_home ~dst ~log =
+  let serialized t ~suspend f =
     wait_for t ~suspend ~ready:(claim t) ~enqueue:(fun w -> Queue.add w t.queued);
-    Fun.protect ~finally:(fun () -> dismiss t) (fun () ->
+    Fun.protect ~finally:(fun () -> dismiss t) f
+
+  let migrate t ~suspend ~now ~reactor ~home ~set_home ~dst ~log =
+    serialized t ~suspend (fun () ->
         if home () = dst then 0.
         else begin
           let t0 = now () in
@@ -189,6 +200,12 @@ module Gate = struct
           List.iter (fun k -> k ()) parked;
           pause
         end)
+
+  (* A mark of the whole primary with no stub; see the interface. *)
+  let fence t ~suspend flag =
+    serialized t ~suspend (fun () ->
+        drain t ~suspend (advance t (fun _ -> Atomic.set flag true));
+        Mutex.protect t.mu (fun () -> settle t))
 
   let n_migrations t = Atomic.get t.n_migrations
   let placement_epoch t = Atomic.get t.placement_epoch

@@ -95,6 +95,14 @@ module Gate : sig
     reactor:string -> home:(unit -> int) -> set_home:(int -> unit) -> dst:int ->
     log:(seq:int -> unit) -> float
 
+  (** Serialized with migrations: set the flag, bump the generation as
+      {!mark} does but with no stub, {!drain} the cutoff and end the
+      active period as {!flip} does. A root that re-checks the flag after
+      {!register} is refused if it registered after the bump, so once
+      this returns no root admitted before it is live and none is
+      admitted after it. *)
+  val fence : t -> suspend:(((unit -> unit) -> unit) -> unit) -> bool Atomic.t -> unit
+
   val n_migrations : t -> int
 
   (** Bumped at every flip. *)

@@ -35,8 +35,8 @@
     catalogs — byte-for-byte the single-node recovery path — and diffs the
     result against the replica's live state ([Faultsim.diff] plus a full
     secondary-index audit) before the replica is allowed to take over
-    under a bumped generation. The dead primary is fenced by
-    generation-stamped admission ([Reactdb.Database.fence]). *)
+    under a bumped generation. The dead primary is fenced first
+    ([Reactdb.Database.fence] or [Runtime.Db.fence]). *)
 
 (** {1 Shipped batches} *)
 

@@ -57,7 +57,6 @@ type own = {
   steal : bool;
   epoch_len : float;
   mutable flusher : unit Domain.t option;  (* with a WAL: its flusher domain *)
-  chaos : Chaos.t;
   fatal : int Atomic.t;
   fatal_mu : Mutex.t;
   mutable fatal_msgs : string list;
@@ -78,9 +77,7 @@ include Bootstrap.Admin
 let record_fatal (db : t) e =
   let o = db.own in
   Atomic.incr o.fatal;
-  Mutex.lock o.fatal_mu;
-  o.fatal_msgs <- Printexc.to_string e :: o.fatal_msgs;
-  Mutex.unlock o.fatal_mu
+  Mutex.protect o.fatal_mu (fun () -> o.fatal_msgs <- Printexc.to_string e :: o.fatal_msgs)
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain fiber scheduler. A fiber is any mailbox job run under the
@@ -179,7 +176,7 @@ let domain_loop (db : t) ex =
   let run msg =
     (* Chaos: an unresponsive executor domain — everything queued behind
        this mailbox waits out the stall. One branch when chaos is off. *)
-    Chaos.inject_wall db.own.chaos Chaos.Stall_domain;
+    Chaos.inject_wall db.chaos Chaos.Stall_domain;
     let t_run = Unix.gettimeofday () in
     run_msg db ex msg;
     let t_done = Unix.gettimeofday () in
@@ -350,7 +347,7 @@ module P = struct
            (fun () ->
              (* Chaos: the shipped sub-call stalls before it starts
                 executing on the destination domain. *)
-             Chaos.inject_wall db.own.chaos Chaos.Delay_delivery;
+             Chaos.inject_wall db.chaos Chaos.Delay_delivery;
              let mu = root.rx.rmu.(rex.eid) in
              Mutex.lock mu;
              let r = f rex rex.eid in
@@ -390,8 +387,7 @@ module P = struct
 
   (* Chaos: a participant stalls with its write locks held — the worst
      place to lose time. *)
-  let prepared (db : db) = Chaos.inject_wall db.own.chaos Chaos.Stall_prepare
-  let killed _ = false
+  let prepared (db : db) = Chaos.inject_wall db.chaos Chaos.Stall_prepare
 
   let log_commit _ _ ~tid:_ = ()
 
@@ -415,7 +411,7 @@ module L = Lifecycle.Make (P)
 let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
     ?deadline_us ~k (ex : exec) =
   (* Chaos: the root dispatch message stalls before execution begins. *)
-  Chaos.inject_wall db.own.chaos Chaos.Delay_delivery;
+  Chaos.inject_wall db.chaos Chaos.Delay_delivery;
   maybe_advance_epoch db;
   (* Re-read the home at execution start: a parked root replayed after a
      flip must run against the new placement. Stable from here on — a
@@ -428,13 +424,20 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
       { rmu = Array.init (Array.length db.own.execs) (fun _ -> Mutex.create ());
         rgen }
   in
-  (* Queue wait: submit → this job running on the home domain, including
-     any round-robin forwarding hop and mailbox residence. *)
-  let mu = root.rx.rmu.(home) in
-  Mutex.lock mu;
-  let res = L.run_body db root place ~home ex ~queued_since:t_submit ~proc ~args in
-  Mutex.unlock mu;
-  let verdict = L.decide db root ~coord:ex res in
+  let verdict =
+    (* Fencing is re-checked here, after [submit] registered: a refusal on
+       the submitter would recurse through a closed-loop client's submit. *)
+    if Bootstrap.refuses db then Lifecycle.fenced
+    else begin
+      (* Queue wait: submit → this job running on the home domain,
+         including any round-robin forwarding hop and mailbox residence. *)
+      let mu = root.rx.rmu.(home) in
+      Mutex.lock mu;
+      let res = L.run_body db root place ~home ex ~queued_since:t_submit ~proc ~args in
+      Mutex.unlock mu;
+      L.decide db root ~coord:ex res
+    end
+  in
   (* Slot ownership follows physical execution: this message runs on
      [ex]'s domain, so it records into slot [ex.eid] — with stealing or
      cost routing that may differ from the reactor's home container. *)
@@ -647,6 +650,9 @@ let block register =
 let migrate (db : t) ~reactor ~dst =
   Bootstrap.migrate db ~suspend:block ~now:now_us ~wait:Ivar.read_block ~reactor ~dst
 
+(* The shared fence (DESIGN.md §12.4), blocking like [migrate]. *)
+let fence (db : t) = Pins.Gate.fence db.gate ~suspend:block db.fenced
+
 let reactors_on db c =
   List.filter_map
     (fun (name, home) -> if home = c then Some name else None)
@@ -684,7 +690,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
         steal;
         epoch_len = Float.max 1e-4 epoch_len_s;
         flusher = None;
-        chaos;
         fatal = Atomic.make 0;
         fatal_mu = Mutex.create ();
         fatal_msgs = [];
@@ -696,6 +701,7 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
         domains = [||];
       }
   in
+  db.chaos <- chaos;
   db.own.domains <-
     Array.map (fun ex -> Domain.spawn (fun () -> domain_loop db ex)) execs;
   Option.iter (Bootstrap.attach_wal db) wal;
@@ -781,11 +787,7 @@ let publish_sched_obs (db : t) =
           ~qdepth_ewma:(Atomic.get ex.qdepth_ewma))
       db.own.execs
 
-let fatal_messages (db : t) =
-  Mutex.lock db.own.fatal_mu;
-  let m = db.own.fatal_msgs in
-  Mutex.unlock db.own.fatal_mu;
-  m
+let fatal_messages (db : t) = Mutex.protect db.own.fatal_mu (fun () -> db.own.fatal_msgs)
 
 (* [busy_s] is private to its domain; snapshot it with a mailbox job so the
    read happens on the owner with proper ordering. *)

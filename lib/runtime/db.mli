@@ -62,7 +62,9 @@ type outcome = {
     [chaos] (default {!Chaos.none}) attaches a seeded fault injector; the
     runtime probes it at the catalogued injection points (root/sub-call
     delivery, between jobs on each domain, after a successful 2PC prepare
-    with locks held). [mailbox_cap] bounds each container's mailbox for
+    with locks held, and [Kill_primary] between the 2PC phases, which
+    fences the runtime as {!fence} does, without the drain).
+    [mailbox_cap] bounds each container's mailbox for
     {e root admission only}: when the ingress mailbox already holds that
     many messages, {!submit} sheds the root with an
     [Obs.Abort.Overloaded] outcome instead of enqueuing it — internal
@@ -174,34 +176,17 @@ val quiesce : t -> unit
 
 (** {1 Live reconfiguration (online reactor migration — see DESIGN.md §11)}
 
-    Placement is a runtime-mutable property: {!migrate} moves a reactor to
-    a new container under live load with no lost or duplicated
-    transactions. The protocol is mark → drain → handoff → flip → replay:
-
-    - {b mark}: the reactor enters the {e migrating} state; roots and
-      sub-calls submitted after the mark that target it queue at a
-      forwarding stub instead of executing.
-    - {b drain}: the call blocks until every root admitted before the mark
-      has completed (committed or aborted) — after which nothing that may
-      legally touch the old placement is running. Stragglers are bounded
-      by the deadline machinery: give roots a [deadline_us] budget and the
-      drain is bounded by it.
-    - {b handoff}: ownership of the reactor's storage slice (records,
-      secondary indexes, snapshot version chains) passes to the
-      destination domain. In this shared-memory runtime that is a routing
-      change, not a copy — the catalog object is shared heap.
-    - {b flip}: the routing table is atomically updated — affinity and
-      cost ingress, round-robin forwarding hops and 2PC participant
-      resolution all read the new epoch-stamped placement — and a durable
-      [Wal.Migrate] record is appended through group commit so
-      crash recovery ({!Faultsim.recover}) replays placement
-      deterministically.
-    - {b replay}: the queued stub traffic dispatches against the new home
-      (bypassing admission control — the stub was its admission queue).
-
-    Call from an admin thread (test driver, {!Autoscaler} loop, operator
-    shell), never from a procedure body or [k] callback — the drain
-    blocks. Concurrent calls serialize. *)
+    {!migrate} moves a reactor to a new container under live load with no
+    lost or duplicated transactions, by the protocol both backends share
+    ({!Reactdb.Pins.Gate.migrate}: mark → drain → log → flip → replay).
+    Roots and sub-calls that target the reactor after the mark queue at a
+    forwarding stub and dispatch against the new home after the flip; the
+    drain waits for every root admitted before the mark, so give roots a
+    [deadline_us] budget to bound it. The handoff of the storage slice is
+    the flip itself: the catalog is shared heap. Call from an admin thread
+    (test driver, {!Autoscaler} loop, operator shell), never from a
+    procedure body or [k] callback: the drain blocks. Migrations and
+    {!fence} serialize. *)
 
 (** [migrate t ~reactor ~dst] moves [reactor] to container [dst] and
     returns the migration pause in wall-clock µs (mark to flip: the window
@@ -210,6 +195,13 @@ val quiesce : t -> unit
     [dst]. Raises [Invalid_argument] on an unknown reactor or container,
     and [Wal.Io_error] when the WAL failed (the flip stands, unlogged). *)
 val migrate : t -> reactor:string -> dst:int -> float
+
+(** Fence this primary (DESIGN.md §12.4; the generation, flag and refusal
+    count are {!Reactdb.Bootstrap.ADMIN}'s): every root that reaches an
+    executor from then on is refused, and the call returns once every root
+    submitted before it has completed, so no commit is acknowledged after
+    it returns. Call from an admin thread, like {!migrate}. *)
+val fence : t -> unit
 
 (** Reactors currently homed on container [c], in declaration order. *)
 val reactors_on : t -> int -> string list

@@ -178,6 +178,49 @@ let test_drain_retire_race () =
       done);
   check_bool "every drain returned" true (Atomic.get handoff = None)
 
+(* One fence round: its gate, the flag it sets and whether [fence] has
+   returned. *)
+type round = { rg : G.t; flag : bool Atomic.t; returned : bool Atomic.t }
+
+(* A root domain registers, re-checks the flag and retires in a loop while
+   the main domain fences a fresh gate each round. A root admitted by the
+   re-check must have retired before [fence] returns; one still live
+   after, whether of a pre-fence generation or a later registrant that
+   missed the flag, is a violation. *)
+let test_fence_waits () =
+  let fresh () = { rg = G.create (); flag = Atomic.make false; returned = Atomic.make false } in
+  let cur = Atomic.make (fresh ()) and stop = Atomic.make false in
+  let violations = Atomic.make 0 and admitted = Atomic.make 0 and refused = Atomic.make 0 in
+  let root_dom =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          let r = Atomic.get cur in
+          let gen = G.register r.rg in
+          if Atomic.get r.flag then Atomic.incr refused
+          else begin
+            Atomic.incr admitted;
+            for _ = 1 to 20 do Domain.cpu_relax () done;
+            if Atomic.get r.returned then Atomic.incr violations
+          end;
+          G.retire r.rg gen
+        done)
+  in
+  for _ = 1 to 20_000 do
+    let r = fresh () in
+    Atomic.set cur r;
+    for _ = 1 to 20 do Domain.cpu_relax () done;
+    G.fence r.rg ~suspend:spin_suspend r.flag;
+    Atomic.set r.returned true;
+    let gen = G.register r.rg in
+    if not (Atomic.get r.flag) then Atomic.incr violations;
+    G.retire r.rg gen
+  done;
+  Atomic.set stop true;
+  Domain.join root_dom;
+  check_int "no admitted root outlived the fence" 0 (Atomic.get violations);
+  check_bool "roots were admitted and refused" true
+    (Atomic.get admitted > 0 && Atomic.get refused > 0)
+
 let test_park_and_flip () =
   let g = G.create () in
   let ran = ref [] in
@@ -216,4 +259,5 @@ let suite =
       Alcotest.test_case "register races mark" `Quick test_register_races_mark;
       Alcotest.test_case "drain fires once" `Quick test_drain_fires_once;
       Alcotest.test_case "drain waker races retire" `Quick test_drain_retire_race;
-      Alcotest.test_case "park and flip" `Quick test_park_and_flip ] )
+      Alcotest.test_case "park and flip" `Quick test_park_and_flip;
+      Alcotest.test_case "fence waits for every earlier root" `Quick test_fence_waits ] )

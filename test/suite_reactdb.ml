@@ -526,8 +526,8 @@ let test_fatal_error_frees_core () =
 
 (* WAL device failure surfaces as a typed Internal abort through the commit
    path, and fails the log for the rest of the run: the failed root's
-   record never reaches the file, a later writer is refused too, and a
-   read-only root still commits. *)
+   record never reaches the file, a later writer is refused before it
+   installs, and a read-only root still commits. *)
 let test_wal_failure_typed_abort () =
   let path = Filename.temp_file "reactdb_walfail" ".log" in
   let log = Wal.to_file path in
@@ -570,14 +570,16 @@ let test_wal_failure_typed_abort () =
         && match later.DB.abort_cause with
            | Some c -> c.Obs.Abort.kind = Obs.Abort.Internal
            | None -> false);
-      (* read-only transactions log nothing and still commit; the refused
-         write is installed, only never acknowledged *)
-      checkf "a read-only root still commits" 105. (balance db "acct1"));
+      (* read-only transactions log nothing and still commit; the later
+         writer was refused before its install *)
+      checkf "a read-only root still commits" 100. (balance db "acct1"));
   Sys.remove path
 
 (* The simulator's side of the failure rule, on a device that fails every
    flush: no writing root is acknowledged, not even the first, the durable
-   bound is never published, and the run keeps going. *)
+   bound is never published, and the run keeps going. Only the first
+   deposit, queued in the batch that failed, is installed: every later one
+   is refused before its install. *)
 let test_failed_flush_sim () =
   let log = Wal.to_file "/dev/full" in
   with_db ~n:2 (sn_config 2) (fun db ->
@@ -599,7 +601,15 @@ let test_failed_flush_sim () =
       check_bool "the run spans several epochs" true (Sim.Engine.now eng > 160_000.);
       check_int "no durable bound published" 0 (DB.durable_epoch db);
       check_bool "the failure is recorded" true (DB.wal_error db <> None);
-      checkf "a read-only root still commits" 110. (balance db "acct0"));
+      checkf "a read-only root still commits" 101. (balance db "acct0");
+      let balances () = List.map (balance db) [ "acct0"; "acct1" ] in
+      let before = balances () in
+      let deposit =
+        DB.exec_txn db ~reactor:"acct1" ~proc:"deposit" ~args:[ Value.Float 1. ]
+      in
+      check_bool "a deposit after the failure is refused" true
+        (match deposit.DB.result with Error m -> Strutil.contains m ~sub:"wal" | Ok _ -> false);
+      check_bool "and leaves every balance unchanged" true (balances () = before));
   try Wal.close log with Sys_error _ -> ()
 
 (* Bootstrap and the engine-free image resolve each loader's catalog by

@@ -352,7 +352,8 @@ let test_deadline_mid_collect_runtime () =
 
 (* One abort taxonomy: the buckets sum to the abort count. A procedure
    raising something that is not an abort is counted once, in "internal",
-   and recorded as a fatal error. *)
+   and recorded as a fatal error; a fenced refusal is "internal" too, but
+   no fatal. *)
 let test_abort_buckets_sum_runtime () =
   let db = RDb.start (Testlib.bank_decl 4) (Testlib.sn_config 4) in
   let kind ?deadline_us proc args =
@@ -366,14 +367,104 @@ let test_abort_buckets_sum_runtime () =
     (kind ~deadline_us:0. "transfer_to" transfer = Some Obs.Abort.Timeout);
   check_bool "raising procedure is internal" true
     (kind "boom" [] = Some Obs.Abort.Internal);
+  RDb.fence db;
+  check_bool "fenced is internal" true (kind "transfer_to" transfer = Some Obs.Abort.Internal);
+  check_int "one fenced refusal" 1 (RDb.n_fenced_refusals db);
   let reasons = RDb.aborts_by_reason db in
   List.iter
     (fun b -> check_int (b ^ " bucket") 1 (List.assoc b reasons))
-    [ "user"; "dangerous-structure"; "timeout"; "internal" ];
+    [ "user"; "dangerous-structure"; "timeout" ];
+  check_int "internal bucket" 2 (List.assoc "internal" reasons);
   check_int "buckets sum to n_aborted" (RDb.n_aborted db)
     (List.fold_left (fun a (_, n) -> a + n) 0 reasons);
   check_int "one fatal" 1 (RDb.n_fatal db);
   RDb.shutdown db
+
+(* Each account's balance and whether its record is locked, read straight
+   from the catalogs: a fenced primary admits no [get_balance]. Safe after
+   shutdown. *)
+let stored db =
+  List.map
+    (fun (name, cat) ->
+      let bal = ref Float.nan and locked = ref false in
+      Storage.Table.range (Storage.Catalog.table cat "acct") ~f:(fun r ->
+          bal := Value.to_number r.Storage.Record.data.(1);
+          locked := !locked || Storage.Record.is_locked r;
+          true);
+      (name, !bal, !locked))
+    (RDb.catalogs db)
+
+(* Fencing under load: two client domains keep depositing on their own
+   domain's account while the test fences the primary, in six rounds on
+   fresh runtimes. The fence drains every root admitted before it, so no
+   commit is acknowledged after it returns, and every root after it is
+   refused with the typed "fenced" abort, each counted once. *)
+let test_fence_drains_and_refuses () =
+  for _ = 1 to 6 do
+    let db = RDb.start (Testlib.bank_decl 2) (Testlib.sn_config 2) in
+    let fenced_at = Atomic.make false and stop = Atomic.make false in
+    let client w =
+      Domain.spawn (fun () ->
+          let refused = ref 0 and late = ref 0 and late_ok = ref 0 in
+          while not (Atomic.get stop) do
+            let after = Atomic.get fenced_at in
+            let out =
+              RDb.exec_txn db ~reactor:(Printf.sprintf "acct%d" w) ~proc:"deposit"
+                ~args:[ Value.Float 1. ]
+            in
+            let is_fenced =
+              match out.RDb.result with
+              | Error m ->
+                Strutil.contains m ~sub:"fenced" && abort_kind out = Some Obs.Abort.Internal
+              | Ok _ -> false
+            in
+            if is_fenced then incr refused;
+            if after then begin
+              incr late;
+              if not is_fenced then incr late_ok
+            end
+          done;
+          (!refused, !late, !late_ok))
+    in
+    let clients = [ client 0; client 1 ] in
+    Unix.sleepf 0.01;
+    RDb.fence db;
+    let committed_at_fence = RDb.n_committed db in
+    Atomic.set fenced_at true;
+    Unix.sleepf 0.005;
+    Atomic.set stop true;
+    let counts = List.map Domain.join clients in
+    RDb.shutdown db;
+    let sum f = List.fold_left (fun a c -> a + f c) 0 counts in
+    check_bool "roots committed before the fence" true (committed_at_fence > 0);
+    check_int "no commit after the fence returned" committed_at_fence (RDb.n_committed db);
+    check_bool "roots were submitted after the fence" true (sum (fun (_, l, _) -> l) > 0);
+    check_int "every later attempt is a fenced abort" 0 (sum (fun (_, _, o) -> o));
+    check_int "every refusal counted" (sum (fun (r, _, _) -> r)) (RDb.n_fenced_refusals db);
+    check_float "one unit deposited per commit" (200. +. float_of_int committed_at_fence)
+      (List.fold_left (fun a (_, b, _) -> a +. b) 0. (stored db))
+  done
+
+(* [Kill_primary] with p = 1: the primary dies between the phases of the
+   first cross-domain transfer and fences itself. Both participants roll
+   back: no balance moved and no record is left locked. *)
+let test_kill_mid_2pc_rolls_back () =
+  let chaos = Chaos.make ~seed:3 ~kind:Chaos.Kill_primary ~p:1. () in
+  let db = RDb.start ~chaos (Testlib.bank_decl 2) (Testlib.sn_config 2) in
+  let out =
+    RDb.exec_txn db ~reactor:"acct0" ~proc:"transfer_to"
+      ~args:[ Value.Str "acct1"; Value.Float 25. ]
+  in
+  RDb.shutdown db;
+  check_bool "killed mid-2pc is internal" true
+    ((match out.RDb.result with Error m -> Strutil.contains m ~sub:"killed" | Ok _ -> false)
+    && abort_kind out = Some Obs.Abort.Internal);
+  check_bool "the primary fenced itself" true (RDb.fenced db);
+  List.iter
+    (fun (name, bal, locked) ->
+      check_float (name ^ " unchanged") 100. bal;
+      check_bool (name ^ " holds no lock") false locked)
+    (stored db)
 
 (* A read-only snapshot root whose body has returned is final, even past
    its deadline. *)
@@ -932,8 +1023,9 @@ let test_ack_before_epoch_close () =
    0 unless a loaded host delays the first commit past the first epoch (a
    bound over an epoch with no records is still true). The failing device
    degrades durability, not liveness: every root still completes, none
-   of them is acknowledged, and the failure is recorded once, as the
-   WAL's error rather than a runtime fatal. *)
+   of them is acknowledged, a writer refused after the failure installs
+   nothing, and the failure is recorded once, as the WAL's error rather
+   than a runtime fatal. *)
 let test_failed_flush_no_durable_bound () =
   let log = Wal.to_file "/dev/full" in
   let db =
@@ -956,8 +1048,15 @@ let test_failed_flush_no_durable_bound () =
     let d = RDb.durable_epoch db in
     if d <> frozen then moved := d
   done;
+  let balances () = List.map (balance db) [ "acct0"; "acct1" ] in
+  let before = balances () in
+  let late = RDb.exec_txn db ~reactor:"acct0" ~proc:"deposit" ~args:[ Value.Float 1. ] in
+  let after = balances () in
   RDb.shutdown db;
   (try Wal.close log with Sys_error _ -> ());
+  check_bool "a deposit after the failure is refused" true
+    (match late.RDb.result with Error m -> Strutil.contains m ~sub:"wal" | Ok _ -> false);
+  check_bool "and leaves every balance unchanged" true (after = before);
   check_int "every root completed" !roots !completed;
   check_int "no writing root acknowledged after the first failed flush" 0 !acked;
   check_bool "the failed flush is recorded" true
@@ -1145,6 +1244,10 @@ let suite =
         test_deadline_mid_collect_runtime;
       Alcotest.test_case "abort buckets sum (runtime)" `Quick
         test_abort_buckets_sum_runtime;
+      Alcotest.test_case "runtime fence drains and refuses" `Quick
+        test_fence_drains_and_refuses;
+      Alcotest.test_case "runtime kill mid-2pc rolls back every participant" `Quick
+        test_kill_mid_2pc_rolls_back;
       Alcotest.test_case "read-only outlasts deadline (runtime)" `Quick
         test_readonly_outlasts_deadline_runtime;
       Alcotest.test_case "collect serial equivalence: smallbank" `Quick
