@@ -210,8 +210,9 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
    failover drill T ms into the run — fence the primary, final-ship the
    durable log, promote the freshest replica through the
    recovery-equivalence oracle and bump the shipping generation. From the
-   fence on the primary refuses every root, so the rest of the run counts
-   fenced aborts and no commit. *)
+   fence on the primary refuses every root, and each worker stops at its
+   first abort after the fence, so the rest of the run counts at most one
+   fenced abort per worker and no commit. *)
 let run_parallel_cmd workload scale theta workers domains duration_ms retries
     deadline_ms mailbox_cap chaos_spec router steal replicas failover_at_ms =
   let decl, reactors, gen = build_workload workload ~scale ~theta in

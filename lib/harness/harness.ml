@@ -96,6 +96,7 @@ type backend = {
          return once [settled ()] holds and no attempt is in flight *)
   busy : unit -> float array;  (* cumulative busy µs per executor *)
   fatal : exn -> unit;  (* a workload generator raised *)
+  fenced : unit -> bool;  (* the primary is fenced: it refuses every root *)
 }
 
 (* Simulator: each chain is an engine process running its attempts inline,
@@ -127,6 +128,7 @@ let sim db =
           failwith "Harness: the simulation ran dry with client chains live");
     busy = (fun () -> DB.busy_times db);
     fatal = raise;
+    fenced = (fun () -> DB.fenced db);
   }
 
 (* Deferred-work timer on its own domain, used for backoff pauses between
@@ -227,6 +229,7 @@ let runtime db =
         RDb.publish_sched_obs db);
     busy = (fun () -> Array.map (fun s -> s *. 1e6) (RDb.busy_times db));
     fatal = RDb.record_fatal db;
+    fenced = (fun () -> RDb.fenced db);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -242,7 +245,10 @@ let shed_pause_us = 500.
    seeded backoff (an immediate retry would re-contend on exactly the state
    it just lost to). [observe] sees every attempt outcome exactly once with
    the retry decision made for it; [more n] says whether a worker that has
-   finished [n] logical transactions starts another. *)
+   finished [n] logical transactions starts another. An abort seen while
+   the backend is fenced ends the chain: a deposed primary serves nothing,
+   so neither a retry nor a next transaction would do more than be
+   refused. *)
 let drive b ~n_workers ~seed ~max_retries ~deadline_us ~backoff ~gen ~more
     ~observe control =
   let live = Atomic.make n_workers in
@@ -257,6 +263,7 @@ let drive b ~n_workers ~seed ~max_retries ~deadline_us ~backoff ~gen ~more
             match o.cause with
             | Some c ->
               Obs.Abort.transient c.Obs.Abort.kind && idx < max_retries
+              && not (b.fenced ())
             | None -> false
           in
           observe o ~will_retry;
@@ -279,6 +286,7 @@ let drive b ~n_workers ~seed ~max_retries ~deadline_us ~backoff ~gen ~more
           attempt req 0 (fun o ->
               let next () = step (n + 1) in
               match o.cause with
+              | Some _ when b.fenced () -> Atomic.decr live
               | Some { Obs.Abort.kind = Obs.Abort.Overloaded; _ } ->
                 b.after shed_pause_us next
               | _ -> next ())

@@ -65,7 +65,10 @@ type run_result = {
     [Obs.Abort.transient] — are resubmitted with an increasing retry index
     up to this many times; user aborts, dangerous-call-structure aborts,
     deadline timeouts and admission sheds are never retried in-loop.
-    After a shed the worker pauses 500 µs before generating new work.
+    After a shed the worker pauses 500 µs before generating new work. An
+    attempt that aborts while the backend is fenced (DESIGN.md §12.4)
+    ends its worker: it is not retried, and the worker starts no further
+    transaction.
 
     [backoff] (default [Some Util.Backoff.default]) paces resubmissions
     with seeded exponential backoff + jitter spent as backend time
@@ -126,7 +129,8 @@ val run : backend -> spec -> run_result
     for tests and audits that need an exact transaction count rather than
     a time window. Returns the number of retried attempts, so the
     backend's attempt counters satisfy
-    [committed + aborted = n_workers * per_worker + retries]. A logical
+    [committed + aborted = n_workers * per_worker + retries] unless the
+    backend is fenced during the run. A logical
     transaction shed at admission or expired past [deadline_us] counts as
     one completed-with-abort transaction. Defaults as in {!spec}. *)
 val run_fixed :

@@ -322,6 +322,11 @@ module P = struct
     in
     on_core rex ~fid:0 ~dispatch:p.Profile.cost_sub_dispatch f
 
+  (* The runtime's posting is not modelled: an install is a commit step
+     the coordinator awaits, as the votes are, so the virtual timeline is
+     the one the golden sweep pins (DESIGN.md §5.2). *)
+  let post = remote
+
   let charge_validation (db : db) txn c =
     let p = db.own.prof in
     Engine.delay
@@ -388,7 +393,9 @@ let exec_txn ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args =
   if not (Pins.Gate.admits db.gate ~rgen reactor) then
     Engine.suspend (Pins.Gate.park db.gate reactor);
   let root =
-    L.root db ~txn ~retry ~t_start ?deadline_us ~readonly
+    (* [post] awaits every install, so nothing settles after the outcome:
+       the gate registration is retired below. *)
+    L.root db ~txn ~retry ~t_start ?deadline_us ~settle:ignore ~readonly
       { rgen; bd; exec_of_container = []; last_call = 0; call_ctr = 0;
         worked_since_call = false }
   in

@@ -60,13 +60,20 @@ let wal_failed m = internal ("wal write failed: " ^ m)
 let fenced = Error (internal "fenced: stale primary generation")
 
 module Make (P : PLATFORM) = struct
-  let root (db : (P.slot, P.t) Bootstrap.t) ~txn ~retry ~t_start ?deadline_us ~readonly rx =
+  let root (db : (P.slot, P.t) Bootstrap.t) ~txn ~retry ~t_start ?deadline_us
+      ~settle ~readonly rx =
     let obs = db.obs in
     let tr = match obs with Some c -> Obs.Collector.trace c | None -> Obs.Trace.none in
     let deadline = match deadline_us with Some d -> t_start +. d | None -> Float.infinity in
     let rsnapshot = if readonly then Some (Pins.Registry.acquire db.registry) else None in
     { txn; retry; obs; tr; t_start; deadline; rsnapshot;
-      active_set = Atomic.make []; doomed = Atomic.make None; flush = None; rx }
+      active_set = Atomic.make []; doomed = Atomic.make None; flush = None;
+      unsettled = Atomic.make 1; settle; rx }
+
+  let arrive root =
+    if Atomic.fetch_and_add root.unsettled (-1) = 1 then root.settle ()
+
+  let delivered = arrive
 
   (* Dynamic safety condition (§2.2.4): at most one execution context may
      be active per reactor and root transaction. A root's frames on
@@ -308,16 +315,30 @@ module Make (P : PLATFORM) = struct
      TID, the redo record queued ahead of the install — its tag drops
      with the queueing — then the install. Epochs only grow, so tag <=
      hold <= TID epoch. The commit hold lasts until every install landed,
-     so no snapshot is issued at an epoch that can still gain installs.
-     Both are dropped on every path, since a leaked tag would freeze the
-     durable bound and a leaked hold snapshots and GC. A failed log
-     refuses the record: nothing installs, and the caller releases the
-     participants as for a refused vote. *)
+     so no snapshot is issued at an epoch that can still gain installs:
+     [install] reports the installs it leaves posted ([expect n] returns
+     the landing each of them calls), and the last of those and this
+     call drops the hold. Each posted install also holds the root's
+     settlement. Tag and hold are dropped on every path, since a leaked
+     tag would freeze the durable bound and a leaked hold snapshots and
+     GC. A failed log refuses the record: nothing installs, and the
+     caller releases the participants as for a refused vote. *)
   let install_all db root ~install =
     let reg = db.Bootstrap.registry in
     let commit log =
       let epoch = Pins.Registry.hold_commit reg in
-      Fun.protect ~finally:(fun () -> Pins.Registry.drop_commit reg epoch) (fun () ->
+      let holders = Atomic.make 1 in
+      let drop () =
+        if Atomic.fetch_and_add holders (-1) = 1 then Pins.Registry.drop_commit reg epoch
+      in
+      let expect n =
+        ignore (Atomic.fetch_and_add holders n);
+        ignore (Atomic.fetch_and_add root.unsettled n);
+        fun () ->
+          drop ();
+          arrive root
+      in
+      Fun.protect ~finally:drop (fun () ->
           let tid = Occ.Commit.compute_tid root.txn ~epoch in
           match log tid with
           | Error m -> Error (wal_failed m)
@@ -326,7 +347,8 @@ module Make (P : PLATFORM) = struct
             install ~tid
               ~horizon:
                 (if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg)
-                 else None);
+                 else None)
+              ~expect;
             Ok ())
     in
     match db.wal with
@@ -360,19 +382,24 @@ module Make (P : PLATFORM) = struct
   (* Two-phase commit (§3.2.2): phase one runs Silo validation with locks
      on every participant; phase two installs or releases. Each
      participant's steps run on the executor owning its container; the
-     coordinator's own container is inlined. *)
+     coordinator's own container is inlined. Votes and releases are
+     awaited. Installs go through [P.post], so on the runtime a decided
+     root finishes without waiting for its remote installs; each of them
+     drops its share of the commit hold and of the root's settlement when
+     it lands. *)
   let two_phase db root ~coord containers =
     let me = P.cid coord in
     (* Run [f] on every container in [cs], the coordinator's own inline,
-       then wait for all. An exception out of a remote step would leave the
-       coordinator waiting forever; it yields [dead] instead. *)
-    let on_each cs f ~dead =
+       the others through [via] (default [P.remote]), then wait for all.
+       An exception out of a remote step would leave the coordinator
+       waiting forever; it yields [dead] instead. *)
+    let on_each ?(via = P.remote) cs f ~dead =
       List.map
         (fun c ->
           if c = me then `Done (f c)
           else
             `Pending
-              (P.remote db root ~coord c (fun () ->
+              (via db root ~coord c (fun () ->
                    try f c with e -> P.on_fatal db e; dead)))
         cs
       |> List.map (function
@@ -402,11 +429,15 @@ module Make (P : PLATFORM) = struct
       | _ when Atomic.get db.fenced -> Error (internal "primary killed mid-2pc")
       | Some reason -> Error reason
       | None ->
-        install_all db root ~install:(fun ~tid ~horizon ->
+        install_all db root ~install:(fun ~tid ~horizon ~expect ->
+            let landed = expect (List.length (List.filter (( <> ) me) containers)) in
             ignore
-              (on_each containers ~dead:() (fun c ->
-                   P.charge_install db;
-                   Occ.Commit.install ?horizon root.txn ~container:c ~tid)))
+              (on_each containers ~via:P.post ~dead:() (fun c ->
+                   Fun.protect
+                     ~finally:(fun () -> if c <> me then landed ())
+                     (fun () ->
+                       P.charge_install db;
+                       Occ.Commit.install ?horizon root.txn ~container:c ~tid))))
     in
     if Result.is_error r then release prepared;
     since root Obs.Phase.Commit t_dec;
@@ -422,7 +453,7 @@ module Make (P : PLATFORM) = struct
     | Ok () ->
       let t1 = stamp root in
       let r =
-        install_all db root ~install:(fun ~tid ~horizon ->
+        install_all db root ~install:(fun ~tid ~horizon ~expect:_ ->
             Occ.Commit.install ?horizon root.txn ~container:c ~tid)
       in
       if Result.is_error r then Occ.Commit.release root.txn ~container:c;

@@ -26,10 +26,13 @@ val fenced : verdict
 module Make (P : PLATFORM) : sig
   (** A fresh root, traced when a collector is attached to the database;
       its deadline is [deadline_us] after [t_start]. A [readonly] root pins
-      a snapshot epoch in the shared registry until {!finish}. *)
+      a snapshot epoch in the shared registry until {!finish}. [settle]
+      runs once the root has settled: its outcome was {!delivered} and
+      every install it posted landed. *)
   val root :
     (P.slot, P.t) Bootstrap.t -> txn:Occ.Txn.t -> retry:int -> t_start:float ->
-    ?deadline_us:float -> readonly:bool -> P.rx -> P.rx root
+    ?deadline_us:float -> settle:(unit -> unit) -> readonly:bool -> P.rx ->
+    P.rx root
 
   (** Run a root's body on [exec] at container [home]: the dequeue
       deadline check, the procedure with implicit synchronization, the
@@ -54,4 +57,9 @@ module Make (P : PLATFORM) : sig
   val finish :
     (P.slot, P.t) Bootstrap.t -> P.rx root -> verdict -> container:int ->
     (Util.Value.t, string) result * float * Obs.Abort.cause option
+
+  (** The root's outcome reached its client: it settles now, or when its
+      last posted install lands. A platform whose [post] awaits every
+      install has nothing to settle late and need not call it. *)
+  val delivered : P.rx root -> unit
 end

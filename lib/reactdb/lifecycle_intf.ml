@@ -39,6 +39,10 @@ type 'rx root = {
           abort wins *)
   mutable flush : Durability.batch option;
       (** the group-commit batch the root's redo record joined *)
+  unsettled : int Atomic.t;
+      (** what the root still waits for before it settles: its outcome's
+          delivery and each posted install that has not landed *)
+  settle : unit -> unit;  (** the platform's settlement, run by the last of them *)
   rx : 'rx;
 }
 
@@ -108,6 +112,18 @@ module type PLATFORM = sig
     'a future
 
   val await : (slot, t) Bootstrap.t -> exec -> 'a future -> 'a
+
+  (** One install of a decided 2PC commit on container [c]'s owner,
+      coordinated from [coord]. The simulator runs it as {!remote} does,
+      and the coordinator awaits it. The runtime posts it and returns a
+      resolved future: a decided commit cannot fail, and its records stay
+      locked until installed, so a committed root's writes on other
+      containers become visible when their install lands. That may be
+      after the root's outcome is delivered, but always before it
+      settles. *)
+  val post :
+    (slot, t) Bootstrap.t -> rx root -> coord:exec -> int -> (unit -> unit) ->
+    unit future
 
   (** Virtual costs: validating the root's operations on a container, one
       install. *)

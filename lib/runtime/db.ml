@@ -314,6 +314,12 @@ let flusher_loop (db : t) d =
    and ivar mutexes give the coordinator happens-before edges to every
    participant's writes. *)
 
+(* The resolved future every posted install returns. *)
+let posted =
+  let iv = Ivar.create () in
+  Ivar.fill iv ();
+  iv
+
 module P = struct
   type t = own
   type nonrec exec = exec
@@ -382,6 +388,12 @@ module P = struct
     Mailbox.push db.own.execs.(c).mb (Job (fun () -> Ivar.fill iv (f ())));
     iv
 
+  (* The install runs as a job on [c]'s domain, and nothing waits for it
+     (DESIGN.md §5.2). *)
+  let post (db : db) _ ~coord:_ c f =
+    Mailbox.push db.own.execs.(c).mb (Job f);
+    posted
+
   let charge_validation _ _ _ = ()
   let charge_install _ = ()
 
@@ -405,11 +417,12 @@ module L = Lifecycle.Make (P)
 (* Root execution: one [Root] mailbox message, run by whichever domain
    dequeued (or stole) it — [ex]. The body executes on [ex]; the commit
    protocol re-pins every container's prepare/install to its owning
-   domain. Guaranteed to call [k] and bump [completed] exactly once —
-   quiescence depends on it. *)
+   domain. Guaranteed to call [k] and [settle] exactly once each, [settle]
+   after [k] and after the root's last posted install landed —
+   quiescence, fences and migration drains depend on it. *)
 
 let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
-    ?deadline_us ~k (ex : exec) =
+    ?deadline_us ~settle ~k (ex : exec) =
   (* Chaos: the root dispatch message stalls before execution begins. *)
   Chaos.inject_wall db.chaos Chaos.Delay_delivery;
   maybe_advance_epoch db;
@@ -420,7 +433,7 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
   let home = Atomic.get place.home in
   let txn = Bootstrap.next_txn db in
   let root =
-    L.root db ~txn ~retry ~t_start:t_submit ?deadline_us ~readonly:ro
+    L.root db ~txn ~retry ~t_start:t_submit ?deadline_us ~settle ~readonly:ro
       { rmu = Array.init (Array.length db.own.execs) (fun _ -> Mutex.create ());
         rgen }
   in
@@ -449,7 +462,7 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
       containers_touched = List.length (Occ.Txn.containers txn) }
   in
   (try k out with e -> record_fatal db e);
-  Atomic.incr db.own.completed
+  L.delivered root
 
 (* ------------------------------------------------------------------ *)
 (* Cost router. Scores each candidate domain as the §2.4 cost-model latency
@@ -512,17 +525,17 @@ let submit ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args ~k =
     Bootstrap.admit db ~reactor ~proc ~parallel_ok:(fun () -> auto_parallel_ok db)
   in
   Atomic.incr db.own.submitted;
-  (* Placement-generation registration: the matching deregistration rides
-     the continuation, so a migration drain observes exactly the roots
-     whose outcome is still pending. *)
+  (* Placement-generation registration: the matching deregistration is
+     the root's settlement, so a migration drain or a fence observes
+     exactly the roots whose outcome or installs are still pending. *)
   let rgen = Pins.Gate.register db.gate in
-  let k out =
+  let settle () =
     Pins.Gate.retire db.gate rgen;
-    k out
+    Atomic.incr db.own.completed
   in
   let t_submit = now_us () in
   let job =
-    exec_root db place ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us ~k
+    exec_root db place ~proc ~args ~ro ~retry ~rgen ~t_submit ?deadline_us ~settle ~k
   in
   (* Dispatch against a resolved home — immediately when the target is not
      mid-migration, otherwise replayed by the flip. Stub traffic counts as
@@ -607,7 +620,7 @@ let submit ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args ~k =
         }
       in
       (try k out with e -> record_fatal db e);
-      Atomic.incr db.own.completed
+      settle ()
     end
   in
   if Pins.Gate.admits db.gate ~rgen reactor then

@@ -131,7 +131,14 @@ include Reactdb.Bootstrap.ADMIN with type t := t
 
 (** [submit t ~reactor ~proc ~args ~k] enqueues a root transaction;
     [k outcome] runs on the root's home domain when it completes. Never
-    blocks the caller. Thread-safe. [retry] (default 0) is the attempt's
+    blocks the caller. Thread-safe. A committed root's writes on its
+    coordinator's container are installed when [k] runs; a 2PC root's
+    writes on other containers are installed by jobs it posted to their
+    domains, which may land after [k] runs. Until one lands, its records
+    stay locked, so an OCC root that reads them fails validation rather
+    than commit on the old value, and no snapshot includes the commit.
+    The root completes for {!quiesce}, {!fence} and {!migrate} only once
+    every posted install has landed. [retry] (default 0) is the attempt's
     retry index, recorded in the lifecycle trace and abort cause — the
     engine itself never retries. A root with [retry > 0] is admitted on
     its executor's deferred mailbox lane ({!Mailbox.try_push_deferred}):
@@ -171,7 +178,8 @@ val exec_txn :
   args:Util.Value.t list ->
   outcome
 
-(** Block until every submitted root has completed. *)
+(** Block until every submitted root has completed, its posted installs
+    included. *)
 val quiesce : t -> unit
 
 (** {1 Live reconfiguration (online reactor migration — see DESIGN.md §11)}
@@ -199,8 +207,9 @@ val migrate : t -> reactor:string -> dst:int -> float
 (** Fence this primary (DESIGN.md §12.4; the generation, flag and refusal
     count are {!Reactdb.Bootstrap.ADMIN}'s): every root that reaches an
     executor from then on is refused, and the call returns once every root
-    submitted before it has completed, so no commit is acknowledged after
-    it returns. Call from an admin thread, like {!migrate}. *)
+    submitted before it has completed, its posted installs included, so
+    no commit is acknowledged after it returns and every acknowledged one
+    is installed. Call from an admin thread, like {!migrate}. *)
 val fence : t -> unit
 
 (** Reactors currently homed on container [c], in declaration order. *)

@@ -1,6 +1,6 @@
 (* Tests for the §2.3 formal machinery: projection, serializability
    checking in both models, Theorem 2.7 as a property, and certification
-   of actual runtime histories. *)
+   of actual execution histories, which only the simulator records. *)
 
 open Histories
 
@@ -82,7 +82,7 @@ let prop_theorem_2_7 =
       Model.reactor_serializable h
       = Model.classic_serializable (Model.project h))
 
-(* --- runtime certification --- *)
+(* --- certification of recorded histories --- *)
 
 let test_certify_clean () =
   let entries =
@@ -112,8 +112,10 @@ let test_certify_detects_impossible_read () =
   in
   check_bool "phantom tid" true (Result.is_error (Certify.check entries))
 
-(* End-to-end: record histories from adversarial runtime executions under
-   every deployment and certify them. *)
+(* End-to-end: record histories from adversarial simulator executions
+   under every deployment and certify them. The parallel runtime records
+   no history, so despite their names the [certify_runtime_*] cases run
+   the simulator. *)
 let certify_run ?(accounts = 4) config =
   Testlib.with_db ~n:accounts config (fun db ->
       Reactdb.Database.enable_history db;

@@ -466,6 +466,203 @@ let test_kill_mid_2pc_rolls_back () =
       check_bool (name ^ " holds no lock") false locked)
     (stored db)
 
+(* A fenced primary ends its clients' chains: each closed-loop worker
+   stops at its first abort after the fence, so it is refused at most
+   once. Counted per worker from the generator, which runs once per
+   logical transaction. *)
+let test_fence_ends_worker_chains () =
+  let db = RDb.start (Testlib.bank_decl 2) (Testlib.sn_config 2) in
+  let n_workers = 4 in
+  let late = Array.init n_workers (fun _ -> Atomic.make 0) in
+  let fencer =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.02;
+        RDb.fence db)
+  in
+  let (_ : int) =
+    Harness.run_fixed ~max_retries:3 (Harness.runtime db) ~n_workers
+      ~per_worker:1_000_000 ~seed:3 (fun w _ ->
+        if RDb.fenced db then Atomic.incr late.(w);
+        Workloads.Wl.request
+          (Printf.sprintf "acct%d" (w mod 2))
+          "deposit" [ Value.Float 1. ])
+  in
+  Domain.join fencer;
+  let refusals = RDb.n_fenced_refusals db in
+  RDb.shutdown db;
+  check_bool "committed before the fence" true (RDb.n_committed db > 0);
+  check_bool "refused after the fence" true (refusals > 0);
+  check_bool "at most one refusal per worker" true (refusals <= n_workers);
+  Array.iteri
+    (fun w n ->
+      check_bool
+        (Printf.sprintf "worker %d starts at most one transaction after the fence" w)
+        true
+        (Atomic.get n <= 1))
+    late
+
+(* ------------------------------------------------------------------ *)
+(* Posted installs: a decided 2PC root finishes without waiting for its
+   remote installs (DESIGN.md §5.3). Its commit hold and its settlement
+   wait for them, so snapshots, fences and quiescence never see half a
+   commit. *)
+
+(* [clients] completion-driven chains of [per] roots each; [next w]
+   gives worker [w]'s next request and the check of its outcome. A check
+   records failures instead of raising, since an exception in a
+   continuation would end its chain. Returns when every chain ended. *)
+let run_chains db ~clients ~per next =
+  let live = Atomic.make clients in
+  let rec go w i =
+    if i = per then Atomic.decr live
+    else begin
+      let r, check = next w in
+      RDb.submit db ~reactor:r.Workloads.Wl.reactor ~proc:r.Workloads.Wl.proc
+        ~args:r.Workloads.Wl.args ~k:(fun out ->
+          if check out then go w (i + 1) else Atomic.decr live)
+    end
+  in
+  for w = 0 to clients - 1 do
+    go w 0
+  done;
+  while Atomic.get live > 0 do
+    Unix.sleepf 1e-3
+  done
+
+let rec note failures m =
+  let cur = Atomic.get failures in
+  if not (Atomic.compare_and_set failures cur (m :: cur)) then note failures m
+
+(* A conserving transfer between customers on different domains. *)
+let cross_transfer db rng ~n =
+  let src = Rng.int rng n in
+  let rec dst () =
+    let d = Rng.int rng n in
+    if RDb.container_of db (SB.customer_name d) = RDb.container_of db (SB.customer_name src)
+    then dst ()
+    else d
+  in
+  let d = dst () in
+  if Rng.int rng 2 = 0 then
+    Workloads.Wl.request (SB.customer_name src) "send_payment"
+      [ Workloads.Wl.vs (SB.customer_name d); Workloads.Wl.vf 1. ]
+  else
+    Workloads.Wl.request (SB.customer_name src) "amalgamate"
+      [ Workloads.Wl.vs (SB.customer_name d) ]
+
+(* A smallbank runtime whose every message stalls 1 ms with probability
+   [p], so posted installs wait in their participants' mailboxes across
+   the 1 ms epoch boundaries. *)
+let stalled_bank ~n ~p ~seed =
+  let chaos = Chaos.make ~seed ~kind:Chaos.Stall_domain ~p ~delay_us:1_000. () in
+  RDb.start ~chaos ~epoch_len_s:0.001 (SB.decl ~customers:n ())
+    Reactdb.Config.(shared_nothing (chunk 2 (SB.customers n)))
+
+let locked_records db =
+  List.fold_left
+    (fun acc (_, cat) ->
+      List.fold_left
+        (fun acc (_, tbl) ->
+          let k = ref acc in
+          Storage.Table.range tbl ~f:(fun r ->
+              if Storage.Record.is_locked r then incr k;
+              true);
+          !k)
+        acc (Storage.Catalog.tables cat))
+    0 (RDb.catalogs db)
+
+(* Two chains of cross-domain transfers beside two chains of snapshot
+   readers. A [sum_all] reads one frozen cut of every account, so it must
+   see the loaded total exactly; a [balance] must commit on a snapshot. *)
+let test_posted_installs_keep_snapshot_cuts () =
+  let n = 8 in
+  let db = stalled_bank ~n ~p:0.2 ~seed:5 in
+  let expected = SB.loaded_money ~customers:n in
+  let failures = Atomic.make [] and sums = Atomic.make 0 in
+  let rngs = Array.init 4 (fun w -> Rng.create (101 + w)) in
+  let read_ok what (out : RDb.outcome) =
+    match out.RDb.result with
+    | Error m ->
+      note failures (what ^ " aborted: " ^ m);
+      false
+    | Ok _ when out.RDb.snapshot = None ->
+      note failures (what ^ " ran without a snapshot");
+      false
+    | Ok _ -> true
+  in
+  run_chains db ~clients:4 ~per:150 (fun w ->
+      let rng = rngs.(w) in
+      if w < 2 then (cross_transfer db rng ~n, fun _ -> true)
+      else if Rng.int rng 2 = 0 then
+        ( Workloads.Wl.request (SB.customer_name (Rng.int rng n)) "balance" [],
+          read_ok "balance" )
+      else begin
+        let root = Rng.int rng n in
+        let others =
+          List.filter_map
+            (fun i -> if i = root then None else Some (Workloads.Wl.vs (SB.customer_name i)))
+            (List.init n Fun.id)
+        in
+        ( Workloads.Wl.request (SB.customer_name root) "sum_all" others,
+          fun out ->
+            read_ok "sum_all" out
+            && begin
+                 Atomic.incr sums;
+                 let total = Value.to_number (Result.get_ok out.RDb.result) in
+                 if Float.abs (total -. expected) > 1e-6 then
+                   note failures
+                     (Printf.sprintf "half a transfer: read %.3f, loaded %.3f" total
+                        expected);
+                 true
+               end )
+      end);
+  RDb.quiesce db;
+  let failures = Atomic.get failures in
+  Testlib.audit "no fatals" (Audit.fatal db);
+  Testlib.audit "money conserved" (Audit.money ~n (RDb.catalogs db));
+  RDb.shutdown db;
+  (match failures with [] -> () | m :: _ -> Alcotest.fail m);
+  check_bool "transfers committed" true (RDb.n_committed db > Atomic.get sums);
+  check_bool "sums ran" true (Atomic.get sums > 0)
+
+(* Right after [fence] or [quiesce] returns, with no shutdown first, every
+   install posted by a root admitted before it has landed: money is
+   conserved and no record is locked. Four quiesce rounds on one runtime,
+   each catching the last roots' installs in flight, and four fences on
+   fresh ones. *)
+let test_posted_installs_land_before_fence_and_quiesce () =
+  let n = 8 in
+  let check_landed db what =
+    Testlib.audit ("money conserved " ^ what) (Audit.money ~n (RDb.catalogs db));
+    check_int ("no record locked " ^ what) 0 (locked_records db)
+  in
+  let transfers db seed =
+    let rngs = Array.init 4 (fun w -> Rng.create (seed + w)) in
+    fun w -> (cross_transfer db rngs.(w) ~n, fun _ -> not (RDb.fenced db))
+  in
+  let finish db =
+    check_bool "transfers committed" true (RDb.n_committed db > 0);
+    Testlib.audit "no fatals" (Audit.fatal db);
+    RDb.shutdown db
+  in
+  let db = stalled_bank ~n ~p:0.3 ~seed:9 in
+  for round = 1 to 4 do
+    run_chains db ~clients:4 ~per:15 (transfers db (100 * round));
+    RDb.quiesce db;
+    check_landed db (Printf.sprintf "after quiesce %d" round)
+  done;
+  finish db;
+  for round = 1 to 4 do
+    let db = stalled_bank ~n ~p:0.3 ~seed:(9 + round) in
+    let next = transfers db (1000 * round) in
+    let chains = Domain.spawn (fun () -> run_chains db ~clients:4 ~per:1_000_000 next) in
+    Unix.sleepf 0.05;
+    RDb.fence db;
+    check_landed db (Printf.sprintf "after fence %d" round);
+    Domain.join chains;
+    finish db
+  done
+
 (* A read-only snapshot root whose body has returned is final, even past
    its deadline. *)
 let test_readonly_outlasts_deadline_runtime () =
@@ -1246,6 +1443,12 @@ let suite =
         test_abort_buckets_sum_runtime;
       Alcotest.test_case "runtime fence drains and refuses" `Quick
         test_fence_drains_and_refuses;
+      Alcotest.test_case "runtime fence ends worker chains" `Quick
+        test_fence_ends_worker_chains;
+      Alcotest.test_case "posted installs keep snapshot cuts" `Quick
+        test_posted_installs_keep_snapshot_cuts;
+      Alcotest.test_case "posted installs land before fence and quiesce" `Quick
+        test_posted_installs_land_before_fence_and_quiesce;
       Alcotest.test_case "runtime kill mid-2pc rolls back every participant" `Quick
         test_kill_mid_2pc_rolls_back;
       Alcotest.test_case "read-only outlasts deadline (runtime)" `Quick
