@@ -75,12 +75,16 @@ module Make (K : ORDERED) = struct
     | L leaf -> leaf
     | I inner -> rightmost_leaf inner.children.(inner.nchildren - 1)
 
+  (* Silo's rule: only a miss needs the leaf's witness; a hit is guarded by
+     the value's own validation word. *)
   let find ?on_node t k =
     let leaf = descend_leaf t.root k in
-    (match on_node with Some f -> f (W (leaf, leaf.version)) | None -> ());
     let i = lower_bound leaf.lkeys leaf.ln k in
     if i < leaf.ln && K.compare leaf.lkeys.(i) k = 0 then Some leaf.lvals.(i)
-    else None
+    else begin
+      (match on_node with Some f -> f (W (leaf, leaf.version)) | None -> ());
+      None
+    end
 
   let mem t k = Option.is_some (find t k)
 

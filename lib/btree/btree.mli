@@ -33,9 +33,12 @@ module Make (K : ORDERED) : sig
   (** Number of live keys. *)
   val size : 'v t -> int
 
-  (** [find t k] is the value bound to [k], if any. [on_node], when given,
-      receives a witness of the leaf that holds (or would hold) [k] — needed
-      to validate negative lookups against phantom inserts. *)
+  (** [find t k] is the value bound to [k], if any. On a miss, [on_node],
+      when given, receives a witness of the leaf that would hold [k]: it
+      validates a negative lookup against a phantom insert. A hit reports
+      no witness (Silo's rule): the caller validates the value it found by
+      that value's own version word, and inserts of other keys into the
+      same leaf do not concern it. *)
   val find : ?on_node:(witness -> unit) -> 'v t -> K.t -> 'v option
 
   val mem : 'v t -> K.t -> bool

@@ -17,7 +17,15 @@
     (leaf versions unchanged — phantom freedom), (4) reserve buffered inserts
     in the index as absent, locked records. Reservation comes last so the
     transaction's own structural changes cannot invalidate its own
-    witnesses. *)
+    witnesses.
+
+    Silo validates a read only once the whole write set is locked, but
+    {!prepare} locks and validates one container. The order in which a 2PC
+    coordinator prepares its participants therefore matters: a participant
+    whose reads are all covered by its own locks ({!Txn.reads_covered}) may
+    validate early, since nothing can change those reads before it
+    installs; the participant that validates last must do so after every
+    other one has locked (DESIGN.md §5.2). *)
 
 (** Why phase one failed, in the order the checks run. The taxonomy feeds
     the observability layer's abort causes ([Obs.Abort]) and the retry

@@ -306,6 +306,23 @@ let ops_in t ~container =
   | None -> 0
   | Some s -> Util.Vec.length s.reads + s.live
 
+(* A read record guarded by the slice's own write lock: a live update or
+   delete of that same record. *)
+let reads_covered t ~container =
+  match slice_opt t container with
+  | None -> true
+  | Some s ->
+    Util.Vec.length s.nodes = 0
+    &&
+    let covered = ref true in
+    Util.Vec.iter
+      (fun (r, _) ->
+        match find_write s r with
+        | Some { kind = Update _ | Delete; _ } -> ()
+        | Some { kind = Insert; _ } | None -> covered := false)
+      s.reads;
+    !covered
+
 (* ---- list views (tests, history recording) ---- *)
 
 let reads_in t ~container =

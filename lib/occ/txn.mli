@@ -105,7 +105,8 @@ val delete :
   Storage.Record.t ->
   unit
 
-(** Record a B+tree leaf witness produced during a scan or point lookup. *)
+(** Record a B+tree leaf witness produced during a scan or a point lookup
+    that missed (a found record is validated through the read set). *)
 val note_node : t -> container:int -> Storage.Table.witness -> unit
 
 (** {1 Own-write visibility helpers (used by the query layer)}
@@ -154,6 +155,15 @@ val ops_in : t -> container:int -> int
 (** Live write entries of every container, ascending container id then
     insertion order (deterministic). *)
 val iter_all_writes : t -> f:(write_entry -> unit) -> unit
+
+(** [reads_covered t ~container] holds when [container]'s slice has no node
+    witness and every record it read has a live update or delete in the
+    same slice. Such a slice's reads are guarded by its own write locks:
+    once [Commit.prepare] has locked and validated them, no other
+    transaction can change them before this one installs or releases.
+    The 2PC coordinator relies on it to prepare its own container last
+    (DESIGN.md §5.2). A slice that does not exist is covered. *)
+val reads_covered : t -> container:int -> bool
 
 (** {1 List views (tests, history recording)} *)
 

@@ -386,7 +386,18 @@ module Make (P : PLATFORM) = struct
      awaited. Installs go through [P.post], so on the runtime a decided
      root finishes without waiting for its remote installs; each of them
      drops its share of the commit hold and of the root's settlement when
-     it lands. *)
+     it lands.
+
+     Phase one's order. When the coordinator's container takes part and
+     every other participant's reads are covered by its own write locks
+     ([Occ.Txn.reads_covered]), the coordinator commits as the last
+     agent: it sends the other prepares first and prepares its own
+     container inline only once every one of them voted yes, so its
+     locks are never held across a vote's round trip. That keeps Silo's
+     rule: a covered read cannot change between its prepare and its
+     install, and the coordinator validates its own reads only after
+     every participant has locked. Any other root prepares every
+     participant at once, its own container inline. *)
   let two_phase db root ~coord containers =
     let me = P.cid coord in
     (* Run [f] on every container in [cs], the coordinator's own inline,
@@ -411,21 +422,33 @@ module Make (P : PLATFORM) = struct
       ignore (on_each cs (fun c -> Occ.Commit.release root.txn ~container:c) ~dead:())
     in
     let t_val = stamp root in
+    let vote = prepare_vote db root in
+    let dead = Error (internal "validation failed (2pc): internal vote error") in
+    let last_agent =
+      List.mem me containers
+      && List.for_all
+           (fun c -> c = me || Occ.Txn.reads_covered root.txn ~container:c)
+           containers
+    in
+    (* (container, vote) pairs of the participants that voted *)
     let votes =
-      on_each containers (prepare_vote db root)
-        ~dead:(Error (internal "validation failed (2pc): internal vote error"))
+      if last_agent then
+        let others = List.filter (( <> ) me) containers in
+        let remote = List.combine others (on_each others vote ~dead) in
+        if List.for_all (fun (_, v) -> Result.is_ok v) remote then
+          remote @ [ (me, vote me) ]
+        else remote
+      else List.combine containers (on_each containers vote ~dead)
     in
     since root Obs.Phase.Validation t_val;
     let t_dec = stamp root in
-    let prepared =
-      List.concat (List.map2 (fun c v -> if Result.is_ok v then [ c ] else []) containers votes)
-    in
+    let prepared = List.filter_map (function c, Ok () -> Some c | _, Error _ -> None) votes in
     (* Chaos: the primary dies between the phases and fences itself. A
        fenced primary installs and logs nothing, so the root rolls back as
        on an abort vote. *)
     if Chaos.draw_us db.chaos Chaos.Kill_primary <> None then Atomic.set db.fenced true;
     let r =
-      match List.find_map (function Error r -> Some r | Ok () -> None) votes with
+      match List.find_map (function _, Error r -> Some r | _, Ok () -> None) votes with
       | _ when Atomic.get db.fenced -> Error (internal "primary killed mid-2pc")
       | Some reason -> Error reason
       | None ->

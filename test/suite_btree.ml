@@ -137,6 +137,14 @@ let test_witness_point_miss () =
   check_bool "later insert of that key invalidates" true
     (not (List.for_all T.witness_valid !ws))
 
+(* A hit is guarded by the found value itself: no leaf witness. *)
+let test_no_witness_on_hit () =
+  let t = build 10 in
+  let ws = ref [] in
+  Alcotest.(check (option int)) "hit" (Some 50)
+    (T.find t 5 ~on_node:(fun w -> ws := w :: !ws));
+  check_int "no witness on hit" 0 (List.length !ws)
+
 (* Model-based property test against Stdlib.Map. *)
 module M = Map.Make (Int)
 
@@ -264,6 +272,7 @@ let suite =
       Alcotest.test_case "witness detects insert" `Quick test_witness_detects_insert;
       Alcotest.test_case "witness detects delete" `Quick test_witness_detects_delete;
       Alcotest.test_case "witness on point miss" `Quick test_witness_point_miss;
+      Alcotest.test_case "no witness on point hit" `Quick test_no_witness_on_hit;
       QCheck_alcotest.to_alcotest prop_model;
       QCheck_alcotest.to_alcotest prop_range_matches_model;
       QCheck_alcotest.to_alcotest prop_witness_soundness;

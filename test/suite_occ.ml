@@ -122,6 +122,86 @@ let test_phantom_protection () =
   check_bool "t1 aborts on phantom" true
     (Result.is_error (Occ.Commit.commit_single t1 ~epoch:1 ~container:0))
 
+(* A point lookup as the query layer makes it: the miss's leaf witness
+   goes into [t]'s node set, a hit is read (and validated) by its TID. *)
+let lookup t ~c tbl i =
+  match
+    Storage.Table.find ~on_node:(Occ.Txn.note_node t ~container:c) tbl (key i)
+  with
+  | None -> None
+  | Some r ->
+    Option.map (fun d -> Value.to_int d.(1)) (Occ.Txn.read t ~container:c r)
+
+let commits t = Result.is_ok (Occ.Commit.commit_single t ~epoch:1 ~container:0)
+
+(* t1 finds key 3 and updates it; t2 inserts key 15 into the same leaf and
+   commits first. The leaf changed, but not t1's record: t1 commits. *)
+let test_hit_ignores_leaf_insert () =
+  let tbl = fresh_table () in
+  let t1 = fresh_txn () and t2 = fresh_txn () in
+  Alcotest.(check (option int)) "found" (Some 103) (lookup t1 ~c:0 tbl 3);
+  write_v t1 ~c:0 tbl 3 7;
+  Occ.Txn.insert t2 ~container:0 ~table:tbl [| Value.Int 15; Value.Int 1 |];
+  check_bool "t2 inserts into the leaf" true (commits t2);
+  match Occ.Commit.commit_single t1 ~epoch:1 ~container:0 with
+  | Ok _ -> ()
+  | Error r -> Alcotest.failf "t1 aborted: %s" (Occ.Commit.fail_message r)
+
+(* A missed key and a scanned range keep their witnesses: a committed
+   insert of that key, or into that range, aborts the reader. *)
+let test_miss_and_scan_keep_witnesses () =
+  let expect_phantom what t =
+    match Occ.Commit.commit_single t ~epoch:1 ~container:0 with
+    | Error Occ.Commit.Node_changed -> ()
+    | Error r -> Alcotest.failf "%s: wrong reason %s" what (Occ.Commit.fail_message r)
+    | Ok _ -> Alcotest.failf "%s: committed over a phantom" what
+  in
+  let tbl = fresh_table () in
+  let miss = fresh_txn () and scan = fresh_txn () in
+  Alcotest.(check (option int)) "miss" None (lookup miss ~c:0 tbl 20);
+  write_v miss ~c:0 tbl 0 1;
+  Storage.Table.range tbl ~lo:(key 30) ~hi:(key 40)
+    ~on_node:(Occ.Txn.note_node scan ~container:0) ~f:(fun _ -> true);
+  write_v scan ~c:0 tbl 1 1;
+  let ins k =
+    let t = fresh_txn () in
+    Occ.Txn.insert t ~container:0 ~table:tbl [| Value.Int k; Value.Int 1 |];
+    check_bool (Printf.sprintf "insert %d commits" k) true (commits t)
+  in
+  ins 20;
+  ins 35;
+  expect_phantom "missed key" miss;
+  expect_phantom "scanned range" scan
+
+(* [reads_covered]: every read record updated or deleted in the slice, and
+   no node witness. *)
+let test_reads_covered () =
+  let tbl = fresh_table () in
+  let covered t = Occ.Txn.reads_covered t ~container:0 in
+  let t = fresh_txn () in
+  check_bool "no slice" true (covered t);
+  write_v t ~c:0 tbl 1 1;
+  check_bool "blind write" true (covered t);
+  ignore (read_v t ~c:0 tbl 2);
+  check_bool "read-only record" false (covered t);
+  write_v t ~c:0 tbl 2 2;
+  check_bool "read record updated" true (covered t);
+  ignore (read_v t ~c:0 tbl 3);
+  Occ.Txn.delete t ~container:0 ~table:tbl ~key:(key 3)
+    (Option.get (Storage.Table.find tbl (key 3)));
+  check_bool "read record deleted" true (covered t);
+  check_bool "other containers untouched" true (Occ.Txn.reads_covered t ~container:1);
+  let scan = fresh_txn () in
+  Storage.Table.range tbl ~lo:(key 4) ~hi:(key 5)
+    ~on_node:(Occ.Txn.note_node scan ~container:0) ~f:(fun _ -> true);
+  check_bool "scan" false (covered scan);
+  let miss = fresh_txn () in
+  ignore (lookup miss ~c:0 tbl 20);
+  check_bool "miss" false (covered miss);
+  let ins = fresh_txn () in
+  Occ.Txn.insert ins ~container:0 ~table:tbl [| Value.Int 21; Value.Int 1 |];
+  check_bool "insert probe" false (covered ins)
+
 let test_insert_insert_conflict () =
   let tbl = fresh_table () in
   let t1 = fresh_txn () and t2 = fresh_txn () in
@@ -736,6 +816,11 @@ let suite =
       Alcotest.test_case "write-write conflict" `Quick test_write_write_conflict;
       Alcotest.test_case "blind writes" `Quick test_blind_write_no_conflict;
       Alcotest.test_case "phantom protection" `Quick test_phantom_protection;
+      Alcotest.test_case "point hit ignores leaf inserts" `Quick
+        test_hit_ignores_leaf_insert;
+      Alcotest.test_case "miss and scan keep witnesses" `Quick
+        test_miss_and_scan_keep_witnesses;
+      Alcotest.test_case "reads covered by own locks" `Quick test_reads_covered;
       Alcotest.test_case "insert-insert conflict" `Quick test_insert_insert_conflict;
       Alcotest.test_case "duplicate insert aborts" `Quick
         test_insert_existing_aborts_immediately;

@@ -524,6 +524,33 @@ let test_fatal_error_frees_core () =
   | Some out -> checkf "next root commits" 105. (Value.to_number (ok_or_fail out))
   | None -> Alcotest.fail "next root never completed"
 
+(* Cross-container write skew (DESIGN.md §5.2): [acct0.proc acct1] and
+   [acct1.proc acct0] start together on two containers, the second one
+   [round] tenths of a µs later, and must not both commit having read the
+   balances from before the pair. [skew] has each remote participant write
+   what it reads (the coordinator prepares last); [skew_remote_read] has it
+   only read. The recorded history must certify as well. *)
+let test_write_skew_sim proc () =
+  let eng = Sim.Engine.create () in
+  let db = DB.create eng (bank_decl 2) (sn_config 2) Reactdb.Profile.default in
+  DB.enable_history db;
+  let skews = ref 0 in
+  for round = 0 to 39 do
+    let before = in_sim db (fun db -> (balance db "acct0", balance db "acct1")) in
+    let out = [| Error "never ran"; Error "never ran" |] in
+    List.iteri
+      (fun i (self, other) ->
+        Sim.Engine.spawn eng (fun () ->
+            Sim.Engine.delay (0.1 *. float_of_int (i * round));
+            out.(i) <-
+              (DB.exec_txn db ~reactor:self ~proc ~args:[ Value.Str other ]).DB.result))
+      [ ("acct0", "acct1"); ("acct1", "acct0") ];
+    ignore (Sim.Engine.run eng);
+    if skewed ~proc ~before out then incr skews
+  done;
+  check_int "rounds where both read the other's old balance" 0 !skews;
+  audit "history serializable" (Audit.certify db)
+
 (* WAL device failure surfaces as a typed Internal abort through the commit
    path, and fails the log for the rest of the run: the failed root's
    record never reaches the file, a later writer is refused before it
@@ -718,4 +745,8 @@ let suite =
         test_readonly_outlasts_deadline_sim;
       Alcotest.test_case "fatal error frees the core" `Quick
         test_fatal_error_frees_core;
+      Alcotest.test_case "write skew across containers (sim)" `Quick
+        (test_write_skew_sim "skew");
+      Alcotest.test_case "write skew across containers, remote read (sim)" `Quick
+        (test_write_skew_sim "skew_remote_read");
     ] )

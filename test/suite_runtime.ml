@@ -466,6 +466,28 @@ let test_kill_mid_2pc_rolls_back () =
       check_bool (name ^ " holds no lock") false locked)
     (stored db)
 
+(* Cross-container write skew on real domains (DESIGN.md §5.2):
+   [acct0.proc acct1] and [acct1.proc acct0] submitted together, round
+   after round on one 2-domain runtime, must never both commit having read
+   the balances from before the pair ([Testlib.skewed]). *)
+let test_write_skew_runtime proc () =
+  let db = RDb.start (Testlib.bank_decl 2) (Testlib.sn_config 2) in
+  let skews = ref 0 in
+  for _ = 1 to 300 do
+    let before = (balance db "acct0", balance db "acct1") in
+    let out = [| Error "never ran"; Error "never ran" |] in
+    List.iteri
+      (fun i (self, other) ->
+        RDb.submit db ~reactor:self ~proc ~args:[ Value.Str other ] ~k:(fun o ->
+            out.(i) <- o.RDb.result))
+      [ ("acct0", "acct1"); ("acct1", "acct0") ];
+    RDb.quiesce db;
+    if Testlib.skewed ~proc ~before out then incr skews
+  done;
+  Testlib.audit "no fatals" (Audit.fatal db);
+  RDb.shutdown db;
+  check_int "rounds where both read the other's old balance" 0 !skews
+
 (* A fenced primary ends its clients' chains: each closed-loop worker
    stops at its first abort after the fence, so it is refused at most
    once. Counted per worker from the generator, which runs once per
@@ -1449,6 +1471,10 @@ let suite =
         test_posted_installs_keep_snapshot_cuts;
       Alcotest.test_case "posted installs land before fence and quiesce" `Quick
         test_posted_installs_land_before_fence_and_quiesce;
+      Alcotest.test_case "write skew across containers (runtime)" `Quick
+        (test_write_skew_runtime "skew");
+      Alcotest.test_case "write skew across containers, remote read (runtime)" `Quick
+        (test_write_skew_runtime "skew_remote_read");
       Alcotest.test_case "runtime kill mid-2pc rolls back every participant" `Quick
         test_kill_mid_2pc_rolls_back;
       Alcotest.test_case "read-only outlasts deadline (runtime)" `Quick

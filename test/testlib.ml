@@ -21,6 +21,11 @@ let acct_schema =
    - relay (other, proc, args...): runs proc on other and returns its
      value, touching no data of its own
    - deposit_after (amount, us): deposit after [us] µs of virtual work
+   - skew (other): read own balance, deposit 1 on [other], return the
+     balance read; the remote participant's read is covered by its write
+   - skew_remote_read (other): read [other]'s balance by a sub-call,
+     deposit 1 on self, return the balance read; the remote participant
+     only reads
    - noop () *)
 let account_type =
   let open Reactor in
@@ -144,6 +149,20 @@ let account_type =
     ctx.db.Query.Exec.work (arg_float args 1);
     deposit ctx args
   in
+  let skew ctx args =
+    let own = balance_of ctx in
+    ignore
+      ((ctx.call ~reactor:(arg_str args 0) ~proc:"deposit" ~args:[ Value.Float 1. ])
+         .get ());
+    Value.Float own
+  in
+  let skew_remote_read ctx args =
+    let other =
+      (ctx.call ~reactor:(arg_str args 0) ~proc:"get_balance" ~args:[]).get ()
+    in
+    ignore (deposit ctx [ Value.Float 1. ]);
+    other
+  in
   let same_twice ctx args =
     let dest = arg_str args 0 in
     let f1 = ctx.call ~reactor:dest ~proc:"deposit" ~args:[ Value.Float 1. ] in
@@ -178,6 +197,8 @@ let account_type =
         ("multi_transfer_collect_slow", multi_transfer_collect_slow);
         ("slow_deposit", slow_deposit);
         ("same_twice", same_twice);
+        ("skew", skew);
+        ("skew_remote_read", skew_remote_read);
         ("relay", relay);
         ("deposit_after", deposit_after);
         ("slow_balance", slow_balance);
@@ -258,3 +279,12 @@ let run_conflict_workload ?(accounts = 4) db ~workers ~per_worker =
   done;
   ignore (Sim.Engine.run eng);
   if !finished <> workers then failwith "run_conflict_workload: workers stuck"
+
+(* Write-skew oracle for the pair [acct0.proc acct1] and [acct1.proc acct0],
+   with [proc] one of [skew] and [skew_remote_read]; each root returns the
+   balance it read, and [before] holds acct0's and acct1's balances before
+   the pair ran. In any serial order the second root reads the first one's
+   deposit, so both committing with what they read before is a cycle. *)
+let skewed ~proc ~before:(b0, b1) results =
+  let read_before = if proc = "skew" then [| b0; b1 |] else [| b1; b0 |] in
+  Array.for_all2 (fun r b -> r = Ok (Value.Float b)) results read_before
