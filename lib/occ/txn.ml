@@ -312,16 +312,13 @@ let reads_covered t ~container =
   match slice_opt t container with
   | None -> true
   | Some s ->
-    Util.Vec.length s.nodes = 0
-    &&
-    let covered = ref true in
-    Util.Vec.iter
-      (fun (r, _) ->
-        match find_write s r with
-        | Some { kind = Update _ | Delete; _ } -> ()
-        | Some { kind = Insert; _ } | None -> covered := false)
-      s.reads;
-    !covered
+    Util.Vec.is_empty s.nodes
+    && Util.Vec.for_all
+         (fun (r, _) ->
+           match find_write s r with
+           | Some { kind = Update _ | Delete; _ } -> true
+           | Some { kind = Insert; _ } | None -> false)
+         s.reads
 
 (* ---- list views (tests, history recording) ---- *)
 
