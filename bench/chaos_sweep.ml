@@ -24,9 +24,10 @@
    Every scenario is gated: zero internal errors, exact money conservation
    (Smallbank) / one row per key reactor (YCSB), secondary-index audit,
    the attempt-accounting identity commits + aborts = logical + retries,
-   and bounded wall-clock progress. Any violated audit makes the process
-   exit non-zero — throughput under faults is only meaningful if the
-   faulted execution was still correct.
+   and bounded wall-clock progress; the runtime scenarios' recorded
+   histories must also certify as conflict-serializable. Any violated
+   audit makes the process exit non-zero — throughput under faults is
+   only meaningful if the faulted execution was still correct.
 
    Usage:
      dune exec bench/chaos_sweep.exe                    full run
@@ -66,6 +67,9 @@ let bounded_audit ~elapsed_s ~ceiling_s =
       (Printf.sprintf "wall-clock progress not bounded: %.1fs >= %.1fs ceiling"
          elapsed_s ceiling_s)
 
+(* The runtime's history, recorded from [start], certifies. *)
+let certified db () = Result.map ignore (certify (RDb.history db))
+
 (* --- scenarios --- *)
 
 type workload = Smallbank of int | Ycsb of int
@@ -89,6 +93,7 @@ let run_matrix ~seed ~fast ~wl ~d ~fault =
     | Some kind -> Chaos.make ~seed ~kind ~p:0.05 ~delay_us:1000. ()
   in
   let db = RDb.start ~chaos decl cfg in
+  RDb.enable_history db;
   let gen =
     match wl with
     | Smallbank n -> fun _ rng -> SB.gen_conserving rng ~n
@@ -119,7 +124,8 @@ let run_matrix ~seed ~fast ~wl ~d ~fault =
           accounting ~committed ~aborted
             ~logical:(n_workers * per_worker) ~retries)
     >>= (fun () -> bounded_audit ~elapsed_s ~ceiling_s:120.)
-    >>= fun () -> secondaries (RDb.catalogs db)
+    >>= (fun () -> secondaries (RDb.catalogs db))
+    >>= certified db
   in
   {
     rw_scenario = "matrix";
@@ -150,6 +156,7 @@ let run_deadline ~seed ~fast =
     Chaos.make ~seed ~kind:Chaos.Delay_delivery ~p:0.5 ~delay_us:5000. ()
   in
   let db = RDb.start ~chaos decl cfg in
+  RDb.enable_history db;
   let n_workers = 8 and per_worker = if fast then 25 else 100 in
   let t0 = Unix.gettimeofday () in
   let retries =
@@ -168,9 +175,10 @@ let run_deadline ~seed ~fast =
     >>= (fun () ->
           accounting ~committed ~aborted
             ~logical:(n_workers * per_worker) ~retries)
-    >>= fun () ->
-    if timeouts > 0 then Ok ()
-    else Error "expected deadline timeouts under 5ms delivery delay, saw none"
+    >>= (fun () ->
+          if timeouts > 0 then Ok ()
+          else Error "expected deadline timeouts under 5ms delivery delay, saw none")
+    >>= certified db
   in
   {
     rw_scenario = "deadline";
@@ -204,6 +212,7 @@ let run_fanout_delay ~seed ~fast =
     Chaos.make ~seed ~kind:Chaos.Delay_delivery ~p:0.2 ~delay_us:2000. ()
   in
   let db = RDb.start ~chaos decl cfg in
+  RDb.enable_history db;
   let gen _ rng =
     let src = Util.Rng.int rng n in
     let rec pick acc k =
@@ -240,7 +249,8 @@ let run_fanout_delay ~seed ~fast =
           if Chaos.injections chaos > 0 then Ok ()
           else Error "delivery-delay injector never fired")
     >>= (fun () -> bounded_audit ~elapsed_s ~ceiling_s:120.)
-    >>= fun () -> secondaries (RDb.catalogs db)
+    >>= (fun () -> secondaries (RDb.catalogs db))
+    >>= certified db
   in
   {
     rw_scenario = "fanout-delay";
@@ -266,6 +276,7 @@ let run_overload ~seed ~fast =
   let decl = SB.decl ~customers:n () in
   let cfg = Config.shared_nothing (Config.chunk 2 (SB.customers n)) in
   let db = RDb.start ~mailbox_cap:4 decl cfg in
+  RDb.enable_history db;
   let s =
     Harness.spec
       ~warmup_epochs:(if fast then 1 else 4)
@@ -285,12 +296,13 @@ let run_overload ~seed ~fast =
     >>= (fun () ->
           if sheds > 0 then Ok ()
           else Error "expected admission sheds at mailbox_cap=4, saw none")
-    >>= fun () ->
-    if r.Harness.p99_latency < p99_ceiling_us then Ok ()
-    else
-      Error
-        (Printf.sprintf "p99 not bounded under overload: %.0fus >= %.0fus"
-           r.Harness.p99_latency p99_ceiling_us)
+    >>= (fun () ->
+          if r.Harness.p99_latency < p99_ceiling_us then Ok ()
+          else
+            Error
+              (Printf.sprintf "p99 not bounded under overload: %.0fus >= %.0fus"
+                 r.Harness.p99_latency p99_ceiling_us))
+    >>= certified db
   in
   {
     rw_scenario = "overload";

@@ -47,8 +47,9 @@ let abl_mpl ~fast =
      but near-serial validation windows (low aborts). MPL >= 2 lets the\n\
      executor run a second root while the first waits on remote stock\n\
      work: committed-transaction latency drops and throughput rises\n\
-     slightly, while concurrent windows multiply the abort rate roughly\n\
-     tenfold. Past the number of workers per executor, MPL is inert.\n\
+     slightly, while concurrent windows multiply the abort rate by\n\
+     3.4-4.6x (a ~10x growth does not reproduce on this sweep).\n\
+     Past the number of workers per executor, MPL is inert.\n\
      This is the §3.2.3 knob: cooperative multitasking trades isolation\n\
      pressure for utilization.\n"
 

@@ -85,7 +85,7 @@ let run_measured ~n ~containers morph =
   in
   let report = Obs.Report.summarize collector in
   ( config, form, report, Harness.mean_breakdown outs,
-    Audit.money ~n:n_cust (DB.catalogs db), Audit.certify db )
+    Audit.money ~n:n_cust (DB.catalogs db), Audit.certify (DB.history db) )
 
 (* Cost-model prediction, calibrated as in Figure 6 (§4.2.2) from a
    fully-sync size-1 run on the same deployment; the commit+input-gen
@@ -151,7 +151,7 @@ let run_concurrent ~fast ~containers =
       gen
   in
   let res = Harness.run (Harness.sim db) spec in
-  (res, Audit.money ~n:n_cust (DB.catalogs db), Audit.certify db)
+  (res, Audit.money ~n:n_cust (DB.catalogs db), Audit.certify (DB.history db))
 
 (* --- output --- *)
 

@@ -194,7 +194,7 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
       (DB.n_log_flushes db);
     Wal.close log);
   if certify then
-    match Audit.certify db with
+    match Audit.certify (DB.history db) with
     | Ok n ->
       Printf.printf "history         serializable (%d transactions)\n" n
     | Error m ->

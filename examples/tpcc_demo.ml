@@ -26,7 +26,7 @@ let deployments =
   ]
 
 let certify db =
-  match Audit.certify db with
+  match Audit.certify (Reactdb.Database.history db) with
   | Ok n -> Printf.sprintf "serializable (%d txns certified)" n
   | Error m -> "NOT SERIALIZABLE: " ^ m
 

@@ -26,8 +26,10 @@ val accounting :
     each secondary index, and no index holds extra or stale entries. *)
 val secondaries : (string * Storage.Catalog.t) list -> (unit, string) result
 
-(** Conflict-serializability of a simulator run recorded with
-    {!Reactdb.Database.enable_history} (paper Theorem 2.7):
-    [Ok n] when the [n] committed transactions certify, otherwise the
-    {!Histories.Certify.check} violation. *)
-val certify : Reactdb.Database.t -> (int, string) result
+(** Conflict-serializability of a recorded history (paper Theorem 2.7),
+    the [history] of either backend after its [enable_history]
+    ({!Reactdb.Bootstrap.ADMIN}): [Ok n] when the [n] committed
+    transactions certify, otherwise the {!Histories.Certify.check}
+    violation. Read-only snapshot roots record nothing on either backend,
+    so they are not certified. *)
+val certify : Histories.Certify.entry list -> (int, string) result

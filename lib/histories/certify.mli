@@ -1,11 +1,11 @@
 (** Serializability certification of actual ReactDB executions.
 
-    Only the simulator records a history
-    ([Reactdb.Database.enable_history]; the parallel runtime keeps none):
-    for each committed transaction, its install TID and its read set as
-    (record, observed-TID) pairs. Because Silo TIDs totally order the
-    versions of each record, the log determines a multiversion
-    serialization graph:
+    Both backends record a history ([enable_history] in
+    [Reactdb.Bootstrap.ADMIN]): for each committed transaction, its
+    install TID and its read set as (record, observed-TID) pairs.
+    Read-only snapshot roots record nothing on either backend. Because
+    Silo TIDs totally order the versions of each record, the log
+    determines a multiversion serialization graph:
 
     - ww: writers of a record ordered by their install TIDs;
     - wr: the writer that installed TID [t] precedes every reader that
@@ -14,8 +14,8 @@
       the next TID of that record.
 
     The committed execution is conflict-serializable iff this graph is
-    acyclic — the integration tests run adversarial workloads on the
-    simulator under every deployment and certify each run. *)
+    acyclic — the integration tests run adversarial workloads on both
+    backends under every deployment and certify each run. *)
 
 type entry = {
   c_txn : int;  (** transaction id *)

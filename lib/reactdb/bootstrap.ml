@@ -6,8 +6,8 @@
     the placement table, the table-owner map for redo logging, the commit
     and abort counters, the pin registry and migration gate ({!Pins}), the
     group commit of an attached WAL ({!Durability}), the primary's
-    generation and fence, the attached chaos injector and trace collector
-    and the transaction-id counter. A backend's
+    generation and fence, the attached chaos injector and trace collector,
+    the recorded history and the transaction-id counter. A backend's
     database is a {!t} whose [own] field holds what is truly its own
     (engine and executors, or domains and mailboxes), and its admin and
     statistics API is {!ADMIN}, implemented once by {!Admin}. *)
@@ -127,6 +127,8 @@ type ('s, 'p) t = {
   generation : int Atomic.t;  (** the generation this primary serves (§12.4) *)
   fenced : bool Atomic.t;  (** set once, never cleared: refuse every root *)
   fenced_refusals : int Atomic.t;  (** roots refused while fenced *)
+  mutable history : Histories.Certify.entry list Atomic.t option;
+      (** committed roots' entries, newest first; [None] unrecorded *)
   txn_ids : int Atomic.t;
   own : 'p;  (** the backend's own state *)
 }
@@ -146,7 +148,7 @@ let create decl cfg ~epoch ~slot own =
     registry = Pins.Registry.create ~epoch; gate = Pins.Gate.create ();
     obs = None; wal = None; chaos = Chaos.none; generation = Atomic.make 0;
     fenced = Atomic.make false; fenced_refusals = Atomic.make 0;
-    txn_ids = Atomic.make 0; own }
+    history = None; txn_ids = Atomic.make 0; own }
 
 (** Log every later commit's redo record to [log] through group commit. *)
 let attach_wal t log =
@@ -365,6 +367,22 @@ module type ADMIN = sig
       [Obs.Trace.none] and the per-attempt cost is a few predictable
       branches and no clock reads. *)
   val attach_obs : t -> Obs.Collector.t -> unit
+
+  (** {2 History recording (for serializability certification)}
+
+      When enabled, every root that commits through the commit protocol
+      records its {!Histories.Certify.entry} (txn id, install TID, read
+      set, write set) at its decision, with every participant's locks
+      held and nothing installed yet; {!history} returns the entries,
+      in the order they were recorded, ready for
+      {!Histories.Certify.check}. Read-only snapshot roots record
+      nothing: they have no read set. Enable before submitting traffic:
+      an entry that read a version installed while recording was off
+      fails certification as an impossible read. *)
+
+  val enable_history : t -> unit
+
+  val history : t -> Histories.Certify.entry list
 end
 
 (** {!ADMIN} for every backend; a backend [include]s it. *)
@@ -406,4 +424,6 @@ module Admin = struct
   let fenced t = Atomic.get t.fenced
   let n_fenced_refusals t = Atomic.get t.fenced_refusals
   let attach_obs t c = t.obs <- Some c
+  let enable_history t = if t.history = None then t.history <- Some (Atomic.make [])
+  let history t = Option.fold ~none:[] ~some:(fun h -> List.rev (Atomic.get h)) t.history
 end

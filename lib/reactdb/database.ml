@@ -48,8 +48,6 @@ type sim = {
   prof : Profile.t;
   containers : container array;
   execs : executor array;  (* every executor, container-major *)
-  mutable record_history : bool;
-  mutable hist : Histories.Certify.entry list;
   mutable stats_since : float;
   mutable mailbox_cap : int option;
       (* root admission bound per executor request queue; [None] =
@@ -151,25 +149,6 @@ let touch_cache (rstate : rstate) xid =
 let set_exec_of rx cid ex =
   if not (List.mem_assoc cid rx.exec_of_container) then
     rx.exec_of_container <- (cid, ex) :: rx.exec_of_container
-
-let note_history (db : sim) (root : root) tid =
-  if db.record_history then begin
-    let reads =
-      List.concat_map
-        (fun c ->
-          List.map
-            (fun (r, observed) -> (r.Storage.Record.rid, observed))
-            (Occ.Txn.reads_in root.txn ~container:c))
-        (Occ.Txn.containers root.txn)
-    in
-    let writes =
-      List.map (fun e -> e.Occ.Txn.wrec.Storage.Record.rid) (Occ.Txn.all_writes root.txn)
-    in
-    db.hist <-
-      { Histories.Certify.c_txn = Occ.Txn.id root.txn; c_tid = tid;
-        c_reads = reads; c_writes = writes }
-      :: db.hist
-  end
 
 (* When the simulator flushes (DESIGN.md §8.3): a batch's first waiter
    spawns one flush at the next epoch boundary, so [Engine.run] drains once
@@ -335,9 +314,6 @@ module P = struct
 
   let charge_install (db : db) = Engine.delay db.own.prof.Profile.cost_commit_base
   let prepared _ = ()
-
-  (* The history entry, every participant's locks held. *)
-  let log_commit (db : db) (root : root) ~tid = note_history db.own root tid
 
   (* Client-side durable wait: called after the transaction's executor slot
      is released, so group commit adds commit latency but never holds
@@ -531,8 +507,6 @@ let create eng decl cfg prof =
         prof;
         containers;
         execs;
-        record_history = false;
-        hist = [];
         stats_since = Engine.now eng;
         mailbox_cap = None;
       }
@@ -580,9 +554,6 @@ let attach_wal = Bootstrap.attach_wal
 
 let attach_chaos (db : t) c = db.chaos <- c
 let set_mailbox_cap (db : t) cap = db.own.mailbox_cap <- cap
-let enable_history (db : t) = db.own.record_history <- true
 
 (* The shared fence (DESIGN.md §12.4), suspending like [migrate]. *)
 let fence (db : t) = Pins.Gate.fence db.gate ~suspend:Engine.suspend db.fenced
-
-let history (db : t) = List.rev db.own.hist

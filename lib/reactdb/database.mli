@@ -87,11 +87,12 @@ val exec_txn :
 
 (** {1 Shared admin and statistics API}
 
-    Catalogs, placement, snapshot reads, statistics and tracing, as on the
-    parallel runtime. On this backend the migration pause is in virtual
-    µs, the commit, abort, read-only and morph counters count since
-    bootstrap or the last {!reset_stats}, and tracing ({!attach_obs}) stamps {e virtual} microseconds: create
-    the collector with [~clock:Obs.Virtual]. *)
+    Catalogs, placement, snapshot reads, statistics, tracing and
+    history recording, as on the parallel runtime. On this backend the
+    migration pause is in virtual µs, the commit, abort, read-only and
+    morph counters count since bootstrap or the last {!reset_stats}, and
+    tracing ({!attach_obs}) stamps {e virtual} microseconds: create the
+    collector with [~clock:Obs.Virtual]. *)
 
 include Bootstrap.ADMIN with type t := t
 
@@ -179,14 +180,3 @@ val fence : t -> unit
 val attach_chaos : t -> Chaos.t -> unit
 
 val set_mailbox_cap : t -> int option -> unit
-
-(** {1 History recording (for serializability certification)}
-
-    When enabled, every committed transaction appends its
-    {!Histories.Certify.entry} (txn id, install TID, read set, write set)
-    to the history log; {!history} returns the log in commit order, ready
-    for {!Histories.Certify.check}. *)
-
-val enable_history : t -> unit
-
-val history : t -> Histories.Certify.entry list

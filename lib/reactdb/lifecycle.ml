@@ -42,6 +42,22 @@ let redo_writes owner txn =
       | Occ.Txn.Delete -> Wal.Del { reactor; table; key = e.Occ.Txn.wkey })
     (Occ.Txn.all_writes txn)
 
+(* The root's history entry, consed onto [h]: reads as (record, observed
+   TID) pairs from every container's slice. *)
+let record h txn ~tid =
+  let rid r = r.Storage.Record.rid in
+  let reads c = List.map (fun (r, seen) -> (rid r, seen)) (Occ.Txn.reads_in txn ~container:c) in
+  let e =
+    { Histories.Certify.c_txn = Occ.Txn.id txn; c_tid = tid;
+      c_reads = List.concat_map reads (Occ.Txn.containers txn);
+      c_writes = List.map (fun w -> rid w.Occ.Txn.wrec) (Occ.Txn.all_writes txn) }
+  in
+  let rec cons () =
+    let l = Atomic.get h in
+    if not (Atomic.compare_and_set h l (e :: l)) then cons ()
+  in
+  cons ()
+
 (* Commit-time aborts: a failed validation (its kind refined by the fail
    reason), and internal failures — a failed WAL, a fenced primary, a
    primary killed between the phases, a commit step dying on an
@@ -313,12 +329,13 @@ module Make (P : PLATFORM) = struct
      locking, so no hold spans a prepare round trip. In order: the
      group-commit tag of a logged root, the registry's commit hold, the
      TID, the redo record queued ahead of the install — its tag drops
-     with the queueing — then the install. Epochs only grow, so tag <=
-     hold <= TID epoch. The commit hold lasts until every install landed,
-     so no snapshot is issued at an epoch that can still gain installs:
-     [install] reports the installs it leaves posted ([expect n] returns
-     the landing each of them calls), and the last of those and this
-     call drops the hold. Each posted install also holds the root's
+     with the queueing — the history entry of a recorded database, then
+     the install. Epochs only grow, so tag <= hold <= TID epoch. The
+     commit hold lasts until every install landed, so no snapshot is
+     issued at an epoch that can still gain installs: [install] reports
+     the installs it leaves posted ([expect n] returns the landing each
+     of them calls), and the last of those and this call drops the
+     hold. Each posted install also holds the root's
      settlement. Tag and hold are dropped on every path, since a leaked
      tag would freeze the durable bound and a leaked hold snapshots and
      GC. A failed log refuses the record: nothing installs, and the
@@ -343,7 +360,7 @@ module Make (P : PLATFORM) = struct
           match log tid with
           | Error m -> Error (wal_failed m)
           | Ok () ->
-            P.log_commit db root ~tid;
+            (match db.history with Some h -> record h root.txn ~tid | None -> ());
             install ~tid
               ~horizon:
                 (if Pins.Registry.enabled reg then Some (Pins.Registry.horizon reg)

@@ -134,11 +134,6 @@ module type PLATFORM = sig
   (** Chaos point: a 2PC participant prepared (locks held). *)
   val prepared : (slot, t) Bootstrap.t -> unit
 
-  (** Between TID and install, every participant's locks held and the
-      redo record queued: the platform's own record of the commit (the
-      simulator's history entry). *)
-  val log_commit : (slot, t) Bootstrap.t -> rx root -> tid:int -> unit
-
   (** Hold a committed root until the flush of its record's batch, and
       return that flush's result: when to flush is the platform's. *)
   val wait_durable : (slot, t) Bootstrap.t -> Durability.batch -> (unit, string) result

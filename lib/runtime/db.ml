@@ -401,8 +401,6 @@ module P = struct
      place to lose time. *)
   let prepared (db : db) = Chaos.inject_wall db.chaos Chaos.Stall_prepare
 
-  let log_commit _ _ ~tid:_ = ()
-
   (* The committer's flush, unless one is under way. *)
   let wait_durable (db : db) b =
     if Ivar.peek b = None then Option.iter Durability.try_flush db.wal;

@@ -117,12 +117,13 @@ val n_domains : t -> int
 
 (** {1 Shared admin and statistics API}
 
-    Catalogs, placement, snapshot reads, statistics and tracing, as on the
-    simulator. On this backend, catalogs are safe to read only after
-    {!quiesce} or {!shutdown}; read-only snapshot roots are home-pinned
-    (never stolen or cost-routed), so every version-chain walk happens on
-    the domain owning the records; and the "internal" abort bucket counts
-    a procedure or commit step raising something that is not an abort
+    Catalogs, placement, snapshot reads, statistics, tracing and history
+    recording, as on the simulator. On this backend, catalogs and the
+    history are safe to read only after {!quiesce} or {!shutdown};
+    read-only snapshot roots are home-pinned (never stolen or
+    cost-routed), so every version-chain walk happens on the domain
+    owning the records; and the "internal" abort bucket counts a
+    procedure or commit step raising something that is not an abort
     (see {!n_fatal}). *)
 
 include Reactdb.Bootstrap.ADMIN with type t := t

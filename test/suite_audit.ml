@@ -65,9 +65,28 @@ let test_certify () =
   Testlib.with_db (Testlib.sn_config 4) (fun db ->
       Reactdb.Database.enable_history db;
       Testlib.run_conflict_workload db ~workers:3 ~per_worker:10;
-      match Audit.certify db with
+      match Audit.certify (Reactdb.Database.history db) with
       | Ok n -> check_bool "history recorded" true (n > 0)
       | Error m -> Alcotest.failf "not serializable: %s" m)
+
+(* The runtime's recorded history certifies; a forged entry that read a
+   version no transaction installed does not. *)
+let test_certify_runtime () =
+  let db = Runtime.Db.start (Testlib.bank_decl 4) (Testlib.sn_config 4) in
+  Runtime.Db.enable_history db;
+  let (_ : int) =
+    Harness.run_fixed (Harness.runtime db) ~n_workers:3 ~per_worker:20 ~seed:9
+      (fun _ rng -> Testlib.random_transfer rng ~accounts:4)
+  in
+  Runtime.Db.shutdown db;
+  let h = Runtime.Db.history db in
+  (match Audit.certify h with
+  | Ok n -> check_bool "history recorded" true (n > 0)
+  | Error m -> Alcotest.failf "not serializable: %s" m);
+  let e = List.hd h in
+  rejects "read of a version never installed"
+    (Audit.certify
+       ({ e with Histories.Certify.c_txn = -1; c_reads = [ (List.hd e.c_writes, -7) ] } :: h))
 
 let suite =
   ( "audit",
@@ -78,4 +97,5 @@ let suite =
       Alcotest.test_case "secondaries" `Quick test_secondaries;
       Alcotest.test_case "fatal" `Quick test_fatal;
       Alcotest.test_case "certify" `Quick test_certify;
+      Alcotest.test_case "certify runtime" `Quick test_certify_runtime;
     ] )

@@ -1,6 +1,6 @@
 (* Tests for the §2.3 formal machinery: projection, serializability
    checking in both models, Theorem 2.7 as a property, and certification
-   of actual execution histories, which only the simulator records. *)
+   of actual execution histories, which both backends record. *)
 
 open Histories
 
@@ -113,14 +113,14 @@ let test_certify_detects_impossible_read () =
   check_bool "phantom tid" true (Result.is_error (Certify.check entries))
 
 (* End-to-end: record histories from adversarial simulator executions
-   under every deployment and certify them. The parallel runtime records
-   no history, so despite their names the [certify_runtime_*] cases run
-   the simulator. *)
+   under every deployment and certify them. Despite their names the
+   [certify_runtime_*] cases run the simulator; the runtime's own cases
+   follow them. *)
 let certify_run ?(accounts = 4) config =
   Testlib.with_db ~n:accounts config (fun db ->
       Reactdb.Database.enable_history db;
       Testlib.run_conflict_workload ~accounts db ~workers:6 ~per_worker:30;
-      match Audit.certify db with
+      match Audit.certify (Reactdb.Database.history db) with
       | Ok n -> check_bool "history non-trivial" true (n > 50)
       | Error m -> Alcotest.failf "execution not serializable: %s" m)
 
@@ -129,6 +129,64 @@ let test_certify_runtime_sn () = certify_run ~accounts:16 (Testlib.sn_config 16)
 
 let test_certify_runtime_affinity () =
   certify_run (Testlib.se_config ~affinity:true 2 4)
+
+(* Runtime histories: 2 domains under each ingress policy, recorded from
+   [start], before any traffic. Every committed root records one entry,
+   except read-only snapshot roots (TPC-C order-status and stock-level),
+   which record none. *)
+let routings =
+  let open Reactdb.Config in
+  [ ("affinity", Affinity, false); ("round-robin", Round_robin, false);
+    ("stealing", Affinity, true); ("cost", Cost, false) ]
+
+(* [gen db w rng] is worker [w]'s next request. *)
+let certify_runtime_run (router, steal) decl names ~per_worker gen =
+  let cfg = Reactdb.Config.of_groups ~router (Reactdb.Config.chunk 2 names) in
+  let db = Runtime.Db.start ~steal decl cfg in
+  Runtime.Db.enable_history db;
+  let (_ : int) =
+    Harness.run_fixed ~max_retries:3 (Harness.runtime db) ~n_workers:4 ~per_worker
+      ~seed:5 (gen db)
+  in
+  Runtime.Db.shutdown db;
+  Testlib.audit "no fatals" (Audit.fatal db);
+  match Audit.certify (Runtime.Db.history db) with
+  | Ok n ->
+    Alcotest.(check int) "one entry per committed OCC root"
+      (Runtime.Db.n_committed db - Runtime.Db.n_readonly_commits db) n
+  | Error m -> Alcotest.failf "runtime execution not serializable: %s" m
+
+let certify_runtime_bank routing () =
+  certify_runtime_run routing (Testlib.bank_decl 4) (Testlib.names 4) ~per_worker:100
+    (fun _ _ rng -> Testlib.random_transfer rng ~accounts:4)
+
+let certify_runtime_ycsb routing () =
+  let module Y = Workloads.Ycsb in
+  let p = Y.params ~txn_keys:4 ~theta:0.99 32 in
+  certify_runtime_run routing (Y.decl ~keys:32 ()) (Y.keys 32) ~per_worker:100
+    (fun db _ rng -> Y.gen_multi_update rng p ~container_of:(Runtime.Db.container_of db))
+
+(* The TPC-C mix; each worker draws history ids from its own range. *)
+let certify_runtime_tpcc routing () =
+  let module T = Workloads.Tpcc in
+  let p = T.params ~sizes:T.small_sizes 2 in
+  let seqs = Array.init 4 (fun w -> ref (w * 1_000_000)) in
+  certify_runtime_run routing
+    (T.decl ~warehouses:2 ~sizes:T.small_sizes ())
+    (T.warehouses 2) ~per_worker:60
+    (fun _ w rng -> T.gen_mix rng p ~home:(1 + (w mod 2)) ~seq:seqs.(w))
+
+let runtime_cases =
+  List.concat_map
+    (fun (wl, case) ->
+      List.map
+        (fun (name, router, steal) ->
+          Alcotest.test_case
+            (Printf.sprintf "runtime certifies %s, %s" wl name)
+            `Quick (case (router, steal)))
+        routings)
+    [ ("bank", certify_runtime_bank); ("ycsb", certify_runtime_ycsb);
+      ("tpcc", certify_runtime_tpcc) ]
 
 let suite =
   ( "histories",
@@ -149,4 +207,5 @@ let suite =
       Alcotest.test_case "certify runtime SN" `Quick test_certify_runtime_sn;
       Alcotest.test_case "certify runtime affinity" `Quick
         test_certify_runtime_affinity;
-    ] )
+    ]
+    @ runtime_cases )

@@ -56,7 +56,7 @@ let run_once ~shape ~accounts ~workers ~per_worker ~seed =
       done;
       ignore (Sim.Engine.run eng);
       let balances = List.map (Testlib.balance db) (Testlib.names accounts) in
-      (DB.n_committed db, DB.n_aborted db, balances, Audit.certify db))
+      (DB.n_committed db, DB.n_aborted db, balances, Audit.certify (DB.history db)))
 
 let gen_case =
   QCheck.Gen.(

@@ -549,7 +549,7 @@ let test_write_skew_sim proc () =
     if skewed ~proc ~before out then incr skews
   done;
   check_int "rounds where both read the other's old balance" 0 !skews;
-  audit "history serializable" (Audit.certify db)
+  audit "history serializable" (Audit.certify (DB.history db))
 
 (* WAL device failure surfaces as a typed Internal abort through the commit
    path, and fails the log for the rest of the run: the failed root's

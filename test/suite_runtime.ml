@@ -469,9 +469,11 @@ let test_kill_mid_2pc_rolls_back () =
 (* Cross-container write skew on real domains (DESIGN.md §5.2):
    [acct0.proc acct1] and [acct1.proc acct0] submitted together, round
    after round on one 2-domain runtime, must never both commit having read
-   the balances from before the pair ([Testlib.skewed]). *)
+   the balances from before the pair ([Testlib.skewed]), and the recorded
+   history must certify. *)
 let test_write_skew_runtime proc () =
   let db = RDb.start (Testlib.bank_decl 2) (Testlib.sn_config 2) in
+  RDb.enable_history db;
   let skews = ref 0 in
   for _ = 1 to 300 do
     let before = (balance db "acct0", balance db "acct1") in
@@ -486,7 +488,8 @@ let test_write_skew_runtime proc () =
   done;
   Testlib.audit "no fatals" (Audit.fatal db);
   RDb.shutdown db;
-  check_int "rounds where both read the other's old balance" 0 !skews
+  check_int "rounds where both read the other's old balance" 0 !skews;
+  Testlib.audit "history serializable" (Audit.certify (RDb.history db))
 
 (* A fenced primary ends its clients' chains: each closed-loop worker
    stops at its first abort after the fence, so it is refused at most

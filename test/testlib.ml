@@ -257,6 +257,13 @@ let se_config ?(affinity = true) ?mpl n_exec n_reactors =
 let sn_config ?mpl n_reactors =
   Reactdb.Config.shared_nothing ?mpl (List.map (fun n -> [ n ]) (names n_reactors))
 
+(* A transfer of 1 between two distinct random ones of [accounts]. *)
+let random_transfer rng ~accounts =
+  let src = Rng.int rng accounts in
+  let dst = Rng.pick_except rng accounts src in
+  Workloads.Wl.request (Printf.sprintf "acct%d" src) "transfer_to"
+    [ Value.Str (Printf.sprintf "acct%d" dst); Value.Float 1. ]
+
 (* Adversarial conflict workload over the 4-account bank: each worker
    repeatedly transfers 1.0 between random accounts. Used by integration
    tests asserting conservation and serializability. *)
@@ -267,13 +274,10 @@ let run_conflict_workload ?(accounts = 4) db ~workers ~per_worker =
     Sim.Engine.spawn eng (fun () ->
         let rng = Rng.create (1000 + w) in
         for _ = 1 to per_worker do
-          let src = Rng.int rng accounts in
-          let dst = Rng.pick_except rng accounts src in
+          let r = random_transfer rng ~accounts in
           ignore
-            (Reactdb.Database.exec_txn db
-               ~reactor:(Printf.sprintf "acct%d" src)
-               ~proc:"transfer_to"
-               ~args:[ Value.Str (Printf.sprintf "acct%d" dst); Value.Float 1. ])
+            (Reactdb.Database.exec_txn db ~reactor:r.Workloads.Wl.reactor
+               ~proc:r.Workloads.Wl.proc ~args:r.Workloads.Wl.args)
         done;
         incr finished)
   done;
