@@ -320,6 +320,12 @@ let run_overload ~seed ~fast =
     rw_audit = audit;
   }
 
+(* Each group-commit flush draws one [Stall_flush] probe, which fires
+   with p = 0.5. One short run draws only a few, so the scenario repeats
+   its run until at least this many have been drawn: a row with no
+   injection is then a 2^-20 (about 1e-6) event for every seed. *)
+let min_flush_probes = 20
+
 (* Simulator backend, durable group commit, stalling WAL flusher: the
    stall is charged as virtual delay inside the flusher, so every epoch's
    waiters feel it; commits must still conserve money and flushes must
@@ -342,16 +348,33 @@ let run_flush_stall ~seed ~fast =
       (fun _ rng -> SB.gen_conserving rng ~n)
   in
   let t0 = Unix.gettimeofday () in
-  let r = Harness.run (Harness.sim db) s in
+  (* Bounded, so a flusher that never probes fails the gate below rather
+     than looping. *)
+  let rec go runs =
+    let runs = Harness.run (Harness.sim db) s :: runs in
+    if Chaos.probes chaos >= min_flush_probes || List.length runs >= 50 then runs
+    else go runs
+  in
+  let runs = go [] in
   let elapsed_s = Unix.gettimeofday () -. t0 in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 runs in
+  let committed = sum (fun r -> r.Harness.committed) in
+  Printf.printf "  flush-stall drew %d flush probes in %d runs\n%!" (Chaos.probes chaos)
+    (List.length runs);
   let audit =
     money ~n (SDb.catalogs db)
     >>= (fun () ->
-          if r.Harness.committed > 0 then Ok ()
+          if committed > 0 then Ok ()
           else Error "no commits under flush stall")
     >>= (fun () ->
           if SDb.n_log_flushes db > 0 then Ok ()
           else Error "durable mode performed no group-commit flushes")
+    >>= (fun () ->
+          if Chaos.probes chaos >= min_flush_probes then Ok ()
+          else
+            Error
+              (Printf.sprintf "flush-stall drew %d flush probes, fewer than %d"
+                 (Chaos.probes chaos) min_flush_probes))
     >>= (fun () ->
           if Chaos.injections chaos > 0 then Ok ()
           else Error "flush-stall injector never fired")
@@ -365,13 +388,13 @@ let run_flush_stall ~seed ~fast =
     rw_workload = "smallbank-conserving";
     rw_fault = "flush-stall";
     rw_domains = 2;
-    rw_committed = r.Harness.committed;
-    rw_aborted = r.Harness.aborted;
-    rw_retries = r.Harness.retries;
+    rw_committed = committed;
+    rw_aborted = sum (fun r -> r.Harness.aborted);
+    rw_retries = sum (fun r -> r.Harness.retries);
     rw_timeouts = 0;
     rw_sheds = 0;
     rw_injections = Chaos.injections chaos;
-    rw_p99_us = r.Harness.p99_latency;
+    rw_p99_us = List.fold_left (fun a r -> Float.max a r.Harness.p99_latency) 0. runs;
     rw_elapsed_s = elapsed_s;
     rw_audit = audit;
   }

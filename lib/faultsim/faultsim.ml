@@ -47,20 +47,15 @@ let inject fault ~src ~dst =
     match fault with
     | Truncate_bytes n -> String.sub content 0 (min n (String.length content))
     | Truncate_entries n ->
-      (* Cut after the [n]-th record terminator. *)
-      let pos = ref 0 and cut = ref 0 in
-      (try
-         for _ = 1 to n do
-           match String.index_from_opt content !pos '\n' with
-           | Some nl ->
-             cut := nl + 1;
-             pos := nl + 1
-           | None ->
-             cut := String.length content;
-             raise Exit
-         done
-       with Exit -> ());
-      String.sub content 0 !cut
+      (* Cut after the [n]-th record; keep everything if fewer decode. *)
+      let rec cut pos k =
+        if k = 0 then pos
+        else
+          match Wal.decode_record content ~pos with
+          | Ok (_, next) -> cut next (k - 1)
+          | Error _ -> String.length content
+      in
+      String.sub content 0 (cut 0 n)
     | Corrupt_byte { off; xor } ->
       if off >= String.length content then content
       else

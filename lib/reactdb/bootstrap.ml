@@ -89,7 +89,7 @@ let bucket_names =
      "internal" |]
 
 let counters () =
-  let z () = Atomic.make 0 in
+  let z () = Util.Padded.atomic 0 in
   { committed = z (); aborted = z (); ro_commits = z (); auto_seq = z ();
     auto_par = z (); log_flushes = z (); buckets = Array.map (fun _ -> z ()) bucket_names }
 
@@ -148,7 +148,7 @@ let create decl cfg ~epoch ~slot own =
     registry = Pins.Registry.create ~epoch; gate = Pins.Gate.create ();
     obs = None; wal = None; chaos = Chaos.none; generation = Atomic.make 0;
     fenced = Atomic.make false; fenced_refusals = Atomic.make 0;
-    history = None; txn_ids = Atomic.make 0; own }
+    history = None; txn_ids = Util.Padded.atomic 0; own }
 
 (** Log every later commit's redo record to [log] through group commit. *)
 let attach_wal t log =

@@ -9,7 +9,7 @@ module Registry = struct
 
   let create ~epoch =
     { mu = Mutex.create (); epoch; live = Epochs.create ();
-      commits = Epochs.create (); enabled = Atomic.make true }
+      commits = Epochs.create (); enabled = Util.Padded.atomic true }
 
   let enabled t = Atomic.get t.enabled
   let set_enabled t b = Atomic.set t.enabled b
@@ -62,8 +62,9 @@ module Gate = struct
   }
 
   let create () =
-    { mu = Mutex.create (); active = Atomic.make false; gen = Atomic.make 0;
-      inflight = [| Atomic.make 0; Atomic.make 0 |]; stubs = Hashtbl.create 4;
+    let padded = Util.Padded.atomic in
+    { mu = Mutex.create (); active = padded false; gen = padded 0;
+      inflight = [| padded 0; padded 0 |]; stubs = Hashtbl.create 4;
       drain_waiter = None; busy = false; queued = Queue.create ();
       n_migrations = Atomic.make 0; placement_epoch = Atomic.make 0;
       pause_last = Atomic.make 0. }

@@ -22,44 +22,48 @@ module Batch = struct
     | Torn of { d : decoded; reason : string }
     | Garbage of string
 
-  (* Wire form:
+  (* Wire form (v3):
 
-       R|2|gen|from|to|count|crc32hex \n
-       <Wal.encode_framed entry> \n-separated ...
+       R|3|gen|from|to|count|crc32hex \n
+       <Wal v3 record per entry, back to back>
 
      The header CRC covers the whole payload, so an undamaged batch is
-     accepted without per-line checks; on mismatch we fall back to
-     per-line framing — each payload line carries its own CRC — and keep
-     the readable prefix, mirroring Wal.read_file_tolerant. *)
+     accepted without per-record checks; on mismatch we fall back to
+     record framing — each record carries its own CRC — and keep the
+     readable prefix, mirroring Wal.read_file_tolerant. v2 batches
+     ("R|2|…" header, one framed v2 line per entry, '\n'-separated) are
+     still decoded. *)
 
   let encode ~gen ~from_epoch ~to_epoch entries =
     let b = Wal.Buf.create 4096 in
-    List.iteri
-      (fun i e ->
-        if i > 0 then Wal.Buf.add_char b '\n';
-        Wal.add_framed b e)
-      entries;
+    List.iter (Wal.add_framed b) entries;
     let crc = Wal.Buf.crc32 b ~pos:0 ~len:(Wal.Buf.length b) in
     Wal.Buf.insert b ~at:0
-      (Printf.sprintf "R|2|%d|%d|%d|%d|%08x\n" gen from_epoch to_epoch
+      (Printf.sprintf "R|3|%d|%d|%d|%d|%08x\n" gen from_epoch to_epoch
          (List.length entries) crc);
     Wal.Buf.contents b
 
-  (* Bytes of the framed records plus one separator each, counted in one
-     scratch buffer cleared per record. *)
+  (* Bytes of the records, counted in one scratch buffer cleared per
+     record. *)
   let size entries =
     let b = Wal.Buf.create 1024 in
     List.fold_left
       (fun a e ->
         Wal.Buf.clear b;
         Wal.add_framed b e;
-        a + Wal.Buf.length b + 1)
+        a + Wal.Buf.length b)
       0 entries
 
-  (* Readable prefix of payload lines: stop at the first line that fails
-     framed decoding — everything past a tear or a corrupt record is
+  (* Readable prefix of a payload: stop at the first record that fails
+     to decode — everything past a tear or a corrupt record is
      unattributable, exactly like a torn WAL tail. *)
-  let prefix_entries lines =
+  let prefix_v3 payload =
+    match Wal.decode_string payload with
+    | entries, Wal.Clean -> (entries, None)
+    | entries, Wal.Torn { reason; _ } -> (entries, Some reason)
+
+  let prefix_v2 payload =
+    let lines = if payload = "" then [] else String.split_on_char '\n' payload in
     let rec go acc = function
       | [] -> (List.rev acc, None)
       | l :: tl -> (
@@ -77,7 +81,7 @@ module Batch = struct
       | None -> (s, "")
     in
     match String.split_on_char '|' header with
-    | [ "R"; "2"; g; f; t; n; crc ] -> (
+    | [ "R"; ("2" | "3" as v); g; f; t; n; crc ] -> (
       match
         ( int_of_string_opt g,
           int_of_string_opt f,
@@ -85,31 +89,19 @@ module Batch = struct
           int_of_string_opt n )
       with
       | Some b_gen, Some b_from, Some b_to, Some count ->
-        let lines =
-          if payload = "" then [] else String.split_on_char '\n' payload
-        in
-        if
-          String.equal crc (Util.Checksum.crc32_hex payload)
-          && List.length lines = count
-        then begin
-          match prefix_entries lines with
-          | entries, None ->
-            Complete { b_gen; b_from; b_to; b_entries = entries }
-          | entries, Some r ->
-            (* CRC collision shield: framing disagrees, trust framing *)
-            Torn { d = { b_gen; b_from; b_to; b_entries = entries }; reason = r }
-        end
-        else begin
-          let entries, why = prefix_entries lines in
-          let reason =
-            match why with
-            | Some r -> r
-            | None ->
-              Printf.sprintf "payload crc mismatch (%d/%d records readable)"
-                (List.length entries) count
-          in
-          Torn { d = { b_gen; b_from; b_to; b_entries = entries }; reason }
-        end
+        let entries, why = (if v = "3" then prefix_v3 else prefix_v2) payload in
+        let d = { b_gen; b_from; b_to; b_entries = entries } in
+        let crc_ok = String.equal crc (Util.Checksum.crc32_hex payload) in
+        (match why with
+        | None when crc_ok && List.length entries = count -> Complete d
+        (* CRC collision shield: framing disagrees, trust framing *)
+        | Some r -> Torn { d; reason = r }
+        | None ->
+          Torn
+            { d;
+              reason =
+                Printf.sprintf "payload crc or count mismatch (%d/%d records readable)"
+                  (List.length entries) count })
       | _ -> Garbage "unparsable header fields")
     | _ -> Garbage "unrecognized batch header"
 end

@@ -6,7 +6,7 @@
     is an engine-free mirror of the reactor database — catalogs built
     straight from the declaration, exactly like recovery
     ([Faultsim.fresh_catalogs]) — kept current by replaying {e shipped}
-    batches of the primary's durable WAL v2 records through the same
+    batches of the primary's durable WAL records through the same
     [Wal.replay] path recovery uses, secondary indexes and placements
     included.
 
@@ -60,16 +60,17 @@ module Batch : sig
     | Garbage of string  (** header unreadable; nothing salvageable *)
 
   (** [encode ~gen ~from_epoch ~to_epoch entries] renders the wire form:
-      one header line ["R|2|gen|from|to|count|crc32"] followed by one
-      [Wal.encode_framed] line per entry; the CRC covers the whole
-      payload. *)
+      one header line ["R|3|gen|from|to|count|crc32"] followed by the
+      [Wal.encode_framed] v3 record of every entry, back to back; the CRC
+      covers the whole payload. {!decode} also reads the v2 form
+      (["R|2|…"] and one v2 line per entry). *)
   val encode :
     gen:int -> from_epoch:int -> to_epoch:int -> Wal.entry list -> string
 
   val decode : string -> decode_result
 
-  (** Payload size in bytes (framed lines + separators) of a batch
-      shipping exactly [entries] — the bytes-behind unit. *)
+  (** Payload size in bytes (the v3 records) of a batch shipping exactly
+      [entries] — the bytes-behind unit. *)
   val size : Wal.entry list -> int
 end
 

@@ -684,16 +684,16 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
           eid;
           mb = Mailbox.create ?capacity:mailbox_cap ~spin ();
           busy_s = 0.;
-          qdepth_ewma = Atomic.make 0.;
-          busy_frac = Atomic.make 0.;
-          mean_job_us = Atomic.make 0.;
-          steals_in = Atomic.make 0;
-          steals_out = Atomic.make 0;
-          routed_by_cost = Atomic.make 0;
-          sheds = Atomic.make 0;
+          qdepth_ewma = Padded.atomic 0.;
+          busy_frac = Padded.atomic 0.;
+          mean_job_us = Padded.atomic 0.;
+          steals_in = Padded.atomic 0;
+          steals_out = Padded.atomic 0;
+          routed_by_cost = Padded.atomic 0;
+          sheds = Padded.atomic 0;
         })
   in
-  let epoch = Atomic.make 1 in
+  let epoch = Padded.atomic 1 in
   let db =
     Bootstrap.create decl cfg ~epoch:(fun () -> Atomic.get epoch) ~slot:ignore
       {
@@ -701,14 +701,14 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
         steal;
         epoch_len = Float.max 1e-4 epoch_len_s;
         flusher = None;
-        fatal = Atomic.make 0;
+        fatal = Padded.atomic 0;
         fatal_mu = Mutex.create ();
         fatal_msgs = [];
         epoch;
         t0 = Unix.gettimeofday ();
-        rr = Atomic.make 0;
-        submitted = Atomic.make 0;
-        completed = Atomic.make 0;
+        rr = Padded.atomic 0;
+        submitted = Padded.atomic 0;
+        completed = Padded.atomic 0;
         domains = [||];
       }
   in

@@ -26,7 +26,7 @@ let create ?(capacity = max_int) ?(spin = true) () =
     waiting = false;
     capacity = (if capacity < 1 then 1 else capacity);
     spin;
-    size = Atomic.make 0;
+    size = Util.Padded.atomic 0;
   }
 
 let push t x =

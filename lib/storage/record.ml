@@ -18,7 +18,7 @@ type t = {
    per-container domains, and rids must stay globally unique (they define
    the deadlock-free lock order). Single-domain allocation sequences are
    unchanged. *)
-let counter = Atomic.make 0
+let counter = Util.Padded.atomic 0
 
 let fresh ~absent data =
   { rid = 1 + Atomic.fetch_and_add counter 1; data; tid = 0; lock = 0; absent;

@@ -1,5 +1,5 @@
 (* CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Used by the WAL
-   v2 record framing to detect torn and corrupted log records. Computed in
+   record framing to detect torn and corrupted log records. Computed in
    plain OCaml ints (the 32-bit value always fits).
 
    The table is built eagerly at module initialisation: a [lazy] forced

@@ -47,23 +47,23 @@ let restore ck ~catalog_of =
     ck.ck_rows;
   !n
 
-(* File format v2:
-     ckpt2<TAB>tid<TAB>covers<TAB>hexname,hexname,...   (covered reactors)
-     <framed Wal row per checkpoint row>
-     end<TAB>row-count<TAB>crc32hex            (completeness trailer)
+(* File format v3:
+     ckpt3<TAB>tid<TAB>covers<TAB>hexname,hexname,...<LF>   (covered reactors)
+     <one Wal v3 record per checkpoint row, back to back>
+     end<TAB>row-count<TAB>crc32hex<LF>               (completeness trailer)
    The trailer makes a torn checkpoint (crash mid-write) detectable, and its
-   CRC covers everything before it — in particular the header, whose tid /
-   covers / reactor-name fields the per-row frames cannot protect. The
+   CRC covers every byte before it — in particular the header, whose tid /
+   covers / reactor-name fields the per-row records cannot protect. The
    writer is additionally atomic (tmp file + rename), so a reader only ever
    sees either the old complete file or the new one.
 
-   Legacy v1 ("tid<TAB>n" header, unframed rows, no trailer) remains
-   readable; its covered-reactor set is derived from the rows. *)
+   v2 files (header "ckpt2", one framed v2 row line each, the same
+   trailer) remain readable; v1 files are no longer read. *)
 
 let write_file path ck =
   let tmp = path ^ ".tmp" in
   let b = Wal.Buf.create 4096 in
-  Wal.Buf.add_string b "ckpt2\t";
+  Wal.Buf.add_string b "ckpt3\t";
   Wal.Buf.add_int b ck.ck_tid;
   Wal.Buf.add_char b '\t';
   Wal.Buf.add_int b ck.ck_covers;
@@ -78,108 +78,116 @@ let write_file path ck =
     (fun (reactor, table, row) ->
       Wal.add_framed b
         { Wal.le_txn = 0; le_tid = ck.ck_tid;
-          le_writes = [ Wal.Put { reactor; table; row } ] };
-      Wal.Buf.add_char b '\n')
+          le_writes = [ Wal.Put { reactor; table; row } ] })
     ck.ck_rows;
   let crc = Wal.Buf.crc32 b ~pos:0 ~len:(Wal.Buf.length b) in
-  let oc = open_out tmp in
+  let oc = open_out_bin tmp in
   Wal.Buf.output oc b;
   Printf.fprintf oc "end\t%d\t%08x\n" (List.length ck.ck_rows) crc;
   close_out oc;
   Sys.rename tmp path
 
-let read_file_opt path =
-  let parse_row line =
-    let entry_of =
-      if String.length line >= 2 && line.[0] = '2' && line.[1] = '|' then
-        Wal.decode_framed line
-      else try Ok (Wal.decode_entry line) with Failure m -> Error m
-    in
-    match entry_of with
-    | Ok { Wal.le_writes = [ Wal.Put { reactor; table; row } ]; _ } ->
-      Ok (reactor, table, row)
-    | Ok _ -> Error "bad checkpoint row line"
-    | Error m -> Error m
+let row_of = function
+  | { Wal.le_writes = [ Wal.Put { reactor; table; row } ]; _ } -> Ok (reactor, table, row)
+  | _ -> Error "bad checkpoint row"
+
+(* "ckpt<v>\ttid\tcovers\thexnames" *)
+let parse_header ~version header =
+  match String.split_on_char '\t' header with
+  | [ v; tid; covers; reactors ] when v = version -> (
+    match (int_of_string_opt tid, int_of_string_opt covers) with
+    | Some ck_tid, Some ck_covers -> (
+      try
+        let ck_reactors =
+          if reactors = "" then []
+          else List.map Wal.unhex (String.split_on_char ',' reactors)
+        in
+        Ok (ck_tid, ck_covers, ck_reactors)
+      with Failure m -> Error m)
+    | _ -> Error "bad checkpoint header fields")
+  | _ -> Error "bad checkpoint header"
+
+let check_trailer trailer ~rows ~crc =
+  match String.split_on_char '\t' trailer with
+  | [ "end"; n; c ] when int_of_string_opt n = Some rows ->
+    if String.equal c (Printf.sprintf "%08x" crc) then Ok ()
+    else Error "checkpoint checksum mismatch"
+  | [ "end"; _; _ ] -> Error "torn checkpoint (row count mismatch)"
+  | _ -> Error "torn checkpoint (no trailer)"
+
+let ( let* ) = Result.bind
+
+(* v3: walk the records after the header; the first byte that starts no
+   record begins the trailer, which must run to the end of the file. *)
+let read_v3 content ~hdr_end =
+  let* ck_tid, ck_covers, ck_reactors =
+    parse_header ~version:"ckpt3" (String.sub content 0 hdr_end)
   in
-  try
-    let ic = open_in_bin path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+  let total = String.length content in
+  let rec rows acc pos =
+    if pos < total && content.[pos] = Wal.record_magic then
+      let* e, next = Wal.decode_record content ~pos in
+      let* row = row_of e in
+      rows (row :: acc) next
+    else Ok (List.rev acc, pos)
+  in
+  let* ck_rows, tpos = rows [] (hdr_end + 1) in
+  if tpos >= total || content.[total - 1] <> '\n' then Error "torn checkpoint (no trailer)"
+  else
+    let* () =
+      check_trailer
+        (String.sub content tpos (total - 1 - tpos))
+        ~rows:(List.length ck_rows)
+        ~crc:(Util.Checksum.crc32_sub content ~pos:0 ~len:tpos)
     in
-    let lines = String.split_on_char '\n' content in
-    let lines = List.filter (fun l -> l <> "") lines in
-    match lines with
-    | [] -> Error "empty checkpoint file"
-    | header :: rest -> (
-      match String.split_on_char '\t' header with
-      | [ "ckpt2"; tid; covers; reactors ] -> (
-        match (int_of_string_opt tid, int_of_string_opt covers) with
-        | None, _ | _, None -> Error "bad checkpoint header fields"
-        | Some ck_tid, Some ck_covers -> (
-          let ck_reactors =
-            if reactors = "" then []
-            else List.map Wal.unhex (String.split_on_char ',' reactors)
-          in
-          (* Split the trailer off; a missing or mismatched trailer means a
-             torn checkpoint. The trailer CRC covers the canonical
-             reconstruction of everything before it (header + row lines,
-             each newline-terminated) — corruption that splits or merges
-             lines is caught by the row count / frame decoding instead. *)
-          match List.rev rest with
-          | [] -> Error "torn checkpoint (no trailer)"
-          | trailer :: rev_rows -> (
-            match String.split_on_char '\t' trailer with
-            | [ "end"; n; crc ]
-              when int_of_string_opt n = Some (List.length rev_rows) ->
-              let rows_lines = List.rev rev_rows in
-              let body =
-                String.concat ""
-                  (List.map (fun l -> l ^ "\n") (header :: rows_lines))
-              in
-              if not (String.equal crc (Util.Checksum.crc32_hex body)) then
-                Error "checkpoint checksum mismatch"
-              else (
-                let rec parse acc = function
-                  | [] -> Ok (List.rev acc)
-                  | line :: rest -> (
-                    match parse_row line with
-                    | Ok row -> parse (row :: acc) rest
-                    | Error m -> Error m)
-                in
-                match parse [] rows_lines with
-                | Ok ck_rows -> Ok { ck_tid; ck_covers; ck_reactors; ck_rows }
-                | Error m -> Error m)
-            | [ "end"; _; _ ] -> Error "torn checkpoint (row count mismatch)"
-            | _ -> Error "torn checkpoint (no trailer)")))
-      | [ "tid"; tid ] -> (
-        (* legacy v1: unframed rows, no trailer *)
-        match int_of_string_opt tid with
-        | None -> Error "bad checkpoint tid"
-        | Some ck_tid -> (
-          let rec parse acc = function
-            | [] -> Ok (List.rev acc)
-            | line :: rest -> (
-              match parse_row line with
-              | Ok row -> parse (row :: acc) rest
-              | Error m -> Error m)
-          in
-          match parse [] rest with
-          | Ok ck_rows ->
-            let ck_reactors =
-              List.sort_uniq String.compare
-                (List.map (fun (r, _, _) -> r) ck_rows)
-            in
-            (* Legacy files carry no log position: covers = 0 makes recovery
-               replay the whole log over the restored state, which is slower
-               but sound (per-record TID order is monotonic in the log). *)
-            Ok { ck_tid; ck_covers = 0; ck_reactors; ck_rows }
-          | Error m -> Error m))
-      | _ -> Error "bad checkpoint header")
+    Ok { ck_tid; ck_covers; ck_reactors; ck_rows }
+
+(* v2: one text line each for the header, every row and the trailer. The
+   trailer CRC covers the canonical reconstruction of everything before
+   it (header + row lines, each newline-terminated) — corruption that
+   splits or merges lines is caught by the row count / frame decoding
+   instead. *)
+let read_v2 content =
+  match List.filter (fun l -> l <> "") (String.split_on_char '\n' content) with
+  | [] -> Error "empty checkpoint file"
+  | header :: rest -> (
+    let* ck_tid, ck_covers, ck_reactors = parse_header ~version:"ckpt2" header in
+    match List.rev rest with
+    | [] -> Error "torn checkpoint (no trailer)"
+    | trailer :: rev_rows ->
+      let row_lines = List.rev rev_rows in
+      let body =
+        String.concat "" (List.map (fun l -> l ^ "\n") (header :: row_lines))
+      in
+      let* () =
+        check_trailer trailer ~rows:(List.length row_lines)
+          ~crc:(Util.Checksum.crc32 body)
+      in
+      let rec parse acc = function
+        | [] -> Ok (List.rev acc)
+        | line :: rest ->
+          let* e = Wal.decode_framed line in
+          let* row = row_of e in
+          parse (row :: acc) rest
+      in
+      let* ck_rows = parse [] row_lines in
+      Ok { ck_tid; ck_covers; ck_reactors; ck_rows })
+
+let read_file_opt path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
   with
-  | Sys_error m -> Error m
-  | Failure m -> Error m
+  | exception Sys_error m -> Error m
+  | content -> (
+    match String.index_opt content '\n' with
+    | Some hdr_end when String.starts_with ~prefix:"ckpt3\t" content ->
+      read_v3 content ~hdr_end
+    | _ when String.starts_with ~prefix:"ckpt2\t" content -> read_v2 content
+    | _ when content = "" -> Error "empty checkpoint file"
+    | _ -> Error "bad checkpoint header")
 
 let read_file path =
   match read_file_opt path with

@@ -7,23 +7,33 @@ type write =
 
 type entry = { le_txn : int; le_tid : int; le_writes : write list }
 
-(* --- encoding: one entry per line ---
+(* --- record formats ---
 
-   v1 (legacy, still readable):
-     txn<TAB>tid<TAB>write;write;...
+   v3 (written by this version): one self-delimiting binary record per
+   entry, so a log file holds records back to back.
+     record  := 0xB3 , payload length (u32 LE) , CRC-32 of payload (u32 LE) , payload
+     payload := varint txn , zigzag tid , varint write-count , write*
+     write   := kind ('P' | 'D' | 'M') , bytes reactor , bytes table ,
+                varint value-count , value*
+     value   := 0x00 (null) | 0x01 (false) | 0x02 (true)
+              | 0x03 , zigzag int | 0x04 , float bits (8 bytes LE)
+              | 0x05 , bytes
+     bytes   := varint length , raw bytes
+   Varints are little-endian base-128 over the 63 bits of an OCaml int, at
+   most 9 bytes and minimal; zigzag maps small negative ints to small
+   varints. The magic byte is not an ASCII digit, so a reader tells a v3
+   record from a v2 line by its first byte.
 
-   v2 (written by this version): the v1 text becomes the payload of a framed
-   record carrying its own length and CRC-32, so a torn or corrupted tail is
-   detectable instead of silently mis-parsing:
-     2|crc32hex|payload-length|payload
+   v2 (read only): one text line per entry
+     2|crc32hex|payload-length|txn<TAB>tid<TAB>write;write;...<LF>
+     write  := P|D|M , hex reactor , hex table , value,value,...
+     value  := N | B:0/1 | I:n | F:hex-float | S:hexbytes
+   Strings are lowercase hex (decoding accepts nothing else).
 
-   write  := P|D , reactor , table , value,value,...
-   value  := N | B:0/1 | I:n | F:hex-float | S:hexbytes
-   Strings are hex-encoded (lowercase; decoding accepts nothing else) so no
-   separator can collide; the payload never contains a newline, so records
-   remain line-delimited. *)
+   The unframed v1 text format is no longer read. *)
 
-let hex_digits = "0123456789abcdef"
+let record_magic = '\xb3'
+let header_len = 9
 
 (* Nibble value of a lowercase hex digit, -1 for any other byte. *)
 let nibble =
@@ -47,7 +57,7 @@ let unhex s =
 
 (* Growable byte buffer the encoder appends records to. Unlike [Buffer] it
    exposes its bytes in place, so a record's CRC is computed over the range
-   it occupies and its header is inserted in front of it — the payload is
+   it occupies and its header is written in front of it — the payload is
    never copied into a string of its own. *)
 module Buf = struct
   type t = { mutable bytes : Bytes.t; mutable len : int }
@@ -80,24 +90,10 @@ module Buf = struct
     Bytes.blit_string s 0 b.bytes b.len n;
     b.len <- b.len + n
 
-  (* Decimal, as [string_of_int], with the digits written in place. *)
-  let add_int b i =
-    if i = min_int then add_string b (string_of_int i)
-    else begin
-      let rec width n = if n < 10 then 1 else 1 + width (n / 10) in
-      let digits = width (abs i) in
-      let len = digits + if i < 0 then 1 else 0 in
-      reserve b len;
-      if i < 0 then Bytes.unsafe_set b.bytes b.len '-';
-      let rest = ref (abs i) in
-      for p = b.len + len - 1 downto b.len + len - digits do
-        Bytes.unsafe_set b.bytes p (Char.unsafe_chr (Char.code '0' + (!rest mod 10)));
-        rest := !rest / 10
-      done;
-      b.len <- b.len + len
-    end
+  let add_int b i = add_string b (string_of_int i)
 
   let add_hex b s =
+    let hex_digits = "0123456789abcdef" in
     let n = String.length s in
     reserve b (2 * n);
     let by = b.bytes and p = b.len in
@@ -107,6 +103,23 @@ module Buf = struct
       Bytes.unsafe_set by (p + (2 * i) + 1) (String.unsafe_get hex_digits (c land 0xf))
     done;
     b.len <- p + (2 * n)
+
+  (* Unsigned base-128 over all 63 bits, written at [p] of [by], which
+     has room for 9 bytes; [lsr] brings a negative int to zero too, in at
+     most 9 bytes. Returns the position after it. *)
+  let rec put_varint by p n =
+    if n lsr 7 = 0 then begin
+      Bytes.unsafe_set by p (Char.unsafe_chr n);
+      p + 1
+    end
+    else begin
+      Bytes.unsafe_set by p (Char.unsafe_chr (n land 0x7f lor 0x80));
+      put_varint by (p + 1) (n lsr 7)
+    end
+
+  let add_varint b n =
+    reserve b 9;
+    b.len <- put_varint b.bytes b.len n
 
   let crc32 b ~pos ~len =
     if pos < 0 || len < 0 || pos + len > b.len then invalid_arg "Wal.Buf.crc32";
@@ -124,168 +137,268 @@ module Buf = struct
   let output oc b = Stdlib.output oc b.bytes 0 b.len
 end
 
-(* [Printf.sprintf "%h" f], written in place: the shortest exact hex form
-   the runtime's [%h] conversion produces ("0x1.8p+0", "-0x0p+0",
-   "0x0.0000000000001p-1022", "nan", "-infinity", …). Floats are most of
-   the values in a record, and the Printf route allocates ~50 words per
-   call. *)
-let add_hex_float b f =
-  let bits = Int64.bits_of_float f in
-  let exp = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
-  let man = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
-  if Int64.compare bits 0L < 0 then Buf.add_char b '-';
-  if exp = 0x7ff then Buf.add_string b (if man = 0 then "infinity" else "nan")
-  else begin
-    Buf.add_string b (if exp = 0 then "0x0" else "0x1");
-    if man <> 0 then begin
-      Buf.add_char b '.';
-      let rest = ref man and shift = ref 48 in
-      while !rest <> 0 do
-        Buf.add_char b hex_digits.[(!rest lsr !shift) land 0xf];
-        rest := !rest land ((1 lsl !shift) - 1);
-        shift := !shift - 4
-      done
-    end;
-    let e = if exp = 0 then if man = 0 then 0 else -1022 else exp - 1023 in
-    Buf.add_string b (if e >= 0 then "p+" else "p");
-    Buf.add_int b e
-  end
+let zigzag n = (n lsl 1) lxor (n asr 62)
+let unzigzag z = (z lsr 1) lxor -(z land 1)
 
-let add_value b = function
-  | Value.Null -> Buf.add_char b 'N'
-  | Value.Bool v -> Buf.add_string b (if v then "B:1" else "B:0")
-  | Value.Int i ->
-    Buf.add_string b "I:";
-    Buf.add_int b i
-  | Value.Float f ->
-    Buf.add_string b "F:";
-    add_hex_float b f
-  | Value.Str s ->
-    Buf.add_string b "S:";
-    Buf.add_hex b s
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 
-let decode_value s =
-  if s = "N" then Value.Null
-  else
-    match String.index_opt s ':' with
-    | None -> failwith ("Wal: bad value " ^ s)
-    | Some i -> (
-      let tag = String.sub s 0 i in
-      let payload = String.sub s (i + 1) (String.length s - i - 1) in
-      match tag with
-      | "B" -> Value.Bool (payload = "1")
-      | "I" -> Value.Int (int_of_string payload)
-      | "F" -> Value.Float (float_of_string payload)
-      | "S" -> Value.Str (unhex payload)
-      | _ -> failwith ("Wal: bad value tag " ^ tag))
+let set64 by p x = set64u by p (if Sys.big_endian then bswap64 x else x)
+let set32 by p x = set32u by p (if Sys.big_endian then bswap32 x else x)
 
-(* write := kind , hex reactor , hex table {, value} *)
+(* Bytes a value takes at most. *)
+let value_room = function
+  | Value.Str s -> 10 + String.length s
+  | Value.Int _ -> 10
+  | Value.Float _ -> 9
+  | Value.Null | Value.Bool _ -> 1
+
+(* A length-prefixed string at [p] of [by], which has room for it. *)
+let put_bytes by p s =
+  let l = String.length s in
+  let p = Buf.put_varint by p l in
+  Bytes.unsafe_blit_string s 0 by p l;
+  p + l
+
+(* One write: a first pass over the row sizes it, then every byte is
+   written unchecked. *)
 let add_write b w =
   let kind, reactor, table, vals =
     match w with
     | Put { reactor; table; row } -> ('P', reactor, table, row)
     | Del { reactor; table; key } -> ('D', reactor, table, key)
     (* Placement records reuse the write frame with an empty table and the
-       destination container as the single value — the v1/v2 line format
-       stays uniform and old readers fail loudly on the unknown kind. *)
+       destination container as the single value. *)
     | Migrate { reactor; dst } -> ('M', reactor, "", [| Value.Int dst |])
   in
-  Buf.add_char b kind;
-  Buf.add_char b ',';
-  Buf.add_hex b reactor;
-  Buf.add_char b ',';
-  Buf.add_hex b table;
-  for i = 0 to Array.length vals - 1 do
-    Buf.add_char b ',';
-    add_value b vals.(i)
-  done
+  let n = Array.length vals in
+  (* the kind byte and three varints (two name lengths, the value count) *)
+  let room = ref (1 + (3 * 9) + String.length reactor + String.length table) in
+  for i = 0 to n - 1 do
+    room := !room + value_room (Array.unsafe_get vals i)
+  done;
+  Buf.reserve b !room;
+  let by = b.Buf.bytes in
+  Bytes.unsafe_set by b.Buf.len kind;
+  let p = put_bytes by (b.Buf.len + 1) reactor in
+  let p = put_bytes by p table in
+  let p = ref (Buf.put_varint by p n) in
+  for i = 0 to n - 1 do
+    let q = !p in
+    p :=
+      match Array.unsafe_get vals i with
+      | Value.Null ->
+        Bytes.unsafe_set by q '\x00';
+        q + 1
+      | Value.Bool false ->
+        Bytes.unsafe_set by q '\x01';
+        q + 1
+      | Value.Bool true ->
+        Bytes.unsafe_set by q '\x02';
+        q + 1
+      | Value.Int v ->
+        Bytes.unsafe_set by q '\x03';
+        Buf.put_varint by (q + 1) (zigzag v)
+      | Value.Float f ->
+        Bytes.unsafe_set by q '\x04';
+        set64 by (q + 1) (Int64.bits_of_float f);
+        q + 9
+      | Value.Str s ->
+        Bytes.unsafe_set by q '\x05';
+        put_bytes by (q + 1) s
+  done;
+  b.Buf.len <- !p
 
-let decode_write s =
+let rec add_writes b = function
+  | [] -> ()
+  | w :: ws ->
+    add_write b w;
+    add_writes b ws
+
+(* One pass: the header's 9 bytes are reserved, the payload is written
+   behind them and checksummed where it lies, then the header is filled
+   in. *)
+let add_framed b e =
+  let start = Buf.length b in
+  Buf.reserve b header_len;
+  b.Buf.len <- start + header_len;
+  Buf.add_varint b e.le_txn;
+  Buf.add_varint b (zigzag e.le_tid);
+  Buf.add_varint b (List.length e.le_writes);
+  add_writes b e.le_writes;
+  let len = Buf.length b - start - header_len in
+  if len > 0xFFFF_FFFF then invalid_arg "Wal.add_framed: record over 4 GiB";
+  let crc = Buf.crc32 b ~pos:(start + header_len) ~len in
+  let by = b.Buf.bytes in
+  Bytes.unsafe_set by start record_magic;
+  set32 by (start + 1) (Int32.of_int len);
+  set32 by (start + 5) (Int32.of_int crc)
+
+(* Per-domain scratch buffer for [encode_framed], [record] and [append],
+   so a call allocates only its result. *)
+let scratch = Domain.DLS.new_key (fun () -> Buf.create 4096)
+
+let encode_framed e =
+  let b = Domain.DLS.get scratch in
+  Buf.clear b;
+  add_framed b e;
+  Buf.contents b
+
+(* --- decoding ---
+
+   Every decoder returns [Error reason] on damaged input and never raises.
+   [Bad] carries a reason from the field parsers to the record's decoder,
+   which turns it into [Error]; it never leaves this module. *)
+
+exception Bad of string
+
+(* v3 payload parser: a cursor over [s] that must not pass [stop]. *)
+type cursor = { s : string; mutable p : int; stop : int }
+
+let byte c =
+  if c.p >= c.stop then raise (Bad "record payload truncated");
+  let x = Char.code (String.unsafe_get c.s c.p) in
+  c.p <- c.p + 1;
+  x
+
+let varint c =
+  let rec go acc shift =
+    let x = byte c in
+    let acc = acc lor ((x land 0x7f) lsl shift) in
+    if x < 0x80 then
+      if x = 0 && shift > 0 then raise (Bad "non-minimal varint") else acc
+    else if shift = 56 then raise (Bad "varint over 63 bits")
+    else go acc (shift + 7)
+  in
+  go 0 0
+
+(* A count of items each at least [min_size] bytes long, checked against
+   the bytes left before anything is allocated for them. *)
+let count c ~min_size =
+  let n = varint c in
+  if n < 0 || n > (c.stop - c.p) / min_size then
+    raise (Bad "count exceeds record length");
+  n
+
+let raw_bytes c =
+  let n = count c ~min_size:1 in
+  let v = String.sub c.s c.p n in
+  c.p <- c.p + n;
+  v
+
+let value c =
+  match byte c with
+  | 0 -> Value.Null
+  | 1 -> Value.Bool false
+  | 2 -> Value.Bool true
+  | 3 -> Value.Int (unzigzag (varint c))
+  | 4 ->
+    if c.stop - c.p < 8 then raise (Bad "record payload truncated");
+    let f = Int64.float_of_bits (String.get_int64_le c.s c.p) in
+    c.p <- c.p + 8;
+    Value.Float f
+  | 5 -> Value.Str (raw_bytes c)
+  | _ -> raise (Bad "bad value tag")
+
+let write c =
+  let kind = byte c in
+  let reactor = raw_bytes c in
+  let table = raw_bytes c in
+  let n = count c ~min_size:1 in
+  let vals = Array.make n Value.Null in
+  for i = 0 to n - 1 do
+    vals.(i) <- value c
+  done;
+  match Char.chr kind with
+  | 'P' -> Put { reactor; table; row = vals }
+  | 'D' -> Del { reactor; table; key = vals }
+  | 'M' -> (
+    match (table, vals) with
+    | "", [| Value.Int dst |] -> Migrate { reactor; dst }
+    | _ -> raise (Bad "bad migrate record"))
+  | _ -> raise (Bad "bad write kind")
+
+(* A write is at least its kind, two name lengths and a value count. *)
+let payload c =
+  let le_txn = varint c in
+  let le_tid = unzigzag (varint c) in
+  let n = count c ~min_size:4 in
+  let rec writes acc k = if k = 0 then List.rev acc else writes (write c :: acc) (k - 1) in
+  let le_writes = writes [] n in
+  if c.p <> c.stop then raise (Bad "trailing bytes in record");
+  { le_txn; le_tid; le_writes }
+
+let get_u32 s p = Int32.to_int (String.get_int32_le s p) land 0xFFFF_FFFF
+
+let decode_v3 s ~pos =
+  let avail = String.length s - pos in
+  if avail < header_len then Error "partial record at end of log (torn header)"
+  else
+    let len = get_u32 s (pos + 1) in
+    if len > avail - header_len then Error "record length exceeds the data (torn record)"
+    else if
+      Checksum.crc32_sub s ~pos:(pos + header_len) ~len <> get_u32 s (pos + 5)
+    then Error "record checksum mismatch"
+    else
+      let c = { s; p = pos + header_len; stop = pos + header_len + len } in
+      match payload c with
+      | e -> Ok (e, c.stop)
+      | exception Bad m -> Error m
+
+(* v2 payload text parser; raises [Bad]. *)
+let decode_v2_value s =
+  if s = "N" then Value.Null
+  else
+    match String.index_opt s ':' with
+    | None -> raise (Bad ("bad value " ^ s))
+    | Some i -> (
+      let payload = String.sub s (i + 1) (String.length s - i - 1) in
+      match String.sub s 0 i with
+      | "B" -> Value.Bool (payload = "1")
+      | "I" -> (
+        match int_of_string_opt payload with
+        | Some n -> Value.Int n
+        | None -> raise (Bad "bad int value"))
+      | "F" -> (
+        match float_of_string_opt payload with
+        | Some f -> Value.Float f
+        | None -> raise (Bad "bad float value"))
+      | "S" -> Value.Str (unhex payload)
+      | tag -> raise (Bad ("bad value tag " ^ tag)))
+
+let decode_v2_write s =
   match String.split_on_char ',' s with
-  | kind :: reactor :: table :: vals ->
+  | kind :: reactor :: table :: vals -> (
     let reactor = unhex reactor and table = unhex table in
-    let vals = Array.of_list (List.map decode_value vals) in
-    (match kind with
+    let vals = Array.of_list (List.map decode_v2_value vals) in
+    match kind with
     | "P" -> Put { reactor; table; row = vals }
     | "D" -> Del { reactor; table; key = vals }
     | "M" -> (
       match vals with
       | [| Value.Int dst |] -> Migrate { reactor; dst }
-      | _ -> failwith "Wal: bad migrate record")
-    | _ -> failwith ("Wal: bad write kind " ^ kind))
-  | _ -> failwith ("Wal: bad write " ^ s)
+      | _ -> raise (Bad "bad migrate record"))
+    | _ -> raise (Bad ("bad write kind " ^ kind)))
+  | _ -> raise (Bad ("bad write " ^ s))
 
-let add_entry b e =
-  Buf.add_int b e.le_txn;
-  Buf.add_char b '\t';
-  Buf.add_int b e.le_tid;
-  Buf.add_char b '\t';
-  match e.le_writes with
-  | [] -> ()
-  | w :: ws ->
-    add_write b w;
-    List.iter
-      (fun w ->
-        Buf.add_char b ';';
-        add_write b w)
-      ws
+let decode_v2_payload p =
+  match String.split_on_char '\t' p with
+  | [ txn; tid; writes ] -> (
+    match (int_of_string_opt txn, int_of_string_opt tid) with
+    | Some le_txn, Some le_tid ->
+      let le_writes =
+        if writes = "" then []
+        else List.map decode_v2_write (String.split_on_char ';' writes)
+      in
+      { le_txn; le_tid; le_writes }
+    | _ -> raise (Bad "bad entry ids"))
+  | _ -> raise (Bad "bad entry line")
 
-(* Per-domain scratch buffer for the string-returning wrappers, so a call
-   allocates only its result, and for [append]. *)
-let scratch = Domain.DLS.new_key (fun () -> Buf.create 4096)
-
-let with_scratch f e =
-  let b = Domain.DLS.get scratch in
-  Buf.clear b;
-  f b e;
-  Buf.contents b
-
-let encode_entry e = with_scratch add_entry e
-
-let decode_entry line =
-  match String.split_on_char '\t' line with
-  | [ txn; tid; writes ] ->
-    let ws =
-      if writes = "" then []
-      else List.map decode_write (String.split_on_char ';' writes)
-    in
-    { le_txn = int_of_string txn; le_tid = int_of_string tid; le_writes = ws }
-  | _ -> failwith ("Wal: bad entry line " ^ line)
-
-(* --- v2 framing --- *)
-
-(* ["2|" ^ crc32 as 8 hex digits ^ "|" ^ len ^ "|"] *)
-let frame_header crc len =
-  let l = string_of_int len in
-  let n = String.length l in
-  let h = Bytes.make (12 + n) '|' in
-  Bytes.set h 0 '2';
-  for i = 0 to 7 do
-    Bytes.set h (2 + i) hex_digits.[(crc lsr (28 - (4 * i))) land 0xf]
-  done;
-  Bytes.blit_string l 0 h 11 n;
-  Bytes.unsafe_to_string h
-
-(* One pass: the payload is written where the record ends up, checksummed
-   over that range, and the header is slid in front of it. *)
-let add_framed b e =
-  let start = Buf.length b in
-  add_entry b e;
-  let len = Buf.length b - start in
-  Buf.insert b ~at:start (frame_header (Buf.crc32 b ~pos:start ~len) len)
-
-let encode_framed e = with_scratch add_framed e
-
-(* One framed record and its newline, as it lies in a log file. *)
-let add_line b e =
-  add_framed b e;
-  Buf.add_char b '\n'
-
-let is_framed line =
-  String.length line >= 2 && line.[0] = '2' && line.[1] = '|'
-
-let decode_framed line =
-  if not (is_framed line) then Error "not a v2 record"
+let decode_v2_line line =
+  if not (String.length line >= 2 && line.[0] = '2' && line.[1] = '|') then
+    Error "not a v2 or v3 record"
   else
     match String.index_from_opt line 2 '|' with
     | None -> Error "torn record header"
@@ -304,54 +417,61 @@ let decode_framed line =
             if Checksum.crc32_hex payload <> crc then
               Error "record checksum mismatch"
             else (
-              try Ok (decode_entry payload) with Failure m -> Error m)))
+              try Ok (decode_v2_payload payload) with
+              | Bad m | Failure m -> Error m)))
+
+let decode_framed s =
+  if s <> "" && s.[0] = record_magic then
+    match decode_v3 s ~pos:0 with
+    | Ok (e, stop) when stop = String.length s -> Ok e
+    | Ok _ -> Error "bytes after the record"
+    | Error m -> Error m
+  else decode_v2_line s
+
+let decode_record s ~pos =
+  if pos < 0 || pos >= String.length s then Error "no record at this position"
+  else if s.[pos] = record_magic then decode_v3 s ~pos
+  else
+    match String.index_from_opt s pos '\n' with
+    | None -> Error "partial record at end of log (no terminator)"
+    | Some nl -> (
+      match decode_v2_line (String.sub s pos (nl - pos)) with
+      | Ok e -> Ok (e, nl + 1)
+      | Error m -> Error m)
 
 (* --- reading --- *)
 
 type tail = Clean | Torn of { valid : int; reason : string }
 
-(* Byte-exact tolerant scan: the file is read whole so a final record with
-   no terminating newline (a crash mid-append) is distinguishable from a
-   clean end of log. Stops at the first record that fails framing, length,
-   checksum or payload decoding; everything before it is returned. *)
-let read_file_tolerant path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+(* Entries of a log image, the tail state, and the byte offset just past
+   the last good record. Blank lines between v2 records are skipped. *)
+let scan content =
   let total = String.length content in
-  let out = ref [] and valid = ref 0 and torn = ref None in
-  let pos = ref 0 in
-  (try
-     while !pos < total do
-       match String.index_from_opt content !pos '\n' with
-       | None ->
-         torn := Some "partial record at end of log (no terminator)";
-         raise Exit
-       | Some nl ->
-         let line = String.sub content !pos (nl - !pos) in
-         pos := nl + 1;
-         if line <> "" then begin
-           let parsed =
-             if is_framed line then decode_framed line
-             else try Ok (decode_entry line) with Failure m -> Error m
-           in
-           match parsed with
-           | Ok e ->
-             out := e :: !out;
-             incr valid
-           | Error reason ->
-             torn := Some reason;
-             raise Exit
-         end
-     done
-   with Exit -> ());
-  ( List.rev !out,
-    match !torn with
-    | None -> Clean
-    | Some reason -> Torn { valid = !valid; reason } )
+  let rec go acc valid pos =
+    if pos >= total then (List.rev acc, Clean, pos)
+    else if content.[pos] = '\n' then go acc valid (pos + 1)
+    else
+      match decode_record content ~pos with
+      | Ok (e, next) -> go (e :: acc) (valid + 1) next
+      | Error reason -> (List.rev acc, Torn { valid; reason }, pos)
+  in
+  go [] 0 0
+
+let read_whole path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The file is read whole so a final record cut short by a crash is told
+   apart from a clean end of log. Stops at the first record that fails
+   framing, length, checksum or payload decoding; everything before it is
+   returned. *)
+let decode_string content =
+  let entries, tail, _ = scan content in
+  (entries, tail)
+
+let read_file_tolerant path = decode_string (read_whole path)
 
 let read_file path =
   match read_file_tolerant path with
@@ -384,22 +504,17 @@ let in_memory () =
 let to_file path =
   let existing =
     if Sys.file_exists path then begin
-      match read_file_tolerant path with
-      | entries, Clean -> List.length entries
-      | entries, Torn _ ->
-        (* Crash-recovery reopen: truncate the torn tail (re-encoding the
-           valid prefix as v2) so appended records stay reachable. *)
-        let buf = Buf.create 4096 in
-        let oc = open_out_gen [ Open_wronly; Open_trunc ] 0o644 path in
-        List.iter (add_line buf) entries;
-        Buf.output oc buf;
-        close_out oc;
-        List.length entries
+      let entries, tail, good = scan (read_whole path) in
+      (* Crash-recovery reopen: cut the torn tail off so appended records
+         stay reachable. Whatever precedes it, v2 lines included, stays as
+         it was written. *)
+      (match tail with Clean -> () | Torn _ -> Unix.truncate path good);
+      List.length entries
     end
     else 0
   in
   {
-    sink = File { oc = open_out_gen [ Open_append; Open_creat ] 0o644 path; path };
+    sink = File { oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path; path };
     count = existing;
     n_flushes = 0;
     flush_time_us = 0.;
@@ -415,11 +530,11 @@ let wrap_io path f =
   with Sys_error m -> raise (Io_error (Printf.sprintf "wal %s: %s" path m))
 
 (* A record is encoded by whoever makes it, so a file log's append only
-   copies finished lines into its channel. An in-memory log keeps the
+   copies finished bytes into its channel. An in-memory log keeps the
    entry itself and encodes nothing. *)
-type record = Entry of entry | Line of string
+type record = Entry of entry | Encoded of string
 
-let record t e = match t.sink with Memory _ -> Entry e | File _ -> Line (with_scratch add_line e)
+let record t e = match t.sink with Memory _ -> Entry e | File _ -> Encoded (encode_framed e)
 
 (* The batch append path: a whole batch in order, copied into the channel's
    buffer with no further encoding; the covering [flush] issues the I/O. *)
@@ -430,13 +545,13 @@ let append_many t rs =
         List.iter
           (function
             | Entry e -> Util.Vec.push m.items e
-            | Line _ -> invalid_arg "Wal.append_many: record of a file log")
+            | Encoded _ -> invalid_arg "Wal.append_many: record of a file log")
           rs)
   | File { oc; path } ->
     wrap_io path (fun () ->
         List.iter
           (function
-            | Line l -> output_string oc l
+            | Encoded s -> output_string oc s
             | Entry _ -> invalid_arg "Wal.append_many: record of an in-memory log")
           rs));
   t.count <- t.count + List.length rs
@@ -449,7 +564,7 @@ let append t e =
   | File { oc; path } ->
     let b = Domain.DLS.get scratch in
     Buf.clear b;
-    add_line b e;
+    add_framed b e;
     wrap_io path (fun () -> Buf.output oc b));
   t.count <- t.count + 1
 

@@ -9,10 +9,28 @@
     freshly-loaded database reconstructs exactly the committed state.
 
     The log can live purely in memory (tests, simulations) or stream to a
-    file. File records are framed (format v2) with a per-record length and
-    CRC-32 so that a crash mid-append leaves a detectable torn tail rather
-    than a silently corrupt log; the legacy unframed v1 format is still
-    readable. *)
+    file. A file holds one binary record (format v3) per entry, back to
+    back:
+
+    {v
+    record  := 0xB3, payload length (u32 LE), CRC-32 of payload (u32 LE), payload
+    payload := varint txn, zigzag tid, varint write-count, write*
+    write   := kind ('P' | 'D' | 'M'), bytes reactor, bytes table,
+               varint value-count, value*
+    value   := 0x00 null | 0x01 false | 0x02 true | 0x03 zigzag int
+             | 0x04 float bits (8 bytes LE) | 0x05 bytes
+    bytes   := varint length, raw bytes
+    v}
+
+    The length and CRC make a crash mid-append a detectable torn tail
+    rather than a silently corrupt log. Checkpoints ({!Checkpoint}) and
+    shipped replica batches carry the same records.
+
+    The earlier text format v2 (one line
+    ["2|crc32hex|length|payload"] per entry) stays readable everywhere it
+    was written; a reader picks the format of each record from its first
+    byte, so a v2 log reopened by this version holds v2 lines followed by
+    v3 records. The unframed v1 format is no longer read. *)
 
 (** One write in a committed transaction, or a logged placement change. *)
 type write =
@@ -40,12 +58,12 @@ val in_memory : unit -> t
 
 (** File-backed log (appends; the file is created if missing). Reopening an
     existing log counts its valid entries, so {!length} reports the whole
-    log, and truncates any torn tail left by a crash so that appended
-    records stay reachable. Call {!flush} to force buffered records to disk
+    log, and cuts off any torn tail left by a crash so that appended
+    records stay reachable; the records before it keep their bytes. Call {!flush} to force buffered records to disk
     and {!close} when done. *)
 val to_file : string -> t
 
-(** An entry ready to append to one log: for a file log its framed line,
+(** An entry ready to append to one log: for a file log its v3 record,
     encoded when the record is made, so that whoever makes it (a
     committing executor) pays for the encoding rather than the party
     appending a batch; for an in-memory log the entry itself. *)
@@ -56,7 +74,7 @@ type record
 val record : t -> entry -> record
 
 (** [append_many t rs] appends a batch in order — the batch path. A
-    file log copies the records' lines into its channel buffer, so an
+    file log copies the records' bytes into its channel buffer, so an
     epoch's worth of records costs one I/O at the covering {!flush}.
     Raises [Invalid_argument] on a record made for a log of the other
     kind. *)
@@ -107,9 +125,14 @@ type tail = Clean | Torn of { valid : int; reason : string }
 
 (** [read_file_tolerant path] parses a log file written by {!to_file},
     stopping cleanly at the first torn or corrupt record (crash recovery
-    never raises on a damaged tail). Reads both v2-framed and legacy v1
-    records. *)
+    never raises on a damaged tail). Reads v3 records and v2 lines in any
+    order. *)
 val read_file_tolerant : string -> entry list * tail
+
+(** [decode_string s] reads the log image [s] the way
+    {!read_file_tolerant} reads a file: its readable prefix, and why it
+    stopped early. *)
+val decode_string : string -> entry list * tail
 
 (** Like {!read_file_tolerant} but raises [Failure] if the log has a torn
     or corrupt tail — for contexts where damage is unexpected. *)
@@ -130,11 +153,10 @@ val replay :
 
 (** {1 Encoding}
 
-    The encoder is single-pass: {!add_framed} appends a record straight
-    into a {!Buf.t}, checksums it over the bytes it occupies and inserts
-    its header in front, so no per-value or per-record intermediate string
-    is built. The bytes are exactly those of the v2 format above; the
-    string-returning functions are thin wrappers over the buffer writer. *)
+    {!add_framed} reserves a record's header, appends the payload
+    straight into a {!Buf.t}, checksums it over the bytes it occupies and
+    fills the header in, so no per-value or per-record intermediate
+    string is built. *)
 
 (** Growable byte buffer that records are appended to. *)
 module Buf : sig
@@ -152,8 +174,8 @@ module Buf : sig
   (** Decimal, as [string_of_int]. *)
   val add_int : t -> int -> unit
 
-  (** Lowercase hex, two digits per byte — the codec for strings inside
-      records and for checkpoint reactor names. *)
+  (** Lowercase hex, two digits per byte — the codec for checkpoint
+      reactor names and for strings inside v2 records. *)
   val add_hex : t -> string -> unit
 
   (** CRC-32 of the bytes in [\[pos, pos+len)], read in place. *)
@@ -169,21 +191,26 @@ module Buf : sig
   val output : out_channel -> t -> unit
 end
 
-(** Exact inverse of {!Buf.add_hex}, shared by records and checkpoints:
-    raises [Failure] unless the input is pairs of [\[0-9a-f\]]. *)
+(** Exact inverse of {!Buf.add_hex}: raises [Failure] unless the input is
+    pairs of [\[0-9a-f\]]. *)
 val unhex : string -> string
 
-(** Append the v2 framed record of an entry (no newline). *)
+(** First byte of every v3 record (0xB3); no v2 line starts with it. *)
+val record_magic : char
+
+(** Append the v3 record of an entry. *)
 val add_framed : Buf.t -> entry -> unit
 
-(** v1 payload text (no framing, no newline). *)
-val encode_entry : entry -> string
-
-val decode_entry : string -> entry
-
-(** v2 framed record line (no newline): ["2|crc32|length|payload"]. *)
+(** The v3 record of an entry. *)
 val encode_framed : entry -> string
 
-(** Parse one framed record line; [Error reason] for anything torn,
-    corrupt, or not v2-framed. *)
+(** Decode one whole record: a v3 record, or a v2 line without its
+    newline. [Error reason] for anything torn, corrupt, with bytes left
+    over, or in neither format. Never raises. *)
 val decode_framed : string -> (entry, string) result
+
+(** [decode_record s ~pos] decodes the record that starts at byte [pos]
+    of [s] — a v3 record, or a v2 line with its newline — and returns it
+    with the offset just past it. [Error reason] for a torn, corrupt or
+    unknown record, or a [pos] outside [s]. Never raises. *)
+val decode_record : string -> pos:int -> (entry * int, string) result

@@ -173,15 +173,19 @@ let test_torn_tail () =
   check_int "watermark caught up" 3 (Replica.watermark r);
   check_float "tail applied" 160. (balance_of r "acct0");
   check_float "tail applied (2)" 40. (balance_of r "acct1");
-  (* corruption mid-payload: per-line salvage keeps only the entries
+  (* corruption mid-payload: per-record salvage keeps only the entries
      before the damage *)
   let r2 = Replica.create ~id:1 decl in
   let corrupt =
     let b = Bytes.of_string full in
     let header_len = String.index full '\n' + 1 in
-    let line1_len = String.index_from full header_len '\n' + 1 in
-    Bytes.set b (line1_len + 10)
-      (Char.chr (Char.code (Bytes.get b (line1_len + 10)) lxor 0xff));
+    let record1_end =
+      match Wal.decode_record full ~pos:header_len with
+      | Ok (_, next) -> next
+      | Error m -> Alcotest.fail m
+    in
+    Bytes.set b (record1_end + 10)
+      (Char.chr (Char.code (Bytes.get b (record1_end + 10)) lxor 0xff));
     Bytes.to_string b
   in
   (match Replica.apply r2 corrupt with

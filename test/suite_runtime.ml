@@ -689,14 +689,16 @@ let test_posted_installs_land_before_fence_and_quiesce () =
   done
 
 (* A read-only snapshot root whose body has returned is final, even past
-   its deadline. *)
+   its deadline. The deadline (20 ms) is long enough that it cannot run
+   out while the root still waits in the mailbox, even on a loaded
+   machine, and the body (60 ms) outlasts it by far. *)
 let test_readonly_outlasts_deadline_runtime () =
   let db = RDb.start (Testlib.bank_decl 2) (Testlib.sn_config 2) in
   let out =
-    RDb.exec_txn ~deadline_us:500. db ~reactor:"acct0" ~proc:"slow_balance"
-      ~args:[ Value.Float 5_000. ]
+    RDb.exec_txn ~deadline_us:20_000. db ~reactor:"acct0" ~proc:"slow_balance"
+      ~args:[ Value.Float 60_000. ]
   in
-  check_bool "body outlasted the deadline" true (out.RDb.latency_us > 5_000.);
+  check_bool "body outlasted the deadline" true (out.RDb.latency_us > 60_000.);
   check_bool "read-only root commits" true (out.RDb.result = Ok (Value.Float 100.));
   check_bool "ran on a snapshot" true (out.RDb.snapshot <> None);
   check_int "no abort" 0 (RDb.n_aborted db);

@@ -345,6 +345,26 @@ let prop_crc32_sub =
       let len = b mod (n - pos + 1) in
       Checksum.crc32_sub s ~pos ~len = Checksum.crc32 (String.sub s pos len))
 
+(* A padded atomic is an ordinary atomic to every operation: two domains
+   each add 1 to the same cell 100 000 times and none is lost; a second
+   padded cell beside it is untouched. *)
+let test_padded_atomic () =
+  let a = Padded.atomic 0 and other = Padded.atomic 7 in
+  let bump () =
+    for _ = 1 to 100_000 do
+      ignore (Atomic.fetch_and_add a 1)
+    done
+  in
+  let d = Domain.spawn bump in
+  bump ();
+  Domain.join d;
+  Alcotest.(check int) "exact count" 200_000 (Atomic.get a);
+  Alcotest.(check int) "neighbour untouched" 7 (Atomic.get other);
+  let x = "x" in
+  let s = Padded.atomic x in
+  Alcotest.(check bool) "compare_and_set" true (Atomic.compare_and_set s x "y");
+  Alcotest.(check string) "boxed value" "y" (Atomic.get s)
+
 let suite =
   ( "util",
     [
@@ -375,4 +395,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_backoff;
       Alcotest.test_case "crc32" `Quick test_crc32;
       QCheck_alcotest.to_alcotest prop_crc32_sub;
+      Alcotest.test_case "padded atomic across domains" `Quick test_padded_atomic;
     ] )

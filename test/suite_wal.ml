@@ -38,10 +38,123 @@ let entry_eq a b =
          | _ -> false)
        a.Wal.le_writes b.Wal.le_writes
 
+(* [Ref] is a copy of the text v2 encoder that the binary v3 records
+   replaced, kept here only as the specification of the v2 bytes: logs,
+   checkpoints and replica batches written in v2 must stay readable, so
+   the reader has to decode whatever this encoder writes. *)
+module Ref = struct
+  let hex s =
+    let b = Buffer.create (2 * String.length s) in
+    String.iter
+      (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
+      s;
+    Buffer.contents b
+
+  let encode_value = function
+    | Value.Null -> "N"
+    | Value.Bool b -> if b then "B:1" else "B:0"
+    | Value.Int i -> "I:" ^ string_of_int i
+    | Value.Float f -> Printf.sprintf "F:%h" f
+    | Value.Str s -> "S:" ^ hex s
+
+  let encode_write w =
+    let kind, reactor, table, vals =
+      match w with
+      | Wal.Put { reactor; table; row } -> ("P", reactor, table, row)
+      | Wal.Del { reactor; table; key } -> ("D", reactor, table, key)
+      | Wal.Migrate { reactor; dst } -> ("M", reactor, "", [| Value.Int dst |])
+    in
+    String.concat ","
+      (kind :: hex reactor :: hex table
+      :: Array.to_list (Array.map encode_value vals))
+
+  let encode_entry e =
+    Printf.sprintf "%d\t%d\t%s" e.Wal.le_txn e.Wal.le_tid
+      (String.concat ";" (List.map encode_write e.Wal.le_writes))
+
+  let encode_framed e =
+    let payload = encode_entry e in
+    Printf.sprintf "2|%s|%d|%s" (Checksum.crc32_hex payload)
+      (String.length payload) payload
+
+  let encode_batch ~gen ~from_epoch ~to_epoch entries =
+    let payload = String.concat "\n" (List.map encode_framed entries) in
+    Printf.sprintf "R|2|%d|%d|%d|%d|%s\n%s" gen from_epoch to_epoch
+      (List.length entries)
+      (Checksum.crc32_hex payload)
+      payload
+
+  let encode_checkpoint ck =
+    let body =
+      Printf.sprintf "ckpt2\t%d\t%d\t%s\n" ck.Checkpoint.ck_tid ck.Checkpoint.ck_covers
+        (String.concat "," (List.map hex ck.Checkpoint.ck_reactors))
+      ^ String.concat ""
+          (List.map
+             (fun (reactor, table, row) ->
+               encode_framed
+                 (entry 0 ck.Checkpoint.ck_tid [ Wal.Put { reactor; table; row } ])
+               ^ "\n")
+             ck.Checkpoint.ck_rows)
+    in
+    Printf.sprintf "%send\t%d\t%s\n" body (List.length ck.Checkpoint.ck_rows)
+      (Checksum.crc32_hex body)
+end
+
+(* Entries over the encoder's corners: every byte value in names and
+   strings, floats at nan / ±inf / -0. / the smallest subnormal /
+   [max_float] plus raw bit patterns, [min_int] / [max_int], placement
+   records, empty write lists and empty rows. *)
+let gen_any_entry =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound n) in
+  let gen_int = oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ] in
+  let gen_float =
+    oneof
+      [ float;
+        map Int64.float_of_bits ui64;
+        oneofl
+          [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.;
+            Int64.float_of_bits 1L; Float.min_float; Float.max_float;
+            -.Float.max_float ] ]
+  in
+  let gen_value =
+    oneof
+      [ return Value.Null;
+        map (fun b -> Value.Bool b) bool;
+        map (fun i -> Value.Int i) gen_int;
+        map (fun f -> Value.Float f) gen_float;
+        map (fun s -> Value.Str s) (bytes 40) ]
+  in
+  let gen_row =
+    frequency [ (1, return [||]); (4, array_size (int_bound 6) gen_value) ]
+  in
+  let gen_write =
+    frequency
+      [ ( 4,
+          map3
+            (fun r t row -> Wal.Put { reactor = r; table = t; row })
+            (bytes 10) (bytes 10) gen_row );
+        ( 2,
+          map3
+            (fun r t key -> Wal.Del { reactor = r; table = t; key })
+            (bytes 10) (bytes 10) gen_row );
+        (1, map2 (fun r dst -> Wal.Migrate { reactor = r; dst }) (bytes 10) gen_int)
+      ]
+  in
+  map3 entry gen_int gen_int
+    (frequency [ (1, return []); (4, list_size (int_bound 5) gen_write) ])
+
 let test_roundtrip () =
-  let line = Wal.encode_entry sample_entry in
-  check_bool "single line" true (not (String.contains line '\n'));
-  check_bool "roundtrip" true (entry_eq sample_entry (Wal.decode_entry line))
+  let r = Wal.encode_framed sample_entry in
+  check_bool "starts with the v3 magic" true (r.[0] = Wal.record_magic);
+  (match Wal.decode_framed r with
+  | Ok e -> check_bool "roundtrip" true (entry_eq sample_entry e)
+  | Error m -> Alcotest.fail m);
+  match Wal.decode_record (r ^ r) ~pos:(String.length r) with
+  | Ok (e, next) ->
+    check_bool "second of two records" true (entry_eq sample_entry e);
+    check_int "ends at the end" (2 * String.length r) next
+  | Error m -> Alcotest.fail m
 
 let test_memory_log () =
   let log = Wal.in_memory () in
@@ -88,6 +201,17 @@ let read_raw path =
   close_in ic;
   s
 
+(* Offsets just past each record of a clean log image. *)
+let record_ends content =
+  let rec go acc pos =
+    if pos >= String.length content then List.rev acc
+    else
+      match Wal.decode_record content ~pos with
+      | Ok (_, next) -> go (next :: acc) next
+      | Error m -> Alcotest.fail m
+  in
+  go [] 0
+
 let test_torn_tail_tolerated () =
   let path = Filename.temp_file "wal" ".log" in
   let log = Wal.to_file path in
@@ -95,15 +219,10 @@ let test_torn_tail_tolerated () =
   Wal.append log (entry 2 20 [ put "a" "t" [| Value.Int 2 |] ]);
   Wal.append log sample_entry;
   Wal.close log;
-  (* Crash mid-append: keep the first two records plus half of the third
-     (drop the terminator along the way). *)
+  (* Crash mid-append: keep the first two records plus part of the
+     third. *)
   let content = read_raw path in
-  let cut_after n =
-    let pos = ref 0 in
-    for _ = 1 to n do pos := 1 + String.index_from content !pos '\n' done;
-    !pos
-  in
-  write_raw path (String.sub content 0 (cut_after 2 + 10));
+  write_raw path (String.sub content 0 (List.nth (record_ends content) 1 + 10));
   (match Wal.read_file_tolerant path with
   | entries, Wal.Torn { valid; _ } ->
     check_int "valid prefix" 2 valid;
@@ -126,7 +245,7 @@ let test_checksum_mismatch_detected () =
   (* Flip one payload byte of the second record: the length still matches,
      only the checksum can catch it. *)
   let content = read_raw path in
-  let second = 1 + String.index content '\n' in
+  let second = List.hd (record_ends content) in
   let off = String.length content - 2 in
   assert (off > second);
   let corrupted =
@@ -181,42 +300,22 @@ let test_reopen_truncates_torn_tail () =
   | _, Wal.Torn _ -> Alcotest.fail "log still torn after reopen");
   Sys.remove path
 
+(* v3 records round-trip every entry exactly: decoding gives the entry
+   back, and encoding it again gives the same bytes (float bits, signed
+   zeros and nan payloads included). *)
 let prop_roundtrip =
-  let gen_value =
-    QCheck.Gen.(
-      oneof
-        [ return Value.Null;
-          map (fun b -> Value.Bool b) bool;
-          map (fun i -> Value.Int i) int;
-          map (fun f -> Value.Float f) float;
-          map (fun s -> Value.Str s) (string_size (int_bound 30)) ])
-  in
-  let gen_write =
-    QCheck.Gen.(
-      map3
-        (fun k (r, t) vals ->
-          let vals = Array.of_list vals in
-          if k then Wal.Put { reactor = r; table = t; row = vals }
-          else Wal.Del { reactor = r; table = t; key = vals })
-        bool
-        (pair (string_size (int_bound 10)) (string_size (int_bound 10)))
-        (list_size (int_bound 6) gen_value))
-  in
-  let gen_entry =
-    QCheck.Gen.(
-      map3
-        (fun txn tid ws -> entry txn tid ws)
-        nat nat
-        (list_size (int_bound 5) gen_write))
-  in
-  QCheck.Test.make ~name:"wal entry encode/decode roundtrip" ~count:300
-    (QCheck.make gen_entry)
-    (fun e -> entry_eq e (Wal.decode_entry (Wal.encode_entry e)))
+  QCheck.Test.make ~name:"wal entry encode/decode roundtrip" ~count:1000
+    (QCheck.make gen_any_entry)
+    (fun e ->
+      let r = Wal.encode_framed e in
+      match Wal.decode_framed r with
+      | Ok e' -> entry_eq e e' && String.equal r (Wal.encode_framed e')
+      | Error _ -> false)
 
+(* The reader decodes v2 records written by the reference encoder, with
+   the encodings most likely to bite: NaN, infinities, negative zero,
+   hex-precise floats, and entries with no writes at all. *)
 let prop_framed_roundtrip =
-  (* v2 framing roundtrip, with the encodings most likely to bite: NaN,
-     infinities, negative zero, hex-precise floats, and entries with no
-     writes at all. *)
   let gen_value =
     QCheck.Gen.(
       oneof
@@ -254,7 +353,7 @@ let prop_framed_roundtrip =
   QCheck.Test.make ~name:"wal v2 framed encode/decode roundtrip" ~count:300
     (QCheck.make gen_entry)
     (fun e ->
-      match Wal.decode_framed (Wal.encode_framed e) with
+      match Wal.decode_framed (Ref.encode_framed e) with
       | Ok e' -> entry_eq e e'
       | Error _ -> false)
 
@@ -263,113 +362,26 @@ let test_framed_empty_writes () =
   (match Wal.decode_framed (Wal.encode_framed e) with
   | Ok e' -> check_bool "empty write list roundtrips" true (entry_eq e e')
   | Error m -> Alcotest.failf "empty write list rejected: %s" m);
-  check_bool "v1 line is not mistaken for v2" true
-    (Result.is_error (Wal.decode_framed (Wal.encode_entry e)))
+  check_bool "v1 line is not read" true
+    (Result.is_error (Wal.decode_framed "3\t33\t"))
 
-(* --- byte identity of the encoder ---
-
-   [Ref] is a copy of the Printf / String.concat encoder that the
-   single-pass buffer writer replaced, kept here only as the specification
-   of the v2 bytes: existing logs, checkpoints and shipped replica batches
-   must stay readable, so every record the encoder writes has to equal
-   this one's byte for byte. *)
-module Ref = struct
-  let hex s =
-    let b = Buffer.create (2 * String.length s) in
-    String.iter
-      (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c)))
-      s;
-    Buffer.contents b
-
-  let encode_value = function
-    | Value.Null -> "N"
-    | Value.Bool b -> if b then "B:1" else "B:0"
-    | Value.Int i -> "I:" ^ string_of_int i
-    | Value.Float f -> Printf.sprintf "F:%h" f
-    | Value.Str s -> "S:" ^ hex s
-
-  let encode_write w =
-    let kind, reactor, table, vals =
-      match w with
-      | Wal.Put { reactor; table; row } -> ("P", reactor, table, row)
-      | Wal.Del { reactor; table; key } -> ("D", reactor, table, key)
-      | Wal.Migrate { reactor; dst } -> ("M", reactor, "", [| Value.Int dst |])
-    in
-    String.concat ","
-      (kind :: hex reactor :: hex table
-      :: Array.to_list (Array.map encode_value vals))
-
-  let encode_entry e =
-    Printf.sprintf "%d\t%d\t%s" e.Wal.le_txn e.Wal.le_tid
-      (String.concat ";" (List.map encode_write e.Wal.le_writes))
-
-  let encode_framed e =
-    let payload = encode_entry e in
-    Printf.sprintf "2|%s|%d|%s" (Checksum.crc32_hex payload)
-      (String.length payload) payload
-
-  let encode_batch ~gen ~from_epoch ~to_epoch entries =
-    let payload = String.concat "\n" (List.map encode_framed entries) in
-    Printf.sprintf "R|2|%d|%d|%d|%d|%s\n%s" gen from_epoch to_epoch
-      (List.length entries)
-      (Checksum.crc32_hex payload)
-      payload
-end
-
-(* Entries over the encoder's corners: every byte value in names and
-   strings, floats at nan / ±inf / -0. / the smallest subnormal /
-   [max_float] plus raw bit patterns, [min_int] / [max_int], placement
-   records, empty write lists and empty rows. *)
-let gen_any_entry =
-  let open QCheck.Gen in
-  let bytes n = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound n) in
-  let gen_int = oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ] in
-  let gen_float =
-    oneof
-      [ float;
-        map Int64.float_of_bits ui64;
-        oneofl
-          [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.;
-            Int64.float_of_bits 1L; Float.min_float; Float.max_float;
-            -.Float.max_float ] ]
-  in
-  let gen_value =
-    oneof
-      [ return Value.Null;
-        map (fun b -> Value.Bool b) bool;
-        map (fun i -> Value.Int i) gen_int;
-        map (fun f -> Value.Float f) gen_float;
-        map (fun s -> Value.Str s) (bytes 40) ]
-  in
-  let gen_row =
-    frequency [ (1, return [||]); (4, array_size (int_bound 6) gen_value) ]
-  in
-  let gen_write =
-    frequency
-      [ ( 4,
-          map3
-            (fun r t row -> Wal.Put { reactor = r; table = t; row })
-            (bytes 10) (bytes 10) gen_row );
-        ( 2,
-          map3
-            (fun r t key -> Wal.Del { reactor = r; table = t; key })
-            (bytes 10) (bytes 10) gen_row );
-        (1, map2 (fun r dst -> Wal.Migrate { reactor = r; dst }) (bytes 10) gen_int)
-      ]
-  in
-  map3 entry gen_int gen_int
-    (frequency [ (1, return []); (4, list_size (int_bound 5) gen_write) ])
-
+(* The reader decodes every v2 record the reference encoder writes, alone
+   and as a newline-terminated log line. *)
 let prop_byte_identity =
   QCheck.Test.make ~name:"wal encoder bytes = reference encoder" ~count:1000
     (QCheck.make gen_any_entry)
     (fun e ->
-      String.equal (Wal.encode_entry e) (Ref.encode_entry e)
-      && String.equal (Wal.encode_framed e) (Ref.encode_framed e))
+      let line = Ref.encode_framed e in
+      (match Wal.decode_framed line with Ok e' -> entry_eq e e' | Error _ -> false)
+      &&
+      match Wal.decode_record (line ^ "\n") ~pos:0 with
+      | Ok (e', next) -> entry_eq e e' && next = String.length line + 1
+      | Error _ -> false)
 
-(* Floats are formatted by hand; compare them with Printf's [%h] over raw
-   bit patterns (every class: normals, subnormals, zeros, infinities and
-   nans of either sign) and the class boundaries. *)
+(* v2 floats are Printf's [%h]; the reader gets every one back bit for
+   bit over raw bit patterns (every class: normals, subnormals, zeros,
+   infinities) and the class boundaries. A nan reads back as a nan: [%h]
+   spells every nan "nan". *)
 let prop_float_byte_identity =
   let edges =
     List.map Int64.float_of_bits
@@ -378,6 +390,12 @@ let prop_float_byte_identity =
         0x7FF8_0000_0000_0000L; Int64.min_int; 0x8000_0000_0000_0001L;
         0xFFF0_0000_0000_0000L; 0xFFF8_0000_0000_0000L; -1L ]
   in
+  let same f = function
+    | Value.Float g ->
+      if Float.is_nan f then Float.is_nan g
+      else Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+    | _ -> false
+  in
   QCheck.Test.make ~name:"wal float bytes = Printf %h" ~count:2000
     (QCheck.make
        QCheck.Gen.(
@@ -385,57 +403,98 @@ let prop_float_byte_identity =
            (oneof [ map Int64.float_of_bits ui64; float; oneofl edges ])))
     (fun fs ->
       let e = entry 0 0 [ put "r" "t" (Array.map (fun f -> Value.Float f) fs) ] in
-      String.equal (Wal.encode_entry e) (Ref.encode_entry e))
+      match Wal.decode_framed (Ref.encode_framed e) with
+      | Ok { Wal.le_writes = [ Wal.Put { row; _ } ]; _ } ->
+        Array.length row = Array.length fs && Array.for_all2 same fs row
+      | _ -> false)
 
+(* The batch decoder reads the reference v2 batches; a v3 batch's size is
+   its records' bytes. *)
 let prop_batch_byte_identity =
   QCheck.Test.make ~name:"replica batch bytes = reference encoder" ~count:200
     (QCheck.make QCheck.Gen.(list_size (int_bound 8) gen_any_entry))
     (fun es ->
-      String.equal
-        (Replica.Batch.encode ~gen:3 ~from_epoch:4 ~to_epoch:9 es)
-        (Ref.encode_batch ~gen:3 ~from_epoch:4 ~to_epoch:9 es)
+      (match
+         Replica.Batch.decode (Ref.encode_batch ~gen:3 ~from_epoch:4 ~to_epoch:9 es)
+       with
+      | Replica.Batch.Complete { b_gen = 3; b_from = 4; b_to = 9; b_entries } ->
+        List.length b_entries = List.length es && List.for_all2 entry_eq es b_entries
+      | _ -> false)
       && Replica.Batch.size es
-         = List.fold_left
-             (fun a e -> a + String.length (Ref.encode_framed e) + 1)
-             0 es)
+         = List.fold_left (fun a e -> a + String.length (Wal.encode_framed e)) 0 es)
 
-(* Golden records: literal bytes, so any drift of the format — not just a
-   disagreement with [Ref] — fails. *)
+(* Golden records: literal v2 bytes as the v2 writer wrote them; the
+   reader must keep decoding them to the entries they were written
+   from. *)
+let sample_v2 =
+  "2|7b6e5b9d|118|7\t42\tP,6163637430,61636374,I:0,F:0x1.8p+0;D,773b31,\
+   6f726409657273,S:747269636b793b2c09737472696e67,N;P,78,79,B:1,F:nan"
+
+let mig = entry 1 2 [ Wal.Migrate { reactor = "r1"; dst = 3 } ]
+
+let golden_ck =
+  {
+    Checkpoint.ck_tid = 77;
+    ck_covers = 3;
+    ck_reactors = [ "r,0"; ""; "s" ];
+    ck_rows =
+      [ ("r,0", "kv", [| Value.Int 1; Value.Str "\x00\xff" |]); ("s", "t", [||]) ];
+  }
+
+let decodes_to name expected s =
+  match Wal.decode_framed s with
+  | Ok e -> check_bool name true (entry_eq expected e)
+  | Error m -> Alcotest.failf "%s: %s" name m
+
+let batch_entries = function
+  | Replica.Batch.Complete { b_gen = 4; b_from = 5; b_to = 6; b_entries } -> b_entries
+  | _ -> Alcotest.fail "golden batch did not decode Complete"
+
 let test_golden_records () =
-  let sample_framed =
-    "2|7b6e5b9d|118|7\t42\tP,6163637430,61636374,I:0,F:0x1.8p+0;D,773b31,\
-     6f726409657273,S:747269636b793b2c09737472696e67,N;P,78,79,B:1,F:nan"
+  decodes_to "sample_entry v2" sample_entry sample_v2;
+  let es =
+    batch_entries
+      (Replica.Batch.decode
+         ("R|2|4|5|6|2|f134722f\n" ^ sample_v2 ^ "\n2|6e1a1aa2|15|1\t2\tM,7231,,I:3"))
   in
-  Alcotest.(check string)
-    "sample_entry framed" sample_framed (Wal.encode_framed sample_entry);
-  let mig = entry 1 2 [ Wal.Migrate { reactor = "r1"; dst = 3 } ] in
-  Alcotest.(check string)
-    "replica batch"
-    ("R|2|4|5|6|2|f134722f\n" ^ sample_framed ^ "\n2|6e1a1aa2|15|1\t2\tM,7231,,I:3")
-    (Replica.Batch.encode ~gen:4 ~from_epoch:5 ~to_epoch:6 [ sample_entry; mig ]);
-  let ck =
-    {
-      Checkpoint.ck_tid = 77;
-      ck_covers = 3;
-      ck_reactors = [ "r,0"; ""; "s" ];
-      ck_rows =
-        [ ("r,0", "kv", [| Value.Int 1; Value.Str "\x00\xff" |]);
-          ("s", "t", [||]) ];
-    }
-  in
+  check_bool "replica batch" true (List.for_all2 entry_eq [ sample_entry; mig ] es);
   let path = Filename.temp_file "ck" ".dump" in
-  Checkpoint.write_file path ck;
-  Alcotest.(check string)
-    "checkpoint file"
+  write_raw path
     "ckpt2\t77\t3\t722c30,,73\n2|e8a78bd9|29|0\t77\tP,722c30,6b76,I:1,S:00ff\n\
-     2|e94115b9|12|0\t77\tP,73,74\nend\t2\t34c39ad4\n"
+     2|e94115b9|12|0\t77\tP,73,74\nend\t2\t34c39ad4\n";
+  check_bool "checkpoint reads back" true (Checkpoint.read_file path = golden_ck);
+  Sys.remove path
+
+(* Golden v3 bytes: any drift of the format fails, not just a
+   disagreement between the encoder and the decoder. *)
+let test_golden_v3 () =
+  let mig_v3 = "\xb3\x0b\x00\x00\x00=\xbd\xb9\x88\x01\x04\x01M\x02r1\x00\x01\x03\x06" in
+  Alcotest.(check string) "migrate record" mig_v3 (Wal.encode_framed mig);
+  decodes_to "migrate record decodes" mig mig_v3;
+  let sample_v3 =
+    "\xb3K\x00\x00\x00k\x13:\xc6\x07T\x03P\x05acct0\x04acct\x02\x03\x00\
+     \x04\x00\x00\x00\x00\x00\x00\xf8?D\x03w;1\x07ord\ters\x02\x05\x0ftricky;,\tstring\
+     \x00P\x01x\x01y\x02\x02\x04\x01\x00\x00\x00\x00\x00\xf8\x7f"
+  in
+  Alcotest.(check string) "sample_entry record" sample_v3 (Wal.encode_framed sample_entry);
+  let batch = Replica.Batch.encode ~gen:4 ~from_epoch:5 ~to_epoch:6 [ sample_entry; mig ] in
+  Alcotest.(check string) "replica batch" ("R|3|4|5|6|2|3b248ae5\n" ^ sample_v3 ^ mig_v3) batch;
+  check_bool "replica batch decodes" true
+    (List.for_all2 entry_eq [ sample_entry; mig ] (batch_entries (Replica.Batch.decode batch)));
+  let path = Filename.temp_file "ck" ".dump" in
+  Checkpoint.write_file path golden_ck;
+  Alcotest.(check string) "checkpoint file"
+    "ckpt3\t77\t3\t722c30,,73\n\
+     \xb3\x13\x00\x00\x00\x8d\x95\xe5\xbe\x00\x9a\x01\x01P\x03r,0\x02kv\x02\x03\x02\x05\x02\x00\xff\
+     \xb3\x0a\x00\x00\x00\x0cS\x19\xd4\x00\x9a\x01\x01P\x01s\x01t\x00\
+     end\t2\t40bb7807\n"
     (read_raw path);
-  check_bool "checkpoint reads back" true (Checkpoint.read_file path = ck);
+  check_bool "checkpoint reads back" true (Checkpoint.read_file path = golden_ck);
   Sys.remove path
 
 (* A 1 000-entry group-commit batch through the file sink, each record
-   encoded before the append: the file holds exactly the reference records
-   and reads back entry for entry. *)
+   encoded before the append: the file holds exactly the records, back to
+   back, and reads back entry for entry. *)
 let test_append_many_file_roundtrip () =
   let es =
     QCheck.Gen.generate ~rand:(Random.State.make [| 13 |]) ~n:1000 gen_any_entry
@@ -444,9 +503,8 @@ let test_append_many_file_roundtrip () =
   let log = Wal.to_file path in
   Wal.append_many log (List.map (Wal.record log) es);
   Wal.close log;
-  check_bool "file bytes = reference records" true
-    (String.equal (read_raw path)
-       (String.concat "" (List.map (fun e -> Ref.encode_framed e ^ "\n") es)));
+  check_bool "file bytes = the records" true
+    (String.equal (read_raw path) (String.concat "" (List.map Wal.encode_framed es)));
   let back = Wal.read_file path in
   Sys.remove path;
   check_int "entries read" 1000 (List.length back);
@@ -854,10 +912,11 @@ let test_sim_ack_after_flush () =
 
    Every decoder of bytes from disk or the wire returns a typed error or a
    value on any input and never raises. Inputs start as real encodings of
-   [gen_any_entry] entries and are damaged by byte flips, bytes set to
-   the formats' own separators, truncations and splices. Half of them then
-   have their checksums, lengths and counts recomputed over the damaged
-   bytes, so they get past the CRC checks to the field parsers behind. *)
+   [gen_any_entry] entries, in v3 and in the reference v2 form, and are
+   damaged by byte flips, bytes set to the formats' own separators and
+   tags, truncations and splices. Half of them then have their checksums,
+   lengths and counts recomputed over the damaged bytes, so they get past
+   the CRC checks to the field parsers behind. *)
 
 type mutation =
   | Flip of int * int  (* position, xor mask in 1..255 *)
@@ -865,7 +924,8 @@ type mutation =
   | Truncate of int  (* keep this many bytes *)
   | Splice of int * int * int * int  (* [a, b) replaced by a copy of [c, d) *)
 
-let fuzz_alphabet = "|\t,;:\n0123456789abcdefxp+-.NIFSBPDMRe\255"
+let fuzz_alphabet =
+  "|\t,;:\n0123456789abcdefxp+-.NIFSBPDMRe\255\000\001\002\003\004\005\006\127\128\179"
 
 let gen_mutation =
   let open QCheck.Gen in
@@ -902,24 +962,44 @@ let mutate s = function
 let mutate_all ms s = List.fold_left mutate s ms
 
 (* A v2 frame around [payload], checksum and length recomputed. *)
-let reframe payload =
+let reframe_v2 payload =
   Printf.sprintf "2|%s|%d|%s" (Checksum.crc32_hex payload)
     (String.length payload) payload
 
-(* Damage the payload of a well-formed framed line, then frame it again. *)
-let remutate ms line =
-  let i = String.index_from line 2 '|' in
-  let j = String.index_from line (i + 1) '|' in
-  reframe (mutate_all ms (String.sub line (j + 1) (String.length line - j - 1)))
+(* A v3 record around [payload], checksum and length recomputed. *)
+let reframe_v3 payload =
+  let h = Bytes.create 9 in
+  Bytes.set h 0 Wal.record_magic;
+  Bytes.set_int32_le h 1 (Int32.of_int (String.length payload));
+  Bytes.set_int32_le h 5 (Int32.of_int (Checksum.crc32 payload));
+  Bytes.to_string h ^ payload
+
+(* Damage one piece of an input: the payload of a well-formed record,
+   framed again (a v2 line keeps its newline), or any other piece (a
+   header) as it is. *)
+let damage ms piece =
+  let n = String.length piece in
+  if n >= 9 && piece.[0] = Wal.record_magic then
+    reframe_v3 (mutate_all ms (String.sub piece 9 (n - 9)))
+  else if String.starts_with ~prefix:"2|" piece then
+    let nl = if piece.[n - 1] = '\n' then "\n" else "" in
+    let line = String.sub piece 0 (n - String.length nl) in
+    let i = String.index_from line 2 '|' in
+    let j = String.index_from line (i + 1) '|' in
+    reframe_v2 (mutate_all ms (String.sub line (j + 1) (String.length line - j - 1))) ^ nl
+  else mutate_all ms piece
 
 (* Replace the [k]-th element (wrapping) of a non-empty list. *)
 let map_nth k f l =
   let k = k mod List.length l in
   List.mapi (fun i x -> if i = k then f x else x) l
 
+(* A decoder input: the pieces it is made of (records, headers) and how
+   to assemble them, recomputing every checksum, length and count. *)
+type input = { pieces : string list; build : string list -> string }
+
 (* How one input is damaged: raw mutations of the whole encoding, or
-   mutations of one record's payload ([line], wrapping) with every
-   checksum, length and count recomputed afterwards. *)
+   mutations of one piece ([k], wrapping) before it is assembled. *)
 type damage = Raw of mutation list | Recrc of int * mutation list
 
 let gen_damage =
@@ -927,15 +1007,16 @@ let gen_damage =
   let ms n = list_size (int_range 1 n) gen_mutation in
   frequency [ (1, map (fun m -> Raw m) (ms 4)); (1, map2 (fun k m -> Recrc (k, m)) nat (ms 3)) ]
 
-let fuzz_prop ~name ~count gen_bytes recrc decode =
+let fuzz_prop ~name ~count gen_input decode =
   QCheck.Test.make ~name ~count
     (QCheck.make ~print:(Printf.sprintf "%S")
        QCheck.Gen.(
          map2
-           (fun s -> function
-             | Raw ms -> mutate_all ms s
-             | Recrc (k, ms) -> recrc k ms s)
-           gen_bytes gen_damage))
+           (fun inp -> function
+             | Raw ms -> mutate_all ms (inp.build inp.pieces)
+             | Recrc (_, _) when inp.pieces = [] -> inp.build []
+             | Recrc (k, ms) -> inp.build (map_nth k (damage ms) inp.pieces))
+           gen_input gen_damage))
     (fun bytes ->
       match decode bytes with
       | () -> true
@@ -952,59 +1033,62 @@ let with_file bytes f =
 
 let gen_entries = QCheck.Gen.(list_size (int_bound 4) gen_any_entry)
 
+(* One record, v3 three times in four, else a v2 line. *)
+let gen_record =
+  QCheck.Gen.(
+    frequency
+      [ (3, map Wal.encode_framed gen_any_entry); (1, map Ref.encode_framed gen_any_entry) ])
+
 let prop_fuzz_framed =
   fuzz_prop ~name:"fuzz: Wal.decode_framed never raises" ~count:1000
-    QCheck.Gen.(map Wal.encode_framed gen_any_entry)
-    (fun _ ms line -> remutate ms line)
+    QCheck.Gen.(map (fun r -> { pieces = [ r ]; build = String.concat "" }) gen_record)
     (fun s ->
       match Wal.decode_framed s with
       | Ok _ | Error _ -> ())
 
-(* A log file: one framed record per line, each newline-terminated. *)
-let wal_file es = String.concat "" (List.map (fun e -> Wal.encode_framed e ^ "\n") es)
-
-let recrc_lines k ms s =
-  match List.rev (String.split_on_char '\n' s) with
-  | "" :: (_ :: _ as rev_records) ->
-    String.concat "\n" (map_nth k (remutate ms) (List.rev rev_records)) ^ "\n"
-  | _ -> s
+(* A log file as a reopened v2 log holds it: v2 lines, each
+   newline-terminated, then v3 records back to back. *)
+let log_pieces v2 v3 =
+  List.map (fun e -> Ref.encode_framed e ^ "\n") v2 @ List.map Wal.encode_framed v3
 
 let prop_fuzz_wal_file =
   fuzz_prop ~name:"fuzz: Wal.read_file_tolerant never raises" ~count:300
-    QCheck.Gen.(map wal_file gen_entries)
-    recrc_lines
+    QCheck.Gen.(
+      map2
+        (fun v2 v3 -> { pieces = log_pieces v2 v3; build = String.concat "" })
+        (list_size (int_bound 2) gen_any_entry) gen_entries)
     (fun s ->
       with_file s (fun path ->
           match Wal.read_file_tolerant path with
           | _, (Wal.Clean | Wal.Torn _) -> ()))
 
+(* A v3 batch, or a v2 one; assembling recomputes the header's count and
+   CRC. *)
+let batch_input v3 (g, f, t) es =
+  let version, records, sep =
+    if v3 then ("3", List.map Wal.encode_framed es, "")
+    else ("2", List.map Ref.encode_framed es, "\n")
+  in
+  { pieces = records;
+    build =
+      (fun rs ->
+        let payload = String.concat sep rs in
+        Printf.sprintf "R|%s|%d|%d|%d|%d|%s\n%s" version g f t (List.length rs)
+          (Checksum.crc32_hex payload) payload) }
+
 let prop_fuzz_batch =
   fuzz_prop ~name:"fuzz: Replica.Batch.decode never raises" ~count:1000
-    QCheck.Gen.(
-      map2
-        (fun (g, f, t) es ->
-          Replica.Batch.encode ~gen:g ~from_epoch:f ~to_epoch:t es)
-        (triple nat nat nat) gen_entries)
-    (fun k ms s ->
-      (* damage one record, then recompute the header's count and CRC *)
-      match String.split_on_char '\n' s with
-      | [] | [ _ ] | [ _; "" ] -> s
-      | header :: records ->
-        let records = map_nth k (remutate ms) records in
-        let payload = String.concat "\n" records in
-        let fields = String.split_on_char '|' header in
-        Printf.sprintf "%s|%d|%s\n%s"
-          (String.concat "|" (List.filteri (fun i _ -> i < 5) fields))
-          (List.length (String.split_on_char '\n' payload))
-          (Checksum.crc32_hex payload) payload)
+    QCheck.Gen.(map3 batch_input bool (triple nat nat nat) gen_entries)
     (fun s ->
       match Replica.Batch.decode s with
       | Replica.Batch.Complete _ | Replica.Batch.Torn _ | Replica.Batch.Garbage _
         ->
         ())
 
-(* A checkpoint of the entries' [Put] rows. *)
-let checkpoint_bytes (tid, covers) es =
+(* A checkpoint of the entries' [Put] rows as the v3 writer writes it, or
+   as the v2 writer did, cut into its header and rows; assembling appends
+   a trailer recomputed over them. *)
+let checkpoint_input v3 (tid, covers) es =
   let rows =
     List.concat_map
       (fun e ->
@@ -1020,35 +1104,105 @@ let checkpoint_bytes (tid, covers) es =
       ck_reactors = List.sort_uniq compare (List.map (fun (r, _, _) -> r) rows);
       ck_rows = rows }
   in
-  let path = Filename.temp_file "fuzz" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Checkpoint.write_file path ck;
-      In_channel.with_open_bin path In_channel.input_all)
+  let bytes =
+    if v3 then
+      with_file "" (fun path ->
+          Checkpoint.write_file path ck;
+          In_channel.with_open_bin path In_channel.input_all)
+    else Ref.encode_checkpoint ck
+  in
+  let hdr_end = String.index bytes '\n' + 1 in
+  let rec split pos =
+    if bytes.[pos] = 'e' && String.starts_with ~prefix:"end\t" (String.sub bytes pos 4)
+    then []
+    else
+      let next =
+        match Wal.decode_record bytes ~pos with
+        | Ok (_, next) -> next
+        | Error m -> failwith m
+      in
+      String.sub bytes pos (next - pos) :: split next
+  in
+  { pieces = String.sub bytes 0 hdr_end :: split hdr_end;
+    build =
+      (fun pieces ->
+        let body = String.concat "" pieces in
+        Printf.sprintf "%send\t%d\t%s\n" body (List.length pieces - 1)
+          (Checksum.crc32_hex body)) }
 
 let prop_fuzz_checkpoint =
   fuzz_prop ~name:"fuzz: Checkpoint.read_file_opt never raises" ~count:300
-    QCheck.Gen.(map2 checkpoint_bytes (pair nat nat) gen_entries)
-    (fun k ms s ->
-      (* damage the header or one row, then recompute the trailer *)
-      match List.rev (String.split_on_char '\n' s) with
-      | "" :: _trailer :: rev_body ->
-        let body =
-          match List.rev rev_body with
-          | header :: rows when k mod 4 = 0 || rows = [] ->
-            mutate_all ms header :: rows
-          | header :: rows -> header :: map_nth k (remutate ms) rows
-          | [] -> []
-        in
-        let text = String.concat "" (List.map (fun l -> l ^ "\n") body) in
-        Printf.sprintf "%send\t%d\t%s\n" text (List.length body - 1)
-          (Checksum.crc32_hex text)
-      | _ -> s)
+    QCheck.Gen.(map3 checkpoint_input bool (pair nat nat) gen_entries)
     (fun s ->
       with_file s (fun path ->
           match Checkpoint.read_file_opt path with
           | Ok _ | Error _ -> ()))
+
+(* --- mixed v2 / v3 logs --- *)
+
+(* A v2 log reopened by this version: its v2 lines stay, v3 records
+   follow. Read whole, every entry comes back in order; cut at any byte,
+   the reader returns exactly the records that end before the cut, and a
+   reopen drops the torn rest so an appended record follows them. *)
+let test_mixed_log () =
+  let es = QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:6 gen_any_entry in
+  let v2 = List.filteri (fun i _ -> i < 3) es and v3 = List.filteri (fun i _ -> i >= 3) es in
+  let path = Filename.temp_file "wal" ".log" in
+  write_raw path (String.concat "" (List.map (fun e -> Ref.encode_framed e ^ "\n") v2));
+  let log = Wal.to_file path in
+  check_int "reopen counts the v2 entries" 3 (Wal.length log);
+  List.iter (Wal.append log) v3;
+  Wal.close log;
+  let content = read_raw path in
+  (match Wal.read_file_tolerant path with
+  | back, Wal.Clean -> check_bool "whole log reads back" true (List.for_all2 entry_eq es back)
+  | _, Wal.Torn { reason; _ } -> Alcotest.fail reason);
+  let ends = record_ends content in
+  check_int "six records" 6 (List.length ends);
+  let extra = entry 99 990 [ put "z" "t" [| Value.Str "\n" |] ] in
+  for cut = 0 to String.length content do
+    let whole = List.length (List.filter (fun e -> e <= cut) ends) in
+    let prefix = List.filteri (fun i _ -> i < whole) es in
+    write_raw path (String.sub content 0 cut);
+    (match Wal.read_file_tolerant path with
+    | back, tail ->
+      if not (List.length back = whole && List.for_all2 entry_eq prefix back) then
+        Alcotest.failf "cut at %d: %d entries, expected %d" cut (List.length back) whole;
+      let clean = cut = 0 || List.mem cut ends in
+      if clean <> (tail = Wal.Clean) then Alcotest.failf "cut at %d: wrong tail" cut);
+    let log = Wal.to_file path in
+    if Wal.length log <> whole then Alcotest.failf "cut at %d: reopen counts %d" cut (Wal.length log);
+    Wal.append log extra;
+    Wal.close log;
+    match Wal.read_file_tolerant path with
+    | back, Wal.Clean ->
+      if not (List.for_all2 entry_eq (prefix @ [ extra ]) back) then
+        Alcotest.failf "cut at %d: appended record not after the prefix" cut
+    | _, Wal.Torn { reason; _ } -> Alcotest.failf "cut at %d: torn after reopen: %s" cut reason
+  done;
+  Sys.remove path
+
+(* [Truncate_entries n] keeps exactly the first [n] v3 records, though
+   their bytes hold newlines. *)
+let test_truncate_entries_v3 () =
+  let es =
+    List.init 5 (fun i -> entry i (10 * i) [ put "r\n" "t" [| Value.Str "a\nb"; Value.Int 10 |] ])
+  in
+  let src = Filename.temp_file "wal" ".log" and dst = Filename.temp_file "wal" ".cut" in
+  let log = Wal.to_file src in
+  List.iter (Wal.append log) es;
+  Wal.close log;
+  for n = 0 to 7 do
+    Faultsim.inject (Faultsim.Truncate_entries n) ~src ~dst;
+    match Wal.read_file_tolerant dst with
+    | back, Wal.Clean ->
+      check_int (Printf.sprintf "truncate to %d" n) (min n 5) (List.length back);
+      check_bool "a prefix" true
+        (List.for_all2 entry_eq (List.filteri (fun i _ -> i < min n 5) es) back)
+    | _, Wal.Torn { reason; _ } -> Alcotest.failf "truncate to %d tore a record: %s" n reason
+  done;
+  Sys.remove src;
+  Sys.remove dst
 
 let suite =
   ( "wal",
@@ -1070,6 +1224,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_float_byte_identity;
       QCheck_alcotest.to_alcotest prop_batch_byte_identity;
       Alcotest.test_case "golden records" `Quick test_golden_records;
+      Alcotest.test_case "golden v3 records" `Quick test_golden_v3;
       Alcotest.test_case "append_many file roundtrip" `Quick
         test_append_many_file_roundtrip;
       Alcotest.test_case "append_many rejects the other kind" `Quick
@@ -1100,4 +1255,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_fuzz_wal_file;
       QCheck_alcotest.to_alcotest prop_fuzz_batch;
       QCheck_alcotest.to_alcotest prop_fuzz_checkpoint;
+      Alcotest.test_case "v2 then v3 log, whole and torn" `Quick test_mixed_log;
+      Alcotest.test_case "faultsim truncate_entries on v3 records" `Quick
+        test_truncate_entries_v3;
     ] )
