@@ -16,10 +16,26 @@
     only when empty splits would reuse them, which keeps the version
     discipline trivially sound). *)
 
+(** Keys of a tree: a total order plus a {e normalized key word}, one
+    unboxed [int] summary of a key that each node stores beside it. Searches
+    compare words and call [compare] only on a tie between inexact words,
+    so a key whose word is exact is never dereferenced on a hit. This is the
+    idea of Masstree's fixed 8-byte key slices (Mao, Kohler and Morris,
+    EuroSys 2012). *)
 module type ORDERED = sig
   type t
 
   val compare : t -> t -> int
+
+  (** [norm k] is [k]'s normalized word. Contract:
+      - monotone: [compare a b <= 0] implies [norm a <= norm b] (so equal
+        keys have equal words and a smaller word means a smaller key);
+      - a clear low bit means the word is exact: [norm a = norm b] with
+        [norm a land 1 = 0] implies [compare a b = 0].
+
+      A word with its low bit set says nothing beyond monotonicity; the
+      constant [fun _ -> 1] is a valid (if useless) [norm]. *)
+  val norm : t -> int
 end
 
 module Make (K : ORDERED) : sig
@@ -81,6 +97,8 @@ module Make (K : ORDERED) : sig
   val witness_valid : witness -> bool
 
   (** Internal consistency check for tests: key ordering, leaf-link
-      integrity, separator invariants. Raises [Failure] when violated. *)
+      integrity, separator invariants; every stored word equals [K.norm] of
+      its key, and words do not decrease along the leaf chain or across
+      separators. Raises [Failure] when violated. *)
   val check_invariants : 'v t -> unit
 end

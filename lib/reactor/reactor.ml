@@ -39,25 +39,36 @@ let abort msg = raise (Occ.Txn.Abort msg)
    errors from user aborts without inspecting message text. *)
 exception Dangerous_call of string
 
+(* Name lookups run on every frame and admission: compare with
+   [String.equal] rather than [List.assoc_opt]/[List.mem], whose
+   polymorphic compare is one C call per entry. *)
+let rec assoc_str name = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k name then Some v else assoc_str name rest
+
 let find_type d name =
-  match List.find_opt (fun t -> t.rt_name = name) d.types with
+  match List.find_opt (fun t -> String.equal t.rt_name name) d.types with
   | Some t -> t
   | None -> invalid_arg (Printf.sprintf "Reactor: unknown reactor type %S" name)
 
 let type_of_reactor d name =
-  match List.assoc_opt name d.reactors with
+  match assoc_str name d.reactors with
   | Some tyname -> find_type d tyname
   | None -> invalid_arg (Printf.sprintf "Reactor: unknown reactor %S" name)
 
 let find_proc rt name =
-  match List.assoc_opt name rt.rt_procs with
+  match assoc_str name rt.rt_procs with
   | Some p -> p
   | None ->
     invalid_arg
       (Printf.sprintf "Reactor: type %s has no procedure %S" rt.rt_name name)
 
-let proc_readonly rt name = List.mem name rt.rt_readonly
-let morph_target rt name = List.assoc_opt name rt.rt_morphs
+let rec mem_str name = function
+  | [] -> false
+  | k :: rest -> String.equal k name || mem_str name rest
+
+let proc_readonly rt name = mem_str name rt.rt_readonly
+let morph_target rt name = assoc_str name rt.rt_morphs
 
 let morph_of rt name =
   List.find_map

@@ -20,6 +20,68 @@ module Key = struct
   let compare a b =
     if a == b then 0
     else compare_from a b 0 (Stdlib.min (Array.length a) (Array.length b))
+
+  (* Normalized key word: the columns packed most significant first into
+     61 payload bits (bits 61..1), then the cut bit (bit 0, set = inexact);
+     bit 62 stays clear, so words compare as non-negative ints. Each column
+     opens with a 3-bit tag in [Value.compare]'s constructor order, starting
+     at 1: a key then never pads (with zeros) to the word of a key it
+     extends. An [Int] of at most 6 significant bytes follows with a 5-bit
+     sign-and-length class and its bytes, a negative [x] as the complement
+     of [lnot x]; [Null] is its tag alone. [Bool], [Float], [Str], a longer
+     [Int] or running out of bits write what fits, set the cut bit and
+     stop. *)
+  let payload_bits = 61
+
+  (* Significant bytes of [y >= 0]. *)
+  let byte_len y =
+    if y < 0x100 then if y = 0 then 0 else 1
+    else if y < 0x1_0000 then 2
+    else if y < 0x100_0000 then 3
+    else if y < 0x1_0000_0000 then 4
+    else if y < 0x100_0000_0000 then 5
+    else if y < 0x1_0000_0000_0000 then 6
+    else if y < 0x100_0000_0000_0000 then 7
+    else 8
+
+  (* Append the top bits of the [len]-bit field [v] that still fit, pad and
+     mark the word inexact. *)
+  let cut acc used v len =
+    let avail = payload_bits - used in
+    if len <= avail then (((acc lsl len) lor v) lsl (avail - len + 1)) lor 1
+    else (((acc lsl avail) lor (v lsr (len - avail))) lsl 1) lor 1
+
+  let rec norm_from k i n acc used =
+    if i = n then acc lsl (payload_bits - used + 1)
+    else
+      match Array.unsafe_get k i with
+      | Util.Value.Null ->
+        if used + 3 <= payload_bits then
+          norm_from k (i + 1) n ((acc lsl 3) lor 1) (used + 3)
+        else cut acc used 1 3
+      | Util.Value.Int x ->
+        let len = byte_len (if x < 0 then lnot x else x) in
+        let hdr = (3 lsl 5) lor (if x < 0 then 15 - len else 16 + len) in
+        let bits = 8 * len in
+        if len <= 6 && used + 8 + bits <= payload_bits then
+          let payload = x land ((1 lsl bits) - 1) in
+          let acc = (((acc lsl 8) lor hdr) lsl bits) lor payload in
+          norm_from k (i + 1) n acc (used + 8 + bits)
+        else if used + 8 <= payload_bits then
+          (* The header fits, the payload does not: its top [avail] bits
+             (an arithmetic shift keeps an 8-byte negative's sign bits). *)
+          let avail = payload_bits - used - 8 in
+          let acc = (acc lsl 8) lor hdr in
+          let top =
+            if avail = 0 then 0 else (x asr (bits - avail)) land ((1 lsl avail) - 1)
+          in
+          (((acc lsl avail) lor top) lsl 1) lor 1
+        else cut acc used hdr 8
+      | Util.Value.Bool _ -> cut acc used 2 3
+      | Util.Value.Float _ -> cut acc used 4 3
+      | Util.Value.Str _ -> cut acc used 5 3
+
+  let norm k = norm_from k 0 (Array.length k) 0 0
 end
 
 module Idx = Btree.Make (Key)

@@ -12,6 +12,19 @@ module Key : sig
   (** Lexicographic order; shorter keys that are a prefix of longer ones
       compare smaller, so partial-key prefixes can bound range scans. *)
   val compare : t -> t -> int
+
+  (** Normalized key word for the B+tree ({!Btree.ORDERED.norm}): the
+      columns packed into 61 bits, most significant first, then a cut bit
+      (bit 0, set = inexact). Each column starts with a 3-bit tag in
+      {!Util.Value.compare}'s constructor order, numbered from 1 so that a
+      key never pads to the word of a key it extends. An [Int] of at most
+      6 significant bytes adds a 5-bit sign-and-length class and those
+      bytes and stays exact; [Null] is its tag alone. A [Bool], [Float] or
+      [Str] column, a longer [Int], or running out of bits writes what fits
+      and sets the cut bit. All-int keys such as TPC-C's [(d_id, o_id,
+      ol_number)] are therefore exact; a string key costs one tie on its
+      tag. *)
+  val norm : t -> int
 end
 
 module Idx : module type of Btree.Make (Key)

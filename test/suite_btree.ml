@@ -1,7 +1,54 @@
 (* Unit and property tests for the B+tree, including the leaf-version
    witness discipline that OCC's phantom detection depends on. *)
 
-module T = Btree.Make (Int)
+(* Ints whose double fits a word are exact ([x lsl 1], low bit clear); the
+   two tails clamp to inexact words, so the tie-break stays reachable. *)
+module Int_key = struct
+  type t = int
+
+  let compare = Int.compare
+  let lim = max_int / 2
+  let norm x =
+    if x > lim then max_int else if x < -lim then min_int lor 1 else x lsl 1
+end
+
+(* A deliberately coarse word: exact below 64, then one inexact word per 16
+   keys, so most model operations land on a tie and go to [compare]. *)
+module Coarse_key = struct
+  type t = int
+
+  let compare = Int.compare
+
+  let norm x =
+    if x >= 0 && x < 64 then x lsl 1
+    else if x >= 64 then ((64 + ((x - 64) / 16)) lsl 1) lor 1
+    else ((x asr 4) lsl 1) lor 1
+end
+
+module T = Btree.Make (Int_key)
+module C = Btree.Make (Coarse_key)
+
+(* What the model properties use, so they run on either instance. *)
+module type INT_TREE = sig
+  type 'v t
+  type witness
+
+  val create : unit -> 'v t
+  val size : 'v t -> int
+  val find : ?on_node:(witness -> unit) -> 'v t -> int -> 'v option
+  val insert : 'v t -> int -> 'v -> 'v option
+  val delete : 'v t -> int -> 'v option
+  val range :
+    ?on_node:(witness -> unit) -> ?lo:int -> ?hi:int -> 'v t ->
+    f:(int -> 'v -> bool) -> unit
+
+  val range_rev :
+    ?on_node:(witness -> unit) -> ?lo:int -> ?hi:int -> 'v t ->
+    f:(int -> 'v -> bool) -> unit
+
+  val to_list : 'v t -> (int * 'v) list
+  val check_invariants : 'v t -> unit
+end
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -164,8 +211,8 @@ let show_op = function
   | Del k -> Printf.sprintf "Del(%d)" k
   | Find k -> Printf.sprintf "Find(%d)" k
 
-let prop_model =
-  QCheck.Test.make ~name:"btree behaves like Map" ~count:200
+let prop_model ?(name = "btree behaves like Map") (module T : INT_TREE) =
+  QCheck.Test.make ~name ~count:200
     (QCheck.make
        QCheck.Gen.(list_size (int_range 0 400) gen_op)
        ~print:(fun ops -> String.concat ";" (List.map show_op ops)))
@@ -191,8 +238,9 @@ let prop_model =
       && T.size t = M.cardinal !m
       && T.to_list t = M.bindings !m)
 
-let prop_range_matches_model =
-  QCheck.Test.make ~name:"btree range = Map filtered bindings" ~count:200
+let prop_range_matches_model ?(name = "btree range = Map filtered bindings")
+    (module T : INT_TREE) =
+  QCheck.Test.make ~name ~count:200
     QCheck.(
       triple
         (list_of_size Gen.(0 -- 300) (int_bound 1000))
@@ -257,6 +305,142 @@ let prop_witness_soundness =
       (* content changed => some witness invalid *)
       (not (before <> after)) || not all_valid)
 
+(* The storage key word (Table.Key.norm) against its contract. *)
+module Key = Storage.Table.Key
+module V = Util.Value
+
+let p2 k = 1 lsl k
+
+(* Ints on each byte-length boundary, both signs, and the extremes. *)
+let boundary_ints =
+  [ 0; 1; -1; 2; -2; max_int; min_int; max_int - 1; min_int + 1 ]
+  @ List.concat_map
+      (fun k ->
+        let b = p2 (8 * k) in
+        [ b; b - 1; b + 1; -b; -b - 1; -b + 1 ])
+      [ 1; 2; 3; 4; 5; 6; 7 ]
+
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return V.Null);
+        (1, map (fun b -> V.Bool b) bool);
+        (4, map (fun i -> V.Int i) (oneofl boundary_ints));
+        (3, map (fun i -> V.Int i) (int_range (-300) 300));
+        (1, map (fun i -> V.Int i) int);
+        (1, map (fun f -> V.Float f) (oneofl [ 0.; -0.; 1.5; -2.; nan; infinity ]));
+        ( 2,
+          map
+            (fun s -> V.Str s)
+            (oneofl [ ""; "\x00"; "\xff"; "a"; "a\x00"; String.make 8 '\xff' ]) );
+      ])
+
+let gen_key = QCheck.Gen.(map Array.of_list (list_size (int_range 0 5) gen_value))
+
+(* Pairs that share a prefix, so later columns decide the order; one side
+   may be a prefix of the other or the [key_prefix_bounds] sentinel. *)
+let gen_key_pair =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, pair gen_key gen_key);
+        ( 3,
+          map3
+            (fun p a b -> (Array.append p a, Array.append p b))
+            gen_key gen_key gen_key );
+        ( 1,
+          map2
+            (fun p a -> (Array.append p a, snd (Storage.Table.key_prefix_bounds p)))
+            gen_key gen_key );
+      ])
+
+let show_key k = String.concat "," (Array.to_list (Array.map V.to_string k))
+
+let prop_key_norm_contract =
+  QCheck.Test.make ~name:"Key.norm is monotone; an exact word means equal keys"
+    ~count:5000
+    (QCheck.make gen_key_pair ~print:(fun (a, b) ->
+         Printf.sprintf "[%s] [%s]" (show_key a) (show_key b)))
+    (fun (a, b) ->
+      let c = Key.compare a b and na = Key.norm a and nb = Key.norm b in
+      (c > 0 || na <= nb)
+      && (c < 0 || na >= nb)
+      && (na <> nb || na land 1 = 1 || c = 0))
+
+let test_key_norm_exactness () =
+  let exact k = Key.norm k land 1 = 0 in
+  let ints l = Array.of_list (List.map (fun i -> V.Int i) l) in
+  check_bool "order line key" true (exact (ints [ 10; 3001; 15 ]));
+  check_bool "negative ints" true (exact (ints [ -1; -300; -7 ]));
+  check_bool "6-byte ints" true
+    (exact (ints [ p2 48 - 1 ]) && exact (ints [ -p2 48 ]));
+  check_bool "empty key" true (exact [||]);
+  check_bool "null column" true (exact [| V.Null; V.Int 3 |]);
+  check_bool "7-byte int" false (exact (ints [ p2 48 ]));
+  check_bool "string column" false (exact [| V.Int 1; V.Str "a" |]);
+  check_bool "out of bits" false (exact (ints [ p2 40; p2 40 ]));
+  check_bool "prefix below its extension" true
+    (Key.norm (ints [ 4 ]) < Key.norm (ints [ 4; 0 ]))
+
+(* Table.Idx against a map on composite int keys: small values take the
+   exact-word path, 7- and 8-byte values the tie-break path. *)
+module KM = Map.Make (Key)
+
+let gen_int_col =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-3) 12);
+        (2, oneofl [ 255; 256; -256; -257; 65_536; p2 48; p2 48 + 1; max_int; min_int ]);
+      ])
+
+let gen_ckey =
+  QCheck.Gen.(
+    map
+      (fun l -> Array.of_list (List.map (fun i -> V.Int i) l))
+      (list_repeat 3 gen_int_col))
+
+let prop_idx_composite_model =
+  QCheck.Test.make ~name:"Table.Idx on composite int keys behaves like Map"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 400) (pair (int_bound 3) gen_ckey))
+           gen_int_col))
+    (fun (ops, p) ->
+      let module I = Storage.Table.Idx in
+      let t = I.create () in
+      let m = ref KM.empty in
+      let ok = ref true in
+      List.iteri
+        (fun n (op, k) ->
+          match op with
+          | 0 | 1 ->
+            if I.insert t k n <> KM.find_opt k !m then ok := false;
+            m := KM.add k n !m
+          | 2 ->
+            if I.delete t k <> KM.find_opt k !m then ok := false;
+            m := KM.remove k !m
+          | _ -> if I.find t k <> KM.find_opt k !m then ok := false)
+        ops;
+      I.check_invariants t;
+      let lo, hi = Storage.Table.key_prefix_bounds [| V.Int p |] in
+      let fwd = ref [] and rev = ref [] in
+      I.range t ~lo ~hi ~f:(fun k v -> fwd := (k, v) :: !fwd; true);
+      I.range_rev t ~lo ~hi ~f:(fun k v -> rev := (k, v) :: !rev; true);
+      let expected =
+        List.filter
+          (fun (k, _) -> V.compare k.(0) (V.Int p) = 0)
+          (KM.bindings !m)
+      in
+      !ok
+      && I.size t = KM.cardinal !m
+      && I.to_list t = KM.bindings !m
+      && List.rev !fwd = expected
+      && !rev = expected)
+
 let suite =
   ( "btree",
     [
@@ -273,7 +457,16 @@ let suite =
       Alcotest.test_case "witness detects delete" `Quick test_witness_detects_delete;
       Alcotest.test_case "witness on point miss" `Quick test_witness_point_miss;
       Alcotest.test_case "no witness on point hit" `Quick test_no_witness_on_hit;
-      QCheck_alcotest.to_alcotest prop_model;
-      QCheck_alcotest.to_alcotest prop_range_matches_model;
+      QCheck_alcotest.to_alcotest (prop_model (module T));
+      QCheck_alcotest.to_alcotest (prop_range_matches_model (module T));
+      QCheck_alcotest.to_alcotest
+        (prop_model ~name:"btree behaves like Map (coarse words)" (module C));
+      QCheck_alcotest.to_alcotest
+        (prop_range_matches_model
+           ~name:"btree range = Map filtered bindings (coarse words)" (module C));
+      Alcotest.test_case "key words: exact int keys, cut otherwise" `Quick
+        test_key_norm_exactness;
+      QCheck_alcotest.to_alcotest prop_key_norm_contract;
+      QCheck_alcotest.to_alcotest prop_idx_composite_model;
       QCheck_alcotest.to_alcotest prop_witness_soundness;
     ] )
