@@ -24,10 +24,10 @@
 
     Each backend supplies only when to flush and how to wait on a batch:
     the simulator flushes at the next epoch boundary once a batch has a
-    waiter and suspends on the engine, the runtime's committer and flusher
-    domain try a flush and a fiber suspends. Thread-safe: [mu] guards the
-    queue and tags and is a leaf lock; [fmu] serializes flushes and is
-    held across the write and the batch's fill. *)
+    waiter and suspends on the engine, the runtime's committer tries a
+    flush and a fiber suspends. Thread-safe: [mu] guards the queue and
+    tags and is a leaf lock; [fmu] serializes flushes and is held across
+    the write and the batch's fill. *)
 
 (** Filled by the flush that writes the batch's records. *)
 type batch = (unit, string) result Ivar.t
@@ -108,11 +108,14 @@ let flush_held d =
 (** Write everything queued, waiting for a flush under way to finish. *)
 let flush d = Mutex.protect d.fmu (fun () -> flush_held d)
 
-(** Flush unless one is under way: that one already covers, or the next
-    one will, what the caller would have written. *)
-let try_flush d =
-  if Mutex.try_lock d.fmu then
-    Fun.protect ~finally:(fun () -> Mutex.unlock d.fmu) (fun () -> flush_held d)
+(** Flush unless one is under way. Combining: after releasing [fmu] the
+    holder flushes again while records wait, so a record queued before a
+    caller's [try_lock] failed is written by that holder or a later one. *)
+let rec try_flush d =
+  if Mutex.try_lock d.fmu then begin
+    Fun.protect ~finally:(fun () -> Mutex.unlock d.fmu) (fun () -> flush_held d);
+    if Mutex.protect d.mu (fun () -> d.pending <> []) then try_flush d
+  end
 
 (** Nothing can be in flight any more: from here on a flush publishes the
     current epoch itself. *)

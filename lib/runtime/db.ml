@@ -44,10 +44,6 @@ and exec = {
   sheds : int Atomic.t;  (* admission refusals against this mailbox *)
 }
 
-(* The flusher's period: each tick advances the epoch when due and tries
-   a group flush. *)
-let group_tick_s = 0.001
-
 (* The placement table lives in the shared core (DESIGN.md §5.2); the
    runtime keeps no per-reactor state of its own. *)
 type place = unit Bootstrap.reactor
@@ -56,7 +52,6 @@ type own = {
   execs : exec array;
   steal : bool;
   epoch_len : float;
-  mutable flusher : unit Domain.t option;  (* with a WAL: its flusher domain *)
   fatal : int Atomic.t;
   fatal_mu : Mutex.t;
   mutable fatal_msgs : string list;
@@ -287,24 +282,19 @@ let auto_parallel_ok (db : t) =
   2 * !busy < n
 
 (* ------------------------------------------------------------------ *)
-(* When the runtime flushes (DESIGN.md §8.3): the committer runs the flush
-   that writes its record unless one is under way ([P.wait_durable]), and
-   a flusher domain covers the loser of that race. Epochs must advance
-   and close even when no root starts (quiet periods would otherwise pin
-   the durable bound forever), so the flusher tries a flush on every
-   tick. Its last pass, once [shutdown] closed the log, waits for the
-   flush lock. *)
-let flusher_loop (db : t) d =
-  let rec loop () =
-    Unix.sleepf group_tick_s;
-    maybe_advance_epoch db;
-    if Durability.closed d then Durability.flush d
-    else begin
-      Durability.try_flush d;
-      loop ()
-    end
-  in
-  loop ()
+(* When the runtime flushes (DESIGN.md §8.3): the committer, through the
+   combining [Durability.try_flush] ([P.wait_durable]). In a quiet stretch
+   only the bound can lag, so a reader advances the epoch when due and
+   tries a flush, which with nothing queued only publishes the bound. *)
+let durable_epoch (db : t) =
+  Option.iter
+    (fun d ->
+      if not (Durability.closed d) then begin
+        maybe_advance_epoch db;
+        Durability.try_flush d
+      end)
+    db.wal;
+  Bootstrap.Admin.durable_epoch db
 
 (* ------------------------------------------------------------------ *)
 (* The runtime as a lifecycle platform (DESIGN.md §5.2): wall clock,
@@ -651,7 +641,7 @@ let quiesce (db : t) =
    → flip → replay, blocking the calling admin thread (never a fiber).
    The storage slice is the reactor's catalog on the shared heap, so the
    handoff is the flip itself. The placement record goes through group
-   commit, and the flusher's flush of it is awaited off the pause path. *)
+   commit, and the caller's flush of it is awaited off the pause path. *)
 
 let block register =
   let iv = Ivar.create () in
@@ -659,7 +649,8 @@ let block register =
   Ivar.read_block iv
 
 let migrate (db : t) ~reactor ~dst =
-  Bootstrap.migrate db ~suspend:block ~now:now_us ~wait:Ivar.read_block ~reactor ~dst
+  let wait b = Option.iter Durability.try_flush db.wal; Ivar.read_block b in
+  Bootstrap.migrate db ~suspend:block ~now:now_us ~wait ~reactor ~dst
 
 (* The shared fence (DESIGN.md §12.4), blocking like [migrate]. *)
 let fence (db : t) = Pins.Gate.fence db.gate ~suspend:block db.fenced
@@ -674,10 +665,9 @@ let reactors_on db c =
 let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
     ?(epoch_len_s = default_epoch_len_s) decl cfg =
   let n = Reactdb.Config.n_containers cfg in
-  (* An idle executor spins before it parks only when every domain of the
-     runtime (the executors and the WAL flusher) has a core of its own. *)
-  let domains = n + if Option.is_some wal then 1 else 0 in
-  let spin = domains <= Domain.recommended_domain_count () in
+  (* An idle executor spins before it parks only when every executor has
+     a core of its own; a WAL adds no domain. *)
+  let spin = n <= Domain.recommended_domain_count () in
   let execs =
     Array.init n (fun eid ->
         {
@@ -700,7 +690,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
         execs;
         steal;
         epoch_len = Float.max 1e-4 epoch_len_s;
-        flusher = None;
         fatal = Padded.atomic 0;
         fatal_mu = Mutex.create ();
         fatal_msgs = [];
@@ -716,18 +705,18 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
   db.own.domains <-
     Array.map (fun ex -> Domain.spawn (fun () -> domain_loop db ex)) execs;
   Option.iter (Bootstrap.attach_wal db) wal;
-  db.own.flusher <-
-    Option.map (fun d -> Domain.spawn (fun () -> flusher_loop db d)) db.wal;
   db
 
 let shutdown (db : t) =
   quiesce db;
-  (* Stop the flusher after quiescence: its final pass flushes everything
-     still pending (no commit can be in flight any more) and releases any
-     remaining waiters before the executor domains are joined. *)
-  Option.iter Durability.close db.wal;
-  Option.iter Domain.join db.own.flusher;
-  db.own.flusher <- None;
+  (* The final flush: nothing is in flight any more, so it publishes the
+     last epoch as the bound. *)
+  Option.iter
+    (fun d ->
+      Durability.close d;
+      maybe_advance_epoch db;
+      Durability.flush d)
+    db.wal;
   Array.iter (fun ex -> Mailbox.close ex.mb) db.own.execs;
   Array.iter Domain.join db.own.domains;
   db.own.domains <- [||]

@@ -89,14 +89,14 @@ type outcome = {
     ([Reactdb.Durability]): each committed root's after-images are
     encoded on its executor and queued, and the transaction's completion
     waits for the group flush that writes its record — one batched append
-    + flush of everything queued, run by the committer itself unless a
-    flush is already under way (a flusher domain also tries one every
-    1 ms), attributed to the [Flush_wait] phase. The bound, the flush
+    + flush of everything queued, run by the committers (a WAL adds no
+    domain), attributed to the [Flush_wait] phase. The bound, the flush
     count and the failure rule are {!Reactdb.Bootstrap.ADMIN}'s
-    [durable_epoch], [n_log_flushes] and [wal_error]; after {!shutdown}
-    the bound is the last epoch of the run. [epoch_len_s] (default
-    0.04 s) sets the Silo TID-epoch advance interval, which also sets the
-    granularity of [durable_epoch]. *)
+    [durable_epoch], [n_log_flushes] and [wal_error]; here a
+    [durable_epoch] read also advances the epoch and publishes the bound;
+    after {!shutdown} the bound is the last epoch of the run.
+    [epoch_len_s] (default 0.04 s) sets the Silo TID-epoch advance
+    interval, which also sets the granularity of [durable_epoch]. *)
 val start :
   ?chaos:Chaos.t ->
   ?mailbox_cap:int ->

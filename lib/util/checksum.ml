@@ -4,8 +4,9 @@
 
    The table is built eagerly at module initialisation: a [lazy] forced
    from two domains at once raises [CamlinternalLazy.Undefined] under
-   OCaml 5, and the WAL flusher and the replica shipper may both take
-   their first checksum at the same moment. *)
+   OCaml 5, and two executors encoding redo records (or an executor and
+   the replica shipper) may take their first checksum at the same
+   moment. *)
 
 let table =
   Array.init 256 (fun n ->

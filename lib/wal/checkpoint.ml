@@ -189,11 +189,6 @@ let read_file_opt path =
     | _ when content = "" -> Error "empty checkpoint file"
     | _ -> Error "bad checkpoint header")
 
-let read_file path =
-  match read_file_opt path with
-  | Ok ck -> ck
-  | Error m -> failwith ("Checkpoint.read_file: " ^ m)
-
 let recover ~checkpoint ~log ~catalog_of =
   let restored = restore checkpoint ~catalog_of in
   (* The tail is cut POSITIONALLY: the checkpoint covers the first

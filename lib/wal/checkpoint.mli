@@ -38,20 +38,19 @@ val capture : tid:int -> ?covers:int -> (string * Storage.Catalog.t) list -> t
     the snapshot rows. Returns the number of rows installed. *)
 val restore : t -> catalog_of:(string -> Storage.Catalog.t) -> int
 
-(** File round-trip. The writer is atomic (tmp + rename) and the v2 format
-    carries per-row checksums plus a completeness trailer whose CRC also
-    covers the header, so a torn or corrupt checkpoint is detected on read
-    rather than restored partially (or restored with a corrupted coverage
-    position). Legacy v1 files (no trailer) remain readable. *)
+(** File round-trip. The writer is atomic (tmp + rename) and writes the
+    [ckpt3] format: one framed binary WAL record per row plus a
+    completeness trailer whose CRC also covers the header, so a torn or
+    corrupt checkpoint is detected on read rather than restored partially
+    (or restored with a corrupted coverage position). [ckpt2] files (text
+    rows, the same trailer) remain readable; a legacy v1 file (no
+    trailer) is rejected, so recovery falls back to log-only replay. *)
 
 val write_file : string -> t -> unit
 
 (** [Error reason] on a torn, truncated or corrupt file — crash recovery
     uses this to fall back to log-only replay. *)
 val read_file_opt : string -> (t, string) result
-
-(** Like {!read_file_opt} but raises [Failure]. *)
-val read_file : string -> t
 
 (** [recover ~checkpoint ~log ~catalog_of] = restore + replay of the log
     entries at positions >= [ck_covers]; returns (rows restored, writes

@@ -485,7 +485,8 @@ let read_file path =
 type file_sink = { oc : out_channel; path : string }
 
 (* The in-memory log is read while another domain appends (a log shipper
-   beside the group-commit flusher), so it is guarded by a lock. *)
+   beside the committer that runs the group flush), so it is guarded by a
+   lock. *)
 type mem = { mu : Mutex.t; items : entry Util.Vec.t }
 
 type sink = Memory of mem | File of file_sink

@@ -1289,6 +1289,104 @@ let test_failed_flush_no_durable_bound () =
   check_int "no durable bound published mid-run" frozen !moved;
   check_int "no durable bound published at shutdown" frozen (RDb.durable_epoch db)
 
+(* A quiet durable runtime keeps its promises without a timer. A
+   migration with a WAL attached and no other traffic returns within a
+   second, its [Migrate] record already in the log: the caller runs the
+   flush that writes it. The call runs on its own domain so a build in
+   which nothing flushes the record fails the bound instead of hanging;
+   [shutdown]'s final flush then releases it. *)
+let test_quiet_migrate_returns () =
+  let log = Wal.in_memory () in
+  let db =
+    RDb.start ~wal:log ~epoch_len_s:0.002 (Testlib.bank_decl 2) (Testlib.sn_config 2)
+  in
+  let returned = Atomic.make None in
+  let admin =
+    Domain.spawn (fun () ->
+        ignore (RDb.migrate db ~reactor:"acct0" ~dst:1);
+        Atomic.set returned (Some (Wal.entries log)))
+  in
+  let t_end = Unix.gettimeofday () +. 1.0 in
+  while Atomic.get returned = None && Unix.gettimeofday () < t_end do
+    Unix.sleepf 1e-4
+  done;
+  let seen = Atomic.get returned in
+  RDb.shutdown db;
+  Domain.join admin;
+  match seen with
+  | None -> Alcotest.fail "quiet migrate did not return within 1 s"
+  | Some entries ->
+    check_int "placement flipped" 1 (RDb.container_of db "acct0");
+    check_bool "its Migrate record is in the log" true
+      (List.exists
+         (fun e -> List.mem (Wal.Migrate { reactor = "acct0"; dst = 1 }) e.Wal.le_writes)
+         entries)
+
+(* The durable bound keeps up in a quiet stretch: after one durable
+   commit and at least three idle 2 ms epochs, with no flush since the
+   commit's own, a single [durable_epoch] read covers the commit's TID
+   epoch. *)
+let test_quiet_bound_covers_commit () =
+  let log = Wal.in_memory () in
+  let db =
+    RDb.start ~wal:log ~epoch_len_s:0.002 (Testlib.bank_decl 1) (Testlib.sn_config 1)
+  in
+  let out = RDb.exec_txn db ~reactor:"acct0" ~proc:"deposit" ~args:[ Value.Float 5. ] in
+  check_bool "deposit committed" true (Result.is_ok out.RDb.result);
+  let epoch =
+    match Wal.entries log with
+    | [ e ] -> Storage.Record.tid_epoch e.Wal.le_tid
+    | es -> Alcotest.failf "%d records logged, expected 1" (List.length es)
+  in
+  Unix.sleepf 0.008;
+  let d = RDb.durable_epoch db in
+  RDb.shutdown db;
+  if d < epoch then
+    Alcotest.failf "durable bound %d read after idle epochs misses commit epoch %d" d epoch
+
+(* The combining flush, on [Durability] alone: in every round two domains
+   each register, queue one record and call [try_flush] once, and nothing
+   else ever flushes. A caller whose try-lock fails relies on the holder's
+   re-check, so once both calls returned every batch of the round must be
+   filled; at the end the log holds every record once, round by round. *)
+let test_combining_flush () =
+  let module D = Reactdb.Durability in
+  let n = 2 and rounds = 5000 in
+  let log = Wal.in_memory () in
+  let d = D.create ~epoch:(fun () -> 1) ~flushes:(Atomic.make 0) log in
+  (* a barrier of the [n] workers: the [k]-th wait ends once all arrived *)
+  let arrived = Atomic.make 0 in
+  let barrier k =
+    Atomic.incr arrived;
+    while Atomic.get arrived < n * k do
+      Domain.cpu_relax ()
+    done
+  in
+  let worker i () =
+    let unfilled = ref 0 in
+    for r = 0 to rounds - 1 do
+      barrier ((2 * r) + 1);
+      let tag = D.register d in
+      let entry =
+        { Wal.le_txn = (r * n) + i; le_tid = Storage.Record.tid_make ~epoch:1 ~seq:r;
+          le_writes = [] }
+      in
+      let b = Result.get_ok (D.queue d ~tag entry) in
+      D.try_flush d;
+      barrier ((2 * r) + 2);
+      if Reactdb.Ivar.peek b = None then incr unfilled
+    done;
+    !unfilled
+  in
+  let workers = List.init n (fun i -> Domain.spawn (worker i)) in
+  let unfilled = List.fold_left (fun a w -> a + Domain.join w) 0 workers in
+  check_int "every returned batch filled" 0 unfilled;
+  let txns = List.map (fun e -> e.Wal.le_txn) (Wal.entries log) in
+  check_bool "every record logged once" true
+    (List.sort Int.compare txns = List.init (n * rounds) Fun.id);
+  let rounds_in_log = List.map (fun t -> t / n) txns in
+  check_bool "in round order" true (List.sort Int.compare rounds_in_log = rounds_in_log)
+
 (* Every prefix of the log file replays to a consistent state. A conserving
    Smallbank mix commits over eight hot customers while a sampler copies
    the file's bytes; each copy, read tolerantly and replayed onto fresh
@@ -1502,6 +1600,12 @@ let suite =
         test_failed_flush_no_durable_bound;
       Alcotest.test_case "every flushed log prefix is consistent" `Quick
         test_flushed_prefixes_consistent;
+      Alcotest.test_case "quiet durable migrate returns" `Quick
+        test_quiet_migrate_returns;
+      Alcotest.test_case "quiet durable bound covers a commit" `Quick
+        test_quiet_bound_covers_commit;
+      Alcotest.test_case "combining flush fills every batch" `Quick
+        test_combining_flush;
       Alcotest.test_case "work stealing: smallbank conservation" `Quick
         test_steal_smallbank;
       Alcotest.test_case "cost router" `Quick test_cost_router;

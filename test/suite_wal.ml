@@ -5,6 +5,11 @@ open Util
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let read_checkpoint path =
+  match Checkpoint.read_file_opt path with
+  | Ok ck -> ck
+  | Error m -> Alcotest.failf "checkpoint %s unreadable: %s" path m
+
 let entry txn tid writes = { Wal.le_txn = txn; le_tid = tid; le_writes = writes }
 
 let put r t row = Wal.Put { reactor = r; table = t; row }
@@ -462,7 +467,7 @@ let test_golden_records () =
   write_raw path
     "ckpt2\t77\t3\t722c30,,73\n2|e8a78bd9|29|0\t77\tP,722c30,6b76,I:1,S:00ff\n\
      2|e94115b9|12|0\t77\tP,73,74\nend\t2\t34c39ad4\n";
-  check_bool "checkpoint reads back" true (Checkpoint.read_file path = golden_ck);
+  check_bool "checkpoint reads back" true (read_checkpoint path = golden_ck);
   Sys.remove path
 
 (* Golden v3 bytes: any drift of the format fails, not just a
@@ -489,7 +494,7 @@ let test_golden_v3 () =
      \xb3\x0a\x00\x00\x00\x0cS\x19\xd4\x00\x9a\x01\x01P\x01s\x01t\x00\
      end\t2\t40bb7807\n"
     (read_raw path);
-  check_bool "checkpoint reads back" true (Checkpoint.read_file path = golden_ck);
+  check_bool "checkpoint reads back" true (read_checkpoint path = golden_ck);
   Sys.remove path
 
 (* A 1 000-entry group-commit batch through the file sink, each record
@@ -706,7 +711,7 @@ let test_checkpoint_roundtrip_file () =
   check_int "rows captured" 5 (List.length ck.Checkpoint.ck_rows);
   let path = Filename.temp_file "ck" ".dump" in
   Checkpoint.write_file path ck;
-  let ck2 = Checkpoint.read_file path in
+  let ck2 = read_checkpoint path in
   Sys.remove path;
   check_int "tid preserved" 77 ck2.Checkpoint.ck_tid;
   check_bool "rows preserved" true (ck.Checkpoint.ck_rows = ck2.Checkpoint.ck_rows)
@@ -792,7 +797,7 @@ let test_restore_clears_empty_reactor () =
   (* Roundtrip through a file to make sure coverage survives encoding. *)
   let path = Filename.temp_file "ck" ".dump" in
   Checkpoint.write_file path ck;
-  let ck = Checkpoint.read_file path in
+  let ck = read_checkpoint path in
   Sys.remove path;
   check_bool "coverage survives the file format" true
     (List.mem "r2" ck.Checkpoint.ck_reactors);
