@@ -26,6 +26,15 @@ val accounting :
     each secondary index, and no index holds extra or stale entries. *)
 val secondaries : (string * Storage.Catalog.t) list -> (unit, string) result
 
+(** TPC-C's consistency conditions over each warehouse's catalog, checked
+    physically on live rows (after a run, or after quiescence on the
+    runtime): (1) a district's [next_o_id - 1] is its largest order id;
+    (2) every new-order row belongs to an undelivered order (carrier 0);
+    (3) per district, the new-order ids form one contiguous range — a
+    delivery takes the oldest, a new order appends the next; (4) every
+    order has exactly [ol_cnt] order lines. *)
+val tpcc : (string * Storage.Catalog.t) list -> (unit, string) result
+
 (** Conflict-serializability of a recorded history (paper Theorem 2.7),
     the [history] of either backend after its [enable_history]
     ({!Reactdb.Bootstrap.ADMIN}): [Ok n] when the [n] committed

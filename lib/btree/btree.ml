@@ -268,22 +268,64 @@ module Make (K : ORDERED) = struct
     if prev = None then t.size <- t.size + 1;
     prev
 
+  (* Unlink an emptied leaf from the leaf chain. Its version is bumped so
+     that every witness of it fails: its key range now belongs to a
+     neighbour, and an insert there would not bump this leaf. *)
+  let unlink_leaf leaf =
+    leaf.version <- leaf.version + 1;
+    (match leaf.prev with Some p -> p.next <- leaf.next | None -> ());
+    match leaf.next with Some n -> n.prev <- leaf.prev | None -> ()
+
+  (* Drop child [ci] and one separator next to it: child 0's range goes to
+     child 1, any other child's to its left neighbour. *)
+  let remove_child inner ci =
+    let si = if ci = 0 then 0 else ci - 1 in
+    let ntail = inner.nchildren - 2 - si in
+    Array.blit inner.ikeys (si + 1) inner.ikeys si ntail;
+    Array.blit inner.inorms (si + 1) inner.inorms si ntail;
+    Array.blit inner.children (ci + 1) inner.children ci (inner.nchildren - 1 - ci);
+    inner.nchildren <- inner.nchildren - 1;
+    (* the vacated slot must not keep the dropped leaf reachable *)
+    inner.children.(inner.nchildren) <- inner.children.(0)
+
+  (* Returns (previous binding, what became of [node]): [`Keep], [`Empty]
+     (an emptied leaf, already unlinked from the chain; its parent drops
+     it) or [`Collapse child] (an internal node left with one child, which
+     takes its place). *)
+  let rec delete_node node k kn =
+    match node with
+    | L leaf ->
+      let i = lower_bound leaf.lnorms leaf.lkeys leaf.ln k kn in
+      if hit leaf i k kn then begin
+        let prev = leaf.lvals.(i) in
+        let tail = leaf.ln - i - 1 in
+        Array.blit leaf.lkeys (i + 1) leaf.lkeys i tail;
+        Array.blit leaf.lnorms (i + 1) leaf.lnorms i tail;
+        Array.blit leaf.lvals (i + 1) leaf.lvals i tail;
+        leaf.ln <- leaf.ln - 1;
+        leaf.version <- leaf.version + 1;
+        (Some prev, if leaf.ln = 0 then `Empty else `Keep)
+      end
+      else (None, `Keep)
+    | I inner -> (
+      let ci = child_index inner k kn in
+      let ((prev, _) as r) = delete_node inner.children.(ci) k kn in
+      match snd r with
+      | `Keep -> r
+      | `Collapse child ->
+        inner.children.(ci) <- child;
+        (prev, `Keep)
+      | `Empty ->
+        (match inner.children.(ci) with L leaf -> unlink_leaf leaf | I _ -> ());
+        remove_child inner ci;
+        (prev, if inner.nchildren = 1 then `Collapse inner.children.(0) else `Keep))
+
+  (* An emptied root leaf stays: it is the whole tree. *)
   let delete t k =
-    let kn = K.norm k in
-    let leaf = descend_leaf t.root k kn in
-    let i = lower_bound leaf.lnorms leaf.lkeys leaf.ln k kn in
-    if hit leaf i k kn then begin
-      let prev = leaf.lvals.(i) in
-      let tail = leaf.ln - i - 1 in
-      Array.blit leaf.lkeys (i + 1) leaf.lkeys i tail;
-      Array.blit leaf.lnorms (i + 1) leaf.lnorms i tail;
-      Array.blit leaf.lvals (i + 1) leaf.lvals i tail;
-      leaf.ln <- leaf.ln - 1;
-      leaf.version <- leaf.version + 1;
-      t.size <- t.size - 1;
-      Some prev
-    end
-    else None
+    let prev, fate = delete_node t.root k (K.norm k) in
+    (match fate with `Collapse child -> t.root <- child | `Keep | `Empty -> ());
+    if prev <> None then t.size <- t.size - 1;
+    prev
 
   let note on_node leaf =
     match on_node with Some f -> f (W (leaf, leaf.version)) | None -> ()
@@ -393,7 +435,11 @@ module Make (K : ORDERED) = struct
        chain; every word is its key's; count matches. *)
     let count = ref 0 in
     let last = ref None in
+    let chain = ref [] in
     let rec walk_chain leaf =
+      chain := leaf :: !chain;
+      if leaf.ln = 0 && (match t.root with L l -> l != leaf | I _ -> true) then
+        fail "btree: empty non-root leaf";
       for i = 0 to leaf.ln - 1 do
         let k = leaf.lkeys.(i) and w = leaf.lnorms.(i) in
         check_word "leaf" w k;
@@ -415,6 +461,7 @@ module Make (K : ORDERED) = struct
     in
     walk_chain (leftmost_leaf t.root);
     if !count <> t.size then fail "btree: size mismatch (%d vs %d)" !count t.size;
+    let tree_leaves = ref [] in
     (* 2. Separator invariants: every key in child i is < sep i, keys in
        child i+1 are >= sep i, and the words agree. *)
     let rec check_node node lo hi =
@@ -427,6 +474,7 @@ module Make (K : ORDERED) = struct
       in
       match node with
       | L leaf ->
+        tree_leaves := leaf :: !tree_leaves;
         for i = 0 to leaf.ln - 1 do
           if not (in_bounds leaf.lkeys.(i) leaf.lnorms.(i)) then
             fail "btree: leaf key outside separator bounds"
@@ -443,5 +491,8 @@ module Make (K : ORDERED) = struct
           check_node inner.children.(i) lo' hi'
         done
     in
-    check_node t.root None None
+    check_node t.root None None;
+    (* 3. The leaf chain links exactly the tree's leaves, in order. *)
+    if not (List.equal ( == ) !tree_leaves !chain) then
+      fail "btree: leaf chain differs from the tree's leaves"
 end

@@ -12,9 +12,11 @@
     The tree is not internally synchronized: ReactDB containers serialize
     structural access per container, and OCC provides transactional
     isolation on top. Deletion is by unlink-without-rebalance, the usual
-    choice for in-memory OLTP trees (leaves may underflow; they are reclaimed
-    only when empty splits would reuse them, which keeps the version
-    discipline trivially sound). *)
+    choice for in-memory OLTP trees: leaves may underflow, but a delete that
+    empties a non-root leaf bumps its version (so its witnesses fail),
+    unlinks it from the leaf chain and from its parent, and collapses a
+    parent left with one child into that child. A scan from a range's start
+    therefore never walks leaves that deletes emptied. *)
 
 (** Keys of a tree: a total order plus a {e normalized key word}, one
     unboxed [int] summary of a key that each node stores beside it. Searches
@@ -62,7 +64,8 @@ module Make (K : ORDERED) : sig
   (** [insert t k v] binds [k] to [v] and returns the previous binding. *)
   val insert : 'v t -> K.t -> 'v -> 'v option
 
-  (** [delete t k] removes [k] and returns its binding. *)
+  (** [delete t k] removes [k] and returns its binding. A non-root leaf it
+      empties leaves the tree, its version bumped. *)
   val delete : 'v t -> K.t -> 'v option
 
   (** [range t ?lo ?hi ~f] visits bindings with [lo <= k <= hi] in ascending
@@ -99,6 +102,7 @@ module Make (K : ORDERED) : sig
   (** Internal consistency check for tests: key ordering, leaf-link
       integrity, separator invariants; every stored word equals [K.norm] of
       its key, and words do not decrease along the leaf chain or across
-      separators. Raises [Failure] when violated. *)
+      separators; no leaf but the root is empty, and the leaf chain links
+      exactly the tree's leaves. Raises [Failure] when violated. *)
   val check_invariants : 'v t -> unit
 end

@@ -141,10 +141,12 @@ let compute_tid txn ~epoch =
 (* [?horizon] switches on multi-version publishing: the version being
    overwritten retires into the record's chain (epoch-stamped by its old
    TID), deletes keep the record in the primary index as a snapshot-visible
-   tombstone, and chains are trimmed to [horizon] — the oldest epoch any
-   live or future snapshot can request — as inline GC. Without [horizon]
-   the original single-version Silo install runs: no chains, deletes
-   physically unlink. *)
+   tombstone and bury it in its table's graveyard, and chains are trimmed
+   to [horizon] — the oldest epoch any live or future snapshot can request
+   — as inline GC. Every insert or delete also reclaims its table's
+   tombstones deleted at or before [horizon] (DESIGN.md §10.3). Without
+   [horizon] the original single-version Silo install runs: no chains,
+   deletes physically unlink. *)
 let install ?horizon txn ~container ~tid =
   let id = Txn.id txn in
   iter_writes_in txn ~container ~f:(fun e ->
@@ -169,23 +171,29 @@ let install ?horizon txn ~container ~tid =
           r.Storage.Record.absent <- true;
           r.Storage.Record.tid <- tid;
           Storage.Record.trim r ~horizon:h;
-          Storage.Table.sec_forget e.wtable r
+          Storage.Table.sec_forget e.wtable r;
+          Storage.Table.bury e.wtable e.wkey r;
+          Storage.Table.reclaim e.wtable ~horizon:h
         | None ->
           r.Storage.Record.absent <- true;
           r.Storage.Record.tid <- tid;
           ignore (Storage.Table.remove e.wtable e.wkey))
-      | Insert ->
-        (match horizon, e.wdisplaced with
-        | Some h, Some tomb ->
-          (* The displaced tombstone (and its older versions) becomes the
-             new record's history: snapshots before this insert still see
-             the key dead, older ones see the pre-delete rows. *)
-          Storage.Record.graft r ~from:tomb;
-          e.wdisplaced <- None;
+      | Insert -> (
+        match horizon with
+        | Some h ->
+          (match e.wdisplaced with
+          | Some tomb ->
+            (* The displaced tombstone (and its older versions) becomes the
+               new record's history: snapshots before this insert still see
+               the key dead, older ones see the pre-delete rows. *)
+            Storage.Record.graft r ~from:tomb;
+            e.wdisplaced <- None
+          | None -> ());
           r.Storage.Record.absent <- false;
           r.Storage.Record.tid <- tid;
-          Storage.Record.trim r ~horizon:h
-        | _, _ ->
+          Storage.Record.trim r ~horizon:h;
+          Storage.Table.reclaim e.wtable ~horizon:h
+        | None ->
           r.Storage.Record.absent <- false;
           r.Storage.Record.tid <- tid));
       Storage.Record.unlock r ~txn:id)

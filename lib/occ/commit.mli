@@ -55,9 +55,12 @@ val compute_tid : Txn.t -> epoch:int -> int
     With [?horizon] the install also publishes multi-version state for
     snapshot readers: each overwritten version retires into its record's
     history chain, deletes retain the record as a snapshot-visible tombstone
-    in the primary index (secondary entries dropped), and chains are trimmed
-    to [horizon] — the oldest epoch any live or future snapshot can request
-    — as inline garbage collection. Without [horizon], the original
+    in the primary index (secondary entries dropped) and {!Storage.Table.bury}
+    it, and chains are trimmed to [horizon] — the oldest epoch any live or
+    future snapshot can request — as inline garbage collection. Each insert
+    or delete also {!Storage.Table.reclaim}s its table's tombstones deleted
+    at or before [horizon]; a transaction that read a reclaimed tombstone
+    fails validation with [Stale_read]. Without [horizon], the original
     single-version install runs and no chains are built. *)
 val install : ?horizon:int -> Txn.t -> container:int -> tid:int -> unit
 

@@ -112,3 +112,13 @@ let graft r ~from:old_r =
 let chain_length r =
   let rec go n = function None -> n | Some v -> go (n + 1) v.v_next in
   go 0 r.hist
+
+(* Transaction ids are positive (a replica's read-only context uses 0, the
+   free value), so no transaction ever owns this lock. *)
+let reclaimed_owner = -1
+
+let reclaim r =
+  r.lock <- reclaimed_owner;
+  r.hist <- None
+
+let is_reclaimed r = r.lock = reclaimed_owner

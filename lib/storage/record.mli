@@ -26,7 +26,9 @@ type t = {
   rid : int;
   mutable data : Util.Value.t array;
   mutable tid : int;
-  mutable lock : int; (* 0 when free, otherwise the owning transaction id *)
+  mutable lock : int;
+      (* 0 when free, -1 once reclaimed, otherwise the owning transaction
+         id *)
   mutable absent : bool;
   mutable hist : version option;
       (** superseded versions, newest first (empty unless the commit path
@@ -83,3 +85,13 @@ val trim : t -> horizon:int -> unit
 
 (** Number of superseded versions currently chained (GC observability). *)
 val chain_length : t -> int
+
+(** [reclaim r] marks a delete tombstone that its table has just unlinked
+    for good: the chain is dropped and the lock is taken under an owner no
+    transaction has. Every later validation of a read of [r] then fails
+    (the reader saw the key dead, and the key may since have been
+    re-inserted under a fresh record), and no writer can lock [r]. *)
+val reclaim : t -> unit
+
+(** [r] was unlinked by {!reclaim}. *)
+val is_reclaimed : t -> bool

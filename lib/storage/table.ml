@@ -101,11 +101,17 @@ type secondary = {
   sec_idx : Record.t Idx.t;
 }
 
+(* Committed-delete tombstones awaiting reclamation, (key, record) in
+   install order: delete epochs are nondecreasing along it up to the spread
+   of the epochs whose commits are still installing. *)
+type graveyard = (Key.t * Record.t) Queue.t
+
 type t = {
   uid : int;
   schema : Schema.t;
   idx : Record.t Idx.t;
   secondaries : secondary list;
+  mutable graveyard : graveyard option;
 }
 
 type witness = Idx.witness
@@ -135,7 +141,7 @@ let create ?(secondaries = []) schema =
   let names = List.map (fun s -> s.sec_name) secondaries in
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Table.create: duplicate index name";
-  { uid; schema; idx = Idx.create (); secondaries }
+  { uid; schema; idx = Idx.create (); secondaries; graveyard = None }
 
 let secondary t name =
   match List.find_opt (fun s -> s.sec_name = name) t.secondaries with
@@ -173,7 +179,8 @@ let sec_remove t data =
 
 let clear t =
   Idx.clear t.idx;
-  List.iter (fun s -> Idx.clear s.sec_idx) t.secondaries
+  List.iter (fun s -> Idx.clear s.sec_idx) t.secondaries;
+  t.graveyard <- None
 
 let size t = Idx.size t.idx
 let find ?on_node t key = Idx.find ?on_node t.idx key
@@ -198,11 +205,55 @@ let remove t key =
    them. *)
 let sec_forget t record = sec_remove t record.Record.data
 
+(* The graveyard is allocated on the table's first delete: most tables
+   (one row per reactor) never delete and carry no queue. *)
+let bury t key record =
+  let g =
+    match t.graveyard with
+    | Some g -> g
+    | None ->
+      let g = Queue.create () in
+      t.graveyard <- Some g;
+      g
+  in
+  Queue.add (key, record) g
+
+(* Unlink buried tombstones whose delete epoch is at most [horizon]: every
+   live and future snapshot is at an epoch >= horizon and reads such a key
+   as dead whether or not the tombstone is there. An entry whose record has
+   left the index under its key since (displaced by an insert, or an
+   earlier duplicate entry reclaimed it) is dropped; a tombstone still
+   locked (a writer is preparing on it) stops the pass until a later
+   install. *)
+let rec reclaim_from t g ~horizon =
+  if not (Queue.is_empty g) then begin
+    let key, r = Queue.peek g in
+    if Record.tid_epoch r.Record.tid <= horizon then
+      match Idx.find t.idx key with
+      | Some r' when r' == r && r.Record.absent ->
+        if not (Record.is_locked r) then begin
+          ignore (Queue.pop g);
+          ignore (Idx.delete t.idx key);
+          Record.reclaim r;
+          reclaim_from t g ~horizon
+        end
+      | _ ->
+        ignore (Queue.pop g);
+        reclaim_from t g ~horizon
+  end
+
+let reclaim t ~horizon =
+  match t.graveyard with None -> () | Some g -> reclaim_from t g ~horizon
+
 (* Reinstate a displaced tombstone in the primary index only (its secondary
-   entries were already dropped when its delete installed). Used when the
-   insert that displaced it rolls back. *)
+   entries were already dropped when its delete installed), and bury it
+   again: a reclaim pass may have dropped its entry while the displacing
+   insert held the key. Used when the insert that displaced it rolls
+   back. *)
 let reinstate t record =
-  ignore (Idx.insert t.idx (Schema.key_of_tuple t.schema record.Record.data) record)
+  let key = Schema.key_of_tuple t.schema record.Record.data in
+  ignore (Idx.insert t.idx key record);
+  bury t key record
 
 (* In-place data update with secondary-index maintenance; the primary key
    must be unchanged (the query layer enforces this). Called by the commit

@@ -46,11 +46,16 @@ type secondary = private {
   sec_idx : Record.t Idx.t;
 }
 
+(** Committed-delete tombstones awaiting {!reclaim}. *)
+type graveyard
+
 type t = {
   uid : int;  (** globally unique; identifies the table in write sets *)
   schema : Schema.t;
   idx : Record.t Idx.t;
   secondaries : secondary list;
+  mutable graveyard : graveyard option;
+      (** [None] until the table's first {!bury} *)
 }
 
 type witness = Idx.witness
@@ -82,15 +87,19 @@ val scan_secondary :
   index:string ->
   f:(Record.t -> bool) ->
   unit
+
+(** Records in the primary index: live rows, reservations of inserts being
+    prepared, and delete tombstones not yet reclaimed. *)
 val size : t -> int
 
 (** Unlink every record from the primary index {e and} every secondary
     index (checkpoint restore; clearing only [t.idx] would leave stale
-    secondary entries). *)
+    secondary entries), and empty the graveyard. *)
 val clear : t -> unit
 
-(** [find t key] locates the record currently indexed under [key] (present
-    or absent-marked). *)
+(** [find t key] locates the record currently indexed under [key]: a live
+    row, or an absent-marked one (an insert's reservation, or a delete
+    tombstone not yet reclaimed). *)
 val find : ?on_node:(witness -> unit) -> t -> Key.t -> Record.t option
 
 (** [insert t record] indexes [record] under its tuple's primary key.
@@ -108,8 +117,23 @@ val sec_forget : t -> Record.t -> unit
 
 (** [reinstate t record] re-links a displaced tombstone into the primary
     index only (its secondary entries were dropped when its delete
-    installed). Used when the insert that displaced it rolls back. *)
+    installed) and {!bury}s it again. Used when the insert that displaced
+    it rolls back. *)
 val reinstate : t -> Record.t -> unit
+
+(** [bury t key record] queues the committed-delete tombstone [record],
+    indexed under [key], for {!reclaim}. The first call allocates the
+    table's graveyard. *)
+val bury : t -> Key.t -> Record.t -> unit
+
+(** [reclaim t ~horizon] unlinks from the primary index, in burial order,
+    each buried tombstone whose delete epoch is at most [horizon] and that
+    is still absent, unlocked and the record indexed under its key, and
+    marks it {!Record.reclaim}ed. An entry whose record left the index
+    under its key is dropped; the pass stops at the first entry deleted
+    after [horizon] or still locked. A table that never buried pays one
+    field test. *)
+val reclaim : t -> horizon:int -> unit
 
 (** [key_prefix_bounds prefix] gives [(lo, hi)] bounds covering exactly the
     keys extending [prefix]; pass them to {!range}. [hi] is a sentinel upper

@@ -473,13 +473,6 @@ let decode_string content =
 
 let read_file_tolerant path = decode_string (read_whole path)
 
-let read_file path =
-  match read_file_tolerant path with
-  | entries, Clean -> entries
-  | _, Torn { valid; reason } ->
-    failwith
-      (Printf.sprintf "Wal.read_file: %s (after %d valid entries)" reason valid)
-
 (* --- sinks --- *)
 
 type file_sink = { oc : out_channel; path : string }

@@ -89,7 +89,7 @@ val append : t -> entry -> unit
 val length : t -> int
 
 (** Entries in append order (in-memory logs only; raises
-    [Invalid_argument] on file-backed logs — use {!read_file}). *)
+    [Invalid_argument] on file-backed logs — use {!read_file_tolerant}). *)
 val entries : t -> entry list
 
 (** [entries_from t n] is [entries t] without its first [n] entries: a
@@ -133,10 +133,6 @@ val read_file_tolerant : string -> entry list * tail
     {!read_file_tolerant} reads a file: its readable prefix, and why it
     stopped early. *)
 val decode_string : string -> entry list * tail
-
-(** Like {!read_file_tolerant} but raises [Failure] if the log has a torn
-    or corrupt tail — for contexts where damage is unexpected. *)
-val read_file : string -> entry list
 
 (** [replay entries ~catalog_of] applies entries in TID order: [Put]s
     insert-or-replace rows (maintaining secondary indexes), [Del]s unlink

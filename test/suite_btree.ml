@@ -192,6 +192,42 @@ let test_no_witness_on_hit () =
     (T.find t 5 ~on_node:(fun w -> ws := w :: !ws));
   check_int "no witness on hit" 0 (List.length !ws)
 
+(* A delete that empties a non-root leaf takes it out of the tree, so a scan
+   from the start of a range whose head was deleted (a TPC-C district's
+   delivered new-orders) starts at the first remaining key's leaf. *)
+let test_emptied_leaves_unlinked () =
+  let t = T.create () in
+  for i = 0 to 9_999 do
+    ignore (T.insert t i i)
+  done;
+  for i = 0 to 8_999 do
+    ignore (T.delete t i)
+  done;
+  T.check_invariants t;
+  check_int "size" 1_000 (T.size t);
+  let ws = ref 0 and first = ref None in
+  T.range t ~on_node:(fun _ -> incr ws) ~lo:0 ~f:(fun k _ ->
+      first := Some k;
+      false);
+  Alcotest.(check (option int)) "first remaining key" (Some 9_000) !first;
+  check_bool (Printf.sprintf "%d witnesses from key 0" !ws) true (!ws <= 2);
+  (* Emptying the whole tree collapses it to a root leaf that still
+     takes inserts, scans and witnesses. *)
+  let w = ref [] in
+  T.range t ~on_node:(fun x -> w := x :: !w) ~lo:9_500 ~hi:9_600 ~f:(fun _ _ -> true);
+  for i = 9_000 to 9_999 do
+    ignore (T.delete t i)
+  done;
+  T.check_invariants t;
+  check_bool "witnesses of emptied leaves fail" true
+    (not (List.exists T.witness_valid !w));
+  check_int "empty" 0 (T.size t);
+  for i = 0 to 99 do
+    ignore (T.insert t (99 - i) i)
+  done;
+  T.check_invariants t;
+  check_int "refilled" 100 (List.length (T.to_list t))
+
 (* Model-based property test against Stdlib.Map. *)
 module M = Map.Make (Int)
 
@@ -457,6 +493,8 @@ let suite =
       Alcotest.test_case "witness detects delete" `Quick test_witness_detects_delete;
       Alcotest.test_case "witness on point miss" `Quick test_witness_point_miss;
       Alcotest.test_case "no witness on point hit" `Quick test_no_witness_on_hit;
+      Alcotest.test_case "emptied leaves leave the tree" `Quick
+        test_emptied_leaves_unlinked;
       QCheck_alcotest.to_alcotest (prop_model (module T));
       QCheck_alcotest.to_alcotest (prop_range_matches_model (module T));
       QCheck_alcotest.to_alcotest

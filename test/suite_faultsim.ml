@@ -44,7 +44,7 @@ let build_history ~decl ~config ~names ~log_path ~ck_path run_phase =
   Wal.flush log;
   Wal.close log;
   check_bool "phase 2 logged more commits" true
-    (List.length (Wal.read_file log_path) > List.length logged);
+    (List.length (Testlib.read_log log_path) > List.length logged);
   Faultsim.snapshot cats
 
 let with_history build f =

@@ -226,6 +226,157 @@ let test_delete_then_reinsert_other_txn () =
   let t3 = fresh_txn () in
   Alcotest.(check (option int)) "new row" (Some 5) (read_v t3 ~c:0 tbl 7)
 
+(* ---- tombstone reclamation (snapshot-mode installs, DESIGN.md §10.3) ---- *)
+
+(* Commit [f]'s writes alone on container 0 at [epoch], publishing with
+   [horizon]. *)
+let commit_at ~epoch ~horizon f =
+  let t = fresh_txn () in
+  f t;
+  match Occ.Commit.commit_single ~horizon t ~epoch ~container:0 with
+  | Ok _ -> ()
+  | Error r -> Alcotest.failf "commit: %s" (Occ.Commit.fail_message r)
+
+let delete_k t tbl i =
+  match Storage.Table.find tbl (key i) with
+  | Some r -> Occ.Txn.delete t ~container:0 ~table:tbl ~key:(key i) r
+  | None -> Alcotest.failf "missing key %d" i
+
+let insert_k t tbl i v = Occ.Txn.insert t ~container:0 ~table:tbl [| Value.Int i; Value.Int v |]
+
+let tombstone tbl i =
+  match Storage.Table.find tbl (key i) with
+  | Some r when r.Storage.Record.absent -> r
+  | _ -> Alcotest.failf "no tombstone under key %d" i
+
+(* A transaction that read a key as dead through its tombstone — a read,
+   or an insert's uniqueness probe — must fail validation once the
+   tombstone is reclaimed and the key re-inserted: a point hit carries no
+   leaf witness, so the tombstone's own state is what fails. *)
+let test_reader_of_reclaimed_tombstone () =
+  let tbl = fresh_table () in
+  commit_at ~epoch:1 ~horizon:0 (fun t -> delete_k t tbl 3);
+  let tomb = tombstone tbl 3 in
+  let reader = fresh_txn () in
+  Alcotest.(check (option int)) "read as dead" None (read_v reader ~c:0 tbl 3);
+  write_v reader ~c:0 tbl 5 55;
+  let prober = fresh_txn () in
+  insert_k prober tbl 3 33;
+  (* an install past the delete's epoch reclaims; the key is re-inserted *)
+  commit_at ~epoch:3 ~horizon:2 (fun t -> insert_k t tbl 40 4);
+  check_bool "tombstone unlinked" true (Storage.Table.find tbl (key 3) = None);
+  check_bool "tombstone marked" true (Storage.Record.is_reclaimed tomb);
+  commit_at ~epoch:3 ~horizon:2 (fun t -> insert_k t tbl 3 7);
+  check_bool "reader fails with a stale read" true
+    (Occ.Commit.prepare reader ~container:0 = Error Occ.Commit.Stale_read);
+  check_bool "insert probe fails with a stale read" true
+    (Occ.Commit.prepare prober ~container:0 = Error Occ.Commit.Stale_read);
+  let t = fresh_txn () in
+  Alcotest.(check (option int)) "re-inserted row" (Some 7) (read_v t ~c:0 tbl 3)
+
+(* An insert that displaced a tombstone and then rolled back puts the
+   tombstone back in the index and in the graveyard, whose entry for it
+   was dropped while the reservation held the key. *)
+let test_rolled_back_insert_reburies () =
+  let tbl = fresh_table () in
+  commit_at ~epoch:1 ~horizon:0 (fun t -> delete_k t tbl 3);
+  let tomb = tombstone tbl 3 in
+  let ins = fresh_txn () in
+  insert_k ins tbl 3 9;
+  check_bool "insert prepares over the tombstone" true
+    (Occ.Commit.prepare ins ~container:0 = Ok ());
+  commit_at ~epoch:3 ~horizon:2 (fun t -> insert_k t tbl 40 4);
+  check_bool "the reservation holds the key" false (Storage.Record.is_reclaimed tomb);
+  Occ.Commit.release ins ~container:0;
+  check_bool "rollback reinstates the tombstone" true (tombstone tbl 3 == tomb);
+  commit_at ~epoch:3 ~horizon:2 (fun t -> insert_k t tbl 41 4);
+  check_bool "re-buried tombstone reclaimed" true
+    (Storage.Table.find tbl (key 3) = None && Storage.Record.is_reclaimed tomb);
+  check_int "live rows only" 11 (Storage.Table.size tbl)
+
+(* A horizon below the delete's epoch keeps the tombstone; one at it
+   reclaims, together with the chain; no horizon unlinks at once. *)
+let test_reclaim_waits_for_horizon () =
+  let tbl = fresh_table () in
+  commit_at ~epoch:1 ~horizon:0 (fun t -> write_v t ~c:0 tbl 3 1);
+  commit_at ~epoch:2 ~horizon:0 (fun t -> delete_k t tbl 3);
+  let tomb = tombstone tbl 3 in
+  commit_at ~epoch:3 ~horizon:1 (fun t -> insert_k t tbl 40 4);
+  check_bool "kept below the horizon" true (tombstone tbl 3 == tomb);
+  (match Storage.Record.snapshot_read tomb ~snapshot:1 with
+  | Some row -> check_int "pre-delete row at epoch 1" 1 (Value.to_int row.(1))
+  | None -> Alcotest.fail "epoch-1 row lost");
+  commit_at ~epoch:3 ~horizon:2 (fun t -> delete_k t tbl 40);
+  check_bool "reclaimed at the horizon" true (Storage.Table.find tbl (key 3) = None);
+  check_int "chain dropped" 0 (Storage.Record.chain_length tomb);
+  let t = fresh_txn () in
+  delete_k t tbl 4;
+  check_bool "single-version delete" true
+    (Result.is_ok (Occ.Commit.commit_single t ~epoch:4 ~container:0));
+  check_bool "unlinked at once without a horizon" true
+    (Storage.Table.find tbl (key 4) = None)
+
+(* Property: with every install reclaiming the tombstones its horizon has
+   passed, a reader's validation still fails whenever the key it read has
+   changed since — deleted, re-inserted (before or after its tombstone
+   was reclaimed) or updated. Writers commit one at a time at a
+   nondecreasing epoch, with the horizon one epoch behind; one last insert
+   two epochs later leaves the index holding the live rows only. *)
+let prop_reclaim_keeps_validation_sound =
+  QCheck.Test.make ~name:"validation stays sound under tombstone reclamation"
+    ~count:300
+    QCheck.(list_of_size Gen.(1 -- 80) (triple (int_bound 2) (int_bound 5) (int_bound 99)))
+    (fun ops ->
+      let tbl = Storage.Table.create sch in
+      let model = Hashtbl.create 8 in
+      let epoch = ref 1 in
+      let readers = Queue.create () in
+      let sound = ref true in
+      let read t i =
+        match Storage.Table.find ~on_node:(Occ.Txn.note_node t ~container:0) tbl (key i) with
+        | None -> None
+        | Some r ->
+          Option.map (fun d -> Value.to_int d.(1)) (Occ.Txn.read t ~container:0 r)
+      in
+      List.iter
+        (fun (op, k, v) ->
+          match op with
+          | 0 ->
+            epoch := !epoch + (v mod 2);
+            let t = fresh_txn () in
+            (match Hashtbl.find_opt model k with
+            | None ->
+              insert_k t tbl k v;
+              Hashtbl.replace model k v
+            | Some _ when v mod 3 = 0 ->
+              delete_k t tbl k;
+              Hashtbl.remove model k
+            | Some _ ->
+              write_v t ~c:0 tbl k v;
+              Hashtbl.replace model k v);
+            if Result.is_error
+                 (Occ.Commit.commit_single ~horizon:(!epoch - 1) t ~epoch:!epoch ~container:0)
+            then sound := false
+          | 1 ->
+            let t = fresh_txn () in
+            Queue.add (t, k, read t k) readers
+          | _ -> (
+            match Queue.take_opt readers with
+            | None -> ()
+            | Some (t, k, seen) ->
+              let valid = Occ.Commit.prepare t ~container:0 = Ok () in
+              Occ.Commit.release t ~container:0;
+              if valid && seen <> Hashtbl.find_opt model k then sound := false))
+        ops;
+      commit_at ~epoch:(!epoch + 2) ~horizon:(!epoch + 1) (fun t -> insert_k t tbl 100 0);
+      !sound
+      && List.for_all
+           (fun k ->
+             let t = fresh_txn () in
+             read t k = Hashtbl.find_opt model k)
+           [ 0; 1; 2; 3; 4; 5 ]
+      && Storage.Table.size tbl = Hashtbl.length model + 1)
+
 let test_2pc_prepare_release () =
   (* Two containers, each with its own table; release after one prepare
      leaves no residue. *)
@@ -813,6 +964,12 @@ let suite =
         test_insert_existing_aborts_immediately;
       Alcotest.test_case "delete then reinsert" `Quick
         test_delete_then_reinsert_other_txn;
+      Alcotest.test_case "reader of reclaimed tombstone fails validation" `Quick
+        test_reader_of_reclaimed_tombstone;
+      Alcotest.test_case "rolled-back displacing insert re-buries tombstone" `Quick
+        test_rolled_back_insert_reburies;
+      Alcotest.test_case "tombstone reclaim waits for the horizon" `Quick
+        test_reclaim_waits_for_horizon;
       Alcotest.test_case "2pc prepare/release" `Quick test_2pc_prepare_release;
       Alcotest.test_case "2pc full commit" `Quick test_2pc_full_commit;
       Alcotest.test_case "prepare fails on foreign lock" `Quick
@@ -823,6 +980,7 @@ let suite =
       Alcotest.test_case "delete own insert" `Quick test_delete_own_insert_cancels;
       Alcotest.test_case "bucket edge cases" `Quick test_bucket_edge_cases;
       Alcotest.test_case "small-set boundary" `Quick test_small_set_boundary;
+      QCheck_alcotest.to_alcotest prop_reclaim_keeps_validation_sound;
       QCheck_alcotest.to_alcotest prop_buckets_match_reference;
       QCheck_alcotest.to_alcotest prop_other_slices_unchanged;
     ] )

@@ -848,6 +848,67 @@ let test_collect_serial_equivalence_tpcc () =
   check_serial_equiv "parallel collect vs sequential" par_seq par_col;
   check_serial_equiv "collect across backends" sim_col par_col
 
+(* A runtime TPC-C load of new orders and deliveries in rounds three epochs
+   apart: each round's first install into a warehouse's new_order table
+   reclaims every tombstone the earlier rounds left, and after the load the
+   index holds exactly the live rows. The warehouses pass TPC-C's
+   consistency audit. *)
+let test_tpcc_new_order_bounded_runtime () =
+  let module T = Workloads.Tpcc in
+  let names = T.warehouses 2 in
+  let epoch_len_s = 0.002 in
+  let db =
+    RDb.start ~epoch_len_s
+      (T.decl ~warehouses:2 ~sizes:T.small_sizes ())
+      Reactdb.Config.(shared_nothing (chunk 1 names))
+  in
+  let p = T.params ~sizes:T.small_sizes 2 in
+  let new_order w = Storage.Catalog.table (RDb.catalog_of db w) "new_order" in
+  let pause () = Unix.sleepf (3. *. epoch_len_s) in
+  for round = 1 to 4 do
+    let before =
+      List.fold_left (fun m w -> max m (snd (Testlib.tombstone_epochs (new_order w)))) 0 names
+    in
+    let (_ : int) =
+      Harness.run_fixed (Harness.runtime db) ~n_workers:2 ~per_worker:30 ~seed:round
+        (fun _ rng ->
+          let home = 1 + Rng.int rng 2 and clock = float_of_int round in
+          (* new orders outpace deliveries, so a backlog builds up *)
+          if Rng.int rng 4 > 0 then T.gen_new_order rng p ~home ~clock
+          else T.gen_delivery rng ~home ~clock)
+    in
+    RDb.quiesce db;
+    List.iter
+      (fun w ->
+        let tombs, _ = Testlib.tombstone_epochs (new_order w) in
+        check_bool
+          (Printf.sprintf "%s round %d: earlier rounds' tombstones reclaimed" w round)
+          true
+          (List.for_all (fun e -> e > before) tombs))
+      names;
+    pause ()
+  done;
+  List.iteri
+    (fun i w ->
+      let r = T.gen_new_order (Rng.create 1) p ~home:(i + 1) ~clock:0. in
+      match
+        (RDb.exec_txn db ~reactor:r.Workloads.Wl.reactor ~proc:r.Workloads.Wl.proc
+           ~args:r.Workloads.Wl.args)
+          .RDb.result
+      with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "final new order on %s: %s" w m)
+    names;
+  RDb.quiesce db;
+  List.iter
+    (fun w ->
+      check_int (w ^ ": index holds the live rows only") 0
+        (List.length (fst (Testlib.tombstone_epochs (new_order w)))))
+    names;
+  Testlib.audit "no internal errors" (Audit.fatal db);
+  RDb.shutdown db;
+  Testlib.audit "tpcc consistency" (Audit.tpcc (RDb.catalogs db))
+
 (* Admission control: with a stalling domain and a mailbox cap, a burst of
    submissions must shed — Overloaded, containers_touched = 0, and exactly
    one completion per submission (the quiescence invariant). *)
@@ -1437,7 +1498,7 @@ let test_flushed_prefixes_consistent () =
         (Printf.sprintf "copy of %d bytes" (String.length bytes))
         (Faultsim.recover ~log:copy decl).Faultsim.rc_catalogs)
     copies;
-  let entries = Wal.read_file path in
+  let entries = Testlib.read_log path in
   List.iteri
     (fun i _ ->
       let cats = Faultsim.fresh_catalogs decl in
@@ -1586,6 +1647,8 @@ let suite =
         test_collect_serial_equivalence_smallbank;
       Alcotest.test_case "collect serial equivalence: tpcc" `Quick
         test_collect_serial_equivalence_tpcc;
+      Alcotest.test_case "tpcc deliveries keep new_order bounded (runtime)" `Quick
+        test_tpcc_new_order_bounded_runtime;
       Alcotest.test_case "overload shed at mailbox cap" `Quick
         test_overload_shed;
       Alcotest.test_case "work stealing: skewed ycsb" `Quick

@@ -321,6 +321,119 @@ let test_version_gc () =
       check_bool "horizon advanced past the pin" true (DB.gc_horizon db > s))
 
 (* ------------------------------------------------------------------ *)
+(* Delete tombstones: kept for snapshots that can still read the deleted
+   row, unlinked from the index once the GC horizon passes their delete
+   epoch — on both backends, through the shared install path. *)
+
+let s_kv =
+  Storage.Schema.make ~name:"kv"
+    ~columns:[ ("k", Value.TInt); ("v", Value.TInt) ]
+    ~key:[ "k" ]
+
+let kv_decl =
+  let put ctx args =
+    Query.Exec.insert ctx.Reactor.db "kv" [| List.nth args 0; List.nth args 1 |];
+    Value.Null
+  in
+  let del ctx args =
+    ignore (Query.Exec.delete_key ctx.Reactor.db "kv" [| List.nth args 0 |]);
+    Value.Null
+  in
+  Reactor.decl
+    ~types:[ Reactor.rtype ~name:"Kv" ~schemas:[ s_kv ] ~procs:[ ("put", put); ("del", del) ] () ]
+    ~reactors:[ ("kv0", "Kv") ] ()
+
+(* What a tombstone test drives, on either backend. [table] may be read
+   only between [exec]s. *)
+type kv_ops = {
+  exec : string -> int list -> unit;
+  next_epoch : unit -> unit;
+  acquire : unit -> int;
+  release : int -> unit;
+  table : unit -> Storage.Table.t;
+}
+
+let kv_on_both f =
+  let cfg = Reactdb.Config.shared_nothing [ [ "kv0" ] ] in
+  let args l = List.map W.Wl.vi l in
+  run_in kv_decl cfg (fun db ->
+      f "sim"
+        { exec = (fun proc l -> ignore (exec_ok db (W.Wl.request "kv0" proc (args l))));
+          next_epoch;
+          acquire = (fun () -> DB.acquire_snapshot db);
+          release = DB.release_snapshot db;
+          table = (fun () -> Storage.Catalog.table (DB.catalog_of db "kv0") "kv") });
+  (* Epochs of 2 ms; a root starting after a pause of 3 epochs advances
+     the clock past every earlier commit. *)
+  let db = RDb.start ~epoch_len_s:0.002 kv_decl cfg in
+  Fun.protect
+    ~finally:(fun () -> RDb.shutdown db)
+    (fun () ->
+      f "runtime"
+        { exec =
+            (fun proc l ->
+              match (RDb.exec_txn db ~reactor:"kv0" ~proc ~args:(args l)).RDb.result with
+              | Ok _ -> ()
+              | Error m -> Alcotest.failf "kv0/%s aborted: %s" proc m);
+          next_epoch = (fun () -> Unix.sleepf 0.006);
+          acquire = (fun () -> RDb.acquire_snapshot db);
+          release = RDb.release_snapshot db;
+          table =
+            (fun () ->
+              RDb.quiesce db;
+              Storage.Catalog.table (RDb.catalog_of db "kv0") "kv") })
+
+let kv_find o k = Storage.Table.find (o.table ()) [| Value.Int k |]
+
+let test_tombstone_reclaimed () =
+  kv_on_both (fun name o ->
+      let say m = name ^ ": " ^ m in
+      List.iter (fun k -> o.exec "put" [ k; 10 * k ]) [ 1; 2; 3 ];
+      o.exec "del" [ 1 ];
+      let tomb =
+        match kv_find o 1 with
+        | Some r when r.Storage.Record.absent -> r
+        | _ -> Alcotest.fail (say "delete left no tombstone")
+      in
+      o.next_epoch ();
+      o.exec "put" [ 4; 40 ];
+      check_bool (say "tombstone unlinked past the horizon") true (kv_find o 1 = None);
+      check_bool (say "tombstone marked reclaimed") true
+        (Storage.Record.is_reclaimed tomb);
+      check_int (say "index holds the live rows") 3 (Storage.Table.size (o.table ()));
+      o.exec "put" [ 1; 11 ];
+      match kv_find o 1 with
+      | Some r ->
+        check_bool (say "key re-inserted as a fresh record") true
+          ((not r.Storage.Record.absent) && r != tomb)
+      | None -> Alcotest.fail (say "re-insert lost"))
+
+let test_snapshot_pins_tombstone () =
+  kv_on_both (fun name o ->
+      let say m = name ^ ": " ^ m in
+      o.exec "put" [ 1; 7 ];
+      o.next_epoch ();
+      o.exec "put" [ 2; 8 ];
+      let s = o.acquire () in
+      o.exec "del" [ 1 ];
+      o.next_epoch ();
+      o.exec "put" [ 3; 9 ];
+      o.next_epoch ();
+      o.exec "del" [ 3 ];
+      (match kv_find o 1 with
+      | Some r -> (
+        check_bool (say "still a tombstone") true r.Storage.Record.absent;
+        match Storage.Record.snapshot_read r ~snapshot:s with
+        | Some row -> check_int (say "pre-delete row at the pinned epoch") 7 (Value.to_int row.(1))
+        | None -> Alcotest.fail (say "pinned snapshot lost the row"))
+      | None -> Alcotest.fail (say "tombstone reclaimed under a live snapshot"));
+      o.release s;
+      o.next_epoch ();
+      o.exec "put" [ 4; 10 ];
+      check_bool (say "reclaimed once released") true (kv_find o 1 = None);
+      check_bool (say "later tombstone reclaimed too") true (kv_find o 3 = None))
+
+(* ------------------------------------------------------------------ *)
 (* Config.Auto: generators keep emitting the sequential formulation names;
    the backend's router resolves each root against the declared morph
    pairs and counts its choices. *)
@@ -474,6 +587,10 @@ let suite =
       Alcotest.test_case "concurrent conservation cut, slow 2pc" `Quick
         test_conservation_slow_2pc;
       Alcotest.test_case "version GC horizon" `Quick test_version_gc;
+      Alcotest.test_case "tombstone reclaimed past horizon" `Quick
+        test_tombstone_reclaimed;
+      Alcotest.test_case "snapshot pins tombstone until released" `Quick
+        test_snapshot_pins_tombstone;
       Alcotest.test_case "auto morph router" `Quick test_auto_morph_router;
       Alcotest.test_case "tpcc collect equivalence" `Quick
         test_tpcc_collect_equivalence;

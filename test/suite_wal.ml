@@ -174,7 +174,7 @@ let test_file_log () =
   Wal.append log sample_entry;
   Wal.append log (entry 9 90 [ put "z" "t" [| Value.Str "" |] ]);
   Wal.close log;
-  (match Wal.read_file path with
+  (match Testlib.read_log path with
   | [ a; b ] ->
     check_bool "first" true (entry_eq a sample_entry);
     check_int "second tid" 90 b.Wal.le_tid
@@ -188,7 +188,7 @@ let test_corrupt_file () =
   close_out oc;
   check_bool "corrupt detected" true
     (try
-       ignore (Wal.read_file path);
+       ignore (Testlib.read_log path);
        false
      with Failure m -> String.length m > 0);
   Sys.remove path
@@ -236,7 +236,7 @@ let test_torn_tail_tolerated () =
   | _, Wal.Clean -> Alcotest.fail "torn tail not detected");
   check_bool "strict reader raises" true
     (try
-       ignore (Wal.read_file path);
+       ignore (Testlib.read_log path);
        false
      with Failure _ -> true);
   Sys.remove path
@@ -281,7 +281,7 @@ let test_reopen_counts_and_appends () =
   Wal.append log2 (entry 3 30 [ put "a" "t" [| Value.Int 3 |] ]);
   check_int "append continues the count" 3 (Wal.length log2);
   Wal.close log2;
-  check_int "all three readable" 3 (List.length (Wal.read_file path));
+  check_int "all three readable" 3 (List.length (Testlib.read_log path));
   Sys.remove path
 
 let test_reopen_truncates_torn_tail () =
@@ -510,7 +510,7 @@ let test_append_many_file_roundtrip () =
   Wal.close log;
   check_bool "file bytes = the records" true
     (String.equal (read_raw path) (String.concat "" (List.map Wal.encode_framed es)));
-  let back = Wal.read_file path in
+  let back = Testlib.read_log path in
   Sys.remove path;
   check_int "entries read" 1000 (List.length back);
   check_bool "entries equal" true (List.for_all2 entry_eq es back)
@@ -527,7 +527,7 @@ let test_append_many_rejects_other_kind () =
   check_bool "memory record refused by a file log" true (refused file (Wal.record mem e));
   check_bool "file record refused by a memory log" true (refused mem (Wal.record file e));
   Wal.close file;
-  check_int "file log empty" 0 (List.length (Wal.read_file path));
+  check_int "file log empty" 0 (List.length (Testlib.read_log path));
   check_int "memory log empty" 0 (List.length (Wal.entries mem));
   Sys.remove path
 

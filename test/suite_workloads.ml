@@ -130,48 +130,9 @@ let tpcc_db ?(warehouses = 2) config_of =
 
 let tpcc_sn ws = Reactdb.Config.shared_nothing (List.map (fun w -> [ w ]) ws)
 
-(* TPC-C-style consistency conditions, checked physically per warehouse:
-   1. district.next_o_id - 1 = max(o_id) in orders and order_line;
-   2. every new_order row has a matching orders row with carrier 0;
-   3. per order, #order_line rows = ol_cnt. *)
+(* TPC-C's consistency conditions on warehouse [w] ([Audit.tpcc]). *)
 let check_tpcc_consistency db w =
-  List.iter
-    (fun drow ->
-      let d_id = Value.to_int drow.(0) in
-      let next_o_id = Value.to_int drow.(3) in
-      let orders =
-        List.filter (fun o -> Value.to_int o.(0) = d_id) (rows db w "orders")
-      in
-      let max_o =
-        List.fold_left (fun m o -> Stdlib.max m (Value.to_int o.(1))) 0 orders
-      in
-      check_int (w ^ " district sequence consistent") (next_o_id - 1) max_o;
-      let new_orders =
-        List.filter (fun n -> Value.to_int n.(0) = d_id) (rows db w "new_order")
-      in
-      List.iter
-        (fun no ->
-          let o_id = Value.to_int no.(1) in
-          match
-            List.find_opt (fun o -> Value.to_int o.(1) = o_id) orders
-          with
-          | Some o -> check_int "undelivered order carrier" 0 (Value.to_int o.(4))
-          | None -> Alcotest.failf "new_order without order %d" o_id)
-        new_orders;
-      let lines = rows db w "order_line" in
-      List.iter
-        (fun o ->
-          let o_id = Value.to_int o.(1) in
-          let cnt =
-            List.length
-              (List.filter
-                 (fun l ->
-                   Value.to_int l.(0) = d_id && Value.to_int l.(1) = o_id)
-                 lines)
-          in
-          check_int "order line count" (Value.to_int o.(5)) cnt)
-        orders)
-    (rows db w "district")
+  Testlib.audit (w ^ " consistency") (Audit.tpcc [ (w, DB.catalog_of db w) ])
 
 let test_tpcc_loader () =
   let db = tpcc_db tpcc_sn in
@@ -352,6 +313,35 @@ let test_tpcc_mix_shared_everything_affinity () =
 let test_tpcc_mix_shared_everything_rr () =
   run_tpcc_mix (Reactdb.Config.shared_everything ~executors:2 ~affinity:false)
 
+(* Deliveries delete new-order rows; the tombstones they leave are
+   reclaimed once the GC horizon passes their epoch, so a district's scan
+   for its oldest new order walks the live rows plus at most the last two
+   epochs' tombstones, not every order ever delivered. *)
+let test_tpcc_new_order_bounded_sim () =
+  let db = tpcc_db tpcc_sn in
+  let p = W.Tpcc.params ~sizes:tpcc_sizes 2 in
+  let delivered = ref 0 in
+  Testlib.in_sim db (fun db ->
+      let rng = Rng.create 5 in
+      for i = 1 to 40 do
+        let home = 1 + (i mod 2) and clock = float_of_int i in
+        ignore (exec_ok db (W.Tpcc.gen_new_order rng p ~home ~clock));
+        ignore (exec_ok db (W.Tpcc.gen_new_order rng p ~home ~clock));
+        delivered :=
+          !delivered + Value.to_int (exec_ok db (W.Tpcc.gen_delivery rng ~home ~clock));
+        (* a quarter epoch between rounds: the run spans ten epochs *)
+        Sim.Engine.delay 10_000.
+      done);
+  check_bool "deliveries ran across epochs" true (!delivered > 40);
+  List.iter
+    (fun w ->
+      let tbl = Storage.Catalog.table (DB.catalog_of db w) "new_order" in
+      let tombs, newest = Testlib.tombstone_epochs tbl in
+      check_bool (w ^ " tombstones only from the last two epochs") true
+        (List.for_all (fun e -> e >= newest - 1) tombs);
+      check_tpcc_consistency db w)
+    [ "w1"; "w2" ]
+
 (* ---------------- YCSB ---------------- *)
 
 let test_ycsb_multi_update () =
@@ -502,6 +492,8 @@ let suite =
       Alcotest.test_case "tpcc mix SE-affinity" `Quick
         test_tpcc_mix_shared_everything_affinity;
       Alcotest.test_case "tpcc mix SE-rr" `Quick test_tpcc_mix_shared_everything_rr;
+      Alcotest.test_case "tpcc deliveries keep new_order bounded (sim)" `Quick
+        test_tpcc_new_order_bounded_sim;
       Alcotest.test_case "ycsb multi_update" `Quick test_ycsb_multi_update;
       Alcotest.test_case "ycsb generator ordering" `Quick
         test_ycsb_generator_sorts_remote_first;

@@ -237,6 +237,25 @@ let in_sim db f =
 let with_db ?(n = 4) ?profile config f =
   in_sim (Harness.build ?profile (bank_decl n) config) f
 
+(* The entries of a WAL file that must be whole; [Failure] on a torn or
+   corrupt tail. *)
+let read_log path =
+  match Wal.read_file_tolerant path with
+  | entries, Wal.Clean -> entries
+  | _, Wal.Torn { valid; reason } ->
+    failwith (Printf.sprintf "torn log: %s (after %d valid entries)" reason valid)
+
+(* TID epochs of the delete tombstones still in [tbl]'s primary index, and
+   the newest TID epoch of any record there. *)
+let tombstone_epochs tbl =
+  let tombs = ref [] and newest = ref 0 in
+  Storage.Table.range tbl ~f:(fun r ->
+      let e = Storage.Record.tid_epoch r.Storage.Record.tid in
+      newest := Stdlib.max !newest e;
+      if r.Storage.Record.absent then tombs := e :: !tombs;
+      true);
+  (!tombs, !newest)
+
 (* Fail the test with an audit's error string (see [lib/audit]). *)
 let audit name = function
   | Ok _ -> ()
