@@ -10,6 +10,7 @@ type t =
   | Arith of arith * t * t
   | Neg of t
   | IsNull of t
+  | Like of t * string
 
 and cmp = Eq | Ne | Lt | Le | Gt | Ge
 
@@ -65,16 +66,23 @@ let arith_op op a b =
       | Mul -> Stdlib.( *. ) x y
       | Div -> Stdlib.( /. ) x y)
 
-let compile schema expr =
+(* SQL LIKE: greedy match that backtracks to the last '%', which [star]
+   marks in the pattern and [mark] in the string. *)
+let like_match pat str =
+  let np = String.length pat and ns = String.length str in
+  let rec go pi si star mark =
+    if pi < np && pat.[pi] = '%' then go (pi + 1) si (pi + 1) si
+    else if si = ns then pi = np
+    else if pi < np && (pat.[pi] = '_' || pat.[pi] = str.[si]) then
+      go (pi + 1) (si + 1) star mark
+    else star >= 0 && go star (mark + 1) star (mark + 1)
+  in
+  go 0 0 (-1) 0
+
+let compile_with ~column expr =
   let rec go = function
     | Col name ->
-      let i =
-        try Storage.Schema.column_index schema name
-        with Not_found ->
-          invalid_arg
-            (Printf.sprintf "Expr.compile: unknown column %S in %s" name
-               schema.Storage.Schema.sname)
-      in
+      let i = column name in
       fun tuple -> tuple.(i)
     | Const v -> fun _ -> v
     | Cmp (op, a, b) ->
@@ -87,7 +95,7 @@ let compile schema expr =
              total order is for composite keys only). *)
           let c =
             match va, vb with
-            | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) ->
+            | Value.Int _, Value.Float _ | Value.Float _, Value.Int _ ->
               Float.compare (Value.to_number va) (Value.to_number vb)
             | _ -> Value.compare va vb
           in
@@ -117,8 +125,24 @@ let compile schema expr =
     | IsNull a ->
       let fa = go a in
       fun tuple -> Value.Bool (Value.is_null (fa tuple))
+    | Like (a, pat) ->
+      let fa = go a in
+      fun tuple ->
+        (match fa tuple with
+        | Value.Str s -> Value.Bool (like_match pat s)
+        | Value.Null -> Value.Bool false
+        | v ->
+          raise (Value.Type_error ("LIKE on non-string " ^ Value.to_string v)))
   in
   go expr
+
+let compile schema expr =
+  compile_with expr ~column:(fun name ->
+      try Storage.Schema.column_index schema name
+      with Not_found ->
+        invalid_arg
+          (Printf.sprintf "Expr.compile: unknown column %S in %s" name
+             schema.Storage.Schema.sname))
 
 let compile_pred schema expr =
   let f = compile schema expr in
@@ -143,3 +167,4 @@ let rec pp ppf = function
     Fmt.pf ppf "(%a %s %a)" pp a s pp b
   | Neg a -> Fmt.pf ppf "(-%a)" pp a
   | IsNull a -> Fmt.pf ppf "(%a IS NULL)" pp a
+  | Like (a, pat) -> Fmt.pf ppf "(%a LIKE %S)" pp a pat

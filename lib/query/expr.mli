@@ -2,9 +2,11 @@
 
     Reactors support declarative querying {e within} a single reactor
     (§2.2.1). Stored procedures build predicates and projections from this
-    little expression language; [compile] resolves column names against a
-    schema once, yielding a closure evaluated per tuple — the moral
-    equivalent of the paper's pre-compiled stored procedures.
+    little expression language, and the SQL front-end ([Sql.Run]) compiles
+    its expressions onto it, so this is the one evaluator. [compile]
+    resolves column names against a schema once, yielding a closure
+    evaluated per tuple — the moral equivalent of the paper's pre-compiled
+    stored procedures.
 
     Null semantics are two-valued: any comparison or arithmetic involving
     [Null] yields [Bool false] / [Null] respectively; use {!is_null} to test
@@ -20,6 +22,10 @@ type t =
   | Arith of arith * t * t
   | Neg of t
   | IsNull of t
+  | Like of t * string
+      (** SQL [LIKE]: [%] matches any run of characters, [_] any one;
+          [Null] does not match, and any other non-string raises
+          [Util.Value.Type_error] *)
 
 and cmp = Eq | Ne | Lt | Le | Gt | Ge
 
@@ -52,10 +58,18 @@ val is_null : t -> t
 
 (** {1 Compilation and evaluation} *)
 
-(** [compile schema e] resolves all column references; raises
-    [Invalid_argument] naming any unknown column. Comparisons between [Int]
-    and [Float] coerce numerically (unlike {!Util.Value.compare}'s tag
-    order, which exists for composite keys). *)
+(** [compile_with ~column e] resolves each [Col] once, through [column], to
+    the index of its cell in the tuples the closure is applied to; the SQL
+    front-end resolves qualified names over joined rows this way. [Int] and
+    [Float] compare numerically (unlike {!Util.Value.compare}'s tag order,
+    which exists for composite keys); values of one type compare as
+    {!Util.Value.compare} orders them. [Neg], [Like], [Arith] and the
+    connectives raise [Util.Value.Type_error] on operands of the wrong type. *)
+val compile_with :
+  column:(string -> int) -> t -> Util.Value.t array -> Util.Value.t
+
+(** [compile schema e] is {!compile_with} resolving column names against
+    [schema]; raises [Invalid_argument] naming any unknown column. *)
 val compile : Storage.Schema.t -> t -> Util.Value.t array -> Util.Value.t
 
 (** Compile as predicate: non-[Bool true] results (including [Null]) are

@@ -46,123 +46,114 @@ let resolve env (qualifier, name) =
       (match qualifier with Some q -> q ^ "." | None -> "")
       name
 
-(* SQL LIKE: % matches any run, _ matches one character. *)
-let like_match pat str =
-  let np = String.length pat and ns = String.length str in
-  (* memoized recursion over (pi, si) *)
-  let memo = Hashtbl.create 16 in
-  let rec go pi si =
-    match Hashtbl.find_opt memo (pi, si) with
-    | Some r -> r
-    | None ->
-      let r =
-        if pi = np then si = ns
-        else
-          match pat.[pi] with
-          | '%' -> go (pi + 1) si || (si < ns && go pi (si + 1))
-          | '_' -> si < ns && go (pi + 1) (si + 1)
-          | c -> si < ns && str.[si] = c && go (pi + 1) (si + 1)
-      in
-      Hashtbl.replace memo (pi, si) r;
-      r
-  in
-  go 0 0
+(* --- translation onto Query.Expr --- *)
 
-(* --- expression evaluation (same null semantics as Query.Expr) --- *)
+(* A column keeps its SQL spelling, [q.c] or [c], inside [Query.Expr] and
+   resolves against the row's environment when compiled. *)
+let column env name =
+  match String.split_on_char '.' name with
+  | [ q; c ] -> resolve env (Some q, c)
+  | _ -> resolve env (None, name)
 
-let rec eval env params row = function
-  | Ast.Col (q, c) -> row.(resolve env (q, c))
-  | Ast.Lit v -> v
+let rec expr ?(params = []) e =
+  let tr = expr ~params in
+  match e with
+  | Ast.Col (Some q, c) -> Query.Expr.Col (q ^ "." ^ c)
+  | Ast.Col (None, c) -> Col c
+  | Ast.Lit v -> Const v
   | Ast.Param i -> (
     match List.nth_opt params i with
-    | Some v -> v
+    | Some v -> Const v
     | None -> err "missing parameter ?%d" i)
-  | Ast.Cmp (op, a, b) ->
-    let va = eval env params row a and vb = eval env params row b in
-    if Value.is_null va || Value.is_null vb then Value.Bool false
-    else
-      let c =
-        match va, vb with
-        | (Value.Int _ | Value.Float _), (Value.Int _ | Value.Float _) ->
-          Float.compare (Value.to_number va) (Value.to_number vb)
-        | _ -> Value.compare va vb
-      in
-      Value.Bool
-        (match op with
-        | Query.Expr.Eq -> c = 0
-        | Ne -> c <> 0
-        | Lt -> c < 0
-        | Le -> c <= 0
-        | Gt -> c > 0
-        | Ge -> c >= 0)
-  | Ast.And (a, b) ->
-    Value.Bool
-      (Value.to_bool (eval env params row a)
-      && Value.to_bool (eval env params row b))
-  | Ast.Or (a, b) ->
-    Value.Bool
-      (Value.to_bool (eval env params row a)
-      || Value.to_bool (eval env params row b))
-  | Ast.Not a -> Value.Bool (not (Value.to_bool (eval env params row a)))
-  | Ast.Arith (op, a, b) -> (
-    let va = eval env params row a and vb = eval env params row b in
-    match va, vb with
-    | Value.Null, _ | _, Value.Null -> Value.Null
-    | Value.Int x, Value.Int y -> (
-      match op with
-      | Query.Expr.Add -> Value.Int (x + y)
-      | Sub -> Value.Int (x - y)
-      | Mul -> Value.Int (x * y)
-      | Div -> Value.Float (float_of_int x /. float_of_int y))
-    | _ ->
-      let x = Value.to_number va and y = Value.to_number vb in
-      Value.Float
-        (match op with
-        | Query.Expr.Add -> x +. y
-        | Sub -> x -. y
-        | Mul -> x *. y
-        | Div -> x /. y))
-  | Ast.Neg a -> (
-    match eval env params row a with
-    | Value.Null -> Value.Null
-    | Value.Int i -> Value.Int (-i)
-    | Value.Float f -> Value.Float (-.f)
-    | v -> err "cannot negate %s" (Value.to_string v))
-  | Ast.Is_null a -> Value.Bool (Value.is_null (eval env params row a))
-  | Ast.In (a, vs) ->
-    let va = eval env params row a in
-    if Value.is_null va then Value.Bool false
-    else
-      Value.Bool
-        (List.exists
-           (fun e ->
-             let v = eval env params row e in
-             (not (Value.is_null v)) && Value.compare va v = 0)
-           vs)
+  | Ast.Cmp (op, a, b) -> Cmp (op, tr a, tr b)
+  | Ast.And (a, b) -> And (tr a, tr b)
+  | Ast.Or (a, b) -> Or (tr a, tr b)
+  | Ast.Not a -> Not (tr a)
+  | Ast.Arith (op, a, b) -> Arith (op, tr a, tr b)
+  | Ast.Neg a -> Neg (tr a)
+  | Ast.Is_null a -> IsNull (tr a)
+  | Ast.In (_, []) -> Const (Value.Bool false)
+  | Ast.In (a, v :: vs) ->
+    let a = tr a in
+    let eq v = Query.Expr.Cmp (Eq, a, tr v) in
+    List.fold_left (fun acc v -> Query.Expr.Or (acc, eq v)) (eq v) vs
   | Ast.Between (a, lo, hi) ->
-    let va = eval env params row a in
-    let vlo = eval env params row lo and vhi = eval env params row hi in
-    if Value.is_null va || Value.is_null vlo || Value.is_null vhi then
-      Value.Bool false
-    else
-      let num v = match v with Value.Int _ | Value.Float _ -> true | _ -> false in
-      let cmp x y =
-        if num x && num y then Float.compare (Value.to_number x) (Value.to_number y)
-        else Value.compare x y
-      in
-      Value.Bool (cmp vlo va <= 0 && cmp va vhi <= 0)
-  | Ast.Like (a, pat) -> (
-    match eval env params row a with
-    | Value.Str s -> Value.Bool (like_match pat s)
-    | Value.Null -> Value.Bool false
-    | v -> err "LIKE on non-string %s" (Value.to_string v))
+    let a = tr a in
+    And (Cmp (Ge, a, tr lo), Cmp (Le, a, tr hi))
+  | Ast.Like (a, pat) -> Like (tr a, pat)
 
-let truthy env params row e =
-  match eval env params row e with Value.Bool b -> b | _ -> false
+let compile env params e =
+  Query.Expr.compile_with ~column:(column env) (expr ~params e)
 
-(* --- base-table access --- *)
+(* --- key ranges --- *)
 
-let base_rows ctx table = Query.Exec.scan ctx table ()
+let rec conjuncts = function
+  | Query.Expr.And (a, b) -> conjuncts a @ conjuncts b
+  | e -> [ e ]
+
+let flip : Query.Expr.cmp -> Query.Expr.cmp = function
+  | Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | op -> op
+
+(* Primary-key bounds for a single-table WHERE: equalities of constants with
+   the leading key columns form a prefix, and the first lower and the first
+   upper bound on the next key column narrow it. A constant counts only
+   when its tag is the column's declared type, because keys are ordered by
+   [Value.compare], tag first. A strict upper bound keeps the key at the
+   bound itself in the range. *)
+let key_range schema column where =
+  let bounds i =
+    let ty = schema.Storage.Schema.columns.(i).Storage.Schema.ctype in
+    let typed v = (not (Value.is_null v)) && Value.conforms v ty in
+    List.filter_map
+      (function
+        | Query.Expr.Cmp (op, Col c, Const v) when typed v && column c = i ->
+          Some (op, v)
+        | Cmp (op, Const v, Col c) when typed v && column c = i ->
+          Some (flip op, v)
+        | _ -> None)
+      (conjuncts where)
+  in
+  let key = schema.Storage.Schema.key in
+  let rec prefix j =
+    let bs = if j < Array.length key then bounds key.(j) else [] in
+    match List.assoc_opt Query.Expr.Eq bs with
+    | Some v -> let p, next = prefix (j + 1) in (v :: p, next)
+    | None -> ([], bs)
+  in
+  let p, next = prefix 0 in
+  let p = Array.of_list p in
+  let ext v = Array.append p [| v |] in
+  let above k = snd (Storage.Table.key_prefix_bounds k) in
+  let or_prefix k = function
+    | None when Array.length p > 0 -> Some (k p)
+    | bound -> bound
+  in
+  let lo = List.find_map (function
+      | Query.Expr.Ge, v -> Some (ext v)
+      | Gt, v -> Some (above (ext v))
+      | _ -> None) next
+  in
+  let hi = List.find_map (function
+      | Query.Expr.Le, v -> Some (above (ext v))
+      | Lt, v -> Some (ext v)
+      | _ -> None) next
+  in
+  (or_prefix Fun.id lo, or_prefix above hi)
+
+let filter env params where rows =
+  match where with
+  | None -> rows
+  | Some w ->
+    let test = compile env params w in
+    List.filter (fun row -> test row = Value.Bool true) rows
+
+(* The rows of [table] that satisfy [where], scanning only its key range. *)
+let where_rows ctx params env table where =
+  let range w =
+    key_range (Query.Exec.schema ctx table) (column env) (expr ~params w)
+  in
+  let lo, hi = Option.fold ~none:(None, None) ~some:range where in
+  filter env params where (Query.Exec.scan ctx table ?lo ?hi ())
 
 (* --- aggregates --- *)
 
@@ -182,51 +173,39 @@ let agg_name fn arg alias =
     | Some (Ast.Col (_, c)) -> f ^ "(" ^ c ^ ")"
     | _ -> f)
 
-let compute_agg env params rows fn arg =
-  let values =
-    match arg with
-    | None -> List.map (fun _ -> Value.Int 1) rows
-    | Some e ->
-      List.filter_map
-        (fun row ->
-          match eval env params row e with
-          | Value.Null -> None
-          | v -> Some v)
-        rows
-  in
-  match fn with
-  | Ast.Count -> Value.Int (List.length values)
-  | Ast.Sum ->
-    if values = [] then Value.Null
-    else if List.for_all (function Value.Int _ -> true | _ -> false) values
-    then Value.Int (List.fold_left (fun a v -> a + Value.to_int v) 0 values)
-    else
-      Value.Float (List.fold_left (fun a v -> a +. Value.to_number v) 0. values)
-  | Ast.Min ->
-    List.fold_left
-      (fun acc v ->
-        match acc with
-        | Value.Null -> v
-        | _ -> if Value.compare v acc < 0 then v else acc)
-      Value.Null values
-  | Ast.Max ->
-    List.fold_left
-      (fun acc v ->
-        match acc with
-        | Value.Null -> v
-        | _ -> if Value.compare v acc > 0 then v else acc)
-      Value.Null values
-  | Ast.Avg ->
-    if values = [] then Value.Null
-    else
-      Value.Float
-        (List.fold_left (fun a v -> a +. Value.to_number v) 0. values
-        /. float_of_int (List.length values))
+let compute_agg env params fn arg =
+  let arg = Option.map (compile env params) arg in
+  fun rows ->
+    let values =
+      match arg with
+      | None -> List.map (fun _ -> Value.Int 1) rows
+      | Some f ->
+        List.filter_map
+          (fun row -> match f row with Value.Null -> None | v -> Some v)
+          rows
+    in
+    match fn with
+    | Ast.Count -> Value.Int (List.length values)
+    | Ast.Sum ->
+      if values = [] then Value.Null
+      else if List.for_all (function Value.Int _ -> true | _ -> false) values
+      then Value.Int (List.fold_left (fun a v -> a + Value.to_int v) 0 values)
+      else
+        Value.Float (List.fold_left (fun a v -> a +. Value.to_number v) 0. values)
+    | Ast.Min | Ast.Max ->
+      let sign = if fn = Ast.Min then -1 else 1 in
+      List.fold_left
+        (fun acc v ->
+          if Value.is_null acc || sign * Value.compare v acc > 0 then v else acc)
+        Value.Null values
+    | Ast.Avg ->
+      if values = [] then Value.Null
+      else
+        Value.Float
+          (List.fold_left (fun a v -> a +. Value.to_number v) 0. values
+          /. float_of_int (List.length values))
 
 (* --- SELECT --- *)
-
-let has_agg items =
-  List.exists (function Ast.Agg _ -> true | _ -> false) items
 
 let item_name env = function
   | Ast.Star -> err "cannot name *"
@@ -238,63 +217,37 @@ let item_name env = function
   | Ast.Agg (fn, arg, alias) -> agg_name fn arg alias
 
 let select ctx params (s : Ast.select) =
-  let table_names tbl alias =
-    match alias with Some a -> [ tbl; a ] | None -> [ tbl ]
+  let env_of table alias =
+    env_of_schema
+      ~names:(table :: Option.to_list alias)
+      (Query.Exec.schema ctx table)
   in
-  let left_schema = Query.Exec.schema ctx s.Ast.sel_table in
-  let left_env =
-    env_of_schema ~names:(table_names s.Ast.sel_table s.Ast.sel_alias) left_schema
-  in
+  let left_env = env_of s.Ast.sel_table s.Ast.sel_alias in
   (* Build the working row set and its environment. *)
   let env, rows =
     match s.Ast.sel_join with
-    | None -> (left_env, base_rows ctx s.Ast.sel_table)
+    | None ->
+      (left_env, where_rows ctx params left_env s.Ast.sel_table s.Ast.sel_where)
     | Some j ->
-      let right_schema = Query.Exec.schema ctx j.Ast.j_table in
-      let right_env =
-        env_of_schema ~names:(table_names j.Ast.j_table j.Ast.j_alias) right_schema
-      in
-      let env = env_concat left_env right_env in
+      let env = env_concat left_env (env_of j.Ast.j_table j.Ast.j_alias) in
       let li = resolve env j.Ast.j_left and ri = resolve env j.Ast.j_right in
-      (* Hash join on the equality condition. *)
-      let lrows = base_rows ctx s.Ast.sel_table in
-      let rrows = base_rows ctx j.Ast.j_table in
+      (* Hash join on the equality condition, over both whole tables. *)
       let lwidth = Array.length left_env.slots in
+      let li, ri = if ri >= lwidth then (li, ri) else (ri, li) in
+      let lrows = Query.Exec.scan ctx s.Ast.sel_table () in
       let by_key = Hashtbl.create 64 in
-      if ri >= lwidth then begin
-        (* join key: left side indexes into left rows *)
-        List.iter
-          (fun rrow ->
-            let key = rrow.(ri - lwidth) in
-            Hashtbl.add by_key key rrow)
-          rrows;
-        ( env,
-          List.concat_map
-            (fun lrow ->
-              List.map
-                (fun rrow -> Array.append lrow rrow)
-                (Hashtbl.find_all by_key lrow.(li)))
-            lrows )
-      end
-      else begin
-        List.iter
-          (fun rrow ->
-            let key = rrow.(li - lwidth) in
-            Hashtbl.add by_key key rrow)
-          rrows;
-        ( env,
-          List.concat_map
-            (fun lrow ->
-              List.map
-                (fun rrow -> Array.append lrow rrow)
-                (Hashtbl.find_all by_key lrow.(ri)))
-            lrows )
-      end
-  in
-  let rows =
-    match s.Ast.sel_where with
-    | None -> rows
-    | Some e -> List.filter (fun row -> truthy env params row e) rows
+      List.iter
+        (fun rrow -> Hashtbl.add by_key rrow.(ri - lwidth) rrow)
+        (Query.Exec.scan ctx j.Ast.j_table ());
+      let rows =
+        List.concat_map
+          (fun lrow ->
+            List.map
+              (fun rrow -> Array.append lrow rrow)
+              (Hashtbl.find_all by_key lrow.(li)))
+          lrows
+      in
+      (env, filter env params s.Ast.sel_where rows)
   in
   (* Projection. *)
   let cols, rows =
@@ -310,38 +263,37 @@ let select ctx params (s : Ast.select) =
             (row :: Option.value ~default:[] (Hashtbl.find_opt groups key)))
         rows;
       let cols = List.map (item_name env) s.Ast.sel_items in
-      let project key grouped =
-        Array.of_list
-          (List.map
-             (fun item ->
-               match item with
-               | Ast.Star -> err "* not allowed with GROUP BY"
-               | Ast.Expr_item (Ast.Col (q, c), _) ->
-                 (* must be a grouping column *)
-                 let i = resolve env (q, c) in
-                 (match
-                    List.find_index (fun ki -> ki = i) key_idxs
-                  with
-                 | Some pos -> List.nth key pos
-                 | None -> err "column %s not in GROUP BY" c)
-               | Ast.Expr_item _ -> err "only columns and aggregates with GROUP BY"
-               | Ast.Agg (fn, arg, _) ->
-                 compute_agg env params (List.rev grouped) fn arg)
-             s.Ast.sel_items)
+      let cells =
+        List.map
+          (function
+            | Ast.Star -> err "* not allowed with GROUP BY"
+            | Ast.Expr_item (Ast.Col (q, c), _) -> (
+              (* must be a grouping column *)
+              let i = resolve env (q, c) in
+              match List.find_index (fun ki -> ki = i) key_idxs with
+              | Some pos -> fun key _ -> List.nth key pos
+              | None -> err "column %s not in GROUP BY" c)
+            | Ast.Expr_item _ -> err "only columns and aggregates with GROUP BY"
+            | Ast.Agg (fn, arg, _) ->
+              let agg = compute_agg env params fn arg in
+              fun _ grouped -> agg (List.rev grouped))
+          s.Ast.sel_items
       in
-      ( cols,
-        List.rev_map
-          (fun key -> project key (Hashtbl.find groups key))
-          !order )
+      let project key =
+        let grouped = Hashtbl.find groups key in
+        Array.of_list (List.map (fun cell -> cell key grouped) cells)
+      in
+      (cols, List.rev_map project !order)
     end
-    else if has_agg s.Ast.sel_items then begin
+    else if List.exists (function Ast.Agg _ -> true | _ -> false) s.Ast.sel_items
+    then begin
       (* one output row over the full set *)
       let cols = List.map (item_name env) s.Ast.sel_items in
       let row =
         Array.of_list
           (List.map
              (function
-               | Ast.Agg (fn, arg, _) -> compute_agg env params rows fn arg
+               | Ast.Agg (fn, arg, _) -> compute_agg env params fn arg rows
                | Ast.Star -> err "* cannot mix with aggregates"
                | Ast.Expr_item _ ->
                  err "non-aggregate column without GROUP BY")
@@ -360,21 +312,21 @@ let select ctx params (s : Ast.select) =
             | item -> [ item_name env item ])
           s.Ast.sel_items
       in
-      let project row =
-        Array.of_list
-          (List.concat_map
-             (function
-               | Ast.Star -> Array.to_list row
-               | Ast.Expr_item (e, _) -> [ eval env params row e ]
-               | Ast.Agg _ -> assert false)
-             s.Ast.sel_items)
+      let cells =
+        List.map
+          (function
+            | Ast.Star -> Array.to_list
+            | Ast.Expr_item (e, _) ->
+              let f = compile env params e in
+              fun row -> [ f row ]
+            | Ast.Agg _ -> assert false)
+          s.Ast.sel_items
       in
+      let project row = Array.of_list (List.concat_map (fun f -> f row) cells) in
       (cols, List.map project rows)
     end
   in
-  (* ORDER BY names an output column (or, failing that, an input column of a
-     non-aggregate query — resolved before projection is not supported for
-     simplicity). *)
+  (* ORDER BY names an output column. *)
   let rows =
     match s.Ast.sel_order with
     | None -> rows
@@ -382,11 +334,8 @@ let select ctx params (s : Ast.select) =
       match List.find_index (fun c -> c = o.Ast.ord_col) cols with
       | None -> err "ORDER BY column %s not in select list" o.Ast.ord_col
       | Some i ->
-        let cmp a b =
-          let c = Value.compare a.(i) b.(i) in
-          if o.Ast.ord_desc then -c else c
-        in
-        List.stable_sort cmp rows)
+        let sign = if o.Ast.ord_desc then -1 else 1 in
+        List.stable_sort (fun a b -> sign * Value.compare a.(i) b.(i)) rows)
   in
   let rows =
     match s.Ast.sel_limit with
@@ -397,25 +346,15 @@ let select ctx params (s : Ast.select) =
 
 (* --- DML --- *)
 
-(* DML runs by row-level evaluation: scan the visible rows, filter with the
-   full expression evaluator (so every predicate form works), and apply
-   per-key writes through the transactional combinators. *)
-let matching_keys ctx params ~table ~where =
-  let schema = Query.Exec.schema ctx table in
-  let env = env_of_schema ~names:[ table ] schema in
-  let rows = base_rows ctx table in
-  let rows =
-    match where with
-    | None -> rows
-    | Some e -> List.filter (fun row -> truthy env params row e) rows
-  in
-  (env, List.map (fun row -> Storage.Schema.key_of_tuple schema row) rows)
+let column_index schema c =
+  try Storage.Schema.column_index schema c
+  with Not_found -> err "unknown column %s" c
 
 let insert ctx params ~table ~cols ~values =
   let schema = Query.Exec.schema ctx table in
   let arity = Storage.Schema.arity schema in
-  let env = env_of_schema ~names:[ table ] schema in
-  let vals = List.map (fun e -> eval env params [||] e) values in
+  (* VALUES see no columns. *)
+  let vals = List.map (fun e -> compile { slots = [||] } params e [||]) values in
   let tuple =
     match cols with
     | None ->
@@ -427,59 +366,52 @@ let insert ctx params ~table ~cols ~values =
         err "INSERT: %d columns but %d values" (List.length cols)
           (List.length vals);
       let tuple = Array.make arity Value.Null in
-      List.iter2
-        (fun c v ->
-          let i =
-            try Storage.Schema.column_index schema c
-            with Not_found -> err "unknown column %s" c
-          in
-          tuple.(i) <- v)
-        cols vals;
+      List.iter2 (fun c v -> tuple.(column_index schema c) <- v) cols vals;
       tuple
   in
   Query.Exec.insert ctx table tuple;
   Affected 1
 
-let update ctx params ~table ~sets ~where =
+(* UPDATE and DELETE write each matching row by key through the
+   transactional combinators. *)
+let write_rows ctx params ~table ~where write =
   let schema = Query.Exec.schema ctx table in
-  let set_idx =
-    List.map
-      (fun (c, e) ->
-        let i =
-          try Storage.Schema.column_index schema c
-          with Not_found -> err "unknown column %s" c
-        in
-        (i, e))
-      sets
-  in
-  let env, keys = matching_keys ctx params ~table ~where in
-  let n = ref 0 in
-  List.iter
-    (fun key ->
-      if
-        Query.Exec.update_key ctx table key ~set:(fun row ->
-            let out = Array.copy row in
-            List.iter (fun (i, e) -> out.(i) <- eval env params row e) set_idx;
-            out)
-      then incr n)
-    keys;
-  Affected !n
+  let env = env_of_schema ~names:[ table ] schema in
+  let write = write schema env in
+  Affected
+    (List.fold_left
+       (fun n row ->
+         if write (Storage.Schema.key_of_tuple schema row) then n + 1 else n)
+       0
+       (where_rows ctx params env table where))
+
+let update ctx params ~table ~sets ~where =
+  write_rows ctx params ~table ~where (fun schema env ->
+      let sets =
+        List.map (fun (c, e) -> (column_index schema c, compile env params e)) sets
+      in
+      let set row =
+        let out = Array.copy row in
+        List.iter (fun (i, f) -> out.(i) <- f row) sets;
+        out
+      in
+      fun key -> Query.Exec.update_key ctx table key ~set)
 
 let delete ctx params ~table ~where =
-  let _, keys = matching_keys ctx params ~table ~where in
-  let n = ref 0 in
-  List.iter (fun key -> if Query.Exec.delete_key ctx table key then incr n) keys;
-  Affected !n
+  write_rows ctx params ~table ~where (fun _ _ key ->
+      Query.Exec.delete_key ctx table key)
 
 let exec_stmt ctx ?(params = []) stmt =
-  match stmt with
-  | Ast.Select s -> select ctx params s
-  | Ast.Insert { ins_table; ins_cols; ins_values } ->
-    insert ctx params ~table:ins_table ~cols:ins_cols ~values:ins_values
-  | Ast.Update { upd_table; upd_sets; upd_where } ->
-    update ctx params ~table:upd_table ~sets:upd_sets ~where:upd_where
-  | Ast.Delete { del_table; del_where } ->
-    delete ctx params ~table:del_table ~where:del_where
+  try
+    match stmt with
+    | Ast.Select s -> select ctx params s
+    | Ast.Insert { ins_table; ins_cols; ins_values } ->
+      insert ctx params ~table:ins_table ~cols:ins_cols ~values:ins_values
+    | Ast.Update { upd_table; upd_sets; upd_where } ->
+      update ctx params ~table:upd_table ~sets:upd_sets ~where:upd_where
+    | Ast.Delete { del_table; del_where } ->
+      delete ctx params ~table:del_table ~where:del_where
+  with Value.Type_error m -> err "%s" m
 
 let exec ctx ?params src = exec_stmt ctx ?params (Parser.parse src)
 

@@ -133,7 +133,14 @@ let provider_schema =
 
 let ids = ref 5000
 
-let fresh_ctx () =
+let ctx_of ?(charge = fun _ _ -> ()) catalog =
+  incr ids;
+  let txn = Occ.Txn.create ~id:!ids ~containers:1 in
+  ( txn,
+    Query.Exec.make_ctx ~txn ~container:0 ~catalog ~charge
+      ~work:(fun _ -> ()) () )
+
+let orders_catalog () =
   let catalog = Storage.Catalog.create () in
   let ot = Storage.Catalog.create_table catalog orders_schema in
   let pt = Storage.Catalog.create_table catalog provider_schema in
@@ -151,10 +158,9 @@ let fresh_ctx () =
         (Storage.Table.insert pt
            (Storage.Record.fresh ~absent:false [| Value.Str p; Value.Float r |])))
     [ ("visa", 0.1); ("mc", 0.2); ("amex", 0.3) ];
-  incr ids;
-  Query.Exec.make_ctx ~txn:(Occ.Txn.create ~id:!ids ~containers:1) ~container:0 ~catalog
-    ~charge:(fun _ _ -> ())
-    ~work:(fun _ -> ()) ()
+  catalog
+
+let fresh_ctx () = snd (ctx_of (orders_catalog ()))
 
 let test_select_star () =
   let ctx = fresh_ctx () in
@@ -290,7 +296,13 @@ let test_errors () =
   check_bool "missing param" true
     (sql_err (fun () -> Sql.Run.query ctx "SELECT * FROM orders WHERE id = ?"));
   check_bool "scalar on many" true
-    (sql_err (fun () -> ignore (Sql.Run.scalar ctx "SELECT id FROM orders")))
+    (sql_err (fun () -> ignore (Sql.Run.scalar ctx "SELECT id FROM orders")));
+  (* operands of the wrong type *)
+  List.iter
+    (fun src -> check_bool src true (sql_err (fun () -> Sql.Run.query ctx src)))
+    [ "SELECT provider + 1 FROM orders"; "SELECT -provider FROM orders";
+      "SELECT id FROM orders WHERE amt LIKE 'x%'";
+      "SELECT id FROM orders WHERE amt AND id = 1" ]
 
 let test_in_between_like () =
   let ctx = fresh_ctx () in
@@ -314,6 +326,10 @@ let test_in_between_like () =
        (Sql.Run.scalar ctx
           "SELECT COUNT(*) FROM orders WHERE amt NOT BETWEEN 10 AND 20")
        (Value.Int 2));
+  check_bool "IN compares numbers like =" true
+    (Value.equal
+       (Sql.Run.scalar ctx "SELECT COUNT(*) FROM orders WHERE amt IN (10)")
+       (Value.Int 1));
   check_bool "LIKE prefix" true
     (Value.equal
        (Sql.Run.scalar ctx
@@ -362,6 +378,153 @@ let test_null_semantics () =
   check_bool "sum skips null" true
     (Value.equal (Sql.Run.scalar ctx "SELECT SUM(amt) FROM orders")
        (Value.Float 80.))
+
+(* --- key ranges --- *)
+
+let test_keyed_update_beside_commit () =
+  (* Each keyed UPDATE reads only its own row, so a commit to another row of
+     the same table leaves it valid. *)
+  let catalog = orders_catalog () in
+  let t1, c1 = ctx_of catalog and t2, c2 = ctx_of catalog in
+  check_int "t1 updates row 1" 1
+    (Sql.Run.execute c1 "UPDATE orders SET settled = 'Y' WHERE id = 1");
+  check_int "t2 updates row 4" 1
+    (Sql.Run.execute c2 "UPDATE orders SET settled = 'Y' WHERE id = 4");
+  let commit name t =
+    match Occ.Commit.commit_single t ~epoch:1 ~container:0 with
+    | Ok _ -> ()
+    | Error r -> Alcotest.failf "%s: %s" name (Occ.Commit.fail_message r)
+  in
+  commit "t2" t2;
+  commit "t1" t1;
+  check_bool "both settled" true
+    (Value.equal
+       (Sql.Run.scalar (snd (ctx_of catalog))
+          "SELECT COUNT(*) FROM orders WHERE id IN (1, 4) AND settled = 'Y'")
+       (Value.Int 2))
+
+let lines_schema =
+  Storage.Schema.make ~name:"lines"
+    ~columns:
+      [ ("d", Value.TInt); ("o", Value.TInt); ("x", Value.TFloat);
+        ("touched", Value.TInt) ]
+    ~key:[ "d"; "o" ]
+
+let lines_keys =
+  List.concat_map (fun d -> List.init 5 (fun o -> (d, o))) (List.init 4 Fun.id)
+
+(* 4 x 5 rows keyed (d, o), x NULL where d + o is 0 or 7; the context
+   counts the rows its scans visit. *)
+let lines_ctx () =
+  let catalog = Storage.Catalog.create () in
+  let t = Storage.Catalog.create_table catalog lines_schema in
+  List.iter
+    (fun (d, o) ->
+      let x =
+        if (d + o) mod 7 = 0 then Value.Null
+        else Value.Float (float_of_int ((3 * d + o) mod 5) /. 2.)
+      in
+      ignore
+        (Storage.Table.insert t
+           (Storage.Record.fresh ~absent:false
+              [| Value.Int d; Value.Int o; x; Value.Int 0 |])))
+    lines_keys;
+  let steps = ref 0 in
+  let charge kind n = if kind = `Scan_step then steps := !steps + n in
+  (snd (ctx_of ~charge catalog), steps)
+
+let key_pair row = (Value.to_int row.(0), Value.to_int row.(1))
+
+let test_where_scans_key_range () =
+  List.iter
+    (fun (where, visited) ->
+      let ctx, steps = lines_ctx () in
+      ignore (Sql.Run.query ctx ("SELECT * FROM lines WHERE " ^ where));
+      check_int where visited !steps)
+    [
+      ("d = 1", 5);
+      ("d = 1 AND o = 3", 1);
+      ("x > 0 AND o = 3 AND 1 = d", 1);
+      ("d = 2 AND o BETWEEN 1 AND 2", 2);
+      ("d = 2 AND o > 3", 1);
+      ("d = 2 AND o >= 3", 2);
+      ("d = 2 AND o <= 1", 2);
+      ("d = 2 AND o < 1", 2);
+      ("d > 2", 5);
+      ("d < 1", 5);
+      ("d = 1.0", 20);
+      ("o = 3", 20);
+      ("d = 1 OR d = 2", 20);
+      ("d = NULL", 20);
+    ]
+
+let gen_where =
+  let open QCheck.Gen in
+  let const =
+    frequency
+      [ (6, map string_of_int (int_range (-1) 5));
+        (1, oneofl [ "2.0"; "1.5"; "'a'"; "NULL"; "TRUE" ]) ]
+  in
+  let col = oneofl [ "d"; "o"; "x" ] in
+  let op = oneofl [ "="; "="; "<"; "<="; ">"; ">="; "<>" ] in
+  let atom =
+    frequency
+      [ (4, map3 (Printf.sprintf "%s %s %s") col op const);
+        (1, map3 (Printf.sprintf "%s %s %s") const op col);
+        (1, map3 (Printf.sprintf "%s BETWEEN %s AND %s") col const const);
+        (1, map3 (Printf.sprintf "%s IN (%s, %s)") col const const);
+        (1, map (Printf.sprintf "%s IS NULL") col) ]
+  in
+  let rec term n =
+    if n = 0 then atom
+    else
+      frequency
+        [ (3, atom);
+          (4, map2 (Printf.sprintf "%s AND %s") (term (n - 1)) (term (n - 1)));
+          (1, map2 (Printf.sprintf "(%s OR %s)") (term (n - 1)) (term (n - 1)));
+          (1, map (Printf.sprintf "NOT (%s)") (term (n - 1))) ]
+  in
+  term 3
+
+let prop_key_range_equivalence =
+  QCheck.Test.make ~name:"keyed WHERE touches the rows of a whole-table scan"
+    ~count:500 (QCheck.make ~print:Fun.id gen_where) (fun where ->
+      let expected =
+        let ctx, _ = lines_ctx () in
+        List.map key_pair
+          (Query.Exec.scan ctx "lines"
+             ~where:(Sql.Run.expr (Sql.Parser.parse_expr where)) ())
+      in
+      let check what got =
+        if got <> expected then
+          QCheck.Test.fail_reportf "%s touched %d rows, the scan %d" what
+            (List.length got) (List.length expected)
+      in
+      let ctx, _ = lines_ctx () in
+      check "SELECT"
+        (List.map key_pair
+           (Sql.Run.query ctx ("SELECT d, o FROM lines WHERE " ^ where)));
+      let ctx, _ = lines_ctx () in
+      let n =
+        Sql.Run.execute ctx
+          ("UPDATE lines SET touched = touched + 1 WHERE " ^ where)
+      in
+      let touched =
+        List.filter_map
+          (fun row ->
+            if Value.equal row.(3) (Value.Int 1) then Some (key_pair row)
+            else None)
+          (Query.Exec.scan ctx "lines" ())
+      in
+      check "UPDATE" touched;
+      check_int "UPDATE count" (List.length touched) n;
+      let ctx, _ = lines_ctx () in
+      let n = Sql.Run.execute ctx ("DELETE FROM lines WHERE " ^ where) in
+      let left = List.map key_pair (Query.Exec.scan ctx "lines" ()) in
+      let gone = List.filter (fun k -> not (List.mem k left)) lines_keys in
+      check "DELETE" gone;
+      check_int "DELETE count" (List.length gone) n;
+      true)
 
 (* --- SQL statements as racing transactions --- *)
 
@@ -447,4 +610,9 @@ let suite =
         test_pp_reparse_new_predicates;
       Alcotest.test_case "null semantics" `Quick test_null_semantics;
       Alcotest.test_case "sql under concurrency" `Quick test_sql_under_concurrency;
+      Alcotest.test_case "keyed UPDATE commits beside a commit to another row"
+        `Quick test_keyed_update_beside_commit;
+      Alcotest.test_case "WHERE scans only its key range" `Quick
+        test_where_scans_key_range;
+      QCheck_alcotest.to_alcotest prop_key_range_equivalence;
     ] )
