@@ -23,10 +23,10 @@ type job = unit -> unit
 (* Mailbox traffic is typed so a thief can tell relocatable work apart:
    [Root] is an admitted root transaction, parameterized over the executor
    that actually runs it — work stealing and cost routing rebind it. [Job]
-   is internal traffic (fiber resumptions, 2PC votes and acks, forwarding
-   hops, snapshots), which is never stolen: it must run on the exact domain
-   it was addressed to. *)
-type msg = Job of job | Root of (exec -> unit)
+   is internal traffic (sub-calls, 2PC votes and acks, forwarding hops,
+   snapshots) and [Resume] a suspended fiber's continuation; neither is
+   ever stolen: each must run on the exact domain it was addressed to. *)
+type msg = Job of job | Root of (exec -> unit) | Resume of job
 
 and exec = {
   eid : int;
@@ -77,10 +77,12 @@ let record_fatal (db : t) e =
 (* ------------------------------------------------------------------ *)
 (* Per-domain fiber scheduler. A fiber is any mailbox job run under the
    [Suspend] handler; suspension registers a waker that re-enqueues the
-   one-shot continuation on the fiber's home domain. Plain [Condition]
-   blocking would deadlock here (domain A waiting on a reply from B while B
-   waits on a reply from A); suspending keeps every domain draining its
-   mailbox, which is what guarantees progress. *)
+   one-shot continuation on the fiber's home domain as a [Resume]. The
+   continuation keeps the handler it suspended under, so a resumption runs
+   bare: no fresh fiber or handler. Plain [Condition] blocking would
+   deadlock here (domain A waiting on a reply from B while B waits on a
+   reply from A); suspending keeps every domain draining its mailbox,
+   which is what guarantees progress. *)
 
 type _ Effect.t += Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
@@ -100,13 +102,14 @@ let run_fiber (db : t) ex job =
             Some
               (fun (k : (a, unit) continuation) ->
                 register (fun v ->
-                    Mailbox.push ex.mb (Job (fun () -> continue k v))))
+                    Mailbox.push ex.mb (Resume (fun () -> continue k v))))
           | _ -> None);
     }
 
 let run_msg db ex = function
   | Job j -> run_fiber db ex j
   | Root r -> run_fiber db ex (fun () -> r ex)
+  | Resume k -> k ()
 
 (* Work stealing: an idle domain raids the deepest peer mailbox for [Root]
    messages (DESIGN.md §8 — internal traffic is never relocatable). The
@@ -137,7 +140,7 @@ let try_steal (db : t) ex =
   | Some victim -> (
     match
       Mailbox.steal_half victim.mb
-        ~stealable:(function Root _ -> true | Job _ -> false)
+        ~stealable:(function Root _ -> true | Job _ | Resume _ -> false)
     with
     | [] -> None
     | first :: rest ->
@@ -227,18 +230,22 @@ let fiber_await (iv : 'a Ivar.t) : 'a =
 (* ------------------------------------------------------------------ *)
 (* Per-root platform state, next to the shared [Lifecycle.root]. A root's
    sub-transactions on different containers run in parallel: each writes
-   only its own container's slice of the [Occ.Txn.t] context. [rmu.(c)]
-   keeps the root's frames on container [c] exclusive. Under affinity
-   routing every such frame runs on domain [c], one fiber at a time, so
-   the lock is never contended; it matters when a stolen or cost-routed
-   root body runs container [c]'s frames on another domain while a nested
-   call into [c] runs on [c]'s own. A frame releases its lock across every
-   suspension, so the lock is never held by a blocked fiber; a fiber holds
-   at most one such lock and takes none while holding it, hence no
-   hold-and-wait and no deadlock. *)
+   only its own container's slice of the [Occ.Txn.t] context. A shipped
+   frame ([P.call]) is a [Job], never stolen, so it runs on its container's
+   owner domain, and the root's frames on one container are serialized by
+   that domain. The one exception is the root body itself when a thief or
+   the cost router ran it on a domain other than its home: it then touches
+   the home slice while a nested call shipped into [home] runs on [home]'s
+   own domain. [rmu] exists only for that root, and it is taken only by
+   the body and by frames on [home]; under affinity routing no lock is
+   created or taken. A frame releases its lock across every suspension, so
+   the lock is never held by a blocked fiber; a fiber holds at most one
+   such lock and takes none while holding it, hence no hold-and-wait and
+   no deadlock. *)
 
 type rx = {
-  rmu : Mutex.t array;  (* one per container *)
+  rhome : int;  (* the home container the body was admitted for *)
+  rmu : Mutex.t option;  (* [Some] only when the body runs off [rhome] *)
   rgen : int;
       (* placement generation stamped at registration ([submit]); a root
          with [rgen] <= a migration's cutoff may keep using the old home —
@@ -246,6 +253,9 @@ type rx = {
 }
 
 type root = rx Lifecycle.root
+
+(* The lock a frame of [rx]'s root on [container] holds, if any. *)
+let frame_lock rx container = if container = rx.rhome then rx.rmu else None
 
 (* Every lifecycle timestamp — submit, phase boundaries, completion — must
    come from this one function: floats at the microsecond scale (~1e15)
@@ -299,10 +309,11 @@ let durable_epoch (db : t) =
 (* ------------------------------------------------------------------ *)
 (* The runtime as a lifecycle platform (DESIGN.md §5.2): wall clock,
    fibers suspended across every wait, no cost charging. Commit steps run
-   on the root's fiber with every [rmu] released — all children have
-   completed, so the transaction context is quiescent — and the mailbox
-   and ivar mutexes give the coordinator happens-before edges to every
-   participant's writes. *)
+   on the root's fiber with its frame lock released — all children have
+   completed, so the transaction context is quiescent. The coordinator sees
+   every participant's writes through happens-before edges: the mailbox
+   mutex on the way to a participant, and the ivar's publishing CAS on the
+   way back. *)
 
 (* The resolved future every posted install returns. *)
 let posted =
@@ -329,11 +340,11 @@ module P = struct
     else None
 
   (* Ship the body to the owning domain, where it runs beside the caller.
-     It takes its container's [rmu] before touching that container's
-     slice; under affinity routing nothing else holds it, and a holder on
-     another domain is a running (never suspended) fiber, so the wait is
-     finite. The home is re-read at dispatch time — for a parked call that
-     is after the flip. *)
+     A frame into the home of an off-home root body takes the root's lock
+     first; its only other holder is that body on another domain, a
+     running (never suspended) fiber, so the wait is finite. The home is
+     re-read at dispatch time — for a parked call that is after the
+     flip. *)
   let call (db : db) (root : root) ~from:_ ~on_root_path:_ (tplace : place) ~parked f =
     let iv = Ivar.create () in
     let ship () =
@@ -344,10 +355,10 @@ module P = struct
              (* Chaos: the shipped sub-call stalls before it starts
                 executing on the destination domain. *)
              Chaos.inject_wall db.chaos Chaos.Delay_delivery;
-             let mu = root.rx.rmu.(rex.eid) in
-             Mutex.lock mu;
+             let lock = frame_lock root.rx rex.eid in
+             Option.iter Mutex.lock lock;
              let r = f rex rex.eid in
-             Mutex.unlock mu;
+             Option.iter Mutex.unlock lock;
              Ivar.fill iv r))
     in
     if parked then Pins.Gate.park db.gate tplace.re.bs_name ship
@@ -359,17 +370,17 @@ module P = struct
   (* The shared code peeked already: suspend the fiber until the fill. *)
   let await _ _ iv = Effect.perform (Suspend (fun waker -> Ivar.on_fill iv waker))
 
-  (* Await a child with the frame's container lock released: other frames
+  (* Await a child with the frame's lock, if any, released: other frames
      of the root on that container may need it meanwhile. On the root path
      the blocked window (suspension until the waker fires, plus
      re-acquiring the lock) is stamped into the trace. *)
   let await_sub db (root : root) ex ~container ~on_root_path iv =
     let timed = on_root_path && Obs.Trace.enabled root.tr in
     let t0 = if timed then now_us () else 0. in
-    let mu = root.rx.rmu.(container) in
-    Mutex.unlock mu;
+    let lock = frame_lock root.rx container in
+    Option.iter Mutex.unlock lock;
     let r = await db ex iv in
-    Mutex.lock mu;
+    Option.iter Mutex.lock lock;
     if timed then Obs.Trace.add root.tr Obs.Phase.Suspend_wait (now_us () -. t0);
     r
 
@@ -422,7 +433,8 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
   let txn = Bootstrap.next_txn db in
   let root =
     L.root db ~txn ~retry ~t_start:t_submit ?deadline_us ~settle ~readonly:ro
-      { rmu = Array.init (Array.length db.own.execs) (fun _ -> Mutex.create ());
+      { rhome = home;
+        rmu = (if ex.eid <> home then Some (Mutex.create ()) else None);
         rgen }
   in
   let verdict =
@@ -432,10 +444,9 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
     else begin
       (* Queue wait: submit → this job running on the home domain,
          including any round-robin forwarding hop and mailbox residence. *)
-      let mu = root.rx.rmu.(home) in
-      Mutex.lock mu;
+      Option.iter Mutex.lock root.rx.rmu;
       let res = L.run_body db root place ~home ex ~queued_since:t_submit ~proc ~args in
-      Mutex.unlock mu;
+      Option.iter Mutex.unlock root.rx.rmu;
       L.decide db root ~coord:ex res
     end
   in

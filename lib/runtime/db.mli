@@ -25,11 +25,12 @@
     A root transaction's context ([Occ.Txn.t]) keeps one slice per
     container, and each sub-transaction writes only its own container's
     slice, so a root's sub-transactions on other domains run at the same
-    time as their caller. The frames of one root on one container take a
-    per-root, per-container lock (released across suspension points),
-    which is uncontended under affinity routing and keeps a stolen or
-    cost-routed root body exclusive with nested calls into its home
-    container. Different roots run fully in parallel.
+    time as their caller. The frames of one root on one container run on
+    that container's domain, which serializes them. Only a stolen or
+    cost-routed root body runs elsewhere: such a root takes a lock
+    (released across suspension points) that keeps its body exclusive
+    with nested calls into its home container. Under affinity routing no
+    lock is created. Different roots run fully in parallel.
 
     [executors_per_container] counts and [mpl] from the config are ignored
     (one domain per container; admission is the client's concern), and the

@@ -70,7 +70,12 @@ let rec expr ?(params = []) e =
   | Ast.Or (a, b) -> Or (tr a, tr b)
   | Ast.Not a -> Not (tr a)
   | Ast.Arith (op, a, b) -> Arith (op, tr a, tr b)
-  | Ast.Neg a -> Neg (tr a)
+  | Ast.Neg a -> (
+    (* a negated number is a constant, so [key_range] can push it *)
+    match tr a with
+    | Const (Value.Int i) -> Const (Value.Int (-i))
+    | Const (Value.Float f) -> Const (Value.Float (-.f))
+    | a -> Neg a)
   | Ast.Is_null a -> IsNull (tr a)
   | Ast.In (_, []) -> Const (Value.Bool false)
   | Ast.In (a, v :: vs) ->

@@ -1026,6 +1026,122 @@ let test_cost_router () =
     (Audit.money ~n (RDb.catalogs db));
   Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
+(* An off-home root body against a frame shipped into its home. Roots on
+   acct0..acct7 (container 0) credit another of them through [relay] on
+   acct8 or acct9 (containers 1 and 2). After issuing the credit, a root
+   body debits itself and keeps working for [spin_us] inside its home
+   section, flagged by its token. With the cost router and stealing moving
+   bodies off container 0, the credit runs on container 0's own domain
+   while such a body runs on another; the root's frame lock must hold the
+   credit back until the body suspends, so no credit ever sees its body's
+   flag up. Every root commits or loses an OCC conflict, every balance is
+   exact, and the history certifies. *)
+let test_off_home_frame_lock () =
+  let n_roots = 400 and spin_us = 100. in
+  let inside = Array.init n_roots (fun _ -> Atomic.make false) in
+  let overlaps = Atomic.make 0 in
+  let proc = Reactor.find_proc Testlib.account_type in
+  let deposit = proc "deposit" in
+  let credit_checked ctx args =
+    if Atomic.get inside.(Reactor.arg_int args 0) then Atomic.incr overlaps;
+    deposit ctx [ List.nth args 1 ]
+  in
+  let spin_transfer ctx args =
+    let token = Reactor.arg_int args 3 and amount = Reactor.arg_float args 2 in
+    Atomic.set inside.(token) true;
+    let f =
+      ctx.Reactor.call ~reactor:(Reactor.arg_str args 0) ~proc:"relay"
+        ~args:[ List.nth args 1; Value.Str "credit_checked"; Value.Int token;
+                Value.Float amount ]
+    in
+    ignore (deposit ctx [ Value.Float (-.amount) ]);
+    let t0 = Unix.gettimeofday () in
+    while (Unix.gettimeofday () -. t0) *. 1e6 < spin_us do () done;
+    Atomic.set inside.(token) false;
+    ignore (f.Reactor.get ());
+    Value.Null
+  in
+  let rtype =
+    Reactor.rtype ~name:"Account" ~schemas:[ Testlib.acct_schema ]
+      ~procs:
+        [ ("get_balance", proc "get_balance"); ("deposit", deposit);
+          ("relay", proc "relay"); ("credit_checked", credit_checked);
+          ("spin_transfer", spin_transfer) ]
+      ()
+  in
+  let home = function "acct8" -> 1 | "acct9" -> 2 | _ -> 0 in
+  let cfg =
+    Reactdb.Config.custom ~executors_per_container:[| 1; 1; 1 |]
+      ~router:Reactdb.Config.Cost ~placement:home ()
+  in
+  let db = RDb.start ~steal:true (Testlib.bank_decl ~initial:1000. ~rtype 10) cfg in
+  RDb.enable_history db;
+  let net = Array.init 8 (fun _ -> Atomic.make 0) in
+  let committed = Atomic.make 0 and lost = Atomic.make 0 and other = Atomic.make 0 in
+  for round = 0 to 19 do
+    for i = 0 to 19 do
+      let src = i mod 8 and dst = (i + round + 1) mod 8 in
+      let dst = if dst = src then (dst + 1) mod 8 else dst in
+      let via = if i mod 2 = 0 then "acct8" else "acct9" in
+      RDb.submit db ~reactor:(Printf.sprintf "acct%d" src) ~proc:"spin_transfer"
+        ~args:[ Value.Str via; Value.Str (Printf.sprintf "acct%d" dst); Value.Float 1.;
+                Value.Int ((20 * round) + i) ]
+        ~k:(fun out ->
+          match out.RDb.result, abort_kind out with
+          | Ok _, _ ->
+            Atomic.incr committed;
+            Atomic.decr net.(src);
+            Atomic.incr net.(dst)
+          | Error _, Some (Obs.Abort.Conflict | Lock_busy | Stale_read | Node_changed) ->
+            Atomic.incr lost
+          | Error _, _ -> Atomic.incr other)
+    done;
+    RDb.quiesce db
+  done;
+  Testlib.audit "no fatals" (Audit.fatal db);
+  let off_home =
+    RDb.n_steals db
+    + Array.fold_left (fun a s -> a + s.RDb.ss_routed_by_cost) 0 (RDb.sched_stats db)
+  in
+  RDb.shutdown db;
+  check_bool "some bodies ran off home" true (off_home > 0);
+  check_int "no credit ran beside its own body" 0 (Atomic.get overlaps);
+  check_int "no other abort" 0 (Atomic.get other);
+  check_int "every root accounted" n_roots (Atomic.get committed + Atomic.get lost);
+  check_bool "made progress" true (Atomic.get committed > 0);
+  let balances = List.map (fun (name, bal, _) -> (name, bal)) (stored db) in
+  Array.iteri
+    (fun k d ->
+      let name = Printf.sprintf "acct%d" k in
+      check_float name (1000. +. float_of_int (Atomic.get d)) (List.assoc name balances))
+    net;
+  check_float "acct8 untouched" 1000. (List.assoc "acct8" balances);
+  check_float "acct9 untouched" 1000. (List.assoc "acct9" balances);
+  check_float "money conserved" 10_000. (List.fold_left (fun a (_, b) -> a +. b) 0. balances);
+  Testlib.audit "history serializable" (Audit.certify (RDb.history db))
+
+(* A procedure raising in a frame on another container: the root suspends
+   on the child, resumes on the handler it suspended under, and ends as an
+   [Internal] abort counted once as a fatal, as a raising root body is in
+   [test_abort_buckets_sum_runtime]; the database keeps committing. *)
+let test_remote_raise_after_resume () =
+  let db = RDb.start (Testlib.bank_decl 4) (Testlib.sn_config 4) in
+  let out =
+    RDb.exec_txn db ~reactor:"acct0" ~proc:"relay"
+      ~args:[ Value.Str "acct3"; Value.Str "boom" ]
+  in
+  check_bool "remote raise is internal" true (abort_kind out = Some Obs.Abort.Internal);
+  check_int "internal bucket" 1 (List.assoc "internal" (RDb.aborts_by_reason db));
+  check_int "one fatal" 1 (RDb.n_fatal db);
+  let ok =
+    RDb.exec_txn db ~reactor:"acct0" ~proc:"transfer_to"
+      ~args:[ Value.Str "acct3"; Value.Float 5. ]
+  in
+  check_bool "then a transfer commits" true (Result.is_ok ok.RDb.result);
+  check_float "debited" 95. (balance db "acct0");
+  check_float "credited" 105. (balance db "acct3");
+  RDb.shutdown db
+
 (* ------------------------------------------------------------------ *)
 (* Deferred admission: a root resubmitted after losing a conflict
    ([~retry:1]) waits until its executor has nothing else queued. The one
@@ -1672,6 +1788,10 @@ let suite =
       Alcotest.test_case "work stealing: smallbank conservation" `Quick
         test_steal_smallbank;
       Alcotest.test_case "cost router" `Quick test_cost_router;
+      Alcotest.test_case "off-home body against a frame into its home" `Quick
+        test_off_home_frame_lock;
+      Alcotest.test_case "remote raise resumes on its own handler" `Quick
+        test_remote_raise_after_resume;
       Alcotest.test_case "retried root waits for an idle executor" `Quick
         test_retry_waits_for_idle;
       Alcotest.test_case "ycsb theta 0.99 with retries" `Quick

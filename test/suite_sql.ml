@@ -413,9 +413,9 @@ let lines_schema =
 let lines_keys =
   List.concat_map (fun d -> List.init 5 (fun o -> (d, o))) (List.init 4 Fun.id)
 
-(* 4 x 5 rows keyed (d, o), x NULL where d + o is 0 or 7; the context
-   counts the rows its scans visit. *)
-let lines_ctx () =
+(* 4 x 5 rows keyed (d, o), plus the [extra] keys, x NULL where d + o is
+   0 or 7; the context counts the rows its scans visit. *)
+let lines_ctx ?(extra = []) () =
   let catalog = Storage.Catalog.create () in
   let t = Storage.Catalog.create_table catalog lines_schema in
   List.iter
@@ -428,7 +428,7 @@ let lines_ctx () =
         (Storage.Table.insert t
            (Storage.Record.fresh ~absent:false
               [| Value.Int d; Value.Int o; x; Value.Int 0 |])))
-    lines_keys;
+    (lines_keys @ extra);
   let steps = ref 0 in
   let charge kind n = if kind = `Scan_step then steps := !steps + n in
   (snd (ctx_of ~charge catalog), steps)
@@ -456,6 +456,24 @@ let test_where_scans_key_range () =
       ("o = 3", 20);
       ("d = 1 OR d = 2", 20);
       ("d = NULL", 20);
+    ]
+
+(* A negative constant bounds the key range like a positive one: the
+   parser reads [-1] as a negation of the literal 1. An empty range still
+   charges one step, for its seek. *)
+let test_where_negative_key_range () =
+  List.iter
+    (fun (where, rows, visited) ->
+      let ctx, steps = lines_ctx ~extra:[ (-1, -2) ] () in
+      let got = Sql.Run.query ctx ("SELECT * FROM lines WHERE " ^ where) in
+      check_int (where ^ ": rows") rows (List.length got);
+      check_int (where ^ ": visited") visited !steps)
+    [
+      ("d < -1", 0, 1);
+      ("d <= -1", 1, 1);
+      ("d = -1 AND o = -2", 1, 1);
+      ("d = 0 AND o > -1", 5, 5);
+      ("d = -1 AND o = - -2", 0, 1);
     ]
 
 let gen_where =
@@ -614,5 +632,7 @@ let suite =
         `Quick test_keyed_update_beside_commit;
       Alcotest.test_case "WHERE scans only its key range" `Quick
         test_where_scans_key_range;
+      Alcotest.test_case "WHERE bounds a key range by a negative constant" `Quick
+        test_where_negative_key_range;
       QCheck_alcotest.to_alcotest prop_key_range_equivalence;
     ] )

@@ -209,7 +209,8 @@ let account_type =
 
 let names n = List.init n (fun i -> Printf.sprintf "acct%d" i)
 
-let bank_decl ?(initial = 100.) n =
+(* [n] accounts of type [rtype], named "Account" like {!account_type}. *)
+let bank_decl ?(initial = 100.) ?(rtype = account_type) n =
   let loader _name catalog =
     let tbl = Storage.Catalog.table catalog "acct" in
     ignore
@@ -217,7 +218,7 @@ let bank_decl ?(initial = 100.) n =
          (Storage.Record.fresh ~absent:false
             [| Value.Int 0; Value.Float initial |]))
   in
-  Reactor.decl ~types:[ account_type ]
+  Reactor.decl ~types:[ rtype ]
     ~reactors:(List.map (fun nm -> (nm, "Account")) (names n))
     ~loaders:(List.map (fun nm -> (nm, loader nm)) (names n))
     ()
