@@ -122,6 +122,14 @@ let report (r : Harness.run_result) =
              (fun u -> Printf.sprintf "%.0f%%" (100. *. u))
              r.utilizations)))
 
+(* Certify a recorded history: print the verdict, exit 1 on a violation. *)
+let certify_history h =
+  match Audit.certify h with
+  | Ok n -> Printf.printf "history         serializable (%d transactions)\n" n
+  | Error m ->
+    Printf.printf "history         VIOLATION: %s\n" m;
+    exit 1
+
 let run_cmd workload scale theta workers strategy executors mpl config_file
     duration_ms certify profile_name wal_path trace trace_json
     deadline_ms mailbox_cap chaos_spec =
@@ -193,13 +201,7 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
     Printf.printf "log entries     %12d  (%d group-commit flushes)\n" (Wal.length log)
       (DB.n_log_flushes db);
     Wal.close log);
-  if certify then
-    match Audit.certify (DB.history db) with
-    | Ok n ->
-      Printf.printf "history         serializable (%d transactions)\n" n
-    | Error m ->
-      Printf.printf "history         VIOLATION: %s\n" m;
-      exit 1
+  if certify then certify_history (DB.history db)
 
 (* Real-parallel backend: one OCaml 5 domain per container, wall-clock
    time. Overload knobs (--deadline-ms, --mailbox-cap, --chaos) apply per
@@ -214,7 +216,8 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
    first abort after the fence, so the rest of the run counts at most one
    fenced abort per worker and no commit. *)
 let run_parallel_cmd workload scale theta workers domains duration_ms retries
-    deadline_ms mailbox_cap chaos_spec router steal replicas failover_at_ms =
+    deadline_ms mailbox_cap chaos_spec router steal replicas failover_at_ms
+    certify =
   let decl, reactors, gen = build_workload workload ~scale ~theta in
   let config =
     Reactdb.Config.(of_groups ~router (chunk domains reactors))
@@ -222,6 +225,7 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
   let chaos = chaos_of_spec chaos_spec in
   let wal = if replicas > 0 then Some (Wal.in_memory ()) else None in
   let db = Runtime.Db.start ~chaos ?mailbox_cap ~steal ?wal decl config in
+  if certify then Runtime.Db.enable_history db;
   Printf.printf "reactors=%d domains=%d workers=%d router=%s%s%s%s%s\n%!"
     (List.length reactors) (Runtime.Db.n_domains db) workers
     (Reactdb.Config.router_name router)
@@ -341,6 +345,7 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
         (Runtime.Db.n_committed db - !committed_at_fence)
     | Some (Error e) -> Printf.printf "failover drill  REFUSED: %s\n" e
     | None -> ());
+  if certify then certify_history (Runtime.Db.history db);
   match Audit.fatal db with
   | Ok () -> ()
   | Error m ->
@@ -607,7 +612,7 @@ let run_parallel_term =
     const run_parallel_cmd $ workload_arg $ scale_arg $ theta_arg
     $ workers_arg $ domains_arg $ wall_duration_arg $ retries_arg
     $ deadline_arg $ mailbox_cap_arg $ chaos_arg $ router_arg $ steal_arg
-    $ replicas_arg $ failover_at_arg)
+    $ replicas_arg $ failover_at_arg $ certify_arg)
 
 let run_parallel_info =
   Cmd.info "run-parallel"

@@ -62,7 +62,12 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
+let float_col schema c =
+  let i = Storage.Schema.column_index schema c in
+  fun row -> Util.Value.to_float row.(i)
+
 let tpcc_warehouse w cat =
+  let w_s, whs = live_rows cat "warehouse" in
   let d_s, districts = live_rows cat "district" in
   let o_s, orders = live_rows cat "orders" in
   let n_s, new_orders = live_rows cat "new_order" in
@@ -87,6 +92,21 @@ let tpcc_warehouse w cat =
       if d_next drow - 1 <> m then
         bad "%s district %d: next_o_id %d after max(o_id) %d" w d (d_next drow) m)
     districts;
+  (* 1'. the spec's first condition, as growth since load: the
+     warehouse's ytd grew by the sum of its districts' ytd growth. Payment
+     amounts are arbitrary floats, summed in different orders. *)
+  let w_ytd = float_col w_s "ytd" and d_ytd = float_col d_s "ytd" in
+  let w_growth =
+    List.fold_left (fun a wrow -> a +. w_ytd wrow -. Workloads.Tpcc.w_ytd_at_load) 0. whs
+  in
+  let d_growth =
+    List.fold_left
+      (fun a drow -> a +. d_ytd drow -. Workloads.Tpcc.d_ytd_at_load)
+      0. districts
+  in
+  if Float.abs (w_growth -. d_growth) > 1e-6 *. (1. +. Float.abs w_growth) then
+    bad "%s: warehouse ytd grew by %.2f, its districts' by %.2f" w w_growth
+      d_growth;
   (* 2. every new-order is an undelivered order, and 3. per district the
      new-order o_ids are one contiguous range *)
   let n_d = int_col n_s "d_id" and n_o = int_col n_s "o_id" in

@@ -28,8 +28,10 @@ val secondaries : (string * Storage.Catalog.t) list -> (unit, string) result
 
 (** TPC-C's consistency conditions over each warehouse's catalog, checked
     physically on live rows (after a run, or after quiescence on the
-    runtime): (1) a district's [next_o_id - 1] is its largest order id;
-    (2) every new-order row belongs to an undelivered order (carrier 0);
+    runtime): (1) a district's [next_o_id - 1] is its largest order id,
+    and the warehouse's [ytd] grew since load by the sum of its
+    districts' [ytd] growth (within a relative 1e-6, since payment amounts
+    are floats summed in different orders); (2) every new-order row belongs to an undelivered order (carrier 0);
     (3) per district, the new-order ids form one contiguous range — a
     delivery takes the oldest, a new order appends the next; (4) every
     order has exactly [ol_cnt] order lines. *)

@@ -32,6 +32,7 @@ let fail_message = function
 
 exception Invalid
 
+
 let prepare txn ~container =
   let id = Txn.id txn in
   (* Updates/deletes of this container only, locked in global rid order:
@@ -71,6 +72,18 @@ let prepare txn ~container =
             match Storage.Record.locked_by r with
             | None -> ()
             | Some owner -> if owner <> id then raise Invalid);
+        (* A projected read also passes a moved TID when no install has
+           changed one of its columns: the table's mask only grows, and
+           every install ORs into it before publishing its TID. *)
+        if has_col_reads txn ~container then
+          iter_col_reads_in txn ~container ~f:(fun c ->
+              if
+                c.crec.Storage.Record.tid <> c.cseen
+                && c.cmask land c.ctable.Storage.Table.changed <> 0
+              then raise Invalid;
+              match Storage.Record.locked_by c.crec with
+              | None -> ()
+              | Some owner -> if owner <> id then raise Invalid);
         true
       with Invalid -> false
     in
@@ -131,7 +144,10 @@ let compute_tid txn ~epoch =
   List.iter
     (fun c ->
       Txn.iter_reads_in txn ~container:c ~f:(fun _ observed ->
-          if observed > !hi then hi := observed))
+          if observed > !hi then hi := observed);
+      if Txn.has_col_reads txn ~container:c then
+        Txn.iter_col_reads_in txn ~container:c ~f:(fun r ->
+            if r.cseen > !hi then hi := r.cseen))
     (Txn.containers txn);
   Txn.iter_all_writes txn ~f:(fun e ->
       let t = e.wrec.Storage.Record.tid in
@@ -146,13 +162,25 @@ let compute_tid txn ~epoch =
    — as inline GC. Every insert or delete also reclaims its table's
    tombstones deleted at or before [horizon] (DESIGN.md §10.3). Without
    [horizon] the original single-version Silo install runs: no chains,
-   deletes physically unlink. *)
+   deletes physically unlink. Either way an update ORs the columns it
+   changes, and a delete every column, into its table's [changed] mask
+   before it publishes its TID, so a projected read validated after the
+   TID moved sees the mask too. *)
+(* The mask saturates early (a table's updates keep changing the same
+   columns), so it is written only when it grows: a store per install
+   would keep the table's cache line moving between the domains whose
+   tables share it. *)
+let mark_changed tbl cols =
+  let m = tbl.Storage.Table.changed in
+  if cols land lnot m <> 0 then tbl.Storage.Table.changed <- m lor cols
+
 let install ?horizon txn ~container ~tid =
   let id = Txn.id txn in
   iter_writes_in txn ~container ~f:(fun e ->
       let r = e.wrec in
       (match e.kind with
       | Update data ->
+        mark_changed e.wtable (Storage.Table.changed_cols r.Storage.Record.data data);
         (match horizon with
         | Some h ->
           Storage.Record.retire r ~new_tid:tid;
@@ -165,6 +193,7 @@ let install ?horizon txn ~container ~tid =
           Storage.Table.update_data e.wtable r data;
           r.Storage.Record.tid <- tid)
       | Delete -> (
+        mark_changed e.wtable Storage.Table.all_cols;
         match horizon with
         | Some h ->
           Storage.Record.retire r ~new_tid:tid;

@@ -13,7 +13,10 @@
 
     Prepare order within a container: (1) lock updates/deletes in global
     record order (no-wait), (2) validate the read set (observed TID unchanged
-    and record not locked by another transaction), (3) validate the node set
+    and record not locked by another transaction; a projected read
+    ({!Txn.read_cols}) may instead find its TID moved if its column mask is
+    disjoint from its table's {!Storage.Table.t.changed}), (3) validate the
+    node set
     (leaf versions unchanged — phantom freedom), (4) reserve buffered inserts
     in the index as absent, locked records. Reservation comes last so the
     transaction's own structural changes cannot invalidate its own
@@ -32,7 +35,10 @@
     policies in the load harnesses — every one of these is transient. *)
 type fail_reason =
   | Lock_busy  (** no-wait write-lock acquisition lost to a concurrent committer *)
-  | Stale_read  (** a read's TID changed, or its record is locked by another txn *)
+  | Stale_read
+      (** a read's TID changed (for a projected read: and an install has
+          changed one of its columns), or its record is locked by another
+          txn *)
   | Node_changed  (** a node witness (phantom protection) changed version *)
   | Key_exists  (** an insert's reservation found a committed duplicate *)
 
@@ -50,7 +56,9 @@ val prepare : Txn.t -> container:int -> (unit, fail_reason) result
 val compute_tid : Txn.t -> epoch:int -> int
 
 (** Phase two, success: make writes visible in [container] at [tid] and drop
-    all locks.
+    all locks. Before an update publishes its TID it ORs the columns it
+    changes ({!Storage.Table.changed_cols}) into its table's
+    {!Storage.Table.t.changed}; a delete ORs every column.
 
     With [?horizon] the install also publishes multi-version state for
     snapshot readers: each overwritten version retires into its record's

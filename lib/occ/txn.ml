@@ -26,6 +26,15 @@ type write_entry = {
          grafted into the new record's version chain at install *)
 }
 
+(* A projected read: the columns of [cmask] of [crec], in [ctable], read
+   at TID [cseen]. *)
+type col_read = {
+  crec : Storage.Record.t;
+  cseen : int;
+  cmask : int;
+  ctable : Storage.Table.t;
+}
+
 (* One container's slice of the transaction context: everything a
    sub-transaction on that container mutates, so slices of different
    containers can be written in parallel. Built at insertion time, so the
@@ -33,6 +42,8 @@ type write_entry = {
    the whole read/write/node sets (§3.2's lean Silo commit path). *)
 type slice = {
   reads : (Storage.Record.t * int) Util.Vec.t; (* (record, observed tid) *)
+  mutable col_reads : col_read Util.Vec.t;
+      (* [no_col_reads] until the slice's first projected read *)
   writes : write_entry Util.Vec.t; (* includes dead entries *)
   nodes : Storage.Table.witness Util.Vec.t;
   mutable live : int; (* live entries in [writes] *)
@@ -46,6 +57,10 @@ type slice = {
       (* table uid -> entries (live and dead), for own-write visibility scans
          in the query layer; created on the first write *)
 }
+
+(* Shared by every slice without projected reads and never pushed to, so
+   a slice pays for its own vector only when it makes such a read. *)
+let no_col_reads : col_read Util.Vec.t = Util.Vec.create ()
 
 (* Small-set rule: while a slice holds at most [small] reads (write
    entries), it deduplicates reads (finds its own writes) by scanning them;
@@ -72,7 +87,8 @@ let slice t c =
   | Some s -> s
   | None ->
     let s =
-      { reads = Util.Vec.create (); writes = Util.Vec.create ();
+      { reads = Util.Vec.create (); col_reads = no_col_reads;
+        writes = Util.Vec.create ();
         nodes = Util.Vec.create (); live = 0; read_rids = None;
         write_rids = None; inserts = None; by_table = None }
     in
@@ -185,12 +201,12 @@ let own_inserts_for t ~container ~table =
         | _ -> acc)
       [] v
 
+let read_seen s rid =
+  match s.read_rids with Some h -> Hashtbl.mem h rid | None -> scan_read s rid
+
 let note_read s record =
   let rid = record.Storage.Record.rid in
-  let seen =
-    match s.read_rids with Some h -> Hashtbl.mem h rid | None -> scan_read s rid
-  in
-  if not seen then begin
+  if not (read_seen s rid) then begin
     Util.Vec.push s.reads (record, record.Storage.Record.tid);
     match s.read_rids with
     | Some h -> Hashtbl.add h rid ()
@@ -215,6 +231,30 @@ let read t ~container record =
     note_read s record;
     if record.Storage.Record.absent then None
     else Some record.Storage.Record.data
+
+(* A whole-row read of the same record already validates it, so a
+   projected read after one adds nothing. One of a dead row reads the
+   row's existence, every column of it: it is recorded whole. *)
+let read_cols t ~container ~table ~cols record =
+  let s = slice t container in
+  match find_write s record with
+  | Some { kind = Update data; _ } -> Some data
+  | Some { kind = Delete; _ } -> None
+  | Some { kind = Insert; wrec; _ } -> Some wrec.Storage.Record.data
+  | None ->
+    if record.Storage.Record.absent then begin
+      note_read s record;
+      None
+    end
+    else begin
+      if not (read_seen s record.Storage.Record.rid) then begin
+        if s.col_reads == no_col_reads then s.col_reads <- Util.Vec.create ();
+        Util.Vec.push s.col_reads
+          { crec = record; cseen = record.Storage.Record.tid; cmask = cols;
+            ctable = table }
+      end;
+      Some record.Storage.Record.data
+    end
 
 let write t ~container ~table ~key record data =
   Storage.Schema.validate table.Storage.Table.schema data;
@@ -291,6 +331,16 @@ let iter_reads_in t ~container ~f =
   | None -> ()
   | Some s -> Util.Vec.iter (fun (r, observed) -> f r observed) s.reads
 
+let has_col_reads t ~container =
+  match slice_opt t container with
+  | None -> false
+  | Some s -> not (Util.Vec.is_empty s.col_reads)
+
+let iter_col_reads_in t ~container ~f =
+  match slice_opt t container with
+  | None -> ()
+  | Some s -> Util.Vec.iter f s.col_reads
+
 let iter_writes_in t ~container ~f =
   match slice_opt t container with
   | None -> ()
@@ -304,21 +354,22 @@ let iter_nodes_in t ~container ~f =
 let ops_in t ~container =
   match slice_opt t container with
   | None -> 0
-  | Some s -> Util.Vec.length s.reads + s.live
+  | Some s -> Util.Vec.length s.reads + Util.Vec.length s.col_reads + s.live
 
 (* A read record guarded by the slice's own write lock: a live update or
    delete of that same record. *)
+let covered s r =
+  match find_write s r with
+  | Some { kind = Update _ | Delete; _ } -> true
+  | Some { kind = Insert; _ } | None -> false
+
 let reads_covered t ~container =
   match slice_opt t container with
   | None -> true
   | Some s ->
     Util.Vec.is_empty s.nodes
-    && Util.Vec.for_all
-         (fun (r, _) ->
-           match find_write s r with
-           | Some { kind = Update _ | Delete; _ } -> true
-           | Some { kind = Insert; _ } | None -> false)
-         s.reads
+    && Util.Vec.for_all (fun (r, _) -> covered s r) s.reads
+    && Util.Vec.for_all (fun c -> covered s c.crec) s.col_reads
 
 (* ---- list views (tests, history recording) ---- *)
 
@@ -326,6 +377,11 @@ let reads_in t ~container =
   match slice_opt t container with
   | None -> []
   | Some s -> Util.Vec.to_list s.reads
+
+let col_reads_in t ~container =
+  match slice_opt t container with
+  | None -> []
+  | Some s -> Util.Vec.to_list s.col_reads
 
 let writes_in t ~container =
   match slice_opt t container with
@@ -363,5 +419,6 @@ let iter_all_writes t ~f =
 let sum_slices t f =
   Array.fold_left (fun n -> function None -> n | Some s -> n + f s) 0 t.slices
 
-let read_count t = sum_slices t (fun s -> Util.Vec.length s.reads)
+let read_count t =
+  sum_slices t (fun s -> Util.Vec.length s.reads + Util.Vec.length s.col_reads)
 let write_count t = sum_slices t (fun s -> s.live)

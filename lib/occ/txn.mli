@@ -4,6 +4,8 @@
     container the root touches. A slice holds that container's
 
     - {e read set} of (record, observed TID) pairs,
+    - {e projected reads}: (record, observed TID, column mask) of reads
+      that declared the columns they use,
     - {e write set} of buffered updates, deletes and inserts,
     - {e node set} of B+tree leaf witnesses for phantom validation,
 
@@ -58,6 +60,16 @@ type write_entry = {
           install *)
 }
 
+(** A projected read ({!read_cols}): the columns [cmask] (a
+    {!Storage.Table.col_bit} mask) of [crec], a record of [ctable], read at
+    TID [cseen]. *)
+type col_read = private {
+  crec : Storage.Record.t;
+  cseen : int;
+  cmask : int;
+  ctable : Storage.Table.t;
+}
+
 type t
 
 (** A context for a deployment of [containers] containers, numbered from
@@ -76,6 +88,21 @@ val containers : t -> int list
     buffered writes win; otherwise the committed version is returned ([None]
     if logically absent) and the observation is recorded for validation. *)
 val read : t -> container:int -> Storage.Record.t -> Util.Value.t array option
+
+(** [read_cols t ~container ~table ~cols record] is {!read} for a caller
+    that uses only the columns of the mask [cols] of the tuple it returns.
+    The observation is recorded as a projected read, which validation
+    passes while no committed install has changed one of those columns in
+    [table] ({!Storage.Table.t.changed}), even if [record]'s TID moved.
+    A record that is logically absent is recorded as a whole-row read, and
+    a record this slice has read whole is not recorded again. *)
+val read_cols :
+  t ->
+  container:int ->
+  table:Storage.Table.t ->
+  cols:int ->
+  Storage.Record.t ->
+  Util.Value.t array option
 
 (** [write t ~container ~table ~key record data] buffers an update of
     [record] to [data]. *)
@@ -143,13 +170,19 @@ val own_updates_for :
 val iter_reads_in :
   t -> container:int -> f:(Storage.Record.t -> int -> unit) -> unit
 
+(** Whether [container]'s slice holds a projected read, O(1). *)
+val has_col_reads : t -> container:int -> bool
+
+val iter_col_reads_in : t -> container:int -> f:(col_read -> unit) -> unit
+
 (** Live write entries only (cancelled own-inserts are skipped). *)
 val iter_writes_in : t -> container:int -> f:(write_entry -> unit) -> unit
 
 val iter_nodes_in :
   t -> container:int -> f:(Storage.Table.witness -> unit) -> unit
 
-(** Number of reads plus live writes in [container], O(1). *)
+(** Number of reads (whole-row and projected) plus live writes in
+    [container], O(1). *)
 val ops_in : t -> container:int -> int
 
 (** Live write entries of every container, ascending container id then
@@ -157,19 +190,23 @@ val ops_in : t -> container:int -> int
 val iter_all_writes : t -> f:(write_entry -> unit) -> unit
 
 (** [reads_covered t ~container] holds when [container]'s slice has no node
-    witness and every record it read has a live update or delete in the
-    same slice. Such a slice's reads are guarded by its own write locks:
-    once [Commit.prepare] has locked and validated them, no other
-    transaction can change them before this one installs or releases.
-    The 2PC coordinator relies on it to prepare its own container last
+    witness and every record it read, whole or projected, has a live update
+    or delete in the same slice. Such a slice's reads are guarded by its own
+    write locks: once [Commit.prepare] has locked and validated them, no
+    other transaction can change them before this one installs or
+    releases. The 2PC coordinator relies on it to prepare its own container last
     (DESIGN.md §5.2). A slice that does not exist is covered. *)
 val reads_covered : t -> container:int -> bool
 
 (** {1 List views (tests, history recording)} *)
 
 val reads_in : t -> container:int -> (Storage.Record.t * int) list
+val col_reads_in : t -> container:int -> col_read list
 val writes_in : t -> container:int -> write_entry list
 val nodes_in : t -> container:int -> Storage.Table.witness list
 val all_writes : t -> write_entry list
+
+(** Whole-row and projected reads. *)
 val read_count : t -> int
+
 val write_count : t -> int

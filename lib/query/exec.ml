@@ -42,15 +42,36 @@ let ro_guard ctx =
   if ctx.snapshot <> None then
     raise (Occ.Txn.Abort "mutation inside a read-only (snapshot) procedure")
 
-let get ctx tname key =
+(* A projected get finds the row as a whole-row get does, but records
+   only the columns it returns, and returns only those. *)
+let get ?cols ctx tname key =
   let tbl = table ctx tname in
+  let idx =
+    match cols with
+    | None -> None
+    | Some names ->
+      let index c =
+        try Storage.Schema.column_index tbl.Storage.Table.schema c
+        with Not_found ->
+          invalid_arg (Printf.sprintf "Exec.get: no column %S in %S" c tname)
+      in
+      Some (Array.of_list (List.map index names))
+  in
   ctx.charge `Read 1;
-  match Occ.Txn.own_insert ctx.txn ~container:ctx.container ~table:tbl ~key with
-  | Some e -> Some e.Occ.Txn.wrec.Storage.Record.data
-  | None -> (
-    match Storage.Table.find ?on_node:(on_node_opt ctx) tbl key with
-    | Some record -> vis ctx record
-    | None -> None)
+  let row =
+    match Occ.Txn.own_insert ctx.txn ~container:ctx.container ~table:tbl ~key with
+    | Some e -> Some e.Occ.Txn.wrec.Storage.Record.data
+    | None -> (
+      match Storage.Table.find ?on_node:(on_node_opt ctx) tbl key, idx with
+      | None, _ -> None
+      | Some record, Some idx when ctx.snapshot = None ->
+        let cols = Array.fold_left (fun m i -> m lor Storage.Table.col_bit i) 0 idx in
+        Occ.Txn.read_cols ctx.txn ~container:ctx.container ~table:tbl ~cols record
+      | Some record, _ -> vis ctx record)
+  in
+  match idx with
+  | None -> row
+  | Some idx -> Option.map (fun row -> Array.map (Array.get row) idx) row
 
 let insert ctx tname tuple =
   ro_guard ctx;

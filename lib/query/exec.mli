@@ -47,8 +47,20 @@ val schema : ctx -> string -> Storage.Schema.t
 
 (** {1 Point operations} *)
 
-(** [get ctx tname key] is the visible tuple under [key]. *)
-val get : ctx -> string -> Storage.Table.Key.t -> Util.Value.t array option
+(** [get ctx tname key] is the visible tuple under [key].
+
+    [get ~cols ctx tname key] is a {e projected read}, SQL's
+    [SELECT cols ... WHERE key = ...]: it returns only the named columns,
+    in the order named, and records the read for validation as a read of
+    those columns only ({!Occ.Txn.read_cols}). Such a read stays valid
+    while committed installs change only other columns of the table, so a
+    read that is held across round trips does not lose to writers of
+    columns it never uses. A key that names no live row is recorded as a
+    whole-row read. It charges exactly what [get] charges. Raises
+    [Invalid_argument] on an unknown column. *)
+val get :
+  ?cols:string list -> ctx -> string -> Storage.Table.Key.t ->
+  Util.Value.t array option
 
 (** [insert ctx tname tuple] buffers an insert; raises [Occ.Txn.Abort] on
     duplicate key. *)

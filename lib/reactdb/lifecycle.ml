@@ -42,16 +42,33 @@ let redo_writes owner txn =
       | Occ.Txn.Delete -> Wal.Del { reactor; table; key = e.Occ.Txn.wkey })
     (Occ.Txn.all_writes txn)
 
-(* The root's history entry, consed onto [h]: reads as (record, observed
-   TID) pairs from every container's slice. *)
-let record h txn ~tid =
+(* The root's certification entry: reads as (record, observed TID) pairs
+   and projected reads with their masks from every container's slice, and
+   each write with the columns it changes. Taken before the install, with
+   every written record locked, so a record's data is still the version
+   the update replaces. *)
+let history_entry txn ~tid =
   let rid r = r.Storage.Record.rid in
-  let reads c = List.map (fun (r, seen) -> (rid r, seen)) (Occ.Txn.reads_in txn ~container:c) in
-  let e =
-    { Histories.Certify.c_txn = Occ.Txn.id txn; c_tid = tid;
-      c_reads = List.concat_map reads (Occ.Txn.containers txn);
-      c_writes = List.map (fun w -> rid w.Occ.Txn.wrec) (Occ.Txn.all_writes txn) }
+  let slices f = List.concat_map f (Occ.Txn.containers txn) in
+  let changed w =
+    match w.Occ.Txn.kind with
+    | Occ.Txn.Update data -> Storage.Table.changed_cols w.Occ.Txn.wrec.Storage.Record.data data
+    | Occ.Txn.Insert | Occ.Txn.Delete -> Storage.Table.all_cols
   in
+  { Histories.Certify.c_txn = Occ.Txn.id txn; c_tid = tid;
+    c_reads =
+      slices (fun c ->
+          List.map (fun (r, seen) -> (rid r, seen)) (Occ.Txn.reads_in txn ~container:c));
+    c_col_reads =
+      slices (fun c ->
+          List.map
+            (fun r -> (rid r.Occ.Txn.crec, r.Occ.Txn.cseen, r.Occ.Txn.cmask))
+            (Occ.Txn.col_reads_in txn ~container:c));
+    c_writes = List.map (fun w -> (rid w.Occ.Txn.wrec, changed w)) (Occ.Txn.all_writes txn) }
+
+(* Cons the root's entry onto [h]. *)
+let record h txn ~tid =
+  let e = history_entry txn ~tid in
   let rec cons () =
     let l = Atomic.get h in
     if not (Atomic.compare_and_set h l (e :: l)) then cons ()

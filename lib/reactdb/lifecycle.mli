@@ -23,6 +23,17 @@ val count_abort : Bootstrap.counters -> abort_class -> unit
     "internal" abort, "fenced: stale primary generation". *)
 val fenced : verdict
 
+(** {1 History recording} *)
+
+(** [history_entry txn ~tid] is the certification entry
+    ({!Histories.Certify.entry}) of a root that commits at [tid]: its
+    whole-row and projected reads from every container's slice, and each
+    write with the columns it changes. Call it before the install, with
+    the write set locked: an update's changed columns are found against
+    the record's current data. A recorded database takes it in
+    [install_all]. *)
+val history_entry : Occ.Txn.t -> tid:int -> Histories.Certify.entry
+
 module Make (P : PLATFORM) : sig
   (** A fresh root, traced when a collector is attached to the database;
       its deadline is [deadline_us] after [t_start]. A [readonly] root pins

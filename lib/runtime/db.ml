@@ -341,12 +341,22 @@ module P = struct
 
   (* Ship the body to the owning domain, where it runs beside the caller.
      A frame into the home of an off-home root body takes the root's lock
-     first; its only other holder is that body on another domain, a
-     running (never suspended) fiber, so the wait is finite. The home is
-     re-read at dispatch time — for a parked call that is after the
-     flip. *)
+     first. Its only other holder is that body, running on another domain;
+     rather than block the home domain until the body suspends, a frame
+     that finds the lock taken goes back to the end of the mailbox, so the
+     domain drains what is queued behind it meanwhile. The home is re-read
+     at dispatch time — for a parked call that is after the flip. *)
   let call (db : db) (root : root) ~from:_ ~on_root_path:_ (tplace : place) ~parked f =
     let iv = Ivar.create () in
+    let rec frame rex () =
+      let lock = frame_lock root.rx rex.eid in
+      match lock with
+      | Some m when not (Mutex.try_lock m) -> Mailbox.push rex.mb (Job (frame rex))
+      | _ ->
+        let r = f rex rex.eid in
+        Option.iter Mutex.unlock lock;
+        Ivar.fill iv r
+    in
     let ship () =
       let rex = db.own.execs.(Atomic.get tplace.home) in
       Mailbox.push rex.mb
@@ -355,11 +365,7 @@ module P = struct
              (* Chaos: the shipped sub-call stalls before it starts
                 executing on the destination domain. *)
              Chaos.inject_wall db.chaos Chaos.Delay_delivery;
-             let lock = frame_lock root.rx rex.eid in
-             Option.iter Mutex.lock lock;
-             let r = f rex rex.eid in
-             Option.iter Mutex.unlock lock;
-             Ivar.fill iv r))
+             frame rex ()))
     in
     if parked then Pins.Gate.park db.gate tplace.re.bs_name ship
     else ship ();

@@ -29,8 +29,10 @@
     that container's domain, which serializes them. Only a stolen or
     cost-routed root body runs elsewhere: such a root takes a lock
     (released across suspension points) that keeps its body exclusive
-    with nested calls into its home container. Under affinity routing no
-    lock is created. Different roots run fully in parallel.
+    with nested calls into its home container; a nested call that finds
+    it taken goes back to the end of its domain's mailbox instead of
+    blocking the domain. Under affinity routing no lock is created.
+    Different roots run fully in parallel.
 
     [executors_per_container] counts and [mpl] from the config are ignored
     (one domain per container; admission is the client's concern), and the

@@ -103,8 +103,9 @@ let flip : Query.Expr.cmp -> Query.Expr.cmp = function
    the leading key columns form a prefix, and the first lower and the first
    upper bound on the next key column narrow it. A constant counts only
    when its tag is the column's declared type, because keys are ordered by
-   [Value.compare], tag first. A strict upper bound keeps the key at the
-   bound itself in the range. *)
+   [Value.compare], tag first. A strict upper bound [< c] on an [Int]
+   column ends the range after [c - 1]'s keys; on a [Float] or [Str] one
+   it keeps the key at the bound itself in the range. *)
 let key_range schema column where =
   let bounds i =
     let ty = schema.Storage.Schema.columns.(i).Storage.Schema.ctype in
@@ -140,6 +141,7 @@ let key_range schema column where =
   in
   let hi = List.find_map (function
       | Query.Expr.Le, v -> Some (above (ext v))
+      | Lt, Value.Int c when c > min_int -> Some (above (ext (Value.Int (c - 1))))
       | Lt, v -> Some (ext v)
       | _ -> None) next
   in

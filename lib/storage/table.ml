@@ -112,6 +112,7 @@ type t = {
   idx : Record.t Idx.t;
   secondaries : secondary list;
   mutable graveyard : graveyard option;
+  mutable changed : int;
 }
 
 type witness = Idx.witness
@@ -141,7 +142,27 @@ let create ?(secondaries = []) schema =
   let names = List.map (fun s -> s.sec_name) secondaries in
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Table.create: duplicate index name";
-  { uid; schema; idx = Idx.create (); secondaries; graveyard = None }
+  { uid; schema; idx = Idx.create (); secondaries; graveyard = None;
+    changed = 0 }
+
+(* Column [i]'s bit in a column mask; columns from 62 on share the top
+   bit, which can only make masks meet more often. *)
+let col_bit i = 1 lsl (if i < 62 then i else 62)
+
+let all_cols = -1
+
+(* Columns whose value an update replaced: a column counts as changed
+   unless the new tuple holds the very same value (a copy-and-set keeps the
+   others physically equal). *)
+let changed_cols old data =
+  let m = ref 0 in
+  for i = 0 to Array.length data - 1 do
+    if
+      i >= Array.length old
+      || Array.unsafe_get old i != Array.unsafe_get data i
+    then m := !m lor col_bit i
+  done;
+  !m
 
 let secondary t name =
   match List.find_opt (fun s -> s.sec_name = name) t.secondaries with

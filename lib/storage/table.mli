@@ -56,9 +56,32 @@ type t = {
   secondaries : secondary list;
   mutable graveyard : graveyard option;
       (** [None] until the table's first {!bury} *)
+  mutable changed : int;
+      (** Column mask ({!col_bit}) of every column that a committed install
+          has changed in this table since it was created: each update ORs
+          in its {!changed_cols}, each delete {!all_cols}. It only grows.
+          The commit protocol ORs it before the install publishes its new
+          TID, on the container's owner, where validation of that container
+          also runs; a projected read whose mask misses it saw values that
+          no install has replaced ([Occ.Commit.prepare]). *)
 }
 
 type witness = Idx.witness
+
+(** {1 Column masks} *)
+
+(** [col_bit i] is column [i]'s bit in a column mask. Columns from 62 on
+    share the top bit, which can only make two masks meet more often. *)
+val col_bit : int -> int
+
+(** The mask of every column ([-1]). *)
+val all_cols : int
+
+(** [changed_cols old data] is the mask of the columns whose value the
+    update [old] → [data] replaced: a column counts as changed unless both
+    tuples hold the physically same value, so a tuple built by copying
+    [old] and setting some columns changes exactly those. *)
+val changed_cols : Util.Value.t array -> Util.Value.t array -> int
 
 (** [create ?secondaries schema] — [secondaries] are (index name, column
     names) pairs. Raises [Invalid_argument] on unknown columns or duplicate

@@ -158,8 +158,10 @@ let item_price ctx i_id =
    at one collect barrier after the local items are handled (the
    per-item-fan-out formulation of the intra-transaction-parallelism
    evaluation). All three issue identical sub-calls and insert identical
-   rows in identical order. *)
-let new_order ~mode ctx args =
+   rows in identical order. [project_tax] reads the warehouse row as the
+   spec's [SELECT w_tax], a projected read that payments' [ytd] installs
+   leave valid; without it the read takes the whole row. *)
+let new_order ~mode ~project_tax ctx args =
   let a = Array.of_list args in
   let d_id = geti a.(0) and c_id = geti a.(1) in
   let delay = getf a.(2) and now = getf a.(3) in
@@ -167,8 +169,9 @@ let new_order ~mode ctx args =
   let item_at j = (geti a.(5 + (3 * j)), gets a.(6 + (3 * j)), geti a.(7 + (3 * j))) in
   (* Home-warehouse reads: taxes, district sequence, customer. *)
   let _w_tax =
-    match Query.Exec.get ctx.db "warehouse" [| Wl.vi 1 |] with
-    | Some row -> getf row.(2)
+    let cols = if project_tax then Some [ "tax" ] else None in
+    match Query.Exec.get ?cols ctx.db "warehouse" [| Wl.vi 1 |] with
+    | Some row -> getf row.(if project_tax then 0 else 2)
     | None -> abort "missing warehouse row"
   in
   let o_id = ref 0 in
@@ -447,7 +450,8 @@ let stock_level ctx args =
     seen;
   Wl.vi !low
 
-let warehouse_type =
+let warehouse_type_of ~project_tax =
+  let new_order = new_order ~project_tax in
   rtype ~name:"Warehouse"
     ~schemas:
       [ s_warehouse; s_district; s_customer; s_history; s_new_order; s_orders;
@@ -479,6 +483,8 @@ let warehouse_type =
       ]
     ()
 
+let warehouse_type = warehouse_type_of ~project_tax:true
+
 (* --- loading --- *)
 
 let warehouse_name i = Printf.sprintf "w%d" i
@@ -492,11 +498,14 @@ let last_name num =
   syllables.(num / 100 mod 10) ^ syllables.(num / 10 mod 10)
   ^ syllables.(num mod 10)
 
+let w_ytd_at_load = 300_000.
+let d_ytd_at_load = 30_000.
+
 let load_warehouse sizes seed _w catalog =
   let rng = Rng.create seed in
   Wl.load catalog "warehouse"
     [| Wl.vi 1; Wl.vs (Rng.alphastring rng 8); Wl.vf (Rng.float rng 0.2);
-       Wl.vf 300_000. |];
+       Wl.vf w_ytd_at_load |];
   for i = 1 to sizes.items do
     Wl.load catalog "item"
       [| Wl.vi i; Wl.vs (Rng.alphastring rng 12);
@@ -507,7 +516,7 @@ let load_warehouse sizes seed _w catalog =
   done;
   for d = 1 to sizes.districts do
     Wl.load catalog "district"
-      [| Wl.vi d; Wl.vf (Rng.float rng 0.2); Wl.vf 30_000.;
+      [| Wl.vi d; Wl.vf (Rng.float rng 0.2); Wl.vf d_ytd_at_load;
          Wl.vi (sizes.preloaded_orders + 1) |];
     for c = 1 to sizes.customers_per_district do
       Wl.load catalog "customer"
@@ -537,9 +546,9 @@ let load_warehouse sizes seed _w catalog =
   done
 
 (** [decl ~warehouses:n ~sizes ()] — [n] warehouse reactors, fully loaded. *)
-let decl ~warehouses:n ?(sizes = default_sizes) () =
+let decl ~warehouses:n ?(sizes = default_sizes) ?(project_tax = true) () =
   let ws = warehouses n in
-  Reactor.decl ~types:[ warehouse_type ]
+  Reactor.decl ~types:[ warehouse_type_of ~project_tax ]
     ~reactors:(List.map (fun w -> (w, "Warehouse")) ws)
     ~loaders:(List.mapi (fun i w -> (w, load_warehouse sizes (7_000 + i) w)) ws)
     ()

@@ -44,8 +44,19 @@ val warehouses : int -> string list
 (** TPC-C customer last names (spec clause 4.3.2.3). *)
 val last_name : int -> string
 
-(** [decl ~warehouses:n ~sizes ()] — [n] fully loaded warehouse reactors. *)
-val decl : warehouses:int -> ?sizes:sizes -> unit -> Reactor.decl
+(** The [ytd] a warehouse row and each district row are loaded with. *)
+val w_ytd_at_load : float
+
+val d_ytd_at_load : float
+
+(** [decl ~warehouses:n ~sizes ()] — [n] fully loaded warehouse reactors.
+    Their new-order procedures read the warehouse row as the spec's
+    [SELECT w_tax]: a projected read ({!Query.Exec.get} [~cols]) that
+    payments' [ytd] installs leave valid. [~project_tax:false] reads the
+    whole row instead, the formulation before projected reads, which
+    commits the same rows. *)
+val decl :
+  warehouses:int -> ?sizes:sizes -> ?project_tax:bool -> unit -> Reactor.decl
 
 (** How new-order picks remote items: [Per_item p] draws each item remotely
     with probability [p] (§4.3.2); [One_item p] makes the transaction

@@ -86,7 +86,7 @@ let test_certify_runtime () =
   let e = List.hd h in
   rejects "read of a version never installed"
     (Audit.certify
-       ({ e with Histories.Certify.c_txn = -1; c_reads = [ (List.hd e.c_writes, -7) ] } :: h))
+       ({ e with Histories.Certify.c_txn = -1; c_reads = [ (fst (List.hd e.c_writes), -7) ] } :: h))
 
 let suite =
   ( "audit",

@@ -87,8 +87,10 @@ let prop_theorem_2_7 =
 let test_certify_clean () =
   let entries =
     [
-      { Certify.c_txn = 1; c_tid = 10; c_reads = [ (100, 0) ]; c_writes = [ 100 ] };
-      { Certify.c_txn = 2; c_tid = 20; c_reads = [ (100, 10) ]; c_writes = [ 100 ] };
+      { Certify.c_txn = 1; c_tid = 10; c_reads = [ (100, 0) ]; c_col_reads = [];
+        c_writes = [ (100, -1) ] };
+      { Certify.c_txn = 2; c_tid = 20; c_reads = [ (100, 10) ]; c_col_reads = [];
+        c_writes = [ (100, -1) ] };
     ]
   in
   match Certify.check entries with
@@ -100,17 +102,74 @@ let test_certify_detects_cycle () =
      version preceding the other's write — classic write-skew cycle. *)
   let entries =
     [
-      { Certify.c_txn = 1; c_tid = 10; c_reads = [ (1, 0) ]; c_writes = [ 2 ] };
-      { Certify.c_txn = 2; c_tid = 10; c_reads = [ (2, 0) ]; c_writes = [ 1 ] };
+      { Certify.c_txn = 1; c_tid = 10; c_reads = [ (1, 0) ]; c_col_reads = [];
+        c_writes = [ (2, -1) ] };
+      { Certify.c_txn = 2; c_tid = 10; c_reads = [ (2, 0) ]; c_col_reads = [];
+        c_writes = [ (1, -1) ] };
     ]
   in
   check_bool "write-skew cycle" true (Result.is_error (Certify.check entries))
 
 let test_certify_detects_impossible_read () =
   let entries =
-    [ { Certify.c_txn = 1; c_tid = 10; c_reads = [ (1, 77) ]; c_writes = [] } ]
+    [ { Certify.c_txn = 1; c_tid = 10; c_reads = [ (1, 77) ]; c_col_reads = [];
+        c_writes = [] } ]
   in
   check_bool "phantom tid" true (Result.is_error (Certify.check entries))
+
+(* Column granularity. T2 read record 2 whole and changed column b of
+   record 1; T1 read column a of record 1 before that write and then wrote
+   record 2. By record, each read a version the other overwrote: a cycle.
+   By column, T1 never read what T2 wrote, so T2 then T1 is a witness; if
+   T2's write changed column a, the cycle is real. *)
+let column_history ~t1_reads ~t2_changes =
+  let a = 1 lsl 1 and b = 1 lsl 2 in
+  let t1_reads, t1_cols =
+    if t1_reads = `Whole then ([ (1, 0) ], []) else ([], [ (1, 0, a) ])
+  in
+  [
+    { Certify.c_txn = 2; c_tid = 10; c_reads = [ (2, 0) ]; c_col_reads = [];
+      c_writes = [ (1, if t2_changes = `A then a else b) ] };
+    { Certify.c_txn = 1; c_tid = 20; c_reads = t1_reads; c_col_reads = t1_cols;
+      c_writes = [ (2, -1) ] };
+  ]
+
+let test_certify_columns () =
+  (match Certify.check (column_history ~t1_reads:`Cols ~t2_changes:`B) with
+  | Ok order -> Alcotest.(check (list int)) "witness by column" [ 2; 1 ] order
+  | Error m -> Alcotest.failf "disjoint columns rejected: %s" m);
+  check_bool "the same reads by record form a cycle" true
+    (Result.is_error (Certify.check (column_history ~t1_reads:`Whole ~t2_changes:`B)));
+  check_bool "a cycle by column" true
+    (Result.is_error (Certify.check (column_history ~t1_reads:`Cols ~t2_changes:`A)))
+
+(* A projected read takes its wr edge from the last write of one of its
+   columns at or before the TID it observed, not from whichever write
+   installed that TID. T2 changed column b of record 1 at TID 20 and wrote
+   record 3; T3 read column a of record 1 at TID 20 but record 3 before
+   T2's write. T3 saw nothing T2 wrote, so T3 then T2 is a witness; had
+   T3 read column b, it would have read T2's write both before and after
+   it. A projected read of a TID nobody installed is still refused. *)
+let test_certify_column_versions () =
+  let a = 1 lsl 1 and b = 1 lsl 2 in
+  let h cols =
+    [
+      { Certify.c_txn = 2; c_tid = 20; c_reads = []; c_col_reads = [];
+        c_writes = [ (1, b); (3, -1) ] };
+      { Certify.c_txn = 3; c_tid = 30; c_reads = [ (3, 0) ];
+        c_col_reads = [ (1, 20, cols) ]; c_writes = [] };
+    ]
+  in
+  (match Certify.check (h a) with
+  | Ok order -> Alcotest.(check (list int)) "reader of a first" [ 3; 2 ] order
+  | Error m -> Alcotest.failf "reader of an unchanged column rejected: %s" m);
+  check_bool "reader of the changed column" true (Result.is_error (Certify.check (h b)));
+  let phantom =
+    [ { Certify.c_txn = 1; c_tid = 10; c_reads = []; c_col_reads = [ (1, 77, a) ];
+        c_writes = [] } ]
+  in
+  check_bool "projected read of a TID never installed" true
+    (Result.is_error (Certify.check phantom))
 
 (* End-to-end: record histories from adversarial simulator executions
    under every deployment and certify them. Despite their names the
@@ -140,7 +199,7 @@ let routings =
     ("stealing", Affinity, true); ("cost", Cost, false) ]
 
 (* [gen db w rng] is worker [w]'s next request. *)
-let certify_runtime_run (router, steal) decl names ~per_worker gen =
+let certify_runtime_run ?(audit = ignore) (router, steal) decl names ~per_worker gen =
   let cfg = Reactdb.Config.of_groups ~router (Reactdb.Config.chunk 2 names) in
   let db = Runtime.Db.start ~steal decl cfg in
   Runtime.Db.enable_history db;
@@ -150,6 +209,7 @@ let certify_runtime_run (router, steal) decl names ~per_worker gen =
   in
   Runtime.Db.shutdown db;
   Testlib.audit "no fatals" (Audit.fatal db);
+  audit db;
   match Audit.certify (Runtime.Db.history db) with
   | Ok n ->
     Alcotest.(check int) "one entry per committed OCC root"
@@ -166,12 +226,14 @@ let certify_runtime_ycsb routing () =
   certify_runtime_run routing (Y.decl ~keys:32 ()) (Y.keys 32) ~per_worker:100
     (fun db _ rng -> Y.gen_multi_update rng p ~container_of:(Runtime.Db.container_of db))
 
-(* The TPC-C mix; each worker draws history ids from its own range. *)
+(* The TPC-C mix; each worker draws history ids from its own range, and the
+   warehouses then pass TPC-C's consistency audit. *)
 let certify_runtime_tpcc routing () =
   let module T = Workloads.Tpcc in
   let p = T.params ~sizes:T.small_sizes 2 in
   let seqs = Array.init 4 (fun w -> ref (w * 1_000_000)) in
   certify_runtime_run routing
+    ~audit:(fun db -> Testlib.audit "tpcc consistency" (Audit.tpcc (Runtime.Db.catalogs db)))
     (T.decl ~warehouses:2 ~sizes:T.small_sizes ())
     (T.warehouses 2) ~per_worker:60
     (fun _ w rng -> T.gen_mix rng p ~home:(1 + (w mod 2)) ~seq:seqs.(w))
@@ -203,6 +265,8 @@ let suite =
       Alcotest.test_case "certify cycle" `Quick test_certify_detects_cycle;
       Alcotest.test_case "certify impossible read" `Quick
         test_certify_detects_impossible_read;
+      Alcotest.test_case "certify by column" `Quick test_certify_columns;
+      Alcotest.test_case "certify column versions" `Quick test_certify_column_versions;
       Alcotest.test_case "certify runtime SE" `Quick test_certify_runtime_se;
       Alcotest.test_case "certify runtime SN" `Quick test_certify_runtime_sn;
       Alcotest.test_case "certify runtime affinity" `Quick

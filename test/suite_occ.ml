@@ -947,6 +947,225 @@ let test_small_set_boundary () =
       run ~interfere:true)
     [ 7; 8; 9; 40 ]
 
+(* ---- projected reads (column-aware validation) ---- *)
+
+(* Rows (k, a, b, c) with k = 0..3 and every column k * 10 + its index. *)
+let sch3 =
+  Storage.Schema.make ~name:"kabc"
+    ~columns:
+      [ ("k", Value.TInt); ("a", Value.TInt); ("b", Value.TInt); ("c", Value.TInt) ]
+    ~key:[ "k" ]
+
+let fresh_table3 () =
+  let tbl = Storage.Table.create sch3 in
+  for i = 0 to 3 do
+    ignore
+      (Storage.Table.insert tbl
+         (Storage.Record.fresh ~absent:false
+            (Array.init 4 (fun j -> Value.Int (if j = 0 then i else (i * 10) + j)))))
+  done;
+  tbl
+
+let mask cols = List.fold_left (fun m j -> m lor Storage.Table.col_bit j) 0 cols
+
+(* Project columns [cols] of row [i]; the read is recorded with their
+   mask. *)
+let read_cols t tbl i cols =
+  match Storage.Table.find tbl (key i) with
+  | None -> Alcotest.failf "missing key %d" i
+  | Some r ->
+    Option.map
+      (fun row -> List.map (fun j -> Value.to_int row.(j)) cols)
+      (Occ.Txn.read_cols t ~container:0 ~table:tbl ~cols:(mask cols) r)
+
+(* Read-modify-write: add [d] to column [j] of row [i], copying the rest. *)
+let rmw t tbl i j d =
+  match Storage.Table.find tbl (key i) with
+  | None -> Alcotest.failf "missing key %d" i
+  | Some r -> (
+    match Occ.Txn.read t ~container:0 r with
+    | None -> Alcotest.failf "dead key %d" i
+    | Some row ->
+      let row' = Array.copy row in
+      row'.(j) <- Value.Int (Value.to_int row.(j) + d);
+      Occ.Txn.write t ~container:0 ~table:tbl ~key:(key i) r row')
+
+let install_modes = [ ("single-version", None); ("multi-version", Some 0) ]
+
+let commit_ok ?horizon what t =
+  match Occ.Commit.commit_single ?horizon t ~epoch:1 ~container:0 with
+  | Ok tid -> tid
+  | Error r -> Alcotest.failf "%s: %s" what (Occ.Commit.fail_message r)
+
+let commit_result ?horizon t =
+  Result.map ignore (Occ.Commit.commit_single ?horizon t ~epoch:1 ~container:0)
+
+let test_projected_survives_other_columns () =
+  List.iter
+    (fun (mode, horizon) ->
+      let tbl = fresh_table3 () in
+      let t = fresh_txn () in
+      Alcotest.(check (option (list int))) "projected values" (Some [ 11 ])
+        (read_cols t tbl 1 [ 1 ]);
+      let seen = (List.hd (Occ.Txn.col_reads_in t ~container:0)).Occ.Txn.cseen in
+      for n = 1 to 3 do
+        let w = fresh_txn () in
+        rmw w tbl 1 (2 + (n mod 2)) n;
+        ignore (commit_ok ?horizon (mode ^ ": writer of b or c") w)
+      done;
+      rmw t tbl 2 3 1;
+      let tid = commit_ok ?horizon (mode ^ ": reader of a after three installs") t in
+      check_bool (mode ^ ": commit TID above the observed one") true (tid > seen);
+      check_int (mode ^ ": changed columns") (mask [ 2; 3 ]) tbl.Storage.Table.changed;
+      (* a whole-row read of the same row does not survive *)
+      let t = fresh_txn () in
+      ignore (read_v t ~c:0 tbl 1);
+      let w = fresh_txn () in
+      rmw w tbl 1 2 1;
+      ignore (commit_ok ?horizon (mode ^ ": writer of b") w);
+      check_bool (mode ^ ": whole-row read fails") true
+        (commit_result ?horizon t = Error Occ.Commit.Stale_read))
+    install_modes
+
+let test_projected_fails_on_its_columns () =
+  List.iter
+    (fun (mode, horizon) ->
+      let fails what setup =
+        let tbl = fresh_table3 () in
+        let t = fresh_txn () in
+        ignore (read_cols t tbl 1 [ 1; 2 ]);
+        setup tbl;
+        check_bool (mode ^ ": " ^ what) true
+          (commit_result ?horizon t = Error Occ.Commit.Stale_read)
+      in
+      fails "an install changed one of its columns" (fun tbl ->
+          let w = fresh_txn () in
+          rmw w tbl 1 3 1;
+          ignore (commit_ok ?horizon "writer of c" w);
+          let w = fresh_txn () in
+          rmw w tbl 1 2 1;
+          ignore (commit_ok ?horizon "writer of b" w));
+      fails "a column changed on another row after its row moved" (fun tbl ->
+          let w = fresh_txn () in
+          rmw w tbl 1 3 1;
+          ignore (commit_ok ?horizon "writer of c" w);
+          let w = fresh_txn () in
+          rmw w tbl 0 1 1;
+          ignore (commit_ok ?horizon "writer of a elsewhere" w));
+      fails "its row was deleted" (fun tbl ->
+          commit_at ~epoch:1 ~horizon:(Option.value horizon ~default:0) (fun w ->
+              delete_k w tbl 1));
+      fails "another transaction holds its lock" (fun tbl ->
+          let w = fresh_txn () in
+          rmw w tbl 1 3 1;
+          check_bool "writer prepared" true (Occ.Commit.prepare w ~container:0 = Ok ())))
+    install_modes;
+  (* the lock alone fails the read; once released, the read passes *)
+  let tbl = fresh_table3 () in
+  let t = fresh_txn () in
+  ignore (read_cols t tbl 1 [ 1 ]);
+  let w = fresh_txn () in
+  rmw w tbl 1 3 1;
+  check_bool "writer prepared" true (Occ.Commit.prepare w ~container:0 = Ok ());
+  check_bool "locked: stale" true (Occ.Commit.prepare t ~container:0 = Error Occ.Commit.Stale_read);
+  Occ.Commit.release w ~container:0;
+  check_bool "released: passes" true (Result.is_ok (commit_result t))
+
+(* A delete's tombstone reclaimed under a projected reader of the row: the
+   reader fails (the delete marked every column, and the reclaimed record
+   stays locked for good). *)
+let test_projected_fails_after_reclaim () =
+  let tbl = fresh_table3 () in
+  let t = fresh_txn () in
+  ignore (read_cols t tbl 1 [ 1 ]);
+  let r = Option.get (Storage.Table.find tbl (key 1)) in
+  commit_at ~epoch:1 ~horizon:0 (fun w -> delete_k w tbl 1);
+  commit_at ~epoch:3 ~horizon:2 (fun w ->
+      Occ.Txn.insert w ~container:0 ~table:tbl [| Value.Int 9; Value.Int 0; Value.Int 0; Value.Int 0 |]);
+  check_bool "tombstone reclaimed" true (Storage.Record.is_reclaimed r);
+  check_bool "reader fails" true
+    (Result.is_error (Occ.Commit.commit_single ~horizon:2 t ~epoch:3 ~container:0))
+
+(* Dead rows are read whole; a row read whole is not recorded again;
+   projected reads count as reads and are covered by their own writes. *)
+let test_projected_bookkeeping () =
+  let tbl = fresh_table3 () in
+  commit_at ~epoch:1 ~horizon:0 (fun w -> delete_k w tbl 3);
+  let t = fresh_txn () in
+  Alcotest.(check (option (list int))) "dead row" None (read_cols t tbl 3 [ 1 ]);
+  check_int "dead row read whole" 1 (List.length (Occ.Txn.reads_in t ~container:0));
+  ignore (read_v t ~c:0 tbl 2);
+  ignore (read_cols t tbl 2 [ 1 ]);
+  check_int "row read whole not projected" 0
+    (List.length (Occ.Txn.col_reads_in t ~container:0));
+  let t = fresh_txn () in
+  ignore (read_cols t tbl 1 [ 1 ]);
+  check_int "counted as a read" 1 (Occ.Txn.read_count t);
+  check_int "counted in the slice" 1 (Occ.Txn.ops_in t ~container:0);
+  check_bool "not covered without a write" false (Occ.Txn.reads_covered t ~container:0);
+  rmw t tbl 1 2 1;
+  check_bool "covered by its own write" true (Occ.Txn.reads_covered t ~container:0)
+
+(* Property: random interleavings of projected readers, whole-row readers
+   and read-modify-writers over two rows and three columns. Each
+   transaction runs its operations at one step and tries to commit at a
+   later one; the committed ones' history entries, taken between prepare
+   and install as the backends take them, always certify. *)
+type col_op = Proj of int * int list | Whole of int | Rmw of int * int
+
+let gen_col_txn =
+  QCheck.Gen.(
+    let row = int_bound 1 and col = int_range 1 3 in
+    let op =
+      frequency
+        [ (3, map2 (fun r cs -> Proj (r, List.sort_uniq compare cs)) row (list_size (1 -- 2) col));
+          (1, map (fun r -> Whole r) row);
+          (3, map2 (fun r c -> Rmw (r, c)) row col) ]
+    in
+    pair (list_size (1 -- 3) op) (int_range 1 4))
+
+let prop_projected_certifies =
+  QCheck.Test.make ~name:"projected, whole-row and RMW interleavings certify" ~count:300
+    QCheck.(
+      make
+        Gen.(pair bool (list_size (2 -- 8) gen_col_txn)))
+    (fun (multi, txns) ->
+      let tbl = Storage.Table.create sch3 in
+      for i = 0 to 1 do
+        ignore
+          (Storage.Table.insert tbl
+             (Storage.Record.fresh ~absent:false (Array.init 4 (fun j -> Value.Int (if j = 0 then i else 0)))))
+      done;
+      let horizon = if multi then Some 0 else None in
+      let history = ref [] in
+      (* transaction [i] starts at step [i] and ends [delay] steps later *)
+      let started = Array.of_list (List.map (fun (ops, delay) -> (ops, delay, fresh_txn ())) txns) in
+      let n = Array.length started in
+      for step = 0 to n + 4 do
+        if step < n then begin
+          let ops, _, t = started.(step) in
+          List.iter
+            (function
+              | Proj (r, cs) -> ignore (read_cols t tbl r cs)
+              | Whole r -> ignore (read_v t ~c:0 tbl r)
+              | Rmw (r, c) -> rmw t tbl r c 1)
+            ops
+        end;
+        Array.iteri
+          (fun i (_, delay, t) ->
+            if i + delay = step then
+              match Occ.Commit.prepare t ~container:0 with
+              | Error _ -> ()
+              | Ok () ->
+                let tid = Occ.Commit.compute_tid t ~epoch:1 in
+                history := Reactdb.Lifecycle.history_entry t ~tid :: !history;
+                Occ.Commit.install ?horizon t ~container:0 ~tid)
+          started
+      done;
+      match Histories.Certify.check !history with
+      | Ok _ -> true
+      | Error m -> QCheck.Test.fail_reportf "%d committed: %s" (List.length !history) m)
+
 let suite =
   ( "occ",
     [
@@ -983,4 +1202,12 @@ let suite =
       QCheck_alcotest.to_alcotest prop_reclaim_keeps_validation_sound;
       QCheck_alcotest.to_alcotest prop_buckets_match_reference;
       QCheck_alcotest.to_alcotest prop_other_slices_unchanged;
+      Alcotest.test_case "projected read survives installs to other columns" `Quick
+        test_projected_survives_other_columns;
+      Alcotest.test_case "projected read fails on its columns, a delete or a lock"
+        `Quick test_projected_fails_on_its_columns;
+      Alcotest.test_case "projected read fails after a reclaim" `Quick
+        test_projected_fails_after_reclaim;
+      Alcotest.test_case "projected read bookkeeping" `Quick test_projected_bookkeeping;
+      QCheck_alcotest.to_alcotest prop_projected_certifies;
     ] )

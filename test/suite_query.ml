@@ -91,6 +91,36 @@ let test_get_and_scan () =
   | Some r -> check_int "rev first = max key" 5 (Value.to_int r.(0))
   | None -> Alcotest.fail "rev first")
 
+(* A projected get returns the named columns in that order and records a
+   read of those columns only; it sees the transaction's own deletes and
+   inserts; an unknown column is a programming error. *)
+let test_get_projected () =
+  let ctx, txn = fresh_ctx () in
+  (match Query.Exec.get ~cols:[ "amt"; "grp" ] ctx "t" [| Value.Int 3 |] with
+  | Some [| Value.Float a; Value.Str g |] ->
+    checkf "amt" 30. a;
+    Alcotest.(check string) "grp" "a" g
+  | _ -> Alcotest.fail "projected row");
+  (match Occ.Txn.col_reads_in txn ~container:0 with
+  | [ r ] ->
+    check_int "mask of amt and grp"
+      (Storage.Table.col_bit 1 lor Storage.Table.col_bit 2)
+      r.Occ.Txn.cmask
+  | l -> Alcotest.failf "%d projected reads" (List.length l));
+  check_int "no whole-row read" 0 (List.length (Occ.Txn.reads_in txn ~container:0));
+  check_bool "deleted" true (Query.Exec.delete_key ctx "t" [| Value.Int 4 |]);
+  check_bool "own delete hides the row" true
+    (Query.Exec.get ~cols:[ "amt" ] ctx "t" [| Value.Int 4 |] = None);
+  Query.Exec.insert ctx "t" (row 9 "c" 90. false);
+  (match Query.Exec.get ~cols:[ "grp" ] ctx "t" [| Value.Int 9 |] with
+  | Some [| Value.Str "c" |] -> ()
+  | _ -> Alcotest.fail "own insert, projected");
+  check_bool "unknown column" true
+    (try
+       ignore (Query.Exec.get ~cols:[ "nope" ] ctx "t" [| Value.Int 1 |]);
+       false
+     with Invalid_argument _ -> true)
+
 let test_scan_sees_own_inserts () =
   let ctx, _ = fresh_ctx () in
   Query.Exec.insert ctx "t" (row 10 "a" 100. true);
@@ -209,6 +239,7 @@ let suite =
       Alcotest.test_case "expr unknown column" `Quick test_expr_unknown_column;
       Alcotest.test_case "expr pretty printing" `Quick test_expr_pp;
       Alcotest.test_case "get and scan" `Quick test_get_and_scan;
+      Alcotest.test_case "projected get" `Quick test_get_projected;
       Alcotest.test_case "scan sees own inserts" `Quick test_scan_sees_own_inserts;
       Alcotest.test_case "scan hides own deletes" `Quick test_scan_hides_own_deletes;
       Alcotest.test_case "updates" `Quick test_update_visibility;

@@ -848,6 +848,32 @@ let test_collect_serial_equivalence_tpcc () =
   check_serial_equiv "parallel collect vs sequential" par_seq par_col;
   check_serial_equiv "collect across backends" sim_col par_col
 
+(* New-order's projected warehouse read ([SELECT w_tax]) against the
+   whole-row read it replaced: one seeded client runs the full TPC-C mix
+   one transaction at a time, and both formulations commit the same
+   results and leave identical catalogs, on both backends. *)
+let test_projected_serial_equivalence_tpcc () =
+  let module T = Workloads.Tpcc in
+  let nw = 2 in
+  let names = T.warehouses nw in
+  let cfg = Reactdb.Config.(shared_nothing (chunk 1 names)) in
+  let reqs =
+    let p =
+      T.params ~sizes:T.small_sizes ~remote_mode:(T.Per_item 0.3)
+        ~remote_payment_prob:0.3 nw
+    in
+    let rng = Rng.stream ~seed:41 0 and seq = ref 0 in
+    List.init 60 (fun i -> T.gen_mix rng p ~home:(1 + (i mod nw)) ~seq)
+  in
+  let decl project_tax = T.decl ~warehouses:nw ~sizes:T.small_sizes ~project_tax () in
+  let sim_cols = run_serial_sim (decl true) cfg reqs in
+  let sim_row = run_serial_sim (decl false) cfg reqs in
+  let par_cols = run_serial_par (decl true) cfg reqs in
+  let par_row = run_serial_par (decl false) cfg reqs in
+  check_serial_equiv "sim projected vs whole row" sim_cols sim_row;
+  check_serial_equiv "parallel projected vs whole row" par_cols par_row;
+  check_serial_equiv "projected across backends" sim_cols par_cols
+
 (* A runtime TPC-C load of new orders and deliveries in rounds three epochs
    apart: each round's first install into a warehouse's new_order table
    reclaims every tombstone the earlier rounds left, and after the load the
@@ -1119,6 +1145,91 @@ let test_off_home_frame_lock () =
   check_float "acct9 untouched" 1000. (List.assoc "acct9" balances);
   check_float "money conserved" 10_000. (List.fold_left (fun a (_, b) -> a +. b) 0. balances);
   Testlib.audit "history serializable" (Audit.certify (RDb.history db))
+
+(* The home domain of an off-home root body keeps draining while a frame
+   of that root waits for the body's lock. Container 0 (acct0..acct3) is
+   held busy by [block], so roots of [off_home] pile up there and idle
+   container 1 steals them; container 2 (acct5), also held busy, runs
+   [ship], which sends a frame of the chosen off-home root into container
+   0. Once that frame is queued, a third root [noop] on acct2 is queued
+   behind it and container 0 is let go. The off-home body holds its home
+   section until that third root completes, for at most a second: a frame
+   that blocked its domain on the lock would hold the third root back for
+   the whole second. *)
+let test_home_drains_beside_frame_lock () =
+  let started = Array.init 2 (fun _ -> Atomic.make false) in
+  let go = Array.init 2 (fun _ -> Atomic.make false) in
+  let dom0 = Atomic.make (-1) and chosen = Atomic.make false in
+  let spinning = Atomic.make false and shipped = Atomic.make false in
+  let third_done = Atomic.make false and done_while_held = Atomic.make false in
+  let spin_until ?(limit_s = 5.) flag =
+    let t0 = Unix.gettimeofday () in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () -. t0 < limit_s do
+      Domain.cpu_relax ()
+    done
+  in
+  let self () = (Domain.self () :> int) in
+  let block _ctx args =
+    let gate = Reactor.arg_int args 0 in
+    if gate = 0 then Atomic.set dom0 (self ());
+    Atomic.set started.(gate) true;
+    spin_until go.(gate);
+    Value.Null
+  in
+  let off_home ctx _args =
+    if self () <> Atomic.get dom0 && Atomic.compare_and_set chosen false true
+    then begin
+      let f = ctx.Reactor.call ~reactor:"acct5" ~proc:"ship" ~args:[] in
+      Atomic.set spinning true;
+      spin_until ~limit_s:1. third_done;
+      Atomic.set done_while_held (Atomic.get third_done);
+      ignore (f.Reactor.get ())
+    end;
+    Value.Null
+  in
+  let ship ctx _args =
+    let f = ctx.Reactor.call ~reactor:"acct1" ~proc:"noop" ~args:[] in
+    Atomic.set shipped true;
+    f.Reactor.get ()
+  in
+  let rtype =
+    Reactor.rtype ~name:"Account" ~schemas:[ Testlib.acct_schema ]
+      ~procs:
+        [ ("block", block); ("off_home", off_home); ("ship", ship);
+          ("noop", fun _ _ -> Value.Null) ]
+      ()
+  in
+  let home = function "acct4" -> 1 | "acct5" -> 2 | _ -> 0 in
+  let cfg =
+    Reactdb.Config.custom ~executors_per_container:[| 1; 1; 1 |]
+      ~router:Reactdb.Config.Affinity ~placement:home ()
+  in
+  let db = RDb.start ~steal:true (Testlib.bank_decl ~rtype 6) cfg in
+  let submit reactor proc args k = RDb.submit db ~reactor ~proc ~args ~k in
+  let ignore_out (_ : RDb.outcome) = () in
+  let await what flag =
+    spin_until flag;
+    if not (Atomic.get flag) then begin
+      Array.iter (fun g -> Atomic.set g true) go;
+      RDb.shutdown db;
+      Alcotest.failf "timed out waiting until %s" what
+    end
+  in
+  submit "acct0" "block" [ Value.Int 0 ] ignore_out;
+  submit "acct5" "block" [ Value.Int 1 ] ignore_out;
+  await "both containers are held" started.(0);
+  await "both containers are held" started.(1);
+  for _ = 1 to 6 do submit "acct3" "off_home" [] ignore_out done;
+  await "a body runs off its home" spinning;
+  Atomic.set go.(1) true;
+  await "the frame into the home is queued" shipped;
+  submit "acct2" "noop" [] (fun _ -> Atomic.set third_done true);
+  Atomic.set go.(0) true;
+  RDb.quiesce db;
+  Testlib.audit "no fatals" (Audit.fatal db);
+  RDb.shutdown db;
+  check_bool "the third root completed while the body held its home" true
+    (Atomic.get done_while_held)
 
 (* A procedure raising in a frame on another container: the root suspends
    on the child, resumes on the handler it suspended under, and ends as an
@@ -1763,6 +1874,8 @@ let suite =
         test_collect_serial_equivalence_smallbank;
       Alcotest.test_case "collect serial equivalence: tpcc" `Quick
         test_collect_serial_equivalence_tpcc;
+      Alcotest.test_case "projected new-order serial equivalence: tpcc" `Quick
+        test_projected_serial_equivalence_tpcc;
       Alcotest.test_case "tpcc deliveries keep new_order bounded (runtime)" `Quick
         test_tpcc_new_order_bounded_runtime;
       Alcotest.test_case "overload shed at mailbox cap" `Quick
@@ -1790,6 +1903,8 @@ let suite =
       Alcotest.test_case "cost router" `Quick test_cost_router;
       Alcotest.test_case "off-home body against a frame into its home" `Quick
         test_off_home_frame_lock;
+      Alcotest.test_case "home domain drains beside a frame awaiting its lock"
+        `Quick test_home_drains_beside_frame_lock;
       Alcotest.test_case "remote raise resumes on its own handler" `Quick
         test_remote_raise_after_resume;
       Alcotest.test_case "retried root waits for an idle executor" `Quick

@@ -449,7 +449,7 @@ let test_where_scans_key_range () =
       ("d = 2 AND o > 3", 1);
       ("d = 2 AND o >= 3", 2);
       ("d = 2 AND o <= 1", 2);
-      ("d = 2 AND o < 1", 2);
+      ("d = 2 AND o < 1", 1);
       ("d > 2", 5);
       ("d < 1", 5);
       ("d = 1.0", 20);
@@ -475,6 +475,24 @@ let test_where_negative_key_range () =
       ("d = 0 AND o > -1", 5, 5);
       ("d = -1 AND o = - -2", 0, 1);
     ]
+
+(* A strict upper bound on an Int key column ends the range before the
+   bound's own key: the statement never reads the row at the bound, so a
+   commit to that row leaves it valid. *)
+let test_strict_bound_beside_commit () =
+  let catalog = (fst (lines_ctx ())).Query.Exec.catalog in
+  let t1, c1 = ctx_of catalog and t2, c2 = ctx_of catalog in
+  check_int "t1 touches the rows below o = 2" 2
+    (Sql.Run.execute c1 "UPDATE lines SET touched = 1 WHERE d = 2 AND o < 2");
+  check_int "t2 touches the row at the bound" 1
+    (Sql.Run.execute c2 "UPDATE lines SET touched = 2 WHERE d = 2 AND o = 2");
+  let commit name t =
+    match Occ.Commit.commit_single t ~epoch:1 ~container:0 with
+    | Ok _ -> ()
+    | Error r -> Alcotest.failf "%s: %s" name (Occ.Commit.fail_message r)
+  in
+  commit "t2" t2;
+  commit "t1" t1
 
 let gen_where =
   let open QCheck.Gen in
@@ -634,5 +652,7 @@ let suite =
         test_where_scans_key_range;
       Alcotest.test_case "WHERE bounds a key range by a negative constant" `Quick
         test_where_negative_key_range;
+      Alcotest.test_case "a strict Int bound leaves the row at the bound unread"
+        `Quick test_strict_bound_beside_commit;
       QCheck_alcotest.to_alcotest prop_key_range_equivalence;
     ] )
