@@ -53,11 +53,11 @@ step "predictability (phase-sum and overhead gated)" \
 step "parallel scaling (audit-gated)" \
   dune exec bench/parallel_scaling.exe -- --fast --out BENCH_parallel_scaling_smoke.json
 
-# Static vs steal vs cost-router vs dynamic sweeps under uniform and
-# Zipfian skew. The runner exits non-zero if any run fails its
-# equivalence audit, or if the dynamic mode records zero steals under
-# skew (the stealing path silently disabled).
-step "dynamic scheduling (audit- and steal-gated)" \
+# Static vs cost-router sweeps under uniform and Zipfian skew. The
+# runner exits non-zero if any run fails its equivalence audit, or if the
+# cost mode routes no root off its home under skew (the dynamic path
+# silently disabled).
+step "dynamic scheduling (audit- and routing-gated)" \
   dune exec bench/scheduler.exe -- --fast --out BENCH_scheduler_smoke.json
 
 # Sequential vs fan-out/collect formulations morphed by the deployment

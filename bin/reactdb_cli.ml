@@ -216,7 +216,7 @@ let run_cmd workload scale theta workers strategy executors mpl config_file
    first abort after the fence, so the rest of the run counts at most one
    fenced abort per worker and no commit. *)
 let run_parallel_cmd workload scale theta workers domains duration_ms retries
-    deadline_ms mailbox_cap chaos_spec router steal replicas failover_at_ms
+    deadline_ms mailbox_cap chaos_spec router replicas failover_at_ms
     certify =
   let decl, reactors, gen = build_workload workload ~scale ~theta in
   let config =
@@ -224,12 +224,11 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
   in
   let chaos = chaos_of_spec chaos_spec in
   let wal = if replicas > 0 then Some (Wal.in_memory ()) else None in
-  let db = Runtime.Db.start ~chaos ?mailbox_cap ~steal ?wal decl config in
+  let db = Runtime.Db.start ~chaos ?mailbox_cap ?wal decl config in
   if certify then Runtime.Db.enable_history db;
-  Printf.printf "reactors=%d domains=%d workers=%d router=%s%s%s%s%s\n%!"
+  Printf.printf "reactors=%d domains=%d workers=%d router=%s%s%s%s\n%!"
     (List.length reactors) (Runtime.Db.n_domains db) workers
     (Reactdb.Config.router_name router)
-    (if steal then " steal" else "")
     (match deadline_ms with
     | Some d -> Printf.sprintf " deadline=%.1fms" d
     | None -> "")
@@ -307,12 +306,11 @@ let run_parallel_cmd workload scale theta workers domains duration_ms retries
   (match ship_dom with Some d -> Domain.join d | None -> ());
   Runtime.Db.shutdown db;
   report r;
-  if steal || router = Reactdb.Config.Cost then begin
-    let stats = Runtime.Db.sched_stats db in
-    Printf.printf "steals          %12d\n" (Runtime.Db.n_steals db);
+  if router = Reactdb.Config.Cost then
     Printf.printf "cost-routed     %12d\n"
-      (Array.fold_left (fun a s -> a + s.Runtime.Db.ss_routed_by_cost) 0 stats)
-  end;
+      (Array.fold_left
+         (fun a s -> a + s.Runtime.Db.ss_routed_by_cost)
+         0 (Runtime.Db.sched_stats db));
   if Chaos.is_active chaos then
     Printf.printf "chaos           %12s (%d injections / %d probes)\n"
       (Chaos.to_string chaos) (Chaos.injections chaos) (Chaos.probes chaos);
@@ -573,15 +571,6 @@ let router_arg =
            picks the least-loaded admissible domain; single-container \
            commits re-pin to the owner).")
 
-let steal_arg =
-  Arg.(
-    value & flag
-    & info [ "steal" ]
-        ~doc:
-          "Enable work stealing: idle domains take half the waiting root \
-           jobs from the deepest peer mailbox (internal traffic is never \
-           stolen; commits re-pin to the owning domain).")
-
 let replicas_arg =
   Arg.(
     value & opt int 0
@@ -611,7 +600,7 @@ let run_parallel_term =
   Term.(
     const run_parallel_cmd $ workload_arg $ scale_arg $ theta_arg
     $ workers_arg $ domains_arg $ wall_duration_arg $ retries_arg
-    $ deadline_arg $ mailbox_cap_arg $ chaos_arg $ router_arg $ steal_arg
+    $ deadline_arg $ mailbox_cap_arg $ chaos_arg $ router_arg
     $ replicas_arg $ failover_at_arg $ certify_arg)
 
 let run_parallel_info =

@@ -196,10 +196,7 @@ module Collector = struct
     retries : int array; (* retry index -> attempts *)
     mutable max_dev : float; (* worst |latency - sum phases| / latency *)
     (* dynamic-scheduling signals, published once at quiescence by the
-       runtime (Runtime.Db.publish_sched_obs); all zero for the simulator
-       and for static-routing runs without stealing *)
-    mutable steals_in : int;
-    mutable steals_out : int;
+       runtime (Runtime.Db.publish_sched_obs); all zero for the simulator *)
     mutable routed_by_cost : int;
     mutable qdepth_ewma : float;
   }
@@ -230,8 +227,6 @@ module Collector = struct
       parts = Array.make (max_part_bucket + 1) 0;
       retries = Array.make (max_part_bucket + 1) 0;
       max_dev = 0.;
-      steals_in = 0;
-      steals_out = 0;
       routed_by_cost = 0;
       qdepth_ewma = 0.;
     }
@@ -292,11 +287,8 @@ module Collector = struct
     if readonly then s.ro_commits <- s.ro_commits + 1;
     record_attempt t ~container ~participants ~retry ~latency_us tr
 
-  let set_sched t ~container ~steals_in ~steals_out ~routed_by_cost
-      ~qdepth_ewma =
+  let set_sched t ~container ~routed_by_cost ~qdepth_ewma =
     let s = slot_of t container in
-    s.steals_in <- steals_in;
-    s.steals_out <- steals_out;
     s.routed_by_cost <- routed_by_cost;
     s.qdepth_ewma <- qdepth_ewma
 
@@ -317,13 +309,16 @@ module Collector = struct
 end
 
 module Report = struct
-  (* v3: per-domain dynamic-scheduling rows (steals in/out, cost-routed
-     roots, queue-depth EWMA). v2 added the "timeout" and "overloaded"
-     abort kinds. Readers accept v2 (scheduler rows default to empty) and
-     v3; anything else is rejected. The "replication" array (per-replica
-     lag rows) is additive within v3: emitted only when replicas were
-     attached, defaulted to empty on read. *)
-  let schema_version = 3
+  (* v4: the scheduler rows carry cost-routed roots and queue-depth EWMA
+     only; v3 rows had two more counters, of the work-redistribution path
+     the runtime no longer has. v3 added per-domain dynamic-scheduling
+     rows; v2 added the "timeout" and "overloaded" abort kinds. Readers
+     accept v2 (scheduler rows default to empty) through v4, and skip the
+     extra fields of a v3 row; anything else is rejected. The
+     "replication" array (per-replica lag rows) is additive since v3:
+     emitted only when replicas were attached, defaulted to empty on
+     read. *)
+  let schema_version = 4
 
   let min_readable_version = 2
 
@@ -339,12 +334,10 @@ module Report = struct
     pr_hist : (int * int) list;
   }
 
-  (* One domain's dynamic-scheduling counters (v3). Only domains with at
-     least one non-zero signal are exported. *)
+  (* One domain's dynamic-scheduling counters. Only domains with at least
+     one non-zero signal are exported. *)
   type sched_row = {
     sr_container : int;
-    sr_steals_in : int;
-    sr_steals_out : int;
     sr_routed_by_cost : int;
     sr_qdepth_ewma : float;
   }
@@ -460,17 +453,13 @@ module Report = struct
         (List.mapi
            (fun i s ->
              if
-               s.Collector.steals_in = 0
-               && s.Collector.steals_out = 0
-               && s.Collector.routed_by_cost = 0
+               s.Collector.routed_by_cost = 0
                && s.Collector.qdepth_ewma = 0.
              then []
              else
                [
                  {
                    sr_container = i;
-                   sr_steals_in = s.Collector.steals_in;
-                   sr_steals_out = s.Collector.steals_out;
                    sr_routed_by_cost = s.Collector.routed_by_cost;
                    sr_qdepth_ewma = s.Collector.qdepth_ewma;
                  };
@@ -540,15 +529,13 @@ module Report = struct
     if r.r_sched <> [] then begin
       let ts =
         Util.Tablefmt.create ~title:"dynamic scheduling (per domain)"
-          [ "domain"; "steals in"; "steals out"; "cost-routed"; "qdepth ewma" ]
+          [ "domain"; "cost-routed"; "qdepth ewma" ]
       in
       List.iter
         (fun s ->
           Util.Tablefmt.row ts
             [
               Util.Tablefmt.icell s.sr_container;
-              Util.Tablefmt.icell s.sr_steals_in;
-              Util.Tablefmt.icell s.sr_steals_out;
               Util.Tablefmt.icell s.sr_routed_by_cost;
               Util.Tablefmt.fcell ~digits:2 s.sr_qdepth_ewma;
             ])
@@ -654,8 +641,6 @@ module Report = struct
                  Json.Obj
                    [
                      ("container", Json.Num (float_of_int s.sr_container));
-                     ("steals_in", Json.Num (float_of_int s.sr_steals_in));
-                     ("steals_out", Json.Num (float_of_int s.sr_steals_out));
                      ( "routed_by_cost",
                        Json.Num (float_of_int s.sr_routed_by_cost) );
                      ("qdepth_ewma", Json.Num s.sr_qdepth_ewma);
@@ -740,18 +725,15 @@ module Report = struct
       let* parts = parse_pairs Json.to_int parts in
       let* rh = get_l j "retry_hist" in
       let* rh = parse_pairs Json.to_int rh in
-      (* v2 reports have no "scheduler" field: default to no rows. *)
+      (* v2 reports have no "scheduler" field: default to no rows. Fields
+         a row carries beyond these (v3 had two) are skipped. *)
       let parse_sched sj =
         let* c = get_i sj "container" in
-        let* si = get_i sj "steals_in" in
-        let* so = get_i sj "steals_out" in
         let* rc = get_i sj "routed_by_cost" in
         let* q = get_f sj "qdepth_ewma" in
         Ok
           {
             sr_container = c;
-            sr_steals_in = si;
-            sr_steals_out = so;
             sr_routed_by_cost = rc;
             sr_qdepth_ewma = q;
           }

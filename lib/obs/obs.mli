@@ -263,13 +263,11 @@ module Collector : sig
   val set_sched :
     t ->
     container:int ->
-    steals_in:int ->
-    steals_out:int ->
     routed_by_cost:int ->
     qdepth_ewma:float ->
     unit
-  (** Publish container [container]'s dynamic-scheduling counters (work
-      stealing, cost routing, queue-depth EWMA). Set-once-at-quiescence
+  (** Publish container [container]'s dynamic-scheduling counters (cost
+      routing, queue-depth EWMA). Set-once-at-quiescence
       semantics: the runtime calls this after [quiesce] with its final
       per-domain counters ([Runtime.Db.publish_sched_obs]); the
       simulator never calls it, leaving all slots zero. Out-of-range
@@ -298,14 +296,15 @@ end
     not know. *)
 module Report : sig
   val schema_version : int
-  (** Current export schema version (3: added the per-domain
-      ["scheduler"] rows — steals, cost-routed roots, queue-depth EWMA;
-      2 added the ["timeout"] and ["overloaded"] abort kinds to
-      [r_aborts_by_kind]). *)
+  (** Current export schema version (4: the ["scheduler"] rows dropped
+      two per-domain counters of a removed scheduling path; 3 added the per-domain ["scheduler"] rows —
+      cost-routed roots, queue-depth EWMA; 2 added the ["timeout"] and
+      ["overloaded"] abort kinds to [r_aborts_by_kind]). *)
 
   val min_readable_version : int
   (** Oldest schema {!of_json} still accepts (2). v2 documents load
-      with [r_sched = []]. *)
+      with [r_sched = []]; v3 scheduler rows load without their two
+      removed counters. *)
 
   (** One phase's merged statistics. [pr_count] counts attempts where
       the phase was non-zero; [pr_mean_us] is the per-attempt mean
@@ -325,13 +324,11 @@ module Report : sig
     pr_hist : (int * int) list;
   }
 
-  (** One domain's dynamic-scheduling counters (schema v3). Domains
+  (** One domain's dynamic-scheduling counters (schema v4). Domains
       where every signal is zero are omitted from [r_sched], so a
       static-scheduling run exports an empty list. *)
   type sched_row = {
     sr_container : int;
-    sr_steals_in : int;  (** root jobs this domain stole from peers *)
-    sr_steals_out : int;  (** root jobs peers stole from this domain *)
     sr_routed_by_cost : int;
         (** roots the cost router sent here instead of their home *)
     sr_qdepth_ewma : float;  (** mailbox-depth EWMA at last publish *)

@@ -122,7 +122,7 @@ type ('s, 'p) t = {
   gate : Pins.Gate.t;  (** migration generations and stubs (§11) *)
   mutable obs : Obs.Collector.t option;
       (** lifecycle tracing sink; [None] when untraced *)
-  mutable wal : Durability.t option;  (** group commit (§8.3); [None] unlogged *)
+  mutable wal : Durability.t option;  (** group commit (§8.2); [None] unlogged *)
   mutable chaos : Chaos.t;  (** the seeded fault injector; {!Chaos.none} *)
   generation : int Atomic.t;  (** the generation this primary serves (§12.4) *)
   fenced : bool Atomic.t;  (** set once, never cleared: refuse every root *)
@@ -323,7 +323,7 @@ module type ADMIN = sig
       morph router. *)
   val auto_morphs : t -> int * int
 
-  (** {2 Durability (epoch group commit — DESIGN.md §8.3)} *)
+  (** {2 Durability (epoch group commit — DESIGN.md §8.2)} *)
 
   (** The group-commit bound: every redo record whose TID epoch is at
       most this is in the log, so a shipper may ship up to it and

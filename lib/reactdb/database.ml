@@ -150,7 +150,7 @@ let set_exec_of rx cid ex =
   if not (List.mem_assoc cid rx.exec_of_container) then
     rx.exec_of_container <- (cid, ex) :: rx.exec_of_container
 
-(* When the simulator flushes (DESIGN.md §8.3): a batch's first waiter
+(* When the simulator flushes (DESIGN.md §8.2): a batch's first waiter
    spawns one flush at the next epoch boundary, so [Engine.run] drains once
    nobody waits on durability. A record queued strictly before boundary
    [epoch_len_us * e] carries TID epoch <= e, so that flush covers every

@@ -141,7 +141,7 @@ val utilizations : t -> float array
     epochs). *)
 val reset_stats : t -> unit
 
-(** {1 Durability (extension beyond the paper — see DESIGN.md §8.3)} *)
+(** {1 Durability (extension beyond the paper — see DESIGN.md §8.2)} *)
 
 (** [attach_wal t log] makes every later commit queue a redo record (TID
     and physical after-images) for [log] and return only once the group

@@ -1,4 +1,4 @@
-(** Epoch group commit, written once for both backends (DESIGN.md §8.3).
+(** Epoch group commit, written once for both backends (DESIGN.md §8.2).
 
     A committing root takes an epoch tag at its commit decision
     ({!register}), then queues its encoded redo record before its install

@@ -20,26 +20,28 @@ type outcome = {
 
 type job = unit -> unit
 
-(* Mailbox traffic is typed so a thief can tell relocatable work apart:
-   [Root] is an admitted root transaction, parameterized over the executor
-   that actually runs it — work stealing and cost routing rebind it. [Job]
-   is internal traffic (sub-calls, 2PC votes and acks, forwarding hops,
-   snapshots) and [Resume] a suspended fiber's continuation; neither is
-   ever stolen: each must run on the exact domain it was addressed to. *)
-type msg = Job of job | Root of (exec -> unit) | Resume of job
+(* Mailbox traffic. [Job] starts a fresh fiber: an admitted root, already
+   bound to the executor its router chose, or internal traffic (sub-calls,
+   2PC votes and acks, forwarding hops, snapshots). [Resume] is a suspended
+   fiber's continuation. Each runs on the exact domain it was addressed
+   to. *)
+type msg = Job of job | Resume of job
 
-and exec = {
+type exec = {
   eid : int;
   mb : msg Mailbox.t;
   mutable busy_s : float;  (* owning domain only; read via a snapshot job *)
-  (* Dynamic-scheduling signals. Atomics because peers read (and the
-     router writes [qdepth_ewma]) concurrently; all are advisory — a stale
-     read skews a routing score, never correctness. *)
-  qdepth_ewma : float Atomic.t;  (* EWMA of mailbox depth, router-refreshed *)
+  mutable since_us : int;
+      (* owner-written, peer-read: [t] while running a message started at
+         [t] µs, [-t] while idle since [t] µs, 0 before the first message.
+         A plain field, so a message pays two stores for it; a racing read
+         sees a whole [int], at worst a stale one. *)
+  (* Load signals. Atomics because peers read (and every load read writes
+     [qdepth_ewma]) concurrently; all are advisory — a stale read skews a
+     policy decision, never correctness. *)
+  qdepth_ewma : float Atomic.t;  (* EWMA of mailbox depth, refreshed per load read *)
   busy_frac : float Atomic.t;  (* owner-published busy fraction per window *)
   mean_job_us : float Atomic.t;  (* owner-published EWMA of message cost *)
-  steals_in : int Atomic.t;  (* roots this domain stole from peers *)
-  steals_out : int Atomic.t;  (* roots peers stole from this mailbox *)
   routed_by_cost : int Atomic.t;  (* roots the cost router placed here off-home *)
   sheds : int Atomic.t;  (* admission refusals against this mailbox *)
 }
@@ -50,7 +52,6 @@ type place = unit Bootstrap.reactor
 
 type own = {
   execs : exec array;
-  steal : bool;
   epoch_len : float;
   fatal : int Atomic.t;
   fatal_mu : Mutex.t;
@@ -108,118 +109,79 @@ let run_fiber (db : t) ex job =
 
 let run_msg db ex = function
   | Job j -> run_fiber db ex j
-  | Root r -> run_fiber db ex (fun () -> r ex)
   | Resume k -> k ()
-
-(* Work stealing: an idle domain raids the deepest peer mailbox for [Root]
-   messages (DESIGN.md §8 — internal traffic is never relocatable). The
-   first stolen root runs immediately; the rest land on the thief's own
-   mailbox in one batched push, where they stay stealable, so a large haul
-   keeps rebalancing.
-
-   Depth threshold: a victim with a near-empty queue is about to drain it
-   anyway — migrating those messages buys nothing and costs a mailbox
-   round trip plus a re-pinned commit each. Only queues at least this deep
-   are worth raiding. *)
-let min_steal_depth = 4
-
-let try_steal (db : t) ex =
-  let best = ref None and bestq = ref (min_steal_depth - 1) in
-  Array.iter
-    (fun px ->
-      if px.eid <> ex.eid then begin
-        let q = Mailbox.length px.mb in
-        if q > !bestq then begin
-          bestq := q;
-          best := Some px
-        end
-      end)
-    db.own.execs;
-  match !best with
-  | None -> None
-  | Some victim -> (
-    match
-      Mailbox.steal_half victim.mb
-        ~stealable:(function Root _ -> true | Job _ | Resume _ -> false)
-    with
-    | [] -> None
-    | first :: rest ->
-      let n = 1 + List.length rest in
-      ignore (Atomic.fetch_and_add victim.steals_out n);
-      ignore (Atomic.fetch_and_add ex.steals_in n);
-      (match rest with
-      | [] -> ()
-      | _ -> (
-        (* own mailbox can only be closed after quiescence, when no root
-           can remain anywhere to steal; run inline if it somehow is *)
-        try Mailbox.push_many ex.mb rest
-        with Mailbox.Closed -> List.iter (run_msg db ex) rest));
-      Some first)
 
 (* Busy-fraction publication window: long enough to smooth per-message
    noise, short enough that the cost router sees load shifts quickly. *)
 let busy_window_s = 0.005
 
+let busy_window_us = int_of_float (busy_window_s *. 1e6)
+
+(* A timestamp on [since_us]'s grid: whole µs, an unboxed [int]. *)
+let int_us t = int_of_float (t *. 1e6)
+
+(* The domain loop: park in [pop_wait] while empty, exit once the mailbox
+   is closed and drained. *)
 let domain_loop (db : t) ex =
   let win_start = ref (Unix.gettimeofday ()) in
   let win_busy = ref 0. in
-  let publish now =
-    let el = now -. !win_start in
-    if el >= busy_window_s then begin
-      Atomic.set ex.busy_frac (Float.min 1. (!win_busy /. el));
-      win_start := now;
-      win_busy := 0.
-    end
-  in
   let run msg =
     (* Chaos: an unresponsive executor domain — everything queued behind
        this mailbox waits out the stall. One branch when chaos is off. *)
     Chaos.inject_wall db.chaos Chaos.Stall_domain;
     let t_run = Unix.gettimeofday () in
+    ex.since_us <- int_us t_run;
     run_msg db ex msg;
     let t_done = Unix.gettimeofday () in
+    ex.since_us <- -int_us t_done;
     let d = t_done -. t_run in
     ex.busy_s <- ex.busy_s +. d;
     win_busy := !win_busy +. d;
     let m = Atomic.get ex.mean_job_us in
     Atomic.set ex.mean_job_us ((0.9 *. m) +. (0.1 *. d *. 1e6));
-    publish t_done
+    let el = t_done -. !win_start in
+    if el >= busy_window_s then begin
+      Atomic.set ex.busy_frac (Float.min 1. (!win_busy /. el));
+      win_start := t_done;
+      win_busy := 0.
+    end
   in
-  if not db.own.steal then begin
-    (* Classic loop: park in [pop_wait] while empty. *)
-    let rec loop () =
-      match Mailbox.pop_wait ex.mb with
-      | None -> ()
-      | Some msg ->
-        run msg;
-        loop ()
-    in
-    loop ()
-  end
-  else begin
-    (* Stealing domains poll instead of parking ([Condition] has no timed
-       wait): drain own mailbox first, then attempt one steal, then back
-       off exponentially to 1 ms while everything stays dry. Exits once the
-       own mailbox is closed and drained, like [pop_wait] would. *)
-    let rec loop idle_s =
-      match Mailbox.try_pop ex.mb with
-      | Some msg ->
-        run msg;
-        loop 2e-5
-      | None ->
-        if Mailbox.is_closed ex.mb then ()
-        else (
-          match try_steal db ex with
-          | Some msg ->
-            run msg;
-            loop 2e-5
-          | None ->
-            publish (Unix.gettimeofday ());
-            Unix.sleepf idle_s;
-            loop (Float.min (idle_s *. 2.) 1e-3))
-    in
-    loop 2e-5
-  end
+  let rec loop () =
+    match Mailbox.pop_wait ex.mb with
+    | None -> ()
+    | Some msg ->
+      run msg;
+      loop ()
+  in
+  loop ()
+
+(* ------------------------------------------------------------------ *)
+(* Load signals, read by the cost router ([choose_cost]), the Config.Auto
+   morph heuristic ([auto_parallel_ok]) and the autoscaler ([load_stats])
+   through [load_of] alone. They read the present: a domain running a
+   message is busy, however long that message has run; a domain idle for a
+   whole window reads idle, whatever its last window published; and every
+   read folds the live mailbox depth into the EWMA, under any router. *)
+
+type load_stat = {
+  ld_busy_frac : float;  (* 1 while running, 0 once idle a window, else the last window *)
+  ld_qdepth_ewma : float;  (* EWMA of mailbox depth over load reads *)
+  ld_mailbox : int;  (* instantaneous mailbox length *)
+  ld_sheds : int;  (* admission refusals against this mailbox so far *)
+}
+
+let load_of ex =
+  let q = Mailbox.length ex.mb in
+  let ew = (0.8 *. Atomic.get ex.qdepth_ewma) +. (0.2 *. float_of_int q) in
+  Atomic.set ex.qdepth_ewma ew;
+  let since = ex.since_us in
+  let busy =
+    if since > 0 then 1.
+    else if int_us (Unix.gettimeofday ()) + since >= busy_window_us then 0.
+    else Atomic.get ex.busy_frac
+  in
+  { ld_busy_frac = busy; ld_qdepth_ewma = ew; ld_mailbox = q;
+    ld_sheds = Atomic.get ex.sheds }
 
 (* Await inside a fiber: free if resolved, otherwise suspend until filled. *)
 let fiber_await (iv : 'a Ivar.t) : 'a =
@@ -231,10 +193,10 @@ let fiber_await (iv : 'a Ivar.t) : 'a =
 (* Per-root platform state, next to the shared [Lifecycle.root]. A root's
    sub-transactions on different containers run in parallel: each writes
    only its own container's slice of the [Occ.Txn.t] context. A shipped
-   frame ([P.call]) is a [Job], never stolen, so it runs on its container's
-   owner domain, and the root's frames on one container are serialized by
-   that domain. The one exception is the root body itself when a thief or
-   the cost router ran it on a domain other than its home: it then touches
+   frame ([P.call]) is a [Job] on its container's owner domain, so it runs
+   there, and the root's frames on one container are serialized by
+   that domain. The one exception is the root body itself when the cost
+   router ran it on a domain other than its home: it then touches
    the home slice while a nested call shipped into [home] runs on [home]'s
    own domain. [rmu] exists only for that root, and it is taken only by
    the body and by frames on [home]; under affinity routing no lock is
@@ -280,19 +242,19 @@ let maybe_advance_epoch (db : t) =
 (* Config.Auto morph heuristic: resolve a root to its parallel formulation
    only when at least half the domains have idle capacity to absorb the
    fan-out — the runtime mirror of the simulator's idle-executor rule, read
-   from the published busy fractions and live queue depths. *)
+   from the load signals' busy fractions and live queue depths. *)
 let auto_parallel_ok (db : t) =
   let n = Array.length db.own.execs in
   let busy = ref 0 in
   Array.iter
     (fun ex ->
-      if Atomic.get ex.busy_frac > 0.5 || Mailbox.length ex.mb > 1 then
-        incr busy)
+      let ld = load_of ex in
+      if ld.ld_busy_frac > 0.5 || ld.ld_mailbox > 1 then incr busy)
     db.own.execs;
   2 * !busy < n
 
 (* ------------------------------------------------------------------ *)
-(* When the runtime flushes (DESIGN.md §8.3): the committer, through the
+(* When the runtime flushes (DESIGN.md §8.2): the committer, through the
    combining [Durability.try_flush] ([P.wait_durable]). In a quiet stretch
    only the bound can lag, so a reader advances the epoch when due and
    tries a flush, which with nothing queued only publishes the bound. *)
@@ -419,8 +381,8 @@ end
 module L = Lifecycle.Make (P)
 
 (* ------------------------------------------------------------------ *)
-(* Root execution: one [Root] mailbox message, run by whichever domain
-   dequeued (or stole) it — [ex]. The body executes on [ex]; the commit
+(* Root execution: one mailbox message, run on the domain its router
+   addressed — [ex]. The body executes on [ex]; the commit
    protocol re-pins every container's prepare/install to its owning
    domain. Guaranteed to call [k] and [settle] exactly once each, [settle]
    after [k] and after the root's last posted install landed —
@@ -457,8 +419,8 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
     end
   in
   (* Slot ownership follows physical execution: this message runs on
-     [ex]'s domain, so it records into slot [ex.eid] — with stealing or
-     cost routing that may differ from the reactor's home container. *)
+     [ex]'s domain, so it records into slot [ex.eid] — with cost routing
+     that may differ from the reactor's home container. *)
   let result, latency_us, abort_cause =
     L.finish db root verdict ~container:ex.eid
   in
@@ -473,18 +435,13 @@ let exec_root (db : t) (place : place) ~proc ~args ~ro ~retry ~rgen ~t_submit
 (* Cost router. Scores each candidate domain as the §2.4 cost-model latency
    of the root's fork–join shape when its body runs there — a leaf at home,
    or a node at [c] with one synchronous child at home standing for the
-   re-pinned commit round trip — plus live load signals: EWMA queue depth
-   times the domain's mean per-message service time (expected drain ahead
-   of us), the published busy fraction, and recent shed pressure. Argmin
+   re-pinned commit round trip — plus the load signals ([load_of]): EWMA
+   queue depth times the domain's mean per-message service time (expected
+   drain ahead of us), the busy fraction, and recent shed pressure. Argmin
    wins; the home domain wins ties, so an idle system degenerates to
    affinity routing. *)
 
 let route_costs = Costmodel.uniform_costs ~cs:2. ~cr:2.
-
-let note_qdepth ex =
-  let q = float_of_int (Mailbox.length ex.mb) in
-  let ew = Atomic.get ex.qdepth_ewma in
-  Atomic.set ex.qdepth_ewma ((0.8 *. ew) +. (0.2 *. q))
 
 let choose_cost (db : t) ~home =
   let n = Array.length db.own.execs in
@@ -495,7 +452,7 @@ let choose_cost (db : t) ~home =
     let submitted = float_of_int (1 + Atomic.get db.own.submitted) in
     let score c =
       let ex = db.own.execs.(c) in
-      note_qdepth ex;
+      let ld = load_of ex in
       let svc = Float.max 1. (Atomic.get ex.mean_job_us) in
       let shape =
         if c = home then Costmodel.leaf ~at:home body
@@ -505,11 +462,9 @@ let choose_cost (db : t) ~home =
             ()
       in
       let model = Costmodel.latency route_costs shape in
-      let backlog = Atomic.get ex.qdepth_ewma *. svc in
-      let busy = Atomic.get ex.busy_frac *. svc in
-      let shed_pressure =
-        float_of_int (Atomic.get ex.sheds) /. submitted *. svc *. 4.
-      in
+      let backlog = ld.ld_qdepth_ewma *. svc in
+      let busy = ld.ld_busy_frac *. svc in
+      let shed_pressure = float_of_int ld.ld_sheds /. submitted *. svc *. 4. in
       model +. backlog +. busy +. shed_pressure
     in
     let best = ref home and best_s = ref (score home) in
@@ -575,36 +530,33 @@ let submit ?(retry = 0) ?deadline_us (db : t) ~reactor ~proc ~args ~k =
       if retry > 0 then Mailbox.try_push_deferred mb msg
       else Mailbox.try_push mb msg
     in
+    (* The root as a message to domain [c], which runs its body. *)
+    let root_at c =
+      let ex = db.own.execs.(c) in
+      Job (fun () -> job ex)
+    in
     let accepted =
       if replayed then begin
-        (if ro then
-           Mailbox.push db.own.execs.(home).mb (Job (fun () -> job db.own.execs.(home)))
-         else Mailbox.push db.own.execs.(home).mb (Root job));
+        Mailbox.push db.own.execs.(home).mb (root_at home);
         true
       end
-      else if ro then
-        (* Read-only snapshot roots are home-pinned: pushed as [Job] they
-           are never stolen or cost-routed, so a snapshot body only ever
-           walks version chains on the domain that owns the records — reads
-           cannot race a concurrent install. Admission control still
-           applies. *)
-        admit db.own.execs.(home).mb
-          (Job (fun () -> job db.own.execs.(home)))
       else if ingress = home || by_cost then
         (* Direct admission; a cost-routed off-home root executes at the
-           ingress domain and re-pins its commit. *)
-        admit db.own.execs.(ingress).mb (Root job)
+           ingress domain and re-pins its commit. Read-only snapshot roots
+           always take this branch at home, so a snapshot body only ever
+           walks version chains on the domain that owns the records — reads
+           cannot race a concurrent install. *)
+        admit db.own.execs.(ingress).mb (root_at ingress)
       else
         (* Misrouted round-robin ingress pays a forwarding hop to the owner
            — the locality cost the affinity router avoids. The hop itself is
-           internal traffic; the forwarded root becomes stealable again once
-           it reaches the home mailbox. The owner is re-read at hop time so
-           a flip between ingress and hop can't strand the root on a stale
-           home. *)
+           internal traffic. The owner is re-read at hop time so a flip
+           between ingress and hop can't strand the root on a stale home. *)
         admit db.own.execs.(ingress).mb
           (Job
              (fun () ->
-               Mailbox.push db.own.execs.(Atomic.get place.home).mb (Root job)))
+               let h = Atomic.get place.home in
+               Mailbox.push db.own.execs.(h).mb (root_at h)))
     in
     if accepted && by_cost then Atomic.incr db.own.execs.(ingress).routed_by_cost;
     if not accepted then begin
@@ -679,7 +631,7 @@ let reactors_on db c =
 
 (* ------------------------------------------------------------------ *)
 
-let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
+let start ?(chaos = Chaos.none) ?mailbox_cap ?wal
     ?(epoch_len_s = default_epoch_len_s) decl cfg =
   let n = Reactdb.Config.n_containers cfg in
   (* An idle executor spins before it parks only when every executor has
@@ -691,11 +643,10 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
           eid;
           mb = Mailbox.create ?capacity:mailbox_cap ~spin ();
           busy_s = 0.;
+          since_us = 0;
           qdepth_ewma = Padded.atomic 0.;
           busy_frac = Padded.atomic 0.;
           mean_job_us = Padded.atomic 0.;
-          steals_in = Padded.atomic 0;
-          steals_out = Padded.atomic 0;
           routed_by_cost = Padded.atomic 0;
           sheds = Padded.atomic 0;
         })
@@ -705,7 +656,6 @@ let start ?(chaos = Chaos.none) ?mailbox_cap ?(steal = false) ?wal
     Bootstrap.create decl cfg ~epoch:(fun () -> Atomic.get epoch) ~slot:ignore
       {
         execs;
-        steal;
         epoch_len = Float.max 1e-4 epoch_len_s;
         fatal = Padded.atomic 0;
         fatal_mu = Mutex.create ();
@@ -745,8 +695,6 @@ let n_fatal (db : t) = Atomic.get db.own.fatal
 (* --- dynamic-scheduling observability --- *)
 
 type sched_stat = {
-  ss_steals_in : int;
-  ss_steals_out : int;
   ss_routed_by_cost : int;
   ss_sheds : int;
   ss_qdepth_ewma : float;
@@ -756,38 +704,13 @@ let sched_stats (db : t) =
   Array.map
     (fun ex ->
       {
-        ss_steals_in = Atomic.get ex.steals_in;
-        ss_steals_out = Atomic.get ex.steals_out;
         ss_routed_by_cost = Atomic.get ex.routed_by_cost;
         ss_sheds = Atomic.get ex.sheds;
         ss_qdepth_ewma = Atomic.get ex.qdepth_ewma;
       })
     db.own.execs
 
-let n_steals (db : t) =
-  Array.fold_left
-    (fun a ex -> a + Atomic.get ex.steals_in)
-    0 db.own.execs
-
-(* --- live load signals (autoscaler inputs) --- *)
-
-type load_stat = {
-  ld_busy_frac : float;  (* owner-published busy fraction, 5 ms window *)
-  ld_qdepth_ewma : float;  (* router-refreshed EWMA of mailbox depth *)
-  ld_mailbox : int;  (* instantaneous mailbox length *)
-  ld_sheds : int;  (* admission refusals against this mailbox so far *)
-}
-
-let load_stats (db : t) =
-  Array.map
-    (fun ex ->
-      {
-        ld_busy_frac = Atomic.get ex.busy_frac;
-        ld_qdepth_ewma = Atomic.get ex.qdepth_ewma;
-        ld_mailbox = Mailbox.length ex.mb;
-        ld_sheds = Atomic.get ex.sheds;
-      })
-    db.own.execs
+let load_stats (db : t) = Array.map load_of db.own.execs
 
 (* Copy the scheduler counters into the attached collector's slots so they
    ride the versioned report. Call at quiescence, like summarize. *)
@@ -798,8 +721,6 @@ let publish_sched_obs (db : t) =
     Array.iter
       (fun ex ->
         Obs.Collector.set_sched c ~container:ex.eid
-          ~steals_in:(Atomic.get ex.steals_in)
-          ~steals_out:(Atomic.get ex.steals_out)
           ~routed_by_cost:(Atomic.get ex.routed_by_cost)
           ~qdepth_ewma:(Atomic.get ex.qdepth_ewma))
       db.own.execs

@@ -26,8 +26,8 @@
     container, and each sub-transaction writes only its own container's
     slice, so a root's sub-transactions on other domains run at the same
     time as their caller. The frames of one root on one container run on
-    that container's domain, which serializes them. Only a stolen or
-    cost-routed root body runs elsewhere: such a root takes a lock
+    that container's domain, which serializes them. Only a cost-routed
+    root body runs elsewhere: such a root takes a lock
     (released across suspension points) that keeps its body exclusive
     with nested calls into its home container; a nested call that finds
     it taken goes back to the end of its domain's mailbox instead of
@@ -40,9 +40,9 @@
     Round-robin routing is honoured as ingress distribution: the root
     request lands on the round-robin-chosen domain and pays a forwarding
     hop to the owner, quantifying what affinity routing saves. The
-    [Cost] router and opt-in work stealing (see {!start}) relax the
-    home-domain-only placement of root {e bodies} while keeping all
-    structural mutations on the owning domain. *)
+    [Cost] router (see {!start}) relaxes the home-domain-only placement
+    of root {e bodies} while keeping all structural mutations on the
+    owning domain. *)
 
 type t
 
@@ -75,16 +75,12 @@ type outcome = {
 
     {3 Dynamic scheduling}
 
-    [steal] (default false) turns on work stealing: an idle domain takes
-    half the {e root} jobs (never internal traffic — resumptions, 2PC
-    messages, forwards) from the deepest peer mailbox and runs their
-    procedure bodies locally; the stolen root's commit is re-pinned to
-    its home domain, so every structural mutation (prepare / install /
-    release) still happens on the owner. Safe for update-in-place
-    workloads; see DESIGN.md §8 for the relocation precondition.
     [cfg.router = Cost] picks each root's ingress domain by blending the
-    [Costmodel] estimate with live load signals (queue-depth EWMA, busy
-    fraction, shed pressure) instead of always using the home domain.
+    [Costmodel] estimate with the load signals ({!load_stats}: queue-depth
+    EWMA, busy fraction, shed pressure) instead of always using the home
+    domain. A root whose body runs off its home re-pins its commit to the
+    home domain, so every structural mutation (prepare / install /
+    release) still happens on the owner; see DESIGN.md §8.
 
     {3 Durability}
 
@@ -103,7 +99,6 @@ type outcome = {
 val start :
   ?chaos:Chaos.t ->
   ?mailbox_cap:int ->
-  ?steal:bool ->
   ?wal:Wal.t ->
   ?epoch_len_s:float ->
   Reactor.decl ->
@@ -123,8 +118,8 @@ val n_domains : t -> int
     Catalogs, placement, snapshot reads, statistics, tracing and history
     recording, as on the simulator. On this backend, catalogs and the
     history are safe to read only after {!quiesce} or {!shutdown};
-    read-only snapshot roots are home-pinned (never stolen or
-    cost-routed), so every version-chain walk happens on the domain
+    read-only snapshot roots are home-pinned (never cost-routed or
+    forwarded), so every version-chain walk happens on the domain
     owning the records; and the "internal" abort bucket counts a
     procedure or commit step raising something that is not an abort
     (see {!n_fatal}). *)
@@ -146,8 +141,7 @@ include Reactdb.Bootstrap.ADMIN with type t := t
     retry index, recorded in the lifecycle trace and abort cause — the
     engine itself never retries. A root with [retry > 0] is admitted on
     its executor's deferred mailbox lane ({!Mailbox.try_push_deferred}):
-    it runs only when that executor has nothing else queued, and it is
-    never stolen.
+    it runs only when that executor has nothing else queued.
 
     [deadline_us] gives the root a latency budget in wall-clock µs from
     submission. The deadline propagates to every cross-container sub-call
@@ -235,10 +229,8 @@ val record_fatal : t -> exn -> unit
 (** {1 Dynamic-scheduling statistics} *)
 
 (** One domain's scheduler counters (monotone atomics; [ss_qdepth_ewma]
-    is the last published mailbox-depth EWMA, a gauge). *)
+    is the mailbox-depth EWMA as of the last load read, a gauge). *)
 type sched_stat = {
-  ss_steals_in : int;  (** root jobs this domain stole from peers *)
-  ss_steals_out : int;  (** root jobs peers stole from this domain *)
   ss_routed_by_cost : int;
       (** roots the cost router admitted here instead of their home *)
   ss_sheds : int;  (** roots shed at this ingress (mailbox full) *)
@@ -249,21 +241,24 @@ type sched_stat = {
     reads), exact at quiescence. *)
 val sched_stats : t -> sched_stat array
 
-(** Total stolen root jobs ([ss_steals_in] summed over domains). *)
-val n_steals : t -> int
-
-(** One domain's live load signals — the {!Autoscaler}'s decision inputs.
-    All advisory: a stale read skews a policy decision, never
-    correctness. *)
+(** One domain's live load signals — the inputs of the {!Autoscaler}, of
+    the [Cost] router and of the [Config.Auto] morph decision, which all
+    read them through the same function. All advisory: a stale read skews
+    a policy decision, never correctness. *)
 type load_stat = {
   ld_busy_frac : float;
-      (** owner-published busy fraction over the last ~5 ms window *)
-  ld_qdepth_ewma : float;  (** router-refreshed EWMA of mailbox depth *)
+      (** [1.] while the domain runs a message, however long it has run;
+          [0.] once it has been idle for a whole ~5 ms window; otherwise
+          the busy fraction it published over its last window *)
+  ld_qdepth_ewma : float;
+      (** EWMA of mailbox depth, folded in by every load read under any
+          router (weight 0.2 per read) *)
   ld_mailbox : int;  (** instantaneous mailbox length *)
   ld_sheds : int;  (** cumulative admission refusals at this mailbox *)
 }
 
-(** Per-domain load snapshot, indexed by domain id. *)
+(** Per-domain load snapshot, indexed by domain id. Each call is a load
+    read: it refreshes every domain's queue-depth EWMA. *)
 val load_stats : t -> load_stat array
 
 (** Per-domain cumulative busy seconds since start, snapshot through each
@@ -273,7 +268,7 @@ val load_stats : t -> load_stat array
 val busy_times : t -> float array
 
 (** Copy the scheduler counters into the attached collector (no-op
-    without one) so they ride the schema-v3 report ([r_sched]). Call at
+    without one) so they ride the schema-v4 report ([r_sched]). Call at
     quiescence; the load driver ([Harness.runtime]) calls it after each
     run. *)
 val publish_sched_obs : t -> unit

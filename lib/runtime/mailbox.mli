@@ -30,11 +30,11 @@ type 'a t
 exception Closed
 
 (** A fresh, open, empty mailbox. [capacity] (default unbounded, clamped to
-    at least 1) bounds admission through {!try_push},
-    {!try_push_deferred} and {!try_push_many} only. [spin] (default
-    [true]) makes {!pop_wait} poll an empty mailbox before it parks; it
-    pays only when the consumer has a core to itself, since on an
-    oversubscribed host the spin takes the core from a busy domain. *)
+    at least 1) bounds admission through {!try_push} and
+    {!try_push_deferred} only. [spin] (default [true]) makes {!pop_wait}
+    poll an empty mailbox before it parks; it pays only when the consumer
+    has a core to itself, since on an oversubscribed host the spin takes
+    the core from a busy domain. *)
 val create : ?capacity:int -> ?spin:bool -> unit -> 'a t
 
 (** [push t x] enqueues [x] unconditionally, ignoring [capacity]. The
@@ -43,13 +43,6 @@ val create : ?capacity:int -> ?spin:bool -> unit -> 'a t
     in-flight transaction rather than refuse a new one. Thread-safe.
     @raise Closed after {!close}. *)
 val push : 'a t -> 'a -> unit
-
-(** [push_many t xs] enqueues every message of [xs] in order under one lock
-    acquisition, ignoring [capacity] (same contract as {!push}). Cheaper
-    than repeated {!push} for a batch — one mutex round and at most one
-    consumer wakeup. Thread-safe.
-    @raise Closed after {!close}. *)
-val push_many : 'a t -> 'a list -> unit
 
 (** [try_push t x] enqueues [x] if fewer than [capacity] messages are
     pending, else returns [false] (the overload signal — callers shed the
@@ -66,24 +59,6 @@ val try_push : 'a t -> 'a -> bool
     Thread-safe.
     @raise Closed after {!close}. *)
 val try_push_deferred : 'a t -> 'a -> bool
-
-(** [try_push_many t xs] admits the longest prefix of [xs] that fits under
-    [capacity] in one lock acquisition and returns its length; the suffix
-    is shed. Admitted messages keep their order. Overshoot bound as for
-    {!try_push}. Thread-safe.
-    @raise Closed after {!close}. *)
-val try_push_many : 'a t -> 'a list -> int
-
-(** [steal_half t ~stealable] removes and returns the oldest half (rounded
-    up) of the pending messages satisfying [stealable], in their queue
-    order; the rest keep their relative order. Only messages still in the
-    shared inbox are candidates — the deferred lane, and anything the
-    consumer has already drained into its private batch, stay put, so the
-    single-consumer discipline of {!pop_wait}/{!try_pop} is unaffected.
-    Intended for work stealing by idle peer domains; [stealable] must be
-    fast and must not raise. Returns [[]] when nothing qualifies.
-    Thread-safe. *)
-val steal_half : 'a t -> stealable:('a -> bool) -> 'a list
 
 (** [pop_wait t] dequeues the next message, main lane first, blocking
     while both lanes are empty and the mailbox is open; [None] once closed

@@ -195,13 +195,12 @@ let test_certify_runtime_affinity () =
    which record none. *)
 let routings =
   let open Reactdb.Config in
-  [ ("affinity", Affinity, false); ("round-robin", Round_robin, false);
-    ("stealing", Affinity, true); ("cost", Cost, false) ]
+  [ ("affinity", Affinity); ("round-robin", Round_robin); ("cost", Cost) ]
 
 (* [gen db w rng] is worker [w]'s next request. *)
-let certify_runtime_run ?(audit = ignore) (router, steal) decl names ~per_worker gen =
+let certify_runtime_run ?(audit = ignore) router decl names ~per_worker gen =
   let cfg = Reactdb.Config.of_groups ~router (Reactdb.Config.chunk 2 names) in
-  let db = Runtime.Db.start ~steal decl cfg in
+  let db = Runtime.Db.start decl cfg in
   Runtime.Db.enable_history db;
   let (_ : int) =
     Harness.run_fixed ~max_retries:3 (Harness.runtime db) ~n_workers:4 ~per_worker
@@ -242,10 +241,10 @@ let runtime_cases =
   List.concat_map
     (fun (wl, case) ->
       List.map
-        (fun (name, router, steal) ->
+        (fun (name, router) ->
           Alcotest.test_case
             (Printf.sprintf "runtime certifies %s, %s" wl name)
-            `Quick (case (router, steal)))
+            `Quick (case router))
         routings)
     [ ("bank", certify_runtime_bank); ("ycsb", certify_runtime_ycsb);
       ("tpcc", certify_runtime_tpcc) ]

@@ -62,7 +62,7 @@ let test_abort_kinds () =
     (List.fold_left
        (fun acc k -> max acc (Obs.Abort.kind_index k))
        0 Obs.Abort.all_kinds);
-  check_int "schema version bumped for the scheduler rows" 3
+  check_int "schema version bumped for the scheduler rows" 4
     Obs.Report.schema_version;
   check_int "v2 reports stay readable" 2 Obs.Report.min_readable_version
 
@@ -231,8 +231,9 @@ let test_report_json_roundtrip () =
   | _ -> Alcotest.fail "to_json not an object"
 
 (* Backwards compatibility: a v2 document (no "scheduler" field) still
-   loads, with empty scheduler rows; and v3 sched rows survive a
-   round-trip. *)
+   loads, with empty scheduler rows; sched rows survive a round-trip; and
+   a v3 document, whose sched rows carry two more counters, still loads
+   with the rows it had. *)
 let test_report_v2_readable () =
   let r = Obs.Report.summarize (synthetic_collector ()) in
   (match Obs.Report.to_json r with
@@ -253,20 +254,41 @@ let test_report_v2_readable () =
         (r2 = { r with Obs.Report.r_sched = [] })
     | Error e -> Alcotest.failf "v2 rejected: %s" e)
   | _ -> Alcotest.fail "to_json not an object");
-  (* v3 with sched rows round-trips *)
+  (* sched rows round-trip *)
   let c = synthetic_collector () in
-  Obs.Collector.set_sched c ~container:1 ~steals_in:3 ~steals_out:0
-    ~routed_by_cost:7 ~qdepth_ewma:2.5;
+  Obs.Collector.set_sched c ~container:1 ~routed_by_cost:7 ~qdepth_ewma:2.5;
   let r3 = Obs.Report.summarize c in
   (match r3.Obs.Report.r_sched with
   | [ s ] ->
     check_int "sched container" 1 s.Obs.Report.sr_container;
-    check_int "sched steals_in" 3 s.Obs.Report.sr_steals_in;
     check_int "sched routed_by_cost" 7 s.Obs.Report.sr_routed_by_cost
   | l -> Alcotest.failf "expected one sched row, got %d" (List.length l));
-  match Obs.Report.of_json (Obs.Report.to_json r3) with
-  | Ok r' -> check_bool "v3 sched rows round-trip" true (r' = r3)
-  | Error e -> Alcotest.failf "of_json: %s" e
+  (match Obs.Report.of_json (Obs.Report.to_json r3) with
+  | Ok r' -> check_bool "sched rows round-trip" true (r' = r3)
+  | Error e -> Alcotest.failf "of_json: %s" e);
+  (* a v3 document: version 3, and the two counters v4 dropped *)
+  match Obs.Report.to_json r3 with
+  | Obs.Json.Obj fields ->
+    let v3_row = function
+      | Obs.Json.Obj kvs ->
+        Obs.Json.Obj
+          (kvs @ [ ("steals_in", Obs.Json.Num 3.); ("steals_out", Obs.Json.Num 0.) ])
+      | j -> j
+    in
+    let v3 =
+      Obs.Json.Obj
+        (List.map
+           (function
+             | "schema_version", _ -> ("schema_version", Obs.Json.Num 3.)
+             | "scheduler", Obs.Json.List rows ->
+               ("scheduler", Obs.Json.List (List.map v3_row rows))
+             | kv -> kv)
+           fields)
+    in
+    (match Obs.Report.of_json v3 with
+    | Ok r' -> check_bool "v3 with its extra counters loads" true (r' = r3)
+    | Error e -> Alcotest.failf "v3 rejected: %s" e)
+  | _ -> Alcotest.fail "to_json not an object"
 
 (* ---- QCheck: generated traces ---- *)
 

@@ -977,55 +977,6 @@ let test_overload_shed () =
   Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
 (* ------------------------------------------------------------------ *)
-(* Work stealing: a skewed YCSB run (every root homed by a hot container)
-   with stealing on must stay exactly correct — stolen bodies run on thief
-   domains but all structural mutations re-pin to the owner — and the
-   steal counters must balance (every steal-in is someone's steal-out). *)
-
-let test_steal_correctness () =
-  let nk = 32 in
-  let cfg = Reactdb.Config.(shared_nothing (chunk 4 (Workloads.Ycsb.keys nk))) in
-  let db = RDb.start ~steal:true (Workloads.Ycsb.decl ~keys:nk ()) cfg in
-  (* theta 0.99: heavy Zipfian skew concentrates roots on a few homes, so
-     idle domains have something to steal *)
-  let p = Workloads.Ycsb.params ~txn_keys:4 ~theta:0.99 nk in
-  let (_ : int) =
-    Harness.run_fixed (Harness.runtime db)
-      ~n_workers:8 ~per_worker:100 ~seed:17 (fun _ rng ->
-        Workloads.Ycsb.gen_multi_update rng p
-          ~container_of:(RDb.container_of db))
-  in
-  check_int "every attempt accounted" 800 (RDb.n_committed db + RDb.n_aborted db);
-  check_bool "made progress" true (RDb.n_committed db > 0);
-  Testlib.audit "no fatals" (Audit.fatal db);
-  let stats = RDb.sched_stats db in
-  let total_out =
-    Array.fold_left (fun a s -> a + s.RDb.ss_steals_out) 0 stats
-  in
-  check_int "steals balance" (RDb.n_steals db) total_out;
-  RDb.shutdown db;
-  Testlib.audit "one row per key reactor" (Audit.ycsb_rows (RDb.catalogs db));
-  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
-
-(* Stealing with the Smallbank conserving mix: cross-container transfers go
-   through real 2PC while single-container roots may be stolen; money must
-   still be conserved exactly. *)
-let test_steal_smallbank () =
-  let n = 32 in
-  let cfg = Reactdb.Config.(shared_nothing (chunk 4 (SB.customers n))) in
-  let db = RDb.start ~steal:true (SB.decl ~customers:n ()) cfg in
-  let (_ : int) =
-    Harness.run_fixed (Harness.runtime db)
-      ~n_workers:8 ~per_worker:75 ~seed:23 (fun _ rng ->
-        SB.gen_conserving rng ~n)
-  in
-  check_int "every attempt accounted" 600 (RDb.n_committed db + RDb.n_aborted db);
-  Testlib.audit "no fatals" (Audit.fatal db);
-  RDb.shutdown db;
-  Testlib.audit "money conserved under stealing"
-    (Audit.money ~n (RDb.catalogs db));
-  Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
-
 (* Cost router: roots may be admitted on a non-home domain (the body runs
    there; the commit re-pins); correctness and conservation must hold. *)
 let test_cost_router () =
@@ -1052,12 +1003,63 @@ let test_cost_router () =
     (Audit.money ~n (RDb.catalogs db));
   Testlib.audit "secondary indexes" (Audit.secondaries (RDb.catalogs db))
 
+(* The load signals read the present, under the affinity router. Container
+   0 runs a root that holds it until released, with 200 roots of 200 µs
+   queued behind it; container 1 stays idle. While the backlog waits,
+   container 0 reads busy — its current message has run for no whole
+   window yet — and backlogged, and container 1 reads idle. Once all of it
+   completed and container 0 has been parked for four 5 ms busy windows,
+   it reads idle. *)
+let test_load_signals () =
+  let go = Atomic.make false and started = Atomic.make false in
+  let hold _ _ =
+    Atomic.set started true;
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    Value.Null
+  in
+  let work _ _ =
+    let t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < 200e-6 do () done;
+    Value.Null
+  in
+  let rtype =
+    Reactor.rtype ~name:"Account" ~schemas:[ Testlib.acct_schema ]
+      ~procs:[ ("hold", hold); ("work", work) ] ()
+  in
+  let db = RDb.start (Testlib.bank_decl ~rtype 2) (Testlib.sn_config 2) in
+  let submit proc = RDb.submit db ~reactor:"acct0" ~proc ~args:[] ~k:ignore in
+  submit "hold";
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get started)) && Unix.gettimeofday () -. t0 < 5. do
+    Domain.cpu_relax ()
+  done;
+  if not (Atomic.get started) then begin
+    Atomic.set go true;
+    RDb.shutdown db;
+    Alcotest.fail "timed out waiting for the holding root"
+  end;
+  for _ = 1 to 200 do submit "work" done;
+  let ld = RDb.load_stats db in
+  Atomic.set go true;
+  check_int "the backlog is queued" 200 ld.(0).RDb.ld_mailbox;
+  check_float "a domain running a message reads busy" 1. ld.(0).RDb.ld_busy_frac;
+  check_bool "a backlog shows in the queue-depth EWMA" true
+    (ld.(0).RDb.ld_qdepth_ewma >= 1.);
+  check_float "an idle domain reads idle" 0. ld.(1).RDb.ld_busy_frac;
+  check_float "an empty mailbox reads no depth" 0. ld.(1).RDb.ld_qdepth_ewma;
+  RDb.quiesce db;
+  Unix.sleepf 0.02;
+  let ld = RDb.load_stats db in
+  RDb.shutdown db;
+  check_int "the backlog drained" 0 ld.(0).RDb.ld_mailbox;
+  check_float "a parked domain reads idle" 0. ld.(0).RDb.ld_busy_frac
+
 (* An off-home root body against a frame shipped into its home. Roots on
    acct0..acct7 (container 0) credit another of them through [relay] on
    acct8 or acct9 (containers 1 and 2). After issuing the credit, a root
    body debits itself and keeps working for [spin_us] inside its home
-   section, flagged by its token. With the cost router and stealing moving
-   bodies off container 0, the credit runs on container 0's own domain
+   section, flagged by its token. With the cost router moving bodies off
+   container 0, the credit runs on container 0's own domain
    while such a body runs on another; the root's frame lock must hold the
    credit back until the body suspends, so no credit ever sees its body's
    flag up. Every root commits or loses an OCC conflict, every balance is
@@ -1100,7 +1102,7 @@ let test_off_home_frame_lock () =
     Reactdb.Config.custom ~executors_per_container:[| 1; 1; 1 |]
       ~router:Reactdb.Config.Cost ~placement:home ()
   in
-  let db = RDb.start ~steal:true (Testlib.bank_decl ~initial:1000. ~rtype 10) cfg in
+  let db = RDb.start (Testlib.bank_decl ~initial:1000. ~rtype 10) cfg in
   RDb.enable_history db;
   let net = Array.init 8 (fun _ -> Atomic.make 0) in
   let committed = Atomic.make 0 and lost = Atomic.make 0 and other = Atomic.make 0 in
@@ -1126,8 +1128,7 @@ let test_off_home_frame_lock () =
   done;
   Testlib.audit "no fatals" (Audit.fatal db);
   let off_home =
-    RDb.n_steals db
-    + Array.fold_left (fun a s -> a + s.RDb.ss_routed_by_cost) 0 (RDb.sched_stats db)
+    Array.fold_left (fun a s -> a + s.RDb.ss_routed_by_cost) 0 (RDb.sched_stats db)
   in
   RDb.shutdown db;
   check_bool "some bodies ran off home" true (off_home > 0);
@@ -1148,14 +1149,16 @@ let test_off_home_frame_lock () =
 
 (* The home domain of an off-home root body keeps draining while a frame
    of that root waits for the body's lock. Container 0 (acct0..acct3) is
-   held busy by [block], so roots of [off_home] pile up there and idle
-   container 1 steals them; container 2 (acct5), also held busy, runs
-   [ship], which sends a frame of the chosen off-home root into container
-   0. Once that frame is queued, a third root [noop] on acct2 is queued
-   behind it and container 0 is let go. The off-home body holds its home
-   section until that third root completes, for at most a second: a frame
-   that blocked its domain on the lock would hold the third root back for
-   the whole second. *)
+   held busy by [block], so roots of [off_home] back up there until the
+   cost router sends one to idle container 1; container 2 (acct5), also
+   held busy, runs [ship], which sends a frame of the chosen off-home root
+   into container 0. Once that frame is queued, a third root [peek] on
+   acct2 is queued behind it and container 0 is let go. [peek] is
+   declared read-only, so the router pins it to its home: a routed third
+   root could land behind the spinning body instead. The off-home body
+   holds its home section until that third root completes, for at most a
+   second: a frame that blocked its domain on the lock would hold the
+   third root back for the whole second. *)
 let test_home_drains_beside_frame_lock () =
   let started = Array.init 2 (fun _ -> Atomic.make false) in
   let go = Array.init 2 (fun _ -> Atomic.make false) in
@@ -1196,15 +1199,15 @@ let test_home_drains_beside_frame_lock () =
     Reactor.rtype ~name:"Account" ~schemas:[ Testlib.acct_schema ]
       ~procs:
         [ ("block", block); ("off_home", off_home); ("ship", ship);
-          ("noop", fun _ _ -> Value.Null) ]
-      ()
+          ("noop", fun _ _ -> Value.Null); ("peek", fun _ _ -> Value.Null) ]
+      ~readonly:[ "peek" ] ()
   in
   let home = function "acct4" -> 1 | "acct5" -> 2 | _ -> 0 in
   let cfg =
     Reactdb.Config.custom ~executors_per_container:[| 1; 1; 1 |]
-      ~router:Reactdb.Config.Affinity ~placement:home ()
+      ~router:Reactdb.Config.Cost ~placement:home ()
   in
-  let db = RDb.start ~steal:true (Testlib.bank_decl ~rtype 6) cfg in
+  let db = RDb.start (Testlib.bank_decl ~rtype 6) cfg in
   let submit reactor proc args k = RDb.submit db ~reactor ~proc ~args ~k in
   let ignore_out (_ : RDb.outcome) = () in
   let await what flag =
@@ -1219,11 +1222,20 @@ let test_home_drains_beside_frame_lock () =
   submit "acct5" "block" [ Value.Int 1 ] ignore_out;
   await "both containers are held" started.(0);
   await "both containers are held" started.(1);
-  for _ = 1 to 6 do submit "acct3" "off_home" [] ignore_out done;
+  (* One root at a time, until the backlog at container 0 outweighs the
+     off-home commit round trip in the router's score. *)
+  let rec feed n =
+    if n > 0 && not (Atomic.get spinning) then begin
+      submit "acct3" "off_home" [] ignore_out;
+      Unix.sleepf 1e-3;
+      feed (n - 1)
+    end
+  in
+  feed 200;
   await "a body runs off its home" spinning;
   Atomic.set go.(1) true;
   await "the frame into the home is queued" shipped;
-  submit "acct2" "noop" [] (fun _ -> Atomic.set third_done true);
+  submit "acct2" "peek" [] (fun _ -> Atomic.set third_done true);
   Atomic.set go.(0) true;
   RDb.quiesce db;
   Testlib.audit "no fatals" (Audit.fatal db);
@@ -1880,8 +1892,6 @@ let suite =
         test_tpcc_new_order_bounded_runtime;
       Alcotest.test_case "overload shed at mailbox cap" `Quick
         test_overload_shed;
-      Alcotest.test_case "work stealing: skewed ycsb" `Quick
-        test_steal_correctness;
       Alcotest.test_case "durable commit not behind a 2pc prepare" `Quick
         test_durable_commit_not_behind_prepare;
       Alcotest.test_case "durable epoch is a shipping bound" `Quick
@@ -1898,9 +1908,9 @@ let suite =
         test_quiet_bound_covers_commit;
       Alcotest.test_case "combining flush fills every batch" `Quick
         test_combining_flush;
-      Alcotest.test_case "work stealing: smallbank conservation" `Quick
-        test_steal_smallbank;
       Alcotest.test_case "cost router" `Quick test_cost_router;
+      Alcotest.test_case "load signals track an idle and a backlogged domain"
+        `Quick test_load_signals;
       Alcotest.test_case "off-home body against a frame into its home" `Quick
         test_off_home_frame_lock;
       Alcotest.test_case "home domain drains beside a frame awaiting its lock"
