@@ -1006,10 +1006,10 @@ let test_cost_router () =
 (* The load signals read the present, under the affinity router. Container
    0 runs a root that holds it until released, with 200 roots of 200 µs
    queued behind it; container 1 stays idle. While the backlog waits,
-   container 0 reads busy — its current message has run for no whole
-   window yet — and backlogged, and container 1 reads idle. Once all of it
-   completed and container 0 has been parked for four 5 ms busy windows,
-   it reads idle. *)
+   container 0 reads busy, though it has completed no message and so has
+   published no busy window, and backlogged; container 1 reads idle. Once
+   all of it completed and container 0 has been parked for four 5 ms busy
+   windows, it reads idle, though its last window was all busy. *)
 let test_load_signals () =
   let go = Atomic.make false and started = Atomic.make false in
   let hold _ _ =
